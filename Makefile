@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
+.PHONY: build test race bench bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,16 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own
+# that calls internal/... directly, so the root build and tests never
+# compile it. Vet it, run its tests and run every workload once at smoke
+# sizes with the correctness gate on: a change to a signature it calls, or
+# to a count its replay pins, fails here instead of in the benchmark run.
+bench-e2e-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	bash bench/run.sh -smoke
 
 # Read-path suite: copy-free snapshot reads vs the clone-on-read baseline.
 bench-read:
@@ -158,4 +168,4 @@ metrics-lint:
 	done; \
 	echo "metrics-lint: $$(echo "$$names" | wc -l) metric name literals OK"
 
-check: vet build test race copyfree metrics-lint obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke
+check: vet build test race copyfree metrics-lint bench-e2e-smoke obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -169,6 +170,98 @@ func BenchmarkPipelineRunBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- X15: ingest cost on a growing store ---------------------------------
+
+// roundFetcher serves the document of the current round once, then
+// reports notModified until the benchmark installs the next one.
+type roundFetcher struct{ doc []byte }
+
+func (f *roundFetcher) Fetch(context.Context) ([]byte, bool, error) {
+	if f.doc == nil {
+		return nil, true, nil
+	}
+	doc := f.doc
+	f.doc = nil
+	return doc, false, nil
+}
+
+// BenchmarkIngestGrowingStore runs many RunBatch rounds of fresh feedgen
+// documents through ONE platform and reports the cost per collected record
+// in the first and in the last tenth of the rounds. Every other pipeline
+// benchmark here builds a fresh platform per iteration and therefore
+// cannot see cost that grows with what the TIP already holds; here
+// last-ns/record over first-ns/record is that growth. B/record is the
+// heap allocated per collected record over the whole run.
+func BenchmarkIngestGrowingStore(b *testing.B) {
+	const (
+		rounds = 40
+		tenth  = rounds / 10
+		items  = 50
+	)
+	var firstNs, lastNs, firstRecs, lastRecs, bytes, recs float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		docs := make([]map[string][]byte, rounds)
+		for r := range docs {
+			var err error
+			docs[r], err = feedgen.New(feedgen.Config{
+				Seed: int64(i)*1_000_003 + int64(r), Items: items,
+				DuplicationRate: 0.2, OverlapRate: 0.15, DefangRate: 0.3,
+			}).Documents()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		feeds, err := feedgen.New(feedgen.Config{Seed: 1, Items: 1}).Feeds(time.Hour)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fetchers := make([]*roundFetcher, len(feeds))
+		for j := range feeds {
+			fetchers[j] = &roundFetcher{}
+			feeds[j].Fetcher = fetchers[j]
+		}
+		p, err := core.New(core.Config{Feeds: feeds, Clock: clock.NewFake(experiments.EvalTime)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// One standing pattern, so the subscription stage projects every
+		// admitted revision instead of short-circuiting on an empty set.
+		if _, err := p.Subscriptions().Register("bench", "[x-caisp:threat-score > 4.5]"); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for r := 0; r < rounds; r++ {
+			for j := range feeds {
+				fetchers[j].doc = docs[r][feeds[j].Name]
+			}
+			collected := p.Stats().EventsCollected
+			start := time.Now()
+			if err := p.RunBatch(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			ns := float64(time.Since(start))
+			n := float64(p.Stats().EventsCollected - collected)
+			switch {
+			case r < tenth:
+				firstNs, firstRecs = firstNs+ns, firstRecs+n
+			case r >= rounds-tenth:
+				lastNs, lastRecs = lastNs+ns, lastRecs+n
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		bytes += float64(after.TotalAlloc - before.TotalAlloc)
+		recs += float64(p.Stats().EventsCollected)
+		p.Close()
+	}
+	b.ReportMetric(firstNs/firstRecs, "first-ns/record")
+	b.ReportMetric(lastNs/lastRecs, "last-ns/record")
+	b.ReportMetric(bytes/recs, "B/record")
 }
 
 // --- X1: deduplication throughput and its Bloom ablation -----------------

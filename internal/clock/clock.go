@@ -31,6 +31,7 @@ type Fake struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []waiter
+	armed   *sync.Cond // signalled when After adds a waiter
 }
 
 type waiter struct {
@@ -40,7 +41,9 @@ type waiter struct {
 
 // NewFake returns a fake clock frozen at start.
 func NewFake(start time.Time) *Fake {
-	return &Fake{now: start}
+	f := &Fake{now: start}
+	f.armed = sync.NewCond(&f.mu)
+	return f
 }
 
 // Now returns the fake current instant.
@@ -61,7 +64,20 @@ func (f *Fake) After(d time.Duration) <-chan time.Time {
 		return ch
 	}
 	f.waiters = append(f.waiters, waiter{at: at, ch: ch})
+	f.armed.Broadcast()
 	return ch
+}
+
+// BlockUntil blocks until at least n timers are pending on the clock. A
+// test calls it before Advance so that the goroutine under test has
+// re-armed its timer: an Advance that runs first moves the clock past a
+// deadline nobody is waiting on yet, and the wakeup is lost.
+func (f *Fake) BlockUntil(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.waiters) < n {
+		f.armed.Wait()
+	}
 }
 
 // Advance moves the clock forward by d, firing any timers that come due.

@@ -88,3 +88,34 @@ func TestFakeMultipleWaiters(t *testing.T) {
 		t.Fatal("second waiter not fired")
 	}
 }
+
+func TestFakeBlockUntilWaitsForTimer(t *testing.T) {
+	f := NewFake(time.Unix(0, 0))
+	f.BlockUntil(0) // nothing to wait for
+	fired := make(chan time.Time)
+	release := make(chan struct{})
+	go func() {
+		<-release
+		fired <- <-f.After(time.Minute)
+	}()
+	blocked := make(chan struct{})
+	go func() {
+		f.BlockUntil(1)
+		close(blocked)
+	}()
+	select {
+	case <-blocked:
+		t.Fatal("BlockUntil(1) returned with no timer pending")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-blocked
+	// The timer is armed, so this Advance cannot be lost.
+	f.Advance(time.Minute)
+	select {
+	case <-fired:
+	case <-time.After(time.Second):
+		t.Fatal("timer armed before Advance never fired")
+	}
+	f.BlockUntil(0) // the fired timer no longer counts
+}

@@ -868,13 +868,21 @@ func (p *Platform) stopCompactor() {
 
 // analyze runs the heuristic stage for one stored cIoC event: convert to
 // STIX, score each supported SDO, enrich, write the eIoC back, reduce and
-// push rIoCs, share over TAXII. Safe for concurrent use across distinct
-// events; the analyzer pool shards by UUID so the same event never runs
-// twice at once. The event must be caller-owned (bus-decoded or a
-// pre-store composition), never a shared frozen view from the store's
-// copy-free read path: the eIoC write-back below mutates me in place
-// (AddAttribute/AddTag) before re-storing it — callers holding a store
-// view must pass storage.GetClone output instead (DESIGN.md §8).
+// push rIoCs, share over TAXII. Its cost is that of the revision it is
+// given — one evaluate/enrich/reduce per SDO of the cluster, one
+// write-back whose correlation lookup walks only the cluster's own
+// indicator values, one subscription pass over the members as stored —
+// and does not depend on how many events the TIP holds. What still grows
+// with history is the cluster itself: a revision re-scores every member,
+// not only the ones that changed (EXPERIMENTS.md §X15, next finding).
+//
+// Safe for concurrent use across distinct events; the analyzer pool shards
+// by UUID so the same event never runs twice at once. The event must be
+// caller-owned (bus-decoded or a pre-store composition), never a shared
+// frozen view from the store's copy-free read path: the eIoC write-back
+// below mutates me in place (AddAttribute/AddTag) before re-storing it —
+// callers holding a store view must pass storage.GetClone output instead
+// (DESIGN.md §8).
 func (p *Platform) analyze(me *misp.Event) error {
 	// A cluster absorbed by a concurrent merge has been retracted from the
 	// store; analyzing its stale revision would resurrect its rIoCs.

@@ -12,17 +12,38 @@ const (
 	clusterContentTagPrefix = "caisp:cluster-content=\""
 )
 
-// rebuildableAttr lists the MISP attribute types that carry member
-// indicator values (the inverse of the attributeType map). Context-bearing
-// attributes — comments, classification text, cvss vectors, reference
-// links — are skipped during reconstruction.
-var rebuildableAttr = func() map[string]bool {
-	out := make(map[string]bool, len(attributeType))
-	for _, t := range attributeType {
-		out[t] = true
+// memberTypes inverts attributeType: the MISP attribute types that carry
+// member indicator values, with the normalized type each stands for.
+// Context-bearing attributes — comments, classification text, cvss
+// vectors, reference links — are absent. "ip-dst" stands for three
+// address types; MemberType tells them apart.
+var memberTypes = func() map[string]normalize.IoCType {
+	out := make(map[string]normalize.IoCType, len(attributeType))
+	for typ, attr := range attributeType {
+		out[attr] = typ
 	}
 	return out
 }()
+
+// MemberType returns the normalized indicator type of a member attribute
+// of a stored composed IoC; ok is false for context-bearing attributes.
+// ToMISP stored the member's canonical value, so the address types that
+// share "ip-dst" are told apart by its shape alone: a canonical CIDR has
+// a slash, a canonical IPv6 address a colon.
+func MemberType(a *misp.Attribute) (typ normalize.IoCType, ok bool) {
+	typ, ok = memberTypes[a.Type]
+	if a.Type == "ip-dst" {
+		switch {
+		case strings.Contains(a.Value, "/"):
+			typ = normalize.TypeCIDR
+		case strings.Contains(a.Value, ":"):
+			typ = normalize.TypeIPv6
+		default:
+			typ = normalize.TypeIPv4
+		}
+	}
+	return typ, ok
+}
 
 // CategoryOf extracts the threat category a composed IoC was stored with,
 // or "" if the event carries no category tag.
@@ -65,7 +86,7 @@ func MembersFromMISP(e *misp.Event) []normalize.Event {
 	var out []normalize.Event
 	for i := range e.Attributes {
 		a := &e.Attributes[i]
-		if !rebuildableAttr[a.Type] {
+		if _, ok := memberTypes[a.Type]; !ok {
 			continue
 		}
 		source := sourceFromComment(a.Comment)

@@ -473,24 +473,31 @@ func TestSchedulerBacksOffAfterErrors(t *testing.T) {
 
 	waitForFetches(t, s, "flaky", 1) // immediate poll fails
 
+	// Fetches is counted before the scheduler re-arms its timer, so every
+	// Advance first waits for the timer to be pending.
+	advance := func(d time.Duration) {
+		fake.BlockUntil(1)
+		fake.Advance(d)
+	}
+
 	// After one failure the next wait is 2× interval: advancing by one
 	// interval must NOT trigger a poll; a further advance past 2× must.
-	fake.Advance(time.Minute)
+	advance(time.Minute)
 	assertNoMoreFetches(t, s, "flaky", 1)
-	fake.Advance(time.Minute)
+	advance(time.Minute)
 	waitForFetches(t, s, "flaky", 2)
 
 	// After two failures the wait is 4× interval.
-	fake.Advance(3 * time.Minute)
+	advance(3 * time.Minute)
 	assertNoMoreFetches(t, s, "flaky", 2)
-	fake.Advance(time.Minute)
+	advance(time.Minute)
 	waitForFetches(t, s, "flaky", 3)
 
 	// A success resets the backoff to the plain interval.
 	fetcher.succeedNow()
-	fake.Advance(8 * time.Minute) // clears the current (8×) backoff
+	advance(8 * time.Minute) // clears the current (8×) backoff
 	waitForFetches(t, s, "flaky", 4)
-	fake.Advance(time.Minute)
+	advance(time.Minute)
 	waitForFetches(t, s, "flaky", 5)
 }
 

@@ -1,6 +1,8 @@
 package heuristic
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -547,6 +549,46 @@ func TestEnrichAndReadBack(t *testing.T) {
 	}
 	if got, ok := ThreatScoreOf(back); !ok || got != res.Score {
 		t.Fatalf("score lost in round trip: %v, %v", got, ok)
+	}
+}
+
+// TestEnrichCriteriaGolden pins the wire form of x_caisp_criteria to the
+// nested map[string]any Enrich used to build per object: same keys, same
+// order, same number formatting, on its own and inside the marshalled SDO.
+func TestEnrichCriteriaGolden(t *testing.T) {
+	e, _ := useCaseEngine(t)
+	v := useCaseIoC()
+	res, err := e.Evaluate(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A feature name that needs escaping and a repeated one (last wins).
+	res.Features = append(res.Features,
+		FeatureResult{Name: `odd "name" <&>`, Value: 1.0 / 3, Weight: 1e-9, Present: true},
+		FeatureResult{Name: res.Features[0].Name, Value: 2.5, Weight: 0.125})
+	nested := make(map[string]any, len(res.Features))
+	for _, f := range res.Features {
+		nested[f.Name] = map[string]any{"value": f.Value, "weight": f.Weight, "present": f.Present}
+	}
+	want, err := json.Marshal(nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	Enrich(v, res)
+	got, err := json.Marshal(v.Extra[PropCriteria])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("x_caisp_criteria =\n%s\nwant\n%s", got, want)
+	}
+	sdo, err := stix.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(sdo, append([]byte(`"`+PropCriteria+`":`), want...)) {
+		t.Fatalf("marshalled SDO does not carry the criteria object:\n%s", sdo)
 	}
 }
 

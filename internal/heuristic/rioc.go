@@ -27,20 +27,34 @@ const (
 // custom attribute. To improve the overall quality of the generated eIoCs,
 // additional information associated to the criteria considered in the
 // score evaluation could be used for the enrichment" (§III-C2).
+// The breakdown refers to res.Features rather than copying it: res must
+// not be modified while the object is in use.
 func Enrich(obj stix.Object, res *Result) {
 	c := obj.GetCommon()
 	c.SetExtra(PropThreatScore, res.Score)
 	c.SetExtra(PropCompleteness, res.Completeness)
 	c.SetExtra(PropPriority, res.Priority())
-	breakdown := make(map[string]any, len(res.Features))
-	for _, f := range res.Features {
-		breakdown[f.Name] = map[string]any{
-			"value":   f.Value,
-			"weight":  f.Weight,
-			"present": f.Present,
-		}
+	c.SetExtra(PropCriteria, criteria(res.Features))
+}
+
+// criteria is the x_caisp_criteria value. It encodes as a JSON object
+// keyed by feature name, {"<feature>":{"present":…,"value":…,"weight":…}},
+// assembled only when the enriched object is actually serialised (TAXII
+// sharing, export); most enriched objects are reduced and dropped.
+type criteria []FeatureResult
+
+// MarshalJSON implements json.Marshaler.
+func (c criteria) MarshalJSON() ([]byte, error) {
+	type criterion struct {
+		Present bool    `json:"present"`
+		Value   float64 `json:"value"`
+		Weight  float64 `json:"weight"`
 	}
-	c.SetExtra(PropCriteria, breakdown)
+	m := make(map[string]criterion, len(c))
+	for _, f := range c {
+		m[f.Name] = criterion{Present: f.Present, Value: f.Value, Weight: f.Weight}
+	}
+	return json.Marshal(m)
 }
 
 // ThreatScoreOf reads an enriched object's score back, if present.

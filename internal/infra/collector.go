@@ -13,15 +13,20 @@ import (
 )
 
 // Collector aggregates infrastructure-side threat data: the inventory,
-// alarms and internal IoCs. Safe for concurrent use.
+// alarms and internal IoCs. Safe for concurrent use. The inventory is
+// fixed at construction: nothing replaces or edits it afterwards, which
+// is what lets the keyword vocabulary be derived once.
 type Collector struct {
-	mu        sync.RWMutex
 	inventory *Inventory
-	alarms    []Alarm
-	internal  []normalize.Event
+	keywords  []string // ApplicationKeywords, derived from inventory once
+
+	mu       sync.RWMutex
+	alarms   []Alarm
+	internal []normalize.Event
 }
 
-// NewCollector wraps an inventory.
+// NewCollector wraps an inventory. The collector takes the inventory as
+// read-only from here on; callers must not modify it afterwards.
 func NewCollector(inv *Inventory) (*Collector, error) {
 	if inv == nil {
 		return nil, fmt.Errorf("infra: nil inventory")
@@ -29,15 +34,11 @@ func NewCollector(inv *Inventory) (*Collector, error) {
 	if err := inv.Validate(); err != nil {
 		return nil, err
 	}
-	return &Collector{inventory: inv}, nil
+	return &Collector{inventory: inv, keywords: applicationKeywords(inv)}, nil
 }
 
 // Inventory returns the wrapped inventory (treat as read-only).
-func (c *Collector) Inventory() *Inventory {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.inventory
-}
+func (c *Collector) Inventory() *Inventory { return c.inventory }
 
 // AddAlarm records an alarm; the node must exist. An empty ID is assigned.
 func (c *Collector) AddAlarm(a Alarm) (Alarm, error) {
@@ -182,13 +183,14 @@ func (c *Collector) Observations() []stixpattern.Observation {
 }
 
 // ApplicationKeywords returns the union of all inventory application
-// keywords plus common keywords, sorted — the vocabulary the heuristic
-// extracts product terms against.
-func (c *Collector) ApplicationKeywords() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+// keywords plus common keywords, lower-cased and sorted — the vocabulary
+// the heuristic extracts product terms against. The slice is computed once
+// at construction and shared: callers must not modify it.
+func (c *Collector) ApplicationKeywords() []string { return c.keywords }
+
+func applicationKeywords(inv *Inventory) []string {
 	set := make(map[string]bool)
-	for _, n := range c.inventory.Nodes {
+	for _, n := range inv.Nodes {
 		for _, app := range n.Applications {
 			set[strings.ToLower(app)] = true
 		}
@@ -196,7 +198,7 @@ func (c *Collector) ApplicationKeywords() []string {
 			set[strings.ToLower(n.OS)] = true
 		}
 	}
-	for _, k := range c.inventory.CommonKeywords {
+	for _, k := range inv.CommonKeywords {
 		set[strings.ToLower(k)] = true
 	}
 	out := make([]string, 0, len(set))

@@ -417,3 +417,29 @@ func TestTLPMarkingApplied(t *testing.T) {
 		t.Fatalf("untagged markings = %v", got)
 	}
 }
+
+func TestAttributeCorrelates(t *testing.T) {
+	tests := []struct {
+		typ, value string
+		want       bool
+	}{
+		{"domain", "evil.example", true},
+		{"ip-dst", "198.51.100.7", true},
+		{"vulnerability", "CVE-2017-9805", true},
+		{"link", "https://nvd.nist.gov/vuln/detail/CVE-2017-9805", true},
+		{"text", "ET TROJAN beacon", true}, // an indicator of unknown type
+		{"text", "os:debian", false},
+		{"text", "products:apache,struts", false},
+		{"text", "classification:phishing confidence:0.91", false},
+		{"comment", "threat-score:0.6250", false},
+		{"comment", "decayed-score:0.3125", false},
+		{"comment", "analyst note", false},
+		{"cvss-vector", "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", false},
+	}
+	for _, tt := range tests {
+		a := Attribute{Type: tt.typ, Value: tt.value}
+		if got := a.Correlates(); got != tt.want {
+			t.Errorf("%s %q: Correlates = %v, want %v", tt.typ, tt.value, got, tt.want)
+		}
+	}
+}

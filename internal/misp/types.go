@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/uuid"
@@ -71,6 +72,32 @@ type Attribute struct {
 	ToIDS     bool     `json:"to_ids"`
 	Timestamp UnixTime `json:"timestamp"`
 	Tags      []Tag    `json:"Tag,omitempty"`
+}
+
+// contextTextPrefixes mark the "text" attributes correlate.ToMISP
+// synthesises to carry context beside a member indicator.
+var contextTextPrefixes = [...]string{"classification:", "os:", "products:"}
+
+// Correlates reports whether the attribute takes part in automatic
+// correlation. Free-text bookkeeping does not: MISP's "comment" type
+// (which also carries the threat-score:/decayed-score: write-backs),
+// CVSS vectors (MISP's vulnerability template disables correlation on
+// them) and the prefixed context "text" attributes. Each of those is
+// shared by a growing fraction of all stored events, so correlating on
+// them links events by the platform's own annotations and makes every
+// lookup O(history).
+func (a *Attribute) Correlates() bool {
+	switch a.Type {
+	case "comment", "cvss-vector":
+		return false
+	case "text":
+		for _, p := range contextTextPrefixes {
+			if strings.HasPrefix(a.Value, p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Object groups attributes under a template (e.g. "vulnerability", "file").

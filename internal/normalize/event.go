@@ -203,32 +203,36 @@ func (e *Event) contextSet(key, value string) {
 // ObservationFields renders the event as STIX-pattern observation fields so
 // indicator patterns can be evaluated against it.
 func (e *Event) ObservationFields() map[string][]string {
-	path := ""
-	switch e.Type {
+	return map[string][]string{ObservationPath(e.Type): {e.Value}}
+}
+
+// ObservationPath returns the STIX object path under which an indicator of
+// the given type is observed.
+func ObservationPath(typ IoCType) string {
+	switch typ {
 	case TypeIPv4, TypeCIDR:
-		path = "ipv4-addr:value"
+		return "ipv4-addr:value"
 	case TypeIPv6:
-		path = "ipv6-addr:value"
+		return "ipv6-addr:value"
 	case TypeDomain:
-		path = "domain-name:value"
+		return "domain-name:value"
 	case TypeURL:
-		path = "url:value"
+		return "url:value"
 	case TypeEmail:
-		path = "email-addr:value"
+		return "email-addr:value"
 	case TypeMD5:
-		path = "file:hashes.'MD5'"
+		return "file:hashes.'MD5'"
 	case TypeSHA1:
-		path = "file:hashes.'SHA-1'"
+		return "file:hashes.'SHA-1'"
 	case TypeSHA256:
-		path = "file:hashes.'SHA-256'"
+		return "file:hashes.'SHA-256'"
 	case TypeSHA512:
-		path = "file:hashes.'SHA-512'"
+		return "file:hashes.'SHA-512'"
 	case TypeFilename:
-		path = "file:name"
+		return "file:name"
 	case TypeCVE:
-		path = "vulnerability:name"
+		return "vulnerability:name"
 	default:
-		path = "artifact:payload"
+		return "artifact:payload"
 	}
-	return map[string][]string{path: {e.Value}}
 }

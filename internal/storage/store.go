@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -850,45 +851,36 @@ func (s *Store) Changes(afterSeq uint64, limit int) ([]Change, uint64, bool, err
 }
 
 // Correlated returns the UUIDs of events sharing at least one attribute
-// value with the given event — MISP's automatic correlation. With
-// indexing disabled the fallback builds a transient set of the queried
-// values once and makes a single pass over the store, instead of one full
-// scan per value.
+// value with the given event — MISP's automatic correlation. Only the
+// query's correlating attributes are looked up (misp.Attribute.Correlates),
+// so a call walks the postings of the event's own indicator values and not
+// those of comments, score write-backs and context text, which nearly
+// every stored event shares. With indexing disabled the fallback makes a
+// single pass over the store.
 func (s *Store) Correlated(e *misp.Event) []string {
-	values := make(map[string]bool, len(e.Attributes))
-	for _, a := range e.Attributes {
-		values[a.Value] = true
+	values := correlatingValues(e)
+	if len(values) == 0 {
+		return nil
 	}
-	for _, o := range e.Objects {
-		for _, a := range o.Attributes {
-			values[a.Value] = true
-		}
-	}
-
-	s.mu.RLock()
-	seen := make(map[string]bool)
 	var out []string
+	s.mu.RLock()
 	if s.indexing {
-		for value := range values {
-			p := s.byValue[value]
-			if p == nil {
-				continue
-			}
-			for uuid := range p.set {
-				if uuid != e.UUID && !seen[uuid] {
-					seen[uuid] = true
-					out = append(out, uuid)
+		for _, value := range values {
+			if p := s.byValue[value]; p != nil {
+				for uuid := range p.set {
+					if uuid != e.UUID {
+						out = append(out, uuid)
+					}
 				}
 			}
 		}
 	} else {
 		s.forEach(func(uuid string, se *storedEvent) {
-			if uuid == e.UUID || seen[uuid] {
+			if uuid == e.UUID {
 				return
 			}
 			for _, oa := range allAttributes(se.event) {
-				if values[oa.Value] {
-					seen[uuid] = true
+				if slices.Contains(values, oa.Value) {
 					out = append(out, uuid)
 					return
 				}
@@ -896,8 +888,22 @@ func (s *Store) Correlated(e *misp.Event) []string {
 		})
 	}
 	s.mu.RUnlock()
+	// An event sharing several values was appended once per value.
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
+}
+
+// correlatingValues lists the values Correlated looks up for e: those of
+// its loose and object attributes that take part in correlation.
+func correlatingValues(e *misp.Event) []string {
+	var values []string
+	attrs := allAttributes(e)
+	for i := range attrs {
+		if attrs[i].Correlates() {
+			values = append(values, attrs[i].Value)
+		}
+	}
+	return values
 }
 
 // Compact publishes a snapshot of the current state and prunes the WAL

@@ -39,13 +39,26 @@ type EventFrame struct {
 }
 
 // ObservationFromMISP projects a stored MISP event onto STIX object paths.
-// For admitted cIoCs the cluster members rebuild exactly as the correlator
-// stored them; for other events (e.g. raw events posted to tipd) each
-// attribute value normalizes individually. threatScore < 0 means unscored.
+// An admitted cIoC is read as stored: each member attribute's MISP type
+// names its STIX path and its value is already canonical, because the
+// correlator wrote it from a normalized event. Other events (e.g. raw
+// events posted to tipd) have each attribute value normalized
+// individually. threatScore < 0 means unscored.
 func ObservationFromMISP(me *misp.Event, threatScore float64) stixpattern.Observation {
 	fields := make(map[string][]string, 8)
-	members := correlate.MembersFromMISP(me)
-	if members == nil {
+	cat := correlate.CategoryOf(me)
+	if cat != "" && me.HasTag("caisp:cioc") {
+		for i := range me.Attributes {
+			a := &me.Attributes[i]
+			if typ, ok := correlate.MemberType(a); ok {
+				path := normalize.ObservationPath(typ)
+				fields[path] = append(fields[path], a.Value)
+			}
+		}
+	}
+	if len(fields) == 0 {
+		// Not a cIoC, or one whose members all have an unknown type and were
+		// stored as free text.
 		for i := range me.Attributes {
 			a := &me.Attributes[i]
 			if a.Type == "comment" {
@@ -55,15 +68,11 @@ func ObservationFromMISP(me *misp.Event, threatScore float64) stixpattern.Observ
 			if err != nil {
 				continue
 			}
-			members = append(members, ev)
+			path := normalize.ObservationPath(ev.Type)
+			fields[path] = append(fields[path], ev.Value)
 		}
 	}
-	for _, m := range members {
-		for path, vals := range m.ObservationFields() {
-			fields[path] = append(fields[path], vals...)
-		}
-	}
-	if cat := correlate.CategoryOf(me); cat != "" {
+	if cat != "" {
 		fields[PathCategory] = []string{cat}
 	}
 	if threatScore < 0 {

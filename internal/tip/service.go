@@ -111,10 +111,14 @@ func NewService(store *storage.Store, opts ...Option) *Service {
 }
 
 // AddEvent validates and stores an event, returning the UUIDs of already
-// stored events it correlates with (sharing at least one attribute value —
-// MISP's automatic correlation). New and updated events are announced on
-// the bus. The store keeps a private copy; the caller retains ownership
-// of e.
+// stored events it correlates with: those sharing the value of at least
+// one of its correlating attributes (MISP's automatic correlation;
+// comments, score write-backs and context text do not correlate, see
+// misp.Attribute.Correlates). The lookup costs the postings of the event's
+// own indicator values, not the size of the store, so the per-event path
+// (eIoC write-back, POST /events, infrastructure sightings) stays flat as
+// the TIP fills. New and updated events are announced on the bus. The
+// store keeps a private copy; the caller retains ownership of e.
 func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 	if e == nil {
 		return nil, fmt.Errorf("tip: nil event")
