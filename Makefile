@@ -161,7 +161,7 @@ metrics-lint:
 		caisp_lifecycle_rescored_total caisp_lifecycle_expired_total caisp_lifecycle_sighting_refreshes_total \
 		caisp_lifecycle_scan_seconds caisp_lifecycle_tracked \
 		caisp_mesh_last_success_unix_seconds caisp_mesh_hop_latency_seconds caisp_mesh_replication_seconds \
-		caisp_health_status caisp_health_check_status \
+		caisp_health_status caisp_health_check_status caisp_tip_changes_parked \
 		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes; do \
 		echo "$$names" | grep -qx "\"$$want\"" || { \
 			echo "metrics-lint: required metric $$want is not registered"; exit 1; }; \

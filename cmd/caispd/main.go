@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -128,7 +129,10 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 
 	servers := []*http.Server{
 		{Addr: dashAddr, Handler: withReport(platform, checks, pprof)},
-		{Addr: tipAddr, Handler: tip.NewAPI(platform.TIP(), apiKey)},
+		// Request contexts descend from the signal context, so SIGTERM frees
+		// change-feed requests parked on ?wait= before Shutdown waits on them.
+		{Addr: tipAddr, Handler: tip.NewAPI(platform.TIP(), apiKey),
+			BaseContext: func(net.Listener) context.Context { return ctx }},
 	}
 	fmt.Printf("dashboard:  http://localhost%s\n", dashAddr)
 	fmt.Printf("TIP API:    http://localhost%s\n", tipAddr)

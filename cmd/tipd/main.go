@@ -11,6 +11,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -294,10 +295,12 @@ func run(cfg config) error {
 		mux.Handle("GET /lifecycle/{rest...}", lifecycle.NewAPI(lifec))
 	}
 	mux.Handle("/", tip.NewAPI(service, cfg.apiKey))
-	srv := &http.Server{Addr: cfg.addr, Handler: mux}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Request contexts descend from the signal context, so SIGTERM frees
+	// change-feed requests parked on ?wait= before Shutdown waits on them.
+	srv := &http.Server{Addr: cfg.addr, Handler: mux,
+		BaseContext: func(net.Listener) context.Context { return ctx }}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

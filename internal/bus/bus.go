@@ -176,7 +176,13 @@ func (b *Broker) Subscribe(topicPrefix string) *Subscription {
 // Publish fans the message out to all matching subscribers. It never
 // blocks on slow consumers.
 func (b *Broker) Publish(topic string, payload []byte) {
-	msg := Message{Topic: topic, Payload: payload}
+	b.PublishFunc(topic, func() ([]byte, bool) { return payload, true })
+}
+
+// PublishFunc is Publish for a payload that costs something to build:
+// encode runs only when somebody is subscribed to topic, and may give up
+// (false drops the message). The call counts as published either way.
+func (b *Broker) PublishFunc(topic string, encode func() ([]byte, bool)) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -197,6 +203,14 @@ func (b *Broker) Publish(topic string, payload []byte) {
 	}
 	b.mu.Unlock()
 
+	if len(subs)+len(conns) == 0 {
+		return
+	}
+	payload, ok := encode()
+	if !ok {
+		return
+	}
+	msg := Message{Topic: topic, Payload: payload}
 	for _, s := range subs {
 		s.deliver(msg)
 	}

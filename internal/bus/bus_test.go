@@ -111,6 +111,30 @@ func TestPublishedCounter(t *testing.T) {
 	}
 }
 
+func TestPublishFuncEncodesOnlyForSubscribers(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	calls := 0
+	encode := func() ([]byte, bool) { calls++; return []byte("x"), calls < 2 }
+	b.PublishFunc("misp.event.add", encode)
+	sub := b.Subscribe("taxii.")
+	b.PublishFunc("misp.event.add", encode)
+	if calls != 0 || b.Published() != 2 {
+		t.Fatalf("no matching subscriber: encode ran %d times, Published = %d", calls, b.Published())
+	}
+	sub.Close()
+	sub = b.Subscribe("misp.")
+	b.PublishFunc("misp.event.add", encode)
+	if m := recvOne(t, sub.C()); string(m.Payload) != "x" || calls != 1 {
+		t.Fatalf("payload %q after %d encode calls", m.Payload, calls)
+	}
+	b.PublishFunc("misp.event.add", encode) // encode gives up: dropped
+	expectNone(t, sub.C())
+	if calls != 2 || b.Published() != 4 {
+		t.Fatalf("encode ran %d times, Published = %d", calls, b.Published())
+	}
+}
+
 func TestTCPDelivery(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()

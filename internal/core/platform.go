@@ -242,6 +242,10 @@ type Platform struct {
 
 	mu      sync.Mutex // guards pending
 	pending []normalize.Event
+	// arrived wakes the streaming flusher when a poll put events into
+	// pending. Capacity one: polls landing while a flush runs share one
+	// further flush, and ingest never blocks.
+	arrived chan struct{}
 
 	procMu    sync.Mutex
 	processed *ringset.Set // event UUIDs already analyzed (bounded FIFO)
@@ -323,6 +327,7 @@ func New(cfg Config) (*Platform, error) {
 		compactAfterBytes: defaultCompactAfterBytes,
 		compactCh:         make(chan struct{}, 1),
 		compactStop:       make(chan struct{}),
+		arrived:           make(chan struct{}, 1),
 	}
 	p.nodeName = cfg.NodeName
 	if p.nodeName == "" {
@@ -662,26 +667,38 @@ func mispTypeFor(typ normalize.IoCType) string {
 // Classifier returns the NLP text classifier, or nil when disabled.
 func (p *Platform) Classifier() *textclass.Classifier { return p.classifier }
 
-// ingest is the feed scheduler sink: classify → normalize → dedup →
-// pending buffer. It is called concurrently by the feed worker pool.
-func (p *Platform) ingest(e normalize.Event) {
-	p.classify(&e)
-	stored, isNew := p.deduper.Offer(e)
-	p.counters.collected.Add(1)
-	if !isNew {
-		// A duplicate never starts a trace: its original may still be
-		// in flight under the same ID.
-		p.counters.duplicates.Add(1)
+// ingest is the feed scheduler sink, called once per poll that delivered
+// records: classify → normalize → dedup → pending buffer, then wake the
+// streaming flusher. It is called concurrently by the feed worker pool.
+func (p *Platform) ingest(events []normalize.Event) {
+	admitted := make([]normalize.Event, 0, len(events))
+	for _, e := range events {
+		p.classify(&e)
+		stored, isNew := p.deduper.Offer(e)
+		p.counters.collected.Add(1)
+		if !isNew {
+			// A duplicate never starts a trace: its original may still be
+			// in flight under the same ID.
+			p.counters.duplicates.Add(1)
+			continue
+		}
+		p.counters.unique.Add(1)
+		// Trace from the admitted identity (classification may have re-keyed
+		// the event); the correlator adopts this ID at the next flush.
+		p.tracer.Start(stored.ID)
+		p.tracer.Mark(stored.ID, obs.StageIngest)
+		admitted = append(admitted, stored)
+	}
+	if len(admitted) == 0 {
 		return
 	}
-	p.counters.unique.Add(1)
-	// Trace from the admitted identity (classification may have re-keyed
-	// the event); the correlator adopts this ID at the next flush.
-	p.tracer.Start(stored.ID)
-	p.tracer.Mark(stored.ID, obs.StageIngest)
 	p.mu.Lock()
-	p.pending = append(p.pending, stored)
+	p.pending = append(p.pending, admitted...)
 	p.mu.Unlock()
+	select {
+	case p.arrived <- struct{}{}:
+	default: // a wake-up is already pending; its flush takes these too
+	}
 }
 
 // classify tags unknown-category events from their textual context using
@@ -800,9 +817,7 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 	// subscription set. Direct dispatch on the flush path — the same
 	// loss-free route the incremental correlator uses — so standing
 	// detections never drop under bus backpressure.
-	for _, me := range stored {
-		p.subs.EvaluateMISP(me, subscribe.StageCIoC, -1)
-	}
+	p.fanOut(len(stored), func(i int) { p.subs.EvaluateMISP(stored[i], subscribe.StageCIoC, -1) })
 	var added, edited int64
 	for _, me := range stored {
 		if newUUIDs[me.UUID] {
@@ -970,44 +985,36 @@ func (p *Platform) analyze(me *misp.Event) error {
 // analyzer pool. The events come from one composeAndStore batch, so their
 // UUIDs are distinct and no sharding is needed; errors are joined.
 func (p *Platform) analyzeAll(events []*misp.Event) error {
-	workers := p.analyzers
-	if workers > len(events) {
-		workers = len(events)
-	}
+	errs := make([]error, len(events))
+	p.fanOut(len(events), func(i int) { errs[i] = p.analyze(events[i]) })
+	return errors.Join(errs...)
+}
+
+// fanOut calls fn(0..n-1) on up to AnalyzerPool goroutines and waits.
+func (p *Platform) fanOut(n int, fn func(i int)) {
+	workers := min(p.analyzers, n)
 	if workers <= 1 {
-		var errs []error
-		for _, me := range events {
-			if err := p.analyze(me); err != nil {
-				errs = append(errs, err)
-			}
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return errors.Join(errs...)
+		return
 	}
-	queue := make(chan *misp.Event)
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		errs  []error
-	)
-	for i := 0; i < workers; i++ {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for me := range queue {
-				if err := p.analyze(me); err != nil {
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+				// The pool fills every P: what fn woke (dashboard fan-out,
+				// match watchers) would wait out its time slice, up to
+				// 10 ms and never the same twice. Yield, so it delivers now.
+				runtime.Gosched()
 			}
 		}()
 	}
-	for _, me := range events {
-		queue <- me
-	}
-	close(queue)
 	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // RunBatch performs one synchronous pipeline pass: poll every feed once
@@ -1035,9 +1042,12 @@ func shardOf(uuid string, n int) int {
 }
 
 // Start launches streaming mode: the feed scheduler polls on its
-// intervals, a composer goroutine flushes pending events every
-// flushInterval, and a sharded pool of analyzer goroutines consumes the
-// bus to run heuristic analysis concurrently.
+// intervals, a composer goroutine flushes pending events as soon as a
+// poll has delivered them, and a sharded pool of analyzer goroutines
+// consumes the bus to run heuristic analysis concurrently. A flush takes
+// whole documents (each revises the clusters it touches, so never a record
+// at a time), and polls that land while one runs share the next.
+// flushInterval is the longest a pending event can wait, not the period.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -1137,19 +1147,22 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	go func() {
 		defer p.workers.Done()
 		defer senders.Done()
+		tick := p.clk.After(flushInterval)
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case <-p.clk.After(flushInterval):
-				stored, err := p.composeAndStore(p.drainPending())
-				if err != nil {
-					p.logger.Warn("composition failed", "error", err)
-				}
-				for _, me := range stored {
-					if !dispatch(me) {
-						return
-					}
+			case <-p.arrived:
+			case <-tick:
+				tick = p.clk.After(flushInterval)
+			}
+			stored, err := p.composeAndStore(p.drainPending())
+			if err != nil {
+				p.logger.Warn("composition failed", "error", err)
+			}
+			for _, me := range stored {
+				if !dispatch(me) {
+					return
 				}
 			}
 		}

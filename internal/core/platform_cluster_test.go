@@ -247,7 +247,7 @@ func TestStreamingClusterStress(t *testing.T) {
 					t.Errorf("producer %d: %v", pr, err)
 					return
 				}
-				p.ingest(e)
+				p.ingest([]normalize.Event{e})
 				if i%10 == 0 {
 					time.Sleep(time.Millisecond)
 				}

@@ -315,7 +315,11 @@ func DedupSweep(rates []float64, items int) ([]ReductionPoint, error) {
 			return nil, err
 		}
 		d := dedup.New()
-		sched := feed.NewScheduler(func(e normalize.Event) { d.Offer(e) })
+		sched := feed.NewScheduler(func(batch []normalize.Event) {
+			for _, e := range batch {
+				d.Offer(e)
+			}
+		})
 		for _, f := range feeds {
 			if err := sched.Add(f); err != nil {
 				return nil, err

@@ -43,7 +43,11 @@ func TestPollOnceRunsFeedsInParallel(t *testing.T) {
 	release := make(chan struct{})
 	gate := &gateFetcher{data: []byte("evil.example\n"), holdUntil: release}
 	var events sync.Map
-	sink := func(e normalize.Event) { events.Store(e.Source+e.Value, true) }
+	sink := func(batch []normalize.Event) {
+		for _, e := range batch {
+			events.Store(e.Source+e.Value, true)
+		}
+	}
 	s := NewScheduler(sink, WithConcurrency(feeds))
 	for i := 0; i < feeds; i++ {
 		err := s.Add(Feed{
@@ -85,7 +89,7 @@ func TestPollOnceConcurrencyBound(t *testing.T) {
 	const feeds = 8
 	release := make(chan struct{})
 	gate := &gateFetcher{data: []byte("a.example\n"), holdUntil: release}
-	s := NewScheduler(func(normalize.Event) {}, WithConcurrency(2))
+	s := NewScheduler(func([]normalize.Event) {}, WithConcurrency(2))
 	for i := 0; i < feeds; i++ {
 		if err := s.Add(Feed{
 			Name: fmt.Sprintf("feed-%d", i), Category: normalize.CategoryMalwareDomain,
@@ -119,7 +123,7 @@ func TestPollOnceConcurrencyBound(t *testing.T) {
 
 func TestPollOnceSerialWhenConcurrencyOne(t *testing.T) {
 	gate := &gateFetcher{data: []byte("a.example\n")}
-	s := NewScheduler(func(normalize.Event) {}, WithConcurrency(1))
+	s := NewScheduler(func([]normalize.Event) {}, WithConcurrency(1))
 	for i := 0; i < 4; i++ {
 		if err := s.Add(Feed{
 			Name: fmt.Sprintf("feed-%d", i), Category: normalize.CategoryMalwareDomain,

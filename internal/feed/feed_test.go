@@ -272,12 +272,12 @@ func TestFileFetcher(t *testing.T) {
 	}
 }
 
-func collectSink() (func(normalize.Event), func() []normalize.Event) {
+func collectSink() (func([]normalize.Event), func() []normalize.Event) {
 	var mu sync.Mutex
 	var events []normalize.Event
-	sink := func(e normalize.Event) {
+	sink := func(batch []normalize.Event) {
 		mu.Lock()
-		events = append(events, e)
+		events = append(events, batch...)
 		mu.Unlock()
 	}
 	snapshot := func() []normalize.Event {
@@ -322,7 +322,7 @@ func TestSchedulerPollOnce(t *testing.T) {
 }
 
 func TestSchedulerValidation(t *testing.T) {
-	s := NewScheduler(func(normalize.Event) {})
+	s := NewScheduler(func([]normalize.Event) {})
 	if err := s.Add(Feed{Name: ""}); err == nil {
 		t.Fatal("empty feed accepted")
 	}

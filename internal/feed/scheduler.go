@@ -37,12 +37,14 @@ type Stats struct {
 	Malformed   int `json:"malformed"`
 }
 
-// Scheduler polls a set of feeds and emits normalized events to a sink.
+// Scheduler polls a set of feeds and hands each poll's normalized events
+// to a sink: one call per poll that delivered records, so the consumer
+// knows where a document ends and can act on it instead of on a timer.
 // The sink must be safe for concurrent use: feeds poll from parallel
 // goroutines in streaming mode and from a bounded worker pool in PollOnce.
 type Scheduler struct {
 	clk         clock.Clock
-	sink        func(normalize.Event)
+	sink        func([]normalize.Event)
 	logger      *slog.Logger
 	concurrency int
 	metrics     *schedMetrics
@@ -120,8 +122,8 @@ func (o schedMetricsOption) apply(s *Scheduler) {
 // (nil disables instrumentation).
 func WithMetrics(reg *obs.Registry) Option { return schedMetricsOption{reg: reg} }
 
-// NewScheduler builds a scheduler delivering normalized events to sink.
-func NewScheduler(sink func(normalize.Event), opts ...Option) *Scheduler {
+// NewScheduler builds a scheduler delivering each poll's events to sink.
+func NewScheduler(sink func([]normalize.Event), opts ...Option) *Scheduler {
 	s := &Scheduler{
 		clk:    clock.Real(),
 		sink:   sink,
@@ -327,6 +329,7 @@ func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
 		return false
 	}
 	now := s.clk.Now()
+	events := make([]normalize.Event, 0, len(records))
 	for _, rec := range records {
 		category := f.Category
 		if rec.Category != "" {
@@ -354,7 +357,10 @@ func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
 		if s.metrics != nil {
 			s.metrics.records.With(f.Name).Inc()
 		}
-		s.sink(event)
+		events = append(events, event)
+	}
+	if len(events) > 0 {
+		s.sink(events)
 	}
 	return true
 }

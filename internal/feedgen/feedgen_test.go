@@ -217,9 +217,9 @@ func TestEndToEndThroughScheduler(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []normalize.Event
-	s := feed.NewScheduler(func(e normalize.Event) {
+	s := feed.NewScheduler(func(batch []normalize.Event) {
 		mu.Lock()
-		events = append(events, e)
+		events = append(events, batch...)
 		mu.Unlock()
 	})
 	for _, f := range feeds {

@@ -6,9 +6,13 @@
 // keep up with ingest.
 //
 // Each configured peer gets its own sync worker goroutine that pulls the
-// peer's paginated ingest-sequence change feed (GET /events/changes) on
-// a jittered interval, with exponential backoff while the peer is down.
-// Workers run concurrently under a bounded semaphore, so a 16-peer node
+// peer's paginated ingest-sequence change feed (GET /events/changes),
+// asking the peer to hold a request that finds nothing new until its
+// store commits (storage.WithWait): a revision is pulled when it is
+// committed, not when a timer next fires. Against a peer that ignores the
+// wait the same loop sleeps a jittered interval between empty rounds, and
+// it backs off exponentially while the peer is down. Rounds run
+// concurrently under a bounded semaphore, so a 16-peer node
 // catches up against all peers at once instead of one at a time
 // (WithSerialSync is the measured ablation). The hot path is loss-free
 // and echo-free:
@@ -27,12 +31,14 @@
 //     the events are re-pulled next round.
 //   - Echo suppression: before importing, each pulled event is checked
 //     against the local store by UUID + timestamp. An event the node
-//     already owns at the same or newer timestamp is skipped, so A→B→A
-//     round-trips re-import nothing and trigger no re-analysis.
+//     already owns at a newer timestamp, or at the same one unless the
+//     remote copy extends it, is skipped, so A→B→A round-trips re-import
+//     nothing and trigger no re-analysis.
 //   - Conflict resolution: concurrent edits of the same (cluster) UUID
 //     resolve newest-timestamp-wins — a strictly newer remote revision
 //     replaces the local one through the store's edit path, a strictly
-//     older one is dropped. Ties keep the local copy.
+//     older one is dropped. Within one second (the wire's granularity)
+//     the remote wins only if it extends the local revision (extends).
 //   - Deletion replication: tombstoned UUIDs on the change feed
 //     (expired or retracted indicators) are applied locally at their
 //     original deletion time, again newest-wins — a local edit strictly
@@ -159,17 +165,17 @@ type Engine struct {
 	rounds         atomic.Int64
 
 	// metric families; nil without WithMetrics.
-	mPages       *obs.CounterVec // {peer}
-	mPulled      *obs.CounterVec // {peer}
-	mImported    *obs.CounterVec // {peer}
-	mEcho        *obs.CounterVec // {peer}
-	mConflicts   *obs.CounterVec // {peer, winner}
-	mDeleted     *obs.CounterVec // {peer}
-	mErrors      *obs.CounterVec // {peer}
-	mSync        *obs.Histogram  // sync round latency
-	mLag         *obs.GaugeVec   // {peer} seconds behind the peer head
-	mBackoff     *obs.GaugeVec   // {peer} current backoff, 0 when healthy
-	mLastSuccess *obs.GaugeVec   // {peer} unix time of last drained round
+	mPages       *obs.CounterVec   // {peer}
+	mPulled      *obs.CounterVec   // {peer}
+	mImported    *obs.CounterVec   // {peer}
+	mEcho        *obs.CounterVec   // {peer}
+	mConflicts   *obs.CounterVec   // {peer, winner}
+	mDeleted     *obs.CounterVec   // {peer}
+	mErrors      *obs.CounterVec   // {peer}
+	mSync        *obs.Histogram    // sync round latency
+	mLag         *obs.GaugeVec     // {peer} seconds behind the peer head
+	mBackoff     *obs.GaugeVec     // {peer} current backoff, 0 when healthy
+	mLastSuccess *obs.GaugeVec     // {peer} unix time of last drained round
 	mHopLat      *obs.HistogramVec // {peer} single-hop replication latency
 	mRepl        *obs.Histogram    // origin-to-here end-to-end latency
 
@@ -180,7 +186,6 @@ type Engine struct {
 
 	runCtx  context.Context
 	cancel  context.CancelFunc
-	stopped chan struct{}
 	wg      sync.WaitGroup
 	started atomic.Bool
 }
@@ -191,7 +196,7 @@ type peerState struct {
 	name   string
 	remote Remote
 	full   DeletionRemote // non-nil when the remote serves tombstones
-	page   int            // adaptive page size
+	page   int            // adaptive page size; guarded by busy
 	busy   sync.Mutex     // serializes overlapping syncs of one peer
 
 	// statMu guards the observability snapshot below, which PeerStatuses
@@ -207,8 +212,10 @@ type peerState struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithInterval sets the base poll interval; each worker jitters its
-// actual sleep in [interval/2, 3·interval/2) so peers do not phase-lock.
+// WithInterval sets the base poll interval: how long a worker asks its
+// peer to hold an idle request (at most storage.MaxWait), and around
+// which it jitters its sleep, in [interval/2, 3·interval/2), between
+// empty rounds against a peer that does not hold requests.
 func WithInterval(d time.Duration) Option {
 	return func(e *Engine) { e.interval = d }
 }
@@ -267,10 +274,10 @@ func WithTracer(tr *obs.Tracer) Option {
 	return func(e *Engine) { e.tracer = tr }
 }
 
-// hopBuckets shapes the replication-latency histograms. Mesh hops are
-// dominated by the poll interval (default 30s, jittered to 45s, plus
-// backoff up to minutes), so the buckets reach well past DefBuckets'
-// 10s ceiling.
+// hopBuckets shapes the replication-latency histograms. A hop costs a
+// pull and an import (milliseconds) from a peer that holds change-feed
+// requests, up to the poll interval (default 30s, jittered to 45s) from
+// one that does not, and minutes under backoff: 10ms to 10 minutes.
 var hopBuckets = []float64{.01, .05, .25, 1, 5, 15, 30, 60, 120, 300, 600}
 
 // WithMetrics registers the caisp_mesh_* families on reg (nil disables).
@@ -297,7 +304,7 @@ func WithMetrics(reg *obs.Registry) Option {
 		e.mErrors = reg.CounterVec("caisp_mesh_errors_total",
 			"Failed sync attempts per peer (transport or import).", "peer")
 		e.mSync = reg.Histogram("caisp_mesh_sync_seconds",
-			"Wall time of one sync round: drain a peer's backlog to its head.")
+			"Working time of one sync round: drain a peer's backlog to its head, not counting the time the peer held the round's first request.")
 		e.mLag = reg.GaugeVec("caisp_mesh_lag_seconds",
 			"Replication lag per peer: age of the newest event pulled in the last drained round while healthy, seconds since the last success while the peer is failing.", "peer")
 		e.mBackoff = reg.GaugeVec("caisp_mesh_backoff_seconds",
@@ -305,7 +312,7 @@ func WithMetrics(reg *obs.Registry) Option {
 		e.mLastSuccess = reg.GaugeVec("caisp_mesh_last_success_unix_seconds",
 			"Unix time of the last fully drained sync round per peer; zero until one succeeds.", "peer")
 		e.mHopLat = reg.HistogramVec("caisp_mesh_hop_latency_seconds",
-			"Single-hop replication latency: time between the upstream node pulling (or ingesting) an event and this node pulling it.", hopBuckets, "peer")
+			"Single-hop replication latency: time between the upstream node pulling (or ingesting) an event and this node pulling it. Pull plus import from a peer that holds change-feed requests until it commits; up to the poll interval from one that does not.", hopBuckets, "peer")
 		e.mRepl = reg.Histogram("caisp_mesh_replication_seconds",
 			"End-to-end replication latency: origin ingest to arrival at this node, any number of hops.", hopBuckets...)
 	}
@@ -330,7 +337,6 @@ func New(local Local, peers []Peer, cursors CursorStore, opts ...Option) (*Engin
 		basePage:   DefaultBasePage,
 		maxPage:    DefaultMaxPage,
 		logger:     slog.Default(),
-		stopped:    make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, p := range peers {
@@ -428,23 +434,23 @@ func (e *Engine) Start() {
 	}
 }
 
-// Close stops the workers, waits for in-flight syncs to finish, and
-// leaves the durable cursors at their latest high-water marks.
+// Close stops the workers (cancelling requests peers are holding), waits
+// for in-flight syncs, and leaves the durable cursors at their latest marks.
 func (e *Engine) Close() {
 	e.cancel()
-	select {
-	case <-e.stopped:
-	default:
-		close(e.stopped)
-	}
 	e.wg.Wait()
 }
 
-// runPeer is one peer's poll loop: jittered interval while healthy,
-// exponential backoff while failing, bounded by the engine semaphore so
-// at most `workers` peers sync concurrently.
+// runPeer is one peer's poll loop. Each round opens with a request the
+// peer may hold until it has something new (storage.WithWait), made
+// outside the semaphore and busy so SyncOnce and other rounds go on
+// meanwhile. A round that pulled entries, or whose opening request was
+// held, is followed by the next at once; one that came back empty and fast
+// (the peer ignores the wait) by the jittered interval, so an idle engine
+// never spins. A failing peer backs off exponentially.
 func (e *Engine) runPeer(ps *peerState) {
 	defer e.wg.Done()
+	hold := min(e.interval, storage.MaxWait)
 	// Initial jitter staggers the fleet so N workers do not fire their
 	// first pull at the same instant.
 	timer := time.NewTimer(time.Duration(rand.Int63n(int64(e.interval)/2 + 1)))
@@ -455,24 +461,26 @@ func (e *Engine) runPeer(ps *peerState) {
 			return
 		case <-timer.C:
 		}
+		asked := time.Now()
+		first := e.pull(storage.WithWait(e.runCtx, hold), ps, e.Cursor(ps.name).Seq, e.basePage)
+		held := time.Since(asked) >= hold/2
+		if e.runCtx.Err() != nil {
+			return // Close cancelled the parked request: not a peer failure
+		}
 		select {
 		case e.sem <- struct{}{}:
 		case <-e.runCtx.Done():
 			return
 		}
-		_, err := e.syncPeer(e.runCtx, ps)
+		_, err := e.syncPeer(e.runCtx, ps, &first)
 		<-e.sem
 		next := e.jittered(e.interval)
+		if held || len(first.live)+len(first.deletes) > 0 {
+			next = 0
+		}
 		ps.statMu.Lock()
 		if err != nil && e.runCtx.Err() == nil {
-			if ps.backoff == 0 {
-				ps.backoff = e.backoffMin
-			} else if ps.backoff < e.backoffMax {
-				ps.backoff *= 2
-				if ps.backoff > e.backoffMax {
-					ps.backoff = e.backoffMax
-				}
-			}
+			ps.backoff = min(max(2*ps.backoff, e.backoffMin), e.backoffMax)
 			next = e.jittered(ps.backoff)
 			e.logger.Warn("mesh: sync failed", "peer", ps.name, "backoff", ps.backoff, "error", err)
 		} else {
@@ -498,7 +506,8 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 // SyncOnce drains every peer's backlog once, respecting the concurrency
 // bound, and returns the total number of events imported. It is the
 // synchronous form the poll workers drive continuously — also the hook
-// meshload and tests use for deterministic rounds.
+// meshload and tests use for deterministic rounds. It never asks a peer
+// to hold a request nor waits for a worker parked on one.
 func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
 	var (
 		wg    sync.WaitGroup
@@ -516,7 +525,7 @@ func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
 		go func(ps *peerState) {
 			defer wg.Done()
 			defer func() { <-e.sem }()
-			n, err := e.syncPeer(ctx, ps)
+			n, err := e.syncPeer(ctx, ps, nil)
 			mu.Lock()
 			total += n
 			if err != nil {
@@ -529,61 +538,82 @@ func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
 	return total, errors.Join(errs...)
 }
 
+// page is one pulled change-feed page: live revisions (Event non-nil,
+// Prov attached when served) and deletion markers, apart.
+type page struct {
+	after, next   uint64 // cursor the request resumed from, and the one to resume at
+	live, deletes []storage.Change
+	more          bool
+	err           error
+}
+
+// pull fetches one page after the given cursor. It touches no engine
+// state, so a worker may sit in it without holding busy.
+func (e *Engine) pull(ctx context.Context, ps *peerState, after uint64, limit int) page {
+	pg := page{after: after}
+	if ps.full != nil && e.localDel != nil {
+		// Tombstone-bearing feed: split the page into live revisions and
+		// deletion markers, keeping each live entry's Change wrapper so
+		// its provenance survives to import.
+		var changes []storage.Change
+		changes, pg.next, pg.more, pg.err = ps.full.Changes(ctx, after, limit)
+		for _, ch := range changes {
+			if ch.Event != nil {
+				pg.live = append(pg.live, ch)
+			} else {
+				pg.deletes = append(pg.deletes, ch)
+			}
+		}
+		return pg
+	}
+	var events []*misp.Event
+	events, pg.next, pg.more, pg.err = ps.remote.ChangesPage(ctx, after, limit)
+	for _, ev := range events {
+		pg.live = append(pg.live, storage.Change{UUID: ev.UUID, Event: ev})
+	}
+	return pg
+}
+
 // syncPeer drains one peer's backlog from the durable cursor to the
 // peer's head: pull a page, suppress echoes, resolve conflicts, batch
-// import, advance the cursor, repeat while pages remain.
-func (e *Engine) syncPeer(ctx context.Context, ps *peerState) (int, error) {
+// import, advance the cursor, repeat while pages remain. first, when
+// non-nil, is the page the peer's worker pulled (and possibly waited for)
+// to open the round, used if the cursor still stands where that request
+// began. The round's clock starts here, after any such wait.
+func (e *Engine) syncPeer(ctx context.Context, ps *peerState, first *page) (int, error) {
 	ps.busy.Lock()
 	defer ps.busy.Unlock()
 	start := time.Now()
 	cur := e.Cursor(ps.name)
+	if first != nil && first.after != cur.Seq {
+		first = nil // an overlapping SyncOnce moved the cursor meanwhile
+	}
 	imported := 0
 	var newest time.Time // newest event timestamp pulled this round
 	for {
 		if err := ctx.Err(); err != nil {
 			return imported, err
 		}
-		var (
-			live    []storage.Change // entries with Event != nil, Prov attached when served
-			deletes []storage.Change
-			next    uint64
-			more    bool
-			err     error
-		)
-		if ps.full != nil && e.localDel != nil {
-			// Tombstone-bearing feed: split the page into live revisions
-			// and deletion markers, keeping each live entry's Change
-			// wrapper so its provenance survives to import.
-			var changes []storage.Change
-			changes, next, more, err = ps.full.Changes(ctx, cur.Seq, ps.page)
-			for _, ch := range changes {
-				if ch.Event != nil {
-					live = append(live, ch)
-				} else {
-					deletes = append(deletes, ch)
-				}
-			}
+		var pg page
+		if first != nil {
+			pg, first = *first, nil
 		} else {
-			var events []*misp.Event
-			events, next, more, err = ps.remote.ChangesPage(ctx, cur.Seq, ps.page)
-			for _, ev := range events {
-				live = append(live, storage.Change{UUID: ev.UUID, Event: ev})
-			}
+			pg = e.pull(ctx, ps, cur.Seq, ps.page)
 		}
-		if err != nil {
+		if pg.err != nil {
 			ps.page = e.basePage
-			e.markFailure(ps, err)
-			return imported, err
+			e.markFailure(ps, pg.err)
+			return imported, pg.err
 		}
-		entries := len(live) + len(deletes)
+		entries := len(pg.live) + len(pg.deletes)
 		e.pages.Add(1)
 		e.pulled.Add(int64(entries))
 		if e.mPages != nil {
 			e.mPages.With(ps.name).Inc()
 			e.mPulled.With(ps.name).Add(int64(entries))
 		}
-		if len(live) > 0 {
-			n, err := e.importPage(ps, live)
+		if len(pg.live) > 0 {
+			n, err := e.importPage(ps, pg.live)
 			imported += n
 			if err != nil {
 				// Nothing from this page landed: do not advance the
@@ -592,35 +622,30 @@ func (e *Engine) syncPeer(ctx context.Context, ps *peerState) (int, error) {
 				e.markFailure(ps, err)
 				return imported, err
 			}
-			if ts := live[len(live)-1].Event.Timestamp.Time; ts.After(newest) {
+			if ts := pg.live[len(pg.live)-1].Event.Timestamp.Time; ts.After(newest) {
 				newest = ts
 			}
 		}
-		if len(deletes) > 0 {
-			if err := e.applyDeletes(ps, deletes); err != nil {
+		if len(pg.deletes) > 0 {
+			if err := e.applyDeletes(ps, pg.deletes); err != nil {
 				ps.page = e.basePage
 				e.markFailure(ps, err)
 				return imported, err
 			}
 		}
-		if next > cur.Seq {
+		if pg.next > cur.Seq {
 			// The peer scanned up to next even when every entry there was
 			// stale; advancing past those entries is loss-free because a
 			// re-put always reappears later in the feed.
-			cur = Cursor{Seq: next}
+			cur = Cursor{Seq: pg.next}
 			e.setCursor(ps.name, cur)
 		}
-		// Adaptive sizing: a full page means backlog — double toward the
-		// ceiling so catch-up takes fewer round-trips.
-		if entries == ps.page && ps.page < e.maxPage {
-			ps.page *= 2
-			if ps.page > e.maxPage {
-				ps.page = e.maxPage
-			}
-		}
-		if !more {
+		if !pg.more {
 			break
 		}
+		// Adaptive sizing: a page cut short by its limit means backlog —
+		// double toward the ceiling so catch-up takes fewer round-trips.
+		ps.page = min(2*ps.page, e.maxPage)
 	}
 	e.rounds.Add(1)
 	if e.mSync != nil {
@@ -701,7 +726,7 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 			// sub-second precision its round-tripped copy lost, and that
 			// precision difference is not an edit.
 			switch lts, rts := local.Timestamp.Unix(), ev.Timestamp.Unix(); {
-			case lts == rts:
+			case lts == rts && !extends(ev, local):
 				// The echo case — our own event coming back around the
 				// mesh (A→B→A) or a copy both sides already replicated.
 				e.echoSuppressed.Add(1)
@@ -717,7 +742,8 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 				}
 				continue
 			default:
-				// Remote revision is newer: import through the edit path.
+				// Remote revision is newer, or extends ours within the same
+				// second: import through the edit path.
 				e.conflictRemote.Add(1)
 				if e.mConflicts != nil {
 					e.mConflicts.With(ps.name, "remote").Inc()
@@ -729,6 +755,7 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 	if len(fresh) == 0 {
 		return 0, nil
 	}
+	e.stampProvenance(ps, fresh, prov)
 	stored, err := e.local.AddEvents(fresh)
 	if err != nil && len(stored) == 0 {
 		return 0, fmt.Errorf("mesh: import: %w", err)
@@ -741,45 +768,89 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 	if e.mImported != nil {
 		e.mImported.With(ps.name).Add(int64(len(stored)))
 	}
-	e.recordProvenance(ps, stored, prov)
+	e.observeImport(ps, stored, prov)
 	return len(stored), nil
 }
 
-// recordProvenance stamps this node's hop onto each imported event's
-// provenance, observes hop and end-to-end replication latencies, and
-// publishes the result to the engine's table (overwriting the
-// self-origin record AddEvents just wrote) and tracer. Events from
-// peers that predate provenance get a best-effort record originating at
-// the immediate upstream peer, so the chain is never shorter than what
-// the wire actually carried.
-func (e *Engine) recordProvenance(ps *peerState, stored []*misp.Event, prov map[string]*obs.Provenance) {
+// extends reports whether remote, stamped in the same second as local,
+// carries strictly more: every member of local is in remote, and remote
+// has further ones or is the same set scored (caisp:eioc) where local is
+// not. A cluster under a stable UUID only grows and is scored after it is
+// stored, so this relation orders its same-second revisions and a node
+// only moves forward along it: a stale revision, an echo and a re-scored
+// copy of the same members (decayed-score:) extend nothing, and
+// incomparable revisions keep the local copy as any tie did.
+func extends(remote, local *misp.Event) bool {
+	r, l := members(remote), members(local)
+	for m := range l {
+		if !r[m] {
+			return false
+		}
+	}
+	return len(r) > len(l) || remote.HasTag("caisp:eioc") && !local.HasTag("caisp:eioc")
+}
+
+// members is the set of e's correlating attributes (type, value), loose and
+// in objects: its indicators, not the score and context write-backs.
+func members(e *misp.Event) map[[2]string]bool {
+	out := map[[2]string]bool{}
+	add := func(attrs []misp.Attribute) {
+		for i := range attrs {
+			if attrs[i].Correlates() {
+				out[[2]string{attrs[i].Type, attrs[i].Value}] = true
+			}
+		}
+	}
+	add(e.Attributes)
+	for i := range e.Objects {
+		add(e.Objects[i].Attributes)
+	}
+	return out
+}
+
+// stampProvenance appends this node's hop to the provenance of each event
+// about to be imported and files it before the import commits: the commit
+// wakes peers parked on this node's feed, and what they are served must
+// already name the true origin (see obs.ProvTable.Record). Events from
+// peers that predate provenance get a record originating at that peer.
+func (e *Engine) stampProvenance(ps *peerState, events []*misp.Event, prov map[string]*obs.Provenance) {
 	if e.prov == nil && e.tracer == nil && e.mHopLat == nil {
 		return
 	}
-	now := time.Now()
-	for _, ev := range stored {
+	now := time.Now().UnixNano()
+	for _, ev := range events {
 		p := prov[ev.UUID]
 		if p == nil {
 			p = &obs.Provenance{Origin: ps.name}
 		} else {
 			p = p.Clone()
 		}
-		// Hop latency: time since the previous node touched the event —
-		// its last pull, or the origin ingest for the first hop.
+		p.Hops = append(p.Hops, obs.Hop{Node: e.node, PulledUnixNano: now})
+		prov[ev.UUID] = p
+		e.prov.Record(ev.UUID, p)
+	}
+}
+
+// observeImport feeds the hop and end-to-end latencies of the events that
+// landed, and their traces, to metrics and tracer. Hop latency counts from
+// the previous node's pull, or from the origin ingest for the first hop.
+func (e *Engine) observeImport(ps *peerState, stored []*misp.Event, prov map[string]*obs.Provenance) {
+	if e.tracer == nil && e.mHopLat == nil {
+		return
+	}
+	now := time.Now()
+	for _, ev := range stored {
+		p := prov[ev.UUID]
 		prevNano := p.IngestUnixNano
-		if n := len(p.Hops); n > 0 {
-			prevNano = p.Hops[n-1].PulledUnixNano
+		if n := len(p.Hops); n > 1 {
+			prevNano = p.Hops[n-2].PulledUnixNano
 		}
-		p.Hops = append(p.Hops, obs.Hop{Node: e.node, PulledUnixNano: now.UnixNano()})
-		if prevNano > 0 {
-			if e.mHopLat != nil {
-				e.mHopLat.With(ps.name).Observe(now.Sub(time.Unix(0, prevNano)).Seconds())
-			}
+		if prevNano > 0 && e.mHopLat != nil {
+			e.mHopLat.With(ps.name).Observe(now.Sub(time.Unix(0, prevNano)).Seconds())
 		}
 		if p.IngestUnixNano > 0 && e.mRepl != nil {
 			e.mRepl.Observe(now.Sub(time.Unix(0, p.IngestUnixNano)).Seconds())
 		}
-		e.prov.Record(ev.UUID, p)
 		e.tracer.RecordImport(ev.UUID, p)
 	}
 }

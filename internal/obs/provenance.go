@@ -66,6 +66,9 @@ type ProvTable struct {
 	m    map[string]*Provenance
 	fifo []string
 	cap  int
+	// imports holds the UUIDs Record filed for an import not yet stored:
+	// the RecordLocal that import's own store call issues must keep them.
+	imports map[string]bool
 }
 
 // NewProvTable builds a table bounded at capacity (DefaultProvCap when
@@ -74,7 +77,7 @@ func NewProvTable(capacity int) *ProvTable {
 	if capacity <= 0 {
 		capacity = DefaultProvCap
 	}
-	return &ProvTable{m: make(map[string]*Provenance), cap: capacity}
+	return &ProvTable{m: make(map[string]*Provenance), cap: capacity, imports: make(map[string]bool)}
 }
 
 // RecordLocal stamps uuid as originating on node at now. The ingest
@@ -84,21 +87,30 @@ func (t *ProvTable) RecordLocal(uuid, node string, now time.Time) {
 	if t == nil || uuid == "" {
 		return
 	}
-	t.put(uuid, &Provenance{Origin: node, IngestUnixNano: now.UnixNano()})
+	t.put(uuid, &Provenance{Origin: node, IngestUnixNano: now.UnixNano()}, false)
 }
 
 // Record replaces uuid's provenance wholesale — the mesh import path,
 // storing the forwarded context with this node's hop already appended.
+// The importer calls it before it stores the event, so that a peer woken
+// by the commit is not served a self-origin record; the next RecordLocal
+// for uuid (the store call's own) is therefore ignored.
 func (t *ProvTable) Record(uuid string, p *Provenance) {
 	if t == nil || uuid == "" || p == nil {
 		return
 	}
-	t.put(uuid, p.Clone())
+	t.put(uuid, p.Clone(), true)
 }
 
-func (t *ProvTable) put(uuid string, p *Provenance) {
+func (t *ProvTable) put(uuid string, p *Provenance, imported bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if imported {
+		t.imports[uuid] = true
+	} else if t.imports[uuid] {
+		delete(t.imports, uuid)
+		return
+	}
 	if _, ok := t.m[uuid]; !ok {
 		if len(t.m) >= t.cap {
 			t.evictOldestLocked()
@@ -114,6 +126,7 @@ func (t *ProvTable) evictOldestLocked() {
 		t.fifo = t.fifo[1:]
 		if _, ok := t.m[victim]; ok {
 			delete(t.m, victim)
+			delete(t.imports, victim)
 			return
 		}
 	}

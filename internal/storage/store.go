@@ -26,6 +26,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -197,6 +198,11 @@ type Store struct {
 	recoveryWorkers int
 	blockingCompact bool
 	legacyWAL       bool // a pre-segmentation events.wal exists on disk
+
+	// commit is closed by the next commit or Close (Committed). Nil until
+	// a reader asks to be woken: a write nobody waits on pays a nil check.
+	commit chan struct{}
+	closed bool
 
 	compactMu      sync.Mutex // serializes Compact; taken before mu
 	compactions    int64
@@ -409,6 +415,7 @@ func (s *Store) Put(e *misp.Event) error {
 		return err
 	}
 	s.apply(cp, s.seq)
+	s.signalCommit()
 	return nil
 }
 
@@ -454,6 +461,7 @@ func (s *Store) PutBatch(events []*misp.Event) error {
 	for i, cp := range cps {
 		s.apply(cp, recs[i].Seq) // each event at its own record's seq
 	}
+	s.signalCommit()
 	return nil
 }
 
@@ -578,7 +586,55 @@ func (s *Store) DeleteAt(uuid string, at time.Time) error {
 		return err
 	}
 	s.applyDelete(uuid, s.seq, at)
+	s.signalCommit()
 	return nil
+}
+
+// Committed returns a channel closed by the next commit (Put, PutBatch,
+// DeleteAt) or by Close. A change-feed reader parks on it instead of
+// polling; it must take the channel before it reads the feed, so that a
+// commit landing between the read and the park still wakes it.
+func (s *Store) Committed() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.commit == nil {
+		s.commit = make(chan struct{})
+		if s.closed {
+			close(s.commit)
+		}
+	}
+	return s.commit
+}
+
+// MaxWait bounds how long one change-feed read may stay parked. The
+// serving side caps a requested wait at it and the pulling side never
+// asks for more, so a reader can tell a peer that held its request from
+// one that ignored the wait by how long the answer took.
+const MaxWait = 30 * time.Second
+
+type waitKey struct{}
+
+// WithWait marks ctx so that a change-feed read made under it may park
+// for up to d when nothing follows its cursor (Store.Committed). The hint
+// rides in the context because callers wrap the pull surface
+// (mesh.Remote) and forward only context, cursor and limit.
+func WithWait(ctx context.Context, d time.Duration) context.Context {
+	return context.WithValue(ctx, waitKey{}, d)
+}
+
+// WaitFrom returns the wait WithWait attached to ctx, or zero.
+func WaitFrom(ctx context.Context) time.Duration {
+	d, _ := ctx.Value(waitKey{}).(time.Duration)
+	return d
+}
+
+// signalCommit wakes the readers parked on Committed. Caller holds the
+// write lock and has applied the write, so a woken reader sees it.
+func (s *Store) signalCommit() {
+	if s.commit != nil && !s.closed {
+		close(s.commit)
+		s.commit = nil
+	}
 }
 
 // Len returns the number of stored events.
@@ -1066,6 +1122,9 @@ func (s *Store) Close() error {
 	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Nobody parks on a store that will never commit again.
+	s.signalCommit()
+	s.closed = true
 	if s.wal == nil {
 		return nil
 	}

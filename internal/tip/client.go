@@ -66,13 +66,14 @@ func NewClient(baseURL, apiKey string, opts ...ClientOption) *Client {
 }
 
 // withDeadline applies the client's default per-request timeout when ctx
-// has none of its own.
+// has none of its own, plus any change-feed wait the context asks for
+// (storage.WithWait): the server may hold the request that long.
 func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if _, ok := ctx.Deadline(); !ok && c.reqTimeout > 0 {
-		return context.WithTimeout(ctx, c.reqTimeout)
+		return context.WithTimeout(ctx, c.reqTimeout+storage.WaitFrom(ctx))
 	}
 	return ctx, func() {}
 }
@@ -185,6 +186,18 @@ func (c *Client) EventsPage(ctx context.Context, t time.Time, afterUUID string, 
 // over — see Service.ChangesPage for why it is sound where the
 // (timestamp, uuid) index is not.
 func (c *Client) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
+	var wrapped []misp.Wrapped
+	next, more, err := c.fetchChanges(ctx, afterSeq, limit, &wrapped)
+	if err != nil {
+		return nil, next, false, err
+	}
+	return unwrap(wrapped), next, more, nil
+}
+
+// fetchChanges issues one change-feed request and decodes the page into
+// out. The wait parameter is sent only when the caller's context asks for
+// it (storage.WithWait).
+func (c *Client) fetchChanges(ctx context.Context, afterSeq uint64, limit int, out any) (uint64, bool, error) {
 	q := url.Values{}
 	if afterSeq > 0 {
 		q.Set("after", strconv.FormatUint(afterSeq, 10))
@@ -192,20 +205,22 @@ func (c *Client) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
+	if wait := storage.WaitFrom(ctx); wait > 0 {
+		q.Set("wait", wait.String())
+	}
 	path := "/events/changes"
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var wrapped []misp.Wrapped
-	hdr, err := c.doHeader(ctx, http.MethodGet, path, nil, &wrapped)
+	hdr, err := c.doHeader(ctx, http.MethodGet, path, nil, out)
 	if err != nil {
-		return nil, afterSeq, false, err
+		return afterSeq, false, err
 	}
 	next, err := strconv.ParseUint(hdr.Get(SeqHeader), 10, 64)
 	if err != nil {
-		return nil, afterSeq, false, fmt.Errorf("tip: bad %s header %q", SeqHeader, hdr.Get(SeqHeader))
+		return afterSeq, false, fmt.Errorf("tip: bad %s header %q", SeqHeader, hdr.Get(SeqHeader))
 	}
-	return unwrap(wrapped), next, hdr.Get(MoreHeader) == "true", nil
+	return next, hdr.Get(MoreHeader) == "true", nil
 }
 
 // changeItem decodes one change-page element: a wrapped event or an
@@ -223,25 +238,10 @@ type changeItem struct {
 // sequence, so Change.Seq is zero; the page cursor rides in the
 // returned next sequence as usual.
 func (c *Client) Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
-	q := url.Values{}
-	if afterSeq > 0 {
-		q.Set("after", strconv.FormatUint(afterSeq, 10))
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	path := "/events/changes"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
 	var items []changeItem
-	hdr, err := c.doHeader(ctx, http.MethodGet, path, nil, &items)
+	next, more, err := c.fetchChanges(ctx, afterSeq, limit, &items)
 	if err != nil {
-		return nil, afterSeq, false, err
-	}
-	next, err := strconv.ParseUint(hdr.Get(SeqHeader), 10, 64)
-	if err != nil {
-		return nil, afterSeq, false, fmt.Errorf("tip: bad %s header %q", SeqHeader, hdr.Get(SeqHeader))
+		return nil, next, false, err
 	}
 	out := make([]storage.Change, 0, len(items))
 	for _, item := range items {
@@ -255,7 +255,7 @@ func (c *Client) Changes(ctx context.Context, afterSeq uint64, limit int) ([]sto
 			})
 		}
 	}
-	return out, next, hdr.Get(MoreHeader) == "true", nil
+	return out, next, more, nil
 }
 
 // EventsSince lists events updated at or after t, paging through the

@@ -193,10 +193,12 @@ type wireTombstoneItem struct {
 }
 
 // handleListChanges serves the ingest-sequence change feed the mesh
-// replicates over: GET /events/changes?after=<seq>&limit=<n>. The
-// response carries the resume sequence in SeqHeader and the usual
+// replicates over: GET /events/changes?after=<seq>&limit=<n>&wait=<d>.
+// The response carries the resume sequence in SeqHeader and the usual
 // MoreHeader pagination flag. Page items are either wrapped events or
-// EventTombstone deletion markers.
+// EventTombstone deletion markers. With wait, a request that finds
+// nothing after its cursor is held until the store commits or the wait
+// runs out (Service.ChangesWait): a peer hears of a commit unpolled.
 func (a *API) handleListChanges(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var after uint64
@@ -220,7 +222,12 @@ func (a *API) handleListChanges(w http.ResponseWriter, r *http.Request) {
 	if limit > maxPageLimit {
 		limit = maxPageLimit
 	}
-	changes, next, more, err := a.service.Changes(after, limit)
+	wait, err := parseWait(q.Get("wait"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad wait parameter")
+		return
+	}
+	changes, next, more, err := a.service.ChangesWait(r.Context(), after, limit, wait)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -252,6 +259,19 @@ func (a *API) handleListChanges(w http.ResponseWriter, r *http.Request) {
 	}
 	buf.WriteString("]\n")
 	a.writeListBuffer(w, r, &buf)
+}
+
+// parseWait reads the change feed's wait parameter: a Go duration, absent
+// meaning none, capped at storage.MaxWait.
+func parseWait(raw string) (time.Duration, error) {
+	if raw == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("tip: bad wait %q", raw)
+	}
+	return min(d, storage.MaxWait), nil
 }
 
 // spliceProvenance grafts a "Provenance" sibling onto a cached

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync/atomic"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/bus"
@@ -40,6 +41,7 @@ type Service struct {
 	prov   *obs.ProvTable // nil disables provenance tracking
 
 	storeOps *obs.CounterVec // caisp_tip_store_total{op}; nil without WithMetrics
+	parked   atomic.Int64    // change-feed reads parked in ChangesWait
 }
 
 // Option configures a Service.
@@ -90,6 +92,9 @@ func (o metricsOption) apply(s *Service) {
 	o.reg.GaugeFunc("caisp_tip_events",
 		"Events currently held by the TIP store.",
 		func() float64 { return float64(s.store.Len()) })
+	o.reg.GaugeFunc("caisp_tip_changes_parked",
+		"Change-feed requests parked until the next commit; at the ceiling further ones are answered at once.",
+		func() float64 { return float64(s.parked.Load()) })
 }
 
 // WithMetrics registers the service's caisp_tip_* families into reg (nil
@@ -131,13 +136,12 @@ func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 		topic = TopicEventEdit
 	}
 	correlated = s.store.Correlated(e)
+	// Record this node as the revision's origin before the commit, which
+	// wakes peers parked on the change feed: their page reads this table.
+	s.prov.RecordLocal(e.UUID, s.name, time.Now())
 	if err := s.store.Put(e); err != nil {
 		return nil, err
 	}
-	// Record this node as the revision's origin. When the caller is the
-	// mesh importer, the engine overwrites the entry with the forwarded
-	// provenance right after the batch lands.
-	s.prov.RecordLocal(e.UUID, s.name, time.Now())
 	s.publish(topic, e)
 	s.countStore(topic)
 	s.logger.Debug("event stored", "instance", s.name, "uuid", e.UUID, "topic", topic, "correlated", len(correlated))
@@ -173,12 +177,16 @@ func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err err
 		topics = append(topics, topic)
 	}
 	if len(valid) > 0 {
+		// Origins go in before the commit, as in AddEvent. The mesh importer
+		// has already filed forwarded provenance; RecordLocal keeps that.
+		now := time.Now()
+		for _, e := range valid {
+			s.prov.RecordLocal(e.UUID, s.name, now)
+		}
 		if perr := s.store.PutBatch(valid); perr != nil {
 			return nil, errors.Join(append(errs, perr)...)
 		}
-		now := time.Now()
 		for i, e := range valid {
-			s.prov.RecordLocal(e.UUID, s.name, now)
 			s.publish(topics[i], e)
 			s.countStore(topics[i])
 		}
@@ -328,6 +336,38 @@ func (s *Service) Changes(afterSeq uint64, limit int) ([]storage.Change, uint64,
 	return changes, next, more, nil
 }
 
+// maxParked is the ceiling on change-feed reads parked at once. A read
+// beyond it is answered immediately: that peer degrades to plain polling.
+const maxParked = 256
+
+// ChangesWait is Changes for a reader willing to wait: when nothing
+// follows afterSeq it parks until the store commits or closes, wait
+// expires or ctx ends, then reads the feed once more. An empty page with
+// the cursor unchanged is a valid answer.
+func (s *Service) ChangesWait(ctx context.Context, afterSeq uint64, limit int, wait time.Duration) ([]storage.Change, uint64, bool, error) {
+	if wait <= 0 {
+		return s.Changes(afterSeq, limit)
+	}
+	committed := s.store.Committed() // before the read: see Store.Committed
+	changes, next, more, err := s.Changes(afterSeq, limit)
+	if err != nil || next != afterSeq {
+		return changes, next, more, err
+	}
+	parked := s.parked.Add(1)
+	defer s.parked.Add(-1)
+	if parked > maxParked {
+		return changes, next, more, nil
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-committed:
+	case <-timer.C:
+	case <-ctx.Done():
+	}
+	return s.Changes(afterSeq, limit)
+}
+
 // Provenance returns the attached cross-node trace table (nil when
 // provenance is disabled).
 func (s *Service) Provenance() *obs.ProvTable { return s.prov }
@@ -458,15 +498,18 @@ func (s *Service) publish(topic string, e *misp.Event) {
 	if s.broker == nil {
 		return
 	}
-	data, err := s.store.WrappedJSON(e.UUID)
-	if err != nil {
-		data, err = misp.MarshalWrapped(e)
+	// Encoded only when somebody listens: a batch run has no subscriber.
+	s.broker.PublishFunc(topic, func() ([]byte, bool) {
+		data, err := s.store.WrappedJSON(e.UUID)
 		if err != nil {
-			s.logger.Warn("publish encode failed", "uuid", e.UUID, "error", err)
-			return
+			data, err = misp.MarshalWrapped(e)
+			if err != nil {
+				s.logger.Warn("publish encode failed", "uuid", e.UUID, "error", err)
+				return nil, false
+			}
 		}
-	}
-	s.broker.Publish(topic, data)
+		return data, true
+	})
 }
 
 // countStore bumps the store-operation counter, mapping the bus topic to
