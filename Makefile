@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# Ten seconds of each fuzz target from its seeds (and testdata/fuzz corpus):
+# the event-list decoder against encoding/json (fast path or stdlib, never
+# a third answer) and the STIX pattern parser.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeList -fuzztime 10s ./internal/misp/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s ./internal/stixpattern/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own
 # that calls internal/... directly, so the root build and tests never
@@ -168,4 +175,4 @@ metrics-lint:
 	done; \
 	echo "metrics-lint: $$(echo "$$names" | wc -l) metric name literals OK"
 
-check: vet build test race copyfree metrics-lint bench-e2e-smoke obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke
+check: vet build test race copyfree metrics-lint fuzz-smoke bench-e2e-smoke obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke

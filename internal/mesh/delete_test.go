@@ -57,22 +57,28 @@ func TestDeletionReplicatesAcrossRing(t *testing.T) {
 		t.Fatalf("no convergence before delete: a=%d b=%d c=%d", a.Len(), b.Len(), c.Len())
 	}
 
-	// Expire one indicator on a; the tombstone must walk the ring.
-	doomed := events[7].UUID
-	if err := a.DeleteEventAt(doomed, now.Add(time.Minute)); err != nil {
-		t.Fatal(err)
+	// Expire five indicators on a; the tombstones must walk the ring,
+	// landing on each node as one commit that counts all five.
+	var doomed []storage.Deletion
+	for _, e := range events[7:12] {
+		doomed = append(doomed, storage.Deletion{UUID: e.UUID, At: now.Add(time.Minute)})
+	}
+	if n, err := a.DeleteEventsAt(doomed); err != nil || n != len(doomed) {
+		t.Fatalf("DeleteEventsAt = %d, %v", n, err)
 	}
 	syncAll(t, ea, eb, ec)
 	for name, svc := range map[string]*tip.Service{"a": a, "b": b, "c": c} {
-		if _, err := svc.GetEvent(doomed); err == nil {
-			t.Fatalf("node %s still holds the deleted event", name)
+		for _, d := range doomed {
+			if _, err := svc.GetEvent(d.UUID); err == nil {
+				t.Fatalf("node %s still holds the deleted event %s", name, d.UUID)
+			}
 		}
-		if svc.Len() != 29 {
-			t.Fatalf("node %s Len = %d, want 29", name, svc.Len())
+		if svc.Len() != 25 {
+			t.Fatalf("node %s Len = %d, want 25", name, svc.Len())
 		}
 	}
-	if eb.Totals().Deleted == 0 {
-		t.Fatal("pull from a counted no applied deletions")
+	if got := eb.Totals().Deleted; got != int64(len(doomed)) {
+		t.Fatalf("pull from a counted %d applied deletions, want %d", got, len(doomed))
 	}
 
 	// Steady state: the tombstone keeps riding the feed but never
@@ -96,7 +102,7 @@ func TestConcurrentEditOutlivesDeletion(t *testing.T) {
 
 	// a deletes at t+1s while b concurrently edits at t+2s: the newer
 	// edit must win on both nodes once the partition heals.
-	if err := a.DeleteEventAt(orig.UUID, now.Add(time.Second)); err != nil {
+	if _, err := a.DeleteEventsAt([]storage.Deletion{{UUID: orig.UUID, At: now.Add(time.Second)}}); err != nil {
 		t.Fatal(err)
 	}
 	edited := orig.Clone()
@@ -137,7 +143,7 @@ func TestDeletionNewerThanEventWinsBothWays(t *testing.T) {
 	if _, err := b.AddEvents([]*misp.Event{orig.Clone()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.DeleteEventAt(orig.UUID, now.Add(time.Hour)); err != nil {
+	if _, err := a.DeleteEventsAt([]storage.Deletion{{UUID: orig.UUID, At: now.Add(time.Hour)}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -92,10 +92,12 @@ type DeletionRemote interface {
 	Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error)
 }
 
-// DeletionLocal is a Local that can apply a replicated deletion at its
-// original deletion time (*tip.Service satisfies it).
+// DeletionLocal is a Local that can apply a page's replicated deletions,
+// each at its original deletion time, as one commit; it skips events it
+// does not hold and returns how many it removed (*tip.Service satisfies
+// it).
 type DeletionLocal interface {
-	DeleteEventAt(uuid string, at time.Time) error
+	DeleteEventsAt(dels []storage.Deletion) (int, error)
 }
 
 // Peer names one replication source.
@@ -896,6 +898,7 @@ func (e *Engine) PeerStatuses() []PeerStatus {
 // the original deletion time — not time.Now() — keeps that comparison
 // transitive across multi-hop topologies.
 func (e *Engine) applyDeletes(ps *peerState, deletes []storage.Change) error {
+	batch := make([]storage.Deletion, 0, len(deletes))
 	for _, d := range deletes {
 		local, err := e.local.GetEvent(d.UUID)
 		if err != nil {
@@ -910,13 +913,15 @@ func (e *Engine) applyDeletes(ps *peerState, deletes []storage.Change) error {
 			}
 			continue
 		}
-		if err := e.localDel.DeleteEventAt(d.UUID, d.DeletedAt); err != nil {
-			return fmt.Errorf("mesh: apply delete %s: %w", d.UUID, err)
-		}
-		e.deleted.Add(1)
-		if e.mDeleted != nil {
-			e.mDeleted.With(ps.name).Inc()
-		}
+		batch = append(batch, storage.Deletion{UUID: d.UUID, At: d.DeletedAt})
+	}
+	n, err := e.localDel.DeleteEventsAt(batch)
+	if err != nil {
+		return fmt.Errorf("mesh: apply %d deletes: %w", len(batch), err)
+	}
+	e.deleted.Add(int64(n))
+	if e.mDeleted != nil {
+		e.mDeleted.With(ps.name).Add(int64(n))
 	}
 	return nil
 }

@@ -310,22 +310,6 @@ func MarshalWrapped(e *Event) ([]byte, error) {
 	return json.Marshal(Wrapped{Event: e})
 }
 
-// UnmarshalWrapped decodes an event from either the wrapped or the bare form.
-func UnmarshalWrapped(data []byte) (*Event, error) {
-	var w Wrapped
-	if err := json.Unmarshal(data, &w); err == nil && w.Event != nil {
-		return w.Event, nil
-	}
-	var e Event
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("misp: decode event: %w", err)
-	}
-	if e.UUID == "" {
-		return nil, fmt.Errorf("misp: decoded event has no uuid")
-	}
-	return &e, nil
-}
-
 // defaultToIDS mirrors MISP's defaults: detection-grade network indicators
 // default to exportable, free-text context does not.
 func defaultToIDS(typ string) bool {

@@ -311,7 +311,7 @@ func (s *Store) applyWALRecord(rec walRecord) error {
 			s.apply(rec.Event, rec.Seq)
 		}
 	case "delete":
-		s.applyDelete(rec.UUID, rec.Seq, time.Unix(rec.At, 0).UTC())
+		s.applyDeletes([]walRecord{rec})
 	default:
 		return fmt.Errorf("storage: unknown wal op %q", rec.Op)
 	}

@@ -567,31 +567,59 @@ func (s *Store) Delete(uuid string) error {
 }
 
 // DeleteAt removes the event with the given UUID and records at as the
-// deletion time on its tombstone. Replication uses it to re-apply a
-// peer's deletion at its original time, so newest-wins conflict
-// resolution stays transitive across hops; local deletions go through
-// Delete. The deletion lands in the WAL and the ingest-sequence change
-// log, so it survives compaction + restart and reaches every
-// replication cursor.
+// deletion time on its tombstone: a one-element DeleteBatch that fails
+// with ErrNotFound when the store does not hold the event.
 func (s *Store) DeleteAt(uuid string, at time.Time) error {
-	at = at.UTC()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.lookup(uuid); !ok {
+	n, err := s.DeleteBatch([]Deletion{{UUID: uuid, At: at}})
+	if err == nil && n == 0 {
 		return fmt.Errorf("%w: %s", ErrNotFound, uuid)
 	}
-	s.seq++
-	if err := s.appendWALGroup([]walRecord{{Seq: s.seq, Op: "delete", UUID: uuid, At: at.Unix()}}); err != nil {
-		s.seq--
-		return err
+	return err
+}
+
+// Deletion names one event to remove and the deletion time its tombstone
+// records.
+type Deletion struct {
+	UUID string
+	At   time.Time
+}
+
+// DeleteBatch removes a batch of events as one commit group: one WAL
+// append, flush and fsync and one sweep of the time index for the whole
+// batch, all-or-nothing across a crash like PutBatch. UUIDs the store
+// does not hold (or that repeat within the batch) are skipped; it returns
+// how many events it removed. Replication uses the per-entry times to
+// re-apply a peer's deletions at their original times, so newest-wins
+// conflict resolution stays transitive across hops; local deletions go
+// through Delete. Each deletion lands in the WAL and the ingest-sequence
+// change log, so it survives compaction + restart and reaches every
+// replication cursor.
+func (s *Store) DeleteBatch(dels []Deletion) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := make([]walRecord, 0, len(dels))
+	seen := make(map[string]bool, len(dels))
+	for _, d := range dels {
+		if _, ok := s.lookup(d.UUID); !ok || seen[d.UUID] {
+			continue
+		}
+		seen[d.UUID] = true
+		recs = append(recs, walRecord{Seq: s.seq + uint64(len(recs)) + 1, Op: "delete", UUID: d.UUID, At: d.At.Unix()})
 	}
-	s.applyDelete(uuid, s.seq, at)
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	if err := s.appendWALGroup(recs); err != nil {
+		return 0, err
+	}
+	s.seq += uint64(len(recs))
+	s.applyDeletes(recs)
 	s.signalCommit()
-	return nil
+	return len(recs), nil
 }
 
 // Committed returns a channel closed by the next commit (Put, PutBatch,
-// DeleteAt) or by Close. A change-feed reader parks on it instead of
+// DeleteBatch) or by Close. A change-feed reader parks on it instead of
 // polling; it must take the channel before it reads the feed, so that a
 // commit landing between the read and the park still wakes it.
 func (s *Store) Committed() <-chan struct{} {
@@ -1193,21 +1221,29 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 	s.compactChanges()
 }
 
-func (s *Store) applyDelete(uuid string, seq uint64, at time.Time) {
-	old, existed := s.lookup(uuid)
-	if !existed {
-		return
+// applyDeletes installs committed delete records into memory state, in
+// order. Caller holds the write lock (or is the single-threaded loader).
+func (s *Store) applyDeletes(recs []walRecord) {
+	gone := make([]int, 0, len(recs)) // positions in byTime, found before any entry moves
+	for _, rec := range recs {
+		old, existed := s.lookup(rec.UUID)
+		if !existed {
+			continue
+		}
+		s.unindex(old.event)
+		if i, ok := s.timeFind(old.event.Timestamp.Time, rec.UUID); ok {
+			gone = append(gone, i)
+		}
+		s.count--
+		s.staleChanges++ // the deleted revision's change entry is now dead
+		if s.overlay != nil {
+			s.overlay[rec.UUID] = nil // tombstone shadowing the frozen base
+		} else {
+			delete(s.events, rec.UUID)
+		}
+		s.recordTombstone(rec.UUID, rec.Seq, time.Unix(rec.At, 0).UTC())
 	}
-	s.unindex(old.event)
-	s.timeRemove(old.event.Timestamp.Time, uuid)
-	s.count--
-	s.staleChanges++ // the deleted revision's change entry is now dead
-	if s.overlay != nil {
-		s.overlay[uuid] = nil // tombstone shadowing the frozen base
-	} else {
-		delete(s.events, uuid)
-	}
-	s.recordTombstone(uuid, seq, at)
+	s.timeRemoveAt(gone)
 	s.compactChanges()
 }
 
@@ -1321,11 +1357,36 @@ func (s *Store) sortTimeIndex() {
 	})
 }
 
-func (s *Store) timeRemove(ts time.Time, uuid string) {
+// timeFind returns the position of the entry (ts, uuid) in byTime and
+// whether it is there.
+func (s *Store) timeFind(ts time.Time, uuid string) (int, bool) {
 	i := s.timeIdx(ts, uuid)
-	if i < len(s.byTime) && s.byTime[i].uuid == uuid && s.byTime[i].ts.Equal(ts) {
-		s.byTime = append(s.byTime[:i], s.byTime[i+1:]...)
+	return i, i < len(s.byTime) && s.byTime[i].uuid == uuid && s.byTime[i].ts.Equal(ts)
+}
+
+func (s *Store) timeRemove(ts time.Time, uuid string) {
+	if i, ok := s.timeFind(ts, uuid); ok {
+		s.timeRemoveAt([]int{i})
 	}
+}
+
+// timeRemoveAt drops the entries at the given positions of byTime in one
+// sweep: every surviving entry moves at most once, however many go.
+func (s *Store) timeRemoveAt(gone []int) {
+	if len(gone) == 0 {
+		return
+	}
+	sort.Ints(gone)
+	w := gone[0]
+	for k, i := range gone {
+		end := len(s.byTime)
+		if k+1 < len(gone) {
+			end = gone[k+1]
+		}
+		w += copy(s.byTime[w:], s.byTime[i+1:end])
+	}
+	clear(s.byTime[w:])
+	s.byTime = s.byTime[:w]
 }
 
 // allAttributes enumerates loose and object-grouped attributes alike.

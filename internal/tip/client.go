@@ -144,11 +144,11 @@ func (c *Client) Search(ctx context.Context, q SearchQuery) ([]*misp.Event, erro
 	if err != nil {
 		return nil, err
 	}
-	var wrapped []misp.Wrapped
-	if err := c.do(ctx, http.MethodPost, "/events/search", body, &wrapped); err != nil {
+	items, _, err := c.list(ctx, http.MethodPost, "/events/search", body)
+	if err != nil {
 		return nil, err
 	}
-	return unwrap(wrapped), nil
+	return events(items), nil
 }
 
 // EventsPage fetches one page of up to limit events updated at or after
@@ -171,12 +171,11 @@ func (c *Client) EventsPage(ctx context.Context, t time.Time, afterUUID string, 
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var wrapped []misp.Wrapped
-	hdr, err := c.doHeader(ctx, http.MethodGet, path, nil, &wrapped)
+	items, hdr, err := c.list(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	return unwrap(wrapped), hdr.Get(MoreHeader) == "true", nil
+	return events(items), hdr.Get(MoreHeader) == "true", nil
 }
 
 // ChangesPage fetches one page of the remote's ingest-sequence change
@@ -186,18 +185,17 @@ func (c *Client) EventsPage(ctx context.Context, t time.Time, afterUUID string, 
 // over — see Service.ChangesPage for why it is sound where the
 // (timestamp, uuid) index is not.
 func (c *Client) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
-	var wrapped []misp.Wrapped
-	next, more, err := c.fetchChanges(ctx, afterSeq, limit, &wrapped)
+	items, next, more, err := c.fetchChanges(ctx, afterSeq, limit)
 	if err != nil {
 		return nil, next, false, err
 	}
-	return unwrap(wrapped), next, more, nil
+	return events(items), next, more, nil
 }
 
-// fetchChanges issues one change-feed request and decodes the page into
-// out. The wait parameter is sent only when the caller's context asks for
-// it (storage.WithWait).
-func (c *Client) fetchChanges(ctx context.Context, afterSeq uint64, limit int, out any) (uint64, bool, error) {
+// fetchChanges issues one change-feed request and decodes the page. The
+// wait parameter is sent only when the caller's context asks for it
+// (storage.WithWait).
+func (c *Client) fetchChanges(ctx context.Context, afterSeq uint64, limit int) ([]misp.ListItem, uint64, bool, error) {
 	q := url.Values{}
 	if afterSeq > 0 {
 		q.Set("after", strconv.FormatUint(afterSeq, 10))
@@ -212,24 +210,15 @@ func (c *Client) fetchChanges(ctx context.Context, afterSeq uint64, limit int, o
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	hdr, err := c.doHeader(ctx, http.MethodGet, path, nil, out)
+	items, hdr, err := c.list(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return afterSeq, false, err
+		return nil, afterSeq, false, err
 	}
 	next, err := strconv.ParseUint(hdr.Get(SeqHeader), 10, 64)
 	if err != nil {
-		return afterSeq, false, fmt.Errorf("tip: bad %s header %q", SeqHeader, hdr.Get(SeqHeader))
+		return nil, afterSeq, false, fmt.Errorf("tip: bad %s header %q", SeqHeader, hdr.Get(SeqHeader))
 	}
-	return next, hdr.Get(MoreHeader) == "true", nil
-}
-
-// changeItem decodes one change-page element: a wrapped event or an
-// EventTombstone deletion marker, optionally carrying the event's
-// replication provenance (absent from servers that predate it).
-type changeItem struct {
-	Event          *misp.Event     `json:"Event"`
-	EventTombstone *wireTombstone  `json:"EventTombstone"`
-	Provenance     *obs.Provenance `json:"Provenance"`
+	return items, next, hdr.Get(MoreHeader) == "true", nil
 }
 
 // Changes is ChangesPage with deletions included: tombstone items on
@@ -238,24 +227,44 @@ type changeItem struct {
 // sequence, so Change.Seq is zero; the page cursor rides in the
 // returned next sequence as usual.
 func (c *Client) Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
-	var items []changeItem
-	next, more, err := c.fetchChanges(ctx, afterSeq, limit, &items)
+	items, next, more, err := c.fetchChanges(ctx, afterSeq, limit)
 	if err != nil {
 		return nil, next, false, err
 	}
 	out := make([]storage.Change, 0, len(items))
 	for _, item := range items {
+		// Both siblings are decoded wherever present, so a malformed one
+		// fails the page whichever kind of item carries it.
+		var (
+			prov *obs.Provenance
+			tomb *wireTombstone
+		)
+		if err := unmarshalSibling(item.Provenance, &prov); err != nil {
+			return nil, afterSeq, false, err
+		}
+		if err := unmarshalSibling(item.EventTombstone, &tomb); err != nil {
+			return nil, afterSeq, false, err
+		}
 		switch {
 		case item.Event != nil:
-			out = append(out, storage.Change{UUID: item.Event.UUID, Event: item.Event, Prov: item.Provenance})
-		case item.EventTombstone != nil && item.EventTombstone.UUID != "":
-			out = append(out, storage.Change{
-				UUID:      item.EventTombstone.UUID,
-				DeletedAt: time.Unix(item.EventTombstone.DeletedAt, 0).UTC(),
-			})
+			out = append(out, storage.Change{UUID: item.Event.UUID, Event: item.Event, Prov: prov})
+		case tomb != nil && tomb.UUID != "":
+			out = append(out, storage.Change{UUID: tomb.UUID, DeletedAt: time.Unix(tomb.DeletedAt, 0).UTC()})
 		}
 	}
 	return out, next, more, nil
+}
+
+// unmarshalSibling decodes a change-page item's raw sibling, when it has
+// one, into v.
+func unmarshalSibling(raw json.RawMessage, v any) error {
+	if raw == nil {
+		return nil
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("tip: decode response: %w", err)
+	}
+	return nil
 }
 
 // EventsSince lists events updated at or after t, paging through the
@@ -294,9 +303,9 @@ func (c *Client) Export(ctx context.Context, uuid, format string) ([]byte, error
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	data, err := readResponse(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tip: export %s: %w", uuid, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tip: export status %s: %s", resp.Status, data)
@@ -326,43 +335,76 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
-	_, err := c.doHeader(ctx, method, path, body, out)
-	return err
+	data, _, err := c.roundTrip(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("tip: decode response: %w", err)
+	}
+	return nil
 }
 
-// doHeader is do plus access to the response headers (pagination state).
-func (c *Client) doHeader(ctx context.Context, method, path string, body []byte, out any) (http.Header, error) {
+// list issues a request whose answer is an event list and decodes it:
+// pages in our own server's encoding by misp's one-pass decoder, any
+// other by encoding/json. It also returns the response headers
+// (pagination state).
+func (c *Client) list(ctx context.Context, method, path string, body []byte) ([]misp.ListItem, http.Header, error) {
+	data, hdr, err := c.roundTrip(ctx, method, path, body)
+	if err != nil {
+		return nil, nil, err
+	}
+	items, err := misp.DecodeList(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("tip: decode response: %w", err)
+	}
+	return items, hdr, nil
+}
+
+// maxResponseBytes bounds a response body a Client will read.
+const maxResponseBytes = 32 << 20
+
+// readResponse reads a whole response body. A body over maxResponseBytes
+// is an error, not a silently cut (and then undecodable) document.
+func readResponse(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponseBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("read response: %w", err)
+	}
+	if len(data) > maxResponseBytes {
+		return nil, fmt.Errorf("response exceeds %d MiB", maxResponseBytes>>20)
+	}
+	return data, nil
+}
+
+// roundTrip issues one request and returns the body and headers of a
+// successful response; an error status becomes an error.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, http.Header, error) {
 	ctx, cancel := c.withDeadline(ctx)
 	defer cancel()
 	req, err := c.request(ctx, method, path, body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("tip: %s %s: %w", method, path, err)
+		return nil, nil, fmt.Errorf("tip: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	data, err := readResponse(resp.Body)
 	if err != nil {
-		return nil, fmt.Errorf("tip: read response: %w", err)
+		return nil, nil, fmt.Errorf("tip: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode >= 400 {
 		var apiErr struct {
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-			return nil, fmt.Errorf("tip: %s %s: %s (status %d)", method, path, apiErr.Error, resp.StatusCode)
+			return nil, nil, fmt.Errorf("tip: %s %s: %s (status %d)", method, path, apiErr.Error, resp.StatusCode)
 		}
-		return nil, fmt.Errorf("tip: %s %s: status %d", method, path, resp.StatusCode)
+		return nil, nil, fmt.Errorf("tip: %s %s: status %d", method, path, resp.StatusCode)
 	}
-	if out == nil {
-		return resp.Header, nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return nil, fmt.Errorf("tip: decode response: %w", err)
-	}
-	return resp.Header, nil
+	return data, resp.Header, nil
 }
 
 func (c *Client) request(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
@@ -383,11 +425,12 @@ func (c *Client) request(ctx context.Context, method, path string, body []byte) 
 	return req, nil
 }
 
-func unwrap(wrapped []misp.Wrapped) []*misp.Event {
-	out := make([]*misp.Event, 0, len(wrapped))
-	for _, w := range wrapped {
-		if w.Event != nil {
-			out = append(out, w.Event)
+// events returns the events a decoded list carries, in order.
+func events(items []misp.ListItem) []*misp.Event {
+	out := make([]*misp.Event, 0, len(items))
+	for _, it := range items {
+		if it.Event != nil {
+			out = append(out, it.Event)
 		}
 	}
 	return out

@@ -1,7 +1,6 @@
 package tip
 
 import (
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -10,10 +9,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
-	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
@@ -96,20 +95,14 @@ func (a *API) handleAddEventBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	var raw []json.RawMessage
-	if err := json.Unmarshal(body, &raw); err != nil {
+	events, rejectedErrs, err := misp.UnmarshalWrappedList(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "batch must be a JSON array: "+err.Error())
 		return
 	}
-	events := make([]*misp.Event, 0, len(raw))
 	var rejected []string
-	for _, item := range raw {
-		e, err := misp.UnmarshalWrapped(item)
-		if err != nil {
-			rejected = append(rejected, err.Error())
-			continue
-		}
-		events = append(events, e)
+	for _, err := range rejectedErrs {
+		rejected = append(rejected, err.Error())
 	}
 	stored, err := a.service.AddEvents(events)
 	if err != nil && len(stored) == 0 && len(events) > 0 {
@@ -234,31 +227,21 @@ func (a *API) handleListChanges(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(SeqHeader, strconv.FormatUint(next, 10))
 	w.Header().Set(MoreHeader, strconv.FormatBool(more))
-	var buf bytes.Buffer
-	buf.WriteByte('[')
+	items := make([]wireItem, len(changes))
 	for i, c := range changes {
-		var data []byte
 		var err error
-		if c.Event != nil {
-			data, err = a.service.WrappedJSONFor(c.Event)
-			if err == nil && c.Prov != nil {
-				data, err = spliceProvenance(data, c.Prov)
-			}
-		} else {
-			data, err = json.Marshal(wireTombstoneItem{EventTombstone: wireTombstone{
+		if c.Event == nil {
+			items[i].body, err = json.Marshal(wireTombstoneItem{EventTombstone: wireTombstone{
 				UUID: c.UUID, DeletedAt: c.DeletedAt.Unix()}})
+		} else if items[i].body, err = a.service.WrappedJSONFor(c.Event); err == nil && c.Prov != nil {
+			items[i].prov, err = json.Marshal(c.Prov)
 		}
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(data)
 	}
-	buf.WriteString("]\n")
-	a.writeListBuffer(w, r, &buf)
+	writeList(w, r, items)
 }
 
 // parseWait reads the change feed's wait parameter: a Go duration, absent
@@ -274,32 +257,15 @@ func parseWait(raw string) (time.Duration, error) {
 	return min(d, storage.MaxWait), nil
 }
 
-// spliceProvenance grafts a "Provenance" sibling onto a cached
-// {"Event":…} wire object without re-marshaling the event, preserving
-// the encode-once read path. Clients that predate provenance ignore the
-// extra key; tombstone-aware clients decode it next to the Event.
-func spliceProvenance(wrapped []byte, p *obs.Provenance) ([]byte, error) {
-	pj, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	trimmed := bytes.TrimRight(wrapped, " \t\r\n")
-	if len(trimmed) < 2 || trimmed[len(trimmed)-1] != '}' {
-		return nil, fmt.Errorf("tip: malformed cached event encoding")
-	}
-	out := make([]byte, 0, len(trimmed)+len(pj)+len(provenanceKey)+4)
-	out = append(out, trimmed[:len(trimmed)-1]...)
-	out = append(out, ',', '"')
-	out = append(out, provenanceKey...)
-	out = append(out, '"', ':')
-	out = append(out, pj...)
-	out = append(out, '}')
-	return out, nil
-}
+// provenanceInfix opens the "Provenance" sibling that carries an event's
+// cross-node trace context on a change page. It is written between a
+// cached {"Event":…} encoding cut before its closing brace and the
+// provenance JSON, so the event is neither re-marshaled nor copied.
+// Clients that predate provenance ignore the extra key.
+var provenanceInfix = []byte(`,"Provenance":`)
 
-// provenanceKey is the change-page sibling key carrying an event's
-// cross-node trace context.
-const provenanceKey = "Provenance"
+// The other byte strings writeList frames a list with.
+var listOpen, listSep, listClose, objectClose = []byte("["), []byte(","), []byte("]\n"), []byte("}")
 
 func (a *API) handleGetEvent(w http.ResponseWriter, r *http.Request) {
 	e, err := a.service.GetEvent(r.PathValue("uuid"))
@@ -426,43 +392,80 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // below it the gzip header and flush overhead outweigh the wire savings.
 const gzipMinBytes = 1 << 10
 
-// writeEventList streams a JSON array of wrapped events, splicing each
-// event's cached wire encoding instead of re-marshaling it. Payloads
-// above gzipMinBytes are gzip-compressed when the request advertises
-// Accept-Encoding: gzip — replication pages are highly repetitive JSON,
-// so sync traffic between mesh peers typically shrinks ~10×.
+// gzipWriters recycles compressors across responses: a fresh gzip.Writer
+// allocates and clears its whole state, several times a page's size.
+// BestSpeed because a page is compressed once per request, not once per
+// revision: a 100-event page of 99 KB travels as 21.4 KB where the
+// default level made it 18.3 KB (4.6× against 5.4× smaller, +17 % wire
+// bytes) for about half the compressor's CPU (EXPERIMENTS §X17).
+var gzipWriters = sync.Pool{New: func() any {
+	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // the level is valid
+	return gz
+}}
+
+// wireItem is one element of an event list ready to be written: body is
+// a complete JSON object (for events the store's cached {"Event":…}
+// encoding, shared and read-only); prov, when set, is spliced into body
+// as a "Provenance" sibling.
+type wireItem struct {
+	body, prov []byte
+}
+
+// writeEventList answers with a JSON array of wrapped events, each from
+// the store's encode-once cache.
 func (a *API) writeEventList(w http.ResponseWriter, r *http.Request, events []*misp.Event) {
-	var buf bytes.Buffer
-	buf.WriteByte('[')
+	items := make([]wireItem, len(events))
 	for i, e := range events {
-		data, err := a.service.WrappedJSONFor(e)
-		if err != nil {
+		var err error
+		if items[i].body, err = a.service.WrappedJSONFor(e); err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(data)
 	}
-	buf.WriteString("]\n")
-	a.writeListBuffer(w, r, &buf)
+	writeList(w, r, items)
 }
 
-// writeListBuffer flushes an assembled JSON list, gzip-compressing
-// payloads above gzipMinBytes when the request allows it.
-func (a *API) writeListBuffer(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) {
+// writeList streams items as a JSON array straight to the response, with
+// no page-sized buffer between. Payloads of gzipMinBytes and more are
+// gzip-compressed when the request advertises Accept-Encoding: gzip.
+func writeList(w http.ResponseWriter, r *http.Request, items []wireItem) {
+	size := len(listOpen) + len(listClose)
+	for _, it := range items {
+		size += len(it.body) + 1
+		if it.prov != nil {
+			size += len(provenanceInfix) + len(it.prov)
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
-	if buf.Len() >= gzipMinBytes && acceptsGzip(r) {
+	var out io.Writer = w
+	if size >= gzipMinBytes && acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
-		w.WriteHeader(http.StatusOK)
-		gz := gzip.NewWriter(w)
-		_, _ = gz.Write(buf.Bytes())
-		_ = gz.Close()
-		return
+		gz := gzipWriters.Get().(*gzip.Writer)
+		gz.Reset(w)
+		defer func() {
+			_ = gz.Close()
+			gz.Reset(io.Discard) // do not hold the response past the request
+			gzipWriters.Put(gz)
+		}()
+		out = gz
 	}
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	// Write errors mean the client went away; there is no one to tell.
+	_, _ = out.Write(listOpen)
+	for i, it := range items {
+		if i > 0 {
+			_, _ = out.Write(listSep)
+		}
+		if it.prov == nil {
+			_, _ = out.Write(it.body)
+			continue
+		}
+		_, _ = out.Write(it.body[:len(it.body)-len(objectClose)])
+		_, _ = out.Write(provenanceInfix)
+		_, _ = out.Write(it.prov)
+		_, _ = out.Write(objectClose)
+	}
+	_, _ = out.Write(listClose)
 }
 
 // acceptsGzip reports whether the request allows a gzip response body.

@@ -72,7 +72,10 @@ func TestLongPollReleasedByEveryCommitPath(t *testing.T) {
 			_, err := s.AddEvents([]*misp.Event{sampleEvent(t, "two", "two.example")})
 			return err
 		}, func(ch storage.Change) bool { return ch.Event != nil && ch.Event.Info == "two" }},
-		{"DeleteAt", func() error { return s.DeleteEventAt(victim.UUID, now.Add(time.Hour)) },
+		{"DeleteEventsAt", func() error {
+			_, err := s.DeleteEventsAt([]storage.Deletion{{UUID: victim.UUID, At: now.Add(time.Hour)}})
+			return err
+		},
 			func(ch storage.Change) bool { return ch.Event == nil && ch.UUID == victim.UUID }},
 	}
 	for _, w := range writes {

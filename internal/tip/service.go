@@ -215,12 +215,13 @@ func (s *Service) DeleteEvent(uuid string) error {
 	return s.store.Delete(uuid)
 }
 
-// DeleteEventAt removes one event, recording at as the deletion time on
-// its tombstone — the entry point replication uses to re-apply a peer's
-// deletion at its original time so newest-wins stays transitive across
-// mesh hops.
-func (s *Service) DeleteEventAt(uuid string, at time.Time) error {
-	return s.store.DeleteAt(uuid, at)
+// DeleteEventsAt removes a batch of events as one commit group, each
+// tombstone recording its entry's deletion time — the entry point
+// replication uses to re-apply a peer's deletions at their original
+// times so newest-wins stays transitive across mesh hops. Events the
+// store does not hold are skipped; it returns how many were removed.
+func (s *Service) DeleteEventsAt(dels []storage.Deletion) (int, error) {
+	return s.store.DeleteBatch(dels)
 }
 
 // SearchQuery selects events; zero fields are ignored, set fields AND.
