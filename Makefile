@@ -31,18 +31,19 @@ bench-e2e-smoke:
 	$(GO) -C bench test ./...
 	bash bench/run.sh -smoke
 
-# Read-path suite: copy-free snapshot reads vs the clone-on-read baseline.
+# Read-path suite: copy-free snapshot reads under sustained ingest.
 bench-read:
 	$(GO) test -run '^$$' -bench '^BenchmarkRead' -benchmem .
 
-# Durability suite: write-tail latency during streaming vs blocking
-# compaction, and parallel vs serial cold-start recovery (50k events).
+# Durability suite: write-tail latency with and without a concurrent
+# streaming compaction, and parallel vs serial cold-start recovery (50k
+# events).
 bench-durability:
 	$(GO) test -run '^$$' -bench '^BenchmarkDurability' -benchmem .
 
-# Correlation suite: streaming cluster index vs the recorrelate-all
-# ablation over 1k/10k/50k streams, plus history-independence of the
-# per-flush cost (empty vs 50k-preloaded correlator).
+# Correlation suite: the streaming cluster index over 1k/10k/50k streams,
+# plus history-independence of the per-flush cost (empty vs 50k-preloaded
+# correlator).
 bench-correlate:
 	$(GO) test -run '^$$' -bench '^BenchmarkCorrelate' -benchmem .
 
@@ -51,7 +52,7 @@ bench-correlate:
 bench-obs:
 	$(GO) test -run '^$$' -bench '^BenchmarkObs' -benchmem .
 
-# Fan-out suite: serial vs sharded broadcast, fast-only vs slow-mix client
+# Fan-out suite: sharded broadcast to fast-only vs slow-mix client
 # populations — the EXPERIMENTS.md §X10 numbers.
 bench-fanout:
 	$(GO) test -run '^$$' -bench '^BenchmarkFanout' -benchmem ./internal/wsock/
@@ -61,8 +62,8 @@ bench-fanout:
 wsload-smoke:
 	$(GO) run ./cmd/wsload -clients 1000 -slow 10 -probes 100 -messages 20 -interval 2ms -drain 15s
 
-# Subscription suite: indexed pattern evaluation vs the WithLinearScan
-# ablation across 1k/10k/100k standing patterns, registration churn, and
+# Subscription suite: indexed pattern evaluation across 1k/10k/100k
+# standing patterns, registration churn, and
 # the parse-time regexp precompilation deltas — the EXPERIMENTS.md §X11
 # numbers.
 bench-subs:
@@ -74,16 +75,15 @@ bench-subs:
 subload-smoke:
 	$(GO) run ./cmd/subload -patterns 1000 -clients 8 -events 5000 -drain 15s
 
-# Mesh suite: concurrent vs serial fan-in over simulated WAN peers — the
+# Mesh suite: concurrent fan-in over simulated WAN peers — the
 # EXPERIMENTS.md §X12 orchestration numbers.
 bench-mesh:
 	$(GO) test -run '^$$' -bench '^BenchmarkFanIn' -benchmem ./internal/mesh/
 
-# Lifecycle suite: the bounded incremental re-score scheduler vs the
-# WithRescanAll full-walk ablation at 10k/100k stored indicators — the
-# EXPERIMENTS.md §X13 per-pass numbers.
+# Lifecycle suite: the bounded incremental re-score scheduler at 10k/100k
+# stored indicators — the EXPERIMENTS.md §X13 per-pass numbers.
 bench-lifecycle:
-	$(GO) test -run '^$$' -bench '^Benchmark(Incremental|RescanAll)Pass' -benchmem ./internal/lifecycle/
+	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalPass' -benchmem ./internal/lifecycle/
 
 # Lifecycle smoke: sustained virtual-time ingest with decay expiry on.
 # Exits nonzero unless the event count and heap plateau (and stay under
@@ -96,8 +96,8 @@ lifeload-smoke:
 # Federation smoke: a 3-node replication ring over real loopback HTTP
 # with a crash/restart mid-ingest. Exits nonzero unless every node
 # converges to the identical event set (counts via /metrics + store
-# digest) with zero steady-state re-imports. The 5-node runs and the
-# serial-sync ablation are in EXPERIMENTS.md §X12.
+# digest) with zero steady-state re-imports. The 5-node runs are in
+# EXPERIMENTS.md §X12.
 meshload-smoke:
 	$(GO) run ./cmd/meshload -nodes 3 -topology ring -events 600 -interval 15ms -drain 30s
 

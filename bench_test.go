@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's artifacts (one per table and figure)
-// plus ablations of the design choices called out in DESIGN.md: the Bloom
-// filter in the deduplicator, the secondary indexes in the event store,
-// and points-derived versus static feature weighting.
+// plus the cost of the design choices called out in DESIGN.md: the
+// deduplicator, the secondary indexes in the event store, and
+// points-derived versus static feature weighting.
 package caisp_test
 
 import (
@@ -264,9 +264,10 @@ func BenchmarkIngestGrowingStore(b *testing.B) {
 	b.ReportMetric(bytes/recs, "B/record")
 }
 
-// --- X1: deduplication throughput and its Bloom ablation -----------------
+// --- X1: deduplication throughput ----------------------------------------
 
-func benchmarkDedup(b *testing.B, useBloom bool) {
+// BenchmarkDedupOffer offers 10k events carrying 2k distinct IDs.
+func BenchmarkDedupOffer(b *testing.B) {
 	events := make([]normalize.Event, 10000)
 	for i := range events {
 		e, err := normalize.New(fmt.Sprintf("host-%d.example", i%2000),
@@ -279,7 +280,7 @@ func benchmarkDedup(b *testing.B, useBloom bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := dedup.New(dedup.WithBloom(useBloom), dedup.WithExpectedItems(4000))
+		d := dedup.New()
 		for _, e := range events {
 			d.Offer(e)
 		}
@@ -289,13 +290,11 @@ func benchmarkDedup(b *testing.B, useBloom bool) {
 	}
 }
 
-func BenchmarkAblationDedupBloomOn(b *testing.B)  { benchmarkDedup(b, true) }
-func BenchmarkAblationDedupBloomOff(b *testing.B) { benchmarkDedup(b, false) }
+// --- Secondary indexes in the event store --------------------------------
 
-// --- Ablation: secondary indexes in the event store ----------------------
-
-func benchmarkStoreSearch(b *testing.B, indexed bool) {
-	store, err := storage.Open("", storage.WithIndexes(indexed))
+// BenchmarkStoreSearch looks up one attribute value among 2k events.
+func BenchmarkStoreSearch(b *testing.B) {
+	store, err := storage.Open("")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,9 +316,6 @@ func benchmarkStoreSearch(b *testing.B, indexed bool) {
 		}
 	}
 }
-
-func BenchmarkAblationStoreSearchIndexed(b *testing.B) { benchmarkStoreSearch(b, true) }
-func BenchmarkAblationStoreSearchScan(b *testing.B)    { benchmarkStoreSearch(b, false) }
 
 // --- Ablation: points-derived vs static weighting ------------------------
 
@@ -740,14 +736,11 @@ func BenchmarkAblationCorrelateWindowed(b *testing.B) {
 
 // --- X6: snapshot-isolated read path --------------------------------------
 //
-// Each BenchmarkRead* pair compares the copy-free snapshot read path
-// against the clone-on-read baseline (storage.WithCloneReads restores the
-// pre-snapshot behavior: deep copies on every read, scan-based
-// UpdatedSince). Run via `make bench-read`.
+// The BenchmarkRead* suite measures the copy-free snapshot read path
+// under sustained ingest. Run via `make bench-read`.
 
 // readBenchEvent builds a realistically sized event (3 loose attributes,
-// one object, 2 tags — like the use-case cIoC) so the baseline's per-read
-// clone cost is representative.
+// one object, 2 tags — like the use-case cIoC).
 func readBenchEvent(i int, ts time.Time) *misp.Event {
 	e := misp.NewEvent(fmt.Sprintf("read-%d", i), ts)
 	e.AddAttribute("domain", "Network activity", fmt.Sprintf("r%d.example", i), ts)
@@ -763,9 +756,9 @@ func readBenchEvent(i int, ts time.Time) *misp.Event {
 
 const readBenchStoreSize = 5000
 
-func seedReadStore(b *testing.B, opts ...storage.Option) *storage.Store {
+func seedReadStore(b *testing.B) *storage.Store {
 	b.Helper()
-	store, err := storage.Open("", opts...)
+	store, err := storage.Open("")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -784,7 +777,7 @@ func seedReadStore(b *testing.B, opts ...storage.Option) *storage.Store {
 
 // startIngest keeps committing fresh 64-event batches until stopped —
 // the sustained write load the readers contend with. Writer events carry
-// timestamps far in the past so the UpdatedSince result set stays fixed.
+// timestamps far in the past so the UpdatedSincePage result set stays fixed.
 func startIngest(b *testing.B, store *storage.Store) (stop func()) {
 	b.Helper()
 	done := make(chan struct{})
@@ -814,8 +807,8 @@ func startIngest(b *testing.B, store *storage.Store) (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-func benchmarkReadSearchUnderIngest(b *testing.B, opts ...storage.Option) {
-	store := seedReadStore(b, opts...)
+func BenchmarkReadSearchUnderIngest(b *testing.B) {
+	store := seedReadStore(b)
 	defer store.Close()
 	stop := startIngest(b, store)
 	b.ReportAllocs()
@@ -834,25 +827,17 @@ func benchmarkReadSearchUnderIngest(b *testing.B, opts ...storage.Option) {
 	stop()
 }
 
-func BenchmarkReadSearchUnderIngestSnapshot(b *testing.B) {
-	benchmarkReadSearchUnderIngest(b)
-}
-
-func BenchmarkReadSearchUnderIngestCloneBaseline(b *testing.B) {
-	benchmarkReadSearchUnderIngest(b, storage.WithCloneReads(true))
-}
-
-func benchmarkReadUpdatedSinceUnderIngest(b *testing.B, opts ...storage.Option) {
-	store := seedReadStore(b, opts...)
+func BenchmarkReadUpdatedSinceUnderIngest(b *testing.B) {
+	store := seedReadStore(b)
 	defer store.Close()
 	stop := startIngest(b, store)
-	// The sync cut keeps the last 100 seeded events in range (k=100).
+	// The cut keeps the last 100 seeded events in range (k=100).
 	cut := experiments.EvalTime.Add(time.Duration(readBenchStoreSize-100) * time.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			hits, err := store.UpdatedSince(cut)
+			hits, _, err := store.UpdatedSincePage(cut, "", 0)
 			if err != nil || len(hits) != 100 {
 				b.Fatalf("hits=%d err=%v", len(hits), err)
 			}
@@ -862,16 +847,8 @@ func benchmarkReadUpdatedSinceUnderIngest(b *testing.B, opts ...storage.Option) 
 	stop()
 }
 
-func BenchmarkReadUpdatedSinceUnderIngestIndexed(b *testing.B) {
-	benchmarkReadUpdatedSinceUnderIngest(b)
-}
-
-func BenchmarkReadUpdatedSinceUnderIngestScanBaseline(b *testing.B) {
-	benchmarkReadUpdatedSinceUnderIngest(b, storage.WithCloneReads(true))
-}
-
-func benchmarkReadGet(b *testing.B, opts ...storage.Option) {
-	store := seedReadStore(b, opts...)
+func BenchmarkReadGet(b *testing.B) {
+	store := seedReadStore(b)
 	defer store.Close()
 	uuids := make([]string, 0, readBenchStoreSize)
 	all, err := store.All()
@@ -892,11 +869,6 @@ func benchmarkReadGet(b *testing.B, opts ...storage.Option) {
 			i++
 		}
 	})
-}
-
-func BenchmarkReadGetSnapshot(b *testing.B) { benchmarkReadGet(b) }
-func BenchmarkReadGetCloneBaseline(b *testing.B) {
-	benchmarkReadGet(b, storage.WithCloneReads(true))
 }
 
 // Encode-once publishing: the cached wire encoding vs a fresh marshal per
@@ -937,9 +909,7 @@ func BenchmarkReadWrappedJSONMarshalBaseline(b *testing.B) {
 // Write-tail latency during checkpoints and recovery speed after them.
 // Each BenchmarkDurabilityPut* variant measures per-operation latency
 // percentiles for Put (or PutBatch) against a ≥50k-event store while a
-// compaction loop runs concurrently; the Blocking variant restores the
-// old stop-the-world Compact (storage.WithBlockingCompaction) as the
-// ablation baseline. BenchmarkDurabilityOpenRecovery* measures cold
+// compaction loop runs concurrently. BenchmarkDurabilityOpenRecovery* measures cold
 // Open on the same store with the parallel decoder vs the serial
 // ablation (storage.WithRecoveryWorkers(1)). Run via
 // `make bench-durability`.
@@ -1031,14 +1001,10 @@ func startCompactLoop(b *testing.B, store *storage.Store, mode string) (stop fun
 
 // benchmarkDurabilityPut measures single-Put latency against a seeded
 // store. mode selects the concurrent checkpoint activity: "steady" (no
-// compaction), "compact" (the streaming off-lock Compact looping in the
-// background) or "blocking" (the stop-the-world ablation looping).
+// compaction) or "compact" (the streaming off-lock Compact looping in
+// the background).
 func benchmarkDurabilityPut(b *testing.B, mode string) {
-	var opts []storage.Option
-	if mode == "blocking" {
-		opts = append(opts, storage.WithBlockingCompaction(true))
-	}
-	store, err := storage.Open(b.TempDir(), opts...)
+	store, err := storage.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1063,20 +1029,12 @@ func benchmarkDurabilityPut(b *testing.B, mode string) {
 
 func BenchmarkDurabilityPutSteady(b *testing.B)          { benchmarkDurabilityPut(b, "steady") }
 func BenchmarkDurabilityPutUnderCompaction(b *testing.B) { benchmarkDurabilityPut(b, "compact") }
-func BenchmarkDurabilityPutUnderBlockingCompaction(b *testing.B) {
-	benchmarkDurabilityPut(b, "blocking")
-}
 
 // benchmarkDurabilityPutBatch is the batch analogue: per-batch (64
-// events) commit latency with the streaming or blocking compactor
-// racing it.
+// events) commit latency, optionally with the compactor racing it.
 func benchmarkDurabilityPutBatch(b *testing.B, mode string) {
 	const batchSize = 64
-	var opts []storage.Option
-	if mode == "blocking" {
-		opts = append(opts, storage.WithBlockingCompaction(true))
-	}
-	store, err := storage.Open(b.TempDir(), opts...)
+	store, err := storage.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1102,9 +1060,6 @@ func benchmarkDurabilityPutBatch(b *testing.B, mode string) {
 func BenchmarkDurabilityPutBatchSteady(b *testing.B) { benchmarkDurabilityPutBatch(b, "steady") }
 func BenchmarkDurabilityPutBatchUnderCompaction(b *testing.B) {
 	benchmarkDurabilityPutBatch(b, "compact")
-}
-func BenchmarkDurabilityPutBatchUnderBlockingCompaction(b *testing.B) {
-	benchmarkDurabilityPutBatch(b, "blocking")
 }
 
 // benchmarkDurabilityOpen measures cold recovery of a 50k-event store —
@@ -1155,10 +1110,8 @@ func BenchmarkDurabilityOpenRecoverySerial(b *testing.B)   { benchmarkDurability
 // --- X8: incremental cross-batch correlation -------------------------------
 //
 // The streaming correlator folds each flush into a persistent cluster
-// index in amortized O(keys-in-batch); the WithRecorrelateAll ablation
-// restores the old behavior of re-correlating the full event history on
-// every flush (O(history) per flush, superlinear over a run). Run via
-// `make bench-correlate`.
+// index in amortized O(keys-in-batch) instead of re-correlating the full
+// event history on every flush. Run via `make bench-correlate`.
 
 // streamBenchEvents builds n malware-domain events starting at index
 // base. In the merge-heavy shape hosts share one of 64 registered
@@ -1189,18 +1142,10 @@ func streamBenchEvents(b *testing.B, base, n int, mergeHeavy bool) []normalize.E
 const correlateFlushSize = 256
 
 // BenchmarkCorrelateStream drives a whole stream through the correlator
-// in flush-sized batches, incremental vs the recorrelate-all ablation,
-// across stream sizes and cluster shapes. ns/op is the cost of the full
-// stream; the events/s metric makes the scaling comparable across sizes
-// (incremental stays ~flat, recorrelate-all degrades with size).
+// in flush-sized batches across stream sizes and cluster shapes. ns/op
+// is the cost of the full stream; the events/s metric makes the scaling
+// comparable across sizes (it stays ~flat).
 func BenchmarkCorrelateStream(b *testing.B) {
-	modes := []struct {
-		name string
-		opts []correlate.Option
-	}{
-		{"incremental", nil},
-		{"recorrelate-all", []correlate.Option{correlate.WithRecorrelateAll(true)}},
-	}
 	shapes := []struct {
 		name       string
 		mergeHeavy bool
@@ -1208,32 +1153,30 @@ func BenchmarkCorrelateStream(b *testing.B) {
 		{"merge-heavy", true},
 		{"singleton-heavy", false},
 	}
-	for _, mode := range modes {
-		for _, shape := range shapes {
-			for _, n := range []int{1000, 10000, 50000} {
-				name := fmt.Sprintf("%s/%s/events=%d", mode.name, shape.name, n)
-				b.Run(name, func(b *testing.B) {
-					events := streamBenchEvents(b, 0, n, shape.mergeHeavy)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						inc := correlate.NewIncremental(mode.opts...)
-						b.StartTimer()
-						clusters := 0
-						for lo := 0; lo < len(events); lo += correlateFlushSize {
-							hi := min(lo+correlateFlushSize, len(events))
-							d := inc.Add(events[lo:hi])
-							clusters += len(d.New) - len(d.Removed)
-						}
-						if clusters == 0 {
-							b.Fatal("no clusters")
-						}
-					}
+	for _, shape := range shapes {
+		for _, n := range []int{1000, 10000, 50000} {
+			name := fmt.Sprintf("%s/events=%d", shape.name, n)
+			b.Run(name, func(b *testing.B) {
+				events := streamBenchEvents(b, 0, n, shape.mergeHeavy)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-				})
-			}
+					inc := correlate.NewIncremental()
+					b.StartTimer()
+					clusters := 0
+					for lo := 0; lo < len(events); lo += correlateFlushSize {
+						hi := min(lo+correlateFlushSize, len(events))
+						d := inc.Add(events[lo:hi])
+						clusters += len(d.New) - len(d.Removed)
+					}
+					if clusters == 0 {
+						b.Fatal("no clusters")
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			})
 		}
 	}
 }

@@ -6,7 +6,6 @@
 //
 //	lifeload                      # bounded: assert count + heap plateau
 //	lifeload -mode unbounded      # baseline: report linear growth
-//	lifeload -mode compare        # incremental vs -rescan-all per-pass cost
 //	lifeload -mode mesh           # expiry tombstones converge across 3 nodes
 //
 // Time is virtual: every tick advances the clock by -step and ingests
@@ -44,27 +43,25 @@ type options struct {
 	step   time.Duration
 	tau    time.Duration
 	batch  int
-	events int // compare/mesh mode store size
+	events int // mesh mode ingest size
 	drain  time.Duration
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.mode, "mode", "bounded", "bounded, unbounded, compare or mesh")
+	flag.StringVar(&o.mode, "mode", "bounded", "bounded, unbounded or mesh")
 	flag.IntVar(&o.ticks, "ticks", 1000, "virtual-clock ticks to run")
 	flag.IntVar(&o.rate, "rate", 50, "events ingested per tick")
 	flag.DurationVar(&o.step, "step", time.Hour, "virtual time per tick")
 	flag.DurationVar(&o.tau, "tau", 200*time.Hour, "decay lifetime for the ingested category")
 	flag.IntVar(&o.batch, "batch", 2048, "re-score batch size per tick")
-	flag.IntVar(&o.events, "events", 100000, "store size for -mode compare (and ingest size for mesh)")
+	flag.IntVar(&o.events, "events", 100000, "ingest size for -mode mesh")
 	flag.DurationVar(&o.drain, "drain", 30*time.Second, "max wait for mesh convergence")
 	flag.Parse()
 	var err error
 	switch o.mode {
 	case "bounded", "unbounded":
 		err = runIngest(o)
-	case "compare":
-		err = runCompare(o)
 	case "mesh":
 		err = runMesh(o)
 	default:
@@ -199,73 +196,6 @@ func runIngest(o options) error {
 	return nil
 }
 
-// runCompare measures steady-state per-pass scheduler cost: one bounded
-// incremental batch vs the WithRescanAll full walk, on the same warmed
-// store. Both modes land zero edits (the clock is frozen), so the
-// numbers isolate pure scan cost — O(batch) vs O(store).
-func runCompare(o options) error {
-	s, err := storage.Open("")
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	pols := map[string]lifecycle.Policy{
-		"scanner": {Tau: o.tau, Delta: 1},
-		"unknown": {Tau: o.tau, Delta: 1},
-	}
-
-	// Sightings spread over the first half of τ so nothing expires.
-	fmt.Printf("lifeload: preloading %d indicators\n", o.events)
-	const chunk = 1024
-	for off := 0; off < o.events; off += chunk {
-		n := min(chunk, o.events-off)
-		batch := make([]*misp.Event, n)
-		for i := range batch {
-			age := time.Duration(int64(o.tau) / 2 * int64(off+i) / int64(o.events))
-			batch[i] = indicator(off+i, "scanner", epoch.Add(age))
-		}
-		if err := s.PutBatch(batch); err != nil {
-			return err
-		}
-	}
-	now := epoch.Add(o.tau / 2)
-
-	// Warm: land every decayed score once so measurement passes are
-	// pure scans for both schedulers.
-	warm := lifecycle.New(s, lifecycle.WithPolicies(pols), lifecycle.WithRescanAll(true))
-	if _, err := warm.RunOnce(now); err != nil {
-		return err
-	}
-
-	inc := lifecycle.New(s, lifecycle.WithPolicies(pols), lifecycle.WithBatchSize(512))
-	incRuns := 20
-	start := time.Now()
-	for i := 0; i < incRuns; i++ {
-		if _, err := inc.RunOnce(now); err != nil {
-			return err
-		}
-	}
-	incPer := time.Since(start) / time.Duration(incRuns)
-
-	rescan := lifecycle.New(s, lifecycle.WithPolicies(pols), lifecycle.WithRescanAll(true))
-	rescanRuns := 3
-	start = time.Now()
-	for i := 0; i < rescanRuns; i++ {
-		if _, err := rescan.RunOnce(now); err != nil {
-			return err
-		}
-	}
-	rescanPer := time.Since(start) / time.Duration(rescanRuns)
-
-	ratio := float64(rescanPer) / float64(incPer)
-	fmt.Printf("per-pass cost at %d events: incremental(batch=512) %s, rescan-all %s — %.0f× cheaper\n",
-		o.events, incPer.Round(time.Microsecond), rescanPer.Round(time.Microsecond), ratio)
-	if ratio < 10 {
-		return fmt.Errorf("incremental scheduler only %.1f× cheaper than rescan-all, want ≥10×", ratio)
-	}
-	return nil
-}
-
 // --- mesh mode: expiry tombstones converge across a 3-node ring ---
 
 type node struct {
@@ -278,7 +208,7 @@ type node struct {
 }
 
 func (n *node) digest() uint64 {
-	events, err := n.svc.EventsSince(time.Time{})
+	events, _, _, err := n.svc.ChangesPage(0, 0)
 	if err != nil {
 		return 0
 	}

@@ -5,7 +5,7 @@
 // time-to-convergence and replication throughput.
 //
 //	meshload -nodes 5 -topology ring -events 5000 -crash
-//	meshload -nodes 5 -topology fanin -events 20000 -serial   # ablation
+//	meshload -nodes 5 -topology fanin -events 20000
 //
 // Topologies:
 //
@@ -13,8 +13,8 @@
 //	star   node 0 is the hub; leaves pull from it and it pulls from them
 //	full   every node pulls from every other node
 //	fanin  nodes 0..N-2 are preloaded producers; node N-1 starts cold and
-//	       pulls from all of them at once — the concurrent-vs-serial
-//	       sync measurement reported in EXPERIMENTS.md §X12
+//	       pulls from all of them at once — the fan-in catch-up
+//	       measurement reported in EXPERIMENTS.md §X12
 //
 // Convergence is verified two ways, per the mesh acceptance criteria:
 // the caisp_tip_events gauge scraped over each node's real /metrics
@@ -54,7 +54,6 @@ type options struct {
 	batch    int
 	interval time.Duration
 	page     int
-	serial   bool
 	crash    bool
 	drain    time.Duration
 	latency  time.Duration
@@ -69,7 +68,6 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 100, "ingest batch size")
 	flag.DurationVar(&o.interval, "interval", 25*time.Millisecond, "mesh poll interval")
 	flag.IntVar(&o.page, "page", mesh.DefaultBasePage, "starting sync page size")
-	flag.BoolVar(&o.serial, "serial", false, "serial one-peer-at-a-time sync (ablation)")
 	flag.BoolVar(&o.crash, "crash", true, "crash/restart one node mid-ingest (ring/star/full)")
 	flag.DurationVar(&o.drain, "drain", 60*time.Second, "max wait for convergence")
 	flag.DurationVar(&o.latency, "latency", 0, "simulated one-way link latency added to every API request (WAN model)")
@@ -128,19 +126,15 @@ func (n *node) start() error {
 	}
 	n.addr = ln.Addr().String()
 
-	meshOpts := []mesh.Option{
+	engine, err := mesh.New(n.svc, n.peers,
+		mesh.NewFileCursors(filepath.Join(n.dir, "mesh-cursors.json")),
 		mesh.WithInterval(n.opts.interval),
 		mesh.WithBackoff(n.opts.interval, 20*n.opts.interval),
 		mesh.WithPageSize(n.opts.page, mesh.DefaultMaxPage),
 		mesh.WithMetrics(reg),
 		mesh.WithProvenance(name, prov),
 		mesh.WithTracer(tracer),
-	}
-	if n.opts.serial {
-		meshOpts = append(meshOpts, mesh.WithSerialSync())
-	}
-	engine, err := mesh.New(n.svc, n.peers,
-		mesh.NewFileCursors(filepath.Join(n.dir, "mesh-cursors.json")), meshOpts...)
+	)
 	if err != nil {
 		ln.Close()
 		return err
@@ -293,8 +287,8 @@ func run(o options) error {
 			n.stop()
 		}
 	}()
-	fmt.Printf("meshload: %d nodes, topology=%s, events=%d, interval=%s, serial=%v, crash=%v\n",
-		o.nodes, o.topology, o.events, o.interval, o.serial, o.crash)
+	fmt.Printf("meshload: %d nodes, topology=%s, events=%d, interval=%s, crash=%v\n",
+		o.nodes, o.topology, o.events, o.interval, o.crash)
 
 	if o.topology == "fanin" {
 		err = runFanin(o, nodes)
@@ -436,7 +430,7 @@ func checkProvenance(nodes []*node) error {
 }
 
 // runFanin preloads every producer, then measures one cold node draining
-// all of them — the serial-vs-concurrent sync comparison.
+// all of them at once.
 func runFanin(o options, nodes []*node) error {
 	producers := o.nodes - 1
 	per := o.events / producers
@@ -458,12 +452,8 @@ func runFanin(o options, nodes []*node) error {
 	if imported != total {
 		return fmt.Errorf("fan-in imported %d, want %d", imported, total)
 	}
-	mode := "concurrent"
-	if o.serial {
-		mode = "serial"
-	}
-	fmt.Printf("fan-in (%s): drained %d peers / %d events in %s (%.0f events/s)\n",
-		mode, producers, total, dur.Round(time.Millisecond), float64(total)/dur.Seconds())
+	fmt.Printf("fan-in: drained %d peers / %d events in %s (%.0f events/s)\n",
+		producers, total, dur.Round(time.Millisecond), float64(total)/dur.Seconds())
 	return nil
 }
 
@@ -525,7 +515,7 @@ func scrapeEvents(addr string) (int, error) {
 // digest folds every event's identity and revision into one
 // order-independent hash.
 func digest(svc *tip.Service) uint64 {
-	events, err := svc.EventsSince(time.Time{})
+	events, _, _, err := svc.ChangesPage(0, 0)
 	if err != nil {
 		return 0
 	}

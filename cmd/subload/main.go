@@ -5,8 +5,7 @@
 // EXPERIMENTS.md §X11.
 //
 // The pattern mix models a SIEM detection estate — mostly hash-dispatched
-// point lookups (equality/IN) with small ordered/LIKE/CIDR tails — and the
-// -linear flag switches to the O(all-patterns) ablation for the same run.
+// point lookups (equality/IN) with small ordered/LIKE/CIDR tails.
 // Watchers ride net.Pipe like cmd/wsload: the hub-side path (encode-once
 // prepared frames, bounded queues) is identical to production.
 package main
@@ -31,7 +30,6 @@ import (
 
 type config struct {
 	patterns  int           // standing subscriptions to register
-	linear    bool          // ablation: full scan instead of the index
 	clients   int           // WebSocket watchers on the match stream
 	events    int           // synthetic admitted events to evaluate
 	matchPct  int           // percent of events drawing values from the pattern space
@@ -43,7 +41,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.patterns, "patterns", 1000, "standing pattern subscriptions")
-	flag.BoolVar(&cfg.linear, "linear", false, "linear-scan ablation (no index)")
 	flag.IntVar(&cfg.clients, "clients", 8, "match-stream watcher connections")
 	flag.IntVar(&cfg.events, "events", 5000, "admitted events to evaluate")
 	flag.IntVar(&cfg.matchPct, "match-rate", 10, "percent of events that hit a registered value")
@@ -80,16 +77,12 @@ func run(cfg config, w io.Writer) error {
 	}
 
 	reg := obs.NewRegistry()
-	opts := []subscribe.Option{
+	engine := subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithHubMetrics(reg),
-		subscribe.WithMaxPerClient(cfg.patterns + 1),
+		subscribe.WithMaxPerClient(cfg.patterns+1),
 		subscribe.WithHubOptions(wsock.WithQueueDepth(cfg.queue)),
-	}
-	if cfg.linear {
-		opts = append(opts, subscribe.WithLinearScan())
-	}
-	engine := subscribe.NewEngine(opts...)
+	)
 	defer engine.Close()
 
 	setup := time.Now()
@@ -185,8 +178,8 @@ func run(cfg config, w io.Writer) error {
 	readerWG.Wait()
 
 	snap := engine.EvalSnapshot()
-	fmt.Fprintf(w, "subload: %d patterns (linear=%v), %d clients, %d events (%d%% hot, mixed=%v)\n",
-		cfg.patterns, cfg.linear, cfg.clients, cfg.events, cfg.matchPct, cfg.mixed)
+	fmt.Fprintf(w, "subload: %d patterns, %d clients, %d events (%d%% hot, mixed=%v)\n",
+		cfg.patterns, cfg.clients, cfg.events, cfg.matchPct, cfg.mixed)
 	fmt.Fprintf(w, "register: %v total (%.1fµs/pattern)\n",
 		registerDur.Round(time.Millisecond),
 		float64(registerDur.Microseconds())/float64(cfg.patterns))

@@ -52,7 +52,6 @@ type config struct {
 	peerKey      string
 	syncInterval time.Duration
 	syncPage     int
-	serialSync   bool
 	subsFile     string
 
 	noLifecycle bool
@@ -72,7 +71,6 @@ func main() {
 	flag.StringVar(&cfg.peerKey, "peer-key", "", "API key presented to peers")
 	flag.DurationVar(&cfg.syncInterval, "sync-interval", mesh.DefaultInterval, "base anti-entropy poll interval per peer (jittered)")
 	flag.IntVar(&cfg.syncPage, "sync-page", mesh.DefaultBasePage, "starting sync page size (adapts up to the peer's cap)")
-	flag.BoolVar(&cfg.serialSync, "serial-sync", false, "sync one peer at a time (measured ablation; default is concurrent)")
 	flag.StringVar(&cfg.subsFile, "subs-file", "", "subscription sidecar path (default <data>/subscriptions.json; empty with no -data disables)")
 	flag.BoolVar(&cfg.noLifecycle, "no-lifecycle", false, "disable decay-driven re-scoring and expiry (store grows without bound)")
 	flag.DurationVar(&cfg.lcInterval, "lifecycle-interval", 0, "cadence of the background re-score batch (0 = engine default)")
@@ -147,17 +145,13 @@ func run(cfg config) error {
 		if cfg.dataDir != "" {
 			cursors = mesh.NewFileCursors(filepath.Join(cfg.dataDir, "mesh-cursors.json"))
 		}
-		meshOpts := []mesh.Option{
+		engine, err = mesh.New(service, peers, cursors,
 			mesh.WithInterval(cfg.syncInterval),
 			mesh.WithPageSize(cfg.syncPage, mesh.DefaultMaxPage),
 			mesh.WithMetrics(reg),
 			mesh.WithProvenance(cfg.name, prov),
 			mesh.WithTracer(tracer),
-		}
-		if cfg.serialSync {
-			meshOpts = append(meshOpts, mesh.WithSerialSync())
-		}
-		engine, err = mesh.New(service, peers, cursors, meshOpts...)
+		)
 		if err != nil {
 			return err
 		}
@@ -167,8 +161,8 @@ func run(cfg config) error {
 		for i, p := range peers {
 			names[i] = p.Name
 		}
-		fmt.Printf("mesh replication from %d peer(s): %s (interval %s, serial=%v)\n",
-			len(peers), strings.Join(names, ", "), cfg.syncInterval, cfg.serialSync)
+		fmt.Printf("mesh replication from %d peer(s): %s (interval %s)\n",
+			len(peers), strings.Join(names, ", "), cfg.syncInterval)
 	}
 
 	// Indicator lifecycle: decay re-scoring over the store, with expiry

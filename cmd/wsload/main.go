@@ -31,7 +31,6 @@ type config struct {
 	probes       int           // of which: latency-sampled fast readers
 	shards       int           // hub shards (0 = hub default)
 	queue        int           // per-client send-queue depth (0 = default)
-	serial       bool          // ablation: pre-shard synchronous fan-out
 	messages     int           // broadcasts to send
 	interval     time.Duration // pacing between broadcasts
 	payload      int           // payload bytes per message (≥8 for the timestamp)
@@ -47,7 +46,6 @@ func main() {
 	flag.IntVar(&cfg.probes, "probes", 100, "fast clients sampled for push latency")
 	flag.IntVar(&cfg.shards, "shards", 0, "hub shards (0 = default)")
 	flag.IntVar(&cfg.queue, "queue", 0, "per-client queue depth (0 = default)")
-	flag.BoolVar(&cfg.serial, "serial", false, "serial broadcast ablation (no shard fan-out)")
 	flag.IntVar(&cfg.messages, "messages", 50, "broadcasts to send")
 	flag.DurationVar(&cfg.interval, "interval", 5*time.Millisecond, "pause between broadcasts")
 	flag.IntVar(&cfg.payload, "payload", 256, "payload bytes per message")
@@ -88,9 +86,6 @@ func run(cfg config, w io.Writer) error {
 	}
 	if cfg.queue > 0 {
 		opts = append(opts, wsock.WithQueueDepth(cfg.queue))
-	}
-	if cfg.serial {
-		opts = append(opts, wsock.WithSerialBroadcast())
 	}
 	opts = append(opts, wsock.WithHubWriteTimeout(cfg.writeTimeout))
 	hub := wsock.NewHub(opts...)
@@ -184,8 +179,8 @@ func run(cfg config, w io.Writer) error {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 
 	total := int64(fast) * int64(cfg.messages)
-	fmt.Fprintf(w, "wsload: %d clients (%d fast, %d slow), shards=%d queue=%d serial=%v payload=%dB\n",
-		cfg.clients, fast, cfg.slow, cfg.shards, cfg.queue, cfg.serial, cfg.payload)
+	fmt.Fprintf(w, "wsload: %d clients (%d fast, %d slow), shards=%d queue=%d payload=%dB\n",
+		cfg.clients, fast, cfg.slow, cfg.shards, cfg.queue, cfg.payload)
 	fmt.Fprintf(w, "setup: %v to connect all clients\n", setupDur.Round(time.Millisecond))
 	fmt.Fprintf(w, "delivered %d/%d frames in %v (%.0f deliveries/s), evicted %d\n",
 		delivered.Load(), total, elapsed.Round(time.Millisecond),

@@ -40,29 +40,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunSerialAblation exercises the -serial path.
-func TestRunSerialAblation(t *testing.T) {
-	cfg := config{
-		clients:      16,
-		slow:         1,
-		probes:       4,
-		serial:       true,
-		messages:     5,
-		interval:     time.Millisecond,
-		payload:      64,
-		bufSize:      256,
-		writeTimeout: 100 * time.Millisecond,
-		drainWait:    10 * time.Second,
-	}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "delivered 75/75 frames") {
-		t.Fatalf("serial ablation dropped frames:\n%s", out.String())
-	}
-}
-
 func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(config{clients: 0}, &bytes.Buffer{}); err == nil {
 		t.Fatal("clients=0 accepted")

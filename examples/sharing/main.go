@@ -1,7 +1,8 @@
 // Information sharing between organizations (paper §III-C2 / §IV-A): a
 // producing platform scores an IoC and stores the eIoC in its TIP; a
-// partner TIP instance pulls it over the MISP-like sync API; a non-MISP
-// consumer fetches the same intelligence as STIX 2.0 over TAXII.
+// partner TIP instance pulls it over the change feed with a one-peer
+// federation mesh; a non-MISP consumer fetches the same intelligence as
+// STIX 2.0 over TAXII.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"github.com/caisplatform/caisp"
 	"github.com/caisplatform/caisp/internal/experiments"
+	"github.com/caisplatform/caisp/internal/mesh"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/taxii"
 	"github.com/caisplatform/caisp/internal/tip"
@@ -46,11 +48,18 @@ func run() error {
 	}
 	defer partnerStore.Close()
 	partner := tip.NewService(partnerStore, tip.WithName("partner"))
-	imported, err := partner.SyncFrom(context.Background(), tip.NewClient(producerAPI.URL, "producer-key"), time.Time{})
+	pull, err := mesh.New(partner, []mesh.Peer{
+		{Name: "producer", Remote: tip.NewClient(producerAPI.URL, "producer-key")},
+	}, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("partner TIP pulled %d events over the sync API\n", imported)
+	defer pull.Close()
+	imported, err := pull.SyncOnce(context.Background())
+	if err != nil {
+		return err
+	}
+	fmt.Printf("partner TIP pulled %d events over the change feed\n", imported)
 
 	eiocs, err := partner.Search(tip.SearchQuery{Tag: "caisp:eioc"})
 	if err != nil {

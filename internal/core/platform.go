@@ -114,11 +114,6 @@ type Config struct {
 	// this duration of each other (correlate.WithTimeWindow). Zero imposes
 	// no temporal constraint.
 	CorrelationWindow time.Duration
-	// RecorrelateAll switches the streaming correlator into the ablation
-	// mode that re-correlates the full event history on every flush —
-	// the O(history) baseline the incremental index replaces. For
-	// benchmarking only.
-	RecorrelateAll bool
 	// RecoveryWorkers bounds the worker pool that rebuilds the correlation
 	// index from the store on restart. Values below 1 use GOMAXPROCS.
 	RecoveryWorkers int
@@ -134,10 +129,6 @@ type Config struct {
 	// heuristic evaluation or dashboard push slower than this. Zero
 	// disables slow-op logging.
 	SlowOpThreshold time.Duration
-	// SubscriptionLinearScan switches the streaming-detection engine into
-	// the O(all-patterns) ablation (subscribe.WithLinearScan) instead of
-	// the pattern index. For benchmarking only.
-	SubscriptionLinearScan bool
 	// DisableLifecycle turns off decay-driven re-scoring and expiry: the
 	// store grows without bound under continuous ingest (the unbounded
 	// baseline cmd/lifeload measures against).
@@ -151,10 +142,6 @@ type Config struct {
 	// LifecycleFloor expires indicators whose decayed score falls to or
 	// below it. Zero uses the lifecycle default (0.3).
 	LifecycleFloor float64
-	// LifecycleRescanAll switches the re-scorer into the full-scan
-	// ablation (lifecycle.WithRescanAll): every run walks the whole store
-	// instead of one bounded batch. For benchmarking only.
-	LifecycleRescanAll bool
 }
 
 // Stats counts pipeline activity.
@@ -305,9 +292,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.CorrelationWindow > 0 {
 		corrOpts = append(corrOpts, correlate.WithTimeWindow(cfg.CorrelationWindow))
 	}
-	if cfg.RecorrelateAll {
-		corrOpts = append(corrOpts, correlate.WithRecorrelateAll(true))
-	}
 
 	p := &Platform{
 		cfg:       cfg,
@@ -357,15 +341,11 @@ func New(cfg Config) (*Platform, error) {
 		heuristic.WithLogger(cfg.Logger),
 		heuristic.WithSlowThreshold(cfg.SlowOpThreshold),
 	)
-	subOpts := []subscribe.Option{
+	p.subs = subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithLogger(cfg.Logger),
 		subscribe.WithNow(cfg.Clock.Now),
-	}
-	if cfg.SubscriptionLinearScan {
-		subOpts = append(subOpts, subscribe.WithLinearScan())
-	}
-	p.subs = subscribe.NewEngine(subOpts...)
+	)
 	p.dash = dashboard.NewServer(collector,
 		dashboard.WithMetrics(reg),
 		dashboard.WithLogger(cfg.Logger),
@@ -393,9 +373,6 @@ func New(cfg Config) (*Platform, error) {
 		}
 		if cfg.LifecycleFloor > 0 {
 			lcOpts = append(lcOpts, lifecycle.WithFloor(cfg.LifecycleFloor))
-		}
-		if cfg.LifecycleRescanAll {
-			lcOpts = append(lcOpts, lifecycle.WithRescanAll(true))
 		}
 		p.lifec = lifecycle.New(store, lcOpts...)
 		p.dash.SetLifecycle(lifecycle.NewAPI(p.lifec))

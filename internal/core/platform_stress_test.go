@@ -70,7 +70,7 @@ func TestStreamingStressNoLostEvents(t *testing.T) {
 				case 1:
 					p.TIP().Len()
 				case 2:
-					if _, err := p.TIP().EventsSince(time.Time{}); err != nil {
+					if _, _, _, err := p.TIP().ChangesPage(0, 0); err != nil {
 						t.Errorf("reader %d: list: %v", r, err)
 						return
 					}

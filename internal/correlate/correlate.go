@@ -68,9 +68,6 @@ func (c *ComposedIoC) Sources() []string {
 type Correlator struct {
 	minClusterSize int
 	timeWindow     time.Duration
-	// recorrelateAll is only meaningful for the streaming Incremental
-	// correlator (WithRecorrelateAll ablation); the batch path ignores it.
-	recorrelateAll bool
 	// registry is only meaningful for the streaming Incremental correlator
 	// (WithMetrics); the batch path ignores it.
 	registry *obs.Registry

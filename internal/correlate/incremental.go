@@ -37,12 +37,6 @@ type Incremental struct {
 	stats IncrementalStats
 
 	addDur *obs.Histogram // caisp_correlate_add_seconds; nil without WithMetrics
-
-	// Recorrelate-all ablation state (WithRecorrelateAll): the full event
-	// history plus the previously emitted (uuid → content hash) map.
-	history []normalize.Event
-	known   map[string]bool
-	prev    map[string]string
 }
 
 // catState is the streaming index of one threat category.
@@ -111,21 +105,8 @@ type IncrementalStats struct {
 	Merges  int64 `json:"merges"`
 }
 
-type recorrelateAllOption bool
-
-func (o recorrelateAllOption) apply(c *Correlator) { c.recorrelateAll = bool(o) }
-
-// WithRecorrelateAll switches Incremental into the ablation mode that
-// re-runs the batch Correlator over the full accumulated history on every
-// Add — the O(history) behaviour the streaming index replaces. Deltas are
-// produced by diffing successive runs, so the mode is functionally
-// equivalent (stable identities use the minimum member event ID as seed)
-// and exists for benchmarking. Batch Correlator ignores this option.
-func WithRecorrelateAll(on bool) Option { return recorrelateAllOption(on) }
-
 // NewIncremental constructs a streaming correlator. It honours the same
-// options as New (WithMinClusterSize, WithTimeWindow) plus
-// WithRecorrelateAll.
+// options as New (WithMinClusterSize, WithTimeWindow, WithMetrics).
 func NewIncremental(opts ...Option) *Incremental {
 	cfg := Correlator{minClusterSize: 1}
 	for _, o := range opts {
@@ -135,10 +116,8 @@ func NewIncremental(opts ...Option) *Incremental {
 		cfg.minClusterSize = 1
 	}
 	inc := &Incremental{
-		cfg:   cfg,
-		cats:  make(map[string]*catState),
-		known: make(map[string]bool),
-		prev:  make(map[string]string),
+		cfg:  cfg,
+		cats: make(map[string]*catState),
 	}
 	if reg := cfg.registry; reg != nil {
 		inc.addDur = reg.Histogram("caisp_correlate_add_seconds",
@@ -194,10 +173,6 @@ func (inc *Incremental) Add(events []normalize.Event) Delta {
 	}
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	if inc.cfg.recorrelateAll {
-		return inc.addRecorrelateAll(events)
-	}
-
 	dirty := make(map[*cluster]bool)
 	var removed []string
 	for _, e := range events {
@@ -380,32 +355,6 @@ func (inc *Incremental) Seed(clusterID string, events []normalize.Event) (absorb
 	category := events[0].Category
 	cs := inc.cat(category)
 
-	if inc.cfg.recorrelateAll {
-		for _, e := range events {
-			if !inc.known[e.ID] {
-				inc.known[e.ID] = true
-				inc.history = append(inc.history, e)
-				inc.stats.Events++
-			}
-		}
-		// Emitted identity in ablation mode is derived from membership, so
-		// replaying history reproduces it; just record the current state.
-		full := inc.recorrelateHistory()
-		next := make(map[string]string, len(full))
-		for id, c := range full {
-			next[id] = c.ContentHash
-		}
-		for id := range inc.prev {
-			if _, ok := next[id]; !ok {
-				absorbed = append(absorbed, id)
-			}
-		}
-		inc.prev = next
-		inc.stats.Clusters = len(next)
-		sort.Strings(absorbed)
-		return absorbed
-	}
-
 	var fresh []string    // events new to the index
 	var existing []string // events already owned by another cluster
 	for _, e := range events {
@@ -468,13 +417,6 @@ func (inc *Incremental) Clusters() []ComposedIoC {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	var out []ComposedIoC
-	if inc.cfg.recorrelateAll {
-		for _, c := range inc.recorrelateHistory() {
-			out = append(out, c)
-		}
-		sortComposed(out)
-		return out
-	}
 	for _, cs := range inc.cats {
 		for _, cl := range cs.clusters {
 			if cl.emitted {
@@ -519,64 +461,4 @@ func (inc *Incremental) Stats() IncrementalStats {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	return inc.stats
-}
-
-// addRecorrelateAll is the ablation Add: append to history, re-correlate
-// everything with the batch Correlator, and diff against the previous
-// emission. Cost is O(history) per call by construction.
-func (inc *Incremental) addRecorrelateAll(events []normalize.Event) Delta {
-	for _, e := range events {
-		if !inc.known[e.ID] {
-			inc.known[e.ID] = true
-			inc.history = append(inc.history, e)
-			inc.stats.Events++
-		}
-	}
-	cur := inc.recorrelateHistory()
-	var d Delta
-	for id, c := range cur {
-		prevHash, ok := inc.prev[id]
-		switch {
-		case !ok:
-			d.New = append(d.New, c)
-			inc.stats.New++
-		case prevHash != c.ContentHash:
-			d.Updated = append(d.Updated, c)
-			inc.stats.Updated++
-		}
-	}
-	for id := range inc.prev {
-		if _, ok := cur[id]; !ok {
-			d.Removed = append(d.Removed, id)
-			inc.stats.Merges++
-		}
-	}
-	next := make(map[string]string, len(cur))
-	for id, c := range cur {
-		next[id] = c.ContentHash
-	}
-	inc.prev = next
-	inc.stats.Clusters = len(next)
-	sortComposed(d.New)
-	sortComposed(d.Updated)
-	sort.Strings(d.Removed)
-	return d
-}
-
-// recorrelateHistory runs the batch Correlator over the full history and
-// rewrites cluster identities to be membership-stable: the seed is the
-// minimum member event ID, which only changes when clusters merge — and a
-// merge retracts the losing identity just like the streaming path does.
-func (inc *Incremental) recorrelateHistory() map[string]ComposedIoC {
-	batch := New(WithMinClusterSize(inc.cfg.minClusterSize), WithTimeWindow(inc.cfg.timeWindow))
-	full := batch.Correlate(inc.history)
-	out := make(map[string]ComposedIoC, len(full))
-	for _, c := range full {
-		// Events are sorted by ID, so Events[0] is the minimum member.
-		id := clusterUUID(c.Category, c.Events[0].ID)
-		c.ContentHash = c.ID
-		c.ID = id
-		out[id] = c
-	}
-	return out
 }

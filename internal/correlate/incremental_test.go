@@ -231,11 +231,11 @@ func TestIncrementalSeedRetractsStaleDuplicate(t *testing.T) {
 	}
 }
 
-// TestRecorrelateAllConvergesWithIncremental feeds the same split stream
-// through the default streaming mode and the WithRecorrelateAll ablation
-// and applies both delta sequences to a simulated store: the surviving
-// membership sets must be identical (identities may differ — the ablation
-// derives them from the minimum member).
+// TestRecorrelateAllConvergesWithIncremental feeds a split stream through
+// the streaming correlator and applies its delta sequence to a simulated
+// store: the surviving membership sets must equal the partition the batch
+// Correlator computes over the whole stream at once (identities may
+// differ — the batch path derives them from membership).
 func TestRecorrelateAllConvergesWithIncremental(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -249,7 +249,7 @@ func TestRecorrelateAllConvergesWithIncremental(t *testing.T) {
 			splits = append(splits, stream[lo:hi])
 			lo = hi
 		}
-		apply := func(inc *Incremental) map[string]ComposedIoC {
+		apply := func(inc *Incremental) []ComposedIoC {
 			store := make(map[string]ComposedIoC)
 			for _, batch := range splits {
 				d := inc.Add(batch)
@@ -269,20 +269,16 @@ func TestRecorrelateAllConvergesWithIncremental(t *testing.T) {
 					store[c.ID] = c
 				}
 			}
-			return store
-		}
-		fast := apply(NewIncremental())
-		slow := apply(NewIncremental(WithRecorrelateAll(true)))
-		toPartition := func(m map[string]ComposedIoC) []string {
 			var cs []ComposedIoC
-			for _, c := range m {
+			for _, c := range store {
 				cs = append(cs, c)
 			}
-			return partition(cs)
+			return cs
 		}
-		got, want := toPartition(fast), toPartition(slow)
+		got := partition(apply(NewIncremental()))
+		want := partition(New().Correlate(stream))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: modes diverged\nincremental   %v\nrecorrelate   %v", trial, got, want)
+			t.Fatalf("trial %d: deltas diverged from batch\nincremental %v\nbatch       %v", trial, got, want)
 		}
 	}
 }

@@ -153,7 +153,7 @@ type hubOptionsOption struct{ opts []wsock.HubOption }
 func (o hubOptionsOption) apply(s *Server) { s.hubOpts = append(s.hubOpts, o.opts...) }
 
 // WithHubOptions forwards options to the broadcast hub: shard count,
-// per-client queue depth, write timeout, the serial-broadcast ablation.
+// per-client queue depth, write timeout.
 func WithHubOptions(opts ...wsock.HubOption) Option { return hubOptionsOption{opts: opts} }
 
 type metricsOption struct{ reg *obs.Registry }

@@ -1,3 +1,10 @@
+// Package dedup implements the deduplication stage of the OSINT Data
+// Collector: "the component resorts of a deduplicator mechanism that
+// compares the data received with the data already stored …, looking for
+// security events equal to the received ones, and erases the duplicated
+// ones" (paper §III-A1). An exact set keyed by the deterministic event ID
+// decides every offer and folds a duplicate's observation window into the
+// retained event.
 package dedup
 
 import (
@@ -16,10 +23,6 @@ type Stats struct {
 	Unique int `json:"unique"`
 	// Duplicates is the number of events folded into existing ones.
 	Duplicates int `json:"duplicates"`
-	// BloomNegatives counts fast-path admissions (filter said "new").
-	BloomNegatives int `json:"bloom_negatives"`
-	// BloomFalsePositives counts filter hits that the exact set refuted.
-	BloomFalsePositives int `json:"bloom_false_positives"`
 }
 
 // ReductionRatio is the fraction of offered events dropped as duplicates.
@@ -36,32 +39,8 @@ type Option interface {
 }
 
 type options struct {
-	expectedItems int
-	fpRate        float64
-	useBloom      bool
-	registry      *obs.Registry
+	registry *obs.Registry
 }
-
-type expectedItemsOption int
-
-func (o expectedItemsOption) apply(opts *options) { opts.expectedItems = int(o) }
-
-// WithExpectedItems sizes the Bloom filter for n items.
-func WithExpectedItems(n int) Option { return expectedItemsOption(n) }
-
-type fpRateOption float64
-
-func (o fpRateOption) apply(opts *options) { opts.fpRate = float64(o) }
-
-// WithFalsePositiveRate sets the Bloom filter's target false-positive rate.
-func WithFalsePositiveRate(rate float64) Option { return fpRateOption(rate) }
-
-type bloomOption bool
-
-func (o bloomOption) apply(opts *options) { opts.useBloom = bool(o) }
-
-// WithBloom toggles the Bloom-filter fast path (used by the ablation bench).
-func WithBloom(enabled bool) Option { return bloomOption(enabled) }
 
 type metricsOption struct{ reg *obs.Registry }
 
@@ -76,31 +55,23 @@ func WithMetrics(reg *obs.Registry) Option { return metricsOption{reg: reg} }
 // merges the duplicate's observation window and context into the retained
 // event. Safe for concurrent use.
 type Deduper struct {
-	mu     sync.Mutex
-	bloom  *Bloom
-	byID   map[string]*normalize.Event
-	stats  Stats
-	useBlm bool
+	mu    sync.Mutex
+	byID  map[string]*normalize.Event
+	stats Stats
 
 	offerDur *obs.Histogram // nil without WithMetrics
 }
 
 // New constructs a Deduper.
 func New(opts ...Option) *Deduper {
-	cfg := options{expectedItems: 100000, fpRate: 0.001, useBloom: true}
+	var cfg options
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	d := &Deduper{
-		byID:   make(map[string]*normalize.Event),
-		useBlm: cfg.useBloom,
-	}
-	if cfg.useBloom {
-		d.bloom = NewBloom(cfg.expectedItems, cfg.fpRate)
-	}
+	d := &Deduper{byID: make(map[string]*normalize.Event)}
 	if reg := cfg.registry; reg != nil {
 		d.offerDur = reg.Histogram("caisp_dedup_offer_seconds",
-			"Deduper.Offer latency (bloom probe + exact check + merge).")
+			"Deduper.Offer latency (exact check + merge).")
 		reg.CounterFunc("caisp_dedup_seen_total",
 			"Events offered to the deduper.",
 			func() float64 { return float64(d.Stats().Seen) })
@@ -110,9 +81,6 @@ func New(opts ...Option) *Deduper {
 		reg.CounterFunc("caisp_dedup_duplicates_total",
 			"Events folded into existing ones.",
 			func() float64 { return float64(d.Stats().Duplicates) })
-		reg.CounterFunc("caisp_dedup_bloom_false_positives_total",
-			"Bloom filter hits refuted by the exact set.",
-			func() float64 { return float64(d.Stats().BloomFalsePositives) })
 	}
 	return d
 }
@@ -129,23 +97,15 @@ func (d *Deduper) Offer(e normalize.Event) (normalize.Event, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.Seen++
-
-	if d.useBlm && !d.bloom.MayContain(e.ID) {
-		// Definitely new.
-		d.stats.BloomNegatives++
-		d.admit(e)
-		return e, true
-	}
 	if existing, ok := d.byID[e.ID]; ok {
 		d.stats.Duplicates++
 		// Merge cannot fail here: IDs are equal by construction.
 		_ = normalize.Merge(existing, e)
 		return *existing, false
 	}
-	if d.useBlm {
-		d.stats.BloomFalsePositives++
-	}
-	d.admit(e)
+	stored := e
+	d.byID[e.ID] = &stored
+	d.stats.Unique++
 	return e, true
 }
 
@@ -191,13 +151,4 @@ func (d *Deduper) Events() []normalize.Event {
 		out = append(out, *e)
 	}
 	return out
-}
-
-func (d *Deduper) admit(e normalize.Event) {
-	stored := e
-	d.byID[e.ID] = &stored
-	if d.useBlm {
-		d.bloom.Add(e.ID)
-	}
-	d.stats.Unique++
 }

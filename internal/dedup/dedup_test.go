@@ -21,62 +21,6 @@ func mustEvent(t testing.TB, value, source string, at time.Time) normalize.Event
 	return e
 }
 
-func TestBloomBasics(t *testing.T) {
-	b := NewBloom(1000, 0.01)
-	keys := []string{"a", "b", "c", "evil.example", "203.0.113.7"}
-	for _, k := range keys {
-		b.Add(k)
-	}
-	for _, k := range keys {
-		if !b.MayContain(k) {
-			t.Fatalf("false negative for %q", k)
-		}
-	}
-	if b.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(keys))
-	}
-}
-
-func TestBloomNoFalseNegativesQuick(t *testing.T) {
-	b := NewBloom(500, 0.01)
-	added := make(map[string]bool)
-	f := func(s string) bool {
-		b.Add(s)
-		added[s] = true
-		return b.MayContain(s)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBloomFalsePositiveRateReasonable(t *testing.T) {
-	const n = 10000
-	b := NewBloom(n, 0.01)
-	for i := 0; i < n; i++ {
-		b.Add(fmt.Sprintf("present-%d", i))
-	}
-	fp := 0
-	const probes = 10000
-	for i := 0; i < probes; i++ {
-		if b.MayContain(fmt.Sprintf("absent-%d", i)) {
-			fp++
-		}
-	}
-	// Allow generous slack over the 1% design point.
-	if rate := float64(fp) / probes; rate > 0.05 {
-		t.Fatalf("false positive rate %.3f too high", rate)
-	}
-}
-
-func TestBloomDegenerateParams(t *testing.T) {
-	b := NewBloom(0, 2.0) // both invalid; must not panic
-	b.Add("x")
-	if !b.MayContain("x") {
-		t.Fatal("false negative after degenerate construction")
-	}
-}
-
 func TestOfferAdmitsNewAndFoldsDuplicates(t *testing.T) {
 	d := New()
 	a := mustEvent(t, "evil.example", "feed-a", seen)
@@ -174,8 +118,10 @@ func TestEventsSnapshotIsCopy(t *testing.T) {
 	}
 }
 
+// TestDeduperWithoutBloom checks that the exact ID set alone decides
+// admission and keeps the counters consistent.
 func TestDeduperWithoutBloom(t *testing.T) {
-	d := New(WithBloom(false))
+	d := New()
 	e := mustEvent(t, "evil.example", "feed", seen)
 	if _, isNew := d.Offer(e); !isNew {
 		t.Fatal("first offer duplicate")
@@ -183,14 +129,13 @@ func TestDeduperWithoutBloom(t *testing.T) {
 	if _, isNew := d.Offer(e); isNew {
 		t.Fatal("second offer new")
 	}
-	stats := d.Stats()
-	if stats.BloomNegatives != 0 || stats.BloomFalsePositives != 0 {
-		t.Fatalf("bloom counters moved with bloom disabled: %+v", stats)
+	if stats := d.Stats(); stats != (Stats{Seen: 2, Unique: 1, Duplicates: 1}) {
+		t.Fatalf("Stats = %+v, want 2 seen, 1 unique, 1 duplicate", stats)
 	}
 }
 
 func TestDeduperConcurrent(t *testing.T) {
-	d := New(WithExpectedItems(1000), WithFalsePositiveRate(0.001))
+	d := New()
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup

@@ -10,8 +10,8 @@ import (
 
 // benchEngine preloads n scored indicators (sightings spread over the
 // first half of τ so nothing expires) and warms the decayed scores, so
-// the measured passes are pure scans for both schedulers.
-func benchEngine(b *testing.B, n int, rescan bool) (*Engine, time.Time) {
+// the measured passes are pure scans.
+func benchEngine(b *testing.B, n int) (*Engine, time.Time) {
 	b.Helper()
 	s := openStore(b)
 	pols := map[string]Policy{
@@ -31,11 +31,12 @@ func benchEngine(b *testing.B, n int, rescan bool) (*Engine, time.Time) {
 		}
 	}
 	now := t0.Add(500 * time.Hour)
-	warm := New(s, WithPolicies(pols), WithRescanAll(true))
+	// One batch as large as the store warms every score in one run.
+	warm := New(s, WithPolicies(pols), WithBatchSize(n))
 	if _, err := warm.RunOnce(now); err != nil {
 		b.Fatal(err)
 	}
-	e := New(s, WithPolicies(pols), WithBatchSize(512), WithRescanAll(rescan))
+	e := New(s, WithPolicies(pols), WithBatchSize(512))
 	return e, now
 }
 
@@ -44,24 +45,7 @@ func benchEngine(b *testing.B, n int, rescan bool) (*Engine, time.Time) {
 func BenchmarkIncrementalPass(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("events-%d", n), func(b *testing.B) {
-			e, now := benchEngine(b, n, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunOnce(now); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRescanAllPass measures the ablation: every run re-walks the
-// whole store, so per-run cost is O(store) instead of O(batch).
-func BenchmarkRescanAllPass(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("events-%d", n), func(b *testing.B) {
-			e, now := benchEngine(b, n, true)
+			e, now := benchEngine(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -86,16 +86,13 @@ func (h *history) ordered() []Sample {
 // re-computing every visited indicator's decayed score and expiring
 // the ones that fell through the floor; Start runs RunOnce on an
 // interval. The incremental cursor makes a full pass cost O(store)
-// spread over store/batch runs — the WithRescanAll ablation re-walks
-// everything each run instead, which is the O(store) per-run behaviour
-// the scheduler exists to avoid.
+// spread over store/batch runs instead of O(store) per run.
 type Engine struct {
 	store    Store
 	policies map[string]Policy
 	floor    float64
 	batch    int
 	interval time.Duration
-	rescan   bool
 	depth    int
 	now      func() time.Time
 	sight    func() map[string]time.Time
@@ -143,10 +140,6 @@ func WithBatchSize(n int) Option { return func(e *Engine) { e.batch = n } }
 // WithInterval sets the Start loop period.
 func WithInterval(d time.Duration) Option { return func(e *Engine) { e.interval = d } }
 
-// WithRescanAll switches to the ablation scheduler that re-walks the
-// whole store on every run instead of resuming the incremental cursor.
-func WithRescanAll(on bool) Option { return func(e *Engine) { e.rescan = on } }
-
 // WithNow injects the clock (virtual time in tests and load harnesses).
 func WithNow(now func() time.Time) Option { return func(e *Engine) { e.now = now } }
 
@@ -181,7 +174,7 @@ func WithMetrics(reg *obs.Registry) Option {
 		e.mRefreshes = reg.Counter("caisp_lifecycle_sighting_refreshes_total",
 			"Decay ages reset by a correlator sighting newer than the stored event.")
 		e.mScan = reg.Histogram("caisp_lifecycle_scan_seconds",
-			"RunOnce latency: one bounded re-score batch (or a full rescan in ablation mode).")
+			"RunOnce latency: one bounded re-score batch.")
 		reg.GaugeFunc("caisp_lifecycle_tracked",
 			"Indicators with a live score-history ring.",
 			func() float64 {
@@ -265,8 +258,8 @@ type Result struct {
 	Wrapped bool `json:"wrapped"`
 }
 
-// RunOnce executes one scheduler step at the given instant: a bounded
-// batch in incremental mode, the whole store under WithRescanAll.
+// RunOnce executes one scheduler step at the given instant: one bounded
+// batch resumed from the incremental cursor.
 // Decayed scores are a pure function of (base score, last sighting,
 // now) — the cursor position and batch boundaries only decide *when* a
 // score is refreshed, never its value.
@@ -283,10 +276,6 @@ func (e *Engine) RunOnce(now time.Time) (Result, error) {
 	if e.sight != nil {
 		sight = e.sight()
 	}
-	if e.rescan {
-		return e.runFull(now, sight)
-	}
-
 	var res Result
 	page, more, err := e.store.UpdatedSincePage(e.curT, e.curID, e.batch)
 	if err != nil {
@@ -303,31 +292,6 @@ func (e *Engine) RunOnce(now time.Time) (Result, error) {
 		e.wrap(&res)
 	}
 	return res, nil
-}
-
-// runFull is the WithRescanAll ablation: every run pages the entire
-// time index from the start.
-func (e *Engine) runFull(now time.Time, sight map[string]time.Time) (Result, error) {
-	var res Result
-	var curT time.Time
-	var curID string
-	for {
-		page, more, err := e.store.UpdatedSincePage(curT, curID, e.batch)
-		if err != nil {
-			return res, err
-		}
-		if err := e.processPage(page, now, sight, &res); err != nil {
-			return res, err
-		}
-		if len(page) > 0 {
-			last := page[len(page)-1]
-			curT, curID = last.Timestamp.Time, last.UUID
-		}
-		if !more {
-			e.wrap(&res)
-			return res, nil
-		}
-	}
 }
 
 // wrap finishes a full pass: reset the cursor and prune history rings

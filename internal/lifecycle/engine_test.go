@@ -286,39 +286,6 @@ func TestDecayIsPureOverSchedule(t *testing.T) {
 	}
 }
 
-func TestRescanAllMatchesIncremental(t *testing.T) {
-	s := openStore(t)
-	for i := 0; i < 25; i++ {
-		ev := eioc(fmt.Sprintf("ind-%d", i), "botnet-c2", 3.5, t0.Add(time.Duration(i)*time.Hour))
-		if err := s.Put(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(s, WithPolicies(testPolicies()), WithFloor(0.01), WithRescanAll(true), WithBatchSize(4))
-	res, err := e.RunOnce(t0.Add(30 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One ablation run covers the whole store.
-	if res.Scanned != 25 || !res.Wrapped {
-		t.Fatalf("rescan-all result = %+v, want full coverage in one run", res)
-	}
-	pol := testPolicies()["botnet-c2"]
-	for i := 0; i < 25; i++ {
-		all, err := s.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, got := range all {
-			base, _ := heuristic.BaseScoreOf(got)
-			want := quantize(Score(base, t0.Add(30*time.Hour).Sub(got.Timestamp.Time), pol))
-			if d, _ := heuristic.DecayedScoreOf(got); d != want {
-				t.Fatalf("%s decayed=%v want %v", got.Info, d, want)
-			}
-		}
-	}
-}
-
 func TestHistoryRingBoundedAndOrdered(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 5.0, t0)

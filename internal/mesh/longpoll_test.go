@@ -212,7 +212,7 @@ func (r gatedRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int
 }
 
 // TestSyncOnceDoesNotWaitForParkedWorker: the worker's parked request
-// holds neither busy nor a semaphore slot, SyncOnce itself never asks to
+// does not hold busy, SyncOnce itself never asks to
 // wait, and the page the worker was finally handed is dropped because the
 // cursor moved on meanwhile.
 func TestSyncOnceDoesNotWaitForParkedWorker(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package mesh is the platform's federation engine: it turns a set of
 // independent TIP nodes into an N-node anti-entropy mesh, the multi-peer
-// replacement for the one-shot serial tip.SyncFrom. This is the paper's
+// replication path between TIP nodes. This is the paper's
 // Output Module grown horizontal — org-to-org intelligence exchange
 // between peer MISP-like instances (§IV-A) at replication speeds that
 // keep up with ingest.
@@ -11,11 +11,9 @@
 // store commits (storage.WithWait): a revision is pulled when it is
 // committed, not when a timer next fires. Against a peer that ignores the
 // wait the same loop sleeps a jittered interval between empty rounds, and
-// it backs off exponentially while the peer is down. Rounds run
-// concurrently under a bounded semaphore, so a 16-peer node
-// catches up against all peers at once instead of one at a time
-// (WithSerialSync is the measured ablation). The hot path is loss-free
-// and echo-free:
+// it backs off exponentially while the peer is down. Peers sync
+// concurrently, so a 16-peer node catches up against all peers at once
+// instead of one at a time. The hot path is loss-free and echo-free:
 //
 //   - Sound cursors: replication pages over the peer's local ingest
 //     sequence, not event modification time. A (timestamp, uuid) cursor
@@ -114,9 +112,9 @@ const (
 	DefaultBackoffMin = time.Second
 	DefaultBackoffMax = 5 * time.Minute
 	// DefaultBasePage is the starting pull page size; full pages double
-	// it up to DefaultMaxPage. The raised ceiling (vs SyncFrom's fixed
-	// 500) amortizes HTTP and JSON overhead during catch-up, and gzip
-	// keeps the larger pages cheap on the wire.
+	// it up to DefaultMaxPage. The raised ceiling amortizes HTTP and JSON
+	// overhead during catch-up, and gzip keeps the larger pages cheap on
+	// the wire.
 	DefaultBasePage = 500
 	DefaultMaxPage  = 5000
 )
@@ -148,10 +146,7 @@ type Engine struct {
 	backoffMax time.Duration
 	basePage   int
 	maxPage    int
-	workers    int
 	logger     *slog.Logger
-
-	sem chan struct{} // bounds concurrent per-peer syncs
 
 	mu  sync.Mutex // guards cur
 	cur map[string]Cursor
@@ -232,20 +227,6 @@ func WithBackoff(min, max time.Duration) Option {
 func WithPageSize(base, max int) Option {
 	return func(e *Engine) { e.basePage, e.maxPage = base, max }
 }
-
-// WithConcurrency bounds how many peers sync at once (default: all).
-func WithConcurrency(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.workers = n
-		}
-	}
-}
-
-// WithSerialSync is the ablation baseline: one peer syncs at a time,
-// the way serial SyncFrom loops over peers. Measured in EXPERIMENTS.md
-// §X12 against the default concurrent pool.
-func WithSerialSync() Option { return WithConcurrency(1) }
 
 // WithLogger sets the engine logger.
 func WithLogger(l *slog.Logger) Option {
@@ -366,12 +347,6 @@ func New(local Local, peers []Peer, cursors CursorStore, opts ...Option) (*Engin
 	if e.maxPage < e.basePage {
 		e.maxPage = e.basePage
 	}
-	if e.workers <= 0 || e.workers > len(e.peers) {
-		e.workers = len(e.peers)
-	}
-	if e.workers < 1 {
-		e.workers = 1
-	}
 	for _, ps := range e.peers {
 		ps.page = e.basePage
 	}
@@ -380,7 +355,6 @@ func New(local Local, peers []Peer, cursors CursorStore, opts ...Option) (*Engin
 		return nil, err
 	}
 	e.cur = cur
-	e.sem = make(chan struct{}, e.workers)
 	e.runCtx, e.cancel = context.WithCancel(context.Background())
 	return e, nil
 }
@@ -445,11 +419,11 @@ func (e *Engine) Close() {
 
 // runPeer is one peer's poll loop. Each round opens with a request the
 // peer may hold until it has something new (storage.WithWait), made
-// outside the semaphore and busy so SyncOnce and other rounds go on
-// meanwhile. A round that pulled entries, or whose opening request was
-// held, is followed by the next at once; one that came back empty and fast
-// (the peer ignores the wait) by the jittered interval, so an idle engine
-// never spins. A failing peer backs off exponentially.
+// outside busy so SyncOnce and other rounds go on meanwhile. A round that
+// pulled entries, or whose opening request was held, is followed by the
+// next at once; one that came back empty and fast (the peer ignores the
+// wait) by the jittered interval, so an idle engine never spins. A failing
+// peer backs off exponentially.
 func (e *Engine) runPeer(ps *peerState) {
 	defer e.wg.Done()
 	hold := min(e.interval, storage.MaxWait)
@@ -469,13 +443,7 @@ func (e *Engine) runPeer(ps *peerState) {
 		if e.runCtx.Err() != nil {
 			return // Close cancelled the parked request: not a peer failure
 		}
-		select {
-		case e.sem <- struct{}{}:
-		case <-e.runCtx.Done():
-			return
-		}
 		_, err := e.syncPeer(e.runCtx, ps, &first)
-		<-e.sem
 		next := e.jittered(e.interval)
 		if held || len(first.live)+len(first.deletes) > 0 {
 			next = 0
@@ -505,8 +473,8 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// SyncOnce drains every peer's backlog once, respecting the concurrency
-// bound, and returns the total number of events imported. It is the
+// SyncOnce drains every peer's backlog once, all peers concurrently, and
+// returns the total number of events imported. It is the
 // synchronous form the poll workers drive continuously — also the hook
 // meshload and tests use for deterministic rounds. It never asks a peer
 // to hold a request nor waits for a worker parked on one.
@@ -518,15 +486,9 @@ func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
 		errs  []error
 	)
 	for _, ps := range e.peers {
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			return total, ctx.Err()
-		}
 		wg.Add(1)
 		go func(ps *peerState) {
 			defer wg.Done()
-			defer func() { <-e.sem }()
 			n, err := e.syncPeer(ctx, ps, nil)
 			mu.Lock()
 			total += n

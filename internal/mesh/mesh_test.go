@@ -241,7 +241,7 @@ func TestBadPeerConfigRejected(t *testing.T) {
 }
 
 // slowRemote serves a fixed backlog with a simulated per-request link
-// latency — the WAN model for the serial-vs-concurrent benchmark.
+// latency — the WAN model for the fan-in benchmark.
 type slowRemote struct {
 	events  []*misp.Event
 	latency time.Duration
@@ -270,7 +270,8 @@ func (discardLocal) GetEvent(string) (*misp.Event, error) {
 	return nil, errors.New("not held")
 }
 
-func benchmarkFanIn(b *testing.B, opts ...Option) {
+// BenchmarkFanIn drains eight slow peers at once through SyncOnce.
+func BenchmarkFanIn(b *testing.B) {
 	events := make([]*misp.Event, 2000)
 	for i := range events {
 		events[i] = misp.NewEvent(fmt.Sprintf("evt-%d", i), now)
@@ -284,7 +285,7 @@ func benchmarkFanIn(b *testing.B, opts ...Option) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := New(discardLocal{}, peers, nil, append([]Option{WithPageSize(500, 500)}, opts...)...)
+		e, err := New(discardLocal{}, peers, nil, WithPageSize(500, 500))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -294,6 +295,3 @@ func benchmarkFanIn(b *testing.B, opts ...Option) {
 		e.Close()
 	}
 }
-
-func BenchmarkFanInConcurrent(b *testing.B) { benchmarkFanIn(b) }
-func BenchmarkFanInSerial(b *testing.B)     { benchmarkFanIn(b, WithSerialSync()) }

@@ -13,10 +13,16 @@ import (
 // correlation over every attribute value of the query event, bookkeeping
 // included, by a full scan.
 func correlatedAllValues(s *Store, e *misp.Event) []string {
-	values := make(map[string]bool)
+	var values []string
 	for _, a := range allAttributes(e) {
-		values[a.Value] = true
+		values = append(values, a.Value)
 	}
+	return correlatedScan(s, e, values)
+}
+
+// correlatedScan is the full-scan reference for Correlated: the UUIDs of
+// stored events other than e that carry any of values, in order.
+func correlatedScan(s *Store, e *misp.Event, values []string) []string {
 	seen := make(map[string]bool)
 	s.mu.RLock()
 	s.forEach(func(uuid string, se *storedEvent) {
@@ -24,7 +30,7 @@ func correlatedAllValues(s *Store, e *misp.Event) []string {
 			return
 		}
 		for _, oa := range allAttributes(se.event) {
-			if values[oa.Value] {
+			if slices.Contains(values, oa.Value) {
 				seen[uuid] = true
 				return
 			}
@@ -96,18 +102,23 @@ func TestCorrelatedIgnoresBookkeeping(t *testing.T) {
 		{name: "nothing but bookkeeping in common", query: lonely,
 			was: []*misp.Event{domain, host, ip}},
 	}
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.PutBatch(stored); err != nil {
+		t.Fatal(err)
+	}
 	for _, indexed := range []bool{true, false} {
-		s, err := Open("", WithIndexes(indexed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if err := s.PutBatch(stored); err != nil {
-			t.Fatal(err)
+		correlated := s.Correlated
+		if !indexed {
+			// The full-scan reference over the same correlating values.
+			correlated = func(q *misp.Event) []string { return correlatedScan(s, q, correlatingValues(q)) }
 		}
 		for _, tt := range tests {
 			t.Run(fmt.Sprintf("indexing=%v/%s", indexed, tt.name), func(t *testing.T) {
-				if got, want := s.Correlated(tt.query), uuidsOf(tt.want); !slices.Equal(got, want) {
+				if got, want := correlated(tt.query), uuidsOf(tt.want); !slices.Equal(got, want) {
 					t.Errorf("Correlated = %v, want %v", got, want)
 				}
 				was := tt.was

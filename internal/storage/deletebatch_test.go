@@ -28,7 +28,7 @@ func viewOf(t *testing.T, s *Store) feedView {
 	for _, c := range changes {
 		v.Changes = append(v.Changes, fmt.Sprintf("%d %s live=%v at=%d", c.Seq, c.UUID, c.Event != nil, c.DeletedAt.Unix()))
 	}
-	since, err := s.UpdatedSince(time.Time{})
+	since, _, err := s.UpdatedSincePage(time.Time{}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,57 +182,42 @@ func TestWritesDuringCompactionVisible(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatMigration opens a store laid out in the
-// pre-segmentation format (monolithic snapshot + JSON-lines events.wal)
-// and checks that recovery reads it and the first compaction replaces
-// it with the streaming snapshot and removes the legacy WAL.
-func TestLegacyFormatMigration(t *testing.T) {
-	dir := t.TempDir()
-	snap := event(t, "from-snapshot", [2]string{"domain", "snap.example"})
-	walE := event(t, "from-wal", [2]string{"domain", "wal.example"})
-	legacy := struct {
+// TestLegacyFormatRejected checks that Open refuses both
+// pre-segmentation layouts — a JSON-lines events.wal and a monolithic
+// {"seq":…,"events":[…]} snapshot — with ErrLegacyFormat naming the file,
+// instead of opening as if their events did not exist.
+func TestLegacyFormatRejected(t *testing.T) {
+	e := event(t, "legacy", [2]string{"domain", "legacy.example"})
+	rec, err := json.Marshal(walRecord{Seq: 1, Op: "put", Event: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(struct {
 		Seq    uint64        `json:"seq"`
 		Events []*misp.Event `json:"events"`
-	}{Seq: 1, Events: []*misp.Event{snap}}
-	blob, err := json.Marshal(legacy)
+	}{Seq: 1, Events: []*misp.Event{e}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := json.Marshal(walRecord{Seq: 2, Op: "put", Event: walE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), append(rec, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Len() != 2 {
-		t.Fatalf("Len after legacy recovery = %d, want 2", s.Len())
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal not removed by compaction: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("Len after migrated reopen = %d, want 2", s2.Len())
+	for _, tc := range []struct {
+		file string
+		data []byte
+	}{
+		{"events.wal", append(rec, '\n')},
+		{snapshotFile, snap},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: Open succeeded on a legacy layout", tc.file)
+		}
+		if !errors.Is(err, ErrLegacyFormat) || !strings.Contains(err.Error(), tc.file) {
+			t.Fatalf("%s: Open error = %v, want ErrLegacyFormat naming the file", tc.file, err)
+		}
 	}
 }
 
@@ -286,8 +273,8 @@ func TestConcurrentBatchesDuringBackgroundCompaction(t *testing.T) {
 					return
 				default:
 					s.Len()
-					if _, err := s.UpdatedSince(now.Add(-time.Hour)); err != nil {
-						t.Errorf("UpdatedSince: %v", err)
+					if _, _, err := s.UpdatedSincePage(now.Add(-time.Hour), "", 0); err != nil {
+						t.Errorf("UpdatedSincePage: %v", err)
 						return
 					}
 				}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/caisplatform/caisp/internal/misp"
@@ -51,12 +52,12 @@ func TestForEachParallelVisitsAllOnce(t *testing.T) {
 	}
 }
 
-// TestCorrelatedWithoutIndexesMultiValue exercises the non-indexed
-// fallback with a query event carrying several attribute values: the
-// scan must match stored events against the full value set, not just
-// one value per pass.
+// TestCorrelatedWithoutIndexesMultiValue checks the full-scan reference
+// with a query event carrying several attribute values: the scan must
+// match stored events against the full value set, not just one value per
+// pass, and the indexed lookup must agree with it.
 func TestCorrelatedWithoutIndexesMultiValue(t *testing.T) {
-	s, _ := openTemp(t, WithIndexes(false))
+	s, _ := openTemp(t)
 	a := event(t, "a", [2]string{"domain", "one.example"})
 	b := event(t, "b", [2]string{"ip-dst", "198.51.100.7"})
 	c := event(t, "c", [2]string{"domain", "other.example"})
@@ -68,7 +69,10 @@ func TestCorrelatedWithoutIndexesMultiValue(t *testing.T) {
 	q := event(t, "q",
 		[2]string{"domain", "one.example"},
 		[2]string{"ip-dst", "198.51.100.7"})
-	got := s.Correlated(q)
+	got := correlatedScan(s, q, correlatingValues(q))
+	if indexed := s.Correlated(q); !slices.Equal(indexed, got) {
+		t.Fatalf("Correlated = %v, scan = %v", indexed, got)
+	}
 	found := make(map[string]bool, len(got))
 	for _, u := range got {
 		found[u] = true

@@ -2,9 +2,8 @@
 // is JSON-lines: one header record followed by one event per line, so
 // the writer streams record-by-record through a buffered encoder (no
 // whole-store Marshal buffer) and the loader can fan the per-line
-// decodes out across a worker pool. The legacy monolithic
-// {"seq":…,"events":[…]} format is still read for migration; the first
-// post-upgrade compaction replaces it.
+// decodes out across a worker pool. The pre-segmentation monolithic
+// {"seq":…,"events":[…]} format is refused with ErrLegacyFormat.
 package storage
 
 import (
@@ -137,7 +136,8 @@ func (s *Store) writeSnapshotFile(events map[string]*storedEvent, tombs map[stri
 // across the recovery worker pool. Only called from Open, before the
 // store is shared — applies need no lock.
 func (s *Store) loadSnapshot(workers int) error {
-	data, err := os.ReadFile(filepath.Join(s.dir, snapshotFile))
+	path := filepath.Join(s.dir, snapshotFile)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -150,7 +150,11 @@ func (s *Store) loadSnapshot(workers int) error {
 	}
 	var hdr snapshotHeader
 	if err := json.Unmarshal(first, &hdr); err != nil || hdr.Version == 0 {
-		return s.loadLegacySnapshot(data)
+		// A monolithic snapshot is one JSON document with no header line.
+		if json.Valid(data) {
+			return fmt.Errorf("%w: %s", ErrLegacyFormat, path)
+		}
+		return fmt.Errorf("storage: decode snapshot header: %v", err)
 	}
 	lines := make([][]byte, 0, hdr.Count)
 	rest := data[len(first)+1:]
@@ -214,28 +218,6 @@ func (s *Store) loadSnapshot(workers int) error {
 	s.loading = false
 	if hdr.Seq > s.seq {
 		s.seq = hdr.Seq
-	}
-	s.sortTimeIndex()
-	return nil
-}
-
-// loadLegacySnapshot reads the pre-segmentation monolithic format.
-func (s *Store) loadLegacySnapshot(data []byte) error {
-	var snap struct {
-		Seq    uint64        `json:"seq"`
-		Events []*misp.Event `json:"events"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("storage: decode snapshot: %w", err)
-	}
-	s.loading = true
-	for _, e := range snap.Events {
-		s.seq++ // synthesized: the legacy format kept no per-event seq
-		s.apply(e, s.seq)
-	}
-	s.loading = false
-	if snap.Seq > s.seq {
-		s.seq = snap.Seq
 	}
 	s.sortTimeIndex()
 	return nil
@@ -316,46 +298,4 @@ func (s *Store) applyWALRecord(rec walRecord) error {
 		return fmt.Errorf("storage: unknown wal op %q", rec.Op)
 	}
 	return nil
-}
-
-// replayLegacyWAL applies records from the pre-segmentation single
-// events.wal file (JSON lines, per-record commit semantics). A
-// truncated trailing record is tolerated; corruption mid-file is
-// reported. The file is removed by the first successful compaction.
-func (s *Store) replayLegacyWAL() error {
-	f, err := os.Open(filepath.Join(s.dir, legacyWALFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("storage: open wal for replay: %w", err)
-	}
-	defer f.Close()
-	s.legacyWAL = true
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	var pendingError error
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if pendingError != nil {
-			// A bad record followed by a good one is real corruption, not a
-			// torn tail.
-			return pendingError
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			pendingError = fmt.Errorf("storage: corrupt wal record: %w", err)
-			continue
-		}
-		if err := s.applyWALRecord(rec); err != nil {
-			pendingError = err
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return fmt.Errorf("storage: scan wal: %w", err)
-	}
-	return nil // trailing pendingError tolerated as torn write
 }

@@ -130,7 +130,7 @@ func TestSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 				}
 
 				// Atomicity over the time index: batches land whole.
-				since, err := s.UpdatedSince(batchTime(i))
+				since, _, err := s.UpdatedSincePage(batchTime(i), "", 0)
 				if err != nil {
 					t.Error(err)
 					return

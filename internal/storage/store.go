@@ -8,11 +8,11 @@
 // mid-file is detected and reported.
 //
 // The read side is snapshot-isolated: Put/PutBatch install events that are
-// never mutated afterwards, so Get/Search*/All/UpdatedSince return shared
+// never mutated afterwards, so Get/Search*/All/ChangesPage return shared
 // frozen revisions instead of deep copies, and the lock-held critical
 // sections shrink to map lookups. Callers that intend to mutate a result
 // must take GetClone (see DESIGN.md §8). A time-ordered index makes
-// UpdatedSince O(log n + k); postings are map-backed sets with lazily
+// UpdatedSincePage O(log n + k); postings are map-backed sets with lazily
 // rebuilt sorted slices; and the wrapped-MISP wire encoding is cached once
 // per stored revision (WrappedJSON).
 //
@@ -43,8 +43,7 @@ import (
 )
 
 const (
-	legacyWALFile = "events.wal"
-	snapshotFile  = "snapshot.json"
+	snapshotFile = "snapshot.json"
 
 	// defaultTombstoneRetention bounds the deletion tombstones kept for
 	// replication (WithTombstoneRetention).
@@ -53,6 +52,11 @@ const (
 
 // ErrNotFound is returned when the requested event does not exist.
 var ErrNotFound = errors.New("storage: event not found")
+
+// ErrLegacyFormat is returned by Open when the data directory holds an
+// on-disk layout that predates the segmented WAL: a single events.wal log
+// or a monolithic snapshot. The error names the file found.
+var ErrLegacyFormat = errors.New("storage: pre-segmentation on-disk format")
 
 // storedEvent is one installed revision: the frozen event plus its lazily
 // computed wrapped-MISP wire encoding. A Put of the same UUID installs a
@@ -186,9 +190,7 @@ type Store struct {
 	tombstones   map[string]tombstone
 	tombstoneCap int
 
-	walOps     int // operations appended since last snapshot
-	indexing   bool
-	cloneReads bool
+	walOps int // operations appended since last snapshot
 	// loading marks snapshot bulk-load during Open: events stream in map
 	// order, so per-event sorted inserts into byTime would be O(n²);
 	// instead entries are appended and sorted once afterwards.
@@ -196,8 +198,6 @@ type Store struct {
 
 	segmentSize     int64
 	recoveryWorkers int
-	blockingCompact bool
-	legacyWAL       bool // a pre-segmentation events.wal exists on disk
 
 	// commit is closed by the next commit or Close (Committed). Nil until
 	// a reader asks to be woken: a write nobody waits on pays a nil check.
@@ -233,23 +233,6 @@ func (o syncOption) apply(s *Store) { s.sync = bool(o) }
 // Default is buffered writes flushed on every append without fsync.
 func WithSync(enabled bool) Option { return syncOption(enabled) }
 
-type indexOption bool
-
-func (o indexOption) apply(s *Store) { s.indexing = bool(o) }
-
-// WithIndexes toggles secondary-index maintenance (ablation benchmarks
-// disable it to measure the cost of full scans). Default on.
-func WithIndexes(enabled bool) Option { return indexOption(enabled) }
-
-type cloneReadsOption bool
-
-func (o cloneReadsOption) apply(s *Store) { s.cloneReads = bool(o) }
-
-// WithCloneReads restores the pre-snapshot read path — every read deep
-// copies its results and UpdatedSince falls back to a full scan — as the
-// ablation baseline for the read-path benchmarks. Default off.
-func WithCloneReads(enabled bool) Option { return cloneReadsOption(enabled) }
-
 type segmentSizeOption int64
 
 func (o segmentSizeOption) apply(s *Store) {
@@ -270,15 +253,6 @@ func (o recoveryWorkersOption) apply(s *Store) { s.recoveryWorkers = int(o) }
 // records during Open. Values below 1 use GOMAXPROCS; 1 is the serial
 // ablation baseline.
 func WithRecoveryWorkers(n int) Option { return recoveryWorkersOption(n) }
-
-type blockingCompactOption bool
-
-func (o blockingCompactOption) apply(s *Store) { s.blockingCompact = bool(o) }
-
-// WithBlockingCompaction restores the stop-the-world Compact — the
-// whole snapshot is encoded and written while the write lock is held —
-// as the ablation baseline for the durability benchmarks. Default off.
-func WithBlockingCompaction(enabled bool) Option { return blockingCompactOption(enabled) }
 
 type tombstoneRetentionOption int
 
@@ -361,7 +335,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		byTag:        make(map[string]*postings),
 		tombstones:   make(map[string]tombstone),
 		tombstoneCap: defaultTombstoneRetention,
-		indexing:     true,
 		segmentSize:  defaultSegmentSize,
 	}
 	for _, o := range opts {
@@ -373,14 +346,17 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create dir: %w", err)
 	}
+	// The pre-segmentation single-file WAL is no longer read; refuse it
+	// rather than open as if its events did not exist.
+	legacy := filepath.Join(dir, "events.wal")
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrLegacyFormat, legacy)
+	}
 	workers := s.recoveryWorkers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if err := s.loadSnapshot(workers); err != nil {
-		return nil, err
-	}
-	if err := s.replayLegacyWAL(); err != nil {
 		return nil, err
 	}
 	segs, err := s.replaySegments(workers)
@@ -507,9 +483,6 @@ func (s *Store) Get(uuid string) (*misp.Event, error) {
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, uuid)
-	}
-	if s.cloneReads {
-		return se.event.Clone(), nil // unlocked: ablation copy taken after the lock was released
 	}
 	return se.event, nil
 }
@@ -689,7 +662,8 @@ func (s *Store) All() ([]*misp.Event, error) {
 		out = append(out, se.event)
 	})
 	s.mu.RUnlock()
-	return s.finish(out, false), nil
+	sort.Slice(out, func(i, j int) bool { return out[i].UUID < out[j].UUID })
+	return out, nil
 }
 
 // ForEachParallel streams every live event through fn across a pool of
@@ -737,69 +711,34 @@ func (s *Store) ForEachParallel(workers int, fn func(*misp.Event)) {
 
 // SearchValue returns events carrying an attribute with exactly this value.
 func (s *Store) SearchValue(value string) ([]*misp.Event, error) {
-	if s.indexing {
-		s.mu.RLock()
-		out := s.collect(s.byValue[value])
-		s.mu.RUnlock()
-		return s.finish(out, true), nil
-	}
-	return s.scanMatch(func(e *misp.Event) bool {
-		for _, a := range allAttributes(e) {
-			if a.Value == value {
-				return true
-			}
-		}
-		return false
-	})
+	return s.search(s.byValue, value), nil
 }
 
 // SearchType returns events carrying at least one attribute of this type.
 func (s *Store) SearchType(attrType string) ([]*misp.Event, error) {
-	if s.indexing {
-		s.mu.RLock()
-		out := s.collect(s.byType[attrType])
-		s.mu.RUnlock()
-		return s.finish(out, true), nil
-	}
-	return s.scanMatch(func(e *misp.Event) bool {
-		for _, a := range allAttributes(e) {
-			if a.Type == attrType {
-				return true
-			}
-		}
-		return false
-	})
+	return s.search(s.byType, attrType), nil
 }
 
 // SearchTag returns events carrying the given tag.
 func (s *Store) SearchTag(tag string) ([]*misp.Event, error) {
-	if s.indexing {
-		s.mu.RLock()
-		out := s.collect(s.byTag[tag])
-		s.mu.RUnlock()
-		return s.finish(out, true), nil
-	}
-	return s.scanMatch(func(e *misp.Event) bool { return e.HasTag(tag) })
+	return s.search(s.byTag, tag), nil
 }
 
-// UpdatedSince returns events whose timestamp is at or after t, oldest
-// first (the natural order for pull synchronization). The time-ordered
-// index makes this O(log n + k) instead of a full scan.
-func (s *Store) UpdatedSince(t time.Time) ([]*misp.Event, error) {
-	if s.cloneReads {
-		// Ablation baseline: the pre-snapshot scan-and-copy read path.
-		return s.scanMatch(func(e *misp.Event) bool { return !e.Timestamp.Before(t) })
-	}
-	events, _, err := s.UpdatedSincePage(t, "", 0)
-	return events, err
+// search resolves one secondary-index key to its events in UUID order.
+func (s *Store) search(index map[string]*postings, key string) []*misp.Event {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.collect(index[key])
 }
 
-// UpdatedSincePage is the paginated form of UpdatedSince: it returns up
-// to limit events in (timestamp, uuid) order starting at t, and whether
-// more remain. A non-empty afterUUID resumes strictly past the cursor
-// (t, afterUUID) — the (timestamp, uuid) of the previous page's last
-// event — so pages never skip or repeat ties on equal timestamps. A
-// limit of 0 or less returns everything.
+// UpdatedSincePage returns up to limit events whose timestamp is at or
+// after t, in (timestamp, uuid) order, and whether more remain. The
+// time-ordered index makes this O(log n + k) instead of a full scan. A
+// non-empty afterUUID resumes strictly past the cursor (t, afterUUID) —
+// the (timestamp, uuid) of the previous page's last event — so pages
+// never skip or repeat ties on equal timestamps. A limit of 0 or less
+// returns everything. This is lifecycle's decay-schedule walk, not a
+// replication cursor: replicas follow ChangesPage.
 func (s *Store) UpdatedSincePage(t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error) {
 	s.mu.RLock()
 	i := sort.Search(len(s.byTime), func(i int) bool {
@@ -824,13 +763,6 @@ func (s *Store) UpdatedSincePage(t time.Time, afterUUID string, limit int) ([]*m
 	}
 	more := limit > 0 && i+len(out) < len(s.byTime)
 	s.mu.RUnlock()
-	if s.cloneReads {
-		cloned := make([]*misp.Event, len(out))
-		for j, e := range out {
-			cloned[j] = e.Clone() // unlocked: ablation copies taken after the lock was released
-		}
-		return cloned, more, nil
-	}
 	return out, more, nil
 }
 
@@ -861,13 +793,6 @@ func (s *Store) ChangesPage(afterSeq uint64, limit int) ([]*misp.Event, uint64, 
 		}
 	}
 	s.mu.RUnlock()
-	if s.cloneReads {
-		cloned := make([]*misp.Event, len(out))
-		for j, e := range out {
-			cloned[j] = e.Clone() // unlocked: ablation copies taken after the lock was released
-		}
-		return cloned, next, more, nil
-	}
 	return out, next, more, nil
 }
 
@@ -924,13 +849,6 @@ func (s *Store) Changes(afterSeq uint64, limit int) ([]Change, uint64, bool, err
 		}
 	}
 	s.mu.RUnlock()
-	if s.cloneReads {
-		for j := range out {
-			if out[j].Event != nil {
-				out[j].Event = out[j].Event.Clone() // unlocked: ablation copies taken after the lock was released
-			}
-		}
-	}
 	return out, next, more, nil
 }
 
@@ -939,8 +857,7 @@ func (s *Store) Changes(afterSeq uint64, limit int) ([]Change, uint64, bool, err
 // query's correlating attributes are looked up (misp.Attribute.Correlates),
 // so a call walks the postings of the event's own indicator values and not
 // those of comments, score write-backs and context text, which nearly
-// every stored event shares. With indexing disabled the fallback makes a
-// single pass over the store.
+// every stored event shares.
 func (s *Store) Correlated(e *misp.Event) []string {
 	values := correlatingValues(e)
 	if len(values) == 0 {
@@ -948,28 +865,14 @@ func (s *Store) Correlated(e *misp.Event) []string {
 	}
 	var out []string
 	s.mu.RLock()
-	if s.indexing {
-		for _, value := range values {
-			if p := s.byValue[value]; p != nil {
-				for uuid := range p.set {
-					if uuid != e.UUID {
-						out = append(out, uuid)
-					}
+	for _, value := range values {
+		if p := s.byValue[value]; p != nil {
+			for uuid := range p.set {
+				if uuid != e.UUID {
+					out = append(out, uuid)
 				}
 			}
 		}
-	} else {
-		s.forEach(func(uuid string, se *storedEvent) {
-			if uuid == e.UUID {
-				return
-			}
-			for _, oa := range allAttributes(se.event) {
-				if slices.Contains(values, oa.Value) {
-					out = append(out, uuid)
-					return
-				}
-			}
-		})
 	}
 	s.mu.RUnlock()
 	// An event sharing several values was appended once per value.
@@ -1003,25 +906,6 @@ func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	start := time.Now()
-
-	if s.blockingCompact {
-		// Ablation baseline: the stop-the-world path — encode and write the
-		// whole snapshot under the write lock.
-		s.mu.Lock()
-		snapSeq, base, ops := s.seq, s.events, s.walOps
-		if err := s.rotateWALLocked(snapSeq); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		err := s.writeSnapshotFile(base, s.tombstones, snapSeq)
-		var covered []string
-		if err == nil {
-			covered = s.finishCompactionLocked(snapSeq, ops, start)
-		}
-		s.mu.Unlock()
-		s.removeFiles(covered)
-		return err
-	}
 
 	// Capture: freeze the base map behind an empty overlay and seal the
 	// active WAL segment, all under a brief lock. Tombstones are copied
@@ -1074,7 +958,7 @@ func (s *Store) rotateWALLocked(snapSeq uint64) error {
 }
 
 // finishCompactionLocked updates counters and collects the sealed
-// segments (and legacy files) the published snapshot covers. Caller
+// segments the published snapshot covers. Caller
 // holds the write lock; the returned paths are deleted outside it.
 func (s *Store) finishCompactionLocked(snapSeq uint64, ops int, start time.Time) []string {
 	s.walOps -= ops
@@ -1086,10 +970,6 @@ func (s *Store) finishCompactionLocked(snapSeq uint64, ops int, start time.Time)
 	var covered []string
 	if s.wal != nil {
 		covered = s.wal.dropCovered(snapSeq)
-	}
-	if s.legacyWAL {
-		covered = append(covered, filepath.Join(s.dir, legacyWALFile))
-		s.legacyWAL = false
 	}
 	return covered
 }
@@ -1296,9 +1176,6 @@ func (s *Store) compactChanges() {
 }
 
 func (s *Store) index(e *misp.Event) {
-	if !s.indexing {
-		return
-	}
 	for _, a := range allAttributes(e) {
 		addPosting(s.byValue, a.Value, e.UUID)
 		addPosting(s.byType, a.Type, e.UUID)
@@ -1309,9 +1186,6 @@ func (s *Store) index(e *misp.Event) {
 }
 
 func (s *Store) unindex(e *misp.Event) {
-	if !s.indexing {
-		return
-	}
 	for _, a := range allAttributes(e) {
 		removePosting(s.byValue, a.Value, e.UUID)
 		removePosting(s.byType, a.Type, e.UUID)
@@ -1415,37 +1289,6 @@ func (s *Store) collect(p *postings) []*misp.Event {
 		if se, ok := s.lookup(uuid); ok {
 			out = append(out, se.event)
 		}
-	}
-	return out
-}
-
-// scanMatch is the unindexed fallback: a full scan under the read lock,
-// sorted and materialized outside it.
-func (s *Store) scanMatch(match func(*misp.Event) bool) ([]*misp.Event, error) {
-	s.mu.RLock()
-	var out []*misp.Event
-	s.forEach(func(_ string, se *storedEvent) {
-		if match(se.event) {
-			out = append(out, se.event)
-		}
-	})
-	s.mu.RUnlock()
-	return s.finish(out, false), nil
-}
-
-// finish post-processes read results after the lock was released: it
-// restores UUID order for unsorted scans and, under WithCloneReads, deep
-// copies every result (the ablation baseline).
-func (s *Store) finish(events []*misp.Event, sorted bool) []*misp.Event {
-	if !sorted {
-		sort.Slice(events, func(i, j int) bool { return events[i].UUID < events[j].UUID })
-	}
-	if !s.cloneReads {
-		return events
-	}
-	out := make([]*misp.Event, len(events))
-	for i, e := range events {
-		out[i] = e.Clone() // unlocked: ablation copies taken after the lock was released
 	}
 	return out
 }

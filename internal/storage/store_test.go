@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -127,36 +128,6 @@ func TestGetReturnsSharedFrozenView(t *testing.T) {
 	}
 }
 
-func TestCloneReadsOption(t *testing.T) {
-	s, _ := openTemp(t, WithCloneReads(true))
-	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(e.UUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got.Info = "mutated"
-	got.Attributes[0].Value = "mutated.example"
-	hits, err := s.SearchValue("evil.example")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("SearchValue = %v, %v", hits, err)
-	}
-	hits[0].Info = "also mutated"
-	again, err := s.Get(e.UUID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Info != "evt" || again.Attributes[0].Value != "evil.example" {
-		t.Fatal("WithCloneReads result aliases internal state")
-	}
-	since, err := s.UpdatedSince(now.Add(-time.Minute))
-	if err != nil || len(since) != 1 {
-		t.Fatalf("UpdatedSince under clone reads = %v, %v", since, err)
-	}
-}
-
 func TestHas(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
@@ -238,41 +209,71 @@ func TestSearches(t *testing.T) {
 	if len(byTag) != 1 || byTag[0].UUID != b.UUID {
 		t.Fatalf("SearchTag = %+v", byTag)
 	}
-	since, err := s.UpdatedSince(now.Add(-time.Minute))
+	since, _, err := s.UpdatedSincePage(now.Add(-time.Minute), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(since) != 2 {
 		t.Fatalf("UpdatedSince = %d hits, want 2", len(since))
 	}
-	since, err = s.UpdatedSince(now.Add(time.Minute))
+	since, _, err = s.UpdatedSincePage(now.Add(time.Minute), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(since) != 0 {
-		t.Fatalf("UpdatedSince(future) = %d hits, want 0", len(since))
+		t.Fatalf("UpdatedSincePage(future) = %d hits, want 0", len(since))
 	}
 }
 
+// TestSearchesWithoutIndexes checks each indexed search against a full
+// scan of the store, across a put, a replace and a delete.
 func TestSearchesWithoutIndexes(t *testing.T) {
-	s, _ := openTemp(t, WithIndexes(false))
+	s, _ := openTemp(t)
 	a := event(t, "a", [2]string{"domain", "evil.example"})
 	a.AddTag("tlp:amber")
-	if err := s.Put(a); err != nil {
+	b := event(t, "b", [2]string{"domain", "evil.example"}, [2]string{"ip-dst", "203.0.113.7"})
+	c := event(t, "c", [2]string{"ip-dst", "203.0.113.7"})
+	c.AddTag("tlp:amber")
+	for _, e := range []*misp.Event{a, b, c} {
+		if err := s.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b2 := event(t, "b v2", [2]string{"hostname", "evil.example"}, [2]string{"ip-dst", "203.0.113.9"})
+	b2.UUID = b.UUID
+	if err := s.Put(b2); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Delete(c.UUID); err != nil {
+		t.Fatal(err)
+	}
+	// check compares one search's hits with a scan of All for match.
+	check := func(name string, hits []*misp.Event, err error, match func(*misp.Event) bool) {
+		t.Helper()
+		all, aerr := s.All()
+		if err != nil || aerr != nil {
+			t.Fatal(err, aerr)
+		}
+		var want []*misp.Event
+		for _, e := range all {
+			if match(e) {
+				want = append(want, e)
+			}
+		}
+		if got := uuidsOf(hits); len(want) == 0 || !slices.Equal(got, uuidsOf(want)) {
+			t.Errorf("search by %s = %v, scan = %v", name, got, uuidsOf(want))
+		}
+	}
 	hits, err := s.SearchValue("evil.example")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("SearchValue without indexes = %v, %v", hits, err)
-	}
-	hits, err = s.SearchType("domain")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("SearchType without indexes = %v, %v", hits, err)
-	}
+	check("value", hits, err, func(e *misp.Event) bool {
+		return slices.ContainsFunc(allAttributes(e), func(a misp.Attribute) bool { return a.Value == "evil.example" })
+	})
+	hits, err = s.SearchType("ip-dst")
+	check("type", hits, err, func(e *misp.Event) bool {
+		return slices.ContainsFunc(allAttributes(e), func(a misp.Attribute) bool { return a.Type == "ip-dst" })
+	})
 	hits, err = s.SearchTag("tlp:amber")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("SearchTag without indexes = %v, %v", hits, err)
-	}
+	check("tag", hits, err, func(e *misp.Event) bool { return e.HasTag("tlp:amber") })
 }
 
 func TestCorrelated(t *testing.T) {
@@ -289,14 +290,8 @@ func TestCorrelated(t *testing.T) {
 	if len(got) != 1 || got[0] != b.UUID {
 		t.Fatalf("Correlated = %v, want [%s]", got, b.UUID)
 	}
-	// Without indexes the same answer comes from a scan.
-	s2, _ := openTemp(t, WithIndexes(false))
-	for _, e := range []*misp.Event{a, b, c} {
-		if err := s2.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s2.Correlated(a); len(got) != 1 || got[0] != b.UUID {
+	// The full-scan reference gives the same answer.
+	if got := correlatedScan(s, a, correlatingValues(a)); len(got) != 1 || got[0] != b.UUID {
 		t.Fatalf("Correlated (no index) = %v", got)
 	}
 }
@@ -573,6 +568,48 @@ func TestObjectAttributesIndexed(t *testing.T) {
 	}
 }
 
+// TestUpdatedSincePageCursorCoversAllTies pages 23 events that share one
+// timestamp — the worst case for a time cursor, where only the UUID
+// tiebreak keeps pages from skipping or repeating entries.
+func TestUpdatedSincePageCursorCoversAllTies(t *testing.T) {
+	s, _ := openTemp(t)
+	const n = 23
+	batch := make([]*misp.Event, n)
+	for i := range batch {
+		batch[i] = event(t, "evt", [2]string{"domain", "h.example"})
+	}
+	if err := s.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		got    = make(map[string]bool)
+		cursor time.Time
+		after  string
+		pages  int
+	)
+	for {
+		events, more, err := s.UpdatedSincePage(cursor, after, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages++
+		for _, e := range events {
+			if got[e.UUID] {
+				t.Fatalf("page %d repeated event %s", pages, e.UUID)
+			}
+			got[e.UUID] = true
+		}
+		if !more || len(events) == 0 {
+			break
+		}
+		last := events[len(events)-1]
+		cursor, after = last.Timestamp.Time, last.UUID
+	}
+	if len(got) != n || pages != 5 {
+		t.Fatalf("paged %d events across %d pages, want %d across 5", len(got), pages, n)
+	}
+}
+
 func TestUpdatedSinceTimeOrdered(t *testing.T) {
 	s, _ := openTemp(t)
 	// Insert out of timestamp order.
@@ -585,7 +622,7 @@ func TestUpdatedSinceTimeOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	since, err := s.UpdatedSince(now.Add(2 * time.Hour))
+	since, _, err := s.UpdatedSincePage(now.Add(2*time.Hour), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +642,7 @@ func TestUpdatedSinceTimeOrdered(t *testing.T) {
 	if err := s.Put(moved); err != nil {
 		t.Fatal(err)
 	}
-	since, err = s.UpdatedSince(now)
+	since, _, err = s.UpdatedSincePage(now, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +656,7 @@ func TestUpdatedSinceTimeOrdered(t *testing.T) {
 	if err := s.Delete(uuids[4]); err != nil {
 		t.Fatal(err)
 	}
-	since, err = s.UpdatedSince(now)
+	since, _, err = s.UpdatedSincePage(now, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

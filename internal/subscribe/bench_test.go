@@ -1,7 +1,7 @@
 package subscribe
 
-// The bench-subs suite: indexed evaluation vs the WithLinearScan ablation
-// across pattern-set sizes — the EXPERIMENTS.md §X11 numbers. Pattern
+// The bench-subs suite: indexed evaluation across pattern-set sizes — the
+// EXPERIMENTS.md §X11 numbers. Pattern
 // populations model a SIEM detection estate: mostly point lookups
 // (equality/IN, hash-dispatched) with small ordered/LIKE/CIDR tails that
 // land in per-path candidate lists.
@@ -61,12 +61,8 @@ func benchObs(n int, mixed bool) []stixpattern.Observation {
 	return out
 }
 
-func benchEvaluate(b *testing.B, n int, linear, mixed bool) {
-	opts := []Option{WithMetrics(obs.NewRegistry()), WithMaxPerClient(n + 1)}
-	if linear {
-		opts = append(opts, WithLinearScan())
-	}
-	e := NewEngine(opts...)
+func benchEvaluate(b *testing.B, n int, mixed bool) {
+	e := NewEngine(WithMetrics(obs.NewRegistry()), WithMaxPerClient(n+1))
 	defer e.Close()
 	seedPatterns(b, e, n)
 	stream := benchObs(n, mixed)
@@ -84,16 +80,10 @@ func benchEvaluate(b *testing.B, n int, linear, mixed bool) {
 
 func BenchmarkSubsIndexed(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("point-%d", n), func(b *testing.B) { benchEvaluate(b, n, false, false) })
+		b.Run(fmt.Sprintf("point-%d", n), func(b *testing.B) { benchEvaluate(b, n, false) })
 	}
 	for _, n := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("mixed-%d", n), func(b *testing.B) { benchEvaluate(b, n, false, true) })
-	}
-}
-
-func BenchmarkSubsLinear(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("point-%d", n), func(b *testing.B) { benchEvaluate(b, n, true, false) })
+		b.Run(fmt.Sprintf("mixed-%d", n), func(b *testing.B) { benchEvaluate(b, n, true) })
 	}
 }
 

@@ -127,7 +127,6 @@ type Match struct {
 // Engine owns the live pattern set, its index, and the WebSocket hub that
 // match frames fan out on.
 type Engine struct {
-	linear      bool
 	maxBytes    int
 	maxPer      int
 	logger      *slog.Logger
@@ -199,13 +198,6 @@ func WithSweepInterval(d time.Duration) Option {
 // must stay unregistered to keep the one-registration metric contract.
 func WithHubMetrics(reg *obs.Registry) Option {
 	return func(e *Engine) { e.hubOpts = append(e.hubOpts, wsock.WithHubMetrics(reg)) }
-}
-
-// WithLinearScan disables the index: every registered pattern runs the full
-// evaluator on every event. This is the O(all-patterns) ablation that
-// `make bench-subs` compares against; never enable it in production.
-func WithLinearScan() Option {
-	return func(e *Engine) { e.linear = true }
 }
 
 // WithMaxPatternBytes caps registered pattern source length.
@@ -574,8 +566,14 @@ func (e *Engine) Evaluate(o stixpattern.Observation) []Match {
 	var out []Match
 	ncand := 0
 	e.mu.RLock()
-	if e.linear {
-		for _, sub := range e.subs {
+	seen := make(map[int]struct{}, 8)
+	try := func(slots []int) {
+		for _, slot := range slots {
+			if _, dup := seen[slot]; dup {
+				continue
+			}
+			seen[slot] = struct{}{}
+			sub := e.slots[slot]
 			if sub.expiredAt(now) {
 				continue
 			}
@@ -585,35 +583,16 @@ func (e *Engine) Evaluate(o stixpattern.Observation) []Match {
 				out = append(out, Match{SubscriptionID: sub.ID, ClientID: sub.ClientID, Pattern: sub.Pattern})
 			}
 		}
-	} else {
-		seen := make(map[int]struct{}, 8)
-		try := func(slots []int) {
-			for _, slot := range slots {
-				if _, dup := seen[slot]; dup {
-					continue
-				}
-				seen[slot] = struct{}{}
-				sub := e.slots[slot]
-				if sub.expiredAt(now) {
-					continue
-				}
-				ncand++
-				if ok, err := sub.parsed.MatchOne(o); err == nil && ok {
-					sub.matched.Add(1)
-					out = append(out, Match{SubscriptionID: sub.ID, ClientID: sub.ClientID, Pattern: sub.Pattern})
-				}
-			}
-		}
-		for path, values := range o.Fields {
-			try(e.byPath[path])
-			for _, v := range values {
-				try(e.eq[path+"\x00"+v])
-				// Numeric literals compare by value, not text: "0443.0"
-				// equals literal 443. Probe the canonical float form too so
-				// the hash index agrees with the evaluator.
-				if canon, ok := canonicalNumber(v); ok && canon != v {
-					try(e.eq[path+"\x00"+canon])
-				}
+	}
+	for path, values := range o.Fields {
+		try(e.byPath[path])
+		for _, v := range values {
+			try(e.eq[path+"\x00"+v])
+			// Numeric literals compare by value, not text: "0443.0"
+			// equals literal 443. Probe the canonical float form too so
+			// the hash index agrees with the evaluator.
+			if canon, ok := canonicalNumber(v); ok && canon != v {
+				try(e.eq[path+"\x00"+canon])
 			}
 		}
 	}

@@ -141,15 +141,33 @@ func TestRegisterValidation(t *testing.T) {
 	mustRegister(t, e, "other", "[a:b = 'z']")
 }
 
+// linearMatches is the reference evaluator the index must agree with:
+// stixpattern's MatchOne run over every registered pattern, returning the
+// sources of those that match, sorted. An evaluation error disqualifies
+// only its pattern, as in Engine.Evaluate.
+func linearMatches(t *testing.T, patterns []string, o stixpattern.Observation) []string {
+	t.Helper()
+	var out []string
+	for _, src := range patterns {
+		p, err := stixpattern.Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if ok, err := p.MatchOne(o); err == nil && ok {
+			out = append(out, src)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestIndexedAgreesWithLinear is the soundness property: for random pattern
 // populations and observations, the indexed engine returns exactly the
-// matches the linear-scan ablation finds.
+// matches a linear scan of every registered pattern finds.
 func TestIndexedAgreesWithLinear(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	indexed := NewEngine()
-	linear := NewEngine(WithLinearScan())
 	defer indexed.Close()
-	defer linear.Close()
 
 	domains := []string{"a.example", "b.example", "c.example", "d.example"}
 	patterns := make([]string, 0, 64)
@@ -171,11 +189,7 @@ func TestIndexedAgreesWithLinear(t *testing.T) {
 		}
 	}
 	for _, src := range patterns {
-		a := mustRegister(t, indexed, "c", src)
-		b := mustRegister(t, linear, "c", src)
-		// Same registration order: pair by pattern text via map below.
-		_ = a
-		_ = b
+		mustRegister(t, indexed, "c", src)
 	}
 
 	patternOf := func(ms []Match) []string {
@@ -198,7 +212,7 @@ func TestIndexedAgreesWithLinear(t *testing.T) {
 			fields["x:score"] = []string{fmt.Sprintf("%d", r.Intn(5))}
 		}
 		o := obsOf(fields)
-		got, want := patternOf(indexed.Evaluate(o)), patternOf(linear.Evaluate(o))
+		got, want := patternOf(indexed.Evaluate(o)), linearMatches(t, patterns, o)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("obs %v:\nindexed: %v\nlinear:  %v", fields, got, want)
 		}

@@ -31,50 +31,43 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestTTLExpiryStopsMatchingBeforeSweep(t *testing.T) {
 	clk := &fakeClock{t: time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)}
-	for _, linear := range []bool{false, true} {
-		opts := []Option{WithNow(clk.now)}
-		if linear {
-			opts = append(opts, WithLinearScan())
-		}
-		e := NewEngine(opts...)
-		ttl, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ttl.ExpiresAt == nil || !ttl.ExpiresAt.Equal(clk.now().Add(time.Hour)) {
-			t.Fatalf("linear=%v ExpiresAt = %v, want now+1h", linear, ttl.ExpiresAt)
-		}
-		keep := mustRegister(t, e, "c", "[domain-name:value = 'evil.example']")
-		if keep.ExpiresAt != nil {
-			t.Fatalf("plain Register set ExpiresAt = %v", keep.ExpiresAt)
-		}
+	e := NewEngine(WithNow(clk.now))
+	defer e.Close()
+	ttl, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ttl.ExpiresAt == nil || !ttl.ExpiresAt.Equal(clk.now().Add(time.Hour)) {
+		t.Fatalf("ExpiresAt = %v, want now+1h", ttl.ExpiresAt)
+	}
+	keep := mustRegister(t, e, "c", "[domain-name:value = 'evil.example']")
+	if keep.ExpiresAt != nil {
+		t.Fatalf("plain Register set ExpiresAt = %v", keep.ExpiresAt)
+	}
 
-		o := obsOf(map[string][]string{"domain-name:value": {"evil.example"}})
-		if got := len(e.Evaluate(o)); got != 2 {
-			t.Fatalf("linear=%v before expiry: %d matches, want 2", linear, got)
-		}
-		clk.advance(time.Hour) // deadline is inclusive: now == ExpiresAt is expired
-		if got := matchIDs(e.Evaluate(o)); len(got) != 1 || got[0] != keep.ID {
-			t.Fatalf("linear=%v after expiry: matches %v, want only %s", linear, got, keep.ID)
-		}
-		// The expired record is still registered until a sweep runs.
-		if e.Len() != 2 {
-			t.Fatalf("linear=%v Len = %d before sweep, want 2", linear, e.Len())
-		}
-		if n := e.Sweep(); n != 1 {
-			t.Fatalf("linear=%v Sweep = %d, want 1", linear, n)
-		}
-		if e.Len() != 1 {
-			t.Fatalf("linear=%v Len = %d after sweep, want 1", linear, e.Len())
-		}
-		if _, ok := e.Get(ttl.ID); ok {
-			t.Fatalf("linear=%v expired subscription still retrievable", linear)
-		}
-		if n := e.Sweep(); n != 0 {
-			t.Fatalf("linear=%v second Sweep = %d, want 0", linear, n)
-		}
-		e.Close()
-		clk.advance(-time.Hour)
+	o := obsOf(map[string][]string{"domain-name:value": {"evil.example"}})
+	if got := len(e.Evaluate(o)); got != 2 {
+		t.Fatalf("before expiry: %d matches, want 2", got)
+	}
+	clk.advance(time.Hour) // deadline is inclusive: now == ExpiresAt is expired
+	if got := matchIDs(e.Evaluate(o)); len(got) != 1 || got[0] != keep.ID {
+		t.Fatalf("after expiry: matches %v, want only %s", got, keep.ID)
+	}
+	// The expired record is still registered until a sweep runs.
+	if e.Len() != 2 {
+		t.Fatalf("Len = %d before sweep, want 2", e.Len())
+	}
+	if n := e.Sweep(); n != 1 {
+		t.Fatalf("Sweep = %d, want 1", n)
+	}
+	if e.Len() != 1 {
+		t.Fatalf("Len = %d after sweep, want 1", e.Len())
+	}
+	if _, ok := e.Get(ttl.ID); ok {
+		t.Fatal("expired subscription still retrievable")
+	}
+	if n := e.Sweep(); n != 0 {
+		t.Fatalf("second Sweep = %d, want 0", n)
 	}
 }
 

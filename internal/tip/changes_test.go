@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestChangesPageEndToEnd drives the ingest-sequence feed over real
@@ -75,9 +74,9 @@ func TestChangesEndpointRejectsBadParams(t *testing.T) {
 	}
 }
 
-// TestEventListGzip checks the negotiated compression on both list
-// surfaces: large pages travel gzip-encoded, small ones and clients
-// without Accept-Encoding get identity.
+// TestEventListGzip checks the negotiated compression on the change
+// feed: large pages travel gzip-encoded, small ones and clients without
+// Accept-Encoding get identity.
 func TestEventListGzip(t *testing.T) {
 	s := newService(t)
 	seedEvents(t, s, 200) // well past gzipMinBytes encoded
@@ -107,41 +106,40 @@ func TestEventListGzip(t *testing.T) {
 		return resp, body
 	}
 
-	for _, path := range []string{"/events", "/events/changes"} {
-		resp, body := get(path, "gzip")
-		if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-			t.Fatalf("%s: Content-Encoding = %q, want gzip", path, enc)
-		}
-		zr, err := gzip.NewReader(strings.NewReader(string(body)))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		plain, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatalf("%s: decompress: %v", path, err)
-		}
-		if !strings.Contains(string(plain), `"Event"`) {
-			t.Fatalf("%s: decompressed body is not an event list", path)
-		}
+	const path = "/events/changes"
+	resp, body := get(path, "gzip")
+	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
+		t.Fatalf("%s: Content-Encoding = %q, want gzip", path, enc)
+	}
+	zr, err := gzip.NewReader(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	plain, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("%s: decompress: %v", path, err)
+	}
+	if !strings.Contains(string(plain), `"Event"`) {
+		t.Fatalf("%s: decompressed body is not an event list", path)
+	}
 
-		resp, body = get(path, "")
-		if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-			t.Fatalf("%s without Accept-Encoding: Content-Encoding = %q", path, enc)
-		}
-		if !strings.Contains(string(body), `"Event"`) {
-			t.Fatalf("%s: identity body is not an event list", path)
-		}
+	resp, body = get(path, "")
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+		t.Fatalf("%s without Accept-Encoding: Content-Encoding = %q", path, enc)
+	}
+	if !strings.Contains(string(body), `"Event"`) {
+		t.Fatalf("%s: identity body is not an event list", path)
 	}
 
 	// A page below the threshold stays identity even when gzip is offered.
-	resp, _ := get("/events?limit=1", "gzip")
+	resp, _ = get(path+"?limit=1", "gzip")
 	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
 		t.Fatalf("small page compressed: Content-Encoding = %q", enc)
 	}
 }
 
 // TestClientTransparentGzip confirms the default client decompresses
-// negotiated pages invisibly: EventsPage over a large backlog returns
+// negotiated pages invisibly: ChangesPage over a large backlog returns
 // intact events.
 func TestClientTransparentGzip(t *testing.T) {
 	s := newService(t)
@@ -149,7 +147,7 @@ func TestClientTransparentGzip(t *testing.T) {
 	srv := httptest.NewServer(NewAPI(s, ""))
 	defer srv.Close()
 	c := NewClient(srv.URL, "")
-	events, _, err := c.EventsPage(t.Context(), time.Time{}, "", 300)
+	events, _, _, err := c.ChangesPage(t.Context(), 0, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,39 +151,11 @@ func (c *Client) Search(ctx context.Context, q SearchQuery) ([]*misp.Event, erro
 	return events(items), nil
 }
 
-// EventsPage fetches one page of up to limit events updated at or after
-// t, resuming strictly past the cursor (t, afterUUID) when afterUUID is
-// non-empty. The second result reports whether more pages remain (from
-// the X-CAISP-More response header). The underlying transport negotiates
-// gzip transparently, so large pages travel compressed on the wire.
-func (c *Client) EventsPage(ctx context.Context, t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error) {
-	q := url.Values{}
-	if !t.IsZero() {
-		q.Set("since", t.UTC().Format(time.RFC3339))
-	}
-	if afterUUID != "" {
-		q.Set("after", afterUUID)
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	path := "/events"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	items, hdr, err := c.list(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return events(items), hdr.Get(MoreHeader) == "true", nil
-}
-
 // ChangesPage fetches one page of the remote's ingest-sequence change
 // feed, strictly after afterSeq. It returns the events, the sequence to
 // resume the next page after (from the X-CAISP-Seq header) and whether
 // more entries remain. The feed is what mesh replication cursors page
-// over — see Service.ChangesPage for why it is sound where the
-// (timestamp, uuid) index is not.
+// over — see Service.ChangesPage for why it is sound.
 func (c *Client) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
 	items, next, more, err := c.fetchChanges(ctx, afterSeq, limit)
 	if err != nil {
@@ -265,28 +237,6 @@ func unmarshalSibling(raw json.RawMessage, v any) error {
 		return fmt.Errorf("tip: decode response: %w", err)
 	}
 	return nil
-}
-
-// EventsSince lists events updated at or after t, paging through the
-// remote instance until the backlog is exhausted.
-func (c *Client) EventsSince(ctx context.Context, t time.Time) ([]*misp.Event, error) {
-	var (
-		out    []*misp.Event
-		cursor = t
-		after  string
-	)
-	for {
-		events, more, err := c.EventsPage(ctx, cursor, after, syncPageSize)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, events...)
-		if !more || len(events) == 0 {
-			return out, nil
-		}
-		last := events[len(events)-1]
-		cursor, after = last.Timestamp.Time, last.UUID
-	}
 }
 
 // Export retrieves one event in the requested format.

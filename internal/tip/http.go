@@ -21,11 +21,12 @@ import (
 //
 //	POST   /events                      store an event (wrapped or bare)
 //	POST   /events/batch                store an array of events (group commit)
-//	GET    /events?since=RFC3339&after=UUID&limit=N
-//	                                    list events, paginated (default
-//	                                    limit 1000, max 5000); the
-//	                                    X-CAISP-More response header
-//	                                    reports whether pages remain
+//	GET    /events/changes?after=SEQ&limit=N&wait=D
+//	                                    list events in ingest order,
+//	                                    paginated (default limit 1000,
+//	                                    max 5000); X-CAISP-Seq carries the
+//	                                    next cursor, X-CAISP-More reports
+//	                                    whether pages remain
 //	GET    /events/{uuid}               fetch one event
 //	DELETE /events/{uuid}               remove one event
 //	GET    /events/{uuid}/export?format=misp|stix2|csv
@@ -45,7 +46,6 @@ func NewAPI(service *Service, apiKey string) *API {
 	a := &API{service: service, apiKey: apiKey, mux: http.NewServeMux()}
 	a.mux.HandleFunc("POST /events", a.handleAddEvent)
 	a.mux.HandleFunc("POST /events/batch", a.handleAddEventBatch)
-	a.mux.HandleFunc("GET /events", a.handleListEvents)
 	a.mux.HandleFunc("GET /events/changes", a.handleListChanges)
 	a.mux.HandleFunc("GET /events/{uuid}", a.handleGetEvent)
 	a.mux.HandleFunc("DELETE /events/{uuid}", a.handleDeleteEvent)
@@ -122,7 +122,7 @@ func (a *API) handleAddEventBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Pagination bounds for GET /events: requests without a limit get
+// Pagination bounds for GET /events/changes: requests without a limit get
 // defaultPageLimit, and no request may ask for more than maxPageLimit
 // events in one response.
 const (
@@ -130,45 +130,13 @@ const (
 	maxPageLimit     = 5000
 )
 
-// MoreHeader is the GET /events response header reporting whether pages
-// remain beyond the returned one ("true"/"false").
+// MoreHeader is the GET /events/changes response header reporting whether
+// pages remain beyond the returned one ("true"/"false").
 const MoreHeader = "X-CAISP-More"
 
 // SeqHeader is the GET /events/changes response header carrying the
 // ingest sequence the next page should resume after.
 const SeqHeader = "X-CAISP-Seq"
-
-func (a *API) handleListEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	since := time.Time{}
-	if raw := q.Get("since"); raw != "" {
-		parsed, err := time.Parse(time.RFC3339, raw)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad since parameter")
-			return
-		}
-		since = parsed
-	}
-	limit := defaultPageLimit
-	if raw := q.Get("limit"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 {
-			httpError(w, http.StatusBadRequest, "bad limit parameter")
-			return
-		}
-		limit = parsed
-	}
-	if limit > maxPageLimit {
-		limit = maxPageLimit
-	}
-	events, more, err := a.service.EventsPage(since, q.Get("after"), limit)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set(MoreHeader, strconv.FormatBool(more))
-	a.writeEventList(w, r, events)
-}
 
 // wireTombstone is the deletion item on GET /events/changes pages: the
 // tombstoned UUID plus the deletion wall time (Unix seconds) importers

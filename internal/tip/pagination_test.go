@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
 )
@@ -28,48 +27,13 @@ func seedEvents(t *testing.T, s *Service, n int) map[string]bool {
 	return uuids
 }
 
-func TestEventsPageCursorCoversAllTies(t *testing.T) {
-	s := newService(t)
-	want := seedEvents(t, s, 23)
-	var (
-		got    = make(map[string]bool)
-		cursor time.Time
-		after  string
-		pages  int
-	)
-	for {
-		events, more, err := s.EventsPage(cursor, after, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages++
-		for _, e := range events {
-			if got[e.UUID] {
-				t.Fatalf("page %d repeated event %s", pages, e.UUID)
-			}
-			got[e.UUID] = true
-		}
-		if !more || len(events) == 0 {
-			break
-		}
-		last := events[len(events)-1]
-		cursor, after = last.Timestamp.Time, last.UUID
-	}
-	if len(got) != len(want) {
-		t.Fatalf("paged %d events across %d pages, want %d", len(got), pages, len(want))
-	}
-	if pages != 5 {
-		t.Fatalf("pages = %d, want 5 for 23 events at limit 5", pages)
-	}
-}
-
 func TestHTTPListEventsPagination(t *testing.T) {
 	s := newService(t)
 	seedEvents(t, s, 7)
 	srv := httptest.NewServer(NewAPI(s, ""))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/events?limit=3")
+	resp, err := http.Get(srv.URL + "/events/changes?limit=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +46,7 @@ func TestHTTPListEventsPagination(t *testing.T) {
 	}
 
 	// The full list fits the default cap: no more pages.
-	resp, err = http.Get(srv.URL + "/events")
+	resp, err = http.Get(srv.URL + "/events/changes")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,40 +54,29 @@ func TestHTTPListEventsPagination(t *testing.T) {
 	if got := resp.Header.Get(MoreHeader); got != "false" {
 		t.Fatalf("%s = %q, want false without a limit", MoreHeader, got)
 	}
-
-	for _, bad := range []string{"limit=0", "limit=-3", "limit=x"} {
-		resp, err := http.Get(srv.URL + "/events?" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", bad, resp.StatusCode)
-		}
-	}
 }
 
-func TestClientEventsSincePagesThroughBacklog(t *testing.T) {
+func TestClientChangesPagesThroughBacklog(t *testing.T) {
 	s := newService(t)
 	want := seedEvents(t, s, 12)
 	srv := httptest.NewServer(NewAPI(s, ""))
 	defer srv.Close()
 	c := NewClient(srv.URL, "")
 
-	page, more, err := c.EventsPage(t.Context(), time.Time{}, "", 5)
+	page, _, more, err := c.ChangesPage(t.Context(), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page) != 5 || !more {
-		t.Fatalf("EventsPage = %d events, more=%v; want 5, true", len(page), more)
+		t.Fatalf("ChangesPage = %d events, more=%v; want 5, true", len(page), more)
 	}
 
-	all, err := c.EventsSince(t.Context(), time.Time{})
+	all, _, more, err := c.ChangesPage(t.Context(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(want) {
-		t.Fatalf("EventsSince = %d events, want %d", len(all), len(want))
+	if len(all) != len(want) || more {
+		t.Fatalf("ChangesPage = %d events, more=%v; want %d, false", len(all), more, len(want))
 	}
 	for _, e := range all {
 		if !want[e.UUID] {
@@ -132,22 +85,16 @@ func TestClientEventsSincePagesThroughBacklog(t *testing.T) {
 	}
 }
 
-func TestSyncFromPagesThroughRemote(t *testing.T) {
-	old := syncPageSize
-	syncPageSize = 5
-	t.Cleanup(func() { syncPageSize = old })
+func TestChangesPullPagesThroughRemote(t *testing.T) {
 	remote := newService(t, WithName("remote"))
 	want := seedEvents(t, remote, 17)
 	srv := httptest.NewServer(NewAPI(remote, ""))
 	defer srv.Close()
 
 	local := newService(t, WithName("local"))
-	n, err := local.SyncFrom(t.Context(), NewClient(srv.URL, ""), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, _ := pullChanges(t, local, NewClient(srv.URL, ""), 0, 5)
 	if n != len(want) || local.Len() != len(want) {
-		t.Fatalf("SyncFrom imported %d (stored %d), want %d", n, local.Len(), len(want))
+		t.Fatalf("pulled %d (stored %d), want %d", n, local.Len(), len(want))
 	}
 }
 

@@ -204,7 +204,7 @@ func (s *Service) GetEvent(uuid string) (*misp.Event, error) {
 
 // WrappedJSONFor returns the {"Event": …} wire encoding of an event,
 // served from the store's encode-once cache when e is a stored revision
-// (as returned by GetEvent/Search/EventsSince). The bytes are read-only.
+// (as returned by GetEvent/Search/ChangesPage). The bytes are read-only.
 func (s *Service) WrappedJSONFor(e *misp.Event) ([]byte, error) {
 	return s.store.WrappedJSONFor(e)
 }
@@ -284,25 +284,12 @@ func (s *Service) Search(q SearchQuery) ([]*misp.Event, error) {
 	return out, nil
 }
 
-// EventsSince lists events updated at or after t.
-func (s *Service) EventsSince(t time.Time) ([]*misp.Event, error) {
-	return s.store.UpdatedSince(t)
-}
-
-// EventsPage lists up to limit events updated at or after t in
-// (timestamp, uuid) order, resuming strictly past the cursor
-// (t, afterUUID) when afterUUID is non-empty. The second result reports
-// whether more pages remain.
-func (s *Service) EventsPage(t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error) {
-	return s.store.UpdatedSincePage(t, afterUUID, limit)
-}
-
 // ChangesPage lists up to limit events from the node's ingest-sequence
 // change feed, strictly after afterSeq, plus the sequence to resume from
 // and whether more entries remain. This is the feed the mesh replicates
-// over: unlike EventsPage's (timestamp, uuid) order, an event this node
-// imports late still lands past every cursor already handed out, so a
-// peer paging the feed can never skip it.
+// over: unlike a (timestamp, uuid) cursor, an event this node imports
+// late still lands past every cursor already handed out, so a peer
+// paging the feed can never skip it.
 func (s *Service) ChangesPage(afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
 	return s.store.ChangesPage(afterSeq, limit)
 }
@@ -422,73 +409,6 @@ func (s *Service) Stats() Stats {
 		st.BusDropped = s.broker.Dropped()
 	}
 	return st
-}
-
-// syncPageSize is how many events SyncFrom pulls per request, bounding
-// the memory held for one remote page on both sides of the link. A
-// variable so tests can force multi-page pulls with small corpora.
-var syncPageSize = 500
-
-// SyncFrom pulls events updated since t from a remote instance and imports
-// them through the group-commit batch path — MISP's pull synchronization.
-// The pull pages through the remote's time index (syncPageSize events per
-// request) so neither side materializes the full backlog at once; each
-// page lands in one group-committed batch. The import is partial-failure
-// tolerant: remote events that fail validation are skipped and reported
-// in the returned error while the valid remainder still lands. It returns
-// how many events were imported.
-//
-// SyncFrom is the one-shot serial primitive; continuous multi-peer
-// replication with durable cursors and echo suppression lives in
-// internal/mesh.
-func (s *Service) SyncFrom(ctx context.Context, remote *Client, t time.Time) (int, error) {
-	var (
-		imported int
-		errs     []error
-		cursor   = t
-		after    string
-	)
-	for {
-		events, more, err := remote.EventsPage(ctx, cursor, after, syncPageSize)
-		if err != nil {
-			return imported, errors.Join(append(errs, fmt.Errorf("tip: sync pull: %w", err))...)
-		}
-		if len(events) > 0 {
-			stored, err := s.AddEvents(events)
-			imported += len(stored)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("tip: sync import: %w", err))
-			}
-			last := events[len(events)-1]
-			cursor, after = last.Timestamp.Time, last.UUID
-		}
-		if !more || len(events) == 0 {
-			break
-		}
-	}
-	return imported, errors.Join(errs...)
-}
-
-// SyncTo pushes local events updated since t to a remote instance —
-// MISP's push synchronization, the counterpart of SyncFrom. Events marked
-// DistributionOrganisation never leave the instance (MISP's "your
-// organisation only" level). It returns how many events were exported.
-func (s *Service) SyncTo(ctx context.Context, remote *Client, t time.Time) (int, error) {
-	events, err := s.EventsSince(t)
-	if err != nil {
-		return 0, err
-	}
-	exported := 0
-	for _, e := range events {
-		if e.Distribution == misp.DistributionOrganisation {
-			continue
-		}
-		if _, err := remote.AddEvent(ctx, e); err != nil {
-			return exported, fmt.Errorf("tip: sync push %s: %w", e.UUID, err)
-		}
-		exported++
-	}
-	return exported, nil
 }
 
 // publish announces a just-stored event on the bus, reusing the store's

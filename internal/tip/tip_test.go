@@ -221,9 +221,9 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil || len(results) != 1 {
 		t.Fatalf("Search = %d results, %v", len(results), err)
 	}
-	listed, err := client.EventsSince(t.Context(), time.Time{})
+	listed, _, _, err := client.ChangesPage(t.Context(), 0, 0)
 	if err != nil || len(listed) != 1 {
-		t.Fatalf("EventsSince = %d, %v", len(listed), err)
+		t.Fatalf("ChangesPage = %d, %v", len(listed), err)
 	}
 	exported, err := client.Export(t.Context(), e.UUID, FormatSTIX2)
 	if err != nil {
@@ -288,13 +288,13 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty body status = %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/events?since=not-a-time")
+	resp, err = http.Get(srv.URL + "/events/changes?after=not-a-seq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad since status = %d", resp.StatusCode)
+		t.Fatalf("bad after status = %d", resp.StatusCode)
 	}
 }
 
@@ -318,6 +318,29 @@ func TestHTTPImportSTIX(t *testing.T) {
 	}
 }
 
+// pullChanges imports the remote's change feed after cursor into local,
+// limit events per page, and returns how many events it imported and the
+// cursor to resume from.
+func pullChanges(t *testing.T, local *Service, remote *Client, cursor uint64, limit int) (int, uint64) {
+	t.Helper()
+	imported := 0
+	for {
+		events, next, more, err := remote.ChangesPage(t.Context(), cursor, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := local.AddEvents(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imported += len(stored)
+		cursor = next
+		if !more {
+			return imported, cursor
+		}
+	}
+}
+
 func TestSyncBetweenInstances(t *testing.T) {
 	srvA, serviceA := apiServer(t, "")
 	_, serviceB := apiServer(t, "")
@@ -333,78 +356,22 @@ func TestSyncBetweenInstances(t *testing.T) {
 		latest = e.Timestamp.Time
 	}
 	clientA := NewClient(srvA.URL, "")
-	imported, err := serviceB.SyncFrom(t.Context(), clientA, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	imported, cursor := pullChanges(t, serviceB, clientA, 0, 0)
 	if imported != 3 || serviceB.Len() != 3 {
 		t.Fatalf("imported %d, B has %d", imported, serviceB.Len())
 	}
-	// Incremental sync: only events at/after the last timestamp.
+	// Incremental sync: only what A ingested after the cursor.
 	e := misp.NewEvent("late", latest.Add(time.Hour))
 	e.AddAttribute("domain", "Network activity", "late.example", latest.Add(time.Hour))
 	if _, err := serviceA.AddEvent(e); err != nil {
 		t.Fatal(err)
 	}
-	imported, err = serviceB.SyncFrom(t.Context(), clientA, latest.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	imported, _ = pullChanges(t, serviceB, clientA, cursor, 0)
 	if imported != 1 || serviceB.Len() != 4 {
 		t.Fatalf("incremental imported %d, B has %d", imported, serviceB.Len())
 	}
 	if serviceA.Stats().Events != 4 {
 		t.Fatalf("A stats = %+v", serviceA.Stats())
-	}
-}
-
-func TestSyncToPushesEvents(t *testing.T) {
-	_, producer := apiServer(t, "")
-	srvConsumer, consumer := apiServer(t, "push-key")
-
-	for i, value := range []string{"p1.example", "p2.example"} {
-		e := misp.NewEvent("pushed", now.Add(time.Duration(i)*time.Minute))
-		e.AddAttribute("domain", "Network activity", value, now)
-		if _, err := producer.AddEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exported, err := producer.SyncTo(t.Context(), NewClient(srvConsumer.URL, "push-key"), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exported != 2 || consumer.Len() != 2 {
-		t.Fatalf("exported %d, consumer has %d", exported, consumer.Len())
-	}
-	// A bad key fails fast with a useful error.
-	if _, err := producer.SyncTo(t.Context(), NewClient(srvConsumer.URL, "wrong"), time.Time{}); err == nil {
-		t.Fatal("push with wrong key succeeded")
-	}
-}
-
-func TestSyncToRespectsDistribution(t *testing.T) {
-	_, producer := apiServer(t, "")
-	srvConsumer, consumer := apiServer(t, "")
-
-	private := misp.NewEvent("org-only intel", now)
-	private.Distribution = misp.DistributionOrganisation
-	private.AddAttribute("domain", "Network activity", "private.example", now)
-	shared := misp.NewEvent("community intel", now)
-	shared.AddAttribute("domain", "Network activity", "shared.example", now)
-	for _, e := range []*misp.Event{private, shared} {
-		if _, err := producer.AddEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exported, err := producer.SyncTo(t.Context(), NewClient(srvConsumer.URL, ""), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exported != 1 || consumer.Len() != 1 {
-		t.Fatalf("exported %d, consumer has %d (org-only event must stay home)", exported, consumer.Len())
-	}
-	if _, err := consumer.GetEvent(private.UUID); err == nil {
-		t.Fatal("org-only event leaked")
 	}
 }
 
@@ -455,19 +422,10 @@ func TestClientConnectionErrors(t *testing.T) {
 	if _, err := dead.Stats(t.Context()); err == nil {
 		t.Fatal("dead endpoint succeeded")
 	}
-	if _, err := dead.EventsSince(t.Context(), time.Time{}); err == nil {
+	if _, _, _, err := dead.ChangesPage(t.Context(), 0, 0); err == nil {
 		t.Fatal("dead list succeeded")
 	}
 	if _, err := dead.AddEvent(t.Context(), sampleEvent(t, "x", "x.example")); err == nil {
 		t.Fatal("dead add succeeded")
-	}
-	store, err := storage.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	local := NewService(store)
-	if _, err := local.SyncFrom(t.Context(), dead, time.Time{}); err == nil {
-		t.Fatal("sync from dead endpoint succeeded")
 	}
 }

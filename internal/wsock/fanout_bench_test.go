@@ -61,8 +61,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkFanout measures one full broadcast — encode-once frame
-// assembly plus delivery to every fast client — across the
-// serial-vs-sharded ablation and a fast-vs-slow client mix. ns/op is the
+// assembly plus delivery to every fast client — across client counts
+// and a fast-vs-slow client mix. ns/op is the
 // per-message fan-out completion time; allocs/op demonstrates the
 // encode-once property (flat in client count).
 func BenchmarkFanout(b *testing.B) {
@@ -75,11 +75,9 @@ func BenchmarkFanout(b *testing.B) {
 		slow    int
 		opts    []HubOption
 	}{
-		{"serial/c64", 64, 0, []HubOption{WithSerialBroadcast()}},
 		{"sharded/c64", 64, 0, nil},
 		{"sharded/c1024", 1024, 0, nil},
 		{"sharded/c4096", 4096, 0, nil},
-		{"serial-slowmix/c64", 64, 1, []HubOption{WithSerialBroadcast(), WithHubWriteTimeout(20 * time.Millisecond)}},
 		{"sharded-slowmix/c64", 64, 1, []HubOption{WithQueueDepth(4)}},
 	}
 	for _, tc := range cases {

@@ -41,7 +41,6 @@ type Hub struct {
 
 	queueDepth   int
 	writeTimeout time.Duration
-	serial       bool
 
 	reg         *obs.Registry
 	queueGauge  *obs.GaugeVec     // caisp_wsock_queue_depth{shard}
@@ -68,7 +67,7 @@ type shard struct {
 type client struct {
 	conn  *Conn
 	shard *shard
-	send  chan queued   // bounded; nil in serial mode
+	send  chan queued   // bounded
 	dead  chan struct{} // closed exactly once by stop
 	once  sync.Once
 }
@@ -118,17 +117,6 @@ func (o hubWriteTimeoutOption) applyHub(h *Hub) { h.writeTimeout = time.Duration
 // goroutine until eviction aborts it).
 func WithHubWriteTimeout(d time.Duration) HubOption { return hubWriteTimeoutOption(d) }
 
-type serialOption struct{}
-
-func (serialOption) applyHub(h *Hub) { h.serial = true }
-
-// WithSerialBroadcast restores the pre-sharding behavior — every write
-// performed serially on the broadcaster's goroutine — as the ablation
-// baseline for BenchmarkFanout. Queues and writer goroutines are
-// disabled; a stalled client blocks everyone behind it (up to the write
-// timeout).
-func WithSerialBroadcast() HubOption { return serialOption{} }
-
 type hubMetricsOption struct{ reg *obs.Registry }
 
 func (o hubMetricsOption) applyHub(h *Hub) { h.reg = o.reg }
@@ -171,16 +159,14 @@ func NewHub(opts ...HubOption) *Hub {
 			bcast:   make(chan *PreparedFrame, h.queueDepth),
 		}
 		h.shards[i] = s
-		if !h.serial {
-			h.wg.Add(1)
-			go s.run()
-		}
+		h.wg.Add(1)
+		go s.run()
 	}
 	return h
 }
 
 // Add registers a connection for broadcasts, arms its write timeout, and
-// (in sharded mode) starts its writer goroutine.
+// starts its writer goroutine.
 func (h *Hub) Add(c *Conn) {
 	select {
 	case <-h.done:
@@ -192,20 +178,15 @@ func (h *Hub) Add(c *Conn) {
 		c.SetWriteTimeout(h.writeTimeout)
 	}
 	s := h.shards[h.next.Add(1)%uint64(len(h.shards))]
-	cl := &client{conn: c, shard: s, dead: make(chan struct{})}
-	if !h.serial {
-		cl.send = make(chan queued, h.queueDepth)
-	}
+	cl := &client{conn: c, shard: s, send: make(chan queued, h.queueDepth), dead: make(chan struct{})}
 	s.mu.Lock()
 	s.clients[c] = cl
 	s.mu.Unlock()
-	if !h.serial {
-		go cl.writeLoop()
-	}
+	go cl.writeLoop()
 }
 
 // Remove unregisters (but does not close) a connection. Its writer
-// goroutine, if any, is stopped.
+// goroutine is stopped.
 func (h *Hub) Remove(c *Conn) {
 	for _, s := range h.shards {
 		s.mu.Lock()
@@ -251,8 +232,7 @@ func (h *Hub) QueueSaturation() float64 {
 
 // Broadcast assembles payload into a text frame once and fans it out to
 // every connection. It returns the number of connections the frame was
-// routed toward (in serial mode: delivered to). Failed and stalled
-// connections are evicted and closed.
+// routed toward. Failed and stalled connections are evicted and closed.
 func (h *Hub) Broadcast(payload []byte) int {
 	return h.BroadcastPrepared(PrepareText(payload))
 }
@@ -260,9 +240,6 @@ func (h *Hub) Broadcast(payload []byte) int {
 // BroadcastPrepared fans a pre-assembled frame out to every connection —
 // the encode-once hot path: O(shards) work on the caller's goroutine.
 func (h *Hub) BroadcastPrepared(pf *PreparedFrame) int {
-	if h.serial {
-		return h.broadcastSerial(pf)
-	}
 	routed := 0
 	for _, s := range h.shards {
 		s.mu.Lock()
@@ -279,29 +256,6 @@ func (h *Hub) BroadcastPrepared(pf *PreparedFrame) int {
 		}
 	}
 	return routed
-}
-
-// broadcastSerial is the WithSerialBroadcast ablation: synchronous writes
-// on the caller's goroutine, one client after another.
-func (h *Hub) broadcastSerial(pf *PreparedFrame) int {
-	delivered := 0
-	for _, s := range h.shards {
-		s.mu.Lock()
-		clients := make([]*client, 0, len(s.clients))
-		for _, cl := range s.clients {
-			clients = append(clients, cl)
-		}
-		s.mu.Unlock()
-		for _, cl := range clients {
-			if err := cl.conn.WritePrepared(pf); err != nil {
-				cl.evict(err)
-				continue
-			}
-			h.sent.Add(1)
-			delivered++
-		}
-	}
-	return delivered
 }
 
 // run is a shard's fan-out loop: it takes each broadcast frame once and

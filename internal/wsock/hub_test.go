@@ -126,29 +126,6 @@ func TestSlowClientDoesNotDelayOthers(t *testing.T) {
 	}
 }
 
-// TestSerialBroadcastAblation pins the WithSerialBroadcast baseline:
-// synchronous delivery with the same eviction semantics.
-func TestSerialBroadcastAblation(t *testing.T) {
-	hub := NewHub(WithSerialBroadcast(), WithHubWriteTimeout(100*time.Millisecond))
-	defer hub.Close()
-	var received atomic.Int64
-	for i := 0; i < 3; i++ {
-		p := newPipeClient(hub, 0)
-		defer p.client.Close()
-		go p.drainCount(&received)
-	}
-	stalled := newPipeClient(hub, 16)
-	defer stalled.client.Close()
-
-	payload := bytes.Repeat([]byte("s"), 1024)
-	for i := 0; i < 6; i++ {
-		hub.Broadcast(payload)
-	}
-	waitFor(t, func() bool { return received.Load() == 3*6 })
-	// Serial mode can only shed the stalled client via the write timeout.
-	waitFor(t, func() bool { return hub.Evicted() == 1 && hub.Len() == 3 })
-}
-
 // TestEvictionIdempotentUnderChurn is the -race regression for the old
 // snapshot/dead-sweep eviction race: concurrent Add, Remove, Broadcast
 // and CloseAll must tear every connection down exactly once, without
