@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -455,15 +456,17 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := worker.New(worker.Config{
-		BusAddr:   "127.0.0.1:1", // Analyze is called directly; the bus stays idle
-		TIP:       tip.NewClient(api.URL, ""),
-		Collector: collector,
-		Now:       func() time.Time { return experiments.EvalTime },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	client := tip.NewClient(api.URL, "")
+	clk := clock.NewFake(experiments.EvalTime)
+	analyzer := worker.NewAnalyzer(
+		heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithNow(clk.Now)),
+		collector, clk, worker.Sinks{
+			Scored: func(stix.Object, *heuristic.RIoC) {},
+			WriteBack: func(me *misp.Event) error {
+				_, err := client.AddEvent(context.Background(), me)
+				return err
+			},
+		})
 	event, err := normalize.New("CVE-2017-9805", normalize.CategoryVulnExploit,
 		"bench", normalize.SourceOSINT, experiments.EvalTime.AddDate(0, -3, 0))
 	if err != nil {
@@ -480,11 +483,13 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Analyze mutates the event (score attribute, eIoC tag); decode a fresh
-	// copy per iteration, mirroring the worker's real receive path.
+	// copy per iteration, mirroring the worker's real receive path, and
+	// give it a new content hash so idempotency sees a new revision.
 	wire, err := misp.MarshalWrapped(me)
 	if err != nil {
 		b.Fatal(err)
 	}
+	hash := correlate.ClusterContentOf(me)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -492,8 +497,11 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := w.Analyze(fresh); err != nil {
-			b.Fatal(err)
+		for j := range fresh.Tags {
+			fresh.Tags[j].Name = strings.Replace(fresh.Tags[j].Name, hash, fmt.Sprint(hash, i), 1)
+		}
+		if out, _, err := analyzer.Analyze(fresh); err != nil || out != worker.Enriched {
+			b.Fatal(out, err)
 		}
 	}
 }

@@ -140,6 +140,9 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 		servers = append(servers, &http.Server{Addr: taxiiAddr, Handler: platform.TAXII()})
 		fmt.Printf("TAXII:      http://localhost%s/taxii2/\n", taxiiAddr)
 	}
+	for _, srv := range servers {
+		srv.ReadHeaderTimeout = tip.ReadHeaderTimeout
+	}
 	errCh := make(chan error, len(servers))
 	for _, srv := range servers {
 		srv := srv

@@ -124,7 +124,7 @@ func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) e
 		if pprofOn {
 			obs.RegisterPprof(mux)
 		}
-		obsSrv = &http.Server{Addr: obsAddr, Handler: mux}
+		obsSrv = &http.Server{Addr: obsAddr, Handler: mux, ReadHeaderTimeout: tip.ReadHeaderTimeout}
 		go func() { _ = obsSrv.ListenAndServe() }()
 		fmt.Printf("metrics: http://localhost%s/metrics\n", obsAddr)
 	}

@@ -293,7 +293,7 @@ func run(cfg config) error {
 	defer stop()
 	// Request contexts descend from the signal context, so SIGTERM frees
 	// change-feed requests parked on ?wait= before Shutdown waits on them.
-	srv := &http.Server{Addr: cfg.addr, Handler: mux,
+	srv := &http.Server{Addr: cfg.addr, Handler: mux, ReadHeaderTimeout: tip.ReadHeaderTimeout,
 		BaseContext: func(net.Listener) context.Context { return ctx }}
 
 	errCh := make(chan error, 1)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/bus"
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
@@ -64,7 +65,7 @@ func run() error {
 			fmt.Printf("rIoC:            %s TS=%.4f (%s) → nodes %v\n",
 				r.CVE, r.ThreatScore, r.Priority, r.NodeIDs)
 		},
-		Now: func() time.Time { return evalTime },
+		Clock: clock.NewFake(evalTime),
 	})
 	if err != nil {
 		return err
@@ -114,7 +115,7 @@ func run() error {
 		return fmt.Errorf("eIoC not stored: %v", err)
 	}
 	for _, a := range events[0].Attributes {
-		if strings.HasPrefix(a.Value, "threat-score:") {
+		if strings.HasPrefix(a.Value, heuristic.ScorePrefix) {
 			fmt.Printf("TIP (enriched):  %s\n", a.Value)
 		}
 	}

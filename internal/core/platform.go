@@ -40,12 +40,13 @@ import (
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/obs"
-	"github.com/caisplatform/caisp/internal/ringset"
+	"github.com/caisplatform/caisp/internal/stix"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/taxii"
 	"github.com/caisplatform/caisp/internal/textclass"
 	"github.com/caisplatform/caisp/internal/tip"
+	"github.com/caisplatform/caisp/internal/worker"
 )
 
 // TAXIICollection is the collection eIoCs are shared into.
@@ -56,21 +57,10 @@ const TAXIICollection = "eiocs"
 // growth and restart-replay time.
 const defaultCompactAfterOps = 5000
 
-// defaultCompactAfterBytes triggers compaction once the on-disk WAL
-// crosses this footprint regardless of the operation count, so a burst
-// of large events cannot grow the log unboundedly between op-count
-// triggers.
-const defaultCompactAfterBytes = 32 << 20
-
-// maxProcessedTracked bounds the analyzed-UUID memory: the platform
-// remembers this many recently analyzed events for idempotency and evicts
-// the oldest beyond it (re-analysis of an evicted event is idempotent by
-// construction — the eIoC tag check and score overwrite converge).
-const maxProcessedTracked = 1 << 16
-
-// analyzerQueueDepth is the per-shard buffer between the bus dispatcher
-// and an analyzer goroutine.
-const analyzerQueueDepth = 64
+// compactAfterBytes triggers compaction once the on-disk WAL crosses this
+// footprint regardless of the operation count, so a burst of large events
+// cannot grow the log unboundedly between op-count triggers.
+const compactAfterBytes = 32 << 20
 
 // Config parameterizes a Platform.
 type Config struct {
@@ -106,17 +96,6 @@ type Config struct {
 	// WAL operations accumulated since the last snapshot. Values below 1
 	// use the default (5000).
 	CompactEveryOps int
-	// CompactEveryBytes triggers background store compaction once the
-	// on-disk WAL crosses this many bytes. Values below 1 use the default
-	// (32 MiB).
-	CompactEveryBytes int64
-	// CorrelationWindow only connects events whose sightings lie within
-	// this duration of each other (correlate.WithTimeWindow). Zero imposes
-	// no temporal constraint.
-	CorrelationWindow time.Duration
-	// RecoveryWorkers bounds the worker pool that rebuilds the correlation
-	// index from the store on restart. Values below 1 use GOMAXPROCS.
-	RecoveryWorkers int
 	// Metrics is the observability registry every stage registers its
 	// caisp_* families into. Nil creates a private registry unless
 	// DisableMetrics is set.
@@ -136,9 +115,6 @@ type Config struct {
 	// LifecycleInterval is the cadence of the background re-score batch.
 	// Zero uses the lifecycle default (one minute).
 	LifecycleInterval time.Duration
-	// LifecycleBatch bounds how many time-index entries one re-score run
-	// visits. Zero uses the lifecycle default (512).
-	LifecycleBatch int
 	// LifecycleFloor expires indicators whose decayed score falls to or
 	// below it. Zero uses the lifecycle default (0.3).
 	LifecycleFloor float64
@@ -217,6 +193,7 @@ type Platform struct {
 	tip       *tip.Service
 	engine    *heuristic.Engine
 	lifec     *lifecycle.Engine
+	analyzer  *worker.Analyzer
 	analyzers int
 
 	// Output module. subs is the streaming-detection engine: standing
@@ -234,27 +211,24 @@ type Platform struct {
 	// further flush, and ingest never blocks.
 	arrived chan struct{}
 
-	procMu    sync.Mutex
-	processed *ringset.Set // event UUIDs already analyzed (bounded FIFO)
-
 	counters counters
 
 	// Background compaction: maybeCompact posts a request into the
 	// capacity-1 compactCh (singleflight — a request while one is queued
 	// or running coalesces into it); the dedicated compactLoop goroutine
 	// drains it so snapshots never run on the ingest path.
-	compactAfter      int
-	compactAfterBytes int64
-	compactCh         chan struct{}
-	compactStop       chan struct{}
-	compactStopOnce   sync.Once
-	compactWG         sync.WaitGroup
+	compactAfter    int
+	compactCh       chan struct{}
+	compactStop     chan struct{}
+	compactStopOnce sync.Once
+	compactWG       sync.WaitGroup
 
 	runMu   sync.Mutex
 	started bool
 	cancel  context.CancelFunc
-	workers sync.WaitGroup
+	workers sync.WaitGroup // the bus consumer and the flusher
 	sub     *bus.Subscription
+	pool    *worker.Pool
 }
 
 // New assembles a platform from the configuration.
@@ -288,11 +262,6 @@ func New(cfg Config) (*Platform, error) {
 		analyzers = runtime.GOMAXPROCS(0)
 	}
 
-	corrOpts := []correlate.Option{correlate.WithMetrics(reg)}
-	if cfg.CorrelationWindow > 0 {
-		corrOpts = append(corrOpts, correlate.WithTimeWindow(cfg.CorrelationWindow))
-	}
-
 	p := &Platform{
 		cfg:       cfg,
 		clk:       cfg.Clock,
@@ -300,18 +269,16 @@ func New(cfg Config) (*Platform, error) {
 		reg:       reg,
 		tracer:    obs.NewTracer(reg),
 		deduper:   dedup.New(dedup.WithMetrics(reg)),
-		corr:      correlate.NewIncremental(corrOpts...),
+		corr:      correlate.NewIncremental(correlate.WithMetrics(reg)),
 		store:     store,
 		broker:    broker,
 		collector: collector,
 		analyzers: analyzers,
-		processed: ringset.New(maxProcessedTracked),
 
-		compactAfter:      defaultCompactAfterOps,
-		compactAfterBytes: defaultCompactAfterBytes,
-		compactCh:         make(chan struct{}, 1),
-		compactStop:       make(chan struct{}),
-		arrived:           make(chan struct{}, 1),
+		compactAfter: defaultCompactAfterOps,
+		compactCh:    make(chan struct{}, 1),
+		compactStop:  make(chan struct{}),
+		arrived:      make(chan struct{}, 1),
 	}
 	p.nodeName = cfg.NodeName
 	if p.nodeName == "" {
@@ -326,9 +293,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.CompactEveryOps > 0 {
 		p.compactAfter = cfg.CompactEveryOps
 	}
-	if cfg.CompactEveryBytes > 0 {
-		p.compactAfterBytes = cfg.CompactEveryBytes
-	}
 	if !cfg.DisableClassifier {
 		p.classifier = textclass.New()
 	}
@@ -341,6 +305,8 @@ func New(cfg Config) (*Platform, error) {
 		heuristic.WithLogger(cfg.Logger),
 		heuristic.WithSlowThreshold(cfg.SlowOpThreshold),
 	)
+	p.analyzer = worker.NewAnalyzer(p.engine, collector, cfg.Clock,
+		worker.Sinks{Scored: p.scored, WriteBack: p.writeBack})
 	p.subs = subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithLogger(cfg.Logger),
@@ -367,9 +333,6 @@ func New(cfg Config) (*Platform, error) {
 		}
 		if cfg.LifecycleInterval > 0 {
 			lcOpts = append(lcOpts, lifecycle.WithInterval(cfg.LifecycleInterval))
-		}
-		if cfg.LifecycleBatch > 0 {
-			lcOpts = append(lcOpts, lifecycle.WithBatchSize(cfg.LifecycleBatch))
 		}
 		if cfg.LifecycleFloor > 0 {
 			lcOpts = append(lcOpts, lifecycle.WithFloor(cfg.LifecycleFloor))
@@ -482,7 +445,7 @@ func (p *Platform) rebuildCorrelationIndex() {
 		mu    sync.Mutex
 		seeds []seedRecord
 	)
-	p.store.ForEachParallel(p.cfg.RecoveryWorkers, func(e *misp.Event) {
+	p.store.ForEachParallel(0, func(e *misp.Event) {
 		members := correlate.MembersFromMISP(e)
 		if len(members) == 0 {
 			return
@@ -816,7 +779,7 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 // already queued or running coalesces into it.
 func (p *Platform) maybeCompact() {
 	d := p.store.Durability()
-	if d.WALOps <= p.compactAfter && d.WALBytes <= p.compactAfterBytes {
+	if d.WALOps <= p.compactAfter && d.WALBytes <= compactAfterBytes {
 		return
 	}
 	select {
@@ -858,23 +821,12 @@ func (p *Platform) stopCompactor() {
 	p.compactWG.Wait()
 }
 
-// analyze runs the heuristic stage for one stored cIoC event: convert to
-// STIX, score each supported SDO, enrich, write the eIoC back, reduce and
-// push rIoCs, share over TAXII. Its cost is that of the revision it is
-// given — one evaluate/enrich/reduce per SDO of the cluster, one
-// write-back whose correlation lookup walks only the cluster's own
-// indicator values, one subscription pass over the members as stored —
-// and does not depend on how many events the TIP holds. What still grows
-// with history is the cluster itself: a revision re-scores every member,
-// not only the ones that changed (EXPERIMENTS.md §X15, next finding).
-//
-// Safe for concurrent use across distinct events; the analyzer pool shards
-// by UUID so the same event never runs twice at once. The event must be
-// caller-owned (bus-decoded or a pre-store composition), never a shared
-// frozen view from the store's copy-free read path: the eIoC write-back
-// below mutates me in place (AddAttribute/AddTag) before re-storing it —
-// callers holding a store view must pass storage.GetClone output instead
-// (DESIGN.md §8).
+// analyze runs the shared heuristic stage (worker.Analyzer) on one stored
+// cIoC revision, then the platform's own eIoC effects: a streaming
+// detection pass and the trace's end. What grows with history is the
+// cluster itself: a revision re-scores every member, not only the ones
+// that changed (EXPERIMENTS.md §X15, next finding). Callers holding a
+// store view must pass storage.GetClone output (see Analyzer.Analyze).
 func (p *Platform) analyze(me *misp.Event) error {
 	// A cluster absorbed by a concurrent merge has been retracted from the
 	// store; analyzing its stale revision would resurrect its rIoCs.
@@ -882,79 +834,46 @@ func (p *Platform) analyze(me *misp.Event) error {
 		p.tracer.Drop(me.UUID)
 		return nil
 	}
-	if p.analyzeDur != nil {
-		defer func(start time.Time) {
-			p.analyzeDur.Observe(time.Since(start).Seconds())
-		}(time.Now())
-	}
-	// Idempotency is keyed by (UUID, membership hash): a replayed revision
-	// of the same cluster is skipped, while a grown cluster — same stable
-	// UUID, new content hash — is re-scored.
-	key := me.UUID
-	if h := correlate.ClusterContentOf(me); h != "" {
-		key += "\x00" + h
-	}
-	p.procMu.Lock()
-	fresh := p.processed.Add(key)
-	p.procMu.Unlock()
-	if !fresh {
-		return nil
-	}
-
-	bundle, err := misp.ToSTIX(me)
-	if err != nil {
-		return fmt.Errorf("core: convert %s: %w", me.UUID, err)
-	}
-	now := p.clk.Now()
-	scored := 0
-	var topScore float64
-	for _, obj := range bundle.Objects {
-		res, err := p.engine.Evaluate(obj)
-		if err != nil {
-			continue // SDO type without a heuristic (relationships, identities of orgs…)
-		}
-		scored++
-		heuristic.Enrich(obj, res)
-		if res.Score > topScore {
-			topScore = res.Score
-		}
-		rioc, err := heuristic.Reduce(obj, res, p.collector, now)
-		if err != nil {
-			return err
-		}
-		if rioc != nil {
-			p.dash.PushRIoC(*rioc)
-			p.counters.riocs.Add(1)
-		}
-		if p.taxiiSrv != nil {
-			if err := p.taxiiSrv.AddObjects(TAXIICollection, obj); err != nil {
-				p.logger.Warn("taxii share failed", "error", err)
-			}
-		}
-	}
-	if scored == 0 {
+	start := time.Now()
+	out, score, err := p.analyzer.Analyze(me)
+	switch out {
+	case worker.Unscorable:
 		p.counters.unscorable.Add(1)
 		p.tracer.Drop(me.UUID)
-		return nil
+	case worker.Enriched:
+		p.counters.eiocs.Add(1)
+		// Streaming detection: the scored eIoC re-runs against the live
+		// subscription set with its threat score exposed as
+		// x-caisp:threat-score, so score-gated patterns can fire.
+		p.subs.EvaluateMISP(me, subscribe.StageEIoC, score)
+		p.tracer.Finish(me.UUID, obs.StagePublish)
+		p.maybeCompact()
 	}
+	p.analyzeDur.Observe(time.Since(start).Seconds())
+	return err
+}
+
+// scored is the analyzer's per-SDO sink: push the rIoC to the dashboard
+// and share the scored SDO over TAXII.
+func (p *Platform) scored(obj stix.Object, rioc *heuristic.RIoC) {
+	if rioc != nil {
+		p.dash.PushRIoC(*rioc)
+		p.counters.riocs.Add(1)
+	}
+	if p.taxiiSrv != nil {
+		if err := p.taxiiSrv.AddObjects(TAXIICollection, obj); err != nil {
+			p.logger.Warn("taxii share failed", "error", err)
+		}
+	}
+}
+
+// writeBack stores the scored eIoC in the TIP.
+func (p *Platform) writeBack(me *misp.Event) error {
 	p.tracer.Mark(me.UUID, obs.StageAnalyze)
-	// Write the threat score back into the stored MISP event — "adding the
-	// threat score as a new MISP attribute" (§IV-A) — turning it into the
-	// stored eIoC. Upsert: re-analysis of a grown cluster refreshes the
-	// attribute instead of stacking duplicates.
-	heuristic.SetBaseScore(me, topScore, now)
-	me.AddTag("caisp:eioc")
 	if _, err := p.tip.AddEvent(me); err != nil {
 		p.tracer.Drop(me.UUID)
-		return fmt.Errorf("core: store eIoC %s: %w", me.UUID, err)
+		return err
 	}
-	p.counters.eiocs.Add(1)
-	// Streaming detection: the scored eIoC re-runs against the live
-	// subscription set with its threat score exposed as
-	// x-caisp:threat-score, so score-gated patterns can fire.
-	p.subs.EvaluateMISP(me, subscribe.StageEIoC, topScore)
-	p.tracer.Finish(me.UUID, obs.StagePublish)
-	p.maybeCompact()
 	return nil
 }
 
@@ -1007,17 +926,6 @@ func (p *Platform) RunBatch(ctx context.Context) error {
 	return storeErr
 }
 
-// shardOf maps an event UUID onto one of n analyzer shards (FNV-1a), so
-// republished events (eIoC edits) of the same UUID always land on the
-// same goroutine and never race with themselves.
-func shardOf(uuid string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(uuid); i++ {
-		h = (h ^ uint32(uuid[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
 // Start launches streaming mode: the feed scheduler polls on its
 // intervals, a composer goroutine flushes pending events as soon as a
 // poll has delivered them, and a sharded pool of analyzer goroutines
@@ -1040,78 +948,16 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	// Adds and edits both need analysis: a grown cluster is re-published
 	// on the edit topic under its stable UUID and must be re-scored.
 	p.sub = p.broker.Subscribe(tip.TopicEventPrefix)
-
-	// Analyzer pool: one channel per shard, one goroutine per channel.
-	shards := make([]chan *misp.Event, p.analyzers)
-	for i := range shards {
-		shards[i] = make(chan *misp.Event, analyzerQueueDepth)
-		ch := shards[i]
-		p.workers.Add(1)
-		go func() {
-			defer p.workers.Done()
-			for me := range ch {
-				if err := p.analyze(me); err != nil {
-					p.logger.Warn("heuristic analysis failed", "uuid", me.UUID, "error", err)
-				}
-			}
-		}()
-	}
-
-	// dispatch routes one event to its UUID shard, blocking when the
-	// shard queue is full (backpressure, never loss).
-	dispatch := func(me *misp.Event) bool {
-		select {
-		case shards[shardOf(me.UUID, len(shards))] <- me:
-			return true
-		case <-ctx.Done():
-			return false
+	pool := worker.NewPool(p.analyzers, p.logger, func(me *misp.Event) {
+		if err := p.analyze(me); err != nil {
+			p.logger.Warn("heuristic analysis failed", "uuid", me.UUID, "error", err)
 		}
-	}
-	// Both the bus dispatcher and the flusher send into the shards;
-	// close them only after both exited, letting the analyzers drain
-	// their queues and terminate cleanly.
-	var senders sync.WaitGroup
-	senders.Add(2)
-	p.workers.Add(1)
+	})
+	p.pool = pool
+	p.workers.Add(2)
 	go func() {
 		defer p.workers.Done()
-		senders.Wait()
-		for _, ch := range shards {
-			close(ch)
-		}
-	}()
-
-	// Dispatcher: decode bus payloads and shard them by UUID.
-	p.workers.Add(1)
-	go func() {
-		defer p.workers.Done()
-		defer senders.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case msg, ok := <-p.sub.C():
-				if !ok {
-					return
-				}
-				me, err := misp.UnmarshalWrapped(msg.Payload)
-				if err != nil {
-					p.logger.Warn("bus payload undecodable", "error", err)
-					continue
-				}
-				if !me.HasTag("caisp:cioc") {
-					continue // infrastructure data is stored, not analyzed
-				}
-				if me.HasTag("caisp:eioc") {
-					// The analyzer's own eIoC write-back republishes on the
-					// edit topic; re-analyzing it would loop.
-					continue
-				}
-				if !dispatch(me) {
-					return
-				}
-			}
-		}
+		pool.Consume(ctx, p.sub.C())
 	}()
 
 	// Flusher: locally composed clusters are handed to the analyzer
@@ -1120,10 +966,8 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	// flushes (it remains the path for externally injected events: TIP
 	// sync imports and REST posts; the bus copy of a locally dispatched
 	// event is deduplicated by the analyzer's idempotency key).
-	p.workers.Add(1)
 	go func() {
 		defer p.workers.Done()
-		defer senders.Done()
 		tick := p.clk.After(flushInterval)
 		for {
 			select {
@@ -1138,7 +982,7 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 				p.logger.Warn("composition failed", "error", err)
 			}
 			for _, me := range stored {
-				if !dispatch(me) {
+				if !pool.Dispatch(ctx, me) {
 					return
 				}
 			}
@@ -1161,6 +1005,8 @@ func (p *Platform) Stop() {
 		p.sub.Close()
 	}
 	p.workers.Wait()
+	// Nothing dispatches any more: let the analyzers drain their queues.
+	p.pool.Close()
 	p.started = false
 	// Final flush so nothing collected is lost.
 	stored, err := p.composeAndStore(p.drainPending())

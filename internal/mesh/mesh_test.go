@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,6 +107,37 @@ func TestRingConvergesWithoutEchoes(t *testing.T) {
 	}
 	if conf := ea.Totals().ConflictLocal + ea.Totals().ConflictRemote; conf != 0 {
 		t.Fatalf("echoes misclassified as %d conflicts", conf)
+	}
+}
+
+// TestOrgOnlyEventsStayHome: a peer pulling over HTTP receives the
+// community event stored beside an organisation-only one, never the
+// org-only one, and its cursor still moves past both.
+func TestOrgOnlyEventsStayHome(t *testing.T) {
+	origin, peer := newNode(t), newNode(t)
+	events := sampleEvents(t, 2)
+	events[1].Distribution = misp.DistributionOrganisation
+	if _, err := origin.AddEvents(events); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tip.NewAPI(origin, ""))
+	t.Cleanup(srv.Close)
+	e, err := New(peer, []Peer{{Name: "origin", Remote: tip.NewClient(srv.URL, "")}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	if n, err := e.SyncOnce(t.Context()); err != nil || n != 1 {
+		t.Fatalf("imported %d, err %v; want the community event only", n, err)
+	}
+	if _, err := peer.GetEvent(events[0].UUID); err != nil {
+		t.Fatalf("community event: %v", err)
+	}
+	if _, err := peer.GetEvent(events[1].UUID); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("org-only event reached the peer (err %v)", err)
+	}
+	if got, want := e.Cursor("origin").Seq, origin.StoreSeq(); got != want {
+		t.Fatalf("cursor %d, want %d past the skipped event", got, want)
 	}
 }
 

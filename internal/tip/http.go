@@ -138,6 +138,11 @@ const MoreHeader = "X-CAISP-More"
 // ingest sequence the next page should resume after.
 const SeqHeader = "X-CAISP-Seq"
 
+// ReadHeaderTimeout bounds how long every daemon listener waits for a
+// request's headers. Daemons set no write timeout: a change-feed request
+// parks for up to storage.MaxWait and /ws/* streams stay open.
+const ReadHeaderTimeout = 10 * time.Second
+
 // wireTombstone is the deletion item on GET /events/changes pages: the
 // tombstoned UUID plus the deletion wall time (Unix seconds) importers
 // compare against a concurrent edit. It rides under an "EventTombstone"
@@ -195,19 +200,26 @@ func (a *API) handleListChanges(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(SeqHeader, strconv.FormatUint(next, 10))
 	w.Header().Set(MoreHeader, strconv.FormatBool(more))
-	items := make([]wireItem, len(changes))
-	for i, c := range changes {
+	items := make([]wireItem, 0, len(changes))
+	for _, c := range changes {
+		// Organisation-only events never leave this node (local readers of
+		// Service.Changes still see them); SeqHeader moves past them anyway.
+		if c.Event != nil && c.Event.Distribution == misp.DistributionOrganisation {
+			continue
+		}
+		var item wireItem
 		var err error
 		if c.Event == nil {
-			items[i].body, err = json.Marshal(wireTombstoneItem{EventTombstone: wireTombstone{
+			item.body, err = json.Marshal(wireTombstoneItem{EventTombstone: wireTombstone{
 				UUID: c.UUID, DeletedAt: c.DeletedAt.Unix()}})
-		} else if items[i].body, err = a.service.WrappedJSONFor(c.Event); err == nil && c.Prov != nil {
-			items[i].prov, err = json.Marshal(c.Prov)
+		} else if item.body, err = a.service.WrappedJSONFor(c.Event); err == nil && c.Prov != nil {
+			item.prov, err = json.Marshal(c.Prov)
 		}
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		items = append(items, item)
 	}
 	writeList(w, r, items)
 }

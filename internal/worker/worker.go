@@ -1,10 +1,8 @@
-// Package worker implements the heuristic component as a standalone
-// process, matching the paper's deployment where the MISP instance and the
-// heuristic analysis run separately and communicate over zeroMQ (§IV-A):
-// the worker subscribes to a TIP's TCP publish socket, converts each
-// incoming cIoC to STIX 2.0, computes the threat score against its local
-// infrastructure knowledge, writes the enriched event back through the TIP
-// REST API, and emits rIoCs to an optional sink.
+// Package worker is the heuristic component (§IV-A): an Analyzer turns a
+// stored cIoC revision into an eIoC and a Pool feeds it, sharded by event
+// UUID. caispd runs both in process (core.Platform); Worker runs them as
+// the paper's separate process, fed by a TIP's TCP publish socket (the
+// zeroMQ channel) and writing back through the TIP REST API.
 package worker
 
 import (
@@ -12,26 +10,220 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/bus"
+	"github.com/caisplatform/caisp/internal/clock"
+	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/ringset"
+	"github.com/caisplatform/caisp/internal/stix"
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
-// maxProcessedTracked bounds the processed-UUID memory; older entries are
-// evicted FIFO (re-analysis of an evicted event is idempotent).
+// maxProcessedTracked bounds the analyzed-revision memory; older entries
+// are evicted FIFO (re-analysis of an evicted revision converges: the
+// eIoC tag and the score upsert are idempotent).
 const maxProcessedTracked = 1 << 16
 
-// shardQueueDepth is the per-shard buffer between the dispatcher and an
+// shardQueueDepth is the per-shard buffer between a dispatcher and an
 // analyzer goroutine.
 const shardQueueDepth = 64
+
+// Outcome is what one analysis did with a revision.
+type Outcome int
+
+const (
+	Failed     Outcome = iota // Analyze returned an error
+	Enriched                  // scored and written back as an eIoC
+	Duplicate                 // this revision was analyzed before
+	Unscorable                // no SDO of the revision has a heuristic
+)
+
+// Sinks receive the effects of an analysis, in the order listed.
+type Sinks struct {
+	// Scored receives each scored SDO, enriched in place, with its
+	// reduced IoC or nil.
+	Scored func(obj stix.Object, rioc *heuristic.RIoC)
+	// WriteBack stores the eIoC.
+	WriteBack func(me *misp.Event) error
+}
+
+// Analyzer runs the heuristic stage on stored cIoC revisions. It is safe
+// for concurrent use across distinct events.
+type Analyzer struct {
+	engine    *heuristic.Engine
+	collector *infra.Collector
+	clk       clock.Clock
+	sinks     Sinks
+
+	mu        sync.Mutex
+	processed *ringset.Set // (UUID, content hash) keys already analyzed
+}
+
+// NewAnalyzer builds the heuristic stage around a scoring engine and the
+// infrastructure rIoCs are reduced onto; clk stamps the write-back.
+func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock.Clock, sinks Sinks) *Analyzer {
+	return &Analyzer{engine: engine, collector: collector, clk: clk, sinks: sinks,
+		processed: ringset.New(maxProcessedTracked)}
+}
+
+// Analyze converts one stored cIoC revision to STIX, scores, enriches and
+// reduces each supported SDO and writes the eIoC back. Its cost is that of
+// the revision, not of what the TIP holds. It returns the top threat score
+// of an Enriched revision.
+//
+// The event must be caller-owned (bus-decoded or a pre-store
+// composition), never a shared frozen view from the store's copy-free
+// read path: the write-back mutates me in place (DESIGN.md §8).
+func (a *Analyzer) Analyze(me *misp.Event) (Outcome, float64, error) {
+	// Idempotency is keyed by (UUID, membership hash): a replayed revision
+	// of the same cluster is skipped, while a grown cluster — same stable
+	// UUID, new content hash — is re-scored.
+	key := me.UUID
+	if h := correlate.ClusterContentOf(me); h != "" {
+		key += "\x00" + h
+	}
+	a.mu.Lock()
+	fresh := a.processed.Add(key)
+	a.mu.Unlock()
+	if !fresh {
+		return Duplicate, 0, nil
+	}
+
+	bundle, err := misp.ToSTIX(me)
+	if err != nil {
+		return Failed, 0, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
+	}
+	now := a.clk.Now()
+	scored := 0
+	var topScore float64
+	for _, obj := range bundle.Objects {
+		res, err := a.engine.Evaluate(obj)
+		if err != nil {
+			continue // SDO type without a heuristic (relationships, identities of orgs…)
+		}
+		scored++
+		heuristic.Enrich(obj, res)
+		if res.Score > topScore {
+			topScore = res.Score
+		}
+		rioc, err := heuristic.Reduce(obj, res, a.collector, now)
+		if err != nil {
+			return Failed, 0, err
+		}
+		a.sinks.Scored(obj, rioc)
+	}
+	if scored == 0 {
+		return Unscorable, 0, nil
+	}
+	// Write the threat score back into the stored MISP event — "adding the
+	// threat score as a new MISP attribute" (§IV-A) — turning it into the
+	// stored eIoC. Upsert: re-analysis of a grown cluster refreshes the
+	// attribute instead of stacking duplicates.
+	heuristic.SetBaseScore(me, topScore, now)
+	me.AddTag("caisp:eioc")
+	if err := a.sinks.WriteBack(me); err != nil {
+		return Failed, 0, fmt.Errorf("worker: write back eIoC %s: %w", me.UUID, err)
+	}
+	return Enriched, topScore, nil
+}
+
+// Pool runs an analysis function on goroutines sharded by event UUID, so
+// revisions of one event are analyzed in order and never race.
+type Pool struct {
+	shards []chan *misp.Event
+	wg     sync.WaitGroup
+	logger *slog.Logger
+
+	received, filtered, undecodable atomic.Int64 // what Consume read
+}
+
+// NewPool starts n analyzer goroutines running analyze; values below 1
+// use GOMAXPROCS.
+func NewPool(n int, logger *slog.Logger, analyze func(*misp.Event)) *Pool {
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	p := &Pool{shards: make([]chan *misp.Event, n), logger: logger}
+	for i := range p.shards {
+		ch := make(chan *misp.Event, shardQueueDepth)
+		p.shards[i] = ch
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for me := range ch {
+				analyze(me)
+			}
+		}()
+	}
+	return p
+}
+
+// shardOf maps an event UUID onto one of n shards (FNV-1a).
+func shardOf(uuid string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(uuid); i++ {
+		h = (h ^ uint32(uuid[i])) * 16777619
+	}
+	return int(h % uint32(n))
+}
+
+// Dispatch routes me to its UUID shard, blocking while the shard queue is
+// full (backpressure, never loss). It reports false once ctx is done.
+func (p *Pool) Dispatch(ctx context.Context, me *misp.Event) bool {
+	select {
+	case p.shards[shardOf(me.UUID, len(p.shards))] <- me:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// Consume decodes published events from c and dispatches the cIoCs until
+// ctx is done or c closes. Infrastructure data is stored, not analyzed,
+// and an eIoC is an analyzer's own write-back republished on the edit
+// topic: re-analyzing it would loop.
+func (p *Pool) Consume(ctx context.Context, c <-chan bus.Message) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case msg, ok := <-c:
+			if !ok {
+				return
+			}
+			p.received.Add(1)
+			me, err := misp.UnmarshalWrapped(msg.Payload)
+			if err != nil {
+				p.undecodable.Add(1)
+				p.logger.Warn("bus payload undecodable", "error", err)
+				continue
+			}
+			if !me.HasTag("caisp:cioc") || me.HasTag("caisp:eioc") {
+				p.filtered.Add(1)
+				continue
+			}
+			if !p.Dispatch(ctx, me) {
+				return
+			}
+		}
+	}
+}
+
+// Close lets the shards drain their queues and waits for them. Call it
+// once nothing dispatches any more.
+func (p *Pool) Close() {
+	for _, ch := range p.shards {
+		close(ch)
+	}
+	p.wg.Wait()
+}
 
 // Config parameterizes a Worker.
 type Config struct {
@@ -43,14 +235,8 @@ type Config struct {
 	Collector *infra.Collector
 	// RIoCSink receives reduced IoCs (nil discards them).
 	RIoCSink func(heuristic.RIoC)
-	// Now fixes the evaluation clock; nil uses time.Now.
-	Now func() time.Time
-	// Logger receives worker logs; nil uses slog.Default().
-	Logger *slog.Logger
-	// Parallelism sets how many analyzer goroutines score events
-	// concurrently; values below 1 use GOMAXPROCS. Events are sharded by
-	// UUID so the same event never races with itself.
-	Parallelism int
+	// Clock fixes the evaluation clock; nil uses the system clock.
+	Clock clock.Clock
 	// Metrics registers the worker's caisp_worker_* families into this
 	// registry; nil disables instrumentation.
 	Metrics *obs.Registry
@@ -66,27 +252,21 @@ type Stats struct {
 	Reconnect int `json:"reconnects"`
 }
 
-// Worker is a running heuristic component.
+// Worker is a running heuristic component fed by a TIP's publish socket.
 type Worker struct {
-	cfg         Config
-	engine      *heuristic.Engine
-	logger      *slog.Logger
-	parallelism int
-
-	mu        sync.Mutex
-	stats     Stats
-	processed *ringset.Set
-
+	analyzer   *Analyzer
+	pool       *Pool
+	client     *bus.Client
 	analyzeDur *obs.Histogram // caisp_worker_analyze_seconds; nil without Metrics
 
-	client *bus.Client
-	done   chan struct{}
+	skipped, enriched, riocs, failures atomic.Int64
 }
 
 // New validates the configuration and builds a worker. The bus
-// subscription opens immediately (so nothing published while the caller
-// prepares is lost); call Run to process events and Stop — or cancel
-// Run's context — to release the connection.
+// subscription (adds and edits: a grown cluster is re-published under its
+// stable UUID and must be re-scored) and the analyzer pool start at once,
+// so nothing published before Run is lost; Run until its context is
+// cancelled releases them.
 func New(cfg Config) (*Worker, error) {
 	if cfg.BusAddr == "" {
 		return nil, fmt.Errorf("worker: bus address required")
@@ -97,30 +277,31 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Collector == nil {
 		return nil, fmt.Errorf("worker: infrastructure collector required")
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real()
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
-	}
-	parallelism := cfg.Parallelism
-	if parallelism < 1 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	w := &Worker{
-		cfg: cfg,
-		engine: heuristic.NewEngine(
-			heuristic.WithInfrastructure(cfg.Collector),
-			heuristic.WithNow(cfg.Now),
-			heuristic.WithMetrics(cfg.Metrics),
-			heuristic.WithLogger(cfg.Logger),
-		),
-		logger:      cfg.Logger,
-		parallelism: parallelism,
-		processed:   ringset.New(maxProcessedTracked),
-		client:      bus.Dial(cfg.BusAddr, tip.TopicEventAdd),
-		done:        make(chan struct{}),
-	}
+	w := &Worker{client: bus.Dial(cfg.BusAddr, tip.TopicEventPrefix)}
+	engine := heuristic.NewEngine(
+		heuristic.WithInfrastructure(cfg.Collector),
+		heuristic.WithNow(cfg.Clock.Now),
+		heuristic.WithMetrics(cfg.Metrics),
+	)
+	w.analyzer = NewAnalyzer(engine, cfg.Collector, cfg.Clock, Sinks{
+		Scored: func(_ stix.Object, rioc *heuristic.RIoC) {
+			if rioc == nil {
+				return
+			}
+			w.riocs.Add(1)
+			if cfg.RIoCSink != nil {
+				cfg.RIoCSink(*rioc)
+			}
+		},
+		WriteBack: func(me *misp.Event) error {
+			_, err := cfg.TIP.AddEvent(context.Background(), me)
+			return err
+		},
+	})
+	w.pool = NewPool(0, slog.Default(), w.process)
 	if reg := cfg.Metrics; reg != nil {
 		w.analyzeDur = reg.Histogram("caisp_worker_analyze_seconds",
 			"Full analysis of one cIoC: STIX conversion, scoring, write-back.")
@@ -143,189 +324,38 @@ func New(cfg Config) (*Worker, error) {
 	return w, nil
 }
 
-// Run processes bus events until ctx is cancelled, fanning the heuristic
-// analysis out over a pool of Parallelism goroutines sharded by event
-// UUID (the serial decode stage is cheap next to scoring). The
-// subscription was opened by New (the reconnecting client buffers across
-// the gap), so no event published between New and Run is lost.
+// Run feeds the analyzer pool from the bus until ctx is cancelled, then
+// closes the subscription and lets the pool drain.
 func (w *Worker) Run(ctx context.Context) {
-	defer close(w.done)
-
-	shards := make([]chan *misp.Event, w.parallelism)
-	var wg sync.WaitGroup
-	for i := range shards {
-		shards[i] = make(chan *misp.Event, shardQueueDepth)
-		ch := shards[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for me := range ch {
-				w.process(me)
-			}
-		}()
-	}
-	defer func() {
-		for _, ch := range shards {
-			close(ch)
-		}
-		wg.Wait()
-	}()
-
-	for {
-		select {
-		case <-ctx.Done():
-			w.client.Close()
-			return
-		case msg, ok := <-w.client.C():
-			if !ok {
-				return
-			}
-			me, err := w.receive(msg.Payload)
-			if err != nil || me == nil {
-				continue
-			}
-			select {
-			case shards[shardOf(me.UUID, len(shards))] <- me:
-			case <-ctx.Done():
-				w.client.Close()
-				return
-			}
-		}
-	}
-}
-
-// shardOf maps an event UUID onto an analyzer shard (FNV-1a).
-func shardOf(uuid string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(uuid); i++ {
-		h = (h ^ uint32(uuid[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// Stop closes the bus subscription and waits for Run to exit. Only valid
-// after Run has been started.
-func (w *Worker) Stop() {
+	w.pool.Consume(ctx, w.client.C())
 	w.client.Close()
-	<-w.done
+	w.pool.Close()
 }
 
 // Stats returns a snapshot of the worker counters.
 func (w *Worker) Stats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := w.stats
-	st.Reconnect = w.client.Reconnects()
-	return st
+	return Stats{
+		Received:  int(w.pool.received.Load()),
+		Skipped:   int(w.pool.filtered.Load() + w.skipped.Load()),
+		Enriched:  int(w.enriched.Load()),
+		RIoCs:     int(w.riocs.Load()),
+		Failures:  int(w.pool.undecodable.Load() + w.failures.Load()),
+		Reconnect: w.client.Reconnects(),
+	}
 }
 
-// handle processes one published event payload synchronously — the
-// single-goroutine path used by tests and batch tools; Run splits the
-// same work into receive (dispatcher) and process (analyzer shard).
-func (w *Worker) handle(payload []byte) {
-	me, err := w.receive(payload)
-	if err != nil || me == nil {
-		return
-	}
-	w.process(me)
-}
-
-// receive decodes and pre-filters one payload; it returns (nil, nil) for
-// events that need no analysis.
-func (w *Worker) receive(payload []byte) (*misp.Event, error) {
-	w.mu.Lock()
-	w.stats.Received++
-	w.mu.Unlock()
-
-	me, err := misp.UnmarshalWrapped(payload)
-	if err != nil {
-		w.fail("undecodable payload", err)
-		return nil, err
-	}
-	if !me.HasTag("caisp:cioc") || me.HasTag("caisp:eioc") {
-		w.mu.Lock()
-		w.stats.Skipped++
-		w.mu.Unlock()
-		return nil, nil
-	}
-	return me, nil
-}
-
-// process runs the idempotency check and analysis for one decoded event.
+// process is the pool's analysis function: one revision, counted.
 func (w *Worker) process(me *misp.Event) {
-	w.mu.Lock()
-	fresh := w.processed.Add(me.UUID)
-	if !fresh {
-		w.stats.Skipped++
+	start := time.Now()
+	out, _, err := w.analyzer.Analyze(me)
+	w.analyzeDur.Observe(time.Since(start).Seconds())
+	switch {
+	case err != nil:
+		w.failures.Add(1)
+		slog.Warn("analysis failed", "uuid", me.UUID, "error", err)
+	case out == Enriched:
+		w.enriched.Add(1)
+	default:
+		w.skipped.Add(1)
 	}
-	w.mu.Unlock()
-	if !fresh {
-		return
-	}
-	if err := w.Analyze(me); err != nil {
-		w.fail("analysis failed", err)
-	}
-}
-
-// Analyze scores one stored cIoC event, writes the eIoC back to the TIP
-// and emits rIoCs. Exported for synchronous use in tests and batch tools.
-func (w *Worker) Analyze(me *misp.Event) error {
-	if w.analyzeDur != nil {
-		defer func(start time.Time) {
-			w.analyzeDur.Observe(time.Since(start).Seconds())
-		}(time.Now())
-	}
-	bundle, err := misp.ToSTIX(me)
-	if err != nil {
-		return err
-	}
-	now := w.cfg.Now().UTC()
-	scored := 0
-	var topScore float64
-	for _, obj := range bundle.Objects {
-		res, err := w.engine.Evaluate(obj)
-		if err != nil {
-			continue // object type without a heuristic
-		}
-		scored++
-		heuristic.Enrich(obj, res)
-		if res.Score > topScore {
-			topScore = res.Score
-		}
-		rioc, err := heuristic.Reduce(obj, res, w.cfg.Collector, now)
-		if err != nil {
-			return err
-		}
-		if rioc != nil {
-			if w.cfg.RIoCSink != nil {
-				w.cfg.RIoCSink(*rioc)
-			}
-			w.mu.Lock()
-			w.stats.RIoCs++
-			w.mu.Unlock()
-		}
-	}
-	if scored == 0 {
-		w.mu.Lock()
-		w.stats.Skipped++
-		w.mu.Unlock()
-		return nil
-	}
-	me.AddAttribute("comment", "Other",
-		"threat-score:"+strconv.FormatFloat(topScore, 'f', 4, 64), now)
-	me.AddTag("caisp:eioc")
-	if _, err := w.cfg.TIP.AddEvent(context.Background(), me); err != nil {
-		return fmt.Errorf("worker: write back %s: %w", me.UUID, err)
-	}
-	w.mu.Lock()
-	w.stats.Enriched++
-	w.mu.Unlock()
-	return nil
-}
-
-func (w *Worker) fail(msg string, err error) {
-	w.mu.Lock()
-	w.stats.Failures++
-	w.mu.Unlock()
-	w.logger.Warn(msg, "error", err)
 }

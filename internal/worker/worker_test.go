@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/bus"
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
@@ -85,7 +86,7 @@ func newRig(t *testing.T) *distributedRig {
 		TIP:       tip.NewClient(apiServer.URL, "worker-key"),
 		Collector: collector,
 		RIoCSink:  riocs.add,
-		Now:       func() time.Time { return evalTime },
+		Clock:     clock.NewFake(evalTime),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,13 +147,7 @@ func TestDistributedHeuristicComponent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for rig.worker.Stats().Enriched == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never enriched: %+v", rig.worker.Stats())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, func() bool { return rig.worker.Stats().Enriched > 0 })
 
 	// The rIoC reproduces the paper's use case.
 	if rig.riocs.len() != 1 {
@@ -185,8 +180,8 @@ func TestDistributedHeuristicComponent(t *testing.T) {
 		t.Fatalf("threat-score attribute missing: %+v", events[0].Attributes)
 	}
 
-	// The edit publication (TopicEventEdit) must not loop back into the
-	// worker: received counts only adds.
+	// The write-back's own edit publication (an eIoC) must not loop back
+	// into the analyzer.
 	st := rig.worker.Stats()
 	if st.Enriched != 1 || st.Failures != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -215,16 +210,73 @@ func TestWorkerIdempotentPerUUID(t *testing.T) {
 	}
 	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 1 })
 
-	// Analyze again directly: processed set blocks duplicates via handle,
-	// and Analyze itself is safe to re-run but the worker counts it once.
-	before := rig.worker.Stats().Enriched
-	data, err := misp.MarshalWrapped(cioc)
+	// The same revision again is skipped by the idempotency key.
+	if out, _, err := rig.worker.analyzer.Analyze(cioc.Clone()); out != Duplicate || err != nil {
+		t.Fatalf("replayed revision: outcome %d, err %v", out, err)
+	}
+	if st := rig.worker.Stats(); st.Enriched != 1 {
+		t.Fatalf("duplicate enrichment: %+v", st)
+	}
+}
+
+// TestWorkerRescoresGrownCluster: a grown revision of a scored cluster —
+// same stable UUID, new content hash — arrives on the edit topic and is
+// scored again, and the stored eIoC carries one base score, not two.
+func TestWorkerRescoresGrownCluster(t *testing.T) {
+	rig := newRig(t)
+	corr := correlate.NewIncremental()
+	revise := func(cve string) *misp.Event {
+		e, err := normalize.New(cve, normalize.CategoryVulnExploit, "vuln-advisories", normalize.SourceOSINT,
+			time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Context = map[string]string{
+			"campaign":    "op-struts-wave",
+			"products":    "apache struts,apache",
+			"os":          "debian",
+			"cvss-vector": "CVSS:3.0/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H",
+		}
+		delta := corr.Add([]normalize.Event{e})
+		ciocs := append(delta.New, delta.Updated...)
+		if len(ciocs) != 1 {
+			t.Fatalf("delta = %+v", delta)
+		}
+		me, err := correlate.ToMISP(&ciocs[0], evalTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return me
+	}
+
+	first := revise("CVE-2017-9805")
+	if _, err := rig.service.AddEvent(first); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 1 })
+
+	grown := revise("CVE-2017-5638")
+	if grown.UUID != first.UUID || correlate.ClusterContentOf(grown) == correlate.ClusterContentOf(first) {
+		t.Fatalf("second revision %s/%s is not a grown %s", grown.UUID, correlate.ClusterContentOf(grown), first.UUID)
+	}
+	if _, err := rig.service.AddEvent(grown); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 2 })
+
+	stored, err := rig.service.GetEvent(first.UUID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig.worker.handle(data)
-	if rig.worker.Stats().Enriched != before {
-		t.Fatalf("duplicate enrichment: %+v", rig.worker.Stats())
+	scores := 0
+	for _, a := range stored.Attributes {
+		if strings.HasPrefix(a.Value, heuristic.ScorePrefix) {
+			scores++
+		}
+	}
+	if scores != 1 || !stored.HasTag("caisp:eioc") || correlate.ClusterContentOf(stored) != correlate.ClusterContentOf(grown) {
+		t.Fatalf("stored revision has %d score attributes (eioc tag %v): %+v",
+			scores, stored.HasTag("caisp:eioc"), stored.Attributes)
 	}
 }
 
