@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle wsload-smoke subload-smoke meshload-smoke lifeload-smoke obs-smoke vet copyfree metrics-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint check
 
 build:
 	$(GO) build ./...
@@ -57,23 +57,12 @@ bench-obs:
 bench-fanout:
 	$(GO) test -run '^$$' -bench '^BenchmarkFanout' -benchmem ./internal/wsock/
 
-# Bounded load-harness smoke: 1k in-memory clients with a stalled cohort.
-# The full 100k-client runs are documented in EXPERIMENTS.md §X10.
-wsload-smoke:
-	$(GO) run ./cmd/wsload -clients 1000 -slow 10 -probes 100 -messages 20 -interval 2ms -drain 15s
-
 # Subscription suite: indexed pattern evaluation across 1k/10k/100k
 # standing patterns, registration churn, and
 # the parse-time regexp precompilation deltas — the EXPERIMENTS.md §X11
 # numbers.
 bench-subs:
 	$(GO) test -run '^$$' -bench '^BenchmarkSubs' -benchmem ./internal/subscribe/ ./internal/stixpattern/
-
-# Streaming-detection smoke: 1k standing patterns, a 10%-hot event stream
-# and live match fan-out. Exits nonzero if no matches fire or no frames
-# reach the watchers. The 100k-pattern runs are in EXPERIMENTS.md §X11.
-subload-smoke:
-	$(GO) run ./cmd/subload -patterns 1000 -clients 8 -events 5000 -drain 15s
 
 # Mesh suite: concurrent fan-in over simulated WAN peers — the
 # EXPERIMENTS.md §X12 orchestration numbers.
@@ -84,22 +73,6 @@ bench-mesh:
 # stored indicators — the EXPERIMENTS.md §X13 per-pass numbers.
 bench-lifecycle:
 	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalPass' -benchmem ./internal/lifecycle/
-
-# Lifecycle smoke: sustained virtual-time ingest with decay expiry on.
-# Exits nonzero unless the event count and heap plateau (and stay under
-# the analytic bound) while total ingest keeps growing. The full-scale
-# runs, the unbounded baseline and the 3-node deletion-convergence mode
-# are in EXPERIMENTS.md §X13.
-lifeload-smoke:
-	$(GO) run ./cmd/lifeload -ticks 300 -rate 20 -step 1h -tau 60h -batch 1024
-
-# Federation smoke: a 3-node replication ring over real loopback HTTP
-# with a crash/restart mid-ingest. Exits nonzero unless every node
-# converges to the identical event set (counts via /metrics + store
-# digest) with zero steady-state re-imports. The 5-node runs are in
-# EXPERIMENTS.md §X12.
-meshload-smoke:
-	$(GO) run ./cmd/meshload -nodes 3 -topology ring -events 600 -interval 15ms -drain 30s
 
 # Observability smoke: boot caispd on scratch ports and assert every
 # probe surface answers — /healthz (live), /readyz (ready with an "ok"
@@ -175,4 +148,4 @@ metrics-lint:
 	done; \
 	echo "metrics-lint: $$(echo "$$names" | wc -l) metric name literals OK"
 
-check: vet build test race copyfree metrics-lint fuzz-smoke bench-e2e-smoke obs-smoke wsload-smoke subload-smoke meshload-smoke lifeload-smoke
+check: vet build test race copyfree metrics-lint fuzz-smoke bench-e2e-smoke obs-smoke

@@ -2,7 +2,7 @@
 // GET /cluster/status endpoint and renders one row per node — ingest
 // rate, store watermarks, replication lag against every peer, and the
 // health verdict with its degraded reasons. Point it at an N-node mesh
-// (caispd, tipd or meshload instances) and watch replication converge:
+// (caispd or tipd instances) and watch replication converge:
 //
 //	caisp-top -node a=http://localhost:9101 -node b=http://localhost:9102
 //

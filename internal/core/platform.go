@@ -81,9 +81,6 @@ type Config struct {
 	// ShareTAXII enables the TAXII server and publishes every eIoC into
 	// its collection.
 	ShareTAXII bool
-	// DisableClassifier turns off the NLP keyword classifier that tags
-	// unknown-category events from their text (§II-A enhancement).
-	DisableClassifier bool
 	// AnalyzerPool sets how many heuristic analyzer goroutines consume
 	// the bus in streaming mode (and analyze stored events in RunBatch).
 	// Values below 1 use GOMAXPROCS. Work is sharded by event UUID, so
@@ -109,8 +106,7 @@ type Config struct {
 	// disables slow-op logging.
 	SlowOpThreshold time.Duration
 	// DisableLifecycle turns off decay-driven re-scoring and expiry: the
-	// store grows without bound under continuous ingest (the unbounded
-	// baseline cmd/lifeload measures against).
+	// store grows without bound under continuous ingest.
 	DisableLifecycle bool
 	// LifecycleInterval is the cadence of the background re-score batch.
 	// Zero uses the lifecycle default (one minute).
@@ -293,9 +289,7 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.CompactEveryOps > 0 {
 		p.compactAfter = cfg.CompactEveryOps
 	}
-	if !cfg.DisableClassifier {
-		p.classifier = textclass.New()
-	}
+	p.classifier = textclass.New()
 	p.tip = tip.NewService(store, tip.WithBroker(broker), tip.WithLogger(cfg.Logger),
 		tip.WithMetrics(reg), tip.WithName(p.nodeName), tip.WithProvenance(p.prov))
 	p.engine = heuristic.NewEngine(
@@ -604,9 +598,6 @@ func mispTypeFor(typ normalize.IoCType) string {
 	}
 }
 
-// Classifier returns the NLP text classifier, or nil when disabled.
-func (p *Platform) Classifier() *textclass.Classifier { return p.classifier }
-
 // ingest is the feed scheduler sink, called once per poll that delivered
 // records: classify → normalize → dedup → pending buffer, then wake the
 // streaming flusher. It is called concurrently by the feed worker pool.
@@ -647,7 +638,7 @@ func (p *Platform) ingest(events []normalize.Event) {
 // It must run before deduplication: the category is part of the
 // deterministic event identity.
 func (p *Platform) classify(e *normalize.Event) {
-	if p.classifier == nil || e.Category != normalize.CategoryUnknown {
+	if e.Category != normalize.CategoryUnknown {
 		return
 	}
 	text := strings.TrimSpace(e.Context["description"] + " " + e.Context["event_info"])

@@ -420,14 +420,6 @@ func TestClassifierTagsUnknownCategories(t *testing.T) {
 	if !foundVerdict {
 		t.Fatalf("classification attribute missing: %+v", ddos[0].Attributes)
 	}
-	// The classifier can be disabled.
-	p2 := newPlatform(t, Config{Feeds: []feed.Feed{f}, DisableClassifier: true})
-	if err := p2.RunBatch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if p2.Classifier() != nil || p2.Stats().Classified != 0 {
-		t.Fatalf("classifier not disabled: %+v", p2.Stats())
-	}
 }
 
 func TestAutoCompaction(t *testing.T) {

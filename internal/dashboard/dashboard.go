@@ -86,7 +86,6 @@ type Snapshot struct {
 type Server struct {
 	collector *infra.Collector
 	hub       *wsock.Hub
-	hubOpts   []wsock.HubOption
 	logger    *slog.Logger
 	slowAt    time.Duration // slow-push log threshold; 0 disables
 
@@ -148,14 +147,6 @@ func (o slowThresholdOption) apply(s *Server) { s.slowAt = time.Duration(o) }
 // default) disables slow-push logging.
 func WithSlowThreshold(d time.Duration) Option { return slowThresholdOption(d) }
 
-type hubOptionsOption struct{ opts []wsock.HubOption }
-
-func (o hubOptionsOption) apply(s *Server) { s.hubOpts = append(s.hubOpts, o.opts...) }
-
-// WithHubOptions forwards options to the broadcast hub: shard count,
-// per-client queue depth, write timeout.
-func WithHubOptions(opts ...wsock.HubOption) Option { return hubOptionsOption{opts: opts} }
-
 type metricsOption struct{ reg *obs.Registry }
 
 func (o metricsOption) apply(s *Server) {
@@ -198,12 +189,9 @@ func NewServer(collector *infra.Collector, opts ...Option) *Server {
 	if s.logger == nil {
 		s.logger = slog.Default()
 	}
-	// The hub is built after options so WithHubOptions and WithMetrics can
-	// shape it (the ws_clients gauge above reads s.hub lazily at scrape).
-	if s.metricsReg != nil {
-		s.hubOpts = append(s.hubOpts, wsock.WithHubMetrics(s.metricsReg))
-	}
-	s.hub = wsock.NewHub(s.hubOpts...)
+	// The hub is built after options so WithMetrics can register its
+	// families (the ws_clients gauge above reads s.hub lazily at scrape).
+	s.hub = wsock.NewHub(wsock.WithHubMetrics(s.metricsReg))
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	s.mux.HandleFunc("GET /api/topology", s.handleTopology)
 	s.mux.HandleFunc("GET /api/nodes/{id}", s.handleNode)

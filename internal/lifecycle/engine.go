@@ -27,12 +27,11 @@ type Store interface {
 	Len() int
 }
 
-// Defaults; every one has a With… override. DefaultFloor is exported so
-// load harnesses can derive the expiry age analytically.
+// Defaults; every one has a With… override.
 const (
 	defaultBatch        = 512
 	defaultInterval     = time.Minute
-	DefaultFloor        = 0.3
+	defaultFloor        = 0.3
 	defaultHistoryDepth = 32
 )
 
@@ -140,7 +139,7 @@ func WithBatchSize(n int) Option { return func(e *Engine) { e.batch = n } }
 // WithInterval sets the Start loop period.
 func WithInterval(d time.Duration) Option { return func(e *Engine) { e.interval = d } }
 
-// WithNow injects the clock (virtual time in tests and load harnesses).
+// WithNow injects the clock (virtual time in tests).
 func WithNow(now func() time.Time) Option { return func(e *Engine) { e.now = now } }
 
 // WithSightings wires the sighting-refresh clock: a function returning
@@ -186,12 +185,12 @@ func WithMetrics(reg *obs.Registry) Option {
 }
 
 // New builds an engine over the store. Call Start for the background
-// loop or RunOnce directly (load harnesses, tests).
+// loop or RunOnce directly (tests).
 func New(store Store, opts ...Option) *Engine {
 	e := &Engine{
 		store:    store,
 		policies: DefaultPolicies(),
-		floor:    DefaultFloor,
+		floor:    defaultFloor,
 		batch:    defaultBatch,
 		interval: defaultInterval,
 		depth:    defaultHistoryDepth,

@@ -106,11 +106,12 @@ type Peer struct {
 	Remote Remote
 }
 
-// Defaults for Engine tuning knobs.
+// Defaults for Engine tuning knobs, and the bounds of the exponential
+// backoff a failing peer is retried under.
 const (
-	DefaultInterval   = 30 * time.Second
-	DefaultBackoffMin = time.Second
-	DefaultBackoffMax = 5 * time.Minute
+	DefaultInterval = 30 * time.Second
+	backoffMin      = time.Second
+	backoffMax      = 5 * time.Minute
 	// DefaultBasePage is the starting pull page size; full pages double
 	// it up to DefaultMaxPage. The raised ceiling amortizes HTTP and JSON
 	// overhead during catch-up, and gzip keeps the larger pages cheap on
@@ -141,12 +142,10 @@ type Engine struct {
 	cursors  CursorStore
 	peers    []*peerState
 
-	interval   time.Duration
-	backoffMin time.Duration
-	backoffMax time.Duration
-	basePage   int
-	maxPage    int
-	logger     *slog.Logger
+	interval time.Duration
+	basePage int
+	maxPage  int
+	logger   *slog.Logger
 
 	mu  sync.Mutex // guards cur
 	cur map[string]Cursor
@@ -215,11 +214,6 @@ type Option func(*Engine)
 // empty rounds against a peer that does not hold requests.
 func WithInterval(d time.Duration) Option {
 	return func(e *Engine) { e.interval = d }
-}
-
-// WithBackoff bounds the exponential backoff applied while a peer fails.
-func WithBackoff(min, max time.Duration) Option {
-	return func(e *Engine) { e.backoffMin, e.backoffMax = min, max }
 }
 
 // WithPageSize sets the starting and maximum pull page size. Full pages
@@ -312,14 +306,12 @@ func New(local Local, peers []Peer, cursors CursorStore, opts ...Option) (*Engin
 		cursors = NewMemCursors()
 	}
 	e := &Engine{
-		local:      local,
-		cursors:    cursors,
-		interval:   DefaultInterval,
-		backoffMin: DefaultBackoffMin,
-		backoffMax: DefaultBackoffMax,
-		basePage:   DefaultBasePage,
-		maxPage:    DefaultMaxPage,
-		logger:     slog.Default(),
+		local:    local,
+		cursors:  cursors,
+		interval: DefaultInterval,
+		basePage: DefaultBasePage,
+		maxPage:  DefaultMaxPage,
+		logger:   slog.Default(),
 	}
 	seen := map[string]bool{}
 	for _, p := range peers {
@@ -450,7 +442,7 @@ func (e *Engine) runPeer(ps *peerState) {
 		}
 		ps.statMu.Lock()
 		if err != nil && e.runCtx.Err() == nil {
-			ps.backoff = min(max(2*ps.backoff, e.backoffMin), e.backoffMax)
+			ps.backoff = min(max(2*ps.backoff, backoffMin), backoffMax)
 			next = e.jittered(ps.backoff)
 			e.logger.Warn("mesh: sync failed", "peer", ps.name, "backoff", ps.backoff, "error", err)
 		} else {
@@ -474,10 +466,10 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 }
 
 // SyncOnce drains every peer's backlog once, all peers concurrently, and
-// returns the total number of events imported. It is the
-// synchronous form the poll workers drive continuously — also the hook
-// meshload and tests use for deterministic rounds. It never asks a peer
-// to hold a request nor waits for a worker parked on one.
+// returns the total number of events imported. It is the synchronous
+// form the poll workers drive continuously, for callers that want
+// deterministic rounds. It never asks a peer to hold a request nor waits
+// for a worker parked on one.
 func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
 	var (
 		wg    sync.WaitGroup

@@ -321,8 +321,12 @@ func BenchmarkFanIn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.SyncOnce(context.Background()); err != nil {
+		n, err := e.SyncOnce(context.Background())
+		if err != nil {
 			b.Fatal(err)
+		}
+		if n != len(peers)*len(events) {
+			b.Fatalf("imported %d events, want all %d of every peer", n, len(events))
 		}
 		e.Close()
 	}

@@ -51,7 +51,6 @@ const (
 // of events), far faster than a TCP peer drains them — the hub's
 // drop-slowest eviction would cut healthy watchers off mid-burst at the
 // wsock default of 64. Queue entries are frame pointers, so depth is cheap.
-// Override with WithHubOptions(wsock.WithQueueDepth(n)).
 const DefaultMatchQueueDepth = 4096
 
 // Stage labels which admission point produced a matched event.
@@ -143,8 +142,9 @@ type Engine struct {
 	sweepStop  chan struct{}
 	sweepWG    sync.WaitGroup
 	closeOnce  sync.Once
-	// hubOpts accumulates hub options until NewEngine builds the hub.
-	hubOpts []wsock.HubOption
+	// hubReg receives the match hub's caisp_wsock_* families; nil leaves
+	// them unregistered.
+	hubReg *obs.Registry
 	// persistPath, when non-empty, is the JSON sidecar the live pattern
 	// set is mirrored to on every mutation and reloaded from on boot.
 	persistPath string
@@ -193,11 +193,11 @@ func WithSweepInterval(d time.Duration) Option {
 }
 
 // WithHubMetrics additionally registers the match hub's caisp_wsock_*
-// families on reg. Standalone daemons (tipd, subload) want this; inside
+// families on reg. Standalone daemons (tipd) want this; inside
 // caispd the dashboard hub already owns those families, so the match hub
 // must stay unregistered to keep the one-registration metric contract.
 func WithHubMetrics(reg *obs.Registry) Option {
-	return func(e *Engine) { e.hubOpts = append(e.hubOpts, wsock.WithHubMetrics(reg)) }
+	return func(e *Engine) { e.hubReg = reg }
 }
 
 // WithMaxPatternBytes caps registered pattern source length.
@@ -228,11 +228,6 @@ func WithNow(now func() time.Time) Option {
 	}
 }
 
-// WithHubOptions forwards options to the match-push hub.
-func WithHubOptions(opts ...wsock.HubOption) Option {
-	return func(e *Engine) { e.hubOpts = append(e.hubOpts, opts...) }
-}
-
 // NewEngine builds an empty engine and its match-push hub.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
@@ -248,8 +243,7 @@ func NewEngine(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	hubOpts := append([]wsock.HubOption{wsock.WithQueueDepth(DefaultMatchQueueDepth)}, e.hubOpts...)
-	e.hub = wsock.NewHub(hubOpts...)
+	e.hub = wsock.NewHub(wsock.WithQueueDepth(DefaultMatchQueueDepth), wsock.WithHubMetrics(e.hubReg))
 	e.loadPersisted()
 	if e.sweepEvery > 0 {
 		e.sweepStop = make(chan struct{})
@@ -521,9 +515,9 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// EvalSnapshot bundles the evaluation histograms and counters so load
-// harnesses (cmd/subload) can report percentiles without scraping the
-// Prometheus text endpoint. Histograms are nil without WithMetrics.
+// EvalSnapshot bundles the evaluation histograms and counters so a caller
+// can report percentiles without scraping the Prometheus text endpoint.
+// Histograms are nil without WithMetrics.
 type EvalSnapshot struct {
 	Registered int
 	Evaluated  int64

@@ -41,8 +41,8 @@ type Conn struct {
 // WebSocket connection without performing the HTTP upgrade — both sides
 // must agree out-of-band that the byte stream speaks RFC 6455 frames.
 // client selects masking: true for the connecting side, false for the
-// accepting side. Load harnesses use this to drive the hub over in-memory
-// pipes at client counts no kernel socket table could hold.
+// accepting side. Tests use this to drive the hub over in-memory pipes at
+// client counts no kernel socket table could hold.
 func NewConn(nc net.Conn, client bool) *Conn {
 	return NewConnBuffered(nc, client, 0, 0)
 }

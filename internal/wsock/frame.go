@@ -47,8 +47,8 @@ func readFrame(r io.Reader) (frame, error) {
 // ReadFrameInto decodes the next frame from r, reusing buf for the
 // payload when it is large enough (a fresh slice is allocated otherwise).
 // Unlike ReadMessage it performs no control-frame handling or
-// reassembly — it is the allocation-free read path for load-harness
-// clients that consume server broadcasts at six-figure connection counts.
+// reassembly — it is the allocation-free read path for clients that
+// consume server broadcasts at large connection counts, such as tests.
 // The returned payload aliases buf and is only valid until the next call.
 func ReadFrameInto(r io.Reader, buf []byte) (Opcode, []byte, error) {
 	f, err := readFrameInto(r, buf)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -80,49 +81,54 @@ func TestWriteTimeoutOnStalledPeer(t *testing.T) {
 }
 
 // TestSlowClientDoesNotDelayOthers is the isolation acceptance property:
-// with one stalled reader among N clients, the remaining N−1 receive
-// every broadcast promptly — delivery never waits out the stalled
-// client's write timeout — and the stalled client is evicted.
+// with a stalled cohort among the clients, every other client receives
+// every broadcast promptly — delivery never waits out a stalled client's
+// write timeout — and exactly the stalled cohort is evicted.
 func TestSlowClientDoesNotDelayOthers(t *testing.T) {
-	hub := NewHub(WithQueueDepth(8), WithHubWriteTimeout(10*time.Second))
-	defer hub.Close()
+	for _, tc := range []struct {
+		fast, stalled, messages int
+	}{
+		{fast: 8, stalled: 1, messages: 40},
+		{fast: 990, stalled: 10, messages: 20}, // over the default 8 shards
+	} {
+		t.Run(fmt.Sprintf("%d clients %d stalled", tc.fast+tc.stalled, tc.stalled), func(t *testing.T) {
+			hub := NewHub(WithQueueDepth(8), WithHubWriteTimeout(10*time.Second))
+			defer hub.Close()
 
-	const fast = 8
-	var received atomic.Int64
-	clients := make([]*pipeClient, 0, fast)
-	for i := 0; i < fast; i++ {
-		p := newPipeClient(hub, 0)
-		clients = append(clients, p)
-		go p.drainCount(&received)
-	}
-	stalled := newPipeClient(hub, 16) // 16-byte buffer: blocks immediately
-	defer stalled.client.Close()
-	waitFor(t, func() bool { return hub.Len() == fast+1 })
+			var received atomic.Int64
+			clients := make([]*pipeClient, 0, tc.fast+tc.stalled)
+			for i := 0; i < tc.fast; i++ {
+				p := newPipeClient(hub, 0)
+				clients = append(clients, p)
+				go p.drainCount(&received)
+			}
+			for i := 0; i < tc.stalled; i++ {
+				clients = append(clients, newPipeClient(hub, 16)) // 16-byte buffer: blocks at once
+			}
+			defer func() {
+				for _, p := range clients {
+					p.client.Close()
+				}
+			}()
+			waitFor(t, func() bool { return hub.Len() == tc.fast+tc.stalled })
 
-	// Paced pushes: fast writers drain each frame in microseconds, so their
-	// queues stay shallow, while the stalled client's blocked writer lets
-	// its queue fill past the bound and trip the drop-slowest eviction.
-	const messages = 40
-	payload := bytes.Repeat([]byte("r"), 1024)
-	start := time.Now()
-	for i := 0; i < messages; i++ {
-		hub.Broadcast(payload)
-		time.Sleep(time.Millisecond)
-	}
-	waitFor(t, func() bool { return received.Load() == fast*messages })
-	elapsed := time.Since(start)
-
-	// The stalled client's write timeout is 10s; fast delivery finishing in
-	// a fraction of that proves no head-of-line blocking.
-	if elapsed > 3*time.Second {
-		t.Fatalf("fast clients took %v with one stalled peer", elapsed)
-	}
-	waitFor(t, func() bool { return hub.Evicted() == 1 })
-	if hub.Len() != fast {
-		t.Fatalf("Len = %d after eviction, want %d (a fast client was evicted)", hub.Len(), fast)
-	}
-	for _, p := range clients {
-		p.client.Close()
+			// Lockstep pushes: each broadcast must reach every fast client
+			// before the next goes out, within waitFor's 3 s — a fraction of
+			// the stalled writers' 10 s timeout, so a fast client held up
+			// behind a stalled one fails the round. The stalled writers never
+			// drain, so their queues overflow the bound of 8 and trip the
+			// drop-slowest eviction.
+			payload := bytes.Repeat([]byte("r"), 1024)
+			for i := 1; i <= tc.messages; i++ {
+				hub.Broadcast(payload)
+				want := int64(tc.fast * i)
+				waitFor(t, func() bool { return received.Load() == want })
+			}
+			waitFor(t, func() bool { return hub.Evicted() == tc.stalled })
+			if hub.Len() != tc.fast {
+				t.Fatalf("Len = %d after eviction, want %d (a fast client was evicted)", hub.Len(), tc.fast)
+			}
+		})
 	}
 }
 
