@@ -74,33 +74,51 @@ bench-mesh:
 bench-lifecycle:
 	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalPass' -benchmem ./internal/lifecycle/
 
-# Observability smoke: boot caispd on scratch ports and assert every
-# probe surface answers — /healthz (live), /readyz (ready with an "ok"
-# verdict), /cluster/status (fleet-view payload with the node's role)
-# and /metrics (build info present). Exits nonzero when the daemon does
-# not come up within 15s or any probe fails.
+# Observability smoke: boot all three daemons on scratch ports — caispd,
+# tipd with its publish socket, and heuristicd with -metrics subscribed
+# to that tipd — and assert every probe surface answers on each:
+# /healthz (live), /readyz (ready with an "ok" verdict), /cluster/status
+# (the node's role) and /metrics (build info present). tipd must also
+# answer a POST /events one byte over its 32 MiB cap with 413. Exits
+# nonzero when a daemon does not come up within 15s or any probe fails.
 obs-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/caispd ./cmd/caispd; \
-	$$tmp/caispd -dashboard 127.0.0.1:18450 -tip 127.0.0.1:18440 -taxii '' -node smoke >$$tmp/log 2>&1 & \
-	pid=$$!; \
-	trap "kill $$pid 2>/dev/null; rm -rf $$tmp" EXIT; \
-	up=''; \
-	for i in $$(seq 1 150); do \
-		if curl -fsS http://127.0.0.1:18450/healthz >/dev/null 2>&1; then up=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	[ -n "$$up" ] || { echo 'obs-smoke: caispd did not come up'; cat $$tmp/log; exit 1; }; \
-	curl -fsS http://127.0.0.1:18450/healthz | grep ok >/dev/null \
-		|| { echo 'obs-smoke: /healthz failed'; exit 1; }; \
-	curl -fsS http://127.0.0.1:18450/readyz | grep '"status":"ok"' >/dev/null \
-		|| { echo 'obs-smoke: /readyz not ready'; exit 1; }; \
-	curl -fsS http://127.0.0.1:18450/cluster/status | grep '"role":"caispd"' >/dev/null \
-		|| { echo 'obs-smoke: /cluster/status failed'; exit 1; }; \
-	curl -fsS http://127.0.0.1:18450/metrics | grep 'caisp_build_info' >/dev/null \
-		|| { echo 'obs-smoke: /metrics missing build info'; exit 1; }; \
-	echo 'obs-smoke: /healthz /readyz /cluster/status /metrics OK'
+	for d in caispd tipd heuristicd; do $(GO) build -o $$tmp/$$d ./cmd/$$d; done; \
+	pids=''; \
+	trap 'kill $$pids 2>/dev/null; rm -rf $$tmp' EXIT; \
+	up() { \
+		for i in $$(seq 1 150); do \
+			curl -fsS http://$$1/healthz >/dev/null 2>&1 && return 0; \
+			sleep 0.1; \
+		done; \
+		echo "obs-smoke: $$2 did not come up"; cat $$tmp/$$2.log; exit 1; \
+	}; \
+	probe() { \
+		curl -fsS http://$$1/healthz | grep ok >/dev/null \
+			|| { echo "obs-smoke: $$2 /healthz failed"; exit 1; }; \
+		curl -fsS http://$$1/readyz | grep '"status":"ok"' >/dev/null \
+			|| { echo "obs-smoke: $$2 /readyz not ready"; exit 1; }; \
+		curl -fsS http://$$1/cluster/status | grep "\"role\":\"$$2\"" >/dev/null \
+			|| { echo "obs-smoke: $$2 /cluster/status failed"; exit 1; }; \
+		curl -fsS http://$$1/metrics | grep 'caisp_build_info' >/dev/null \
+			|| { echo "obs-smoke: $$2 /metrics missing build info"; exit 1; }; \
+	}; \
+	$$tmp/caispd -dashboard 127.0.0.1:18450 -tip 127.0.0.1:18440 -taxii '' -node smoke >$$tmp/caispd.log 2>&1 & \
+	pids="$$pids $$!"; \
+	$$tmp/tipd -listen 127.0.0.1:18540 -publish 127.0.0.1:18541 >$$tmp/tipd.log 2>&1 & \
+	pids="$$pids $$!"; \
+	up 127.0.0.1:18540 tipd; \
+	$$tmp/heuristicd -bus 127.0.0.1:18541 -tip http://127.0.0.1:18540 -metrics 127.0.0.1:18552 >$$tmp/heuristicd.log 2>&1 & \
+	pids="$$pids $$!"; \
+	up 127.0.0.1:18450 caispd; \
+	up 127.0.0.1:18552 heuristicd; \
+	probe 127.0.0.1:18450 caispd; \
+	probe 127.0.0.1:18540 tipd; \
+	probe 127.0.0.1:18552 heuristicd; \
+	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
+	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
+	echo 'obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413'
 
 vet:
 	$(GO) vet ./...

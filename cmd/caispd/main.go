@@ -5,39 +5,25 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/core"
+	"github.com/caisplatform/caisp/internal/daemon"
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/normalize"
-	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/report"
 	"github.com/caisplatform/caisp/internal/sessions"
 	"github.com/caisplatform/caisp/internal/tip"
-)
-
-// Health thresholds: the compaction backlog degrades once the WAL holds
-// ten uncompacted trigger-intervals (the background compactor has fallen
-// far behind), and the dashboard hub degrades when its deepest client
-// queue passes 90% — the next broadcast starts evicting slow clients.
-const (
-	healthMaxWALBacklog   = 50000
-	healthMaxHubFill      = 0.9
-	healthLifecycleWithin = 5 * time.Minute
 )
 
 func main() {
@@ -106,9 +92,7 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 		return err
 	}
 	defer platform.Close()
-	obs.RegisterBuildInfo(platform.Metrics())
-	obs.RegisterRuntime(platform.Metrics())
-	checks := buildHealth(platform, dataDir)
+	rt := daemon.New(platform.Metrics())
 
 	if alarmLog != "" {
 		if err := ingestAlarms(platform, alarmLog); err != nil {
@@ -121,69 +105,47 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := platform.Start(ctx, 2*time.Second); err != nil {
+	if err := platform.Start(rt.Context(), 2*time.Second); err != nil {
 		return err
 	}
 
-	servers := []*http.Server{
-		{Addr: dashAddr, Handler: withReport(platform, checks, pprof)},
-		// Request contexts descend from the signal context, so SIGTERM frees
-		// change-feed requests parked on ?wait= before Shutdown waits on them.
-		{Addr: tipAddr, Handler: tip.NewAPI(platform.TIP(), apiKey),
-			BaseContext: func(net.Listener) context.Context { return ctx }},
-	}
+	rt.Serve(dashAddr, withReport(rt, platform, dataDir, pprof))
+	rt.Serve(tipAddr, tip.NewAPI(platform.TIP(), apiKey))
 	fmt.Printf("dashboard:  http://localhost%s\n", dashAddr)
 	fmt.Printf("TIP API:    http://localhost%s\n", tipAddr)
 	if taxiiAddr != "" {
-		servers = append(servers, &http.Server{Addr: taxiiAddr, Handler: platform.TAXII()})
+		rt.Serve(taxiiAddr, platform.TAXII())
 		fmt.Printf("TAXII:      http://localhost%s/taxii2/\n", taxiiAddr)
 	}
-	for _, srv := range servers {
-		srv.ReadHeaderTimeout = tip.ReadHeaderTimeout
-	}
-	errCh := make(chan error, len(servers))
-	for _, srv := range servers {
-		srv := srv
-		go func() { errCh <- srv.ListenAndServe() }()
-	}
-
-	ticker := time.NewTicker(10 * time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			fmt.Println("\nshutting down")
-			for _, srv := range servers {
-				shutdownCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				_ = srv.Shutdown(shutdownCtx)
-				cancel()
-			}
-			platform.Stop()
-			return nil
-		case err := <-errCh:
-			if err != nil && err != http.ErrServerClosed {
-				return err
-			}
-		case <-ticker.C:
-			st := platform.Stats()
-			fmt.Printf("collected=%d unique=%d ciocs=%d edits=%d merges=%d eiocs=%d riocs=%d stored=%d dropped=%d\n",
-				st.EventsCollected, st.EventsUnique, st.CIoCs, st.ClusterEdits,
-				st.ClusterMerges, st.EIoCs, st.RIoCs, st.StoredEvents, st.BusDropped)
-		}
-	}
+	rt.Every(10*time.Second, func() {
+		st := platform.Stats()
+		fmt.Printf("collected=%d unique=%d ciocs=%d edits=%d merges=%d eiocs=%d riocs=%d stored=%d dropped=%d\n",
+			st.EventsCollected, st.EventsUnique, st.CIoCs, st.ClusterEdits,
+			st.ClusterMerges, st.EIoCs, st.RIoCs, st.StoredEvents, st.BusDropped)
+	})
+	return rt.Run()
 }
 
-// withReport mounts the analyst situation report, the platform counters
-// and the observability surfaces next to the dashboard. /stats surfaces
-// the full pipeline Stats — including the streaming correlator's cluster
-// add/edit/merge counters and broker-wide drop-oldest losses, which are
-// otherwise silent; /metrics serves the same values (and the latency
-// histograms) in Prometheus text format, and /debug/traces the slowest
-// end-to-end IoC journeys with per-stage breakdowns.
-func withReport(platform *core.Platform, checks *health.Registry, pprof bool) http.Handler {
-	mux := http.NewServeMux()
+// withReport registers caispd's checks and mounts the analyst situation
+// report, the platform counters and the shared observability surfaces
+// next to the dashboard. The checks are the store checks plus dashboard
+// hub saturation: readiness degrades once the deepest client queue
+// passes 90%, where the next broadcast starts evicting slow clients.
+// /stats surfaces the full pipeline Stats — including the streaming
+// correlator's cluster add/edit/merge counters and broker-wide
+// drop-oldest losses, which are otherwise silent; /metrics serves the
+// same values (and the latency histograms) in Prometheus text format,
+// and /debug/traces the slowest end-to-end IoC journeys with per-stage
+// breakdowns.
+func withReport(rt *daemon.Runtime, platform *core.Platform, dataDir string, pprof bool) http.Handler {
+	rt.StoreChecks(dataDir, platform.Durability, platform.Lifecycle())
+	rt.Health.Register("hub_saturation", health.Max("dashboard hub queue fill",
+		platform.Dashboard().HubSaturation, 0.9))
+	mux := rt.Mux(platform.Tracer(), pprof, func() health.NodeStatus {
+		st := daemon.TIPStatus(platform.NodeName(), "caispd", platform.TIP())
+		st.Clients = platform.Dashboard().ClientCount()
+		return st
+	})
 	mux.HandleFunc("GET /report", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 		_, _ = w.Write([]byte(report.Build(platform, 10, time.Now()).Markdown()))
@@ -192,49 +154,8 @@ func withReport(platform *core.Platform, checks *health.Registry, pprof bool) ht
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(platform.Stats())
 	})
-	mux.Handle("GET /metrics", platform.Metrics().Handler())
-	mux.Handle("GET /debug/traces", platform.Tracer().Handler())
-	mux.Handle("GET /healthz", checks.Liveness())
-	mux.Handle("GET /readyz", checks.Readiness())
-	mux.Handle("GET /cluster/status", health.StatusHandler(func() health.NodeStatus {
-		d := platform.Durability()
-		return health.NodeStatus{
-			Node:     platform.NodeName(),
-			Role:     "caispd",
-			StoreSeq: platform.TIP().StoreSeq(),
-			Events:   platform.TIP().Len(),
-			WALOps:   d.WALOps,
-			// The store sequence advances on every put/edit/delete, so it
-			// doubles as the monotonic ingest counter caisp-top
-			// differentiates into a rate.
-			IngestTotal: int64(platform.TIP().StoreSeq()),
-			Clients:     platform.Dashboard().ClientCount(),
-			Health:      checks.Evaluate(),
-		}
-	}))
-	if pprof {
-		obs.RegisterPprof(mux)
-	}
 	mux.Handle("/", platform.Dashboard())
 	return mux
-}
-
-// buildHealth assembles caispd's component checks: WAL writability
-// (liveness — a node that cannot commit must restart), compaction
-// backlog, lifecycle-scheduler progress and dashboard hub saturation
-// (readiness — degraded but alive).
-func buildHealth(platform *core.Platform, dataDir string) *health.Registry {
-	checks := health.New(platform.Metrics())
-	checks.Register("wal_writable", health.DirWritable(dataDir))
-	checks.Register("compaction_backlog", health.Max("wal ops since snapshot",
-		func() float64 { return float64(platform.Durability().WALOps) }, healthMaxWALBacklog))
-	if lc := platform.Lifecycle(); lc != nil {
-		checks.Register("lifecycle_progress", health.Progress(
-			func() int64 { return int64(lc.Stats().Passes) }, healthLifecycleWithin, nil))
-	}
-	checks.Register("hub_saturation", health.Max("dashboard hub queue fill",
-		platform.Dashboard().HubSaturation, healthMaxHubFill))
-	return checks
 }
 
 // ingestAlarms replays a syslog-style alert file into the collector.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/core"
+	"github.com/caisplatform/caisp/internal/daemon"
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/normalize"
@@ -129,7 +130,7 @@ func TestWithReportEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer platform.Close()
-	srv := httptest.NewServer(withReport(platform, buildHealth(platform, ""), true))
+	srv := httptest.NewServer(withReport(daemon.New(platform.Metrics()), platform, "", true))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/report")

@@ -7,21 +7,18 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
+	"log/slog"
 	"net/url"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/bus"
+	"github.com/caisplatform/caisp/internal/daemon"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/mesh"
 	"github.com/caisplatform/caisp/internal/misp"
@@ -31,10 +28,6 @@ import (
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/tip"
 )
-
-// drainDeadline bounds how long shutdown waits for in-flight API
-// requests before closing the store anyway.
-const drainDeadline = 3 * time.Second
 
 // peerFlags collects repeatable -peer values ("name=url" or a bare URL,
 // in which case the host:port becomes the peer name).
@@ -106,9 +99,8 @@ func parsePeers(cfg config) ([]mesh.Peer, error) {
 }
 
 func run(cfg config) error {
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg)
-	obs.RegisterRuntime(reg)
+	rt := daemon.New(nil)
+	reg := rt.Metrics
 	tracer := obs.NewTracer(reg)
 	prov := obs.NewProvTable(obs.DefaultProvCap)
 	store, err := storage.Open(cfg.dataDir, storage.WithMetrics(reg))
@@ -116,6 +108,9 @@ func run(cfg config) error {
 		return err
 	}
 	defer store.Close()
+	// The store's compaction trigger bounds the WAL and restart replay;
+	// it stops (draining a pending snapshot) before the store closes.
+	defer store.StartCompactor(slog.Default())()
 
 	broker := bus.NewBroker(bus.WithMetrics(reg))
 	defer broker.Close()
@@ -201,17 +196,14 @@ func run(cfg config) error {
 	if subsFile == "" && cfg.dataDir != "" {
 		subsFile = filepath.Join(cfg.dataDir, "subscriptions.json")
 	}
-	subOpts := []subscribe.Option{
+	subs := subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithHubMetrics(reg),
 		subscribe.WithSweepInterval(time.Minute),
-	}
-	if subsFile != "" {
-		subOpts = append(subOpts, subscribe.WithPersistPath(subsFile))
-	}
-	subs := subscribe.NewEngine(subOpts...)
+		subscribe.WithPersistPath(subsFile), // empty: no sidecar
+	)
 	defer subs.Close()
-	if subsFile != "" && subs.Len() > 0 {
+	if subs.Len() > 0 {
 		fmt.Printf("restored %d standing subscription(s) from %s\n", subs.Len(), subsFile)
 	}
 	busSub := broker.Subscribe(tip.TopicEventPrefix)
@@ -230,55 +222,28 @@ func run(cfg config) error {
 		}
 	}()
 
-	// The API is mounted next to the observability surfaces: /metrics
-	// serves the caisp_* families in Prometheus text format. Specific
-	// routes (subscriptions, match stream) sit in front of the TIP
-	// catch-all.
-	// Health: WAL writability is liveness (a node that cannot commit must
-	// restart); compaction backlog, lifecycle progress and mesh-peer
-	// staleness are readiness (alive but degraded, with the reason named
-	// in /readyz).
-	checks := health.New(reg)
-	checks.Register("wal_writable", health.DirWritable(cfg.dataDir))
-	checks.Register("compaction_backlog", health.Max("wal ops since snapshot",
-		func() float64 { return float64(store.Durability().WALOps) }, 50000))
-	if lifec != nil {
-		checks.Register("lifecycle_progress", health.Progress(
-			func() int64 { return int64(lifec.Stats().Passes) }, 5*time.Minute, nil))
-	}
+	// Health: the store checks (WAL writability as liveness, compaction
+	// backlog and lifecycle progress as readiness) plus mesh-peer
+	// staleness as readiness.
+	rt.StoreChecks(cfg.dataDir, store.Durability, lifec)
 	if engine != nil {
 		staleAfter := 5 * cfg.syncInterval
 		if staleAfter < 2*time.Minute {
 			staleAfter = 2 * time.Minute
 		}
-		checks.Register("mesh_peers", mesh.PeersCheck(engine, staleAfter))
+		rt.Health.Register("mesh_peers", mesh.PeersCheck(engine, staleAfter))
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("GET /debug/traces", tracer.Handler())
-	mux.Handle("GET /healthz", checks.Liveness())
-	mux.Handle("GET /readyz", checks.Readiness())
-	mux.Handle("GET /cluster/status", health.StatusHandler(func() health.NodeStatus {
-		st := health.NodeStatus{
-			Node:     cfg.name,
-			Role:     "tipd",
-			StoreSeq: service.StoreSeq(),
-			Events:   service.Len(),
-			WALOps:   store.Durability().WALOps,
-			// The store sequence advances on every put/edit/delete — the
-			// monotonic counter caisp-top differentiates into a rate.
-			IngestTotal: int64(service.StoreSeq()),
-			Health:      checks.Evaluate(),
-		}
+	// The API is mounted next to the observability surfaces. Specific
+	// routes (subscriptions, match stream) sit in front of the TIP
+	// catch-all.
+	mux := rt.Mux(tracer, cfg.pprof, func() health.NodeStatus {
+		st := daemon.TIPStatus(cfg.name, "tipd", service)
 		if engine != nil {
 			st.Peers = engine.PeerInfos()
 		}
 		return st
-	}))
-	if cfg.pprof {
-		obs.RegisterPprof(mux)
-	}
+	})
 	subAPI := subscribe.NewAPI(subs)
 	mux.Handle("POST /subscriptions", subAPI)
 	mux.Handle("GET /subscriptions", subAPI)
@@ -289,31 +254,8 @@ func run(cfg config) error {
 		mux.Handle("GET /lifecycle/{rest...}", lifecycle.NewAPI(lifec))
 	}
 	mux.Handle("/", tip.NewAPI(service, cfg.apiKey))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// Request contexts descend from the signal context, so SIGTERM frees
-	// change-feed requests parked on ?wait= before Shutdown waits on them.
-	srv := &http.Server{Addr: cfg.addr, Handler: mux, ReadHeaderTimeout: tip.ReadHeaderTimeout,
-		BaseContext: func(net.Listener) context.Context { return ctx }}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	rt.Serve(cfg.addr, mux)
 	fmt.Printf("%s: serving MISP-like REST API on %s (%d events loaded)\n",
 		cfg.name, cfg.addr, service.Len())
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	// Graceful shutdown: stop accepting, drain in-flight requests up to
-	// the deadline, then let the deferred engine/store/broker closes run
-	// so cursors and the WAL are cleanly released.
-	fmt.Println("\nshutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainDeadline)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	return nil
+	return rt.Run()
 }

@@ -52,16 +52,6 @@ import (
 // TAXIICollection is the collection eIoCs are shared into.
 const TAXIICollection = "eiocs"
 
-// defaultCompactAfterOps triggers event-store compaction once this many
-// WAL operations accumulated since the last snapshot, bounding both WAL
-// growth and restart-replay time.
-const defaultCompactAfterOps = 5000
-
-// compactAfterBytes triggers compaction once the on-disk WAL crosses this
-// footprint regardless of the operation count, so a burst of large events
-// cannot grow the log unboundedly between op-count triggers.
-const compactAfterBytes = 32 << 20
-
 // Config parameterizes a Platform.
 type Config struct {
 	// DataDir is the event-store directory; empty means in-memory.
@@ -89,10 +79,6 @@ type Config struct {
 	// FeedConcurrency bounds how many feeds PollOnce fetches in
 	// parallel. Values below 1 use GOMAXPROCS.
 	FeedConcurrency int
-	// CompactEveryOps triggers background store compaction once this many
-	// WAL operations accumulated since the last snapshot. Values below 1
-	// use the default (5000).
-	CompactEveryOps int
 	// Metrics is the observability registry every stage registers its
 	// caisp_* families into. Nil creates a private registry unless
 	// DisableMetrics is set.
@@ -209,15 +195,9 @@ type Platform struct {
 
 	counters counters
 
-	// Background compaction: maybeCompact posts a request into the
-	// capacity-1 compactCh (singleflight — a request while one is queued
-	// or running coalesces into it); the dedicated compactLoop goroutine
-	// drains it so snapshots never run on the ingest path.
-	compactAfter    int
-	compactCh       chan struct{}
-	compactStop     chan struct{}
-	compactStopOnce sync.Once
-	compactWG       sync.WaitGroup
+	// stopCompacting stops the store's background compaction trigger
+	// (storage.Store.StartCompactor).
+	stopCompacting func()
 
 	runMu   sync.Mutex
 	started bool
@@ -271,10 +251,7 @@ func New(cfg Config) (*Platform, error) {
 		collector: collector,
 		analyzers: analyzers,
 
-		compactAfter: defaultCompactAfterOps,
-		compactCh:    make(chan struct{}, 1),
-		compactStop:  make(chan struct{}),
-		arrived:      make(chan struct{}, 1),
+		arrived: make(chan struct{}, 1),
 	}
 	p.nodeName = cfg.NodeName
 	if p.nodeName == "" {
@@ -286,9 +263,6 @@ func New(cfg Config) (*Platform, error) {
 		p.prov = obs.NewProvTable(obs.DefaultProvCap)
 	}
 	p.registerPipelineMetrics()
-	if cfg.CompactEveryOps > 0 {
-		p.compactAfter = cfg.CompactEveryOps
-	}
 	p.classifier = textclass.New()
 	p.tip = tip.NewService(store, tip.WithBroker(broker), tip.WithLogger(cfg.Logger),
 		tip.WithMetrics(reg), tip.WithName(p.nodeName), tip.WithProvenance(p.prov))
@@ -354,8 +328,7 @@ func New(cfg Config) (*Platform, error) {
 	if store.Len() > 0 {
 		p.rebuildCorrelationIndex()
 	}
-	p.compactWG.Add(1)
-	go p.compactLoop()
+	p.stopCompacting = store.StartCompactor(cfg.Logger)
 	return p, nil
 }
 
@@ -761,55 +734,7 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 	p.counters.clusterEdits.Add(edited)
 	p.counters.clusterMerges.Add(int64(len(delta.Removed)))
 	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(stored)))
-	p.maybeCompact()
 	return stored, errors.Join(errs...)
-}
-
-// maybeCompact requests a background snapshot once enough WAL operations
-// or bytes accumulated. It never blocks: a request while a compaction is
-// already queued or running coalesces into it.
-func (p *Platform) maybeCompact() {
-	d := p.store.Durability()
-	if d.WALOps <= p.compactAfter && d.WALBytes <= compactAfterBytes {
-		return
-	}
-	select {
-	case p.compactCh <- struct{}{}:
-	default:
-	}
-}
-
-// compactLoop is the dedicated compaction goroutine: it serializes
-// snapshot publication off the ingest path and drains a pending request
-// before exiting so a shutdown-time trigger is not lost.
-func (p *Platform) compactLoop() {
-	defer p.compactWG.Done()
-	for {
-		select {
-		case <-p.compactStop:
-			select {
-			case <-p.compactCh:
-				p.compactStore()
-			default:
-			}
-			return
-		case <-p.compactCh:
-			p.compactStore()
-		}
-	}
-}
-
-func (p *Platform) compactStore() {
-	if err := p.store.Compact(); err != nil {
-		p.logger.Warn("store compaction failed", "error", err)
-	}
-}
-
-// stopCompactor shuts the compaction goroutine down, waiting for an
-// in-flight snapshot to finish. Idempotent.
-func (p *Platform) stopCompactor() {
-	p.compactStopOnce.Do(func() { close(p.compactStop) })
-	p.compactWG.Wait()
 }
 
 // analyze runs the shared heuristic stage (worker.Analyzer) on one stored
@@ -838,7 +763,6 @@ func (p *Platform) analyze(me *misp.Event) error {
 		// x-caisp:threat-score, so score-gated patterns can fire.
 		p.subs.EvaluateMISP(me, subscribe.StageEIoC, score)
 		p.tracer.Finish(me.UUID, obs.StagePublish)
-		p.maybeCompact()
 	}
 	p.analyzeDur.Observe(time.Since(start).Seconds())
 	return err
@@ -1010,14 +934,14 @@ func (p *Platform) Stop() {
 }
 
 // Close releases resources (store, broker, dashboard sockets). The
-// compaction goroutine is drained before the store closes, so a
-// snapshot triggered by the final flush still completes.
+// compaction trigger is drained before the store closes, so a snapshot
+// due after the final flush still completes.
 func (p *Platform) Close() error {
 	p.Stop()
 	if p.lifec != nil {
 		p.lifec.Close()
 	}
-	p.stopCompactor()
+	p.stopCompacting()
 	p.dash.Close()
 	p.subs.Close()
 	p.broker.Close()

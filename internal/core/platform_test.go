@@ -15,6 +15,7 @@ import (
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/stix"
+	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/taxii"
 	"github.com/caisplatform/caisp/internal/tip"
 )
@@ -422,37 +423,67 @@ func TestClassifierTagsUnknownCategories(t *testing.T) {
 	}
 }
 
-func TestAutoCompaction(t *testing.T) {
-	gen := feedgen.New(feedgen.Config{Seed: 5, Items: 40, DuplicationRate: 0, OverlapRate: 0})
-	feeds, err := gen.Feeds(time.Hour)
+// preloadWALOps leaves n uncompacted WAL operations in dir: one filler
+// event put n times, so the backlog grows while the live set does not.
+func preloadWALOps(t *testing.T, dir string, n int) {
+	t.Helper()
+	s, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newPlatform(t, Config{DataDir: t.TempDir(), Feeds: feeds, CompactEveryOps: 50})
-	if err := p.RunBatch(context.Background()); err != nil {
+	filler := misp.NewEvent("wal filler", batchTime)
+	for i := 0; i < n; i++ {
+		if err := s.Put(filler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// RunBatch stores well over 50 events (puts + enrichment edits), so the
-	// threshold was crossed and a snapshot was requested. Compaction now
-	// runs on a background goroutine — poll until it lands.
+}
+
+// waitCompacted polls until the platform's store has published a
+// snapshot and its backlog is back under the trigger threshold.
+func waitCompacted(t *testing.T, p *Platform) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := p.TIP().Stats()
-		if st.Compactions >= 1 && st.WALOps <= p.compactAfter {
-			break
+		if st.Compactions >= 1 && st.WALOps <= storage.CompactAfterOps {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("background compaction never ran: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+func TestAutoCompaction(t *testing.T) {
+	gen := feedgen.New(feedgen.Config{Seed: 5, Items: 40, DuplicationRate: 0, OverlapRate: 0})
+	feeds, err := gen.Feeds(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replayed backlog sits exactly at the threshold, so nothing is
+	// due at boot; the puts and enrichment edits RunBatch commits push it
+	// over and the platform's compaction trigger must fire on its own.
+	dir := t.TempDir()
+	preloadWALOps(t, dir, storage.CompactAfterOps)
+	p := newPlatform(t, Config{DataDir: dir, Feeds: feeds})
+	if st := p.TIP().Stats(); st.WALOps != storage.CompactAfterOps || st.Compactions != 0 {
+		t.Fatalf("boot compacted a backlog at the threshold: %+v", st)
+	}
+	if err := p.RunBatch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitCompacted(t, p)
 	if p.TIP().Len() < 100 {
 		t.Fatalf("stored = %d", p.TIP().Len())
 	}
 	// The drained compactor leaves a loadable snapshot behind on Close;
 	// a reopened store recovers everything without the full WAL.
 	n := p.TIP().Len()
-	dir := p.cfg.DataDir
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

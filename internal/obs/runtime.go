@@ -32,11 +32,8 @@ func (m *memReader) read() runtime.MemStats {
 
 // RegisterRuntime exposes the Go runtime's health signals as scrape-time
 // views: live goroutine count, heap in use, and cumulative GC pause
-// time. Nil-safe; a nil registry registers nothing.
+// time.
 func RegisterRuntime(reg *Registry) {
-	if reg == nil {
-		return
-	}
 	mem := &memReader{}
 	reg.GaugeFunc("caisp_go_goroutines",
 		"Goroutines currently live in the process.",
@@ -59,11 +56,8 @@ var Version = "dev"
 
 // RegisterBuildInfo exposes caisp_build_info: a constant-1 gauge whose
 // labels carry the build version and Go toolchain, the conventional
-// join key for version rollout dashboards. Nil-safe.
+// join key for version rollout dashboards.
 func RegisterBuildInfo(reg *Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeVec("caisp_build_info",
 		"Build metadata; the value is always 1.",
 		"version", "goversion").With(Version, runtime.Version()).Set(1)

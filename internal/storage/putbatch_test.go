@@ -21,8 +21,8 @@ func TestPutBatchStoresAndIndexes(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if s.WALOps() != 3 {
-		t.Fatalf("wal ops = %d", s.WALOps())
+	if n := s.Durability().WALOps; n != 3 {
+		t.Fatalf("wal ops = %d", n)
 	}
 	hits, err := s.SearchValue("b.example")
 	if err != nil || len(hits) != 1 || hits[0].UUID != batch[1].UUID {
@@ -42,8 +42,8 @@ func TestPutBatchIsAllOrNothing(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "invalid uuid") {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Len() != 0 || s.WALOps() != 0 {
-		t.Fatalf("partial batch applied: len=%d walops=%d", s.Len(), s.WALOps())
+	if n := s.Durability().WALOps; s.Len() != 0 || n != 0 {
+		t.Fatalf("partial batch applied: len=%d walops=%d", s.Len(), n)
 	}
 	if err := s.PutBatch([]*misp.Event{nil}); err == nil {
 		t.Fatal("nil event accepted")

@@ -305,7 +305,7 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.Durability().WALSegments) })
 	reg.GaugeFunc("caisp_store_wal_ops",
 		"Operations appended since the last snapshot.",
-		func() float64 { return float64(s.WALOps()) })
+		func() float64 { return float64(s.Durability().WALOps) })
 	reg.CounterFunc("caisp_store_compactions_total",
 		"Snapshots published since Open.",
 		func() float64 { return float64(s.Durability().Compactions) })
@@ -980,14 +980,6 @@ func (s *Store) removeFiles(paths []string) {
 	}
 }
 
-// WALOps reports operations appended since the last snapshot (compaction
-// policy input).
-func (s *Store) WALOps() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.walOps
-}
-
 // DurabilityStats describes the persistence layer for observability
 // surfaces (tip.Stats, GET /stats) and compaction policy.
 type DurabilityStats struct {
@@ -1055,8 +1047,9 @@ func (s *Store) appendWALGroup(recs []walRecord) error {
 		if s.metrics != nil {
 			s.metrics.commitDur.Observe(time.Since(start).Seconds())
 		}
+		// Only a log has a backlog: a memory-only store counts none.
+		s.walOps += len(recs)
 	}
-	s.walOps += len(recs)
 	return nil
 }
 

@@ -348,8 +348,8 @@ func TestCompactAndReplay(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.WALOps() != 0 {
-		t.Fatalf("WALOps after compact = %d", s.WALOps())
+	if n := s.Durability().WALOps; n != 0 {
+		t.Fatalf("WALOps after compact = %d", n)
 	}
 	// Writes after the snapshot land in the fresh WAL.
 	post := event(t, "post-compact", [2]string{"domain", "late.example"})

@@ -20,8 +20,8 @@ import (
 //	GET    /ws/matches               WebSocket match stream
 //
 // Registration failures are structured: syntax errors return 400 with the
-// parser's byte offset, oversized patterns 400 with the cap, exhausted
-// per-client quotas 429.
+// parser's byte offset, oversized patterns 400 with the cap, bodies over
+// maxRegisterBytes 413, exhausted per-client quotas 429.
 type API struct {
 	engine *Engine
 	mux    *http.ServeMux
@@ -50,6 +50,9 @@ type registerRequest struct {
 	TTL      string `json:"ttl,omitempty"`
 }
 
+// maxRegisterBytes bounds a POST /subscriptions body.
+const maxRegisterBytes = 1 << 20
+
 // apiError is the structured error body.
 type apiError struct {
 	Error string `json:"error"`
@@ -68,9 +71,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (a *API) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	body := http.MaxBytesReader(w, r.Body, maxRegisterBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.Pattern == "" {

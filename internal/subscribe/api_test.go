@@ -167,6 +167,13 @@ func TestAPIStructuredErrors(t *testing.T) {
 		t.Fatalf("oversize error body = %+v", e)
 	}
 
+	// A body one byte over the cap: 413.
+	resp = postJSON(t, srv.URL+"/subscriptions",
+		`{"client_id": "c", "pattern": "`+strings.Repeat(" ", maxRegisterBytes-32)+`"}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+
 	// Missing pattern.
 	resp = postJSON(t, srv.URL+"/subscriptions", `{"client_id": "c"}`)
 	if resp.StatusCode != http.StatusBadRequest {

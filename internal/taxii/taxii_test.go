@@ -243,6 +243,16 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad envelope status = %d", resp.StatusCode)
 	}
+	// An envelope one byte over the advertised max_content_length.
+	over := `{"objects":[` + strings.Repeat(" ", maxContentLength-13) + `]}`
+	resp, err = http.Post(srv.URL+"/caisp/collections/eiocs/objects/", ContentType, strings.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized envelope status = %d, want 413", resp.StatusCode)
+	}
 }
 
 func TestContentType(t *testing.T) {

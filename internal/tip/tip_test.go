@@ -2,6 +2,8 @@ package tip
 
 import (
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -288,6 +290,21 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty body status = %d", resp.StatusCode)
 	}
+	// A body at the cap is read whole (all blanks: 400 empty body); one
+	// byte over it is refused as too large, not cut and misparsed.
+	for _, tc := range []struct{ n, want int }{
+		{maxRequestBytes, http.StatusBadRequest},
+		{maxRequestBytes + 1, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err = http.Post(srv.URL+"/events", "application/json", strings.NewReader(strings.Repeat(" ", tc.n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%d-byte body status = %d, want %d", tc.n, resp.StatusCode, tc.want)
+		}
+	}
 	resp, err = http.Get(srv.URL + "/events/changes?after=not-a-seq")
 	if err != nil {
 		t.Fatal(err)
@@ -427,5 +444,40 @@ func TestClientConnectionErrors(t *testing.T) {
 	}
 	if _, err := dead.AddEvent(t.Context(), sampleEvent(t, "x", "x.example")); err == nil {
 		t.Fatal("dead add succeeded")
+	}
+}
+
+// TestDurableNodeCompactsWithoutCore is the standalone tipd shape: a
+// durable store, the TIP service and the store's own compaction trigger,
+// no core.Platform. Writes past the op threshold must be snapshotted, or
+// the WAL and the restart replay grow without bound.
+func TestDurableNodeCompactsWithoutCore(t *testing.T) {
+	store, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	stop := store.StartCompactor(slog.Default())
+	defer stop()
+	s := NewService(store)
+	for b := 0; b*500 <= storage.CompactAfterOps; b++ {
+		batch := make([]*misp.Event, 500)
+		for i := range batch {
+			batch[i] = sampleEvent(t, "evt", fmt.Sprintf("h%d-%d.example", b, i))
+		}
+		if _, err := s.AddEvents(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.Stats()
+		if st.Compactions >= 1 && st.WALOps < storage.CompactAfterOps {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("durable TIP never compacted: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
