@@ -623,7 +623,7 @@ func BenchmarkPutBatchSync(b *testing.B) {
 		if hi > len(events) {
 			hi = len(events)
 		}
-		if err := store.PutBatch(events[lo:hi]); err != nil {
+		if _, err := store.PutBatch(events[lo:hi], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -661,7 +661,7 @@ func BenchmarkPutBatchMemory(b *testing.B) {
 		if hi > len(events) {
 			hi = len(events)
 		}
-		if err := store.PutBatch(events[lo:hi]); err != nil {
+		if _, err := store.PutBatch(events[lo:hi], nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -774,7 +774,7 @@ func seedReadStore(b *testing.B) *storage.Store {
 	for i := 0; i < readBenchStoreSize; i++ {
 		batch = append(batch, readBenchEvent(i, experiments.EvalTime.Add(time.Duration(i)*time.Second)))
 		if len(batch) == cap(batch) {
-			if err := store.PutBatch(batch); err != nil {
+			if _, err := store.PutBatch(batch, nil); err != nil {
 				b.Fatal(err)
 			}
 			batch = batch[:0]
@@ -806,7 +806,7 @@ func startIngest(b *testing.B, store *storage.Store) (stop func()) {
 				batch[j] = readBenchEvent(i, old)
 				i++
 			}
-			if err := store.PutBatch(batch); err != nil {
+			if _, err := store.PutBatch(batch, nil); err != nil {
 				b.Error(err)
 				return
 			}
@@ -833,6 +833,53 @@ func BenchmarkReadSearchUnderIngest(b *testing.B) {
 	})
 	b.StopTimer()
 	stop()
+}
+
+// BenchmarkSearchTypeTag times tip.Service.Search by type and by tag on a
+// 20 000-event store (a mesh.catchup pass), for a key one event in 20
+// carries (caisp:eioc, sha256) and for one every event carries.
+func BenchmarkSearchTypeTag(b *testing.B) {
+	const size = 20000
+	store, err := storage.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	svc := tip.NewService(store)
+	batch := make([]*misp.Event, 0, 500)
+	for i := 0; i < size; i++ {
+		ts := experiments.EvalTime.Add(time.Duration(i) * time.Second)
+		e := readBenchEvent(i, ts)
+		if i%20 == 0 {
+			e.AddTag("caisp:eioc")
+			e.AddAttribute("sha256", "Payload delivery", fmt.Sprintf("%064x", i), ts)
+		}
+		if batch = append(batch, e); len(batch) == cap(batch) {
+			if _, err := svc.AddEvents(batch); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		q    tip.SearchQuery
+		hits int
+	}{
+		{"tag=caisp:eioc", tip.SearchQuery{Tag: "caisp:eioc"}, size / 20},
+		{"type=sha256", tip.SearchQuery{Type: "sha256"}, size / 20},
+		{"tag=caisp:cioc", tip.SearchQuery{Tag: "caisp:cioc"}, size},
+		{"type=domain", tip.SearchQuery{Type: "domain"}, size},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if hits, err := svc.Search(bc.q); err != nil || len(hits) != bc.hits {
+					b.Fatalf("hits=%d err=%v", len(hits), err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkReadUpdatedSinceUnderIngest(b *testing.B) {
@@ -932,7 +979,7 @@ func seedDurabilityStore(b *testing.B, store *storage.Store) {
 	for i := 0; i < durabilityStoreSize; i++ {
 		batch = append(batch, readBenchEvent(i, experiments.EvalTime.Add(time.Duration(i)*time.Second)))
 		if len(batch) == cap(batch) {
-			if err := store.PutBatch(batch); err != nil {
+			if _, err := store.PutBatch(batch, nil); err != nil {
 				b.Fatal(err)
 			}
 			batch = batch[:0]
@@ -1055,7 +1102,7 @@ func benchmarkDurabilityPutBatch(b *testing.B, mode string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := store.PutBatch(events[i*batchSize : (i+1)*batchSize]); err != nil {
+		if _, err := store.PutBatch(events[i*batchSize:(i+1)*batchSize], nil); err != nil {
 			b.Fatal(err)
 		}
 		lats[i] = time.Since(t0)
@@ -1086,7 +1133,7 @@ func benchmarkDurabilityOpen(b *testing.B, workers int) {
 	tail := durabilityBenchEvents(b, 5000)
 	for len(tail) > 0 {
 		n := min(500, len(tail))
-		if err := store.PutBatch(tail[:n]); err != nil {
+		if _, err := store.PutBatch(tail[:n], nil); err != nil {
 			b.Fatal(err)
 		}
 		tail = tail[n:]

@@ -26,7 +26,7 @@ func benchEngine(b *testing.B, n int) (*Engine, time.Time) {
 			seen := t0.Add(time.Duration(int64(500*time.Hour) * int64(off+i) / int64(n)))
 			batch[i] = eioc(fmt.Sprintf("b-%06d", off+i), "botnet-c2", 4.0, seen)
 		}
-		if err := s.PutBatch(batch); err != nil {
+		if _, err := s.PutBatch(batch, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 type Store interface {
 	UpdatedSincePage(t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error)
 	GetClone(uuid string) (*misp.Event, error)
-	PutBatch(events []*misp.Event) error
+	PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, error)
 	Delete(uuid string) error
 	Len() int
 }
@@ -340,13 +340,14 @@ func (e *Engine) processPage(page []*misp.Event, now time.Time, sight map[string
 		}
 	}
 	if len(puts) > 0 {
-		if err := e.store.PutBatch(puts); err != nil {
+		stored, err := e.store.PutBatch(puts, nil)
+		if err != nil {
 			return err
 		}
-		res.Rescored += len(puts)
-		e.rescored.Add(int64(len(puts)))
+		res.Rescored += len(stored)
+		e.rescored.Add(int64(len(stored)))
 		if e.mRescored != nil {
-			e.mRescored.Add(int64(len(puts)))
+			e.mRescored.Add(int64(len(stored)))
 		}
 	}
 	return nil

@@ -53,7 +53,7 @@ func TestStorePlateausUnderSustainedIngest(t *testing.T) {
 		for i := range events {
 			events[i] = eioc(fmt.Sprintf("tick%d-%d", tick, i), "scanner", base, now)
 		}
-		if err := s.PutBatch(events); err != nil {
+		if _, err := s.PutBatch(events, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.RunOnce(now); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/tip"
@@ -158,5 +159,45 @@ func TestDeletionNewerThanEventWinsBothWays(t *testing.T) {
 	// application path sees the event, but a's copy is tombstoned newer.
 	if _, err := a.GetEvent(orig.UUID); err == nil {
 		t.Fatal("deletion clawed back on a")
+	}
+}
+
+// TestRevisionOlderThanLocalDeletionNotImported: a peer that still holds
+// a copy older than this node's deletion of it serves that copy, and the
+// import must neither count it, nor hold it, nor announce it locally.
+func TestRevisionOlderThanLocalDeletionNotImported(t *testing.T) {
+	a := newNode(t)
+	store, err := storage.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	broker := bus.NewBroker()
+	defer broker.Close()
+	b := tip.NewService(store, tip.WithBroker(broker))
+	orig := sampleEvents(t, 1)[0]
+	for _, node := range []*tip.Service{a, b} {
+		if _, err := node.AddEvents([]*misp.Event{orig.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.DeleteEventsAt([]storage.Deletion{{UUID: orig.UUID, At: now.Add(time.Hour)}}); err != nil {
+		t.Fatal(err)
+	}
+	sub := broker.Subscribe(tip.TopicEventPrefix)
+
+	eb := newFullEngine(t, b, map[string]*tip.Service{"a": a})
+	n, err := eb.SyncOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot := eb.Totals(); n != 0 || tot.Imported != 0 || tot.Pulled != 1 {
+		t.Fatalf("SyncOnce = %d, totals %+v; want the stale copy pulled and not imported", n, tot)
+	}
+	if _, err := b.GetEvent(orig.UUID); err == nil {
+		t.Fatal("stale copy resurrected the deleted event")
+	}
+	if got := len(sub.C()); got != 0 {
+		t.Fatalf("%d announcements of an event b does not hold", got)
 	}
 }

@@ -43,9 +43,9 @@
 //     newer than the deletion survives it. Peers that predate the
 //     tombstone wire format fall back to the events-only feed.
 //   - Batch import: pages land through the service's group-committed
-//     AddEvents, so replication rides the same 10.9× durable batch path
-//     as local ingest, and the page size adapts upward (doubling to
-//     MaxPage) while full pages keep coming.
+//     ImportEvents, with the bytes each event arrived in, on the same
+//     10.9× durable batch path as local ingest; the page size adapts
+//     upward (doubling to MaxPage) while full pages keep coming.
 package mesh
 
 import (
@@ -66,9 +66,10 @@ import (
 // Local is the importing side of the engine: the node's own TIP service.
 // *tip.Service satisfies it.
 type Local interface {
-	// AddEvents imports a batch through the group-commit path and
-	// returns the events actually stored.
-	AddEvents(events []*misp.Event) ([]*misp.Event, error)
+	// ImportEvents imports a batch through the group-commit path and
+	// returns the events actually stored; raw[i] is the JSON events[i]
+	// arrived in (storage.Change.Raw), or nil.
+	ImportEvents(events []*misp.Event, raw [][]byte) ([]*misp.Event, error)
 	// GetEvent returns the locally stored revision of uuid, or an error
 	// when the node does not hold it.
 	GetEvent(uuid string) (*misp.Event, error)
@@ -664,11 +665,12 @@ func (e *Engine) markFailure(ps *peerState, err error) {
 // imports what remains. The error is non-nil only when the whole batch
 // failed to land (the caller then refuses to advance the cursor);
 // per-event validation rejections are logged and skipped, matching
-// AddEvents' partial-failure tolerance. Each entry's Event is non-nil;
+// ImportEvents' partial-failure tolerance. Each entry's Event is non-nil;
 // its Prov, when the peer serves provenance, rides through to the
 // engine's table with this node's hop appended.
 func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error) {
 	fresh := make([]*misp.Event, 0, len(changes))
+	raw := make([][]byte, 0, len(changes))
 	prov := make(map[string]*obs.Provenance, len(changes))
 	for _, ch := range changes {
 		ev := ch.Event
@@ -707,12 +709,13 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 			}
 		}
 		fresh = append(fresh, ev)
+		raw = append(raw, ch.Raw)
 	}
 	if len(fresh) == 0 {
 		return 0, nil
 	}
 	e.stampProvenance(ps, fresh, prov)
-	stored, err := e.local.AddEvents(fresh)
+	stored, err := e.local.ImportEvents(fresh, raw)
 	if err != nil && len(stored) == 0 {
 		return 0, fmt.Errorf("mesh: import: %w", err)
 	}

@@ -189,7 +189,7 @@ func TestConflictNewestTimestampWins(t *testing.T) {
 }
 
 // failingLocal passes through to the real service but fails the
-// failOn-th AddEvents call (1-based), modeling a node whose store
+// failOn-th ImportEvents call (1-based), modeling a node whose store
 // rejects a batch mid-sync.
 type failingLocal struct {
 	svc    *tip.Service
@@ -197,11 +197,11 @@ type failingLocal struct {
 	failOn int32
 }
 
-func (f *failingLocal) AddEvents(events []*misp.Event) ([]*misp.Event, error) {
+func (f *failingLocal) ImportEvents(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
 	if f.calls.Add(1) == f.failOn {
 		return nil, errors.New("injected import failure")
 	}
-	return f.svc.AddEvents(events)
+	return f.svc.ImportEvents(events, raw)
 }
 
 func (f *failingLocal) GetEvent(uuid string) (*misp.Event, error) { return f.svc.GetEvent(uuid) }
@@ -297,7 +297,9 @@ func (r slowRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int)
 // orchestration and transfer latency from store write costs.
 type discardLocal struct{}
 
-func (discardLocal) AddEvents(events []*misp.Event) ([]*misp.Event, error) { return events, nil }
+func (discardLocal) ImportEvents(events []*misp.Event, _ [][]byte) ([]*misp.Event, error) {
+	return events, nil
+}
 func (discardLocal) GetEvent(string) (*misp.Event, error) {
 	return nil, errors.New("not held")
 }

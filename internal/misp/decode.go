@@ -15,6 +15,10 @@ type ListItem struct {
 	Event          *Event          `json:"Event"`
 	EventTombstone json.RawMessage `json:"EventTombstone"`
 	Provenance     json.RawMessage `json:"Provenance"`
+	// EventJSON is the span of the page Event was decoded from, kept on
+	// the fast path only: encoding/json decodes it to an equal Event. It
+	// aliases the page and is read-only.
+	EventJSON []byte `json:"-"`
 }
 
 // DecodeList decodes a JSON array of list items. A page in the canonical
@@ -383,7 +387,10 @@ func (d *decoder) item() (it ListItem) {
 	for more := d.open('{', '}'); more; more = d.next('}') {
 		switch string(d.key()) {
 		case "Event":
-			it.Event = d.once(&seen, 1<<0).event()
+			d.once(&seen, 1<<0).peek()
+			start := d.pos
+			it.Event = d.event()
+			it.EventJSON = d.data[start:d.pos:d.pos]
 		case "EventTombstone":
 			it.EventTombstone = d.once(&seen, 1<<1).raw()
 		case "Provenance":

@@ -94,6 +94,7 @@ func TestDecodeListAgreesWithStdlib(t *testing.T) {
 			t.Errorf("%s: fast path declined a canonical page", name)
 			continue
 		}
+		checkSpans(t, got, true)
 		want, err := stdlibList(page)
 		if err != nil {
 			t.Fatalf("%s: stdlib: %v", name, err)
@@ -102,6 +103,7 @@ func TestDecodeListAgreesWithStdlib(t *testing.T) {
 			t.Errorf("%s: fast path and stdlib disagree:\n got %+v\nwant %+v", name, got, want)
 		}
 		viaAPI, err := DecodeList(page)
+		checkSpans(t, viaAPI, true)
 		if err != nil || !reflect.DeepEqual(viaAPI, want) {
 			t.Errorf("%s: DecodeList = %v, disagrees with stdlib", name, err)
 		}
@@ -169,22 +171,50 @@ func TestDecodeListForeignInput(t *testing.T) {
 }
 
 // checkAgainstStdlib is the decoder's contract: what the fast path
-// accepts, encoding/json accepts with an equal result; DecodeList answers
-// as encoding/json does either way.
+// accepts, encoding/json accepts with an equal result, and each item's
+// event span decodes to its Event; DecodeList answers as encoding/json
+// does either way, with spans only where the fast path took the page.
 func checkAgainstStdlib(t *testing.T, data []byte) {
 	t.Helper()
 	want, wantErr := stdlibList(data)
-	if got, ok := decodeList(data, false); ok {
+	got, fast := decodeList(data, false)
+	if fast {
 		if wantErr != nil {
 			t.Fatalf("fast path accepted %q, stdlib says %v", data, wantErr)
 		}
+		checkSpans(t, got, true)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast path disagrees on %q:\n got %+v\nwant %+v", data, got, want)
 		}
 	}
 	got, err := DecodeList(data)
+	checkSpans(t, got, fast)
 	if (err != nil) != (wantErr != nil) || err == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("DecodeList(%q) = %+v, %v; stdlib %+v, %v", data, got, err, want, wantErr)
+	}
+}
+
+// checkSpans asserts that every item's event span decodes, by
+// encoding/json, to an Event equal to its own — what recovery relies on
+// when it replays a WAL frame spliced from the span — and then clears the
+// spans, which encoding/json never sets, so the items compare with its
+// answer. fast says whether the items came off the fast path: those carry
+// a span with every event, stdlib-decoded items carry none.
+func checkSpans(t testing.TB, items []ListItem, fast bool) {
+	t.Helper()
+	for i := range items {
+		it := &items[i]
+		if (it.EventJSON != nil) != (fast && it.Event != nil) {
+			t.Fatalf("item %d: span %q with event %+v on the fast path = %v", i, it.EventJSON, it.Event, fast)
+		}
+		if it.EventJSON == nil {
+			continue
+		}
+		var e *Event
+		if err := json.Unmarshal(it.EventJSON, &e); err != nil || !reflect.DeepEqual(e, it.Event) {
+			t.Fatalf("item %d: span %q decodes to %+v, %v; want %+v", i, it.EventJSON, e, err, it.Event)
+		}
+		it.EventJSON = nil
 	}
 }
 

@@ -32,7 +32,7 @@ func TestChangesPageAssignsPerEventSeqInBatches(t *testing.T) {
 	for i := range batch {
 		batch[i] = event(t, fmt.Sprintf("evt-%d", i))
 	}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	var (
@@ -157,7 +157,7 @@ func TestChangesFeedStableAcrossRestartAndCompaction(t *testing.T) {
 	for i := range first {
 		first[i] = event(t, fmt.Sprintf("evt-%d", i))
 	}
-	if err := s.PutBatch(first); err != nil {
+	if _, err := s.PutBatch(first, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A peer drains to head and durably remembers this sequence.

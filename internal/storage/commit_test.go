@@ -51,7 +51,7 @@ func TestCommittedSignalsEveryWritePath(t *testing.T) {
 		do   func() error
 	}{
 		{"Put", func() error { return s.Put(b) }},
-		{"PutBatch", func() error { return s.PutBatch([]*misp.Event{a, b}) }},
+		{"PutBatch", func() error { _, err := s.PutBatch([]*misp.Event{a, b}, nil); return err }},
 		{"DeleteAt", func() error { return s.DeleteAt(a.UUID, time.Now()) }},
 		{"Close", s.Close},
 	}

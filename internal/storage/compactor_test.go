@@ -32,7 +32,7 @@ func TestMemoryStoreCountsNoWALOps(t *testing.T) {
 		}
 	}
 	batch := []*misp.Event{event(t, "b0"), event(t, "b1")}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.DeleteBatch([]Deletion{{UUID: batch[0].UUID, At: now}}); err != nil {
@@ -62,7 +62,7 @@ func TestCompactorSnapshotsPastThreshold(t *testing.T) {
 			if !tc.before {
 				stop = s.StartCompactor(slog.Default())
 			}
-			if err := s.PutBatch(pastThreshold(t)); err != nil {
+			if _, err := s.PutBatch(pastThreshold(t), nil); err != nil {
 				t.Fatal(err)
 			}
 			if tc.before {

@@ -107,7 +107,7 @@ func TestCorrelatedIgnoresBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.PutBatch(stored); err != nil {
+	if _, err := s.PutBatch(stored, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, indexed := range []bool{true, false} {
@@ -155,7 +155,7 @@ func TestCorrelatedWalkIndependentOfHistory(t *testing.T) {
 	defer s.Close()
 	eioc := scored(t, "eioc", [2]string{"domain", "c2.example"}, [2]string{"ip-dst", "203.0.113.9"})
 	related := scored(t, "related", [2]string{"ip-dst", "203.0.113.9"})
-	if err := s.PutBatch([]*misp.Event{eioc, related}); err != nil {
+	if _, err := s.PutBatch([]*misp.Event{eioc, related}, nil); err != nil {
 		t.Fatal(err)
 	}
 	walked := func(values []string) int {
@@ -180,7 +180,7 @@ func TestCorrelatedWalkIndependentOfHistory(t *testing.T) {
 	for i := range batch {
 		batch[i] = scored(t, "unrelated", [2]string{"domain", fmt.Sprintf("host-%d.example", i)})
 	}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := walked(correlatingValues(eioc)); after != before {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -141,11 +142,12 @@ func TestChangesFeedCarriesTombstones(t *testing.T) {
 
 	// Re-putting the UUID with a revision newer than the deletion
 	// resurrects it: the tombstone disappears from the feed and the live
-	// revision is served instead. An older revision must stay dead.
+	// revision is served instead. An older revision must stay dead, and
+	// Put says so.
 	stale := event(t, "a stale")
 	stale.UUID = a.UUID
-	if err := s.Put(stale); err != nil {
-		t.Fatal(err)
+	if err := s.Put(stale); !errors.Is(err, ErrStale) {
+		t.Fatalf("Put of a revision older than its deletion = %v, want ErrStale", err)
 	}
 	if _, err := s.Get(a.UUID); err == nil {
 		t.Fatal("revision older than the deletion resurrected the event")

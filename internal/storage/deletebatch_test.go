@@ -66,7 +66,7 @@ func TestDeleteBatchEqualsDeleteAtLoop(t *testing.T) {
 
 	run := func(batch bool) (feedView, feedView) {
 		s, dir := openTemp(t)
-		if err := s.PutBatch(events); err != nil {
+		if _, err := s.PutBatch(events, nil); err != nil {
 			t.Fatal(err)
 		}
 		if batch {
@@ -81,7 +81,7 @@ func TestDeleteBatchEqualsDeleteAtLoop(t *testing.T) {
 				}
 			}
 		}
-		if err := s.PutBatch([]*misp.Event{resurrect, revive}); err != nil {
+		if _, err := s.PutBatch([]*misp.Event{resurrect, revive}, nil); err != nil {
 			t.Fatal(err)
 		}
 		live := viewOf(t, s)
@@ -123,7 +123,7 @@ func TestDeleteBatchIsAllOrNothingAcrossCrash(t *testing.T) {
 	for i := range events {
 		events[i] = event(t, fmt.Sprintf("e%d", i))
 	}
-	if err := s.PutBatch(events); err != nil {
+	if _, err := s.PutBatch(events, nil); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := listSegments(dir)

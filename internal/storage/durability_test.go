@@ -292,7 +292,7 @@ func TestConcurrentBatchesDuringBackgroundCompaction(t *testing.T) {
 					batch[i] = event(t, fmt.Sprintf("w%d-b%d-i%d", w, b, i),
 						[2]string{"domain", fmt.Sprintf("w%d-b%d-i%d.example", w, b, i)})
 				}
-				if err := s.PutBatch(batch); err != nil {
+				if _, err := s.PutBatch(batch, nil); err != nil {
 					t.Errorf("PutBatch: %v", err)
 					return
 				}

@@ -15,7 +15,7 @@ func TestPutBatchStoresAndIndexes(t *testing.T) {
 		event(t, "b", [2]string{"domain", "b.example"}),
 		event(t, "c", [2]string{"ip-dst", "203.0.113.9"}),
 	}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 3 {
@@ -38,17 +38,17 @@ func TestPutBatchIsAllOrNothing(t *testing.T) {
 		event(t, "good", [2]string{"domain", "good.example"}),
 		bad,
 	}
-	err := s.PutBatch(batch)
+	_, err := s.PutBatch(batch, nil)
 	if err == nil || !strings.Contains(err.Error(), "invalid uuid") {
 		t.Fatalf("err = %v", err)
 	}
 	if n := s.Durability().WALOps; s.Len() != 0 || n != 0 {
 		t.Fatalf("partial batch applied: len=%d walops=%d", s.Len(), n)
 	}
-	if err := s.PutBatch([]*misp.Event{nil}); err == nil {
+	if _, err := s.PutBatch([]*misp.Event{nil}, nil); err == nil {
 		t.Fatal("nil event accepted")
 	}
-	if err := s.PutBatch(nil); err != nil {
+	if _, err := s.PutBatch(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestPutBatchIsAllOrNothing(t *testing.T) {
 func TestPutBatchIsolatesCaller(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "before.example"})
-	if err := s.PutBatch([]*misp.Event{e}); err != nil {
+	if _, err := s.PutBatch([]*misp.Event{e}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the caller's event after the batch must not leak into the
@@ -78,7 +78,7 @@ func TestPutBatchDurableAcrossRestart(t *testing.T) {
 		batch[i] = event(t, fmt.Sprintf("evt-%d", i),
 			[2]string{"domain", fmt.Sprintf("h%d.example", i)})
 	}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -107,7 +107,7 @@ func TestPutBatchReplacesExisting(t *testing.T) {
 	}
 	update := event(t, "updated", [2]string{"domain", "new.example"})
 	update.UUID = e.UUID
-	if err := s.PutBatch([]*misp.Event{update}); err != nil {
+	if _, err := s.PutBatch([]*misp.Event{update}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {

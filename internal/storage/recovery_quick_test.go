@@ -63,7 +63,7 @@ func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []stor
 			for j := range batch {
 				batch[j] = event(t, fmt.Sprintf("batch-%d-%d", i, j), [2]string{"domain", fmt.Sprintf("b%d-%d.example", i, j)})
 			}
-			if err := s.PutBatch(batch); err != nil {
+			if _, err := s.PutBatch(batch, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, e := range batch {

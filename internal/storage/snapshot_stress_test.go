@@ -66,14 +66,14 @@ func TestSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < batches; i++ {
-			if err := s.PutBatch(rev1[i]); err != nil {
+			if _, err := s.PutBatch(rev1[i], nil); err != nil {
 				t.Error(err)
 				return
 			}
 			committed.Store(int64(i + 1))
 		}
 		for i := 0; i < batches; i++ {
-			if err := s.PutBatch(rev2[i]); err != nil {
+			if _, err := s.PutBatch(rev2[i], nil); err != nil {
 				t.Error(err)
 				return
 			}

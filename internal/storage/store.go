@@ -2,19 +2,19 @@
 // operational module — the stand-in for the relational database of the
 // paper's MISP instance. Events are MISP events keyed by UUID; writes go
 // through a segmented, CRC-framed write-ahead log, reads are served from
-// in-memory maps with secondary indexes over attribute values, attribute
-// types and tags (MISP's "correlation" lookups). Snapshots bound recovery
-// time; a truncated WAL tail is repaired on replay while corruption
-// mid-file is detected and reported.
+// in-memory maps with a secondary index over attribute values (MISP's
+// "correlation" lookups). Snapshots bound recovery time; a truncated WAL
+// tail is repaired on replay while corruption mid-file is detected and
+// reported.
 //
 // The read side is snapshot-isolated: Put/PutBatch install events that are
 // never mutated afterwards, so Get/Search*/All/ChangesPage return shared
 // frozen revisions instead of deep copies, and the lock-held critical
 // sections shrink to map lookups. Callers that intend to mutate a result
 // must take GetClone (see DESIGN.md §8). A time-ordered index makes
-// UpdatedSincePage O(log n + k); postings are map-backed sets with lazily
-// rebuilt sorted slices; and the wrapped-MISP wire encoding is cached once
-// per stored revision (WrappedJSON).
+// UpdatedSincePage O(log n + k); value postings are map-backed sets with
+// lazily rebuilt sorted slices; and the wrapped-MISP wire encoding is
+// cached once per stored revision (WrappedJSON).
 //
 // Durability is pause-free (DESIGN.md §9): Compact freezes the current
 // event map behind a copy-on-write overlay under a brief lock, then
@@ -27,6 +27,7 @@ package storage
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -34,6 +35,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +54,9 @@ const (
 
 // ErrNotFound is returned when the requested event does not exist.
 var ErrNotFound = errors.New("storage: event not found")
+
+// ErrStale is Put refusing a revision not newer than its UUID's deletion.
+var ErrStale = errors.New("storage: revision not newer than its deletion")
 
 // ErrLegacyFormat is returned by Open when the data directory holds an
 // on-disk layout that predates the segmented WAL: a single events.wal log
@@ -169,8 +174,6 @@ type Store struct {
 	count   int // live events across base+overlay
 
 	byValue map[string]*postings // attribute value -> event UUIDs
-	byType  map[string]*postings // attribute type  -> event UUIDs
-	byTag   map[string]*postings // tag name        -> event UUIDs
 	byTime  []timeEntry          // ascending (timestamp, uuid)
 
 	// changes is the ingest-sequence change log: one entry per applied
@@ -320,6 +323,9 @@ type walRecord struct {
 	UUID  string      `json:"uuid,omitempty"`
 	At    int64       `json:"at,omitempty"`
 	Event *misp.Event `json:"event,omitempty"`
+	// eventJSON is a put's event as JSON, which its frame splices in
+	// (appendPayload); replay decodes it back into Event.
+	eventJSON []byte
 }
 
 // Open loads (or creates) a store in dir. An empty dir opens a memory-only
@@ -331,8 +337,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		dir:          dir,
 		events:       make(map[string]*storedEvent),
 		byValue:      make(map[string]*postings),
-		byType:       make(map[string]*postings),
-		byTag:        make(map[string]*postings),
 		tombstones:   make(map[string]tombstone),
 		tombstoneCap: defaultTombstoneRetention,
 		segmentSize:  defaultSegmentSize,
@@ -371,41 +375,36 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Put stores (or replaces) an event. The store keeps a private copy taken
-// before the write lock; the caller retains ownership of e.
+// Put stores (or replaces) an event: a one-event PutBatch, timed apart.
+// A revision PutBatch would refuse fails with ErrStale.
 func (s *Store) Put(e *misp.Event) error {
 	if s.metrics != nil {
 		defer func(start time.Time) {
 			s.metrics.putDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	if err := e.Validate(); err != nil {
-		return err
+	installed, err := s.put([]*misp.Event{e}, nil)
+	if err == nil && len(installed) == 0 {
+		err = fmt.Errorf("%w: %s", ErrStale, e.UUID)
 	}
-	cp := e.Clone() // unlocked: the caller's event is copied before the write lock
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	if err := s.appendWALGroup([]walRecord{{Seq: s.seq, Op: "put", Event: cp}}); err != nil {
-		s.seq--
-		return err
-	}
-	s.apply(cp, s.seq)
-	s.signalCommit()
-	return nil
+	return err
 }
 
 // PutBatch stores a batch of events with group-commit semantics: every
-// event is validated and cloned first, then all WAL records are framed
-// into one buffer and written with a single flush (and, with WithSync, a
-// single fsync) before the in-memory state is updated. Amortizing the
-// write-path fixed costs over the batch is what makes high-volume ingest
-// keep up with parallel feed polling. The batch is all-or-nothing — in
-// memory and across a crash: the commit flag rides on the batch's final
-// WAL frame, so recovery either replays the whole group or none of it.
-func (s *Store) PutBatch(events []*misp.Event) error {
+// event is validated, copied (the caller keeps ownership) and encoded
+// first, then all WAL records are framed into one buffer and written with
+// a single flush (and, with WithSync, a single fsync) before the
+// in-memory state is updated. The batch is all-or-nothing — in memory and
+// across a crash: the commit flag rides on the batch's final WAL frame.
+// raw, when non-nil, runs beside events: a non-nil raw[i] is the JSON
+// events[i] was decoded from (misp.ListItem.EventJSON), logged instead of
+// a fresh encoding. It returns the events it installed, in order: one
+// stamped at or before a deletion of its UUID standing before the batch
+// is a stale copy arriving late and is refused, with no WAL frame and no
+// change entry. Ties go to the deletion.
+func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
 	if len(events) == 0 {
-		return nil
+		return nil, nil
 	}
 	if s.metrics != nil {
 		s.metrics.batchSize.Observe(float64(len(events)))
@@ -413,32 +412,54 @@ func (s *Store) PutBatch(events []*misp.Event) error {
 			s.metrics.putBatchDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	cps := make([]*misp.Event, len(events))
+	return s.put(events, raw)
+}
+
+// put is PutBatch untimed. Copies and encodings are made before the lock.
+func (s *Store) put(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
+	recs := make([]walRecord, len(events))
 	for i, e := range events {
 		if e == nil {
-			return fmt.Errorf("storage: nil event in batch")
+			return nil, fmt.Errorf("storage: nil event in batch")
 		}
 		if err := e.Validate(); err != nil {
-			return err
+			return nil, err
 		}
-		cps[i] = e.Clone() // unlocked: caller events are copied before the write lock
+		recs[i] = walRecord{Op: "put", Event: e.Clone()} // unlocked: caller events are copied before the write lock
+		if i < len(raw) {
+			recs[i].eventJSON = raw[i]
+		}
+		if len(recs[i].eventJSON) == 0 && s.wal != nil {
+			var err error
+			if recs[i].eventJSON, err = json.Marshal(recs[i].Event); err != nil {
+				return nil, fmt.Errorf("storage: encode event: %w", err)
+			}
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := make([]walRecord, len(cps))
-	for i, cp := range cps {
-		s.seq++
-		recs[i] = walRecord{Seq: s.seq, Op: "put", Event: cp}
+	kept := recs[:0]
+	installed := make([]*misp.Event, 0, len(events))
+	for i, rec := range recs {
+		if s.refuses(rec.Event) {
+			continue
+		}
+		rec.Seq = s.seq + uint64(len(kept)) + 1
+		kept = append(kept, rec)
+		installed = append(installed, events[i])
 	}
-	if err := s.appendWALGroup(recs); err != nil {
-		s.seq -= uint64(len(cps)) // nothing was committed; roll the sequence back
-		return err
+	if len(kept) == 0 {
+		return nil, nil
 	}
-	for i, cp := range cps {
-		s.apply(cp, recs[i].Seq) // each event at its own record's seq
+	if err := s.appendWALGroup(kept); err != nil {
+		return nil, err
+	}
+	s.seq += uint64(len(kept))
+	for _, rec := range kept {
+		s.apply(rec.Event, rec.Seq) // each event at its own record's seq
 	}
 	s.signalCommit()
-	return nil
+	return installed, nil
 }
 
 // lookup resolves a UUID through the compaction overlay (if one is
@@ -655,14 +676,21 @@ func (s *Store) Len() int {
 }
 
 // All returns every event, sorted by UUID, as shared frozen views.
-func (s *Store) All() ([]*misp.Event, error) {
+func (s *Store) All() ([]*misp.Event, error) { return s.Select(nil) }
+
+// Select is All restricted to what keep accepts (nil: everything); keep
+// runs after the read lock is released, and only what it keeps is sorted.
+func (s *Store) Select(keep func(*misp.Event) bool) ([]*misp.Event, error) {
 	s.mu.RLock()
 	out := make([]*misp.Event, 0, s.count)
 	s.forEach(func(_ string, se *storedEvent) {
 		out = append(out, se.event)
 	})
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].UUID < out[j].UUID })
+	if keep != nil {
+		out = slices.DeleteFunc(out, func(e *misp.Event) bool { return !keep(e) })
+	}
+	slices.SortFunc(out, func(a, b *misp.Event) int { return strings.Compare(a.UUID, b.UUID) })
 	return out, nil
 }
 
@@ -709,26 +737,22 @@ func (s *Store) ForEachParallel(workers int, fn func(*misp.Event)) {
 	wg.Wait()
 }
 
-// SearchValue returns events carrying an attribute with exactly this value.
+// SearchValue returns events carrying an attribute with exactly this
+// value, in UUID order. Only values are indexed (DESIGN.md §8).
 func (s *Store) SearchValue(value string) ([]*misp.Event, error) {
-	return s.search(s.byValue, value), nil
-}
-
-// SearchType returns events carrying at least one attribute of this type.
-func (s *Store) SearchType(attrType string) ([]*misp.Event, error) {
-	return s.search(s.byType, attrType), nil
-}
-
-// SearchTag returns events carrying the given tag.
-func (s *Store) SearchTag(tag string) ([]*misp.Event, error) {
-	return s.search(s.byTag, tag), nil
-}
-
-// search resolves one secondary-index key to its events in UUID order.
-func (s *Store) search(index map[string]*postings, key string) []*misp.Event {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.collect(index[key])
+	p := s.byValue[value]
+	if p == nil {
+		return nil, nil
+	}
+	out := make([]*misp.Event, 0, len(p.set))
+	for _, uuid := range p.uuids() {
+		if se, ok := s.lookup(uuid); ok {
+			out = append(out, se.event)
+		}
+	}
+	return out, nil
 }
 
 // UpdatedSincePage returns up to limit events whose timestamp is at or
@@ -811,6 +835,9 @@ type Change struct {
 	// timestamp newest-wins conflict resolution compares against a
 	// concurrent edit.
 	DeletedAt time.Time
+	// Raw is the JSON a wire page's Event was decoded from, when the
+	// decoder kept it (misp.ListItem.EventJSON); read-only, for PutBatch.
+	Raw []byte
 	// Prov is the cross-node trace context attached at the serving or
 	// decoding layer (the store itself does not track provenance): the
 	// origin node, its ingest sequence there, and the per-hop pull
@@ -1059,13 +1086,9 @@ func (s *Store) appendWALGroup(recs []walRecord) error {
 // lock and must only apply ascending sequences, which keeps the change
 // log sorted.
 func (s *Store) apply(e *misp.Event, seq uint64) {
-	if t, dead := s.tombstones[e.UUID]; dead && e.Timestamp.Unix() <= t.at.Unix() {
-		// Newest-wins holds against deletions too: a write stamped at or
-		// before the deletion time is a stale revision arriving late (for
-		// example an old copy pulled off a mesh peer) and must not
-		// resurrect the tombstone. Ties go to the deletion. The skipped
-		// revision gets no change entry — the tombstone stays the UUID's
-		// latest fact in the feed.
+	if s.refuses(e) {
+		// Only an older log holds a refused put; the tombstone stays the
+		// UUID's latest fact in the feed.
 		return
 	}
 	old, existed := s.lookup(e.UUID)
@@ -1092,6 +1115,13 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 	s.timeInsert(e.Timestamp.Time, e.UUID)
 	s.changes = append(s.changes, changeEntry{seq: seq, uuid: e.UUID})
 	s.compactChanges()
+}
+
+// refuses reports whether e is stamped at or before its UUID's deletion
+// time, so must not resurrect it (PutBatch). Caller holds the write lock.
+func (s *Store) refuses(e *misp.Event) bool {
+	t, dead := s.tombstones[e.UUID]
+	return dead && e.Timestamp.Unix() <= t.at.Unix()
 }
 
 // applyDeletes installs committed delete records into memory state, in
@@ -1171,20 +1201,12 @@ func (s *Store) compactChanges() {
 func (s *Store) index(e *misp.Event) {
 	for _, a := range allAttributes(e) {
 		addPosting(s.byValue, a.Value, e.UUID)
-		addPosting(s.byType, a.Type, e.UUID)
-	}
-	for _, t := range e.Tags {
-		addPosting(s.byTag, t.Name, e.UUID)
 	}
 }
 
 func (s *Store) unindex(e *misp.Event) {
 	for _, a := range allAttributes(e) {
 		removePosting(s.byValue, a.Value, e.UUID)
-		removePosting(s.byType, a.Type, e.UUID)
-	}
-	for _, t := range e.Tags {
-		removePosting(s.byTag, t.Name, e.UUID)
 	}
 }
 
@@ -1265,23 +1287,6 @@ func allAttributes(e *misp.Event) []misp.Attribute {
 	out = append(out, e.Attributes...)
 	for _, o := range e.Objects {
 		out = append(out, o.Attributes...)
-	}
-	return out
-}
-
-// collect resolves a postings set to its events in UUID order. Caller
-// holds at least the read lock; the slice is freshly allocated but the
-// events are the shared frozen revisions.
-func (s *Store) collect(p *postings) []*misp.Event {
-	if p == nil {
-		return nil
-	}
-	uuids := p.uuids()
-	out := make([]*misp.Event, 0, len(uuids))
-	for _, uuid := range uuids {
-		if se, ok := s.lookup(uuid); ok {
-			out = append(out, se.event)
-		}
 	}
 	return out
 }

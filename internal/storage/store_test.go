@@ -195,20 +195,6 @@ func TestSearches(t *testing.T) {
 	if len(byVal) != 1 || byVal[0].UUID != a.UUID {
 		t.Fatalf("SearchValue = %+v", byVal)
 	}
-	byType, err := s.SearchType("domain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byType) != 2 {
-		t.Fatalf("SearchType(domain) = %d hits, want 2", len(byType))
-	}
-	byTag, err := s.SearchTag("tlp:red")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byTag) != 1 || byTag[0].UUID != b.UUID {
-		t.Fatalf("SearchTag = %+v", byTag)
-	}
 	since, _, err := s.UpdatedSincePage(now.Add(-time.Minute), "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +211,9 @@ func TestSearches(t *testing.T) {
 	}
 }
 
-// TestSearchesWithoutIndexes checks each indexed search against a full
-// scan of the store, across a put, a replace and a delete.
+// TestSearchesWithoutIndexes checks the value search against a full scan
+// of the store, across a put, a replace and a delete. (Type and tag are
+// not indexed; tip.TestSearchTypeAndTag covers them.)
 func TestSearchesWithoutIndexes(t *testing.T) {
 	s, _ := openTemp(t)
 	a := event(t, "a", [2]string{"domain", "evil.example"})
@@ -268,12 +255,6 @@ func TestSearchesWithoutIndexes(t *testing.T) {
 	check("value", hits, err, func(e *misp.Event) bool {
 		return slices.ContainsFunc(allAttributes(e), func(a misp.Attribute) bool { return a.Value == "evil.example" })
 	})
-	hits, err = s.SearchType("ip-dst")
-	check("type", hits, err, func(e *misp.Event) bool {
-		return slices.ContainsFunc(allAttributes(e), func(a misp.Attribute) bool { return a.Type == "ip-dst" })
-	})
-	hits, err = s.SearchTag("tlp:amber")
-	check("tag", hits, err, func(e *misp.Event) bool { return e.HasTag("tlp:amber") })
 }
 
 func TestCorrelated(t *testing.T) {
@@ -528,7 +509,7 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.SearchType("domain"); err != nil {
+				if _, err := s.SearchValue(fmt.Sprintf("g%d-%d.example", g, i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -553,10 +534,6 @@ func TestObjectAttributesIndexed(t *testing.T) {
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("SearchValue over object attrs = %d, %v", len(hits), err)
 	}
-	hits, err = s.SearchType("vulnerability")
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("SearchType over object attrs = %d, %v", len(hits), err)
-	}
 	// Correlation across loose and object attributes.
 	loose := misp.NewEvent("loose", now)
 	loose.AddAttribute("vulnerability", "External analysis", "CVE-2021-44228", now)
@@ -578,7 +555,7 @@ func TestUpdatedSincePageCursorCoversAllTies(t *testing.T) {
 	for i := range batch {
 		batch[i] = event(t, "evt", [2]string{"domain", "h.example"})
 	}
-	if err := s.PutBatch(batch); err != nil {
+	if _, err := s.PutBatch(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	var (

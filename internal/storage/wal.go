@@ -7,6 +7,11 @@
 //	offset 8  byte       flags (bit 0: group commit)
 //	offset 9  payload    JSON-encoded walRecord
 //
+// A put's payload splices in the event's JSON: the bytes it arrived in,
+// or json.Marshal of it taken before the write lock. Either way replay
+// decodes the same event, and for canonical bytes the payload is byte
+// for byte json.Marshal of the walRecord, as it has always been.
+//
 // Every append group (one Put/Delete, or one whole PutBatch) marks its
 // final frame with the commit flag; recovery applies records only up to
 // the last committed group, which is what makes PutBatch all-or-nothing
@@ -123,7 +128,7 @@ func openWALWriter(dir string, segs []walSegment, nextSeq uint64, syncEach bool,
 		active = segs[len(segs)-1]
 		w.sealed = append(w.sealed, segs[:len(segs)-1]...)
 	} else {
-		active = walSegment{path: segmentPath(dir, nextSeq + 1), first: nextSeq + 1}
+		active = walSegment{path: segmentPath(dir, nextSeq+1), first: nextSeq + 1}
 	}
 	f, err := os.OpenFile(active.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -151,20 +156,20 @@ func (w *walWriter) append(recs []walRecord) error {
 	}
 	buf := w.encBuf[:0]
 	for i := range recs {
-		payload, err := json.Marshal(&recs[i])
-		if err != nil {
+		start := len(buf)
+		buf = append(buf, make([]byte, frameHdrLen)...)
+		var err error
+		if buf, err = recs[i].appendPayload(buf); err != nil {
 			return fmt.Errorf("storage: encode wal record: %w", err)
 		}
 		var flags byte
 		if i == len(recs)-1 {
 			flags = frameCommit
 		}
-		var hdr [frameHdrLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(flags, payload))
-		hdr[8] = flags
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
+		payload := buf[start+frameHdrLen:]
+		binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[start+4:], frameCRC(flags, payload))
+		buf[start+8] = flags
 	}
 	w.encBuf = buf
 	err := func() error {
@@ -198,6 +203,19 @@ func (w *walWriter) append(recs []walRecord) error {
 		_ = w.rotate(w.last + 1)
 	}
 	return nil
+}
+
+// appendPayload appends the record's JSON payload to buf.
+func (r *walRecord) appendPayload(buf []byte) ([]byte, error) {
+	if r.Op != "put" {
+		data, err := json.Marshal(r)
+		return append(buf, data...), err
+	}
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, r.Seq, 10)
+	buf = append(buf, `,"op":"put","event":`...)
+	buf = append(buf, r.eventJSON...)
+	return append(buf, '}'), nil
 }
 
 // rotate seals the active segment and opens a fresh one whose first
@@ -286,8 +304,8 @@ type walFrame struct {
 // segment a torn tail — an incomplete header, a payload cut short, or a
 // CRC mismatch on the very last frame — ends the scan at the previous
 // committed group, and committedEnd tells the caller where to truncate
-// the file for repair. Any anomaly in a sealed segment, or a corrupt
-// frame with intact data after it, is real corruption and an error.
+// the file for repair. Any anomaly in a sealed segment, a corrupt frame
+// with intact data after it, or an unknown flag bit is an error.
 func scanSegment(data []byte, final bool) (frames []walFrame, committedEnd int64, err error) {
 	corrupt := func(format string, args ...any) ([]walFrame, int64, error) {
 		return nil, 0, fmt.Errorf("storage: corrupt wal segment: "+format, args...)
@@ -323,6 +341,9 @@ func scanSegment(data []byte, final bool) (frames []walFrame, committedEnd int64
 				break // torn final frame
 			}
 			return corrupt("crc mismatch at offset %d", off)
+		}
+		if flags&^frameCommit != 0 {
+			return corrupt("unknown frame flags %#x at offset %d", flags, off)
 		}
 		frames = append(frames, walFrame{payload: payload, commit: flags&frameCommit != 0})
 		off = end

@@ -219,7 +219,7 @@ func (c *Client) Changes(ctx context.Context, afterSeq uint64, limit int) ([]sto
 		}
 		switch {
 		case item.Event != nil:
-			out = append(out, storage.Change{UUID: item.Event.UUID, Event: item.Event, Prov: prov})
+			out = append(out, storage.Change{UUID: item.Event.UUID, Event: item.Event, Raw: item.EventJSON, Prov: prov})
 		case tomb != nil && tomb.UUID != "":
 			out = append(out, storage.Change{UUID: tomb.UUID, DeletedAt: time.Unix(tomb.DeletedAt, 0).UTC()})
 		}

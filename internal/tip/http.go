@@ -76,15 +76,21 @@ func (a *API) handleAddEvent(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	a.addEvent(w, e)
+}
+
+// addEvent stores one decoded event and answers 201 with its
+// correlations; a revision older than its UUID's deletion is 409.
+func (a *API) addEvent(w http.ResponseWriter, e *misp.Event) {
 	correlated, err := a.service.AddEvent(e)
-	if err != nil {
+	switch {
+	case errors.Is(err, storage.ErrStale):
+		httpError(w, http.StatusConflict, err.Error())
+	case err != nil:
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
+	default:
+		writeJSON(w, http.StatusCreated, map[string]any{"uuid": e.UUID, "correlated": correlated})
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"uuid":       e.UUID,
-		"correlated": correlated,
-	})
 }
 
 // handleAddEventBatch stores a JSON array of (wrapped or bare) events via
@@ -337,15 +343,7 @@ func (a *API) handleImportSTIX(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	correlated, err := a.service.AddEvent(e)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"uuid":       e.UUID,
-		"correlated": correlated,
-	})
+	a.addEvent(w, e)
 }
 
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {

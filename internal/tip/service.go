@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -122,8 +123,9 @@ func NewService(store *storage.Store, opts ...Option) *Service {
 // misp.Attribute.Correlates). The lookup costs the postings of the event's
 // own indicator values, not the size of the store, so the per-event path
 // (eIoC write-back, POST /events, infrastructure sightings) stays flat as
-// the TIP fills. New and updated events are announced on the bus. The
-// store keeps a private copy; the caller retains ownership of e.
+// the TIP fills. New and updated events are announced on the bus; one
+// older than its UUID's deletion fails with storage.ErrStale, unannounced.
+// The store keeps a private copy; the caller retains ownership of e.
 func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 	if e == nil {
 		return nil, fmt.Errorf("tip: nil event")
@@ -153,14 +155,23 @@ func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 // event). Unlike AddEvent it is partial-failure tolerant: events that fail
 // validation are skipped and their errors aggregated with errors.Join,
 // while the valid remainder is still stored and announced on the bus. It
-// returns the events actually stored. Correlation is computed against the
-// state before the batch; events inside one batch correlate with each
-// other on subsequent lookups through the store's indexes.
+// returns the events actually stored; one the store refuses as older than
+// its UUID's deletion is neither returned, counted nor published.
+// Correlation is computed against the state before the batch; events
+// inside one batch correlate with each other on subsequent lookups.
 func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err error) {
+	return s.ImportEvents(events, nil)
+}
+
+// ImportEvents is AddEvents for events that arrived encoded: raw, when
+// non-nil, runs beside events, and a non-nil raw[i] is the JSON events[i]
+// was decoded from (storage.Change.Raw), which the store logs as is.
+func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*misp.Event, err error) {
 	var errs []error
 	valid := make([]*misp.Event, 0, len(events))
 	topics := make([]string, 0, len(events))
-	for _, e := range events {
+	var validRaw [][]byte
+	for i, e := range events {
 		if e == nil {
 			errs = append(errs, fmt.Errorf("tip: nil event"))
 			continue
@@ -175,6 +186,9 @@ func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err err
 		}
 		valid = append(valid, e)
 		topics = append(topics, topic)
+		if i < len(raw) {
+			validRaw = append(validRaw, raw[i])
+		}
 	}
 	if len(valid) > 0 {
 		// Origins go in before the commit, as in AddEvent. The mesh importer
@@ -183,17 +197,21 @@ func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err err
 		for _, e := range valid {
 			s.prov.RecordLocal(e.UUID, s.name, now)
 		}
-		if perr := s.store.PutBatch(valid); perr != nil {
+		var perr error
+		if stored, perr = s.store.PutBatch(valid, validRaw); perr != nil {
 			return nil, errors.Join(append(errs, perr)...)
 		}
-		for i, e := range valid {
-			s.publish(topics[i], e)
-			s.countStore(topics[i])
+		for i, k := 0, 0; k < len(stored); i++ { // stored is valid less the refused, in order
+			if valid[i] == stored[k] {
+				s.publish(topics[i], valid[i])
+				s.countStore(topics[i])
+				k++
+			}
 		}
 		s.logger.Debug("event batch stored", "instance", s.name,
-			"stored", len(valid), "rejected", len(errs))
+			"stored", len(stored), "refused", len(valid)-len(stored), "rejected", len(errs))
 	}
-	return valid, errors.Join(errs...)
+	return stored, errors.Join(errs...)
 }
 
 // GetEvent fetches one event by UUID as a shared frozen view (DESIGN.md
@@ -237,51 +255,22 @@ type SearchQuery struct {
 }
 
 // Search runs a query against the store. Results are shared frozen views
-// in UUID order; only the criteria the index lookup did not already answer
-// are re-checked per candidate.
+// in UUID order. A value query narrows the candidates through the store's
+// value index; a query without a value is one filtered pass over the store
+// (DESIGN.md §8). Every other criterion is checked per event.
 func (s *Service) Search(q SearchQuery) ([]*misp.Event, error) {
-	var (
-		candidates []*misp.Event
-		err        error
-	)
-	// The most selective indexed lookup narrows the candidate set and
-	// fully answers its own criterion; checkValue/checkType/checkTag track
-	// what remains to filter below.
-	checkValue, checkType, checkTag := q.Value != "", q.Type != "", q.Tag != ""
-	switch {
-	case q.Value != "":
-		candidates, err = s.store.SearchValue(q.Value)
-		checkValue = false
-	case q.Type != "":
-		candidates, err = s.store.SearchType(q.Type)
-		checkType = false
-	case q.Tag != "":
-		candidates, err = s.store.SearchTag(q.Tag)
-		checkTag = false
-	default:
-		candidates, err = s.store.All()
+	match := func(e *misp.Event) bool {
+		return (q.Type == "" || hasType(e, q.Type)) && (q.Tag == "" || e.HasTag(q.Tag)) &&
+			(q.Since.IsZero() || !e.Timestamp.Before(q.Since))
 	}
+	if q.Value == "" {
+		return s.store.Select(match)
+	}
+	candidates, err := s.store.SearchValue(q.Value)
 	if err != nil {
 		return nil, err
 	}
-	out := candidates[:0:0]
-	for _, e := range candidates {
-		if checkValue && !hasValue(e, q.Value) {
-			continue
-		}
-		if checkType && !hasType(e, q.Type) {
-			continue
-		}
-		if checkTag && !e.HasTag(q.Tag) {
-			continue
-		}
-		if !q.Since.IsZero() && e.Timestamp.Before(q.Since) {
-			continue
-		}
-		out = append(out, e)
-	}
-	// Every candidate source returns UUID order, so out is already sorted.
-	return out, nil
+	return slices.DeleteFunc(candidates, func(e *misp.Event) bool { return !match(e) }), nil // a fresh slice, in UUID order
 }
 
 // ChangesPage lists up to limit events from the node's ingest-sequence
@@ -413,8 +402,7 @@ func (s *Service) Stats() Stats {
 
 // publish announces a just-stored event on the bus, reusing the store's
 // encode-once wire encoding so the same bytes serve the bus and the HTTP
-// read paths. If the stored revision is already gone (deleted or replaced
-// concurrently), the caller's copy is encoded as a fallback.
+// read paths. An event the store does not hold is not announced.
 func (s *Service) publish(topic string, e *misp.Event) {
 	if s.broker == nil {
 		return
@@ -422,14 +410,7 @@ func (s *Service) publish(topic string, e *misp.Event) {
 	// Encoded only when somebody listens: a batch run has no subscriber.
 	s.broker.PublishFunc(topic, func() ([]byte, bool) {
 		data, err := s.store.WrappedJSON(e.UUID)
-		if err != nil {
-			data, err = misp.MarshalWrapped(e)
-			if err != nil {
-				s.logger.Warn("publish encode failed", "uuid", e.UUID, "error", err)
-				return nil, false
-			}
-		}
-		return data, true
+		return data, err == nil
 	})
 }
 
@@ -444,22 +425,6 @@ func (s *Service) countStore(topic string) {
 		op = "edit"
 	}
 	s.storeOps.With(op).Inc()
-}
-
-func hasValue(e *misp.Event, value string) bool {
-	for _, a := range e.Attributes {
-		if a.Value == value {
-			return true
-		}
-	}
-	for _, o := range e.Objects {
-		for _, a := range o.Attributes {
-			if a.Value == value {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func hasType(e *misp.Event, typ string) bool {
