@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint check
 
 build:
 	$(GO) build ./...
@@ -168,4 +168,18 @@ metrics-lint:
 	done; \
 	echo "metrics-lint: $$(echo "$$names" | wc -l) metric name literals OK"
 
-check: vet build test race copyfree metrics-lint fuzz-smoke bench-e2e-smoke obs-smoke
+# One clock: time reaches a component as a clock.Clock (internal/clock),
+# so the loops that schedule work and the code that evaluates it read the
+# same instant. A bare func() time.Time or a WithNow option is a second
+# way in.
+clock-lint:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'func\(\) time\.Time|func WithNow\(' internal cmd examples *.go || true); \
+	if [ -n "$$bad" ]; then \
+		echo 'clock-lint: inject time as a clock.Clock, not a func() time.Time or WithNow:'; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo 'clock-lint: OK'
+
+check: vet build test race copyfree metrics-lint clock-lint fuzz-smoke bench-e2e-smoke obs-smoke

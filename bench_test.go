@@ -80,7 +80,7 @@ func BenchmarkTableVUseCaseEvaluation(b *testing.B) {
 	}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
-		heuristic.WithNow(func() time.Time { return experiments.EvalTime }),
+		heuristic.WithClock(clock.NewFake(experiments.EvalTime)),
 	)
 	ioc := experiments.UseCaseIoC()
 	b.ReportAllocs()
@@ -122,7 +122,7 @@ func BenchmarkFig4Reduce(b *testing.B) {
 	}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
-		heuristic.WithNow(func() time.Time { return experiments.EvalTime }),
+		heuristic.WithClock(clock.NewFake(experiments.EvalTime)),
 	)
 	ioc := experiments.UseCaseIoC()
 	res, err := engine.Evaluate(ioc)
@@ -321,7 +321,7 @@ func BenchmarkStoreSearch(b *testing.B) {
 // --- Ablation: points-derived vs static weighting ------------------------
 
 func BenchmarkAblationWeightingPoints(b *testing.B) {
-	engine := heuristic.NewEngine(heuristic.WithNow(func() time.Time { return experiments.EvalTime }))
+	engine := heuristic.NewEngine(heuristic.WithClock(clock.NewFake(experiments.EvalTime)))
 	ioc := experiments.UseCaseIoC()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -459,7 +459,7 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 	client := tip.NewClient(api.URL, "")
 	clk := clock.NewFake(experiments.EvalTime)
 	analyzer := worker.NewAnalyzer(
-		heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithNow(clk.Now)),
+		heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithClock(clk)),
 		collector, clk, worker.Sinks{
 			Scored: func(stix.Object, *heuristic.RIoC) {},
 			WriteBack: func(me *misp.Event) error {
@@ -708,38 +708,6 @@ func BenchmarkEventCloneJSON(b *testing.B) {
 			b.Fatal("bad copy")
 		}
 	}
-}
-
-// --- Ablation: temporal constraint in correlation -------------------------
-
-func benchmarkCorrelateWindow(b *testing.B, window time.Duration) {
-	events := make([]normalize.Event, 0, 600)
-	for i := 0; i < 600; i++ {
-		value := fmt.Sprintf("host-%d.example", i/4)
-		if i%4 != 0 {
-			value = fmt.Sprintf("http://host-%d.example/p%d", i/4, i%4)
-		}
-		e, err := normalize.New(value, normalize.CategoryMalwareDomain,
-			"bench", normalize.SourceOSINT,
-			experiments.EvalTime.Add(time.Duration(i)*time.Hour))
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = append(events, e)
-	}
-	c := correlate.New(correlate.WithTimeWindow(window))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := c.Correlate(events); len(got) == 0 {
-			b.Fatal("no clusters")
-		}
-	}
-}
-
-func BenchmarkAblationCorrelateUnwindowed(b *testing.B) { benchmarkCorrelateWindow(b, 0) }
-func BenchmarkAblationCorrelateWindowed(b *testing.B) {
-	benchmarkCorrelateWindow(b, 2*time.Hour)
 }
 
 // --- X6: snapshot-isolated read path --------------------------------------

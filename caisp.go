@@ -26,6 +26,7 @@ package caisp
 import (
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/core"
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
@@ -100,7 +101,7 @@ func Score(obj stix.Object, inventory *Inventory, at time.Time) (*ThreatScore, e
 		opts = append(opts, heuristic.WithInfrastructure(collector))
 	}
 	if !at.IsZero() {
-		opts = append(opts, heuristic.WithNow(func() time.Time { return at }))
+		opts = append(opts, heuristic.WithClock(clock.NewFake(at)))
 	}
 	return heuristic.NewEngine(opts...).Evaluate(obj)
 }

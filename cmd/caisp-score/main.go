@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/stix"
@@ -83,7 +84,7 @@ func run(bundlePath, inventoryPath, weightsPath, atRaw string, verbose bool) err
 		if err != nil {
 			return fmt.Errorf("bad -at: %w", err)
 		}
-		opts = append(opts, heuristic.WithNow(func() time.Time { return at }))
+		opts = append(opts, heuristic.WithClock(clock.NewFake(at)))
 	}
 	engine := heuristic.NewEngine(opts...)
 

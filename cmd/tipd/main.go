@@ -7,7 +7,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -166,23 +165,12 @@ func run(cfg config) error {
 	// come from attribute timestamps alone.
 	var lifec *lifecycle.Engine
 	if !cfg.noLifecycle {
-		lcOpts := []lifecycle.Option{
+		lifec = lifecycle.New(store,
+			lifecycle.WithInterval(cfg.lcInterval),
+			lifecycle.WithFloor(cfg.lcFloor),
 			lifecycle.WithMetrics(reg),
-			lifecycle.WithExpireHook(func(uuid string) error {
-				err := service.DeleteEvent(uuid)
-				if err != nil && errors.Is(err, storage.ErrNotFound) {
-					return nil
-				}
-				return err
-			}),
-		}
-		if cfg.lcInterval > 0 {
-			lcOpts = append(lcOpts, lifecycle.WithInterval(cfg.lcInterval))
-		}
-		if cfg.lcFloor > 0 {
-			lcOpts = append(lcOpts, lifecycle.WithFloor(cfg.lcFloor))
-		}
-		lifec = lifecycle.New(store, lcOpts...)
+			lifecycle.WithExpireHook(service.DeleteEvent),
+		)
 		lifec.Start()
 		defer lifec.Close()
 	}
@@ -199,7 +187,6 @@ func run(cfg config) error {
 	subs := subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithHubMetrics(reg),
-		subscribe.WithSweepInterval(time.Minute),
 		subscribe.WithPersistPath(subsFile), // empty: no sidecar
 	)
 	defer subs.Close()

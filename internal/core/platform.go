@@ -64,7 +64,8 @@ type Config struct {
 	Inventory *infra.Inventory
 	// Feeds are the OSINT feeds to poll.
 	Feeds []feed.Feed
-	// Clock drives polling and evaluation; nil uses the system clock.
+	// Clock drives polling, flushing, the lifecycle and subscription
+	// sweep loops, and every evaluation; nil uses the system clock.
 	Clock clock.Clock
 	// Logger receives pipeline logs; nil uses slog.Default().
 	Logger *slog.Logger
@@ -268,7 +269,7 @@ func New(cfg Config) (*Platform, error) {
 		tip.WithMetrics(reg), tip.WithName(p.nodeName), tip.WithProvenance(p.prov))
 	p.engine = heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
-		heuristic.WithNow(cfg.Clock.Now),
+		heuristic.WithClock(cfg.Clock),
 		heuristic.WithMetrics(reg),
 		heuristic.WithLogger(cfg.Logger),
 		heuristic.WithSlowThreshold(cfg.SlowOpThreshold),
@@ -278,7 +279,7 @@ func New(cfg Config) (*Platform, error) {
 	p.subs = subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithLogger(cfg.Logger),
-		subscribe.WithNow(cfg.Clock.Now),
+		subscribe.WithClock(cfg.Clock),
 	)
 	p.dash = dashboard.NewServer(collector,
 		dashboard.WithMetrics(reg),
@@ -288,8 +289,10 @@ func New(cfg Config) (*Platform, error) {
 	// /subscriptions REST plus the /ws/matches push stream.
 	p.dash.SetSubscriptions(subscribe.NewAPI(p.subs))
 	if !cfg.DisableLifecycle {
-		lcOpts := []lifecycle.Option{
-			lifecycle.WithNow(cfg.Clock.Now),
+		p.lifec = lifecycle.New(store,
+			lifecycle.WithClock(cfg.Clock),
+			lifecycle.WithInterval(cfg.LifecycleInterval),
+			lifecycle.WithFloor(cfg.LifecycleFloor),
 			lifecycle.WithLogger(cfg.Logger),
 			lifecycle.WithMetrics(reg),
 			// Sightings come from the live correlator so a cluster that
@@ -298,19 +301,12 @@ func New(cfg Config) (*Platform, error) {
 			// and the dashboard forgets the indicator's rIoCs.
 			lifecycle.WithSightings(p.corr.LastSightings),
 			lifecycle.WithExpireHook(p.expireEvent),
-		}
-		if cfg.LifecycleInterval > 0 {
-			lcOpts = append(lcOpts, lifecycle.WithInterval(cfg.LifecycleInterval))
-		}
-		if cfg.LifecycleFloor > 0 {
-			lcOpts = append(lcOpts, lifecycle.WithFloor(cfg.LifecycleFloor))
-		}
-		p.lifec = lifecycle.New(store, lcOpts...)
+		)
 		p.dash.SetLifecycle(lifecycle.NewAPI(p.lifec))
 		p.lifec.Start()
 	}
 	if cfg.ShareTAXII {
-		p.taxiiSrv = taxii.NewServer("CAISP sharing", "caisp", taxii.WithNow(cfg.Clock.Now))
+		p.taxiiSrv = taxii.NewServer("CAISP sharing", "caisp", taxii.WithClock(cfg.Clock))
 		p.taxiiSrv.AddCollection(TAXIICollection, "Enriched IoCs",
 			"eIoCs produced by the heuristic component", false)
 	}

@@ -9,11 +9,13 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/wsock"
@@ -127,5 +129,46 @@ func TestPlatformSubscriptionAPIOnDashboard(t *testing.T) {
 	}
 	if p.Subscriptions().Len() != 1 {
 		t.Fatal("engine did not register")
+	}
+}
+
+// TestExpiredTTLSubscriptionsFreeTheClientQuota: the platform sweeps
+// TTL-expired subscriptions on its clock, so a client that keeps cycling
+// TTL subscriptions is not refused for good once it reached its limit.
+func TestExpiredTTLSubscriptionsFreeTheClientQuota(t *testing.T) {
+	clk := clock.NewFake(batchTime)
+	p := newPlatform(t, Config{Clock: clk, DisableLifecycle: true})
+	engine := p.Subscriptions()
+	const pattern = "[domain-name:value = 'evil.example']"
+	for i := 0; i < subscribe.DefaultMaxPerClient; i++ {
+		if _, err := engine.RegisterTTL("siem", pattern, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var limit *subscribe.ClientLimitError
+	if _, err := engine.Register("siem", pattern); !errors.As(err, &limit) {
+		t.Fatalf("register past the limit: %v, want ClientLimitError", err)
+	}
+	blockUntil(t, clk, 1) // the sweeper is armed
+	clk.Advance(2 * time.Minute)
+	blockUntil(t, clk, 1) // the sweep ran and the sweeper re-armed
+	if _, err := engine.Register("siem", pattern); err != nil {
+		t.Fatalf("register after the TTLs expired: %v", err)
+	}
+}
+
+// blockUntil is clk.BlockUntil(n), failing the test instead of hanging
+// when fewer than n timers are ever armed.
+func blockUntil(t *testing.T, clk *clock.Fake, n int) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		clk.BlockUntil(n)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("fewer than %d timers armed on the clock", n)
 	}
 }

@@ -64,58 +64,25 @@ func (c *ComposedIoC) Sources() []string {
 }
 
 // Correlator aggregates events by category and clusters events that share a
-// correlation key. The zero value is not usable; construct with New.
-type Correlator struct {
-	minClusterSize int
-	timeWindow     time.Duration
-	// registry is only meaningful for the streaming Incremental correlator
-	// (WithMetrics); the batch path ignores it.
-	registry *obs.Registry
-}
+// correlation key. Every cluster, singletons included, becomes a cIoC: every
+// OSINT datum must reach the heuristic stage. It is the batch reference the
+// streaming Incremental correlator is tested against.
+type Correlator struct{}
 
-// Option configures a Correlator.
-type Option interface{ apply(*Correlator) }
+// New constructs a Correlator.
+func New() *Correlator { return &Correlator{} }
 
-type minClusterOption int
-
-func (o minClusterOption) apply(c *Correlator) { c.minClusterSize = int(o) }
-
-// WithMinClusterSize discards clusters smaller than n events (n ≥ 1).
-// The default of 1 keeps singletons: an uncorrelated event still becomes a
-// (single-member) cIoC, as every OSINT datum must reach the heuristic stage.
-func WithMinClusterSize(n int) Option { return minClusterOption(n) }
-
-type timeWindowOption time.Duration
-
-func (o timeWindowOption) apply(c *Correlator) { c.timeWindow = time.Duration(o) }
-
-// WithTimeWindow only connects events whose observation times lie within d
-// of each other (chained: a key seen repeatedly keeps its cluster alive as
-// long as consecutive sightings stay within d). Zero, the default, imposes
-// no temporal constraint.
-func WithTimeWindow(d time.Duration) Option { return timeWindowOption(d) }
+// Option configures the streaming Incremental correlator.
+type Option interface{ apply(*Incremental) }
 
 type metricsOption struct{ reg *obs.Registry }
 
-func (o metricsOption) apply(c *Correlator) { c.registry = o.reg }
+func (o metricsOption) apply(inc *Incremental) { inc.registry = o.reg }
 
 // WithMetrics registers the streaming correlator's caisp_correlate_*
-// families into reg (Add latency histogram plus cluster-churn views).
-// The batch Correlator ignores this option; a nil registry disables
-// instrumentation.
+// families into reg (Add latency histogram plus cluster-churn views). A
+// nil registry disables instrumentation.
 func WithMetrics(reg *obs.Registry) Option { return metricsOption{reg: reg} }
-
-// New constructs a Correlator.
-func New(opts ...Option) *Correlator {
-	c := &Correlator{minClusterSize: 1}
-	for _, o := range opts {
-		o.apply(c)
-	}
-	if c.minClusterSize < 1 {
-		c.minClusterSize = 1
-	}
-	return c
-}
 
 // Correlate aggregates events by threat category, connects events within a
 // category that share a correlation key, and composes each connected
@@ -152,30 +119,13 @@ func (c *Correlator) correlateGroup(category string, group []normalize.Event) []
 		}
 	}
 	for _, owners := range keyOwners {
-		if c.timeWindow <= 0 {
-			for i := 1; i < len(owners); i++ {
-				uf.union(owners[0], owners[i])
-			}
-			continue
-		}
-		// Temporal constraint: sort the key's sightings and union only
-		// consecutive ones within the window.
-		sort.Slice(owners, func(i, j int) bool {
-			return byID[owners[i]].LastSeen.Before(byID[owners[j]].LastSeen)
-		})
 		for i := 1; i < len(owners); i++ {
-			prev, cur := byID[owners[i-1]], byID[owners[i]]
-			if cur.LastSeen.Sub(prev.LastSeen) <= c.timeWindow {
-				uf.union(owners[i-1], owners[i])
-			}
+			uf.union(owners[0], owners[i])
 		}
 	}
 
 	var out []ComposedIoC
 	for _, memberIDs := range uf.components() {
-		if len(memberIDs) < c.minClusterSize {
-			continue
-		}
 		sort.Strings(memberIDs)
 		cioc := ComposedIoC{Category: category}
 		keySet := make(map[string]int)

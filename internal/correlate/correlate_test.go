@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,26 +157,6 @@ func TestCorrelateContextKeys(t *testing.T) {
 	}
 }
 
-func TestCorrelateMinClusterSize(t *testing.T) {
-	events := []normalize.Event{
-		ev(t, "lonely.example", normalize.CategoryMalwareDomain),
-		ev(t, "pair.example", normalize.CategoryMalwareDomain),
-		ev(t, "http://pair.example/x", normalize.CategoryMalwareDomain),
-	}
-	out := New(WithMinClusterSize(2)).Correlate(events)
-	if len(out) != 1 {
-		t.Fatalf("got %d cIoCs, want only the pair", len(out))
-	}
-	if len(out[0].Events) != 2 {
-		t.Fatalf("cluster size = %d", len(out[0].Events))
-	}
-	// Degenerate option value falls back to 1.
-	out = New(WithMinClusterSize(0)).Correlate(events)
-	if len(out) != 2 {
-		t.Fatalf("min size 0: got %d cIoCs, want 2", len(out))
-	}
-}
-
 func TestCorrelateDeterministic(t *testing.T) {
 	events := []normalize.Event{
 		ev(t, "a.example", normalize.CategoryMalwareDomain),
@@ -302,42 +281,5 @@ func TestToMISPCVEWithVector(t *testing.T) {
 func TestToMISPEmptyFails(t *testing.T) {
 	if _, err := ToMISP(&ComposedIoC{ID: "x"}, seen); err == nil {
 		t.Fatal("empty cIoC converted")
-	}
-}
-
-func TestCorrelateTimeWindow(t *testing.T) {
-	early := ev(t, "evil.example", normalize.CategoryMalwareDomain)
-	early.FirstSeen, early.LastSeen = seen, seen
-	mid := ev(t, "http://evil.example/a", normalize.CategoryMalwareDomain)
-	mid.FirstSeen, mid.LastSeen = seen.Add(time.Hour), seen.Add(time.Hour)
-	late := ev(t, "http://evil.example/b", normalize.CategoryMalwareDomain)
-	late.FirstSeen, late.LastSeen = seen.Add(100*time.Hour), seen.Add(100*time.Hour)
-	events := []normalize.Event{early, mid, late}
-
-	// Without a window all three share the host key → one cluster.
-	if got := New().Correlate(events); len(got) != 1 {
-		t.Fatalf("unwindowed clusters = %d", len(got))
-	}
-	// With a 2h window the late URL is disconnected.
-	windowed := New(WithTimeWindow(2 * time.Hour)).Correlate(events)
-	if len(windowed) != 2 {
-		t.Fatalf("windowed clusters = %d, want 2", len(windowed))
-	}
-	sizes := []int{len(windowed[0].Events), len(windowed[1].Events)}
-	sort.Ints(sizes)
-	if sizes[0] != 1 || sizes[1] != 2 {
-		t.Fatalf("cluster sizes = %v", sizes)
-	}
-	// Chaining: sightings 1h apart repeatedly stay connected across a
-	// total span exceeding the window.
-	var chain []normalize.Event
-	for i := 0; i < 5; i++ {
-		e := ev(t, fmt.Sprintf("http://evil.example/p%d", i), normalize.CategoryMalwareDomain)
-		e.FirstSeen = seen.Add(time.Duration(i) * time.Hour)
-		e.LastSeen = e.FirstSeen
-		chain = append(chain, e)
-	}
-	if got := New(WithTimeWindow(90 * time.Minute)).Correlate(chain); len(got) != 1 {
-		t.Fatalf("chained clusters = %d, want 1", len(got))
 	}
 }

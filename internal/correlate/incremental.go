@@ -26,8 +26,9 @@ import (
 //
 // All methods are safe for concurrent use.
 type Incremental struct {
-	mu  sync.Mutex
-	cfg Correlator
+	mu sync.Mutex
+	// registry receives the caisp_correlate_* families (WithMetrics).
+	registry *obs.Registry
 	// cats holds the per-category streaming state.
 	cats map[string]*catState
 	// seq orders cluster creation: on merge the lowest-seq cluster survives,
@@ -43,22 +44,12 @@ type Incremental struct {
 type catState struct {
 	uf   *unionFind
 	byID map[string]normalize.Event
-	// chains indexes, per correlation key, the sightings of that key sorted
-	// by (LastSeen, event ID). With no time window only the first sighting
-	// is kept (any newcomer unions with it); with a window the whole chain
-	// is kept so a newcomer unions with its temporal neighbours only.
-	chains map[string]*keyChain
+	// firstSighting maps each correlation key to the first event seen with
+	// it: every sighting of a key is one set, so a newcomer unions with
+	// that one representative.
+	firstSighting map[string]string
 	// clusters maps the current union-find root to the cluster rooted there.
 	clusters map[string]*cluster
-}
-
-type keyChain struct {
-	sightings []keySighting
-}
-
-type keySighting struct {
-	ts time.Time
-	id string
 }
 
 // cluster is the mutable book-keeping record behind one emitted cIoC.
@@ -105,21 +96,13 @@ type IncrementalStats struct {
 	Merges  int64 `json:"merges"`
 }
 
-// NewIncremental constructs a streaming correlator. It honours the same
-// options as New (WithMinClusterSize, WithTimeWindow, WithMetrics).
+// NewIncremental constructs a streaming correlator.
 func NewIncremental(opts ...Option) *Incremental {
-	cfg := Correlator{minClusterSize: 1}
+	inc := &Incremental{cats: make(map[string]*catState)}
 	for _, o := range opts {
-		o.apply(&cfg)
+		o.apply(inc)
 	}
-	if cfg.minClusterSize < 1 {
-		cfg.minClusterSize = 1
-	}
-	inc := &Incremental{
-		cfg:  cfg,
-		cats: make(map[string]*catState),
-	}
-	if reg := cfg.registry; reg != nil {
+	if reg := inc.registry; reg != nil {
 		inc.addDur = reg.Histogram("caisp_correlate_add_seconds",
 			"Incremental.Add latency per flushed batch.")
 		reg.GaugeFunc("caisp_correlate_clusters",
@@ -152,10 +135,10 @@ func (inc *Incremental) cat(category string) *catState {
 	cs := inc.cats[category]
 	if cs == nil {
 		cs = &catState{
-			uf:       newUnionFind(),
-			byID:     make(map[string]normalize.Event),
-			chains:   make(map[string]*keyChain),
-			clusters: make(map[string]*cluster),
+			uf:            newUnionFind(),
+			byID:          make(map[string]normalize.Event),
+			firstSighting: make(map[string]string),
+			clusters:      make(map[string]*cluster),
 		}
 		inc.cats[category] = cs
 	}
@@ -192,7 +175,7 @@ func (inc *Incremental) Add(events []normalize.Event) Delta {
 		cs.clusters[e.ID] = cl
 		dirty[cl] = true
 		for _, key := range CorrelationKeys(e) {
-			inc.link(cs, key, e, dirty, &removed)
+			inc.link(cs, key, e.ID, dirty, &removed)
 		}
 	}
 	return inc.composeDelta(dirty, removed)
@@ -203,45 +186,15 @@ func (inc *Incremental) nextSeq() uint64 {
 	return inc.seq
 }
 
-// link records the sighting of key by event e and unions e with the
-// sightings the batch correlator would connect it to: all of them when no
-// time window is configured, otherwise only the temporal neighbours within
-// the window. Inserting into the sorted chain preserves batch semantics —
-// a newcomer between two chained sightings can only shrink gaps, and if it
-// is out of range of a neighbour, so was everything beyond it.
-func (inc *Incremental) link(cs *catState, key string, e normalize.Event, dirty map[*cluster]bool, removed *[]string) {
-	ch := cs.chains[key]
-	if ch == nil {
-		ch = &keyChain{}
-		cs.chains[key] = ch
-	}
-	s := keySighting{ts: e.LastSeen, id: e.ID}
-	if inc.cfg.timeWindow <= 0 {
-		// No temporal constraint: every sighting of the key is one set, so
-		// a single representative suffices and chains stay O(1) per key.
-		if len(ch.sightings) == 0 {
-			ch.sightings = append(ch.sightings, s)
-			return
-		}
-		inc.unionClusters(cs, ch.sightings[0].id, e.ID, dirty, removed)
+// link records the sighting of key by event id and unions it with the key's
+// first sighting, as the batch correlator unions every sighting of a key.
+func (inc *Incremental) link(cs *catState, key, id string, dirty map[*cluster]bool, removed *[]string) {
+	first, ok := cs.firstSighting[key]
+	if !ok {
+		cs.firstSighting[key] = id
 		return
 	}
-	i := sort.Search(len(ch.sightings), func(i int) bool {
-		si := ch.sightings[i]
-		if !si.ts.Equal(s.ts) {
-			return si.ts.After(s.ts)
-		}
-		return si.id >= s.id
-	})
-	if i > 0 && s.ts.Sub(ch.sightings[i-1].ts) <= inc.cfg.timeWindow {
-		inc.unionClusters(cs, ch.sightings[i-1].id, e.ID, dirty, removed)
-	}
-	if i < len(ch.sightings) && ch.sightings[i].ts.Sub(s.ts) <= inc.cfg.timeWindow {
-		inc.unionClusters(cs, ch.sightings[i].id, e.ID, dirty, removed)
-	}
-	ch.sightings = append(ch.sightings, keySighting{})
-	copy(ch.sightings[i+1:], ch.sightings[i:])
-	ch.sightings[i] = s
+	inc.unionClusters(cs, first, id, dirty, removed)
 }
 
 // unionClusters merges the clusters containing events a and b. The older
@@ -273,11 +226,11 @@ func (inc *Incremental) unionClusters(cs *catState, a, b string, dirty map[*clus
 }
 
 // composeDelta turns the dirty cluster set of one Add into a sorted Delta,
-// applying the minimum-cluster-size gate and flipping emitted flags.
+// flipping emitted flags.
 func (inc *Incremental) composeDelta(dirty map[*cluster]bool, removed []string) Delta {
 	var d Delta
 	for cl := range dirty {
-		if cl.absorbed || len(cl.members) < inc.cfg.minClusterSize {
+		if cl.absorbed {
 			continue
 		}
 		c := inc.compose(cl)
@@ -389,9 +342,8 @@ func (inc *Incremental) Seed(clusterID string, events []normalize.Event) (absorb
 			inc.unionClusters(cs, fresh[0], id, dirty, &removed)
 		}
 		for _, id := range fresh {
-			e := cs.byID[id]
-			for _, key := range CorrelationKeys(e) {
-				inc.link(cs, key, e, dirty, &removed)
+			for _, key := range CorrelationKeys(cs.byID[id]) {
+				inc.link(cs, key, id, dirty, &removed)
 			}
 		}
 	} else {

@@ -68,43 +68,34 @@ func randomStream(t testing.TB, rng *rand.Rand, n int) []normalize.Event {
 // TestIncrementalMatchesBatchPartition is the tentpole property: any
 // stream, fed one-at-a-time or in random batch splits, must end in the
 // same cluster partition the batch Correlator computes over the whole
-// stream — with and without a time window.
+// stream.
 func TestIncrementalMatchesBatchPartition(t *testing.T) {
-	windows := []time.Duration{0, 2 * time.Hour, 24 * time.Hour}
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		stream := randomStream(t, rng, 40+rng.Intn(80))
-		for _, w := range windows {
-			var opts []Option
-			if w > 0 {
-				opts = append(opts, WithTimeWindow(w))
-			}
-			want := partition(New(opts...).Correlate(stream))
+		want := partition(New().Correlate(stream))
 
-			// One event per Add.
-			single := NewIncremental(opts...)
-			for _, e := range stream {
-				single.Add([]normalize.Event{e})
-			}
-			if got := partition(single.Clusters()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d window %v: one-at-a-time partition diverged\ngot  %v\nwant %v",
-					trial, w, got, want)
-			}
+		// One event per Add.
+		single := NewIncremental()
+		for _, e := range stream {
+			single.Add([]normalize.Event{e})
+		}
+		if got := partition(single.Clusters()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: one-at-a-time partition diverged\ngot  %v\nwant %v", trial, got, want)
+		}
 
-			// Random batch splits.
-			batched := NewIncremental(opts...)
-			for lo := 0; lo < len(stream); {
-				hi := lo + 1 + rng.Intn(10)
-				if hi > len(stream) {
-					hi = len(stream)
-				}
-				batched.Add(stream[lo:hi])
-				lo = hi
+		// Random batch splits.
+		batched := NewIncremental()
+		for lo := 0; lo < len(stream); {
+			hi := lo + 1 + rng.Intn(10)
+			if hi > len(stream) {
+				hi = len(stream)
 			}
-			if got := partition(batched.Clusters()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d window %v: batched partition diverged\ngot  %v\nwant %v",
-					trial, w, got, want)
-			}
+			batched.Add(stream[lo:hi])
+			lo = hi
+		}
+		if got := partition(batched.Clusters()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: batched partition diverged\ngot  %v\nwant %v", trial, got, want)
 		}
 	}
 }
@@ -172,22 +163,6 @@ func TestIncrementalMergeRetractsAbsorbed(t *testing.T) {
 	st := inc.Stats()
 	if st.Clusters != 1 || st.Merges != 1 {
 		t.Fatalf("stats = %+v, want 1 live cluster and 1 merge", st)
-	}
-}
-
-func TestIncrementalMinClusterSizeGate(t *testing.T) {
-	inc := NewIncremental(WithMinClusterSize(2))
-	d1 := inc.Add([]normalize.Event{ev(t, "solo.evil.example", normalize.CategoryMalwareDomain)})
-	if !d1.Empty() {
-		t.Fatalf("singleton emitted below the size gate: %+v", d1)
-	}
-	// Crossing the threshold emits the cluster as New, not Updated.
-	d2 := inc.Add([]normalize.Event{ev(t, "pair.evil.example", normalize.CategoryMalwareDomain)})
-	if len(d2.New) != 1 || len(d2.Updated) != 0 {
-		t.Fatalf("threshold crossing delta = %+v", d2)
-	}
-	if len(d2.New[0].Events) != 2 {
-		t.Fatalf("emitted cluster size = %d", len(d2.New[0].Events))
 	}
 }
 
@@ -280,40 +255,6 @@ func TestRecorrelateAllConvergesWithIncremental(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: deltas diverged from batch\nincremental %v\nbatch       %v", trial, got, want)
 		}
-	}
-}
-
-func TestIncrementalTimeWindowChainBreak(t *testing.T) {
-	w := 2 * time.Hour
-	mk := func(path string, at time.Duration) normalize.Event {
-		e := ev(t, "http://evil.example/"+path, normalize.CategoryMalwareDomain)
-		e.FirstSeen, e.LastSeen = seen.Add(at), seen.Add(at)
-		return e
-	}
-	inc := NewIncremental(WithTimeWindow(w))
-	inc.Add([]normalize.Event{mk("a", 0)})
-	inc.Add([]normalize.Event{mk("b", time.Hour)})     // chains with a
-	inc.Add([]normalize.Event{mk("c", 4 * time.Hour)}) // 3h gap > window: new cluster
-	inc.Add([]normalize.Event{mk("d", 5 * time.Hour)}) // chains with c
-	clusters := inc.Clusters()
-	if len(clusters) != 2 {
-		t.Fatalf("clusters = %d, want 2 (chain break)", len(clusters))
-	}
-	// A late arrival at 6.5h is within the window of d (5h) but not of
-	// the first chain: it grows the later cluster without bridging —
-	// exactly what the batch correlator computes over the full stream.
-	d := inc.Add([]normalize.Event{mk("late", 6*time.Hour + 30*time.Minute)})
-	if len(d.Updated) != 1 || len(d.Removed) != 0 || len(d.Updated[0].Events) != 3 {
-		t.Fatalf("late-arrival delta = %+v", d)
-	}
-	// An arrival inside the gap, within the window of both sides (1.5h to
-	// b and to c), bridges the chains and retracts the absorbed identity.
-	d = inc.Add([]normalize.Event{mk("bridge", 2*time.Hour + 30*time.Minute)})
-	if len(d.Updated) != 1 || len(d.Removed) != 1 {
-		t.Fatalf("bridging delta = %+v", d)
-	}
-	if got := inc.Clusters(); len(got) != 1 || len(got[0].Events) != 6 {
-		t.Fatalf("bridged clusters = %+v", got)
 	}
 }
 

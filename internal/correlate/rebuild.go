@@ -73,7 +73,7 @@ func ClusterContentOf(e *misp.Event) string {
 // restart. Reconstruction is lossy in context (description, cvss, …) but
 // lossless in what correlation needs: normalize.New re-derives the same
 // deterministic event ID from (value, category), and the attribute
-// timestamp restores the sighting time used by time-window chains.
+// timestamp restores the sighting time the lifecycle engine decays from.
 // Returns nil for events that are not composed IoCs.
 func MembersFromMISP(e *misp.Event) []normalize.Event {
 	if !e.HasTag("caisp:cioc") {

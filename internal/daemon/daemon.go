@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
@@ -73,7 +74,7 @@ func (rt *Runtime) StoreChecks(dir string, durability func() storage.DurabilityS
 		func() float64 { return float64(durability().WALOps) }, 10*storage.CompactAfterOps))
 	if lc != nil {
 		rt.Health.Register("lifecycle_progress", health.Progress(
-			func() int64 { return int64(lc.Stats().Passes) }, 5*time.Minute, nil))
+			func() int64 { return int64(lc.Stats().Passes) }, 5*time.Minute, clock.Real()))
 	}
 }
 

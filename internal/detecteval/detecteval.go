@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/cvss"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
@@ -163,7 +164,7 @@ func ContextAwareStrategy(ds *Dataset, threshold float64) (Strategy, error) {
 	}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
-		heuristic.WithNow(func() time.Time { return ds.Now }),
+		heuristic.WithClock(clock.NewFake(ds.Now)),
 	)
 	return Strategy{
 		Name: fmt.Sprintf("context-aware TS ≥ %.2f", threshold),
@@ -181,7 +182,7 @@ func ContextAwareStrategy(ds *Dataset, threshold float64) (Strategy, error) {
 // without any infrastructure knowledge.
 func NoContextStrategy(ds *Dataset, threshold float64) Strategy {
 	engine := heuristic.NewEngine(
-		heuristic.WithNow(func() time.Time { return ds.Now }),
+		heuristic.WithClock(clock.NewFake(ds.Now)),
 	)
 	return Strategy{
 		Name: fmt.Sprintf("no-context TS ≥ %.2f", threshold),

@@ -156,7 +156,7 @@ func TableV() (*heuristic.Result, error) {
 	}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
-		heuristic.WithNow(func() time.Time { return EvalTime }),
+		heuristic.WithClock(clock.NewFake(EvalTime)),
 	)
 	return engine.Evaluate(UseCaseIoC())
 }

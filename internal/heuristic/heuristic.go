@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/stix"
@@ -132,7 +133,7 @@ func (r *Result) Priority() string {
 type Engine struct {
 	registry map[string]*Heuristic
 	infra    *infra.Collector
-	now      func() time.Time
+	clk      clock.Clock
 	logger   *slog.Logger
 	slowAt   time.Duration  // slow-op log threshold; 0 disables
 	evalDur  *obs.Histogram // caisp_heuristic_eval_seconds; nil without WithMetrics
@@ -149,12 +150,13 @@ func (o infraOption) apply(e *Engine) { e.infra = o.c }
 // accuracy-style features.
 func WithInfrastructure(c *infra.Collector) Option { return infraOption{c: c} }
 
-type nowOption struct{ now func() time.Time }
+type clockOption struct{ clk clock.Clock }
 
-func (o nowOption) apply(e *Engine) { e.now = o.now }
+func (o clockOption) apply(e *Engine) { e.clk = o.clk }
 
-// WithNow fixes the evaluation clock (tests and experiment reproduction).
-func WithNow(now func() time.Time) Option { return nowOption{now: now} }
+// WithClock sets the evaluation clock; a clock.Fake pins the instant for
+// tests and experiment reproduction.
+func WithClock(clk clock.Clock) Option { return clockOption{clk: clk} }
 
 type heuristicOption struct{ h *Heuristic }
 
@@ -199,7 +201,7 @@ func WithMetrics(reg *obs.Registry) Option { return metricsOption{reg: reg} }
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		registry: make(map[string]*Heuristic, 6),
-		now:      time.Now,
+		clk:      clock.Real(),
 		logger:   slog.Default(),
 	}
 	for _, h := range DefaultHeuristics() {
@@ -241,7 +243,7 @@ func (e *Engine) Evaluate(obj stix.Object) (*Result, error) {
 	if e.evalDur != nil || e.slowAt > 0 {
 		start = time.Now()
 	}
-	ctx := &Context{Now: e.now().UTC(), Infra: e.infra}
+	ctx := &Context{Now: e.clk.Now().UTC(), Infra: e.infra}
 	res := evaluate(h, ctx, obj)
 	if !start.IsZero() {
 		elapsed := time.Since(start)

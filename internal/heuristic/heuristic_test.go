@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/stix"
 )
@@ -175,7 +176,7 @@ func useCaseEngine(t *testing.T) (*Engine, *infra.Collector) {
 	}
 	e := NewEngine(
 		WithInfrastructure(collector),
-		WithNow(func() time.Time { return evalTime }),
+		WithClock(clock.NewFake(evalTime)),
 	)
 	return e, collector
 }
@@ -675,7 +676,7 @@ func TestWithHeuristicOverride(t *testing.T) {
 			},
 		}},
 	}
-	e := NewEngine(WithHeuristic(custom), WithNow(func() time.Time { return evalTime }))
+	e := NewEngine(WithHeuristic(custom), WithClock(clock.NewFake(evalTime)))
 	res, err := e.Evaluate(useCaseIoC())
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/stix"
 )
 
@@ -59,7 +60,7 @@ func TestWithWeightsChangesScore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tuned := NewEngine(opt, WithNow(func() time.Time { return evalTime }))
+	tuned := NewEngine(opt, WithClock(clock.NewFake(evalTime)))
 	tunedRes, err := tuned.Evaluate(useCaseIoC())
 	if err != nil {
 		t.Fatal(err)

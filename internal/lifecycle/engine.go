@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"errors"
 	"log/slog"
 	"math"
 	"sort"
@@ -9,10 +10,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/storage"
 )
 
 // Store is the slice of the storage API the lifecycle engine drives:
@@ -27,7 +30,8 @@ type Store interface {
 	Len() int
 }
 
-// Defaults; every one has a With… override.
+// Defaults; every one has a With… override, and a zero or negative
+// override keeps the default.
 const (
 	defaultBatch        = 512
 	defaultInterval     = time.Minute
@@ -93,7 +97,7 @@ type Engine struct {
 	batch    int
 	interval time.Duration
 	depth    int
-	now      func() time.Time
+	clk      clock.Clock
 	sight    func() map[string]time.Time
 	expire   func(uuid string) error
 	logger   *slog.Logger
@@ -130,17 +134,17 @@ func WithPolicies(p map[string]Policy) Option { return func(e *Engine) { e.polic
 
 // WithFloor sets the expiry floor: an indicator whose decayed score
 // reaches it (or whose unscored age exceeds its category lifetime) is
-// deleted.
+// deleted. Zero keeps the default.
 func WithFloor(f float64) Option { return func(e *Engine) { e.floor = f } }
 
 // WithBatchSize bounds how many time-index entries one RunOnce visits.
 func WithBatchSize(n int) Option { return func(e *Engine) { e.batch = n } }
 
-// WithInterval sets the Start loop period.
+// WithInterval sets the Start loop period. Zero keeps the default.
 func WithInterval(d time.Duration) Option { return func(e *Engine) { e.interval = d } }
 
-// WithNow injects the clock (virtual time in tests).
-func WithNow(now func() time.Time) Option { return func(e *Engine) { e.now = now } }
+// WithClock sets the clock the Start loop ticks on and evaluates at.
+func WithClock(clk clock.Clock) Option { return func(e *Engine) { e.clk = clk } }
 
 // WithSightings wires the sighting-refresh clock: a function returning
 // the latest member sighting per cluster UUID (one call per RunOnce —
@@ -153,6 +157,8 @@ func WithSightings(fn func() map[string]time.Time) Option {
 // WithExpireHook replaces the default store deletion with a caller
 // route (the platform deletes through the TIP service so the deletion
 // is published, dropped from dashboards and tombstoned for the mesh).
+// A hook answering storage.ErrNotFound means the indicator is already
+// gone, which counts as expired.
 func WithExpireHook(fn func(uuid string) error) Option {
 	return func(e *Engine) { e.expire = fn }
 }
@@ -194,7 +200,7 @@ func New(store Store, opts ...Option) *Engine {
 		batch:    defaultBatch,
 		interval: defaultInterval,
 		depth:    defaultHistoryDepth,
-		now:      time.Now,
+		clk:      clock.Real(),
 		logger:   slog.Default(),
 		hist:     make(map[string]*history),
 		stop:     make(chan struct{}),
@@ -204,6 +210,12 @@ func New(store Store, opts ...Option) *Engine {
 	}
 	if e.batch < 1 {
 		e.batch = defaultBatch
+	}
+	if e.interval <= 0 {
+		e.interval = defaultInterval
+	}
+	if e.floor <= 0 {
+		e.floor = defaultFloor
 	}
 	if e.depth < 1 {
 		e.depth = defaultHistoryDepth
@@ -216,14 +228,12 @@ func (e *Engine) Start() {
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		t := time.NewTicker(e.interval)
-		defer t.Stop()
 		for {
 			select {
 			case <-e.stop:
 				return
-			case <-t.C:
-				if _, err := e.RunOnce(e.now()); err != nil {
+			case <-e.clk.After(e.interval):
+				if _, err := e.RunOnce(e.clk.Now()); err != nil {
 					e.logger.Warn("lifecycle: re-score batch failed", "error", err)
 				}
 			}
@@ -452,7 +462,7 @@ func (e *Engine) expireOne(uuid string) {
 	} else {
 		err = e.store.Delete(uuid)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, storage.ErrNotFound) {
 		e.logger.Warn("lifecycle: expiry failed", "uuid", uuid, "error", err)
 		return
 	}

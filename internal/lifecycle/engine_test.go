@@ -1,10 +1,14 @@
 package lifecycle
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/storage"
@@ -121,22 +125,81 @@ func TestExpiryBelowFloorDeletesAndDropsHistory(t *testing.T) {
 }
 
 func TestExpireHookRoutesDeletion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hook func(s *storage.Store, uuid string) error
+	}{
+		{"deletes", func(s *storage.Store, uuid string) error { return s.Delete(uuid) }},
+		// Deleted behind the engine's back (a mesh tombstone): already expired.
+		{"already gone", func(_ *storage.Store, uuid string) error {
+			return fmt.Errorf("delete %s: %w", uuid, storage.ErrNotFound)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openStore(t)
+			doomed := eioc("doomed", "botnet-c2", 4.0, t0)
+			if err := s.Put(doomed); err != nil {
+				t.Fatal(err)
+			}
+			var logs bytes.Buffer
+			var hooked []string
+			e := New(s, WithPolicies(testPolicies()),
+				WithLogger(slog.New(slog.NewTextHandler(&logs, nil))),
+				WithExpireHook(func(uuid string) error {
+					hooked = append(hooked, uuid)
+					return tc.hook(s, uuid)
+				}))
+			if _, err := e.RunOnce(t0.Add(50 * time.Hour)); err != nil {
+				t.Fatal(err) // alive: tracked
+			}
+			if _, err := e.RunOnce(t0.Add(500 * time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			if len(hooked) != 1 || hooked[0] != doomed.UUID {
+				t.Fatalf("hook saw %v", hooked)
+			}
+			if e.History(doomed.UUID) != nil {
+				t.Fatal("expired event kept its history ring")
+			}
+			if strings.Contains(logs.String(), "expiry failed") {
+				t.Fatalf("expiry logged as failed:\n%s", logs.String())
+			}
+		})
+	}
+}
+
+// TestStartTicksOnTheClock: the background loop waits on the injected
+// clock and evaluates at its time, not the wall clock's.
+func TestStartTicksOnTheClock(t *testing.T) {
 	s := openStore(t)
-	doomed := eioc("doomed", "botnet-c2", 4.0, t0)
-	if err := s.Put(doomed); err != nil {
+	ev := eioc("c2", "botnet-c2", 4.0, t0)
+	if err := s.Put(ev); err != nil {
 		t.Fatal(err)
 	}
-	var hooked []string
-	e := New(s, WithPolicies(testPolicies()),
-		WithExpireHook(func(uuid string) error {
-			hooked = append(hooked, uuid)
-			return s.Delete(uuid)
-		}))
-	if _, err := e.RunOnce(t0.Add(500 * time.Hour)); err != nil {
+	clk := clock.NewFake(t0)
+	e := New(s, WithPolicies(testPolicies()), WithClock(clk), WithInterval(50*time.Hour))
+	e.Start()
+	defer e.Close()
+	clk.BlockUntil(1) // the loop is armed
+	clk.Advance(50 * time.Hour)
+	clk.BlockUntil(1) // the pass ran and the loop re-armed
+	if p := e.Stats().Passes; p != 1 {
+		t.Fatalf("Passes = %d after one interval, want 1", p)
+	}
+	got, err := s.Get(ev.UUID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hooked) != 1 || hooked[0] != doomed.UUID {
-		t.Fatalf("hook saw %v", hooked)
+	if d, _ := heuristic.DecayedScoreOf(got); d != 2.0 {
+		t.Fatalf("decayed score = %v, want 2.0 (half of τ=100h elapsed)", d)
+	}
+}
+
+func TestZeroIntervalAndFloorKeepDefaults(t *testing.T) {
+	e := New(openStore(t), WithInterval(0), WithFloor(0))
+	if e.interval != defaultInterval || e.floor != defaultFloor {
+		t.Fatalf("interval %v floor %v, want the defaults %v and %v",
+			e.interval, e.floor, defaultInterval, defaultFloor)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/clock"
 )
 
 // probeFile is the scratch file DirWritable creates and removes on each
@@ -46,10 +48,7 @@ func DirWritable(dir string) Check {
 // counter sits still longer than within, the component is Degraded. The
 // first evaluation establishes the baseline and passes, so a freshly
 // booted node is not penalized for work it has not had time to do.
-func Progress(fn func() int64, within time.Duration, now func() time.Time) Check {
-	if now == nil {
-		now = time.Now
-	}
+func Progress(fn func() int64, within time.Duration, clk clock.Clock) Check {
 	var (
 		mu      sync.Mutex
 		last    int64
@@ -58,7 +57,7 @@ func Progress(fn func() int64, within time.Duration, now func() time.Time) Check
 	)
 	return func() Result {
 		v := fn()
-		t := now()
+		t := clk.Now()
 		mu.Lock()
 		defer mu.Unlock()
 		if !started || v != last {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/obs"
 )
 
@@ -63,20 +64,20 @@ func TestDirWritableTransitions(t *testing.T) {
 
 func TestProgressStalledClock(t *testing.T) {
 	var counter int64
-	now := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	check := Progress(func() int64 { return counter }, time.Minute, func() time.Time { return now })
+	clk := clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC))
+	check := Progress(func() int64 { return counter }, time.Minute, clk)
 
 	// First evaluation establishes the baseline — a fresh boot passes.
 	if res := check(); res.Status != OK {
 		t.Fatalf("baseline = %+v", res)
 	}
 	// Still inside the window: no progress required yet.
-	now = now.Add(30 * time.Second)
+	clk.Advance(30 * time.Second)
 	if res := check(); res.Status != OK {
 		t.Fatalf("inside window = %+v", res)
 	}
 	// Stalled past the window: degraded, with the stuck value named.
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	res := check()
 	if res.Status != Degraded {
 		t.Fatalf("stalled = %+v, want Degraded", res)
@@ -90,11 +91,11 @@ func TestProgressStalledClock(t *testing.T) {
 		t.Fatalf("advanced = %+v", res)
 	}
 	// And the stall timer restarts from the advance, not from boot.
-	now = now.Add(59 * time.Second)
+	clk.Advance(59 * time.Second)
 	if res := check(); res.Status != OK {
 		t.Fatalf("restarted window = %+v", res)
 	}
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if res := check(); res.Status != Degraded {
 		t.Fatalf("second stall = %+v, want Degraded", res)
 	}
@@ -211,8 +212,8 @@ func TestRegistryNilAndReplace(t *testing.T) {
 	live := New(nil)
 	live.Register("c", func() Result { return Pass() })
 	live.Register("c", func() Result { return Degradedf("v2") })
-	live.Register("", func() Result { return Pass() })  // ignored
-	live.Register("n", nil)                             // ignored
+	live.Register("", func() Result { return Pass() }) // ignored
+	live.Register("n", nil)                            // ignored
 	rep := live.Evaluate()
 	if len(rep.Checks) != 1 || rep.Checks[0].Detail != "v2" {
 		t.Fatalf("replaced report = %+v", rep)

@@ -81,8 +81,8 @@ func TestProvTableNilSafe(t *testing.T) {
 
 func TestRecordImportHopLatencies(t *testing.T) {
 	tr, clk, _ := newTestTracer(t)
-	ingest := clk.at
-	clk.advance(5 * time.Second) // "now" on the terminal node
+	ingest := clk.Now()
+	clk.Advance(5 * time.Second) // "now" on the terminal node
 
 	p := &Provenance{
 		Origin:         "node0",
@@ -139,11 +139,11 @@ func TestImportsRingNewestFirst(t *testing.T) {
 
 func TestTracesHandlerServesImports(t *testing.T) {
 	tr, clk, _ := newTestTracer(t)
-	ingest := clk.at
-	clk.advance(time.Second)
+	ingest := clk.Now()
+	clk.Advance(time.Second)
 	tr.RecordImport("uuid-3", &Provenance{Origin: "node0", OriginSeq: 9,
 		IngestUnixNano: ingest.UnixNano(),
-		Hops:           []Hop{{Node: "node1", PulledUnixNano: clk.at.UnixNano()}}})
+		Hops:           []Hop{{Node: "node1", PulledUnixNano: clk.Now().UnixNano()}}})
 
 	srv := httptest.NewServer(tr.Handler())
 	defer srv.Close()

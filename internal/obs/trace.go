@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/clock"
 )
 
 // Pipeline stage names stamped on traces. A trace's stage span is the
@@ -96,7 +98,7 @@ type Tracer struct {
 
 	maxActive int
 	keep      int
-	now       func() time.Time
+	clk       clock.Clock
 
 	stageHist *HistogramVec // caisp_trace_stage_seconds{stage}
 	e2eHist   *Histogram    // caisp_trace_end_to_end_seconds
@@ -130,12 +132,12 @@ func (o keepSlowestOption) apply(t *Tracer) {
 // GET /debug/traces (default 32).
 func WithKeepSlowest(n int) TracerOption { return keepSlowestOption(n) }
 
-type nowOption struct{ now func() time.Time }
+type clockOption struct{ clk clock.Clock }
 
-func (o nowOption) apply(t *Tracer) { t.now = o.now }
+func (o clockOption) apply(t *Tracer) { t.clk = o.clk }
 
-// WithNow substitutes the tracer clock (tests).
-func WithNow(now func() time.Time) TracerOption { return nowOption{now: now} }
+// WithClock sets the tracer clock that stamps stages (tests pin it).
+func WithClock(clk clock.Clock) TracerOption { return clockOption{clk: clk} }
 
 // NewTracer builds a tracer registering its histograms and counters into
 // reg. A nil registry yields a nil tracer — the no-op ablation.
@@ -147,7 +149,7 @@ func NewTracer(reg *Registry, opts ...TracerOption) *Tracer {
 		active:    make(map[string]*trace),
 		maxActive: defaultMaxActive,
 		keep:      defaultKeepSlowest,
-		now:       time.Now,
+		clk:       clock.Real(),
 		stageHist: reg.HistogramVec("caisp_trace_stage_seconds",
 			"Per-stage latency of traced IoC journeys.", nil, "stage"),
 		e2eHist: reg.Histogram("caisp_trace_end_to_end_seconds",
@@ -169,7 +171,7 @@ func (t *Tracer) Start(id string) {
 	if t == nil {
 		return
 	}
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.active) >= t.maxActive {
@@ -200,7 +202,7 @@ func (t *Tracer) Mark(id, stage string) {
 	if t == nil {
 		return
 	}
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if tr, ok := t.active[id]; ok {
@@ -216,7 +218,7 @@ func (t *Tracer) Adopt(newID, stage string, memberIDs []string) {
 	if t == nil {
 		return
 	}
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var oldest *trace
@@ -262,7 +264,7 @@ func (t *Tracer) Finish(id, finalStage string) {
 	if t == nil {
 		return
 	}
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	tr, ok := t.active[id]
 	if !ok {
@@ -333,7 +335,7 @@ func (t *Tracer) RecordImport(uuid string, p *Provenance) {
 	if t == nil || p == nil {
 		return
 	}
-	now := t.now()
+	now := t.clk.Now()
 	rec := TraceRecord{
 		ID:        uuid,
 		Origin:    p.Origin,

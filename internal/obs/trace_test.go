@@ -6,19 +6,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/clock"
 )
 
-// fakeClock steps a deterministic tracer clock.
-type fakeClock struct{ at time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.at }
-func (c *fakeClock) advance(d time.Duration) { c.at = c.at.Add(d) }
-
-func newTestTracer(t *testing.T, opts ...TracerOption) (*Tracer, *fakeClock, *Registry) {
+func newTestTracer(t *testing.T, opts ...TracerOption) (*Tracer, *clock.Fake, *Registry) {
 	t.Helper()
-	clk := &fakeClock{at: time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC))
 	reg := NewRegistry()
-	tr := NewTracer(reg, append([]TracerOption{WithNow(clk.now)}, opts...)...)
+	tr := NewTracer(reg, append([]TracerOption{WithClock(clk)}, opts...)...)
 	if tr == nil {
 		t.Fatal("NewTracer returned nil for non-nil registry")
 	}
@@ -35,15 +31,15 @@ func TestTracerEndToEnd(t *testing.T) {
 	tr, clk, _ := newTestTracer(t)
 
 	tr.Start("evt")
-	clk.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 	tr.Mark("evt", StageIngest)
-	clk.advance(20 * time.Millisecond)
+	clk.Advance(20 * time.Millisecond)
 	tr.Adopt("cluster", StageCorrelate, []string{"evt", "ghost"})
-	clk.advance(30 * time.Millisecond)
+	clk.Advance(30 * time.Millisecond)
 	tr.Mark("cluster", StageStore)
-	clk.advance(40 * time.Millisecond)
+	clk.Advance(40 * time.Millisecond)
 	tr.Mark("cluster", StageAnalyze)
-	clk.advance(50 * time.Millisecond)
+	clk.Advance(50 * time.Millisecond)
 	tr.Finish("cluster", StagePublish)
 
 	if tr.Active() != 0 {
@@ -80,14 +76,14 @@ func TestTracerEndToEnd(t *testing.T) {
 func TestTracerAdoptKeepsEarliestMember(t *testing.T) {
 	tr, clk, _ := newTestTracer(t)
 	tr.Start("old")
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	tr.Start("young")
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	tr.Adopt("cluster", StageCorrelate, []string{"young", "old"})
 	if tr.Active() != 1 {
 		t.Fatalf("active = %d, want 1 (members merged)", tr.Active())
 	}
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	tr.Finish("cluster", StagePublish)
 	recs := tr.Slowest()
 	if len(recs) != 1 || recs[0].TotalMS != 3000 {
@@ -105,7 +101,7 @@ func TestTracerDropAndUnknownMarks(t *testing.T) {
 	// Marks and finishes of unknown ids are ignored.
 	tr.Mark("ghost", StageIngest)
 	tr.Finish("ghost", StagePublish)
-	clk.advance(time.Millisecond)
+	clk.Advance(time.Millisecond)
 	if got := tr.Slowest(); len(got) != 0 {
 		t.Fatalf("slowest = %v", got)
 	}
@@ -132,7 +128,7 @@ func TestTracerKeepSlowest(t *testing.T) {
 	for i, d := range []time.Duration{30, 10, 20, 40} {
 		id := string(rune('a' + i))
 		tr.Start(id)
-		clk.advance(d * time.Millisecond)
+		clk.Advance(d * time.Millisecond)
 		tr.Finish(id, StagePublish)
 	}
 	recs := tr.Slowest()
@@ -147,9 +143,9 @@ func TestTracerKeepSlowest(t *testing.T) {
 func TestTracerHistogramsPopulated(t *testing.T) {
 	tr, clk, reg := newTestTracer(t)
 	tr.Start("x")
-	clk.advance(5 * time.Millisecond)
+	clk.Advance(5 * time.Millisecond)
 	tr.Mark("x", StageIngest)
-	clk.advance(5 * time.Millisecond)
+	clk.Advance(5 * time.Millisecond)
 	tr.Finish("x", StagePublish)
 
 	var sb strings.Builder
@@ -172,7 +168,7 @@ func TestTracerHistogramsPopulated(t *testing.T) {
 func TestTracesHandler(t *testing.T) {
 	tr, clk, _ := newTestTracer(t)
 	tr.Start("j")
-	clk.advance(7 * time.Millisecond)
+	clk.Advance(7 * time.Millisecond)
 	tr.Finish("j", StagePublish)
 
 	srv := httptest.NewServer(tr.Handler())

@@ -55,7 +55,7 @@ func (e *Engine) loadPersisted() {
 		return
 	}
 	restored := 0
-	now := e.now().UTC()
+	now := e.clk.Now().UTC()
 	for _, rec := range recs {
 		if rec.ID == "" || rec.Pattern == "" {
 			continue

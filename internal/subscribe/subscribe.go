@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/stixpattern"
 	"github.com/caisplatform/caisp/internal/uuid"
@@ -45,6 +46,11 @@ const (
 	DefaultMaxPatternBytes = 4096
 	DefaultMaxPerClient    = 1024
 )
+
+// sweepInterval is the cadence of the background sweep that reclaims
+// TTL-expired subscriptions. Expired patterns stop matching at once; the
+// sweep only frees their index slots and per-client quota.
+const sweepInterval = time.Minute
 
 // DefaultMatchQueueDepth sizes each watcher's send queue. Batch admission
 // pushes match frames in microsecond bursts (one flush can admit hundreds
@@ -129,19 +135,16 @@ type Engine struct {
 	maxBytes    int
 	maxPer      int
 	logger      *slog.Logger
-	now         func() time.Time
+	clk         clock.Clock
 	hub         *wsock.Hub
 	evalSeconds *obs.Histogram
 	candidates  *obs.Histogram
 	matchTotal  *obs.Counter
 	rejected    *obs.CounterVec
 	expiredCnt  *obs.Counter
-	// sweepEvery, when positive, starts a background goroutine that
-	// removes TTL-expired subscriptions on that cadence.
-	sweepEvery time.Duration
-	sweepStop  chan struct{}
-	sweepWG    sync.WaitGroup
-	closeOnce  sync.Once
+	sweepStop   chan struct{}
+	sweepWG     sync.WaitGroup
+	closeOnce   sync.Once
 	// hubReg receives the match hub's caisp_wsock_* families; nil leaves
 	// them unregistered.
 	hubReg *obs.Registry
@@ -185,13 +188,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// WithSweepInterval starts a background goroutine removing TTL-expired
-// subscriptions every d. Zero (the default) leaves sweeping to explicit
-// Sweep calls; expired patterns stop matching immediately either way.
-func WithSweepInterval(d time.Duration) Option {
-	return func(e *Engine) { e.sweepEvery = d }
-}
-
 // WithHubMetrics additionally registers the match hub's caisp_wsock_*
 // families on reg. Standalone daemons (tipd) want this; inside
 // caispd the dashboard hub already owns those families, so the match hub
@@ -219,22 +215,24 @@ func WithLogger(l *slog.Logger) Option {
 	}
 }
 
-// WithNow injects a clock for deterministic tests.
-func WithNow(now func() time.Time) Option {
+// WithClock sets the clock that stamps registrations, decides TTL expiry
+// and ticks the background sweep.
+func WithClock(clk clock.Clock) Option {
 	return func(e *Engine) {
-		if now != nil {
-			e.now = now
+		if clk != nil {
+			e.clk = clk
 		}
 	}
 }
 
-// NewEngine builds an empty engine and its match-push hub.
+// NewEngine builds an empty engine, its match-push hub and the sweeper
+// that removes TTL-expired subscriptions every sweepInterval.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		maxBytes: DefaultMaxPatternBytes,
 		maxPer:   DefaultMaxPerClient,
 		logger:   slog.Default(),
-		now:      time.Now,
+		clk:      clock.Real(),
 		subs:     make(map[string]*subscription),
 		byClient: make(map[string]map[string]*subscription),
 		eq:       make(map[string][]int),
@@ -245,21 +243,17 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.hub = wsock.NewHub(wsock.WithQueueDepth(DefaultMatchQueueDepth), wsock.WithHubMetrics(e.hubReg))
 	e.loadPersisted()
-	if e.sweepEvery > 0 {
-		e.sweepStop = make(chan struct{})
-		e.sweepWG.Add(1)
-		go e.sweepLoop()
-	}
+	e.sweepStop = make(chan struct{})
+	e.sweepWG.Add(1)
+	go e.sweepLoop()
 	return e
 }
 
 func (e *Engine) sweepLoop() {
 	defer e.sweepWG.Done()
-	t := time.NewTicker(e.sweepEvery)
-	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-e.clk.After(sweepInterval):
 			e.Sweep()
 		case <-e.sweepStop:
 			return
@@ -270,10 +264,8 @@ func (e *Engine) sweepLoop() {
 // Close stops the expiry sweeper and shuts down the match-push hub.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.sweepStop != nil {
-			close(e.sweepStop)
-			e.sweepWG.Wait()
-		}
+		close(e.sweepStop)
+		e.sweepWG.Wait()
 		e.hub.Close()
 	})
 }
@@ -301,7 +293,7 @@ func (e *Engine) Register(clientID, pattern string) (*Subscription, error) {
 func (e *Engine) RegisterTTL(clientID, pattern string, ttl time.Duration) (*Subscription, error) {
 	var expiresAt *time.Time
 	if ttl > 0 {
-		t := e.now().UTC().Add(ttl)
+		t := e.clk.Now().UTC().Add(ttl)
 		expiresAt = &t
 	}
 	sub, err := e.register(uuid.NewV4().String(), time.Time{}, expiresAt, clientID, pattern)
@@ -331,7 +323,7 @@ func (e *Engine) register(id string, createdAt time.Time, expiresAt *time.Time, 
 	}
 	eqKeys, pathKeys := decompose(parsed.Root)
 	if createdAt.IsZero() {
-		createdAt = e.now().UTC()
+		createdAt = e.clk.Now().UTC()
 	}
 
 	e.mu.Lock()
@@ -386,7 +378,7 @@ func (s *subscription) expiredAt(now time.Time) bool {
 // dropped. Expired patterns already stop matching before the sweep (the
 // hot path skips them), so the sweep only reclaims index and map space.
 func (e *Engine) Sweep() int {
-	now := e.now().UTC()
+	now := e.clk.Now().UTC()
 	e.mu.RLock()
 	var doomed []string
 	for id, sub := range e.subs {
@@ -555,7 +547,7 @@ func (e *Engine) Evaluate(o stixpattern.Observation) []Match {
 	}
 	start := time.Now()
 	e.evaluated.Add(1)
-	now := e.now()
+	now := e.clk.Now()
 
 	var out []Match
 	ncand := 0

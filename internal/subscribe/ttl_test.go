@@ -4,41 +4,27 @@ import (
 	"bytes"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/obs"
 )
 
-// fakeClock is a settable clock shared with the engine via WithNow.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
+var ttlStart = time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)
 
 func TestTTLExpiryStopsMatchingBeforeSweep(t *testing.T) {
-	clk := &fakeClock{t: time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)}
-	e := NewEngine(WithNow(clk.now))
+	clk := clock.NewFake(ttlStart)
+	e := NewEngine(WithClock(clk))
 	defer e.Close()
-	ttl, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", time.Hour)
+	// The TTL is shorter than the sweep interval, so the background
+	// sweeper stays armed and only the explicit Sweep below removes it.
+	ttl, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ttl.ExpiresAt == nil || !ttl.ExpiresAt.Equal(clk.now().Add(time.Hour)) {
-		t.Fatalf("ExpiresAt = %v, want now+1h", ttl.ExpiresAt)
+	if ttl.ExpiresAt == nil || !ttl.ExpiresAt.Equal(clk.Now().Add(30*time.Second)) {
+		t.Fatalf("ExpiresAt = %v, want now+30s", ttl.ExpiresAt)
 	}
 	keep := mustRegister(t, e, "c", "[domain-name:value = 'evil.example']")
 	if keep.ExpiresAt != nil {
@@ -49,7 +35,7 @@ func TestTTLExpiryStopsMatchingBeforeSweep(t *testing.T) {
 	if got := len(e.Evaluate(o)); got != 2 {
 		t.Fatalf("before expiry: %d matches, want 2", got)
 	}
-	clk.advance(time.Hour) // deadline is inclusive: now == ExpiresAt is expired
+	clk.Advance(30 * time.Second) // deadline is inclusive: now == ExpiresAt is expired
 	if got := matchIDs(e.Evaluate(o)); len(got) != 1 || got[0] != keep.ID {
 		t.Fatalf("after expiry: matches %v, want only %s", got, keep.ID)
 	}
@@ -72,17 +58,17 @@ func TestTTLExpiryStopsMatchingBeforeSweep(t *testing.T) {
 }
 
 func TestTTLSweepCounter(t *testing.T) {
-	clk := &fakeClock{t: time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(ttlStart)
 	reg := obs.NewRegistry()
-	e := NewEngine(WithNow(clk.now), WithMetrics(reg))
+	e := NewEngine(WithClock(clk), WithMetrics(reg))
 	defer e.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", time.Minute); err != nil {
+		if _, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustRegister(t, e, "c", "[url:value = 'http://x/']")
-	clk.advance(2 * time.Minute)
+	clk.Advance(20 * time.Second) // short of the sweep interval: Sweep below does the work
 	if n := e.Sweep(); n != 3 {
 		t.Fatalf("Sweep = %d, want 3", n)
 	}
@@ -96,9 +82,9 @@ func TestTTLSweepCounter(t *testing.T) {
 }
 
 func TestTTLPersistenceRoundTrip(t *testing.T) {
-	clk := &fakeClock{t: time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)}
+	clk := clock.NewFake(ttlStart)
 	path := filepath.Join(t.TempDir(), "subs.json")
-	e := NewEngine(WithNow(clk.now), WithPersistPath(path))
+	e := NewEngine(WithClock(clk), WithPersistPath(path))
 	short, err := e.RegisterTTL("c", "[domain-name:value = 'a.example']", time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +97,8 @@ func TestTTLPersistenceRoundTrip(t *testing.T) {
 
 	// Restart after the short TTL lapsed: only the long one comes back,
 	// deadline intact.
-	clk.advance(time.Hour)
-	e2 := NewEngine(WithNow(clk.now), WithPersistPath(path))
+	clk.Advance(time.Hour)
+	e2 := NewEngine(WithClock(clk), WithPersistPath(path))
 	defer e2.Close()
 	if _, ok := e2.Get(short.ID); ok {
 		t.Fatal("expired subscription resurrected across restart")
@@ -127,18 +113,16 @@ func TestTTLPersistenceRoundTrip(t *testing.T) {
 }
 
 func TestTTLBackgroundSweeper(t *testing.T) {
-	clk := &fakeClock{t: time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)}
-	e := NewEngine(WithNow(clk.now), WithSweepInterval(time.Millisecond))
+	clk := clock.NewFake(ttlStart)
+	e := NewEngine(WithClock(clk))
 	defer e.Close()
 	if _, err := e.RegisterTTL("c", "[domain-name:value = 'a.example']", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	clk.advance(2 * time.Minute)
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background sweeper never removed expired subscription; Len = %d", e.Len())
-		}
-		time.Sleep(5 * time.Millisecond)
+	clk.BlockUntil(1) // the sweeper is armed
+	clk.Advance(2 * time.Minute)
+	clk.BlockUntil(1) // the sweep ran and the sweeper re-armed
+	if e.Len() != 0 {
+		t.Fatalf("background sweeper never removed expired subscription; Len = %d", e.Len())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/stix"
 )
 
@@ -96,7 +97,7 @@ type Server struct {
 	title   string
 	apiRoot string // path segment, e.g. "caisp"
 	apiKey  string
-	now     func() time.Time
+	clk     clock.Clock
 
 	mu          sync.RWMutex
 	collections map[string]*Collection
@@ -116,19 +117,19 @@ func (o apiKeyOption) apply(s *Server) { s.apiKey = string(o) }
 // WithAPIKey requires the Authorization header to equal key.
 func WithAPIKey(key string) Option { return apiKeyOption(key) }
 
-type nowOption struct{ now func() time.Time }
+type clockOption struct{ clk clock.Clock }
 
-func (o nowOption) apply(s *Server) { s.now = o.now }
+func (o clockOption) apply(s *Server) { s.clk = o.clk }
 
-// WithNow fixes the server clock (tests).
-func WithNow(now func() time.Time) Option { return nowOption{now: now} }
+// WithClock sets the server clock that stamps added objects and statuses.
+func WithClock(clk clock.Clock) Option { return clockOption{clk: clk} }
 
 // NewServer creates a TAXII server with one API root.
 func NewServer(title, apiRoot string, opts ...Option) *Server {
 	s := &Server{
 		title:       title,
 		apiRoot:     apiRoot,
-		now:         time.Now,
+		clk:         clock.Real(),
 		collections: make(map[string]*Collection),
 		objects:     make(map[string][]storedObject),
 	}
@@ -195,7 +196,7 @@ func (s *Server) addRaw(collectionID string, raws []json.RawMessage) (int, error
 		return 0, fmt.Errorf("taxii: unknown collection %q", collectionID)
 	}
 	stored := 0
-	now := s.now().UTC()
+	now := s.clk.Now().UTC()
 	for _, raw := range raws {
 		var head struct {
 			ID   string `json:"id"`
@@ -413,7 +414,7 @@ func (s *Server) handleAddObjects(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeTAXII(w, http.StatusAccepted, Status{
-		ID:           fmt.Sprintf("status-%d", s.now().UnixNano()),
+		ID:           fmt.Sprintf("status-%d", s.clk.Now().UnixNano()),
 		Status:       "complete",
 		TotalCount:   len(env.Objects),
 		SuccessCount: stored,

@@ -8,18 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/stix"
 )
 
 var now = time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)
 
+// tickingClock advances a second on every read, so each added object
+// gets its own date_added.
+type tickingClock struct{ *clock.Fake }
+
+func (c tickingClock) Now() time.Time {
+	c.Advance(time.Second)
+	return c.Fake.Now()
+}
+
 func testServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
-	clock := now
-	opts = append([]Option{WithNow(func() time.Time {
-		clock = clock.Add(time.Second)
-		return clock
-	})}, opts...)
+	opts = append([]Option{WithClock(tickingClock{clock.NewFake(now)})}, opts...)
 	s := NewServer("CAISP TAXII", "caisp", opts...)
 	s.AddCollection("eiocs", "Enriched IoCs", "eIoCs shared by the platform", true)
 	s.AddCollection("readonly", "Read-only", "", false)

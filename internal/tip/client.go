@@ -45,12 +45,6 @@ func WithRequestTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.reqTimeout = d }
 }
 
-// WithHTTPClient substitutes the underlying *http.Client (custom
-// transports, TLS configuration, test doubles).
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
-}
-
 // NewClient builds a client for the instance at baseURL.
 func NewClient(baseURL, apiKey string, opts ...ClientOption) *Client {
 	c := &Client{

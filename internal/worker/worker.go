@@ -283,7 +283,7 @@ func New(cfg Config) (*Worker, error) {
 	w := &Worker{client: bus.Dial(cfg.BusAddr, tip.TopicEventPrefix)}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(cfg.Collector),
-		heuristic.WithNow(cfg.Clock.Now),
+		heuristic.WithClock(cfg.Clock),
 		heuristic.WithMetrics(cfg.Metrics),
 	)
 	w.analyzer = NewAnalyzer(engine, cfg.Collector, cfg.Clock, Sinks{
