@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint option-lint check
 
 build:
 	$(GO) build ./...
@@ -38,8 +38,8 @@ bench-read:
 	$(GO) test -run '^$$' -bench '^BenchmarkRead' -benchmem .
 
 # Durability suite: write-tail latency with and without a concurrent
-# streaming compaction, and parallel vs serial cold-start recovery (50k
-# events).
+# streaming compaction, and cold-start recovery decoded across GOMAXPROCS
+# workers (50k events).
 bench-durability:
 	$(GO) test -run '^$$' -bench '^BenchmarkDurability' -benchmem .
 
@@ -182,4 +182,34 @@ clock-lint:
 	fi; \
 	echo 'clock-lint: OK'
 
-check: vet build test race copyfree metrics-lint clock-lint fuzz-smoke bench-e2e-smoke obs-smoke
+# Production paths only: every exported func With… under internal/ is
+# called from a non-test .go file other than its definition — as
+# pkg.WithX( from any package, or WithX( from its own; a comment or a
+# string that names it does not count. cmd/,
+# examples/, the root package and bench/ all count as callers (bench/ is
+# how bus.WithBuffer and mesh.WithLogger pass). An option only tests set
+# belongs in its package's tests. The allow-list holds the exemptions:
+#   storage.WithSync  the only fsync path; durability code is kept
+#   taxii.WithAPIKey  the TAXII server's authentication check
+#   obs.WithClock     lets tests substitute clock.Fake in the tracer
+option-lint:
+	@allow=' storage.WithSync taxii.WithAPIKey obs.WithClock '; bad=''; \
+	for f in $$(grep -rlE --include='*.go' --exclude='*_test.go' '^func With[A-Z]' internal); do \
+		dir=$$(dirname $$f); pkg=$$(sed -n 's/^package \([a-z0-9_]*\).*/\1/p' $$f | head -1); \
+		for name in $$(sed -nE 's/^func (With[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
+			case "$$allow" in *" $$pkg.$$name "*) continue;; esac; \
+			grep -rhE --include='*.go' --exclude='*_test.go' "\b$$pkg\.$$name\(" internal cmd examples bench *.go \
+				| grep -qvE '^[[:space:]]*//' && continue; \
+			grep -hE "\b$$name\(" $$(ls $$dir/*.go | grep -v '_test\.go$$') \
+				| grep -vE "^func $$name\(" | grep -qvE '^[[:space:]]*//' && continue; \
+			bad="$$bad $$pkg.$$name"; \
+		done; \
+	done; \
+	if [ -n "$$bad" ]; then \
+		echo 'option-lint: exported options with no production caller (delete them, or set the field from the package tests):'; \
+		echo "$$bad" | tr ' ' '\n' | grep .; \
+		exit 1; \
+	fi; \
+	echo 'option-lint: OK'
+
+check: vet build test race copyfree metrics-lint clock-lint option-lint fuzz-smoke bench-e2e-smoke obs-smoke

@@ -932,10 +932,9 @@ func BenchmarkReadWrappedJSONMarshalBaseline(b *testing.B) {
 // Write-tail latency during checkpoints and recovery speed after them.
 // Each BenchmarkDurabilityPut* variant measures per-operation latency
 // percentiles for Put (or PutBatch) against a ≥50k-event store while a
-// compaction loop runs concurrently. BenchmarkDurabilityOpenRecovery* measures cold
-// Open on the same store with the parallel decoder vs the serial
-// ablation (storage.WithRecoveryWorkers(1)). Run via
-// `make bench-durability`.
+// compaction loop runs concurrently. BenchmarkDurabilityOpenRecoveryParallel
+// measures cold Open on the same store (decode across GOMAXPROCS
+// workers). Run via `make bench-durability`.
 
 const durabilityStoreSize = 50000
 
@@ -1085,10 +1084,10 @@ func BenchmarkDurabilityPutBatchUnderCompaction(b *testing.B) {
 	benchmarkDurabilityPutBatch(b, "compact")
 }
 
-// benchmarkDurabilityOpen measures cold recovery of a 50k-event store —
-// a streamed snapshot plus a 5k-operation WAL tail — with the given
-// number of decode workers (0 = GOMAXPROCS, 1 = serial ablation).
-func benchmarkDurabilityOpen(b *testing.B, workers int) {
+// BenchmarkDurabilityOpenRecoveryParallel measures cold recovery of a
+// 50k-event store — a streamed snapshot plus a 5k-operation WAL tail —
+// decoded across GOMAXPROCS workers.
+func BenchmarkDurabilityOpenRecoveryParallel(b *testing.B) {
 	dir := b.TempDir()
 	store, err := storage.Open(dir)
 	if err != nil {
@@ -1112,7 +1111,7 @@ func benchmarkDurabilityOpen(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := storage.Open(dir, storage.WithRecoveryWorkers(workers))
+		s, err := storage.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1126,9 +1125,6 @@ func benchmarkDurabilityOpen(b *testing.B, workers int) {
 		b.StartTimer()
 	}
 }
-
-func BenchmarkDurabilityOpenRecoveryParallel(b *testing.B) { benchmarkDurabilityOpen(b, 0) }
-func BenchmarkDurabilityOpenRecoverySerial(b *testing.B)   { benchmarkDurabilityOpen(b, 1) }
 
 // --- X8: incremental cross-batch correlation -------------------------------
 //

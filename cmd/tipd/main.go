@@ -159,17 +159,16 @@ func run(cfg config) error {
 			len(peers), strings.Join(names, ", "), cfg.syncInterval)
 	}
 
-	// Indicator lifecycle: decay re-scoring over the store, with expiry
-	// routed through the TIP service so deletions tombstone the change
-	// log and replicate to mesh peers. tipd has no correlator, so ages
-	// come from attribute timestamps alone.
+	// Indicator lifecycle: decay re-scoring over the store. An expiry is a
+	// store deletion, which tombstones the change log, so it replicates to
+	// mesh peers. tipd has no correlator, so ages come from attribute
+	// timestamps alone.
 	var lifec *lifecycle.Engine
 	if !cfg.noLifecycle {
 		lifec = lifecycle.New(store,
 			lifecycle.WithInterval(cfg.lcInterval),
 			lifecycle.WithFloor(cfg.lcFloor),
 			lifecycle.WithMetrics(reg),
-			lifecycle.WithExpireHook(service.DeleteEvent),
 		)
 		lifec.Start()
 		defer lifec.Close()

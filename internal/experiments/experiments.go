@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -469,14 +468,4 @@ func RenderAll() (string, error) {
 	}
 	parts = append(parts, det)
 	return strings.Join(parts, "\n"+strings.Repeat("─", 72)+"\n\n"), nil
-}
-
-// SortedFeedNames is a small helper used by the CLI output.
-func SortedFeedNames(stats map[string]feed.Stats) []string {
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -247,18 +246,6 @@ func (s *Scheduler) Stats() map[string]Stats {
 		out[name] = *st
 	}
 	return out
-}
-
-// FeedNames lists registered feeds, sorted.
-func (s *Scheduler) FeedNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.feeds))
-	for _, f := range s.feeds {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (s *Scheduler) pollLoop(ctx context.Context, f Feed) {

@@ -158,13 +158,6 @@ func (o clockOption) apply(e *Engine) { e.clk = o.clk }
 // tests and experiment reproduction.
 func WithClock(clk clock.Clock) Option { return clockOption{clk: clk} }
 
-type heuristicOption struct{ h *Heuristic }
-
-func (o heuristicOption) apply(e *Engine) { e.registry[o.h.SDOType] = o.h }
-
-// WithHeuristic overrides or adds a heuristic for one SDO type.
-func WithHeuristic(h *Heuristic) Option { return heuristicOption{h: h} }
-
 type loggerOption struct{ l *slog.Logger }
 
 func (o loggerOption) apply(e *Engine) { e.logger = o.l }

@@ -676,7 +676,8 @@ func TestWithHeuristicOverride(t *testing.T) {
 			},
 		}},
 	}
-	e := NewEngine(WithHeuristic(custom), WithClock(clock.NewFake(evalTime)))
+	e := NewEngine(WithClock(clock.NewFake(evalTime)))
+	e.registry[custom.SDOType] = custom
 	res, err := e.Evaluate(useCaseIoC())
 	if err != nil {
 		t.Fatal(err)
@@ -697,7 +698,8 @@ func TestAllFeaturesEmptyYieldsZero(t *testing.T) {
 			},
 		}},
 	}
-	e := NewEngine(WithHeuristic(empty))
+	e := NewEngine()
+	e.registry[empty.SDOType] = empty
 	res, err := e.Evaluate(useCaseIoC())
 	if err != nil {
 		t.Fatal(err)

@@ -130,15 +130,6 @@ func (c *Collector) AddInternalIoC(value, category, source string, seen time.Tim
 	return e, nil
 }
 
-// InternalEvents returns the recorded internal IoCs.
-func (c *Collector) InternalEvents() []normalize.Event {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]normalize.Event, len(c.internal))
-	copy(out, c.internal)
-	return out
-}
-
 // HasInternalSighting reports whether the infrastructure itself has
 // reported the given canonical indicator value (any category) — the
 // source_diversity feature's "infrastructure_source" attribute.

@@ -264,8 +264,8 @@ func TestInternalIoCs(t *testing.T) {
 	if c.HasInternalSighting("other.example") {
 		t.Fatal("phantom sighting")
 	}
-	if got := c.InternalEvents(); len(got) != 1 {
-		t.Fatalf("InternalEvents = %d", len(got))
+	if got := len(c.internal); got != 1 {
+		t.Fatalf("recorded %d internal IoCs, want 1", got)
 	}
 	if _, err := c.AddInternalIoC("  ", normalize.CategoryUnknown, "nids", now); err == nil {
 		t.Fatal("empty IoC accepted")

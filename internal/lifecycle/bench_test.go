@@ -32,11 +32,11 @@ func benchEngine(b *testing.B, n int) (*Engine, time.Time) {
 	}
 	now := t0.Add(500 * time.Hour)
 	// One batch as large as the store warms every score in one run.
-	warm := New(s, WithPolicies(pols), WithBatchSize(n))
+	warm := New(s, withPolicies(pols), withBatchSize(n))
 	if _, err := warm.RunOnce(now); err != nil {
 		b.Fatal(err)
 	}
-	e := New(s, WithPolicies(pols), WithBatchSize(512))
+	e := New(s, withPolicies(pols), withBatchSize(512))
 	return e, now
 }
 

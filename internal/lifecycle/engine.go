@@ -30,8 +30,8 @@ type Store interface {
 	Len() int
 }
 
-// Defaults; every one has a With… override, and a zero or negative
-// override keeps the default.
+// Defaults. The interval and floor have With… overrides, where zero or
+// negative keeps the default; the batch size and history depth are fixed.
 const (
 	defaultBatch        = 512
 	defaultInterval     = time.Minute
@@ -129,16 +129,10 @@ type Engine struct {
 // Option configures the engine.
 type Option func(*Engine)
 
-// WithPolicies replaces the per-category decay table.
-func WithPolicies(p map[string]Policy) Option { return func(e *Engine) { e.policies = p } }
-
 // WithFloor sets the expiry floor: an indicator whose decayed score
 // reaches it (or whose unscored age exceeds its category lifetime) is
 // deleted. Zero keeps the default.
 func WithFloor(f float64) Option { return func(e *Engine) { e.floor = f } }
-
-// WithBatchSize bounds how many time-index entries one RunOnce visits.
-func WithBatchSize(n int) Option { return func(e *Engine) { e.batch = n } }
 
 // WithInterval sets the Start loop period. Zero keeps the default.
 func WithInterval(d time.Duration) Option { return func(e *Engine) { e.interval = d } }
@@ -162,9 +156,6 @@ func WithSightings(fn func() map[string]time.Time) Option {
 func WithExpireHook(fn func(uuid string) error) Option {
 	return func(e *Engine) { e.expire = fn }
 }
-
-// WithHistoryDepth bounds the per-indicator score-history ring.
-func WithHistoryDepth(n int) Option { return func(e *Engine) { e.depth = n } }
 
 // WithLogger routes scan warnings.
 func WithLogger(l *slog.Logger) Option { return func(e *Engine) { e.logger = l } }
@@ -208,17 +199,11 @@ func New(store Store, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.batch < 1 {
-		e.batch = defaultBatch
-	}
 	if e.interval <= 0 {
 		e.interval = defaultInterval
 	}
 	if e.floor <= 0 {
 		e.floor = defaultFloor
-	}
-	if e.depth < 1 {
-		e.depth = defaultHistoryDepth
 	}
 	return e
 }

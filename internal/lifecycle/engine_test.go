@@ -38,6 +38,12 @@ func eioc(info, category string, base float64, seen time.Time) *misp.Event {
 	return e
 }
 
+// withPolicies, withBatchSize and withHistoryDepth replace settings the
+// daemons run at their defaults.
+func withPolicies(p map[string]Policy) Option { return func(e *Engine) { e.policies = p } }
+func withBatchSize(n int) Option              { return func(e *Engine) { e.batch = n } }
+func withHistoryDepth(n int) Option           { return func(e *Engine) { e.depth = n } }
+
 func testPolicies() map[string]Policy {
 	return map[string]Policy{
 		"botnet-c2": {Tau: 100 * time.Hour, Delta: 1},
@@ -51,7 +57,7 @@ func TestRescoreLandsDecayedScoreWithoutBumpingTimestamp(t *testing.T) {
 	if err := s.Put(ev); err != nil {
 		t.Fatal(err)
 	}
-	e := New(s, WithPolicies(testPolicies()), WithFloor(0.3))
+	e := New(s, withPolicies(testPolicies()), WithFloor(0.3))
 
 	now := t0.Add(50 * time.Hour) // linear τ=100h: half decayed
 	res, err := e.RunOnce(now)
@@ -99,7 +105,7 @@ func TestExpiryBelowFloorDeletesAndDropsHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := New(s, WithPolicies(testPolicies()), WithFloor(0.3))
+	e := New(s, withPolicies(testPolicies()), WithFloor(0.3))
 	if _, err := e.RunOnce(t0.Add(50 * time.Hour)); err != nil {
 		t.Fatal(err) // tracks both while alive
 	}
@@ -143,7 +149,7 @@ func TestExpireHookRoutesDeletion(t *testing.T) {
 			}
 			var logs bytes.Buffer
 			var hooked []string
-			e := New(s, WithPolicies(testPolicies()),
+			e := New(s, withPolicies(testPolicies()),
 				WithLogger(slog.New(slog.NewTextHandler(&logs, nil))),
 				WithExpireHook(func(uuid string) error {
 					hooked = append(hooked, uuid)
@@ -177,7 +183,7 @@ func TestStartTicksOnTheClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := clock.NewFake(t0)
-	e := New(s, WithPolicies(testPolicies()), WithClock(clk), WithInterval(50*time.Hour))
+	e := New(s, withPolicies(testPolicies()), WithClock(clk), WithInterval(50*time.Hour))
 	e.Start()
 	defer e.Close()
 	clk.BlockUntil(1) // the loop is armed
@@ -210,7 +216,7 @@ func TestSightingRefreshResetsDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sighted := t0.Add(80 * time.Hour)
-	e := New(s, WithPolicies(testPolicies()), WithFloor(0.3),
+	e := New(s, withPolicies(testPolicies()), WithFloor(0.3),
 		WithSightings(func() map[string]time.Time {
 			return map[string]time.Time{ev.UUID: sighted}
 		}))
@@ -248,7 +254,7 @@ func TestUnscoredAndMidPipelineEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := New(s, WithPolicies(testPolicies()))
+	e := New(s, withPolicies(testPolicies()))
 
 	// Young: both survive untouched.
 	if _, err := e.RunOnce(t0.Add(50 * time.Hour)); err != nil {
@@ -306,7 +312,7 @@ func TestDecayIsPureOverSchedule(t *testing.T) {
 
 	// Schedule A: one big batch, single engine.
 	sa := build()
-	ea := New(sa, WithPolicies(testPolicies()), WithFloor(0.01), WithBatchSize(1000))
+	ea := New(sa, withPolicies(testPolicies()), WithFloor(0.01), withBatchSize(1000))
 	for i := 0; i < 3; i++ {
 		if _, err := ea.RunOnce(finalNow); err != nil {
 			t.Fatal(err)
@@ -317,13 +323,13 @@ func TestDecayIsPureOverSchedule(t *testing.T) {
 	// engine restart (fresh cursor, empty history) midway. Finish with
 	// full passes at finalNow so every indicator's latest visit is at T.
 	sb := build()
-	eb := New(sb, WithPolicies(testPolicies()), WithFloor(0.01), WithBatchSize(7))
+	eb := New(sb, withPolicies(testPolicies()), WithFloor(0.01), withBatchSize(7))
 	for i := 0; i < 10; i++ {
 		if _, err := eb.RunOnce(t0.Add(time.Duration(20+i) * time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eb = New(sb, WithPolicies(testPolicies()), WithFloor(0.01), WithBatchSize(7))
+	eb = New(sb, withPolicies(testPolicies()), WithFloor(0.01), withBatchSize(7))
 	for i := 0; i < 30; i++ {
 		if _, err := eb.RunOnce(finalNow); err != nil {
 			t.Fatal(err)
@@ -355,10 +361,10 @@ func TestHistoryRingBoundedAndOrdered(t *testing.T) {
 	if err := s.Put(ev); err != nil {
 		t.Fatal(err)
 	}
-	e := New(s, WithPolicies(map[string]Policy{
+	e := New(s, withPolicies(map[string]Policy{
 		"botnet-c2": {Tau: 10000 * time.Hour, Delta: 1},
 		"unknown":   {Tau: 10000 * time.Hour, Delta: 1},
-	}), WithFloor(0.01), WithHistoryDepth(4))
+	}), WithFloor(0.01), withHistoryDepth(4))
 	for i := 1; i <= 12; i++ {
 		if _, err := e.RunOnce(t0.Add(time.Duration(i*100) * time.Hour)); err != nil {
 			t.Fatal(err)

@@ -25,10 +25,10 @@ func TestStorePlateausUnderSustainedIngest(t *testing.T) {
 		base  = 4.0
 	)
 	s := openStore(t)
-	e := New(s, WithPolicies(map[string]Policy{
+	e := New(s, withPolicies(map[string]Policy{
 		"scanner": {Tau: tau, Delta: 1},
 		"unknown": {Tau: tau, Delta: 1},
-	}), WithBatchSize(batch))
+	}), withBatchSize(batch))
 
 	// Linear decay (δ = 1) reaches the floor at (1 − floor/base)·τ.
 	liveTicks := float64(tau) / float64(step) * (1 - defaultFloor/base)

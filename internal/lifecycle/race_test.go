@@ -20,7 +20,7 @@ func TestConcurrentRescoreIngestReads(t *testing.T) {
 		"botnet-c2": {Tau: 1000 * time.Hour, Delta: 1},
 		"unknown":   {Tau: 1000 * time.Hour, Delta: 1},
 	}
-	e := New(s, WithPolicies(pols), WithFloor(0.01), WithBatchSize(16))
+	e := New(s, withPolicies(pols), WithFloor(0.01), withBatchSize(16))
 	for i := 0; i < 64; i++ {
 		if err := s.Put(eioc(fmt.Sprintf("seed-%03d", i), "botnet-c2", 3.0,
 			t0.Add(time.Duration(i)*time.Minute))); err != nil {
@@ -76,7 +76,7 @@ func TestConcurrentRescoreIngestReads(t *testing.T) {
 
 	// Settle: full passes at one instant, then check purity.
 	finalNow := t0.Add(2000 * time.Hour)
-	fin := New(s, WithPolicies(pols), WithFloor(0.01), WithBatchSize(10000))
+	fin := New(s, withPolicies(pols), WithFloor(0.01), withBatchSize(10000))
 	for i := 0; i < 3; i++ {
 		if _, err := fin.RunOnce(finalNow); err != nil {
 			t.Fatal(err)

@@ -11,28 +11,6 @@ import (
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
-// fullRemote is svcRemote plus the tombstone-bearing feed: the
-// in-process stand-in for a peer new enough to serve deletions.
-type fullRemote struct{ svcRemote }
-
-func (r fullRemote) Changes(_ context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
-	return r.svcRemote.svc.Changes(afterSeq, limit)
-}
-
-func newFullEngine(t *testing.T, local *tip.Service, peers map[string]*tip.Service) *Engine {
-	t.Helper()
-	var ps []Peer
-	for name, svc := range peers {
-		ps = append(ps, Peer{Name: name, Remote: fullRemote{svcRemote{svc}}})
-	}
-	e, err := New(local, ps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e
-}
-
 func syncAll(t *testing.T, engines ...*Engine) {
 	t.Helper()
 	for round := 0; round < 10; round++ {
@@ -50,9 +28,9 @@ func TestDeletionReplicatesAcrossRing(t *testing.T) {
 	if _, err := a.AddEvents(events); err != nil {
 		t.Fatal(err)
 	}
-	ea := newFullEngine(t, a, map[string]*tip.Service{"c": c})
-	eb := newFullEngine(t, b, map[string]*tip.Service{"a": a})
-	ec := newFullEngine(t, c, map[string]*tip.Service{"b": b})
+	ea := newEngine(t, a, nil, map[string]*tip.Service{"c": c})
+	eb := newEngine(t, b, nil, map[string]*tip.Service{"a": a})
+	ec := newEngine(t, c, nil, map[string]*tip.Service{"b": b})
 	syncAll(t, ea, eb, ec)
 	if a.Len() != 30 || b.Len() != 30 || c.Len() != 30 {
 		t.Fatalf("no convergence before delete: a=%d b=%d c=%d", a.Len(), b.Len(), c.Len())
@@ -117,8 +95,8 @@ func TestConcurrentEditOutlivesDeletion(t *testing.T) {
 	// the newer edit (the other order resurrects on a before b ever sees
 	// the deletion — also correct, but it would not exercise the
 	// conflict path).
-	ea := newFullEngine(t, a, map[string]*tip.Service{"b": b})
-	eb := newFullEngine(t, b, map[string]*tip.Service{"a": a})
+	ea := newEngine(t, a, nil, map[string]*tip.Service{"b": b})
+	eb := newEngine(t, b, nil, map[string]*tip.Service{"a": a})
 	syncAll(t, eb, ea)
 
 	for name, svc := range map[string]*tip.Service{"a": a, "b": b} {
@@ -148,8 +126,8 @@ func TestDeletionNewerThanEventWinsBothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ea := newFullEngine(t, a, map[string]*tip.Service{"b": b})
-	eb := newFullEngine(t, b, map[string]*tip.Service{"a": a})
+	ea := newEngine(t, a, nil, map[string]*tip.Service{"b": b})
+	eb := newEngine(t, b, nil, map[string]*tip.Service{"a": a})
 	syncAll(t, ea, eb)
 
 	if _, err := b.GetEvent(orig.UUID); err == nil {
@@ -186,7 +164,7 @@ func TestRevisionOlderThanLocalDeletionNotImported(t *testing.T) {
 	}
 	sub := broker.Subscribe(tip.TopicEventPrefix)
 
-	eb := newFullEngine(t, b, map[string]*tip.Service{"a": a})
+	eb := newEngine(t, b, nil, map[string]*tip.Service{"a": a})
 	n, err := eb.SyncOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)

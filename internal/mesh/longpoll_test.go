@@ -63,8 +63,8 @@ func TestExtendsOrdersSameSecondRevisions(t *testing.T) {
 // origin's revision; pulling back imports nothing.
 func TestSameSecondRevisionsReachThePartner(t *testing.T) {
 	origin, partner := newNode(t), newNode(t)
-	pull := newFullEngine(t, partner, map[string]*tip.Service{"origin": origin})
-	back := newFullEngine(t, origin, map[string]*tip.Service{"partner": partner})
+	pull := newEngine(t, partner, nil, map[string]*tip.Service{"origin": origin})
+	back := newEngine(t, origin, nil, map[string]*tip.Service{"partner": partner})
 
 	for i, rev := range []*misp.Event{
 		revision(false, "a.example"),
@@ -96,7 +96,7 @@ func TestSameSecondRevisionsReachThePartner(t *testing.T) {
 	if _, err := stale.AddEvent(revision(false, "a.example")); err != nil {
 		t.Fatal(err)
 	}
-	late := newFullEngine(t, partner, map[string]*tip.Service{"stale": stale})
+	late := newEngine(t, partner, nil, map[string]*tip.Service{"stale": stale})
 	if n, err := late.SyncOnce(t.Context()); err != nil || n != 0 {
 		t.Fatalf("stale revision: imported %d, err %v", n, err)
 	}
@@ -119,7 +119,7 @@ type countingRemote struct {
 	requests atomic.Int64
 }
 
-func (r *countingRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
+func (r *countingRemote) Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
 	r.requests.Add(1)
 	if wait := storage.WaitFrom(ctx); r.park && wait > 0 && r.svc.StoreSeq() == afterSeq {
 		select {
@@ -128,7 +128,7 @@ func (r *countingRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit
 			return nil, afterSeq, false, ctx.Err()
 		}
 	}
-	return r.svc.ChangesPage(afterSeq, limit)
+	return r.svc.Changes(afterSeq, limit)
 }
 
 // TestPollLoopRequestBudget counts requests over 30 intervals. An idle
@@ -195,7 +195,7 @@ type gatedRemote struct {
 	gate   chan struct{}
 }
 
-func (r gatedRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
+func (r gatedRemote) Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
 	if storage.WaitFrom(ctx) > 0 {
 		select {
 		case r.parked <- struct{}{}:
@@ -208,7 +208,7 @@ func (r gatedRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int
 			return nil, afterSeq, false, ctx.Err()
 		}
 	}
-	return r.svc.ChangesPage(afterSeq, limit)
+	return r.svc.Changes(afterSeq, limit)
 }
 
 // TestSyncOnceDoesNotWaitForParkedWorker: the worker's parked request
@@ -250,7 +250,7 @@ func TestImportedProvenanceIsInPlaceAtCommit(t *testing.T) {
 	t.Cleanup(func() { store.Close() })
 	prov := obs.NewProvTable(0)
 	b := tip.NewService(store, tip.WithName("b"), tip.WithProvenance(prov))
-	e, err := New(b, []Peer{{Name: "a", Remote: fullRemote{svcRemote{a.svc}}}}, nil, WithProvenance("b", prov))
+	e, err := New(b, []Peer{{Name: "a", Remote: svcRemote{a.svc}}}, nil, WithProvenance("b", prov))
 	if err != nil {
 		t.Fatal(err)
 	}

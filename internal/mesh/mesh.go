@@ -40,8 +40,7 @@
 //   - Deletion replication: tombstoned UUIDs on the change feed
 //     (expired or retracted indicators) are applied locally at their
 //     original deletion time, again newest-wins — a local edit strictly
-//     newer than the deletion survives it. Peers that predate the
-//     tombstone wire format fall back to the events-only feed.
+//     newer than the deletion survives it.
 //   - Batch import: pages land through the service's group-committed
 //     ImportEvents, with the bytes each event arrived in, on the same
 //     10.9× durable batch path as local ingest; the page size adapts
@@ -73,30 +72,17 @@ type Local interface {
 	// GetEvent returns the locally stored revision of uuid, or an error
 	// when the node does not hold it.
 	GetEvent(uuid string) (*misp.Event, error)
+	// DeleteEventsAt applies a page's replicated deletions, each at its
+	// original deletion time, as one commit; it skips events it does not
+	// hold and returns how many it removed.
+	DeleteEventsAt(dels []storage.Deletion) (int, error)
 }
 
 // Remote is one peer's paginated pull surface: its ingest-sequence
-// change feed. *tip.Client satisfies it.
+// change feed, live revisions and deletion tombstones in feed order.
+// *tip.Client satisfies it.
 type Remote interface {
-	ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error)
-}
-
-// DeletionRemote is a Remote whose change feed also carries deletion
-// tombstones (*tip.Client satisfies it). When a peer's remote
-// implements it and the local side can delete, the engine pulls the
-// tombstone-bearing feed and replicates deletions; otherwise it falls
-// back to the events-only ChangesPage.
-type DeletionRemote interface {
-	Remote
 	Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error)
-}
-
-// DeletionLocal is a Local that can apply a page's replicated deletions,
-// each at its original deletion time, as one commit; it skips events it
-// does not hold and returns how many it removed (*tip.Service satisfies
-// it).
-type DeletionLocal interface {
-	DeleteEventsAt(dels []storage.Deletion) (int, error)
 }
 
 // Peer names one replication source.
@@ -138,10 +124,9 @@ type Totals struct {
 // Engine drives continuous anti-entropy pull replication against the
 // configured peers.
 type Engine struct {
-	local    Local
-	localDel DeletionLocal // nil when local cannot apply deletions
-	cursors  CursorStore
-	peers    []*peerState
+	local   Local
+	cursors CursorStore
+	peers   []*peerState
 
 	interval time.Duration
 	basePage int
@@ -192,9 +177,8 @@ type Engine struct {
 type peerState struct {
 	name   string
 	remote Remote
-	full   DeletionRemote // non-nil when the remote serves tombstones
-	page   int            // adaptive page size; guarded by busy
-	busy   sync.Mutex     // serializes overlapping syncs of one peer
+	page   int        // adaptive page size; guarded by busy
+	busy   sync.Mutex // serializes overlapping syncs of one peer
 
 	// statMu guards the observability snapshot below, which PeerStatuses
 	// reads concurrently with the worker.
@@ -323,11 +307,8 @@ func New(local Local, peers []Peer, cursors CursorStore, opts ...Option) (*Engin
 			return nil, fmt.Errorf("mesh: duplicate peer %q", p.Name)
 		}
 		seen[p.Name] = true
-		ps := &peerState{name: p.Name, remote: p.Remote}
-		ps.full, _ = p.Remote.(DeletionRemote)
-		e.peers = append(e.peers, ps)
+		e.peers = append(e.peers, &peerState{name: p.Name, remote: p.Remote})
 	}
-	e.localDel, _ = local.(DeletionLocal)
 	for _, o := range opts {
 		o(e)
 	}
@@ -504,29 +485,20 @@ type page struct {
 	err           error
 }
 
-// pull fetches one page after the given cursor. It touches no engine
-// state, so a worker may sit in it without holding busy.
+// pull fetches one page after the given cursor and splits it into live
+// revisions and deletion markers, keeping each live entry's Change
+// wrapper so its provenance and raw bytes survive to import. It touches
+// no engine state, so a worker may sit in it without holding busy.
 func (e *Engine) pull(ctx context.Context, ps *peerState, after uint64, limit int) page {
 	pg := page{after: after}
-	if ps.full != nil && e.localDel != nil {
-		// Tombstone-bearing feed: split the page into live revisions and
-		// deletion markers, keeping each live entry's Change wrapper so
-		// its provenance survives to import.
-		var changes []storage.Change
-		changes, pg.next, pg.more, pg.err = ps.full.Changes(ctx, after, limit)
-		for _, ch := range changes {
-			if ch.Event != nil {
-				pg.live = append(pg.live, ch)
-			} else {
-				pg.deletes = append(pg.deletes, ch)
-			}
+	var changes []storage.Change
+	changes, pg.next, pg.more, pg.err = ps.remote.Changes(ctx, after, limit)
+	for _, ch := range changes {
+		if ch.Event != nil {
+			pg.live = append(pg.live, ch)
+		} else {
+			pg.deletes = append(pg.deletes, ch)
 		}
-		return pg
-	}
-	var events []*misp.Event
-	events, pg.next, pg.more, pg.err = ps.remote.ChangesPage(ctx, after, limit)
-	for _, ev := range events {
-		pg.live = append(pg.live, storage.Change{UUID: ev.UUID, Event: ev})
 	}
 	return pg
 }
@@ -872,7 +844,7 @@ func (e *Engine) applyDeletes(ps *peerState, deletes []storage.Change) error {
 		}
 		batch = append(batch, storage.Deletion{UUID: d.UUID, At: d.DeletedAt})
 	}
-	n, err := e.localDel.DeleteEventsAt(batch)
+	n, err := e.local.DeleteEventsAt(batch)
 	if err != nil {
 		return fmt.Errorf("mesh: apply %d deletes: %w", len(batch), err)
 	}

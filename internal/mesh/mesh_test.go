@@ -28,12 +28,19 @@ func newNode(t *testing.T) *tip.Service {
 	return tip.NewService(store)
 }
 
+// The production peers: tipd pulls each -peer through a *tip.Client and
+// imports into its *tip.Service.
+var (
+	_ Remote = (*tip.Client)(nil)
+	_ Local  = (*tip.Service)(nil)
+)
+
 // svcRemote adapts a local service into the Remote pull surface, the
 // in-process stand-in for tip.Client.
 type svcRemote struct{ svc *tip.Service }
 
-func (r svcRemote) ChangesPage(_ context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
-	return r.svc.ChangesPage(afterSeq, limit)
+func (r svcRemote) Changes(_ context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
+	return r.svc.Changes(afterSeq, limit)
 }
 
 func sampleEvents(t *testing.T, n int) []*misp.Event {
@@ -206,6 +213,10 @@ func (f *failingLocal) ImportEvents(events []*misp.Event, raw [][]byte) ([]*misp
 
 func (f *failingLocal) GetEvent(uuid string) (*misp.Event, error) { return f.svc.GetEvent(uuid) }
 
+func (f *failingLocal) DeleteEventsAt(dels []storage.Deletion) (int, error) {
+	return f.svc.DeleteEventsAt(dels)
+}
+
 func TestFailedImportResumesFromDurableCursorWithoutDuplicates(t *testing.T) {
 	source, sink := newNode(t), newNode(t)
 	if _, err := source.AddEvents(sampleEvents(t, 10)); err != nil {
@@ -275,22 +286,22 @@ func TestBadPeerConfigRejected(t *testing.T) {
 // slowRemote serves a fixed backlog with a simulated per-request link
 // latency — the WAN model for the fan-in benchmark.
 type slowRemote struct {
-	events  []*misp.Event
+	changes []storage.Change
 	latency time.Duration
 }
 
-func (r slowRemote) ChangesPage(ctx context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
+func (r slowRemote) Changes(ctx context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
 	select {
 	case <-time.After(r.latency):
 	case <-ctx.Done():
 		return nil, afterSeq, false, ctx.Err()
 	}
 	i := int(afterSeq)
-	if i >= len(r.events) {
+	if i >= len(r.changes) {
 		return nil, afterSeq, false, nil
 	}
-	end := min(i+limit, len(r.events))
-	return r.events[i:end], uint64(end), end < len(r.events), nil
+	end := min(i+limit, len(r.changes))
+	return r.changes[i:end], uint64(end), end < len(r.changes), nil
 }
 
 // discardLocal imports into the void: the benchmark isolates sync
@@ -303,18 +314,20 @@ func (discardLocal) ImportEvents(events []*misp.Event, _ [][]byte) ([]*misp.Even
 func (discardLocal) GetEvent(string) (*misp.Event, error) {
 	return nil, errors.New("not held")
 }
+func (discardLocal) DeleteEventsAt([]storage.Deletion) (int, error) { return 0, nil }
 
 // BenchmarkFanIn drains eight slow peers at once through SyncOnce.
 func BenchmarkFanIn(b *testing.B) {
-	events := make([]*misp.Event, 2000)
-	for i := range events {
-		events[i] = misp.NewEvent(fmt.Sprintf("evt-%d", i), now)
+	changes := make([]storage.Change, 2000)
+	for i := range changes {
+		ev := misp.NewEvent(fmt.Sprintf("evt-%d", i), now)
+		changes[i] = storage.Change{UUID: ev.UUID, Event: ev}
 	}
 	var peers []Peer
 	for p := 0; p < 8; p++ {
 		peers = append(peers, Peer{
 			Name:   fmt.Sprintf("peer%d", p),
-			Remote: slowRemote{events: events, latency: 2 * time.Millisecond},
+			Remote: slowRemote{changes: changes, latency: 2 * time.Millisecond},
 		})
 	}
 	b.ResetTimer()
@@ -327,8 +340,8 @@ func BenchmarkFanIn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if n != len(peers)*len(events) {
-			b.Fatalf("imported %d events, want all %d of every peer", n, len(events))
+		if n != len(peers)*len(changes) {
+			b.Fatalf("imported %d events, want all %d of every peer", n, len(changes))
 		}
 		e.Close()
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/storage"
@@ -44,12 +43,11 @@ func newObsNode(t *testing.T, name string) *obsNode {
 	}
 }
 
-// pullFrom builds n's engine pulling from upstream over the
-// tombstone-bearing feed (the path that carries provenance).
+// pullFrom builds n's engine pulling from upstream.
 func pullFrom(t *testing.T, n, upstream *obsNode) *Engine {
 	t.Helper()
 	e, err := New(n.svc,
-		[]Peer{{Name: upstream.name, Remote: fullRemote{svcRemote{upstream.svc}}}},
+		[]Peer{{Name: upstream.name, Remote: svcRemote{upstream.svc}}},
 		nil,
 		WithMetrics(n.reg),
 		WithProvenance(n.name, n.prov),
@@ -145,13 +143,6 @@ type toggleRemote struct {
 }
 
 var errPeerDown = errors.New("connection refused")
-
-func (r toggleRemote) ChangesPage(_ context.Context, afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
-	if r.failing.Load() {
-		return nil, 0, false, errPeerDown
-	}
-	return r.svc.ChangesPage(afterSeq, limit)
-}
 
 func (r toggleRemote) Changes(_ context.Context, afterSeq uint64, limit int) ([]storage.Change, uint64, bool, error) {
 	if r.failing.Load() {
@@ -276,7 +267,7 @@ func TestPeerInfosProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, err := New(local.svc,
-		[]Peer{{Name: "up", Remote: fullRemote{svcRemote{upstream.svc}}}}, nil)
+		[]Peer{{Name: "up", Remote: svcRemote{upstream.svc}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

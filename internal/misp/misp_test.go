@@ -126,8 +126,8 @@ func TestEventHelpers(t *testing.T) {
 	if got := e.FindAttribute("yara"); got != nil {
 		t.Fatalf("FindAttribute(yara) = %+v, want nil", got)
 	}
-	if got := e.AttributeValues("domain"); len(got) != 1 || got[0] != "struts-exploit.example" {
-		t.Fatalf("AttributeValues = %v", got)
+	if got := e.FindAttribute("domain"); got == nil || got.Value != "struts-exploit.example" {
+		t.Fatalf("FindAttribute(domain) = %+v", got)
 	}
 	e.AddTag("tlp:white") // duplicate must be ignored
 	count := 0

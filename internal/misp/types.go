@@ -241,17 +241,6 @@ func (e *Event) FindAttribute(typ string) *Attribute {
 	return nil
 }
 
-// AttributeValues returns all values of attributes of the given type.
-func (e *Event) AttributeValues(typ string) []string {
-	var out []string
-	for _, a := range e.Attributes {
-		if a.Type == typ {
-			out = append(out, a.Value)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants of the event.
 func (e *Event) Validate() error {
 	if !uuid.IsValid(e.UUID) {

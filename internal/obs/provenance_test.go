@@ -127,7 +127,8 @@ func TestRecordImportWithoutTimestamps(t *testing.T) {
 }
 
 func TestImportsRingNewestFirst(t *testing.T) {
-	tr, _, _ := newTestTracer(t, WithKeepSlowest(2))
+	tr, _, _ := newTestTracer(t)
+	tr.keep = 2
 	for _, id := range []string{"a", "b", "c"} {
 		tr.RecordImport(id, &Provenance{Origin: "o"})
 	}

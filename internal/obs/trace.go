@@ -109,29 +109,6 @@ type Tracer struct {
 // TracerOption configures NewTracer.
 type TracerOption interface{ apply(*Tracer) }
 
-type maxActiveOption int
-
-func (o maxActiveOption) apply(t *Tracer) {
-	if o > 0 {
-		t.maxActive = int(o)
-	}
-}
-
-// WithMaxActive bounds the number of in-flight traces (default 8192).
-func WithMaxActive(n int) TracerOption { return maxActiveOption(n) }
-
-type keepSlowestOption int
-
-func (o keepSlowestOption) apply(t *Tracer) {
-	if o > 0 {
-		t.keep = int(o)
-	}
-}
-
-// WithKeepSlowest sets how many slowest finished traces are retained for
-// GET /debug/traces (default 32).
-func WithKeepSlowest(n int) TracerOption { return keepSlowestOption(n) }
-
 type clockOption struct{ clk clock.Clock }
 
 func (o clockOption) apply(t *Tracer) { t.clk = o.clk }

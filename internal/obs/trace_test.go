@@ -10,11 +10,11 @@ import (
 	"github.com/caisplatform/caisp/internal/clock"
 )
 
-func newTestTracer(t *testing.T, opts ...TracerOption) (*Tracer, *clock.Fake, *Registry) {
+func newTestTracer(t *testing.T) (*Tracer, *clock.Fake, *Registry) {
 	t.Helper()
 	clk := clock.NewFake(time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC))
 	reg := NewRegistry()
-	tr := NewTracer(reg, append([]TracerOption{WithClock(clk)}, opts...)...)
+	tr := NewTracer(reg, WithClock(clk))
 	if tr == nil {
 		t.Fatal("NewTracer returned nil for non-nil registry")
 	}
@@ -109,7 +109,8 @@ func TestTracerDropAndUnknownMarks(t *testing.T) {
 }
 
 func TestTracerEviction(t *testing.T) {
-	tr, _, _ := newTestTracer(t, WithMaxActive(2))
+	tr, _, _ := newTestTracer(t)
+	tr.maxActive = 2
 	tr.Start("a")
 	tr.Start("b")
 	tr.Start("c") // evicts a
@@ -124,7 +125,8 @@ func TestTracerEviction(t *testing.T) {
 }
 
 func TestTracerKeepSlowest(t *testing.T) {
-	tr, clk, _ := newTestTracer(t, WithKeepSlowest(2))
+	tr, clk, _ := newTestTracer(t)
+	tr.keep = 2
 	for i, d := range []time.Duration{30, 10, 20, 40} {
 		id := string(rune('a' + i))
 		tr.Start(id)

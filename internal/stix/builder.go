@@ -62,15 +62,6 @@ func NewRelationship(relType, sourceRef, targetRef string, now time.Time) *Relat
 	}
 }
 
-// NewSighting records that the referenced SDO was seen count times.
-func NewSighting(sightingOfRef string, count int, now time.Time) *Sighting {
-	return &Sighting{
-		Common:        newCommon(TypeSighting, now),
-		SightingOfRef: sightingOfRef,
-		Count:         count,
-	}
-}
-
 func newCommon(typ string, now time.Time) Common {
 	return Common{
 		Type:     typ,

@@ -38,16 +38,6 @@ func (b *Bundle) ByType(typ string) []Object {
 	return out
 }
 
-// Find returns the object with the given id, or nil.
-func (b *Bundle) Find(id string) Object {
-	for _, o := range b.Objects {
-		if o.GetCommon().ID == id {
-			return o
-		}
-	}
-	return nil
-}
-
 // MarshalJSON encodes the bundle with each object serialized through
 // Marshal so custom properties survive.
 func (b *Bundle) MarshalJSON() ([]byte, error) {

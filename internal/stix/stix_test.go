@@ -188,8 +188,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if back.ID != b.ID || back.SpecVersion != "2.0" {
 		t.Fatalf("bundle header lost: %+v", back)
 	}
-	if got := back.Find(mal.ID); got == nil {
-		t.Fatalf("Find(%s) = nil", mal.ID)
+	if got := back.ByType(TypeMalware); len(got) != 1 || got[0].GetCommon().ID != mal.ID {
+		t.Fatalf("ByType(malware) = %v, want %s", got, mal.ID)
 	}
 	if got := len(back.ByType(TypeIndicator)); got != 1 {
 		t.Fatalf("ByType(indicator) returned %d objects, want 1", got)
@@ -482,7 +482,7 @@ func TestValidateRemainingSDOs(t *testing.T) {
 
 func TestBuilderSightingAndRelationship(t *testing.T) {
 	ind := NewIndicator("[a:b = 'x']", []string{"malicious-activity"}, testTime)
-	s := NewSighting(ind.ID, 2, testTime)
+	s := &Sighting{Common: newCommon(TypeSighting, testTime), SightingOfRef: ind.ID, Count: 2}
 	if err := Validate(s); err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,8 @@ func TestChangesFeedCarriesTombstones(t *testing.T) {
 }
 
 func TestTombstoneRetentionBounded(t *testing.T) {
-	s, _ := openTemp(t, WithTombstoneRetention(64))
+	s, _ := openTemp(t)
+	s.tombstoneCap = 64
 	for i := 0; i < 300; i++ {
 		e := event(t, fmt.Sprintf("evt-%d", i))
 		if err := s.Put(e); err != nil {

@@ -76,7 +76,7 @@ func TestCompactSnapshotFailureKeepsStoreUsable(t *testing.T) {
 // deletes exactly the sealed segments the snapshot covers.
 func TestSegmentRotationAndPruning(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentSize(1<<10))
+	s, err := Open(dir, withSegmentSize(1<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestLegacyFormatRejected(t *testing.T) {
 // must be present in full — nothing lost, nothing partial.
 func TestConcurrentBatchesDuringBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentSize(8<<10))
+	s, err := Open(dir, withSegmentSize(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

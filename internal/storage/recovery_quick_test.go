@@ -43,7 +43,7 @@ func statesEqual(a, b storeState) bool {
 // (states[0] is the empty store) and leaves the store closed.
 func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []storeState {
 	t.Helper()
-	s, err := Open(dir, WithSegmentSize(2<<10))
+	s, err := Open(dir, withSegmentSize(2<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

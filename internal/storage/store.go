@@ -47,9 +47,11 @@ import (
 const (
 	snapshotFile = "snapshot.json"
 
-	// defaultTombstoneRetention bounds the deletion tombstones kept for
-	// replication (WithTombstoneRetention).
-	defaultTombstoneRetention = 1 << 16
+	// tombstoneRetention bounds the deletion tombstones the change feed
+	// keeps for replication. Keeping every deletion forever would
+	// reintroduce the unbounded growth expiry exists to prevent; overflow
+	// forgets the oldest deletions first.
+	tombstoneRetention = 1 << 16
 )
 
 // ErrNotFound is returned when the requested event does not exist.
@@ -199,8 +201,7 @@ type Store struct {
 	// instead entries are appended and sorted once afterwards.
 	loading bool
 
-	segmentSize     int64
-	recoveryWorkers int
+	segmentSize int64 // WAL segment bound (defaultSegmentSize)
 
 	// commit is closed by the next commit or Close (Committed). Nil until
 	// a reader asks to be woken: a write nobody waits on pays a nil check.
@@ -235,41 +236,6 @@ func (o syncOption) apply(s *Store) { s.sync = bool(o) }
 // WithSync forces an fsync after every WAL append (durable but slow).
 // Default is buffered writes flushed on every append without fsync.
 func WithSync(enabled bool) Option { return syncOption(enabled) }
-
-type segmentSizeOption int64
-
-func (o segmentSizeOption) apply(s *Store) {
-	if o > 0 {
-		s.segmentSize = int64(o)
-	}
-}
-
-// WithSegmentSize bounds WAL segment files to roughly n bytes; crossing
-// the bound after a commit group seals the segment. Default 4 MiB.
-func WithSegmentSize(n int64) Option { return segmentSizeOption(n) }
-
-type recoveryWorkersOption int
-
-func (o recoveryWorkersOption) apply(s *Store) { s.recoveryWorkers = int(o) }
-
-// WithRecoveryWorkers sets how many goroutines decode snapshot and WAL
-// records during Open. Values below 1 use GOMAXPROCS; 1 is the serial
-// ablation baseline.
-func WithRecoveryWorkers(n int) Option { return recoveryWorkersOption(n) }
-
-type tombstoneRetentionOption int
-
-func (o tombstoneRetentionOption) apply(s *Store) {
-	if o > 0 {
-		s.tombstoneCap = int(o)
-	}
-}
-
-// WithTombstoneRetention bounds how many deletion tombstones the change
-// feed retains (default 65536). Keeping every deletion forever would
-// reintroduce the unbounded growth expiry exists to prevent; overflow
-// forgets the oldest deletions first.
-func WithTombstoneRetention(n int) Option { return tombstoneRetentionOption(n) }
 
 type metricsOption struct{ reg *obs.Registry }
 
@@ -330,15 +296,15 @@ type walRecord struct {
 
 // Open loads (or creates) a store in dir. An empty dir opens a memory-only
 // store with no durability. Recovery decodes the snapshot and the sealed
-// WAL segments across a worker pool (WithRecoveryWorkers) and repairs a
-// torn tail on the active segment.
+// WAL segments across GOMAXPROCS workers and repairs a torn tail on the
+// active segment.
 func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		dir:          dir,
 		events:       make(map[string]*storedEvent),
 		byValue:      make(map[string]*postings),
 		tombstones:   make(map[string]tombstone),
-		tombstoneCap: defaultTombstoneRetention,
+		tombstoneCap: tombstoneRetention,
 		segmentSize:  defaultSegmentSize,
 	}
 	for _, o := range opts {
@@ -356,10 +322,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if _, err := os.Stat(legacy); err == nil {
 		return nil, fmt.Errorf("%w: %s", ErrLegacyFormat, legacy)
 	}
-	workers := s.recoveryWorkers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if err := s.loadSnapshot(workers); err != nil {
 		return nil, err
 	}

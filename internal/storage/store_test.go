@@ -24,6 +24,17 @@ func event(t testing.TB, info string, attrs ...[2]string) *misp.Event {
 	return e
 }
 
+// optionFunc sets a Store field that only tests change.
+type optionFunc func(*Store)
+
+func (f optionFunc) apply(s *Store) { f(s) }
+
+// withSegmentSize seals WAL segments at roughly n bytes instead of
+// defaultSegmentSize, so a test crosses segment boundaries with few events.
+func withSegmentSize(n int64) Option {
+	return optionFunc(func(s *Store) { s.segmentSize = n })
+}
+
 func openTemp(t *testing.T, opts ...Option) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()

@@ -223,7 +223,7 @@ func TestPutBatchRefusesStaleRevision(t *testing.T) {
 // returns again reproduces exactly that prefix.
 func FuzzScanSegment(f *testing.F) {
 	dir := f.TempDir()
-	s, err := Open(dir, WithSegmentSize(1<<30))
+	s, err := Open(dir, withSegmentSize(1<<30))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestAPIMatchStream(t *testing.T) {
 }
 
 func TestAPIStructuredErrors(t *testing.T) {
-	_, srv := newTestAPI(t, WithMaxPatternBytes(48), WithMaxPerClient(1))
+	_, srv := newTestAPI(t, withMaxPatternBytes(48), withMaxPerClient(1))
 
 	// Syntax error: 400 with the parser's byte offset.
 	resp := postJSON(t, srv.URL+"/subscriptions",

@@ -62,7 +62,7 @@ func benchObs(n int, mixed bool) []stixpattern.Observation {
 }
 
 func benchEvaluate(b *testing.B, n int, mixed bool) {
-	e := NewEngine(WithMetrics(obs.NewRegistry()), WithMaxPerClient(n+1))
+	e := NewEngine(WithMetrics(obs.NewRegistry()), withMaxPerClient(n+1))
 	defer e.Close()
 	seedPatterns(b, e, n)
 	stream := benchObs(n, mixed)
@@ -90,7 +90,7 @@ func BenchmarkSubsIndexed(b *testing.B) {
 // BenchmarkSubsRegister measures registration cost (parse + decompose +
 // index insert) with 10k patterns already standing.
 func BenchmarkSubsRegister(b *testing.B) {
-	e := NewEngine(WithMaxPerClient(1 << 20))
+	e := NewEngine(withMaxPerClient(1 << 20))
 	defer e.Close()
 	seedPatterns(b, e, 10000)
 	b.ReportAllocs()

@@ -100,7 +100,7 @@ func TestPersistSkipsEntriesOverQuota(t *testing.T) {
 
 	// The restarted daemon enforces a tighter per-client quota: the
 	// overflow is skipped with a warning, the rest still load.
-	e = NewEngine(WithPersistPath(path), WithMaxPerClient(2))
+	e = NewEngine(WithPersistPath(path), withMaxPerClient(2))
 	defer e.Close()
 	if e.Len() != 2 {
 		t.Fatalf("restored %d subscriptions under quota 2", e.Len())

@@ -41,7 +41,7 @@ import (
 	"github.com/caisplatform/caisp/internal/wsock"
 )
 
-// Registration limits (overridable via options).
+// Registration limits.
 const (
 	DefaultMaxPatternBytes = 4096
 	DefaultMaxPerClient    = 1024
@@ -194,16 +194,6 @@ func WithMetrics(reg *obs.Registry) Option {
 // must stay unregistered to keep the one-registration metric contract.
 func WithHubMetrics(reg *obs.Registry) Option {
 	return func(e *Engine) { e.hubReg = reg }
-}
-
-// WithMaxPatternBytes caps registered pattern source length.
-func WithMaxPatternBytes(n int) Option {
-	return func(e *Engine) { e.maxBytes = n }
-}
-
-// WithMaxPerClient caps live subscriptions per client ID.
-func WithMaxPerClient(n int) Option {
-	return func(e *Engine) { e.maxPer = n }
 }
 
 // WithLogger sets the engine's logger.

@@ -17,6 +17,11 @@ import (
 	"github.com/caisplatform/caisp/internal/wsock"
 )
 
+// withMaxPatternBytes and withMaxPerClient lower the registration caps
+// below the defaults the daemons run with.
+func withMaxPatternBytes(n int) Option { return func(e *Engine) { e.maxBytes = n } }
+func withMaxPerClient(n int) Option    { return func(e *Engine) { e.maxPer = n } }
+
 func obsOf(fields map[string][]string) stixpattern.Observation {
 	return stixpattern.Observation{At: time.Unix(1700000000, 0), Fields: fields}
 }
@@ -112,7 +117,7 @@ func TestUnsubscribeRemovesFromIndex(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	e := NewEngine(WithMaxPatternBytes(64), WithMaxPerClient(2))
+	e := NewEngine(withMaxPatternBytes(64), withMaxPerClient(2))
 	defer e.Close()
 
 	// Syntax error carries the parser position.

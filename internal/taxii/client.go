@@ -85,17 +85,6 @@ func (c *Client) AllObjects(apiRoot, collectionID string, addedAfter time.Time) 
 	}
 }
 
-// ManifestEntries fetches the collection manifest.
-func (c *Client) ManifestEntries(apiRoot, collectionID string, addedAfter time.Time) ([]ManifestEntry, error) {
-	params := url.Values{}
-	if !addedAfter.IsZero() {
-		params.Set("added_after", addedAfter.UTC().Format(time.RFC3339))
-	}
-	var m Manifest
-	err := c.get("/"+apiRoot+"/collections/"+url.PathEscape(collectionID)+"/manifest/", params, &m)
-	return m.Objects, err
-}
-
 // AddObjects submits STIX objects to a writable collection.
 func (c *Client) AddObjects(apiRoot, collectionID string, objs ...stix.Object) (Status, error) {
 	env := Envelope{Objects: make([]json.RawMessage, 0, len(objs))}

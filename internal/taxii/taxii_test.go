@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -288,7 +289,16 @@ func TestManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewClient(srv.URL, "")
-	entries, err := c.ManifestEntries("caisp", "eiocs", time.Time{})
+	manifest := func(collection string, addedAfter time.Time) ([]ManifestEntry, error) {
+		params := url.Values{}
+		if !addedAfter.IsZero() {
+			params.Set("added_after", addedAfter.UTC().Format(time.RFC3339))
+		}
+		var m Manifest
+		err := c.get("/caisp/collections/"+collection+"/manifest/", params, &m)
+		return m.Objects, err
+	}
+	entries, err := manifest("eiocs", time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +309,14 @@ func TestManifest(t *testing.T) {
 		t.Fatalf("entry = %+v", entries[0])
 	}
 	// added_after filters (the fake clock ticks per AddObjects call).
-	filtered, err := c.ManifestEntries("caisp", "eiocs", entries[0].DateAdded)
+	filtered, err := manifest("eiocs", entries[0].DateAdded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(filtered) != 1 || filtered[0].ID != v2.ID {
 		t.Fatalf("filtered = %+v", filtered)
 	}
-	if _, err := c.ManifestEntries("caisp", "ghost", time.Time{}); err == nil {
+	if _, err := manifest("ghost", time.Time{}); err == nil {
 		t.Fatal("unknown collection accepted")
 	}
 }

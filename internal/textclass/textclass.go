@@ -95,18 +95,6 @@ func (c *Classifier) Train(class, text string) {
 	}
 }
 
-// Classes lists the known classes, sorted.
-func (c *Classifier) Classes() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.classDocs))
-	for class := range c.classDocs {
-		out = append(out, class)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Classify predicts the threat category of a text. Empty or untokenizable
 // text is irrelevant with zero confidence.
 func (c *Classifier) Classify(text string) Prediction {

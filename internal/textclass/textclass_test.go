@@ -110,16 +110,24 @@ func TestEvaluateOnHeldOut(t *testing.T) {
 	}
 }
 
+// TestClassesSorted: the built-in corpus trains at least seven classes,
+// and Classify breaks a tie between equally likely ones by class name.
 func TestClassesSorted(t *testing.T) {
 	c := New()
-	classes := c.Classes()
-	if len(classes) < 7 {
-		t.Fatalf("classes = %v", classes)
+	if len(c.classDocs) < 7 {
+		t.Fatalf("corpus trains %d classes, want at least 7", len(c.classDocs))
 	}
-	for i := 1; i < len(classes); i++ {
-		if classes[i-1] >= classes[i] {
-			t.Fatal("classes not sorted")
-		}
+	tie := &Classifier{
+		tokenCount: map[string]map[string]int{},
+		classTotal: map[string]int{},
+		classDocs:  map[string]int{},
+		vocab:      map[string]bool{},
+		seeds:      map[string]string{},
+	}
+	tie.Train("zeta", "outage")
+	tie.Train("alpha", "outage")
+	if got := tie.Classify("outage").Category; got != "alpha" {
+		t.Fatalf("tie went to %q, want alpha", got)
 	}
 }
 

@@ -17,57 +17,37 @@ import (
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
-// defaultRequestTimeout bounds each request issued by a Client when the
+// requestTimeout bounds each request issued by a Client when the
 // caller's context carries no deadline of its own. Without it a hung
 // remote (accepted connection, no response) would wedge a mesh sync
 // worker forever; with it the worker gets an error and backs off.
-const defaultRequestTimeout = 30 * time.Second
+const requestTimeout = 30 * time.Second
 
 // Client talks to a TIP instance's REST API — the role PyMISP plays in the
 // paper's information-sharing process (§IV-A). Every method takes a
-// context; when the context has no deadline the client applies its
-// per-request timeout (WithRequestTimeout, 30s by default) so no call can
-// block indefinitely on an unresponsive peer.
+// context; when the context has no deadline the client applies a 30 s
+// per-request timeout so no call can block indefinitely on an
+// unresponsive peer.
 type Client struct {
-	baseURL    string
-	apiKey     string
-	http       *http.Client
-	reqTimeout time.Duration
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithRequestTimeout sets the deadline applied to each request whose
-// context does not already carry one. Zero disables the default and
-// leaves deadline control entirely to the caller's context.
-func WithRequestTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.reqTimeout = d }
+	baseURL string
+	apiKey  string
+	http    *http.Client
 }
 
 // NewClient builds a client for the instance at baseURL.
-func NewClient(baseURL, apiKey string, opts ...ClientOption) *Client {
-	c := &Client{
-		baseURL:    baseURL,
-		apiKey:     apiKey,
-		http:       &http.Client{},
-		reqTimeout: defaultRequestTimeout,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+func NewClient(baseURL, apiKey string) *Client {
+	return &Client{baseURL: baseURL, apiKey: apiKey, http: &http.Client{}}
 }
 
-// withDeadline applies the client's default per-request timeout when ctx
+// withDeadline applies the client's per-request timeout when ctx
 // has none of its own, plus any change-feed wait the context asks for
 // (storage.WithWait): the server may hold the request that long.
 func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, ok := ctx.Deadline(); !ok && c.reqTimeout > 0 {
-		return context.WithTimeout(ctx, c.reqTimeout+storage.WaitFrom(ctx))
+	if _, ok := ctx.Deadline(); !ok {
+		return context.WithTimeout(ctx, requestTimeout+storage.WaitFrom(ctx))
 	}
 	return ctx, func() {}
 }

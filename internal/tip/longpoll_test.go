@@ -248,7 +248,7 @@ func TestPlainClientSendsNoWait(t *testing.T) {
 		_, _ = w.Write([]byte("[]\n"))
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, "", WithRequestTimeout(time.Second))
+	c := NewClient(srv.URL, "")
 	if _, _, _, err := c.Changes(t.Context(), 7, 10); err != nil {
 		t.Fatal(err)
 	}

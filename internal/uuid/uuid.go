@@ -113,11 +113,6 @@ func (u UUID) Version() int {
 	return int(u[6] >> 4)
 }
 
-// IsNil reports whether the UUID is the all-zero nil UUID.
-func (u UUID) IsNil() bool {
-	return u == Nil
-}
-
 // setVersion stamps the version nibble and the RFC 4122 variant bits.
 func (u *UUID) setVersion(v byte) {
 	u[6] = (u[6] & 0x0f) | (v << 4)

@@ -101,10 +101,10 @@ func TestIsValidAndNil(t *testing.T) {
 	if IsValid("not-a-uuid") {
 		t.Fatal("garbage reported valid")
 	}
-	if !Nil.IsNil() {
-		t.Fatal("Nil.IsNil() = false")
+	if Nil != (UUID{}) {
+		t.Fatalf("Nil = %s, want all zeros", Nil)
 	}
-	if NewV4().IsNil() {
-		t.Fatal("random UUID reported nil")
+	if NewV4() == Nil {
+		t.Fatal("random UUID is nil")
 	}
 }

@@ -246,11 +246,6 @@ func (c *Conn) WriteText(payload []byte) error {
 	return c.write(frame{fin: true, opcode: OpText, payload: payload})
 }
 
-// WriteBinary sends a binary message.
-func (c *Conn) WriteBinary(payload []byte) error {
-	return c.write(frame{fin: true, opcode: OpBinary, payload: payload})
-}
-
 // Ping sends a ping frame.
 func (c *Conn) Ping(payload []byte) error {
 	return c.write(frame{fin: true, opcode: OpPing, payload: payload})
@@ -269,7 +264,7 @@ func (c *Conn) Close() error {
 // since RFC 6455 forbids unmasked client frames.
 func (c *Conn) WritePrepared(pf *PreparedFrame) error {
 	if c.client {
-		return c.write(frame{fin: true, opcode: pf.opcode, payload: pf.Payload()})
+		return c.write(frame{fin: true, opcode: OpText, payload: pf.Payload()})
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

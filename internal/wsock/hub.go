@@ -11,7 +11,9 @@ import (
 	"github.com/caisplatform/caisp/internal/obs"
 )
 
-// Hub defaults; see the corresponding options.
+// Hub sizing: connections spread over DefaultShards shards, each client
+// queue holds DefaultQueueDepth frames unless WithQueueDepth says
+// otherwise, and a write slower than DefaultWriteTimeout evicts its client.
 const (
 	DefaultShards       = 8
 	DefaultQueueDepth   = 64
@@ -82,18 +84,6 @@ type queued struct {
 // HubOption configures a Hub.
 type HubOption interface{ applyHub(*Hub) }
 
-type shardsOption int
-
-func (o shardsOption) applyHub(h *Hub) {
-	if o > 0 {
-		h.shards = make([]*shard, int(o))
-	}
-}
-
-// WithShards sets the number of hub shards (default DefaultShards). More
-// shards parallelize fan-out across cores; one shard serializes it.
-func WithShards(n int) HubOption { return shardsOption(n) }
-
 type queueDepthOption int
 
 func (o queueDepthOption) applyHub(h *Hub) {
@@ -106,16 +96,6 @@ func (o queueDepthOption) applyHub(h *Hub) {
 // DefaultQueueDepth). A broadcast finding the queue full evicts the
 // client — drop-slowest, never block-everyone.
 func WithQueueDepth(n int) HubOption { return queueDepthOption(n) }
-
-type hubWriteTimeoutOption time.Duration
-
-func (o hubWriteTimeoutOption) applyHub(h *Hub) { h.writeTimeout = time.Duration(o) }
-
-// WithHubWriteTimeout bounds every client write (default
-// DefaultWriteTimeout); a timed-out write evicts the connection. Zero
-// disables deadlines (writes to a dead peer may then block their writer
-// goroutine until eviction aborts it).
-func WithHubWriteTimeout(d time.Duration) HubOption { return hubWriteTimeoutOption(d) }
 
 type hubMetricsOption struct{ reg *obs.Registry }
 
@@ -130,15 +110,13 @@ func WithHubMetrics(reg *obs.Registry) HubOption { return hubMetricsOption{reg: 
 // Callers should Close it when done.
 func NewHub(opts ...HubOption) *Hub {
 	h := &Hub{
+		shards:       make([]*shard, DefaultShards),
 		queueDepth:   DefaultQueueDepth,
 		writeTimeout: DefaultWriteTimeout,
 		done:         make(chan struct{}),
 	}
 	for _, o := range opts {
 		o.applyHub(h)
-	}
-	if h.shards == nil {
-		h.shards = make([]*shard, DefaultShards)
 	}
 	if h.reg != nil {
 		h.queueGauge = h.reg.GaugeVec("caisp_wsock_queue_depth",
@@ -174,9 +152,7 @@ func (h *Hub) Add(c *Conn) {
 		return
 	default:
 	}
-	if h.writeTimeout > 0 {
-		c.SetWriteTimeout(h.writeTimeout)
-	}
+	c.SetWriteTimeout(h.writeTimeout)
 	s := h.shards[h.next.Add(1)%uint64(len(h.shards))]
 	cl := &client{conn: c, shard: s, send: make(chan queued, h.queueDepth), dead: make(chan struct{})}
 	s.mu.Lock()

@@ -15,6 +15,11 @@ import (
 	"time"
 )
 
+// hubOptionFunc sets Hub fields the daemons leave at their defaults.
+type hubOptionFunc func(*Hub)
+
+func (f hubOptionFunc) applyHub(h *Hub) { f(h) }
+
 // pipeClient is one in-memory hub client: the server half is registered
 // with the hub, the client half is driven by the test.
 type pipeClient struct {
@@ -92,7 +97,7 @@ func TestSlowClientDoesNotDelayOthers(t *testing.T) {
 		{fast: 990, stalled: 10, messages: 20}, // over the default 8 shards
 	} {
 		t.Run(fmt.Sprintf("%d clients %d stalled", tc.fast+tc.stalled, tc.stalled), func(t *testing.T) {
-			hub := NewHub(WithQueueDepth(8), WithHubWriteTimeout(10*time.Second))
+			hub := NewHub(WithQueueDepth(8))
 			defer hub.Close()
 
 			var received atomic.Int64
@@ -137,7 +142,10 @@ func TestSlowClientDoesNotDelayOthers(t *testing.T) {
 // and CloseAll must tear every connection down exactly once, without
 // panics or deadlocks.
 func TestEvictionIdempotentUnderChurn(t *testing.T) {
-	hub := NewHub(WithShards(4), WithQueueDepth(2), WithHubWriteTimeout(time.Second))
+	hub := NewHub(WithQueueDepth(2), hubOptionFunc(func(h *Hub) {
+		h.shards = make([]*shard, 4)
+		h.writeTimeout = time.Second
+	}))
 	defer hub.Close()
 
 	var mu sync.Mutex

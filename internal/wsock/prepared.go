@@ -2,7 +2,7 @@ package wsock
 
 import "encoding/binary"
 
-// PreparedFrame is a complete server-to-client WebSocket frame — header
+// PreparedFrame is a complete server-to-client WebSocket text frame — header
 // and payload assembled once into a single contiguous byte slice — that
 // can be written verbatim to any number of connections. Server frames are
 // never masked (RFC 6455 §5.1), so the same bytes are shareable across
@@ -11,19 +11,13 @@ import "encoding/binary"
 type PreparedFrame struct {
 	data       []byte
 	payloadOff int
-	opcode     Opcode
 }
 
 // PrepareText assembles a text frame for broadcast. The payload is copied
 // once; the caller may reuse its buffer afterwards.
-func PrepareText(payload []byte) *PreparedFrame { return prepareFrame(OpText, payload) }
-
-// PrepareBinary assembles a binary frame for broadcast.
-func PrepareBinary(payload []byte) *PreparedFrame { return prepareFrame(OpBinary, payload) }
-
-func prepareFrame(op Opcode, payload []byte) *PreparedFrame {
+func PrepareText(payload []byte) *PreparedFrame {
 	var hdr [10]byte
-	hdr[0] = 0x80 | byte(op) // FIN + opcode
+	hdr[0] = 0x80 | byte(OpText) // FIN + opcode
 	n := 2
 	length := len(payload)
 	switch {
@@ -41,7 +35,7 @@ func prepareFrame(op Opcode, payload []byte) *PreparedFrame {
 	data := make([]byte, n+length)
 	copy(data, hdr[:n])
 	copy(data[n:], payload)
-	return &PreparedFrame{data: data, payloadOff: n, opcode: op}
+	return &PreparedFrame{data: data, payloadOff: n}
 }
 
 // Payload returns the payload portion of the prepared frame. Callers must

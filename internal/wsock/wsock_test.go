@@ -13,6 +13,12 @@ import (
 	"time"
 )
 
+// writeBinary sends one binary message. The platform only sends text, so
+// the binary framing path is reached through the unexported writer.
+func writeBinary(c *Conn, payload []byte) error {
+	return c.write(frame{fin: true, opcode: OpBinary, payload: payload})
+}
+
 // echoServer upgrades requests and echoes every data message back.
 func echoServer(t *testing.T) *httptest.Server {
 	t.Helper()
@@ -32,7 +38,7 @@ func echoServer(t *testing.T) *httptest.Server {
 			if op == OpText {
 				werr = conn.WriteText(payload)
 			} else {
-				werr = conn.WriteBinary(payload)
+				werr = writeBinary(conn, payload)
 			}
 			if werr != nil {
 				return
@@ -67,7 +73,7 @@ func TestEchoTextAndBinary(t *testing.T) {
 	}
 
 	bin := []byte{0x00, 0xff, 0x10, 0x80}
-	if err := conn.WriteBinary(bin); err != nil {
+	if err := writeBinary(conn, bin); err != nil {
 		t.Fatal(err)
 	}
 	op, payload, err = conn.ReadMessage()
@@ -108,7 +114,7 @@ func TestEchoQuick(t *testing.T) {
 	}
 	defer conn.Close()
 	f := func(payload []byte) bool {
-		if err := conn.WriteBinary(payload); err != nil {
+		if err := writeBinary(conn, payload); err != nil {
 			return false
 		}
 		_, got, err := conn.ReadMessage()
