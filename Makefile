@@ -17,10 +17,12 @@ bench:
 # Ten seconds of each fuzz target from its seeds (and testdata/fuzz corpus):
 # the event-list decoder against encoding/json (fast path or stdlib, never
 # a third answer, and each kept event span decodes to its event), the WAL
-# segment scanner and the STIX pattern parser.
+# segment scanner, the snapshot loader (Open refuses the file or its change
+# log lists exactly its live events) and the STIX pattern parser.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeList -fuzztime 10s ./internal/misp/
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s ./internal/stixpattern/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own

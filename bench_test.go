@@ -752,8 +752,7 @@ func seedReadStore(b *testing.B) *storage.Store {
 }
 
 // startIngest keeps committing fresh 64-event batches until stopped —
-// the sustained write load the readers contend with. Writer events carry
-// timestamps far in the past so the UpdatedSincePage result set stays fixed.
+// the sustained write load the readers contend with.
 func startIngest(b *testing.B, store *storage.Store) (stop func()) {
 	b.Helper()
 	done := make(chan struct{})
@@ -848,26 +847,6 @@ func BenchmarkSearchTypeTag(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkReadUpdatedSinceUnderIngest(b *testing.B) {
-	store := seedReadStore(b)
-	defer store.Close()
-	stop := startIngest(b, store)
-	// The cut keeps the last 100 seeded events in range (k=100).
-	cut := experiments.EvalTime.Add(time.Duration(readBenchStoreSize-100) * time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			hits, _, err := store.UpdatedSincePage(cut, "", 0)
-			if err != nil || len(hits) != 100 {
-				b.Fatalf("hits=%d err=%v", len(hits), err)
-			}
-		}
-	})
-	b.StopTimer()
-	stop()
 }
 
 func BenchmarkReadGet(b *testing.B) {

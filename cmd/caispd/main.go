@@ -19,7 +19,6 @@ import (
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/infra"
-	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/report"
 	"github.com/caisplatform/caisp/internal/sessions"
@@ -223,7 +222,7 @@ func buildFeeds(feedDir string, seed int64, items int, interval time.Duration) (
 		base := name[:len(name)-len(filepath.Ext(name))]
 		feeds = append(feeds, feed.Feed{
 			Name:     base,
-			Category: categoryForFile(base),
+			Category: feedgen.FeedCategory(base),
 			Fetcher:  &feed.FileFetcher{Path: path},
 			Parser:   parserForFile(name),
 			Interval: interval,
@@ -235,6 +234,8 @@ func buildFeeds(feedDir string, seed int64, items int, interval time.Duration) (
 	return feeds, nil
 }
 
+// parserForFile infers the parser from the file extension: a feed
+// directory may hold files feedgen did not write.
 func parserForFile(name string) feed.Parser {
 	switch filepath.Ext(name) {
 	case ".csv":
@@ -246,22 +247,5 @@ func parserForFile(name string) feed.Parser {
 		return feed.AdvisoryParser{}
 	default:
 		return feed.PlaintextParser{}
-	}
-}
-
-func categoryForFile(base string) string {
-	switch base {
-	case feedgen.FeedMalwareDomains, feedgen.FeedMISP:
-		return normalize.CategoryMalwareDomain
-	case feedgen.FeedBotnetIPs:
-		return normalize.CategoryBotnetC2
-	case feedgen.FeedPhishingURLs:
-		return normalize.CategoryPhishing
-	case feedgen.FeedMalwareHashes:
-		return normalize.CategoryMalwareHash
-	case feedgen.FeedAdvisories:
-		return normalize.CategoryVulnExploit
-	default:
-		return normalize.CategoryUnknown
 	}
 }

@@ -116,10 +116,10 @@ func TestParserAndCategoryMapping(t *testing.T) {
 	if _, ok := parserForFile("vuln-advisories.json").(feed.AdvisoryParser); !ok {
 		t.Fatal("advisory parser wrong")
 	}
-	if got := categoryForFile("phishing-urls"); got != normalize.CategoryPhishing {
+	if got := feedgen.FeedCategory("phishing-urls"); got != normalize.CategoryPhishing {
 		t.Fatalf("category = %q", got)
 	}
-	if got := categoryForFile("anything-else"); got != normalize.CategoryUnknown {
+	if got := feedgen.FeedCategory("anything-else"); got != normalize.CategoryUnknown {
 		t.Fatalf("fallback category = %q", got)
 	}
 }

@@ -138,7 +138,7 @@ func (g *Generator) Feeds(interval time.Duration) ([]feed.Feed, error) {
 	for _, name := range names {
 		out = append(out, feed.Feed{
 			Name:     name,
-			Category: feedCategory(name),
+			Category: FeedCategory(name),
 			Fetcher:  &feed.StaticFetcher{Data: docs[name]},
 			Parser:   feedParser(name),
 			Interval: interval,
@@ -399,9 +399,11 @@ func (g *Generator) maybeDefangURL(u string) string {
 	return strings.Replace(u, "http://", "hxxp://", 1)
 }
 
-func feedCategory(name string) string {
+// FeedCategory is the threat category of the feed with the given name
+// (a Feed* constant); any other name is normalize.CategoryUnknown.
+func FeedCategory(name string) string {
 	switch name {
-	case FeedMalwareDomains:
+	case FeedMalwareDomains, FeedMISP:
 		return normalize.CategoryMalwareDomain
 	case FeedBotnetIPs:
 		return normalize.CategoryBotnetC2
@@ -411,8 +413,6 @@ func feedCategory(name string) string {
 		return normalize.CategoryMalwareHash
 	case FeedAdvisories:
 		return normalize.CategoryVulnExploit
-	case FeedMISP:
-		return normalize.CategoryMalwareDomain
 	default:
 		return normalize.CategoryUnknown
 	}

@@ -18,18 +18,6 @@ import (
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
-// Store is the slice of the storage API the lifecycle engine drives:
-// the (timestamp, uuid) time index for the oldest-first scan, clone
-// reads for in-place edits, group-committed batch writes, and
-// deletion. *storage.Store satisfies it.
-type Store interface {
-	UpdatedSincePage(t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error)
-	GetClone(uuid string) (*misp.Event, error)
-	PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, error)
-	Delete(uuid string) error
-	Len() int
-}
-
 // Defaults. The interval and floor have With… overrides, where zero or
 // negative keeps the default; the batch size and history depth are fixed.
 const (
@@ -85,13 +73,16 @@ func (h *history) ordered() []Sample {
 }
 
 // Engine is the background re-score scheduler. One RunOnce processes a
-// bounded batch of the store's time index, oldest last-update first,
+// bounded batch of the store's change log, oldest ingest first,
 // re-computing every visited indicator's decayed score and expiring
 // the ones that fell through the floor; Start runs RunOnce on an
-// interval. The incremental cursor makes a full pass cost O(store)
-// spread over store/batch runs instead of O(store) per run.
+// interval. A pass walks the log up to the sequence the store had when
+// the pass began, so it costs O(store) spread over store/batch runs
+// however fast events arrive: whatever lands after that mark (ingest,
+// late imports, edits, the engine's own re-scores) waits for the next
+// pass.
 type Engine struct {
-	store    Store
+	store    *storage.Store
 	policies map[string]Policy
 	floor    float64
 	batch    int
@@ -103,8 +94,8 @@ type Engine struct {
 	logger   *slog.Logger
 
 	mu     sync.Mutex // serializes RunOnce: scan cursor + pass counter
-	curT   time.Time
-	curID  string
+	cur    uint64     // change-log sequence the pass resumes after; 0 starts a pass
+	mark   uint64     // store.Seq() when the pass began: where it ends
 	pass   uint64
 	closed bool
 
@@ -183,7 +174,7 @@ func WithMetrics(reg *obs.Registry) Option {
 
 // New builds an engine over the store. Call Start for the background
 // loop or RunOnce directly (tests).
-func New(store Store, opts ...Option) *Engine {
+func New(store *storage.Store, opts ...Option) *Engine {
 	e := &Engine{
 		store:    store,
 		policies: DefaultPolicies(),
@@ -240,7 +231,7 @@ func (e *Engine) Close() {
 
 // Result summarizes one RunOnce.
 type Result struct {
-	// Scanned is how many time-index entries the run visited.
+	// Scanned is how many live events the run visited.
 	Scanned int `json:"scanned"`
 	// Rescored counts landed decayed-score edits, Expired deletions, and
 	// Refreshed decay ages reset by a newer correlator sighting.
@@ -271,18 +262,18 @@ func (e *Engine) RunOnce(now time.Time) (Result, error) {
 		sight = e.sight()
 	}
 	var res Result
-	page, more, err := e.store.UpdatedSincePage(e.curT, e.curID, e.batch)
+	if e.cur == 0 {
+		e.mark = e.store.Seq()
+	}
+	page, next, more, err := e.store.ChangesPage(e.cur, e.batch)
 	if err != nil {
 		return res, err
 	}
 	if err := e.processPage(page, now, sight, &res); err != nil {
 		return res, err
 	}
-	if len(page) > 0 {
-		last := page[len(page)-1]
-		e.curT, e.curID = last.Timestamp.Time, last.UUID
-	}
-	if !more {
+	e.cur = next
+	if !more || next >= e.mark {
 		e.wrap(&res)
 	}
 	return res, nil
@@ -292,7 +283,7 @@ func (e *Engine) RunOnce(now time.Time) (Result, error) {
 // of indicators not seen live for two consecutive passes (deleted
 // behind our back — mesh tombstones, merges).
 func (e *Engine) wrap(res *Result) {
-	e.curT, e.curID = time.Time{}, ""
+	e.cur = 0
 	e.pass++
 	e.passes.Add(1)
 	res.Wrapped = true

@@ -383,3 +383,62 @@ func TestHistoryRingBoundedAndOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestPassEndsUnderIngestAndReachesLateImports: a pass ends at the
+// change-log sequence it began at, so arrivals faster than the batch
+// cannot chase it forever, and an indicator imported late with an old
+// timestamp is still visited and expired. 64 stored indicators, batch
+// 16, and a feed re-sending 32 indicators stamped with the current
+// instant before every run; after the third run one indicator already
+// past its lifetime arrives with an old timestamp.
+func TestPassEndsUnderIngestAndReachesLateImports(t *testing.T) {
+	s := openStore(t)
+	note := func(info string, at time.Time) *misp.Event {
+		ev := misp.NewEvent(info, at)
+		ev.AddAttribute("comment", "Other", info, at)
+		return ev
+	}
+	for i := 0; i < 64; i++ {
+		if err := s.Put(note(fmt.Sprintf("stored-%02d", i), t0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed := make([]*misp.Event, 32)
+	for i := range feed {
+		feed[i] = note(fmt.Sprintf("feed-%02d", i), t0)
+	}
+	late := note("late import", t0.Add(-300*time.Hour)) // unknown τ is 200h
+	e := New(s, withPolicies(testPolicies()), withBatchSize(16))
+
+	const runs = 5
+	wrapped := 0
+	for run := 1; run <= runs; run++ {
+		now := t0.Add(time.Duration(run) * time.Minute)
+		for _, ev := range feed {
+			rev := ev.Clone()
+			rev.Timestamp = misp.UnixTime{Time: now}
+			if err := s.Put(rev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := e.RunOnce(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Wrapped {
+			wrapped = run
+			break
+		}
+		if run == 3 {
+			if err := s.Put(late); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if wrapped == 0 {
+		t.Fatalf("no pass wrapped in %d runs under 32 arrivals per run and batch 16", runs)
+	}
+	if s.Has(late.UUID) {
+		t.Fatalf("pass wrapped at run %d, but the late import past its lifetime is still stored", wrapped)
+	}
+}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestConcurrentRescoreIngestReads drives re-scoring, ingest, point
-// reads, the time-index walk and the history API concurrently — the
+// reads, a change-log walk and the history API concurrently — the
 // interleaving `go test -race` exists for. Correctness bar: no data
 // race, no error, and a final full pass leaves every surviving score a
 // pure function of its base and age.
@@ -55,7 +55,7 @@ func TestConcurrentRescoreIngestReads(t *testing.T) {
 	go func() { // point reads + stats
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			_, _, _ = s.UpdatedSincePage(t0, "", 32)
+			_, _, _, _ = s.ChangesPage(0, 32)
 			_ = e.Stats()
 		}
 	}()

@@ -12,11 +12,11 @@ import (
 )
 
 // feedView is everything a reader can learn from a store: the change
-// feed with sequences and deletion times, the time-ordered listing and
-// the live set.
+// feed with sequences and deletion times, the live listing in change-log
+// order and the live set.
 type feedView struct {
 	Changes []string
-	Since   []string
+	Listed  []string
 	Live    map[string]int64
 	Seq     uint64
 }
@@ -28,12 +28,12 @@ func viewOf(t *testing.T, s *Store) feedView {
 	for _, c := range changes {
 		v.Changes = append(v.Changes, fmt.Sprintf("%d %s live=%v at=%d", c.Seq, c.UUID, c.Event != nil, c.DeletedAt.Unix()))
 	}
-	since, _, err := s.UpdatedSincePage(time.Time{}, "", 0)
+	listed, _, _, err := s.ChangesPage(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range since {
-		v.Since = append(v.Since, e.UUID)
+	for _, e := range listed {
+		v.Listed = append(v.Listed, e.UUID)
 	}
 	all, err := s.All()
 	if err != nil {
@@ -46,14 +46,14 @@ func viewOf(t *testing.T, s *Store) feedView {
 }
 
 // TestDeleteBatchEqualsDeleteAtLoop: a batch leaves exactly what a loop
-// of DeleteAt leaves — feed, time index, live set, sequences — before and
+// of DeleteAt leaves — feed, live listing, live set, sequences — before and
 // after recovery, skipping absent and repeated UUIDs as the loop's
 // ErrNotFound does.
 func TestDeleteBatchEqualsDeleteAtLoop(t *testing.T) {
 	events := make([]*misp.Event, 40)
 	for i := range events {
 		events[i] = event(t, fmt.Sprintf("e%d", i), [2]string{"domain", fmt.Sprintf("d%d.example", i%7)})
-		events[i].Timestamp = misp.UT(now.Add(time.Duration(i*37%11) * time.Second)) // ties and disorder in the time index
+		events[i].Timestamp = misp.UT(now.Add(time.Duration(i*37%11) * time.Second)) // ties and disorder in timestamp order
 	}
 	var dels []Deletion
 	for i := 0; i < len(events); i += 3 {

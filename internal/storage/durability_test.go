@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
 )
@@ -273,8 +272,8 @@ func TestConcurrentBatchesDuringBackgroundCompaction(t *testing.T) {
 					return
 				default:
 					s.Len()
-					if _, _, err := s.UpdatedSincePage(now.Add(-time.Hour), "", 0); err != nil {
-						t.Errorf("UpdatedSincePage: %v", err)
+					if _, _, _, err := s.ChangesPage(0, 0); err != nil {
+						t.Errorf("ChangesPage: %v", err)
 						return
 					}
 				}

@@ -156,8 +156,11 @@ func (s *Store) loadSnapshot(workers int) error {
 		}
 		return fmt.Errorf("storage: decode snapshot header: %v", err)
 	}
+	rest := bytes.TrimPrefix(data[len(first):], []byte{'\n'})
+	if hdr.Count < 0 || hdr.Count > len(rest) {
+		return fmt.Errorf("storage: snapshot header counts %d records in %d bytes", hdr.Count, len(rest))
+	}
 	lines := make([][]byte, 0, hdr.Count)
-	rest := data[len(first)+1:]
 	for len(lines) < hdr.Count {
 		nl := bytes.IndexByte(rest, '\n')
 		if nl < 0 {
@@ -205,7 +208,12 @@ func (s *Store) loadSnapshot(workers int) error {
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	}
 	s.loading = true
-	for _, rec := range recs {
+	for i, rec := range recs {
+		if rec.Seq == 0 || i > 0 && rec.Seq == recs[i-1].Seq {
+			// Every change-log entry needs its own sequence after 0, or
+			// a cursor could not page past it.
+			return fmt.Errorf("storage: snapshot record %d: sequence %d is zero or repeated", i, rec.Seq)
+		}
 		s.seq = rec.Seq
 		if rec.Event != nil {
 			s.apply(rec.Event, rec.Seq)
@@ -219,7 +227,6 @@ func (s *Store) loadSnapshot(workers int) error {
 	if hdr.Seq > s.seq {
 		s.seq = hdr.Seq
 	}
-	s.sortTimeIndex()
 	return nil
 }
 

@@ -19,7 +19,8 @@ import (
 //   - batch atomicity: every event of a PutBatch becomes visible at once,
 //     so a reader never observes a partial batch (SearchValue over a
 //     batch-shared value returns 0 or batchSize hits, all from the same
-//     revision pass; UpdatedSince counts stay multiples of batchSize);
+//     revision pass; the change log lists whole batches, each one
+//     contiguous);
 //   - immutability: an event captured by a reader keeps its contents
 //     unchanged even after the writer overwrites the same UUIDs.
 //
@@ -129,15 +130,26 @@ func TestSnapshotIsolationUnderConcurrentIngest(t *testing.T) {
 					}
 				}
 
-				// Atomicity over the time index: batches land whole.
-				since, _, err := s.UpdatedSincePage(batchTime(i), "", 0)
+				// Atomicity over the change log: a batch commits at
+				// consecutive sequences, so the live listing is whole
+				// batches back to back.
+				listed, _, _, err := s.ChangesPage(0, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(since)%batchSize != 0 {
-					t.Errorf("partial batch visible: UpdatedSince = %d events, not a multiple of %d", len(since), batchSize)
+				if len(listed)%batchSize != 0 {
+					t.Errorf("partial batch visible: ChangesPage = %d events, not a multiple of %d", len(listed), batchSize)
 					return
+				}
+				for k := 0; k < len(listed); k += batchSize {
+					want := listed[k].Attributes[0].Value
+					for _, e := range listed[k : k+batchSize] {
+						if e.Attributes[0].Value != want {
+							t.Errorf("batch split in the change log: %s listed among %s", e.Attributes[0].Value, want)
+							return
+						}
+					}
 				}
 
 				// Correlation sees the whole batch or none of it.

@@ -11,10 +11,11 @@
 // never mutated afterwards, so Get/Search*/All/ChangesPage return shared
 // frozen revisions instead of deep copies, and the lock-held critical
 // sections shrink to map lookups. Callers that intend to mutate a result
-// must take GetClone (see DESIGN.md §8). A time-ordered index makes
-// UpdatedSincePage O(log n + k); value postings are map-backed sets with
-// lazily rebuilt sorted slices; and the wrapped-MISP wire encoding is
-// cached once per stored revision (WrappedJSON).
+// must take GetClone (see DESIGN.md §8). The one order the store keeps
+// is the ingest-sequence change log (ChangesPage, Changes); value
+// postings are map-backed sets with lazily rebuilt sorted slices; and
+// the wrapped-MISP wire encoding is cached once per stored revision
+// (WrappedJSON).
 //
 // Durability is pause-free (DESIGN.md §9): Compact freezes the current
 // event map behind a copy-on-write overlay under a brief lock, then
@@ -136,13 +137,6 @@ func removePosting(m map[string]*postings, key, uuid string) {
 	p.sorted.Store(nil)
 }
 
-// timeEntry is one element of the time-ordered sync index, sorted by
-// (timestamp, uuid).
-type timeEntry struct {
-	ts   time.Time
-	uuid string
-}
-
 // changeEntry is one element of the ingest-sequence change log.
 type changeEntry struct {
 	seq  uint64
@@ -176,15 +170,15 @@ type Store struct {
 	count   int // live events across base+overlay
 
 	byValue map[string]*postings // attribute value -> event UUIDs
-	byTime  []timeEntry          // ascending (timestamp, uuid)
 
 	// changes is the ingest-sequence change log: one entry per applied
-	// put, ascending by seq. It is what replication cursors page over
-	// (ChangesPage) — unlike the (timestamp, uuid) time index, a
-	// late-imported event always lands at the log's tail, so a peer
-	// cursor can never skip it. An entry is live while the installed
-	// revision still carries its seq; re-puts and deletes leave stale
-	// entries behind, compacted away once they outnumber the live ones.
+	// put or delete, ascending by seq — the store's only order.
+	// Replication cursors and the lifecycle pass page over it
+	// (ChangesPage, Changes); a late-imported event always lands at the
+	// log's tail, so a cursor can never skip it. An entry is live while
+	// the installed revision still carries its seq; re-puts and deletes
+	// leave stale entries behind, compacted away once they outnumber the
+	// live ones.
 	changes      []changeEntry
 	staleChanges int
 
@@ -196,9 +190,8 @@ type Store struct {
 	tombstoneCap int
 
 	walOps int // operations appended since last snapshot
-	// loading marks snapshot bulk-load during Open: events stream in map
-	// order, so per-event sorted inserts into byTime would be O(n²);
-	// instead entries are appended and sorted once afterwards.
+	// loading marks snapshot bulk-load during Open, when every change
+	// entry is live, so compactChanges has nothing to drop.
 	loading bool
 
 	segmentSize int64 // WAL segment bound (defaultSegmentSize)
@@ -542,15 +535,14 @@ type Deletion struct {
 }
 
 // DeleteBatch removes a batch of events as one commit group: one WAL
-// append, flush and fsync and one sweep of the time index for the whole
-// batch, all-or-nothing across a crash like PutBatch. UUIDs the store
-// does not hold (or that repeat within the batch) are skipped; it returns
-// how many events it removed. Replication uses the per-entry times to
-// re-apply a peer's deletions at their original times, so newest-wins
-// conflict resolution stays transitive across hops; local deletions go
-// through Delete. Each deletion lands in the WAL and the ingest-sequence
-// change log, so it survives compaction + restart and reaches every
-// replication cursor.
+// append, flush and fsync for the whole batch, all-or-nothing across a
+// crash like PutBatch. UUIDs the store does not hold (or that repeat
+// within the batch) are skipped; it returns how many events it removed.
+// Replication uses the per-entry times to re-apply a peer's deletions at
+// their original times, so newest-wins conflict resolution stays
+// transitive across hops; local deletions go through Delete. Each
+// deletion lands in the WAL and the ingest-sequence change log, so it
+// survives compaction + restart and reaches every replication cursor.
 func (s *Store) DeleteBatch(dels []Deletion) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -622,16 +614,17 @@ func (s *Store) signalCommit() {
 	}
 }
 
-// Len returns the number of stored events.
 // Seq reports the store's ingest-sequence high-water mark: the sequence
 // of the newest change-log entry. Peer cursors chase this value, so it
-// is the watermark GET /cluster/status publishes for lag accounting.
+// is the watermark GET /cluster/status publishes for lag accounting; a
+// lifecycle pass records it as the point where the pass ends.
 func (s *Store) Seq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seq
 }
 
+// Len returns the number of stored events.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -718,49 +711,13 @@ func (s *Store) SearchValue(value string) ([]*misp.Event, error) {
 	return out, nil
 }
 
-// UpdatedSincePage returns up to limit events whose timestamp is at or
-// after t, in (timestamp, uuid) order, and whether more remain. The
-// time-ordered index makes this O(log n + k) instead of a full scan. A
-// non-empty afterUUID resumes strictly past the cursor (t, afterUUID) —
-// the (timestamp, uuid) of the previous page's last event — so pages
-// never skip or repeat ties on equal timestamps. A limit of 0 or less
-// returns everything. This is lifecycle's decay-schedule walk, not a
-// replication cursor: replicas follow ChangesPage.
-func (s *Store) UpdatedSincePage(t time.Time, afterUUID string, limit int) ([]*misp.Event, bool, error) {
-	s.mu.RLock()
-	i := sort.Search(len(s.byTime), func(i int) bool {
-		ent := s.byTime[i]
-		if afterUUID != "" && ent.ts.Equal(t) {
-			return ent.uuid > afterUUID
-		}
-		return !ent.ts.Before(t)
-	})
-	n := len(s.byTime) - i
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	out := make([]*misp.Event, 0, n)
-	for _, ent := range s.byTime[i:] {
-		if limit > 0 && len(out) == limit {
-			break
-		}
-		if se, ok := s.lookup(ent.uuid); ok {
-			out = append(out, se.event)
-		}
-	}
-	more := limit > 0 && i+len(out) < len(s.byTime)
-	s.mu.RUnlock()
-	return out, more, nil
-}
-
 // ChangesPage returns up to limit live events from the ingest-sequence
 // change log, strictly after afterSeq, oldest-ingested first. It also
 // returns the sequence to resume from (the last log entry scanned —
 // stale entries advance it too, so pages over a churned log still make
 // progress) and whether entries remain beyond the returned page. This
 // is the sound replication feed: an event imported late still appears
-// after every cursor handed out before it, which the (timestamp, uuid)
-// index cannot guarantee. A limit of 0 or less returns everything.
+// after every cursor handed out before it. A limit of 0 or less returns everything.
 func (s *Store) ChangesPage(afterSeq uint64, limit int) ([]*misp.Event, uint64, bool, error) {
 	s.mu.RLock()
 	i := sort.Search(len(s.changes), func(i int) bool {
@@ -1057,7 +1014,6 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 	old, existed := s.lookup(e.UUID)
 	if existed {
 		s.unindex(old.event)
-		s.timeRemove(old.event.Timestamp.Time, e.UUID)
 		s.staleChanges++ // the old revision's change entry is now dead
 	} else {
 		s.count++
@@ -1075,7 +1031,6 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 		s.staleChanges++
 	}
 	s.index(e)
-	s.timeInsert(e.Timestamp.Time, e.UUID)
 	s.changes = append(s.changes, changeEntry{seq: seq, uuid: e.UUID})
 	s.compactChanges()
 }
@@ -1090,16 +1045,12 @@ func (s *Store) refuses(e *misp.Event) bool {
 // applyDeletes installs committed delete records into memory state, in
 // order. Caller holds the write lock (or is the single-threaded loader).
 func (s *Store) applyDeletes(recs []walRecord) {
-	gone := make([]int, 0, len(recs)) // positions in byTime, found before any entry moves
 	for _, rec := range recs {
 		old, existed := s.lookup(rec.UUID)
 		if !existed {
 			continue
 		}
 		s.unindex(old.event)
-		if i, ok := s.timeFind(old.event.Timestamp.Time, rec.UUID); ok {
-			gone = append(gone, i)
-		}
 		s.count--
 		s.staleChanges++ // the deleted revision's change entry is now dead
 		if s.overlay != nil {
@@ -1109,7 +1060,6 @@ func (s *Store) applyDeletes(recs []walRecord) {
 		}
 		s.recordTombstone(rec.UUID, rec.Seq, time.Unix(rec.At, 0).UTC())
 	}
-	s.timeRemoveAt(gone)
 	s.compactChanges()
 }
 
@@ -1171,74 +1121,6 @@ func (s *Store) unindex(e *misp.Event) {
 	for _, a := range allAttributes(e) {
 		removePosting(s.byValue, a.Value, e.UUID)
 	}
-}
-
-// timeIdx returns the position of (ts, uuid) in the time-ordered index:
-// the first entry not ordered before it. Caller holds the write lock.
-func (s *Store) timeIdx(ts time.Time, uuid string) int {
-	return sort.Search(len(s.byTime), func(i int) bool {
-		ent := s.byTime[i]
-		if ent.ts.Equal(ts) {
-			return ent.uuid >= uuid
-		}
-		return ent.ts.After(ts)
-	})
-}
-
-func (s *Store) timeInsert(ts time.Time, uuid string) {
-	if s.loading {
-		// Snapshot bulk-load: defer ordering to one sort in sortTimeIndex.
-		s.byTime = append(s.byTime, timeEntry{ts: ts, uuid: uuid})
-		return
-	}
-	i := s.timeIdx(ts, uuid)
-	s.byTime = append(s.byTime, timeEntry{})
-	copy(s.byTime[i+1:], s.byTime[i:])
-	s.byTime[i] = timeEntry{ts: ts, uuid: uuid}
-}
-
-// sortTimeIndex orders byTime after a snapshot bulk-load. Snapshot UUIDs
-// are unique, so append-then-sort is equivalent to sorted inserts.
-func (s *Store) sortTimeIndex() {
-	sort.Slice(s.byTime, func(i, j int) bool {
-		a, b := s.byTime[i], s.byTime[j]
-		if a.ts.Equal(b.ts) {
-			return a.uuid < b.uuid
-		}
-		return a.ts.Before(b.ts)
-	})
-}
-
-// timeFind returns the position of the entry (ts, uuid) in byTime and
-// whether it is there.
-func (s *Store) timeFind(ts time.Time, uuid string) (int, bool) {
-	i := s.timeIdx(ts, uuid)
-	return i, i < len(s.byTime) && s.byTime[i].uuid == uuid && s.byTime[i].ts.Equal(ts)
-}
-
-func (s *Store) timeRemove(ts time.Time, uuid string) {
-	if i, ok := s.timeFind(ts, uuid); ok {
-		s.timeRemoveAt([]int{i})
-	}
-}
-
-// timeRemoveAt drops the entries at the given positions of byTime in one
-// sweep: every surviving entry moves at most once, however many go.
-func (s *Store) timeRemoveAt(gone []int) {
-	if len(gone) == 0 {
-		return
-	}
-	sort.Ints(gone)
-	w := gone[0]
-	for k, i := range gone {
-		end := len(s.byTime)
-		if k+1 < len(gone) {
-			end = gone[k+1]
-		}
-		w += copy(s.byTime[w:], s.byTime[i+1:end])
-	}
-	clear(s.byTime[w:])
-	s.byTime = s.byTime[:w]
 }
 
 // allAttributes enumerates loose and object-grouped attributes alike.

@@ -206,20 +206,6 @@ func TestSearches(t *testing.T) {
 	if len(byVal) != 1 || byVal[0].UUID != a.UUID {
 		t.Fatalf("SearchValue = %+v", byVal)
 	}
-	since, _, err := s.UpdatedSincePage(now.Add(-time.Minute), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(since) != 2 {
-		t.Fatalf("UpdatedSince = %d hits, want 2", len(since))
-	}
-	since, _, err = s.UpdatedSincePage(now.Add(time.Minute), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(since) != 0 {
-		t.Fatalf("UpdatedSincePage(future) = %d hits, want 0", len(since))
-	}
 }
 
 // TestSearchesWithoutIndexes checks the value search against a full scan
@@ -553,103 +539,6 @@ func TestObjectAttributesIndexed(t *testing.T) {
 	}
 	if got := s.Correlated(loose); len(got) != 1 || got[0] != e.UUID {
 		t.Fatalf("Correlated = %v", got)
-	}
-}
-
-// TestUpdatedSincePageCursorCoversAllTies pages 23 events that share one
-// timestamp — the worst case for a time cursor, where only the UUID
-// tiebreak keeps pages from skipping or repeating entries.
-func TestUpdatedSincePageCursorCoversAllTies(t *testing.T) {
-	s, _ := openTemp(t)
-	const n = 23
-	batch := make([]*misp.Event, n)
-	for i := range batch {
-		batch[i] = event(t, "evt", [2]string{"domain", "h.example"})
-	}
-	if _, err := s.PutBatch(batch, nil); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		got    = make(map[string]bool)
-		cursor time.Time
-		after  string
-		pages  int
-	)
-	for {
-		events, more, err := s.UpdatedSincePage(cursor, after, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages++
-		for _, e := range events {
-			if got[e.UUID] {
-				t.Fatalf("page %d repeated event %s", pages, e.UUID)
-			}
-			got[e.UUID] = true
-		}
-		if !more || len(events) == 0 {
-			break
-		}
-		last := events[len(events)-1]
-		cursor, after = last.Timestamp.Time, last.UUID
-	}
-	if len(got) != n || pages != 5 {
-		t.Fatalf("paged %d events across %d pages, want %d across 5", len(got), pages, n)
-	}
-}
-
-func TestUpdatedSinceTimeOrdered(t *testing.T) {
-	s, _ := openTemp(t)
-	// Insert out of timestamp order.
-	var uuids [5]string
-	for _, i := range []int{3, 0, 4, 1, 2} {
-		e := misp.NewEvent(fmt.Sprintf("evt-%d", i), now.Add(time.Duration(i)*time.Hour))
-		e.AddAttribute("domain", "Network activity", fmt.Sprintf("h%d.example", i), now)
-		uuids[i] = e.UUID
-		if err := s.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	since, _, err := s.UpdatedSincePage(now.Add(2*time.Hour), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(since) != 3 {
-		t.Fatalf("UpdatedSince = %d hits, want 3", len(since))
-	}
-	for i, want := range []string{uuids[2], uuids[3], uuids[4]} {
-		if since[i].UUID != want {
-			t.Fatalf("UpdatedSince[%d] = %s (%s), want %s (oldest first)", i, since[i].UUID, since[i].Info, want)
-		}
-	}
-	// Replacing an event with a later timestamp moves it in the index
-	// without duplicating it.
-	moved := misp.NewEvent("evt-0 v2", now.Add(10*time.Hour))
-	moved.UUID = uuids[0]
-	moved.AddAttribute("domain", "Network activity", "h0.example", now)
-	if err := s.Put(moved); err != nil {
-		t.Fatal(err)
-	}
-	since, _, err = s.UpdatedSincePage(now, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(since) != 5 {
-		t.Fatalf("UpdatedSince after move = %d hits, want 5", len(since))
-	}
-	if since[len(since)-1].UUID != uuids[0] {
-		t.Fatal("replaced event not moved to its new timestamp position")
-	}
-	// Deletions leave the index consistent.
-	if err := s.Delete(uuids[4]); err != nil {
-		t.Fatal(err)
-	}
-	since, _, err = s.UpdatedSincePage(now, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(since) != 4 {
-		t.Fatalf("UpdatedSince after delete = %d hits, want 4", len(since))
 	}
 }
 

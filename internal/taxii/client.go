@@ -112,9 +112,9 @@ func (c *Client) AddObjects(apiRoot, collectionID string, objs ...stix.Object) (
 		return Status{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	data, err := readResponse(resp.Body)
 	if err != nil {
-		return Status{}, err
+		return Status{}, fmt.Errorf("taxii: add objects: %w", err)
 	}
 	if resp.StatusCode != http.StatusAccepted {
 		return Status{}, fmt.Errorf("taxii: add objects: status %s: %s", resp.Status, data)
@@ -124,6 +124,22 @@ func (c *Client) AddObjects(apiRoot, collectionID string, objs ...stix.Object) (
 		return Status{}, fmt.Errorf("taxii: decode status: %w", err)
 	}
 	return st, nil
+}
+
+// maxResponseBytes bounds a response body a Client will read.
+const maxResponseBytes = 32 << 20
+
+// readResponse reads a whole response body. A body over maxResponseBytes
+// is an error, not a silently cut (and then undecodable) document.
+func readResponse(body io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, maxResponseBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("read response: %w", err)
+	}
+	if len(data) > maxResponseBytes {
+		return nil, fmt.Errorf("response exceeds %d MiB", maxResponseBytes>>20)
+	}
+	return data, nil
 }
 
 func (c *Client) get(path string, params url.Values, out any) error {
@@ -141,9 +157,9 @@ func (c *Client) get(path string, params url.Values, out any) error {
 		return fmt.Errorf("taxii: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+	data, err := readResponse(resp.Body)
 	if err != nil {
-		return fmt.Errorf("taxii: read response: %w", err)
+		return fmt.Errorf("taxii: GET %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("taxii: GET %s: status %d: %s", path, resp.StatusCode, data)

@@ -1,6 +1,7 @@
 package taxii
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -318,5 +319,26 @@ func TestManifest(t *testing.T) {
 	}
 	if _, err := manifest("ghost", time.Time{}); err == nil {
 		t.Fatal("unknown collection accepted")
+	}
+}
+
+// TestClientReportsOversizedResponse: a well-formed body one byte past
+// the client's read limit is reported as such, not cut and handed to
+// the JSON decoder.
+func TestClientReportsOversizedResponse(t *testing.T) {
+	body := append(append([]byte{'{'}, bytes.Repeat([]byte{' '}, maxResponseBytes-1)...), '}')
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+		}
+		_, _ = w.Write(body)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, "")
+	if _, err := c.Discover(); err == nil || !strings.Contains(err.Error(), "response exceeds 32 MiB") {
+		t.Fatalf("Discover over an oversized body: %v", err)
+	}
+	if _, err := c.AddObjects("caisp", "eiocs", vuln(t, "CVE-2020-0001")); err == nil || !strings.Contains(err.Error(), "response exceeds 32 MiB") {
+		t.Fatalf("AddObjects over an oversized body: %v", err)
 	}
 }
