@@ -18,12 +18,17 @@ bench:
 # the event-list decoder against encoding/json (fast path or stdlib, never
 # a third answer, and each kept event span decodes to its event), the WAL
 # segment scanner, the snapshot loader (Open refuses the file or its change
-# log lists exactly its live events) and the STIX pattern parser.
+# log lists exactly its live events), the STIX pattern parser and
+# stixpattern.Equality (Parse reads back the AST it rendered). A new
+# input is minimized for at most a second, so a target spends its ten
+# seconds executing instead of shrinking the first input that widened
+# coverage (the default allows a minute).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeList -fuzztime 10s ./internal/misp/
-	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s ./internal/stixpattern/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeList -fuzztime 10s -fuzzminimizetime 1s ./internal/misp/
+	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
+	$(GO) test -run '^$$' -fuzz FuzzEqualityPattern -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own
 # that calls internal/... directly, so the root build and tests never

@@ -410,7 +410,7 @@ func BenchmarkCorrelate(b *testing.B) {
 func BenchmarkSTIXBundleRoundTrip(b *testing.B) {
 	bundle := stix.NewBundle()
 	for i := 0; i < 50; i++ {
-		v := stix.NewVulnerability(fmt.Sprintf("CVE-2020-%04d", i), "bench", experiments.EvalTime)
+		v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), fmt.Sprintf("CVE-2020-%04d", i), "bench", experiments.EvalTime)
 		v.SetExtra("x_caisp_threat_score", 2.5)
 		bundle.Add(v)
 	}

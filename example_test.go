@@ -12,7 +12,7 @@ import (
 // inventory at the paper's evaluation instant.
 func ExampleScore() {
 	created := time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC)
-	vuln := stix.NewVulnerability("CVE-2017-9805",
+	vuln := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2017-9805",
 		"Apache Struts REST plugin XStream RCE via crafted POST body", created)
 	vuln.ExternalReferences = []stix.ExternalReference{
 		{SourceName: "capec", ExternalID: "CAPEC-248"},

@@ -736,9 +736,14 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 // analyze runs the shared heuristic stage (worker.Analyzer) on one stored
 // cIoC revision, then the platform's own eIoC effects: a streaming
 // detection pass and the trace's end. What grows with history is the
-// cluster itself: a revision re-scores every member, not only the ones
-// that changed (EXPERIMENTS.md §X15, next finding). Callers holding a
-// store view must pass storage.GetClone output (see Analyzer.Analyze).
+// cluster itself: a revision re-converts and re-scores every member, not
+// only the ones that changed. The facts that belong to one member are
+// derived once, where they are first known — the correlator keeps each
+// cluster's shared keys, ToSTIX hands the heuristic the pattern AST it
+// rendered and builds SDOs under their deterministic IDs — so a grown
+// cluster costs its scoring, not their recomputation (EXPERIMENTS.md
+// §X25). Callers holding a store view must pass storage.GetClone output
+// (see Analyzer.Analyze).
 func (p *Platform) analyze(me *misp.Event) error {
 	// A cluster absorbed by a concurrent merge has been retracted from the
 	// store; analyzing its stale revision would resurrect its rIoCs.

@@ -47,9 +47,16 @@ type catState struct {
 	// firstSighting maps each correlation key to the first event seen with
 	// it: every sighting of a key is one set, so a newcomer unions with
 	// that one representative.
-	firstSighting map[string]string
+	firstSighting map[string]sighting
 	// clusters maps the current union-find root to the cluster rooted there.
 	clusters map[string]*cluster
+}
+
+// sighting is the first event seen with a correlation key, and whether
+// a second sighting has made the key shared.
+type sighting struct {
+	id     string
+	shared bool
 }
 
 // cluster is the mutable book-keeping record behind one emitted cIoC.
@@ -58,6 +65,11 @@ type cluster struct {
 	seq      uint64
 	category string
 	members  []string
+	// shared lists, unsorted, the correlation keys carried two or more
+	// times by members. Every sighting of a key is unioned into one
+	// cluster, so a key joins the list of the cluster that holds it on its
+	// second sighting, and merging clusters concatenates their lists.
+	shared []string
 	// emitted records that the cluster has been reported in a Delta (as New)
 	// and so must be retracted via Delta.Removed if later absorbed.
 	emitted bool
@@ -137,7 +149,7 @@ func (inc *Incremental) cat(category string) *catState {
 		cs = &catState{
 			uf:            newUnionFind(),
 			byID:          make(map[string]normalize.Event),
-			firstSighting: make(map[string]string),
+			firstSighting: make(map[string]sighting),
 			clusters:      make(map[string]*cluster),
 		}
 		inc.cats[category] = cs
@@ -188,13 +200,19 @@ func (inc *Incremental) nextSeq() uint64 {
 
 // link records the sighting of key by event id and unions it with the key's
 // first sighting, as the batch correlator unions every sighting of a key.
+// The second sighting makes key a shared key of the cluster holding both.
 func (inc *Incremental) link(cs *catState, key, id string, dirty map[*cluster]bool, removed *[]string) {
 	first, ok := cs.firstSighting[key]
 	if !ok {
-		cs.firstSighting[key] = id
+		cs.firstSighting[key] = sighting{id: id}
 		return
 	}
-	inc.unionClusters(cs, first, id, dirty, removed)
+	inc.unionClusters(cs, first.id, id, dirty, removed)
+	if !first.shared {
+		cs.firstSighting[key] = sighting{id: first.id, shared: true}
+		cl := cs.clusters[cs.uf.find(id)]
+		cl.shared = append(cl.shared, key)
+	}
 }
 
 // unionClusters merges the clusters containing events a and b. The older
@@ -214,6 +232,7 @@ func (inc *Incremental) unionClusters(cs *catState, a, b string, dirty map[*clus
 		surv, abs = cb, ca
 	}
 	surv.members = append(surv.members, abs.members...)
+	surv.shared = append(surv.shared, abs.shared...)
 	abs.absorbed = true
 	delete(cs.clusters, ra)
 	delete(cs.clusters, rb)
@@ -258,13 +277,9 @@ func (inc *Incremental) compose(cl *cluster) ComposedIoC {
 	memberIDs := append([]string(nil), cl.members...)
 	sort.Strings(memberIDs)
 	c := ComposedIoC{ID: cl.uuid, Category: cl.category}
-	keySet := make(map[string]int)
 	for _, id := range memberIDs {
 		e := cs.byID[id]
 		c.Events = append(c.Events, e)
-		for _, k := range CorrelationKeys(e) {
-			keySet[k]++
-		}
 		if c.FirstSeen.IsZero() || e.FirstSeen.Before(c.FirstSeen) {
 			c.FirstSeen = e.FirstSeen
 		}
@@ -272,11 +287,7 @@ func (inc *Incremental) compose(cl *cluster) ComposedIoC {
 			c.LastSeen = e.LastSeen
 		}
 	}
-	for k, n := range keySet {
-		if n >= 2 {
-			c.CorrelationKeys = append(c.CorrelationKeys, k)
-		}
-	}
+	c.CorrelationKeys = append([]string(nil), cl.shared...)
 	sort.Strings(c.CorrelationKeys)
 	c.ContentHash = composedID(memberIDs)
 	return c

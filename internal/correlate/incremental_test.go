@@ -298,3 +298,93 @@ func TestMembersFromMISPRoundTrip(t *testing.T) {
 		t.Fatalf("non-cIoC reconstructed %v", got)
 	}
 }
+
+// countedSharedKeys is the count-based recomputation compose used before
+// clusters kept their shared keys: every key CorrelationKeys yields for
+// two or more member sightings, sorted.
+func countedSharedKeys(events []normalize.Event) []string {
+	keySet := make(map[string]int)
+	for _, e := range events {
+		for _, k := range CorrelationKeys(e) {
+			keySet[k]++
+		}
+	}
+	var out []string
+	for k, n := range keySet {
+		if n >= 2 {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSharedKeysMatchCountedRecomputation drives random Add and Seed
+// sequences — overlapping keys that grow and merge clusters, seeded
+// clusters with members already indexed, and events that yield one key
+// twice — and checks every composed cluster's CorrelationKeys against
+// the count over its members.
+func TestSharedKeysMatchCountedRecomputation(t *testing.T) {
+	check := func(where string, cs []ComposedIoC) {
+		t.Helper()
+		for _, c := range cs {
+			if want := countedSharedKeys(c.Events); !reflect.DeepEqual(c.CorrelationKeys, want) {
+				t.Fatalf("%s: cluster %s keys = %q, want %q", where, c.ID, c.CorrelationKeys, want)
+			}
+		}
+	}
+	// twice builds an event whose value and context yield the same
+	// correlation key: a lower-case CVE value and a cve context entry.
+	twice := func(n int, cat string) normalize.Event {
+		v := fmt.Sprintf("cve-2019-%04d", n)
+		return normalize.Event{
+			ID: "twice-" + cat + v, Type: normalize.TypeCVE, Value: v, Category: cat,
+			FirstSeen: seen, LastSeen: seen, Context: map[string]string{"cve": v},
+		}
+	}
+	if keys := CorrelationKeys(twice(1, "c")); len(keys) != 2 || keys[0] != keys[1] {
+		t.Fatalf("twice yields %q, want one key twice", keys)
+	}
+	merges := 0
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		stream := randomStream(t, rng, 120)
+		for i := 0; i < 6; i++ {
+			stream = append(stream, twice(rng.Intn(4), stream[rng.Intn(len(stream))].Category))
+		}
+		rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		inc := NewIncremental()
+		seeded := 0
+		for len(stream) > 0 {
+			n := 1 + rng.Intn(8)
+			if n > len(stream) {
+				n = len(stream)
+			}
+			batch := stream[:n]
+			if rng.Intn(4) == 0 {
+				// A persisted cluster: one category, possibly repeating a
+				// member an earlier cluster already holds.
+				var members []normalize.Event
+				for _, e := range batch {
+					if e.Category == batch[0].Category {
+						members = append(members, e)
+					}
+				}
+				if rng.Intn(2) == 0 {
+					members = append(members, batch[0])
+				}
+				seeded++
+				inc.Seed(fmt.Sprintf("seed-%d-%d", trial, seeded), members)
+			} else {
+				d := inc.Add(batch)
+				merges += len(d.Removed)
+				check("delta", append(d.New, d.Updated...))
+			}
+			stream = stream[n:]
+			check("clusters", inc.Clusters())
+		}
+	}
+	if merges == 0 {
+		t.Fatal("no trial merged two emitted clusters")
+	}
+}

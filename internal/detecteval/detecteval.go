@@ -100,7 +100,7 @@ func Generate(seed int64, n int, inventory *infra.Inventory) (*Dataset, error) {
 
 		created := now.AddDate(0, 0, -200)
 		cveID := fmt.Sprintf("CVE-%d-%04d", 2016+r.Intn(3), 1000+i)
-		v := stix.NewVulnerability(cveID,
+		v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), cveID,
 			fmt.Sprintf("synthetic %s vulnerability in %s", severity, product), created)
 		v.ExternalReferences = append(v.ExternalReferences,
 			stix.ExternalReference{SourceName: "cve", ExternalID: cveID},

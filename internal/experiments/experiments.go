@@ -131,7 +131,7 @@ func RenderTableIV() string {
 // UseCaseIoC builds the §IV CVE-2017-9805 STIX vulnerability object.
 func UseCaseIoC() *stix.Vulnerability {
 	created := time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC)
-	v := stix.NewVulnerability(
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability),
 		"CVE-2017-9805",
 		"Apache Struts REST plugin XStream RCE via crafted POST body",
 		created,

@@ -35,7 +35,7 @@ func TestTAXIIFetcherIncremental(t *testing.T) {
 		t.Fatalf("empty poll: notModified=%v err=%v", notModified, err)
 	}
 
-	v := stix.NewVulnerability("CVE-2017-9805", "struts RCE", taxiiNow)
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2017-9805", "struts RCE", taxiiNow)
 	v.SetExtra("x_caisp_cvss_vector", "CVSS:3.0/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H")
 	v.SetExtra("x_caisp_products", "apache struts,apache")
 	if err := srv.AddObjects("shared", v); err != nil {
@@ -61,7 +61,7 @@ func TestTAXIIFetcherIncremental(t *testing.T) {
 	if err != nil || !notModified {
 		t.Fatalf("repeat poll: notModified=%v err=%v", notModified, err)
 	}
-	ind := stix.NewIndicator("[domain-name:value = 'evil.example' OR ipv4-addr:value = '203.0.113.7']",
+	ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[domain-name:value = 'evil.example' OR ipv4-addr:value = '203.0.113.7']",
 		[]string{"malicious-activity"}, taxiiNow)
 	if err := srv.AddObjects("shared", ind); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestEqualityValues(t *testing.T) {
 
 func TestTAXIIFeedThroughScheduler(t *testing.T) {
 	srv, fetcher := taxiiRig(t)
-	v := stix.NewVulnerability("CVE-2016-5195", "dirty cow", taxiiNow)
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2016-5195", "dirty cow", taxiiNow)
 	if err := srv.AddObjects("shared", v); err != nil {
 		t.Fatal(err)
 	}

@@ -323,17 +323,22 @@ func evalIndicatorType(_ *Context, obj stix.Object) (float64, bool) {
 	return 2, true
 }
 
-// evalPattern parses the indicator pattern and, when infrastructure
-// observations exist, checks for a live match: matching patterns are the
-// most actionable evidence (5); parseable ones (3); malformed ones (1).
+// evalPattern takes the indicator's pattern AST (the one it was built
+// from, or parsed from its text when it came without one) and, when
+// infrastructure observations exist, checks for a live match: matching
+// patterns are the most actionable evidence (5); parseable ones (3);
+// malformed ones (1).
 func evalPattern(ctx *Context, obj stix.Object) (float64, bool) {
 	ind, ok := obj.(*stix.Indicator)
 	if !ok || ind.Pattern == "" {
 		return 0, false
 	}
-	p, err := stixpattern.Parse(ind.Pattern)
-	if err != nil {
-		return 1, true
+	p := ind.Compiled
+	if p == nil || p.Source != ind.Pattern {
+		var err error
+		if p, err = stixpattern.Parse(ind.Pattern); err != nil {
+			return 1, true
+		}
 	}
 	if ctx.Infra != nil {
 		if matched, err := p.Match(ctx.Infra.Observations()); err == nil && matched {

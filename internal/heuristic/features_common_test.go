@@ -71,7 +71,7 @@ func TestMalwareHeuristicFeatures(t *testing.T) {
 
 func TestIdentityHeuristicFeatures(t *testing.T) {
 	e, _ := useCaseEngine(t)
-	ident := stix.NewIdentity("ACME SOC", "organization", evalTime.Add(-time.Hour))
+	ident := stix.NewIdentity(stix.NewID(stix.TypeIdentity), "ACME SOC", "organization", evalTime.Add(-time.Hour))
 	if got := featureValue(t, e, ident, "identity_class"); got.Value != 5 {
 		t.Fatalf("organization class = %+v", got)
 	}
@@ -129,7 +129,7 @@ func TestAttackPatternHeuristicFeatures(t *testing.T) {
 
 func TestIndicatorTypeAndSourceFeatures(t *testing.T) {
 	e, _ := useCaseEngine(t)
-	ind := stix.NewIndicator("[domain-name:value = 'x.example']",
+	ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[domain-name:value = 'x.example']",
 		[]string{"malicious-activity"}, evalTime.Add(-time.Hour))
 	if got := featureValue(t, e, ind, "indicator_type"); got.Value != 5 {
 		t.Fatalf("vocab label = %+v", got)

@@ -1,8 +1,10 @@
 package heuristic
 
 import (
+	"bytes"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/caisplatform/caisp/internal/cvss"
 	"github.com/caisplatform/caisp/internal/stix"
@@ -328,14 +330,32 @@ func extractProducts(ctx *Context, obj stix.Object) []string {
 	if ctx.Infra == nil {
 		return nil
 	}
-	desc := strings.ToLower(objectName(obj) + " " + objectDescription(obj))
+	// The keywords are matched against "name description", lowered. The
+	// text is built in a stack buffer and ASCII is lowered in place, so
+	// no SDO allocates it (bytes.Contains keeps no []byte(keyword) either).
+	var buf [256]byte
+	text := lowerASCII(append(append(append(buf[:0], objectName(obj)...), ' '), objectDescription(obj)...))
 	var out []string
 	for _, keyword := range ctx.Infra.ApplicationKeywords() {
-		if strings.Contains(desc, keyword) {
+		if bytes.Contains(text, []byte(keyword)) {
 			out = append(out, keyword)
 		}
 	}
 	return out
+}
+
+// lowerASCII returns b lowered as strings.ToLower would: in place while
+// it is ASCII, else by strings.ToLower.
+func lowerASCII(b []byte) []byte {
+	for i, c := range b {
+		if c >= utf8.RuneSelf {
+			return []byte(strings.ToLower(string(b)))
+		}
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return b
 }
 
 func extractCVE(obj stix.Object) string {

@@ -152,7 +152,7 @@ var evalTime = time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
 // useCaseIoC builds the §IV CVE-2017-9805 vulnerability IoC.
 func useCaseIoC() *stix.Vulnerability {
 	created := time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC)
-	v := stix.NewVulnerability(
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability),
 		"CVE-2017-9805",
 		"Apache Struts REST plugin XStream RCE via crafted POST body",
 		created,
@@ -280,13 +280,17 @@ func TestScoreBoundsAllHeuristicsQuick(t *testing.T) {
 	e, _ := useCaseEngine(t)
 	r := rand.New(rand.NewSource(7))
 	builders := []func(time.Time) stix.Object{
-		func(ts time.Time) stix.Object { return stix.NewVulnerability("CVE-2020-1234", "x", ts) },
 		func(ts time.Time) stix.Object {
-			return stix.NewIndicator("[domain-name:value = 'a.example']", []string{"malicious-activity"}, ts)
+			return stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2020-1234", "x", ts)
+		},
+		func(ts time.Time) stix.Object {
+			return stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[domain-name:value = 'a.example']", []string{"malicious-activity"}, ts)
 		},
 		func(ts time.Time) stix.Object { return stix.NewMalware("m", []string{"trojan"}, ts) },
 		func(ts time.Time) stix.Object { return stix.NewAttackPattern("ap", ts) },
-		func(ts time.Time) stix.Object { return stix.NewIdentity("org", "organization", ts) },
+		func(ts time.Time) stix.Object {
+			return stix.NewIdentity(stix.NewID(stix.TypeIdentity), "org", "organization", ts)
+		},
 		func(ts time.Time) stix.Object { return stix.NewTool("nmap", []string{"scanner"}, ts) },
 	}
 	for i := 0; i < 200; i++ {
@@ -323,7 +327,7 @@ func TestCompletenessDropsWithMissingInfo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := stix.NewVulnerability("no-cve-name", "", time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC))
+	bare := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "no-cve-name", "", time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC))
 	bareRes, err := e.Evaluate(bare)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +434,7 @@ func TestOperatingSystemBuckets(t *testing.T) {
 
 func TestOSExtractedFromDescription(t *testing.T) {
 	e, _ := useCaseEngine(t)
-	v := stix.NewVulnerability("CVE-2020-0001", "affects Windows Server installations", evalTime)
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2020-0001", "affects Windows Server installations", evalTime)
 	res, err := e.Evaluate(v)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +494,7 @@ func TestIndicatorPatternFeature(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			ind := stix.NewIndicator(tt.pattern, []string{"malicious-activity"}, evalTime)
+			ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), tt.pattern, []string{"malicious-activity"}, evalTime)
 			res, err := e.Evaluate(ind)
 			if err != nil {
 				t.Fatal(err)

@@ -23,6 +23,9 @@ type Collector struct {
 	mu       sync.RWMutex
 	alarms   []Alarm
 	internal []normalize.Event
+	// observations is the Observations snapshot of alarms and internal;
+	// nil until first asked for after either changes.
+	observations []stixpattern.Observation
 }
 
 // NewCollector wraps an inventory. The collector takes the inventory as
@@ -57,6 +60,7 @@ func (c *Collector) AddAlarm(a Alarm) (Alarm, error) {
 		a.At = time.Now().UTC()
 	}
 	c.alarms = append(c.alarms, a)
+	c.observations = nil
 	return a, nil
 }
 
@@ -126,6 +130,7 @@ func (c *Collector) AddInternalIoC(value, category, source string, seen time.Tim
 	}
 	c.mu.Lock()
 	c.internal = append(c.internal, e)
+	c.observations = nil
 	c.mu.Unlock()
 	return e, nil
 }
@@ -146,10 +151,26 @@ func (c *Collector) HasInternalSighting(canonicalValue string) bool {
 
 // Observations renders internal IoCs and alarms as STIX pattern
 // observations so indicator patterns can be matched against the
-// infrastructure's own telemetry.
+// infrastructure's own telemetry. The snapshot is built once per change
+// to either and shared by every caller until the next: callers must not
+// modify the slice or its field maps.
 func (c *Collector) Observations() []stixpattern.Observation {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
+	out := c.observations
+	c.mu.RUnlock()
+	if out != nil {
+		return out
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.observations == nil {
+		c.observations = c.renderObservations()
+	}
+	return c.observations
+}
+
+// renderObservations builds the Observations snapshot; c.mu must be held.
+func (c *Collector) renderObservations() []stixpattern.Observation {
 	out := make([]stixpattern.Observation, 0, len(c.internal)+len(c.alarms))
 	for _, e := range c.internal {
 		out = append(out, stixpattern.Observation{

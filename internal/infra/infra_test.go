@@ -2,7 +2,9 @@ package infra
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,6 +271,74 @@ func TestInternalIoCs(t *testing.T) {
 	}
 	if _, err := c.AddInternalIoC("  ", normalize.CategoryUnknown, "nids", now); err == nil {
 		t.Fatal("empty IoC accepted")
+	}
+}
+
+// TestObservationsSnapshot: the snapshot is rebuilt after each alarm or
+// internal IoC and shared until then, a snapshot handed out earlier is
+// never changed by a later arrival, and readers racing writers (run
+// under -race) always see a whole snapshot.
+func TestObservationsSnapshot(t *testing.T) {
+	c := collector(t)
+	alarm := func(i int) Alarm {
+		return Alarm{NodeID: "node3", Severity: SeverityLow, SrcIP: fmt.Sprintf("198.51.100.%d", 1+i%250), At: now}
+	}
+	empty := c.Observations()
+	if len(empty) != 0 {
+		t.Fatalf("empty collector: %d observations", len(empty))
+	}
+	if _, err := c.AddAlarm(alarm(0)); err != nil {
+		t.Fatal(err)
+	}
+	first := c.Observations()
+	if len(first) != 1 || &c.Observations()[0] != &first[0] {
+		t.Fatalf("after one alarm: %d observations, or not shared", len(first))
+	}
+	if _, err := c.AddInternalIoC("203.0.113.7", normalize.CategoryScanner, "nids", now); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.Observations()); got != 2 || len(first) != 1 || first[0].Fields["ipv4-addr:value"][0] != "198.51.100.1" {
+		t.Fatalf("after an internal IoC: %d observations; the earlier snapshot reads %+v", got, first)
+	}
+
+	const writers, perWriter = 2, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := c.AddAlarm(alarm(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for i := 0; i < 2*perWriter; i++ {
+				obs := c.Observations()
+				if len(obs) < last {
+					t.Errorf("snapshot shrank from %d to %d", last, len(obs))
+					return
+				}
+				for _, o := range obs {
+					if len(o.Fields["ipv4-addr:value"]) == 0 {
+						t.Errorf("observation without a value: %+v", o)
+						return
+					}
+				}
+				last = len(obs)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := len(c.Observations()), 2+writers*perWriter; got != want {
+		t.Fatalf("final snapshot holds %d observations, want %d", got, want)
 	}
 }
 

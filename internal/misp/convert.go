@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/stix"
+	"github.com/caisplatform/caisp/internal/stixpattern"
 )
 
 // Attribute types and the STIX pattern object path each maps to. This is
@@ -75,8 +76,8 @@ func ToSTIX(e *Event) (*stix.Bundle, error) {
 	}
 
 	if e.Orgc != nil {
-		ident := stix.NewIdentity(e.Orgc.Name, "organization", now)
-		ident.ID = stix.DeterministicID(stix.TypeIdentity, e.Orgc.UUID)
+		ident := stix.NewIdentity(stix.DeterministicID(stix.TypeIdentity, e.Orgc.UUID),
+			e.Orgc.Name, "organization", now)
 		decorate(ident, e, nil)
 		bundle.Add(ident)
 	}
@@ -89,8 +90,8 @@ func ToSTIX(e *Event) (*stix.Bundle, error) {
 		}
 		switch attr.Type {
 		case "vulnerability":
-			v := stix.NewVulnerability(attr.Value, attr.Comment, at)
-			v.ID = stix.DeterministicID(stix.TypeVulnerability, attr.Value)
+			v := stix.NewVulnerability(stix.DeterministicID(stix.TypeVulnerability, attr.Value),
+				attr.Value, attr.Comment, at)
 			v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
 				SourceName: "cve",
 				ExternalID: attr.Value,
@@ -131,9 +132,10 @@ func ToSTIX(e *Event) (*stix.Bundle, error) {
 			if !ok || !attr.ToIDS {
 				continue
 			}
-			pattern := fmt.Sprintf("[%s = '%s']", path, escapePatternLiteral(attr.Value))
-			ind := stix.NewIndicator(pattern, orDefault(labels, "malicious-activity"), at)
-			ind.ID = stix.DeterministicID(stix.TypeIndicator, attr.Type+":"+attr.Value)
+			pattern := stixpattern.Equality(path, attr.Value)
+			ind := stix.NewIndicator(stix.DeterministicID(stix.TypeIndicator, attr.Type+":"+attr.Value),
+				pattern.Source, orDefault(labels, "malicious-activity"), at)
+			ind.Compiled = pattern
 			ind.Name = attr.Value
 			ind.Description = attr.Comment
 			decorate(ind, e, labels)
@@ -196,8 +198,8 @@ func vulnerabilityFromObject(obj *Object, e *Event, labels []string, now time.Ti
 	if at.IsZero() {
 		at = now
 	}
-	v := stix.NewVulnerability(idAttr.Value, idAttr.Comment, at)
-	v.ID = stix.DeterministicID(stix.TypeVulnerability, idAttr.Value)
+	v := stix.NewVulnerability(stix.DeterministicID(stix.TypeVulnerability, idAttr.Value),
+		idAttr.Value, idAttr.Comment, at)
 	v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
 		SourceName: "cve",
 		ExternalID: idAttr.Value,
@@ -433,9 +435,4 @@ func refSourceFromURL(rawURL string) string {
 		return u.Host
 	}
 	return "link"
-}
-
-func escapePatternLiteral(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, `'`, `\'`)
 }

@@ -2,11 +2,14 @@ package misp
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/stix"
+	"github.com/caisplatform/caisp/internal/stixpattern"
 )
 
 var now = time.Date(2017, 9, 13, 10, 0, 0, 0, time.UTC)
@@ -219,6 +222,62 @@ func TestToSTIXDeterministicIDs(t *testing.T) {
 	}
 }
 
+// TestToSTIXIndicatorsAsBefore holds every indicator ToSTIX builds to the
+// text and identifiers the converter produced when it formatted patterns
+// with its own escaper and overwrote random IDs: the pattern text is the
+// old formula's, the kept AST is what Parse makes of that text, and the
+// indicator, vulnerability and identity IDs are the deterministic ones.
+func TestToSTIXIndicatorsAsBefore(t *testing.T) {
+	oldEscape := func(v string) string {
+		v = strings.ReplaceAll(v, `\`, `\\`)
+		return strings.ReplaceAll(v, `'`, `\'`)
+	}
+	e := NewEvent("indicators", now)
+	e.Orgc = &Org{UUID: "6ba7b810-9dad-11d1-80b4-00c04fd430c8", Name: "CAISP"}
+	e.AddAttribute("vulnerability", "External analysis", "CVE-2017-9805", now)
+	values := []string{"plain.example", "it's", `back\slash`, `\'`, "x']", "\xff"}
+	for typ := range attributePatternPaths {
+		for _, v := range values {
+			e.AddAttribute(typ, "Network activity", v, now).ToIDS = true
+		}
+	}
+	b, err := ToSTIX(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inds := b.ByType(stix.TypeIndicator)
+	if len(inds) != len(attributePatternPaths)*len(values) {
+		t.Fatalf("%d indicators, want %d", len(inds), len(attributePatternPaths)*len(values))
+	}
+	for _, obj := range inds {
+		ind := obj.(*stix.Indicator)
+		typ, _ := ind.ExtraString("x_misp_attribute_type")
+		want := fmt.Sprintf("[%s = '%s']", attributePatternPaths[typ], oldEscape(ind.Name))
+		if ind.Pattern != want {
+			t.Fatalf("pattern %q, want %q", ind.Pattern, want)
+		}
+		if ind.Compiled == nil || ind.Compiled.Source != ind.Pattern {
+			t.Fatalf("%s: kept AST %+v does not carry its text", ind.Pattern, ind.Compiled)
+		}
+		parsed, err := stixpattern.Parse(ind.Pattern)
+		if err != nil {
+			t.Fatalf("%s: %v", ind.Pattern, err)
+		}
+		if !reflect.DeepEqual(parsed.Root, ind.Compiled.Root) {
+			t.Fatalf("%s: kept AST %#v, Parse gives %#v", ind.Pattern, ind.Compiled.Root, parsed.Root)
+		}
+		if wantID := stix.DeterministicID(stix.TypeIndicator, typ+":"+ind.Name); ind.ID != wantID {
+			t.Fatalf("%s: id %s, want %s", ind.Pattern, ind.ID, wantID)
+		}
+	}
+	if id := b.ByType(stix.TypeVulnerability)[0].GetCommon().ID; id != stix.DeterministicID(stix.TypeVulnerability, "CVE-2017-9805") {
+		t.Fatalf("vulnerability id %s", id)
+	}
+	if id := b.ByType(stix.TypeIdentity)[0].GetCommon().ID; id != stix.DeterministicID(stix.TypeIdentity, e.Orgc.UUID) {
+		t.Fatalf("identity id %s", id)
+	}
+}
+
 func TestToSTIXMalwareTag(t *testing.T) {
 	e := NewEvent("Emotet drop", now)
 	e.AddTag(tagMalware)
@@ -278,7 +337,7 @@ func TestFromSTIXRoundTrip(t *testing.T) {
 }
 
 func TestFromSTIXUnrecognisedPatternKept(t *testing.T) {
-	ind := stix.NewIndicator("[x:y > 5 AND a:b = 'c']", []string{"malicious-activity"}, now)
+	ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[x:y > 5 AND a:b = 'c']", []string{"malicious-activity"}, now)
 	b := stix.NewBundle(ind)
 	e, err := FromSTIX(b, now)
 	if err != nil {

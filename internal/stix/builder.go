@@ -4,18 +4,20 @@ import (
 	"time"
 )
 
-// NewVulnerability builds a minimally valid vulnerability SDO stamped at now.
-func NewVulnerability(name, description string, now time.Time) *Vulnerability {
+// NewVulnerability builds a minimally valid vulnerability SDO with the
+// given ID (NewID or DeterministicID of TypeVulnerability) stamped at now.
+func NewVulnerability(id, name, description string, now time.Time) *Vulnerability {
 	return &Vulnerability{
-		Common:      newCommon(TypeVulnerability, now),
+		Common:      commonWithID(TypeVulnerability, id, now),
 		Name:        name,
 		Description: description,
 	}
 }
 
-// NewIndicator builds a minimally valid indicator SDO stamped at now.
-func NewIndicator(pattern string, labels []string, now time.Time) *Indicator {
-	c := newCommon(TypeIndicator, now)
+// NewIndicator builds a minimally valid indicator SDO with the given ID
+// (NewID or DeterministicID of TypeIndicator) stamped at now.
+func NewIndicator(id, pattern string, labels []string, now time.Time) *Indicator {
+	c := commonWithID(TypeIndicator, id, now)
 	c.Labels = labels
 	return &Indicator{
 		Common:    c,
@@ -36,10 +38,11 @@ func NewAttackPattern(name string, now time.Time) *AttackPattern {
 	return &AttackPattern{Common: newCommon(TypeAttackPattern, now), Name: name}
 }
 
-// NewIdentity builds a minimally valid identity SDO stamped at now.
-func NewIdentity(name, class string, now time.Time) *Identity {
+// NewIdentity builds a minimally valid identity SDO with the given ID
+// (NewID or DeterministicID of TypeIdentity) stamped at now.
+func NewIdentity(id, name, class string, now time.Time) *Identity {
 	return &Identity{
-		Common:        newCommon(TypeIdentity, now),
+		Common:        commonWithID(TypeIdentity, id, now),
 		Name:          name,
 		IdentityClass: class,
 	}
@@ -63,9 +66,13 @@ func NewRelationship(relType, sourceRef, targetRef string, now time.Time) *Relat
 }
 
 func newCommon(typ string, now time.Time) Common {
+	return commonWithID(typ, NewID(typ), now)
+}
+
+func commonWithID(typ, id string, now time.Time) Common {
 	return Common{
 		Type:     typ,
-		ID:       NewID(typ),
+		ID:       id,
 		Created:  TS(now),
 		Modified: TS(now),
 	}

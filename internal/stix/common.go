@@ -53,7 +53,10 @@ func NewID(typ string) string {
 // DeterministicID derives a stable identifier for typ from name, so repeated
 // imports of the same logical object map to the same STIX id.
 func DeterministicID(typ, name string) string {
-	return typ + "--" + uuid.NewV5(uuid.NamespaceCAISP, []byte(typ+"/"+name)).String()
+	var buf [128]byte
+	b := append(append(append(buf[:0], typ...), '/'), name...)
+	u := uuid.NewV5(uuid.NamespaceCAISP, b)
+	return string(u.Append(append(append(b[:0], typ...), "--"...)))
 }
 
 // ParseID splits a STIX identifier into its type and UUID components.

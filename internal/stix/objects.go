@@ -6,6 +6,8 @@ package stix
 // strings — validation checks them against open vocabularies where the
 // specification defines one.
 
+import "github.com/caisplatform/caisp/internal/stixpattern"
+
 // AttackPattern describes ways threat actors attempt to compromise targets
 // (tactics, techniques and procedures).
 type AttackPattern struct {
@@ -60,6 +62,12 @@ type Indicator struct {
 	ValidFrom       Timestamp        `json:"valid_from"`
 	ValidUntil      Timestamp        `json:"valid_until,omitempty"`
 	KillChainPhases []KillChainPhase `json:"kill_chain_phases,omitempty"`
+
+	// Compiled is Pattern as an AST, kept by whoever built the pattern
+	// from one (misp.ToSTIX) so evaluation need not parse the text it
+	// was rendered from. It is not serialised: a decoded indicator has
+	// none, and a Compiled whose Source differs from Pattern is stale.
+	Compiled *stixpattern.Pattern `json:"-"`
 }
 
 // IntrusionSet is a grouped set of adversarial behaviour and resources with

@@ -1,10 +1,14 @@
 package stix
 
 import (
+	"crypto/sha1"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/uuid"
 )
 
 var testTime = time.Date(2017, 9, 13, 10, 30, 0, 0, time.UTC)
@@ -39,6 +43,36 @@ func TestDeterministicID(t *testing.T) {
 	d := DeterministicID(TypeIndicator, "CVE-2017-9805")
 	if a == d {
 		t.Fatal("distinct types produced the same deterministic id")
+	}
+}
+
+// TestDeterministicIDMatchesFormula holds DeterministicID to the formula
+// it has always computed — type "--" UUIDv5(NamespaceCAISP, type "/"
+// name) in canonical text — built here with a streaming SHA-1 and string
+// concatenation, on short, long (past any stack buffer) and non-UTF-8
+// names.
+func TestDeterministicIDMatchesFormula(t *testing.T) {
+	formula := func(typ, name string) string {
+		h := sha1.New()
+		h.Write(uuid.NamespaceCAISP[:])
+		h.Write([]byte(typ + "/" + name))
+		sum := h.Sum(nil)[:16]
+		sum[6] = (sum[6] & 0x0f) | 0x50
+		sum[8] = (sum[8] & 0x3f) | 0x80
+		x := hex.EncodeToString(sum)
+		return typ + "--" + x[0:8] + "-" + x[8:12] + "-" + x[12:16] + "-" + x[16:20] + "-" + x[20:32]
+	}
+	names := []string{"", "CVE-2017-9805", "md5:" + strings.Repeat("ab", 16),
+		"url:http://" + strings.Repeat("long.", 60) + "example/", "\xff\x00'"}
+	for _, typ := range []string{TypeIndicator, TypeVulnerability, TypeIdentity, strings.Repeat("x", 130)} {
+		for _, name := range names {
+			if got, want := DeterministicID(typ, name), formula(typ, name); got != want {
+				t.Fatalf("DeterministicID(%q, %q) = %s, want %s", typ, name, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { DeterministicID(TypeIndicator, "domain:evil.example") }); n != 1 {
+		t.Fatalf("DeterministicID allocates %v times, want 1 (the result)", n)
 	}
 }
 
@@ -96,7 +130,7 @@ func TestTimestampUnmarshalVariants(t *testing.T) {
 }
 
 func TestMarshalRoundTripPreservesCustomProperties(t *testing.T) {
-	v := NewVulnerability("CVE-2017-9805", "Apache Struts RCE", testTime)
+	v := NewVulnerability(NewID(TypeVulnerability), "CVE-2017-9805", "Apache Struts RCE", testTime)
 	v.ExternalReferences = []ExternalReference{
 		{SourceName: "cve", ExternalID: "CVE-2017-9805"},
 		{SourceName: "capec", ExternalID: "CAPEC-248"},
@@ -169,7 +203,7 @@ func TestUnmarshalUnknownType(t *testing.T) {
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	ind := NewIndicator("[domain-name:value = 'evil.example']", []string{"malicious-activity"}, testTime)
+	ind := NewIndicator(NewID(TypeIndicator), "[domain-name:value = 'evil.example']", []string{"malicious-activity"}, testTime)
 	mal := NewMalware("emotet", []string{"trojan"}, testTime)
 	rel := NewRelationship("indicates", ind.ID, mal.ID, testTime)
 	b := NewBundle(ind, mal, rel)
@@ -225,11 +259,11 @@ func TestBundleRejectsNonBundle(t *testing.T) {
 
 func TestValidateAcceptsBuilders(t *testing.T) {
 	objs := []Object{
-		NewVulnerability("CVE-2017-9805", "", testTime),
-		NewIndicator("[ipv4-addr:value = '10.0.0.1']", []string{"malicious-activity"}, testTime),
+		NewVulnerability(NewID(TypeVulnerability), "CVE-2017-9805", "", testTime),
+		NewIndicator(NewID(TypeIndicator), "[ipv4-addr:value = '10.0.0.1']", []string{"malicious-activity"}, testTime),
 		NewMalware("wannacry", []string{"ransomware"}, testTime),
 		NewAttackPattern("spearphishing", testTime),
-		NewIdentity("ACME SOC", "organization", testTime),
+		NewIdentity(NewID(TypeIdentity), "ACME SOC", "organization", testTime),
 		NewTool("nmap", []string{"remote-access"}, testTime),
 	}
 	for _, o := range objs {
@@ -309,7 +343,7 @@ func TestValidateProblems(t *testing.T) {
 }
 
 func TestValidateBundleDuplicateIDs(t *testing.T) {
-	v := NewVulnerability("CVE-2017-9805", "", testTime)
+	v := NewVulnerability(NewID(TypeVulnerability), "CVE-2017-9805", "", testTime)
 	b := NewBundle(v, v)
 	err := ValidateBundle(b)
 	if err == nil || !strings.Contains(err.Error(), "duplicate object id") {
@@ -340,7 +374,7 @@ func TestExtraAccessors(t *testing.T) {
 }
 
 func TestMarshalStructFieldsWinOverExtra(t *testing.T) {
-	v := NewVulnerability("real-name", "", testTime)
+	v := NewVulnerability(NewID(TypeVulnerability), "real-name", "", testTime)
 	v.SetExtra("name", "spoofed")
 	data, err := Marshal(v)
 	if err != nil {
@@ -457,7 +491,7 @@ func TestValidateRemainingSDOs(t *testing.T) {
 		{
 			name: "external reference missing source",
 			obj: func() Object {
-				v := NewVulnerability("CVE-2020-1", "", testTime)
+				v := NewVulnerability(NewID(TypeVulnerability), "CVE-2020-1", "", testTime)
 				v.ExternalReferences = []ExternalReference{{URL: "https://x.example"}}
 				return v
 			}(),
@@ -481,7 +515,7 @@ func TestValidateRemainingSDOs(t *testing.T) {
 }
 
 func TestBuilderSightingAndRelationship(t *testing.T) {
-	ind := NewIndicator("[a:b = 'x']", []string{"malicious-activity"}, testTime)
+	ind := NewIndicator(NewID(TypeIndicator), "[a:b = 'x']", []string{"malicious-activity"}, testTime)
 	s := &Sighting{Common: newCommon(TypeSighting, testTime), SightingOfRef: ind.ID, Count: 2}
 	if err := Validate(s); err != nil {
 		t.Fatal(err)

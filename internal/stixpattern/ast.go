@@ -2,6 +2,7 @@ package stixpattern
 
 import (
 	"fmt"
+	"net"
 	"regexp"
 	"strconv"
 	"strings"
@@ -140,14 +141,18 @@ type Comparison struct {
 	Negated bool
 	// Values holds one literal, or several for IN.
 	Values []Literal
-	// matcher is the LIKE/MATCHES regexp, compiled once at parse time.
-	// Hand-built Comparisons leave it nil and fall back to per-evaluation
-	// compilation in the evaluator.
+	// matcher is the LIKE/MATCHES regexp and network the ISSUBSET
+	// literal's network, compiled once at parse time. Hand-built
+	// Comparisons leave them nil and fall back to per-evaluation
+	// compilation in the evaluator, as does an ISSUBSET literal that is
+	// no network: it keeps failing each evaluation with its parse error.
 	matcher *regexp.Regexp
+	network *net.IPNet
 }
 
-// compileMatcher precompiles the LIKE/MATCHES regexp so evaluation never
-// recompiles it. A no-op for other operators or empty value lists.
+// compileMatcher precompiles the LIKE/MATCHES regexp and the ISSUBSET
+// network so evaluation never re-derives them. A no-op for other
+// operators or empty value lists.
 func (c *Comparison) compileMatcher() error {
 	if len(c.Values) == 0 {
 		return nil
@@ -158,6 +163,11 @@ func (c *Comparison) compileMatcher() error {
 		src = likeRegexpSource(c.Values[0].text())
 	case OpMatches:
 		src = c.Values[0].text()
+	case OpIsSubset:
+		if _, n, err := parseCIDRish(c.Values[0].text()); err == nil {
+			c.network = n
+		}
+		return nil
 	default:
 		return nil
 	}

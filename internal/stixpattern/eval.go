@@ -227,6 +227,9 @@ func (cmp Comparison) compareValue(value string) (bool, error) {
 		}
 		return re.MatchString(value), nil
 	case OpIsSubset:
+		if cmp.network != nil {
+			return netContains(cmp.network, value)
+		}
 		return cidrContains(literals[0].text(), value)
 	case OpIsSuperset:
 		return cidrContains(value, literals[0].text())
@@ -306,14 +309,20 @@ func cidrContains(outer, inner string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return netContains(outerNet, inner)
+}
+
+// netContains reports whether the network outer contains `inner` (CIDR
+// or single IP).
+func netContains(outer *net.IPNet, inner string) (bool, error) {
 	innerIP, innerNet, err := parseCIDRish(inner)
 	if err != nil {
 		return false, err
 	}
-	if !outerNet.Contains(innerIP) {
+	if !outer.Contains(innerIP) {
 		return false, nil
 	}
-	outerOnes, _ := outerNet.Mask.Size()
+	outerOnes, _ := outer.Mask.Size()
 	innerOnes, _ := innerNet.Mask.Size()
 	return innerOnes >= outerOnes, nil
 }

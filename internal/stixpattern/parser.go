@@ -24,6 +24,16 @@ func Parse(input string) (*Pattern, error) {
 	return &Pattern{Root: root, Source: input}, nil
 }
 
+// Equality builds the single-comparison pattern [path = 'value'] as the
+// AST Parse returns for its text, and renders that text into Source from
+// the AST itself, so the two cannot disagree. path must be an object path
+// Parse accepts as one token (for example file:hashes.'SHA-256'); value
+// may hold any bytes.
+func Equality(path, value string) *Pattern {
+	root := ObsTest{Expr: Comparison{Path: path, Op: OpEq, Values: []Literal{StringLit(value)}}}
+	return &Pattern{Root: root, Source: root.String()}
+}
+
 type parser struct {
 	lex lexer
 	cur token
@@ -338,9 +348,9 @@ func (p *parser) parseComparison() (CompareExpr, error) {
 		return nil, err
 	}
 	cmp.Values = []Literal{lit}
-	// Compile LIKE/MATCHES once here so evaluation never recompiles, and so
-	// an unparsable MATCHES regexp is a positioned parse error rather than a
-	// per-evaluation failure.
+	// Compile LIKE/MATCHES and the ISSUBSET network once here so evaluation
+	// never recompiles, and so an unparsable MATCHES regexp is a positioned
+	// parse error rather than a per-evaluation failure.
 	if err := cmp.compileMatcher(); err != nil {
 		return nil, syntaxErrf(litPos, "%v", err)
 	}

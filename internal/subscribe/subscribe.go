@@ -560,15 +560,21 @@ func (e *Engine) Evaluate(o stixpattern.Observation) []Match {
 			}
 		}
 	}
+	// Index probes build the (path \x00 value) key in one reused buffer;
+	// a map lookup by string(key) does not copy it.
+	var buf [128]byte
+	key := buf[:0]
 	for path, values := range o.Fields {
 		try(e.byPath[path])
 		for _, v := range values {
-			try(e.eq[path+"\x00"+v])
+			key = append(append(append(key[:0], path...), 0), v...)
+			try(e.eq[string(key)])
 			// Numeric literals compare by value, not text: "0443.0"
 			// equals literal 443. Probe the canonical float form too so
 			// the hash index agrees with the evaluator.
 			if canon, ok := canonicalNumber(v); ok && canon != v {
-				try(e.eq[path+"\x00"+canon])
+				key = append(append(append(key[:0], path...), 0), canon...)
+				try(e.eq[string(key)])
 			}
 		}
 	}

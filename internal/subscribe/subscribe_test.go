@@ -354,45 +354,33 @@ func TestEngineMetrics(t *testing.T) {
 }
 
 // TestChurnUnderIngest exercises concurrent register/unsubscribe against
-// live evaluation — run under -race via `make race`.
+// live evaluation — run under -race via `make race`. Each goroutine runs
+// a fixed number of iterations, so the test does the same work on any
+// machine.
 func TestChurnUnderIngest(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
 	for i := 0; i < 32; i++ {
 		mustRegister(t, e, "seed", fmt.Sprintf("[domain-name:value = 'd%d.example']", i))
 	}
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				o := obsOf(map[string][]string{
+			for i := 0; i < 2000; i++ {
+				e.Evaluate(obsOf(map[string][]string{
 					"domain-name:value": {fmt.Sprintf("d%d.example", i%40)},
-				})
-				e.Evaluate(o)
-				i++
+				}))
 			}
-		}(w)
+		}()
 	}
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			client := fmt.Sprintf("churn-%d", w)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 500; i++ {
 				sub, err := e.Register(client, fmt.Sprintf("[domain-name:value = 'd%d.example']", i%40))
 				if err != nil {
 					t.Error(err)
@@ -405,8 +393,6 @@ func TestChurnUnderIngest(t *testing.T) {
 			}
 		}(w)
 	}
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 	if e.Len() != 32 {
 		t.Fatalf("after churn: %d subscriptions, want the 32 seeds", e.Len())

@@ -38,7 +38,7 @@ func testServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 
 func vuln(t *testing.T, name string) *stix.Vulnerability {
 	t.Helper()
-	return stix.NewVulnerability(name, "test", now)
+	return stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), name, "test", now)
 }
 
 func TestDiscoveryAndCollections(t *testing.T) {
@@ -176,7 +176,7 @@ func TestAddedAfterFilter(t *testing.T) {
 func TestTypeAndIDMatchFilters(t *testing.T) {
 	s, srv := testServer(t)
 	v := vuln(t, "CVE-2020-1111")
-	ind := stix.NewIndicator("[domain-name:value = 'x.example']", []string{"malicious-activity"}, now)
+	ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[domain-name:value = 'x.example']", []string{"malicious-activity"}, now)
 	if err := s.AddObjects("eiocs", v, ind); err != nil {
 		t.Fatal(err)
 	}

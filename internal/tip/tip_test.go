@@ -181,7 +181,7 @@ func TestExportFormats(t *testing.T) {
 }
 
 func TestImportSTIX(t *testing.T) {
-	v := stix.NewVulnerability("CVE-2017-9805", "struts", now)
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2017-9805", "struts", now)
 	bundle := stix.NewBundle(v)
 	data, err := json.Marshal(bundle)
 	if err != nil {
@@ -318,7 +318,7 @@ func TestHTTPErrors(t *testing.T) {
 func TestHTTPImportSTIX(t *testing.T) {
 	srv, service := apiServer(t, "")
 	client := NewClient(srv.URL, "")
-	v := stix.NewVulnerability("CVE-2019-0001", "test vuln", now)
+	v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2019-0001", "test vuln", now)
 	data, err := json.Marshal(stix.NewBundle(v))
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // UUID is a 128-bit RFC 4122 universally unique identifier.
@@ -50,11 +49,10 @@ func NewV4() UUID {
 // NewV5 returns a name-based (version 5, SHA-1) UUID for the given namespace
 // and name. The same inputs always produce the same UUID.
 func NewV5(ns UUID, name []byte) UUID {
-	h := sha1.New()
-	h.Write(ns[:])
-	h.Write(name)
+	var buf [128]byte // names up to 112 bytes hash without a heap copy
+	sum := sha1.Sum(append(append(buf[:0], ns[:]...), name...))
 	var u UUID
-	copy(u[:], h.Sum(nil))
+	copy(u[:], sum[:])
 	u.setVersion(5)
 	return u
 }
@@ -92,20 +90,23 @@ func IsValid(s string) bool {
 
 // String renders the UUID in canonical lower-case form.
 func (u UUID) String() string {
-	var b strings.Builder
-	b.Grow(36)
-	dst := make([]byte, 32)
-	hex.Encode(dst, u[:])
-	b.Write(dst[0:8])
-	b.WriteByte('-')
-	b.Write(dst[8:12])
-	b.WriteByte('-')
-	b.Write(dst[12:16])
-	b.WriteByte('-')
-	b.Write(dst[16:20])
-	b.WriteByte('-')
-	b.Write(dst[20:32])
-	return b.String()
+	var buf [36]byte
+	return string(u.Append(buf[:0]))
+}
+
+// Append appends the canonical lower-case form of the UUID to b.
+func (u UUID) Append(b []byte) []byte {
+	var dst [36]byte
+	hex.Encode(dst[0:8], u[0:4])
+	dst[8] = '-'
+	hex.Encode(dst[9:13], u[4:6])
+	dst[13] = '-'
+	hex.Encode(dst[14:18], u[6:8])
+	dst[18] = '-'
+	hex.Encode(dst[19:23], u[8:10])
+	dst[23] = '-'
+	hex.Encode(dst[24:36], u[10:16])
+	return append(b, dst[:]...)
 }
 
 // Version returns the UUID version number encoded in the identifier.
