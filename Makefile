@@ -88,8 +88,12 @@ bench-lifecycle:
 # to that tipd — and assert every probe surface answers on each:
 # /healthz (live), /readyz (ready with an "ok" verdict), /cluster/status
 # (the node's role) and /metrics (build info present). tipd must also
-# answer a POST /events one byte over its 32 MiB cap with 413. Exits
-# nonzero when a daemon does not come up within 15s or any probe fails.
+# answer a POST /events one byte over its 32 MiB cap with 413. Once
+# caispd's first feed flush has settled, its /stats must read
+# ciocs+cluster_edits == eiocs+unscorable with no store failure, and
+# its caisp_tip_store_total must equal ciocs+cluster_edits: a flush
+# commits each cluster change once, already scored. Exits nonzero when a
+# daemon does not come up within 15s or any probe fails.
 obs-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -123,11 +127,29 @@ obs-smoke:
 	up 127.0.0.1:18450 caispd; \
 	up 127.0.0.1:18552 heuristicd; \
 	probe 127.0.0.1:18450 caispd; \
+	field() { echo "$$1" | sed -n "s/.*\"$$2\":\([0-9]*\).*/\1/p"; }; \
+	prev=''; stats=''; \
+	for i in $$(seq 1 150); do \
+		stats=$$(curl -fsS http://127.0.0.1:18450/stats); \
+		[ "$$(field "$$stats" ciocs)" != 0 ] && [ "$$stats" = "$$prev" ] && break; \
+		prev=$$stats; sleep 0.2; \
+	done; \
+	ciocs=$$(field "$$stats" ciocs); edits=$$(field "$$stats" cluster_edits); \
+	eiocs=$$(field "$$stats" eiocs); unscorable=$$(field "$$stats" unscorable); \
+	[ "$$ciocs" != 0 ] && [ "$$stats" = "$$prev" ] \
+		|| { echo "obs-smoke: caispd /stats never settled after a feed flush: $$stats"; exit 1; }; \
+	[ $$((ciocs + edits)) = $$((eiocs + unscorable)) ] \
+		|| { echo "obs-smoke: caispd ciocs+cluster_edits != eiocs+unscorable: $$stats"; exit 1; }; \
+	[ "$$(field "$$stats" store_failures)" = 0 ] \
+		|| { echo "obs-smoke: caispd store failures: $$stats"; exit 1; }; \
+	commits=$$(curl -fsS http://127.0.0.1:18450/metrics | awk '/^caisp_tip_store_total/ {n += $$NF} END {print n + 0}'); \
+	[ "$$commits" = $$((ciocs + edits)) ] \
+		|| { echo "obs-smoke: caispd stored $$commits revisions for $$((ciocs + edits)) cluster changes"; exit 1; }; \
 	probe 127.0.0.1:18540 tipd; \
 	probe 127.0.0.1:18552 heuristicd; \
 	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
 	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
-	echo 'obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413'
+	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes"
 
 vet:
 	$(GO) vet ./...

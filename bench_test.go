@@ -460,13 +460,7 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 	clk := clock.NewFake(experiments.EvalTime)
 	analyzer := worker.NewAnalyzer(
 		heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithClock(clk)),
-		collector, clk, worker.Sinks{
-			Scored: func(stix.Object, *heuristic.RIoC) {},
-			WriteBack: func(me *misp.Event) error {
-				_, err := client.AddEvent(context.Background(), me)
-				return err
-			},
-		})
+		collector, clk, func(heuristic.RIoC) {})
 	event, err := normalize.New("CVE-2017-9805", normalize.CategoryVulnExploit,
 		"bench", normalize.SourceOSINT, experiments.EvalTime.AddDate(0, -3, 0))
 	if err != nil {
@@ -500,8 +494,11 @@ func BenchmarkWorkerAnalyze(b *testing.B) {
 		for j := range fresh.Tags {
 			fresh.Tags[j].Name = strings.Replace(fresh.Tags[j].Name, hash, fmt.Sprint(hash, i), 1)
 		}
-		if out, _, err := analyzer.Analyze(fresh); err != nil || out != worker.Enriched {
-			b.Fatal(out, err)
+		if res, err := analyzer.Analyze(fresh); err != nil || res.Outcome != worker.Enriched {
+			b.Fatal(res.Outcome, err)
+		}
+		if _, err := client.AddEvent(context.Background(), fresh); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

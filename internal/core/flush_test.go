@@ -63,8 +63,8 @@ func TestFlushOnPollArrival(t *testing.T) {
 }
 
 // gateClock is a frozen clock whose next Now call, once armed, announces
-// itself and blocks until released: composeAndStore reads the clock once
-// per flush, which lets a test hold a flush in progress.
+// itself and blocks until released: a flush reads the clock first when it
+// composes, which lets a test hold a flush in progress.
 type gateClock struct {
 	*clock.Fake
 	mu      sync.Mutex

@@ -8,11 +8,11 @@
 //	             collection for external sharing
 //
 // The platform runs either in streaming mode (Start: feed scheduler +
-// a sharded pool of heuristic analyzers on the bus) or in batch mode
-// (RunBatch: one synchronous pass, used by the examples and the
-// experiment harness). Every stage is concurrent: feeds poll in
-// parallel, cIoC batches are stored with one group-committed WAL write,
-// and analysis fans out over N goroutines sharded by event UUID.
+// flusher, and a sharded pool of heuristic analyzers for the events
+// others store) or in batch mode (RunBatch: one synchronous pass, used by
+// the examples and the experiment harness). Every stage is concurrent:
+// feeds poll in parallel, a flush scores its clusters over N goroutines
+// and stores them, scored, with one group-committed WAL write.
 package core
 
 import (
@@ -40,7 +40,6 @@ import (
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/obs"
-	"github.com/caisplatform/caisp/internal/stix"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/taxii"
@@ -72,10 +71,10 @@ type Config struct {
 	// ShareTAXII enables the TAXII server and publishes every eIoC into
 	// its collection.
 	ShareTAXII bool
-	// AnalyzerPool sets how many heuristic analyzer goroutines consume
-	// the bus in streaming mode (and analyze stored events in RunBatch).
-	// Values below 1 use GOMAXPROCS. Work is sharded by event UUID, so
-	// the same event is never analyzed by two goroutines at once.
+	// AnalyzerPool sets how many goroutines score a flush's clusters, and
+	// how many consume the bus in streaming mode for the events others
+	// store. Values below 1 use GOMAXPROCS. Work is split by event UUID,
+	// so the same event is never analyzed by two goroutines at once.
 	AnalyzerPool int
 	// FeedConcurrency bounds how many feeds PollOnce fetches in
 	// parallel. Values below 1 use GOMAXPROCS.
@@ -274,8 +273,7 @@ func New(cfg Config) (*Platform, error) {
 		heuristic.WithLogger(cfg.Logger),
 		heuristic.WithSlowThreshold(cfg.SlowOpThreshold),
 	)
-	p.analyzer = worker.NewAnalyzer(p.engine, collector, cfg.Clock,
-		worker.Sinks{Scored: p.scored, WriteBack: p.writeBack})
+	p.analyzer = worker.NewAnalyzer(p.engine, collector, cfg.Clock, p.pushRIoC)
 	p.subs = subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithLogger(cfg.Logger),
@@ -369,9 +367,9 @@ func (p *Platform) registerPipelineMetrics() {
 			return float64(len(p.pending))
 		})
 	p.flushDur = reg.Histogram("caisp_pipeline_flush_seconds",
-		"composeAndStore latency: correlation delta plus group-committed store.")
+		"One flush: correlation delta, scoring, the group-committed store and its sharing.")
 	p.analyzeDur = reg.Histogram("caisp_pipeline_analyze_seconds",
-		"Heuristic analysis of one stored cIoC, including write-back and pushes.")
+		"Heuristic scoring of one cIoC and its rIoC pushes; a bus-delivered event adds its write-back.")
 }
 
 // Metrics returns the observability registry, or nil when disabled.
@@ -466,9 +464,15 @@ func (p *Platform) expireEvent(uuid string) error {
 	if err := p.tip.DeleteEvent(uuid); err != nil && !errors.Is(err, storage.ErrNotFound) {
 		return err
 	}
+	p.retract(uuid)
+	return nil
+}
+
+// retract makes the dashboard forget an event's rIoCs and abandons its
+// trace: the event left the store, or a revision of it never got in.
+func (p *Platform) retract(uuid string) {
 	p.dash.DropEventRIoCs(uuid)
 	p.tracer.Drop(uuid)
-	return nil
 }
 
 // TAXII returns the sharing server, or nil when disabled.
@@ -639,17 +643,27 @@ func (p *Platform) drainPending() []normalize.Event {
 	return out
 }
 
-// composeAndStore folds a batch of events into the streaming correlator
-// and applies the resulting delta to the TIP through the group-commit
-// batch path (one WAL write and fsync for the whole flush): clusters
-// emitted for the first time land as MISP event adds, grown or merged
-// clusters as edits under their stable UUID, and absorbed cluster
-// identities are retracted from both the TIP and the dashboard. It stores
-// what it can: a cIoC that fails composition or validation is counted as
-// a store failure and its error aggregated, while the rest of the batch
-// still lands. The stored events are returned alongside the joined error,
-// so callers can keep analyzing partial batches.
-func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, error) {
+// flush is one pass over a batch of unique events; every flush runs it
+// (RunBatch, the Start flusher and Stop's final flush). The batch folds
+// into the streaming correlator and absorbed cluster identities are
+// retracted from the TIP and the dashboard. Each new or grown cluster is
+// composed and scored on the analyzer pool, pushing its rIoCs as its SDOs
+// are scored. The batch is then committed once, through the group-commit
+// path (one WAL write and fsync): scored clusters as eIoCs, unscorable
+// ones as cIoCs. The TIP and the heuristic share this process, so the
+// threat score rides the cluster's one revision (§IV-A) instead of a
+// second write-back. What the store installed then runs the cIoC-stage
+// subscription pass, and after it, revision by revision in batch order,
+// the TAXII share, the eIoC-stage pass and the trace's end: the match
+// frames leave in the order two commits per cluster sent them.
+//
+// It stores what it can. A cluster that fails composition, or that the
+// store refuses or fails to commit, is counted as a store failure, its
+// rIoCs are retracted, nothing of it is shared, and its error is joined;
+// the rest of the batch still lands. A cluster whose scoring fails is
+// committed unscored and its error joined. It returns the revisions the
+// store installed.
+func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
@@ -685,121 +699,129 @@ func (p *Platform) composeAndStore(events []normalize.Event) ([]*misp.Event, err
 		if err := p.tip.DeleteEvent(uuid); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			errs = append(errs, fmt.Errorf("core: retract merged cluster %s: %w", uuid, err))
 		}
-		p.dash.DropEventRIoCs(uuid)
-		p.tracer.Drop(uuid)
+		p.retract(uuid)
 	}
 	now := p.clk.Now()
 	batch := make([]*misp.Event, 0, len(delta.New)+len(delta.Updated))
-	newUUIDs := make(map[string]bool, len(delta.New))
 	compose := func(ciocs []correlate.ComposedIoC) {
 		for i := range ciocs {
 			me, err := correlate.ToMISP(&ciocs[i], now)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("core: compose cIoC: %w", err))
+				p.tracer.Drop(ciocs[i].ID)
 				continue
 			}
 			batch = append(batch, me)
 		}
 	}
 	compose(delta.New)
-	for i := range delta.New {
-		newUUIDs[delta.New[i].ID] = true
-	}
+	composedNew := len(batch)
 	compose(delta.Updated)
+
+	scores := make([]worker.Analysis, len(batch))
+	scoreErrs := make([]error, len(batch))
+	p.fanOut(len(batch), func(i int) {
+		start := time.Now()
+		scores[i], scoreErrs[i] = p.analyzer.Score(batch[i])
+		p.analyzeDur.Observe(time.Since(start).Seconds())
+		p.tracer.Mark(batch[i].UUID, obs.StageAnalyze)
+	})
+	errs = append(errs, scoreErrs...)
+
 	stored, err := p.tip.AddEvents(batch)
 	if err != nil {
-		errs = append(errs, fmt.Errorf("core: store cIoCs: %w", err))
+		errs = append(errs, fmt.Errorf("core: store clusters: %w", err))
 	}
-	for _, me := range stored {
-		p.tracer.Mark(me.UUID, obs.StageStore)
-	}
-	// Streaming detection: every admitted cIoC runs against the live
-	// subscription set. Direct dispatch on the flush path — the same
-	// loss-free route the incremental correlator uses — so standing
-	// detections never drop under bus backpressure.
-	p.fanOut(len(stored), func(i int) { p.subs.EvaluateMISP(stored[i], subscribe.StageCIoC, -1) })
+	// stored is batch less what the store did not take, in order.
+	installed := make([]int, 0, len(stored))
 	var added, edited int64
-	for _, me := range stored {
-		if newUUIDs[me.UUID] {
-			added++
-		} else {
-			edited++
+	for i, k := 0, 0; i < len(batch); i++ {
+		if k < len(stored) && batch[i] == stored[k] {
+			installed = append(installed, i)
+			if i < composedNew {
+				added++
+			} else {
+				edited++
+			}
+			k++
+			p.tracer.Mark(batch[i].UUID, obs.StageStore)
+			continue
 		}
+		p.retract(batch[i].UUID)
 	}
 	p.counters.ciocs.Add(added)
 	p.counters.clusterEdits.Add(edited)
 	p.counters.clusterMerges.Add(int64(len(delta.Removed)))
 	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(stored)))
+
+	// Streaming detection runs on the flush path, not off the bus, so
+	// standing detections never drop under bus backpressure.
+	p.fanOut(len(installed), func(j int) {
+		p.subs.EvaluateMISP(batch[installed[j]], subscribe.StageCIoC, -1)
+	})
+	p.fanOut(len(installed), func(j int) {
+		me, res := batch[installed[j]], scores[installed[j]]
+		switch res.Outcome {
+		case worker.Enriched:
+			p.publish(me, res)
+			return
+		case worker.Unscorable:
+			p.counters.unscorable.Add(1)
+		}
+		p.tracer.Drop(me.UUID)
+	})
 	return stored, errors.Join(errs...)
 }
 
-// analyze runs the shared heuristic stage (worker.Analyzer) on one stored
-// cIoC revision, then the platform's own eIoC effects: a streaming
-// detection pass and the trace's end. What grows with history is the
-// cluster itself: a revision re-converts and re-scores every member, not
-// only the ones that changed. The facts that belong to one member are
-// derived once, where they are first known — the correlator keeps each
-// cluster's shared keys, ToSTIX hands the heuristic the pattern AST it
-// rendered and builds SDOs under their deterministic IDs — so a grown
-// cluster costs its scoring, not their recomputation (EXPERIMENTS.md
-// §X25). Callers holding a store view must pass storage.GetClone output
-// (see Analyzer.Analyze).
+// analyze is the analyzer pool's function in streaming mode. The pool
+// serves only events that arrive on the bus: those stored by someone
+// else, over REST or by a sync import. They keep the paper's two
+// revisions: the stored cIoC is scored by the shared heuristic stage
+// (worker.Analyzer), its eIoC is written back, then published. The bus
+// copy of a cluster this node's flush committed unscored is a Duplicate;
+// an eIoC never reaches the pool (worker.Pool.Consume).
 func (p *Platform) analyze(me *misp.Event) error {
 	// A cluster absorbed by a concurrent merge has been retracted from the
 	// store; analyzing its stale revision would resurrect its rIoCs.
 	if !p.store.Has(me.UUID) {
-		p.tracer.Drop(me.UUID)
 		return nil
 	}
 	start := time.Now()
-	out, score, err := p.analyzer.Analyze(me)
-	switch out {
+	defer func() { p.analyzeDur.Observe(time.Since(start).Seconds()) }()
+	res, err := p.analyzer.Analyze(me)
+	switch res.Outcome {
 	case worker.Unscorable:
 		p.counters.unscorable.Add(1)
-		p.tracer.Drop(me.UUID)
 	case worker.Enriched:
-		p.counters.eiocs.Add(1)
-		// Streaming detection: the scored eIoC re-runs against the live
-		// subscription set with its threat score exposed as
-		// x-caisp:threat-score, so score-gated patterns can fire.
-		p.subs.EvaluateMISP(me, subscribe.StageEIoC, score)
-		p.tracer.Finish(me.UUID, obs.StagePublish)
+		if _, err := p.tip.AddEvent(me); err != nil {
+			p.retract(me.UUID)
+			return fmt.Errorf("core: write back eIoC %s: %w", me.UUID, err)
+		}
+		p.publish(me, res)
 	}
-	p.analyzeDur.Observe(time.Since(start).Seconds())
 	return err
 }
 
-// scored is the analyzer's per-SDO sink: push the rIoC to the dashboard
-// and share the scored SDO over TAXII.
-func (p *Platform) scored(obj stix.Object, rioc *heuristic.RIoC) {
-	if rioc != nil {
-		p.dash.PushRIoC(*rioc)
-		p.counters.riocs.Add(1)
-	}
+// pushRIoC is the analyzer's rIoC sink: each reduced IoC goes to the
+// dashboard as its SDO is scored.
+func (p *Platform) pushRIoC(r heuristic.RIoC) {
+	p.dash.PushRIoC(r)
+	p.counters.riocs.Add(1)
+}
+
+// publish is the output of a stored eIoC: its scored SDOs are shared over
+// TAXII, it runs against the live subscription set with its threat score
+// exposed as x-caisp:threat-score, so score-gated patterns can fire, and
+// its trace ends.
+func (p *Platform) publish(me *misp.Event, res worker.Analysis) {
+	p.counters.eiocs.Add(1)
 	if p.taxiiSrv != nil {
-		if err := p.taxiiSrv.AddObjects(TAXIICollection, obj); err != nil {
+		if err := p.taxiiSrv.AddObjects(TAXIICollection, res.SDOs...); err != nil {
 			p.logger.Warn("taxii share failed", "error", err)
 		}
 	}
-}
-
-// writeBack stores the scored eIoC in the TIP.
-func (p *Platform) writeBack(me *misp.Event) error {
-	p.tracer.Mark(me.UUID, obs.StageAnalyze)
-	if _, err := p.tip.AddEvent(me); err != nil {
-		p.tracer.Drop(me.UUID)
-		return err
-	}
-	return nil
-}
-
-// analyzeAll fans heuristic analysis of stored events out over the
-// analyzer pool. The events come from one composeAndStore batch, so their
-// UUIDs are distinct and no sharding is needed; errors are joined.
-func (p *Platform) analyzeAll(events []*misp.Event) error {
-	errs := make([]error, len(events))
-	p.fanOut(len(events), func(i int) { errs[i] = p.analyze(events[i]) })
-	return errors.Join(errs...)
+	p.subs.EvaluateMISP(me, subscribe.StageEIoC, res.Score)
+	p.tracer.Finish(me.UUID, obs.StagePublish)
 }
 
 // fanOut calls fn(0..n-1) on up to AnalyzerPool goroutines and waits.
@@ -830,25 +852,22 @@ func (p *Platform) fanOut(n int, fn func(i int)) {
 }
 
 // RunBatch performs one synchronous pipeline pass: poll every feed once
-// (in parallel), dedup, correlate, group-commit the cIoC batch, and
-// analyze the stored events with the analyzer pool. Not for use while
-// Start is running.
+// (in parallel), dedup, and flush what arrived. Not for use while Start
+// is running.
 func (p *Platform) RunBatch(ctx context.Context) error {
 	p.scheduler.PollOnce(ctx)
-	stored, storeErr := p.composeAndStore(p.drainPending())
-	if err := p.analyzeAll(stored); err != nil {
-		return errors.Join(storeErr, err)
-	}
-	return storeErr
+	_, err := p.flush(p.drainPending())
+	return err
 }
 
 // Start launches streaming mode: the feed scheduler polls on its
-// intervals, a composer goroutine flushes pending events as soon as a
-// poll has delivered them, and a sharded pool of analyzer goroutines
-// consumes the bus to run heuristic analysis concurrently. A flush takes
-// whole documents (each revises the clusters it touches, so never a record
-// at a time), and polls that land while one runs share the next.
-// flushInterval is the longest a pending event can wait, not the period.
+// intervals, and a flusher goroutine flushes pending events as soon as a
+// poll has delivered them. A flush takes whole documents (each revises
+// the clusters it touches, so never a record at a time), and polls that
+// land while one runs share the next. flushInterval is the longest a
+// pending event can wait, not the period. A sharded pool of analyzer
+// goroutines consumes the bus for the events this node did not compose:
+// REST posts and TIP sync imports.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -876,12 +895,6 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 		pool.Consume(ctx, p.sub.C())
 	}()
 
-	// Flusher: locally composed clusters are handed to the analyzer
-	// shards directly — the flusher already owns the stored events, and
-	// the bus's drop-oldest buffer must not be a loss point for our own
-	// flushes (it remains the path for externally injected events: TIP
-	// sync imports and REST posts; the bus copy of a locally dispatched
-	// event is deduplicated by the analyzer's idempotency key).
 	go func() {
 		defer p.workers.Done()
 		tick := p.clk.After(flushInterval)
@@ -893,14 +906,8 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 			case <-tick:
 				tick = p.clk.After(flushInterval)
 			}
-			stored, err := p.composeAndStore(p.drainPending())
-			if err != nil {
-				p.logger.Warn("composition failed", "error", err)
-			}
-			for _, me := range stored {
-				if !pool.Dispatch(ctx, me) {
-					return
-				}
+			if _, err := p.flush(p.drainPending()); err != nil {
+				p.logger.Warn("flush failed", "error", err)
 			}
 		}
 	}()
@@ -925,12 +932,8 @@ func (p *Platform) Stop() {
 	p.pool.Close()
 	p.started = false
 	// Final flush so nothing collected is lost.
-	stored, err := p.composeAndStore(p.drainPending())
-	if err != nil {
-		p.logger.Warn("final composition failed", "error", err)
-	}
-	if err := p.analyzeAll(stored); err != nil {
-		p.logger.Warn("final analysis failed", "error", err)
+	if _, err := p.flush(p.drainPending()); err != nil {
+		p.logger.Warn("final flush failed", "error", err)
 	}
 }
 

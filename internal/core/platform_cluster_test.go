@@ -47,7 +47,7 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 	}
 
 	// Flush batch 1: one CVE sighting of the campaign.
-	stored, err := p.composeAndStore([]normalize.Event{
+	stored, err := p.flush([]normalize.Event{
 		ctxEvent(t, "CVE-2017-9805", normalize.CategoryVulnExploit, strutsCtx),
 	})
 	if err != nil {
@@ -57,9 +57,6 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 		t.Fatalf("batch 1 stored %d events", len(stored))
 	}
 	clusterUUID := stored[0].UUID
-	if err := p.analyzeAll(stored); err != nil {
-		t.Fatal(err)
-	}
 	st := p.Stats()
 	if st.CIoCs != 1 || st.ClusterEdits != 0 || st.ClustersLive != 1 {
 		t.Fatalf("after batch 1: %+v", st)
@@ -73,7 +70,7 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 	// the existing cluster and go out as a MISP edit, not a second add.
 	sub := p.Broker().Subscribe(tip.TopicEventEdit)
 	defer sub.Close()
-	stored, err = p.composeAndStore([]normalize.Event{
+	stored, err = p.flush([]normalize.Event{
 		ctxEvent(t, "CVE-2017-5638", normalize.CategoryVulnExploit, strutsCtx),
 	})
 	if err != nil {
@@ -117,12 +114,9 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 		t.Fatalf("cluster event carries %d vulnerability attributes, want 2", vulns)
 	}
 
-	// Re-analysis re-scores the grown cluster: the first CVE's rIoC is
+	// The flush re-scored the grown cluster: the first CVE's rIoC is
 	// updated in place (revision bumped), the second appears once, and no
 	// (cluster, rIoC) pair is counted twice.
-	if err := p.analyzeAll(stored); err != nil {
-		t.Fatal(err)
-	}
 	riocs = p.Dashboard().RIoCs()
 	if len(riocs) != 2 {
 		t.Fatalf("after re-score riocs = %+v", riocs)
@@ -158,7 +152,7 @@ func TestCorrelationIndexRebuildAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := p.composeAndStore([]normalize.Event{
+	stored, err := p.flush([]normalize.Event{
 		ctxEvent(t, "a.campaign.example", normalize.CategoryMalwareDomain, nil),
 	})
 	if err != nil || len(stored) != 1 {
@@ -179,7 +173,7 @@ func TestCorrelationIndexRebuildAfterRestart(t *testing.T) {
 	}
 	// A post-restart sighting sharing the registered domain must land in
 	// the pre-crash cluster.
-	stored, err = p2.composeAndStore([]normalize.Event{
+	stored, err = p2.flush([]normalize.Event{
 		ctxEvent(t, "b.campaign.example", normalize.CategoryMalwareDomain, nil),
 	})
 	if err != nil {

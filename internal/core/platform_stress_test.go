@@ -83,7 +83,7 @@ func TestStreamingStressNoLostEvents(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := p.Stats()
-		if st.EventsUnique == len(values) && st.EIoCs > 0 && st.EIoCs+st.Unscorable >= st.CIoCs && st.CIoCs > 0 {
+		if st.EventsUnique == len(values) && st.EIoCs > 0 && st.CIoCs > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -102,6 +102,13 @@ func TestStreamingStressNoLostEvents(t *testing.T) {
 	}
 	if st.StoreFailures != 0 {
 		t.Fatalf("store failures under stress: %+v", st)
+	}
+	// A flush scores every cluster it commits, in the same pass: each
+	// committed revision is an eIoC or an unscorable cIoC, never one
+	// waiting for analysis.
+	if st.CIoCs+st.ClusterEdits != st.EIoCs+st.Unscorable {
+		t.Fatalf("ciocs %d + cluster_edits %d != eiocs %d + unscorable %d",
+			st.CIoCs, st.ClusterEdits, st.EIoCs, st.Unscorable)
 	}
 	// No lost events: every collected indicator is queryable in the TIP.
 	for _, v := range values {
@@ -171,7 +178,7 @@ func TestComposeAndStorePartialBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := p.composeAndStore([]normalize.Event{good1, good2})
+	stored, err := p.flush([]normalize.Event{good1, good2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package misp
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"strings"
@@ -9,6 +10,11 @@ import (
 	"github.com/caisplatform/caisp/internal/stix"
 	"github.com/caisplatform/caisp/internal/stixpattern"
 )
+
+// ErrEmptyBundle is ToSTIX's answer for an event with nothing to convert:
+// no indicator attribute, vulnerability or typed primary object, e.g. a
+// cluster of free-text members.
+var ErrEmptyBundle = errors.New("converts to an empty bundle")
 
 // Attribute types and the STIX pattern object path each maps to. This is
 // the subset of MISP's attribute taxonomy exercised by OSINT feeds.
@@ -156,7 +162,7 @@ func ToSTIX(e *Event) (*stix.Bundle, error) {
 		}
 	}
 	if len(bundle.Objects) == 0 {
-		return nil, fmt.Errorf("misp: event %s converts to an empty bundle", e.UUID)
+		return nil, fmt.Errorf("misp: event %s %w", e.UUID, ErrEmptyBundle)
 	}
 	applyTLPMarkings(e, bundle)
 	return bundle, nil

@@ -14,16 +14,16 @@ import (
 // time between the previous mark (or the trace start) and its own mark,
 // so the five spans partition the end-to-end latency:
 //
-//	ingest     feed sink entry → dedup decision
-//	correlate  dedup → cluster adoption in the flush
-//	store      adoption → group-committed WAL write (fsync)
-//	analyze    store commit → heuristic score computed
-//	publish    score → eIoC write-back + dashboard upsert done
+//	ingest        feed sink entry → dedup decision
+//	correlate     dedup → cluster adoption in the flush
+//	analyze       adoption → heuristic score computed, rIoCs pushed
+//	store_commit  score → group-committed WAL write (fsync) of the eIoC
+//	publish       commit → subscription passes and TAXII share done
 const (
 	StageIngest    = "ingest"
 	StageCorrelate = "correlate"
-	StageStore     = "store_commit"
 	StageAnalyze   = "analyze"
+	StageStore     = "store_commit"
 	StagePublish   = "publish"
 )
 

@@ -43,8 +43,20 @@ type EventFrame struct {
 // names its STIX path and its value is already canonical, because the
 // correlator wrote it from a normalized event. Other events (e.g. raw
 // events posted to tipd) have each attribute value normalized
-// individually. threatScore < 0 means unscored.
+// individually. threatScore < 0 reads the score the event carries, if any.
 func ObservationFromMISP(me *misp.Event, threatScore float64) stixpattern.Observation {
+	if threatScore < 0 {
+		// Stored eIoCs carry the score as a comment attribute; recover it
+		// so bus-driven evaluation (tipd) sees the same fields as in-core
+		// dispatch.
+		threatScore, _ = ThreatScoreOf(me)
+	}
+	return observation(me, threatScore)
+}
+
+// observation is ObservationFromMISP without the score recovery:
+// threatScore < 0 exposes no score.
+func observation(me *misp.Event, threatScore float64) stixpattern.Observation {
 	fields := make(map[string][]string, 8)
 	cat := correlate.CategoryOf(me)
 	if cat != "" && me.HasTag("caisp:cioc") {
@@ -75,12 +87,6 @@ func ObservationFromMISP(me *misp.Event, threatScore float64) stixpattern.Observ
 	if cat != "" {
 		fields[PathCategory] = []string{cat}
 	}
-	if threatScore < 0 {
-		// Stored eIoCs carry the score as a comment attribute; recover it
-		// so bus-driven evaluation (tipd) sees the same fields as in-core
-		// dispatch.
-		threatScore, _ = ThreatScoreOf(me)
-	}
 	if threatScore >= 0 {
 		fields[PathThreatScore] = []string{strconv.FormatFloat(threatScore, 'f', -1, 64)}
 	}
@@ -104,12 +110,21 @@ func ThreatScoreOf(me *misp.Event) (float64, bool) {
 
 // EvaluateMISP evaluates an admitted MISP event against the live pattern
 // set and, on any match, pushes one encode-once frame to every watcher.
-// It returns the number of matched subscriptions.
+// It returns the number of matched subscriptions. The cIoC stage evaluates
+// a composed cluster, which has no score: it never exposes
+// x-caisp:threat-score, even on a revision committed with its eIoC score
+// attached. At the eIoC stage, threatScore < 0 reads the event's own.
 func (e *Engine) EvaluateMISP(me *misp.Event, stage Stage, threatScore float64) int {
 	if e.count.Load() == 0 {
 		return 0
 	}
-	matches := e.Evaluate(ObservationFromMISP(me, threatScore))
+	var obs stixpattern.Observation
+	if stage == StageCIoC {
+		obs = observation(me, -1)
+	} else {
+		obs = ObservationFromMISP(me, threatScore)
+	}
+	matches := e.Evaluate(obs)
 	if len(matches) == 0 {
 		return 0
 	}

@@ -315,6 +315,30 @@ func TestEvaluateMISPThreatScore(t *testing.T) {
 	}
 }
 
+// TestCIoCStageHidesThreatScore: caispd commits a cluster once, scored,
+// and runs both stages on that revision. The cIoC stage sees the composed
+// cluster, which has no score, whether the event carries one or the
+// caller passes one; the eIoC stage still recovers it (the tipd path).
+func TestCIoCStageHidesThreatScore(t *testing.T) {
+	e := NewEngine()
+	defer e.Close()
+	mustRegister(t, e, "siem", "[x-caisp:threat-score >= 0.5]")
+	mustRegister(t, e, "siem", "[x-caisp:category = 'malware-infection']")
+
+	me := ciocEvent(t)
+	me.AddAttribute("comment", "Other", "threat-score:0.7500", time.Unix(1700000100, 0))
+	me.AddTag("caisp:eioc")
+	if n := e.EvaluateMISP(me, StageCIoC, -1); n != 1 {
+		t.Fatalf("cIoC stage on a scored revision: %d matches, want the category pattern only", n)
+	}
+	if n := e.EvaluateMISP(me, StageCIoC, 0.75); n != 1 {
+		t.Fatalf("cIoC stage with a passed score: %d matches, want the category pattern only", n)
+	}
+	if n := e.EvaluateMISP(me, StageEIoC, -1); n != 2 {
+		t.Fatalf("eIoC stage recovering the score: %d matches, want 2", n)
+	}
+}
+
 func TestEngineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := NewEngine(WithMetrics(reg))

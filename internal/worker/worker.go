@@ -1,12 +1,15 @@
 // Package worker is the heuristic component (§IV-A): an Analyzer turns a
-// stored cIoC revision into an eIoC and a Pool feeds it, sharded by event
-// UUID. caispd runs both in process (core.Platform); Worker runs them as
-// the paper's separate process, fed by a TIP's TCP publish socket (the
-// zeroMQ channel) and writing back through the TIP REST API.
+// cIoC revision into an eIoC and a Pool feeds it, sharded by event UUID.
+// The Analyzer scores; storing the eIoC is its caller's step. caispd
+// scores a composed cluster before its one commit (core.Platform) and
+// writes back the events others stored; Worker runs the Analyzer as the
+// paper's separate process, fed by a TIP's TCP publish socket (the zeroMQ
+// channel) and writing back through the TIP REST API.
 package worker
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -39,99 +42,116 @@ const shardQueueDepth = 64
 type Outcome int
 
 const (
-	Failed     Outcome = iota // Analyze returned an error
-	Enriched                  // scored and written back as an eIoC
+	Failed     Outcome = iota // scoring returned an error
+	Enriched                  // scored and tagged as an eIoC, for the caller to store
 	Duplicate                 // this revision was analyzed before
 	Unscorable                // no SDO of the revision has a heuristic
 )
 
-// Sinks receive the effects of an analysis, in the order listed.
-type Sinks struct {
-	// Scored receives each scored SDO, enriched in place, with its
-	// reduced IoC or nil.
-	Scored func(obj stix.Object, rioc *heuristic.RIoC)
-	// WriteBack stores the eIoC.
-	WriteBack func(me *misp.Event) error
+// Analysis is what the heuristic stage made of one revision.
+type Analysis struct {
+	Outcome Outcome
+	// Score is the top threat score of an Enriched revision.
+	Score float64
+	// SDOs are the revision's scored STIX objects, enriched in place.
+	SDOs []stix.Object
 }
 
-// Analyzer runs the heuristic stage on stored cIoC revisions. It is safe
-// for concurrent use across distinct events.
+// Analyzer runs the heuristic stage on cIoC revisions. It is safe for
+// concurrent use across distinct events.
 type Analyzer struct {
 	engine    *heuristic.Engine
 	collector *infra.Collector
 	clk       clock.Clock
-	sinks     Sinks
+	onRIoC    func(heuristic.RIoC)
 
 	mu        sync.Mutex
 	processed *ringset.Set // (UUID, content hash) keys already analyzed
 }
 
 // NewAnalyzer builds the heuristic stage around a scoring engine and the
-// infrastructure rIoCs are reduced onto; clk stamps the write-back.
-func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock.Clock, sinks Sinks) *Analyzer {
-	return &Analyzer{engine: engine, collector: collector, clk: clk, sinks: sinks,
+// infrastructure rIoCs are reduced onto; clk stamps the score attribute.
+// onRIoC receives each reduced IoC as its SDO is scored.
+func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock.Clock, onRIoC func(heuristic.RIoC)) *Analyzer {
+	return &Analyzer{engine: engine, collector: collector, clk: clk, onRIoC: onRIoC,
 		processed: ringset.New(maxProcessedTracked)}
 }
 
-// Analyze converts one stored cIoC revision to STIX, scores, enriches and
-// reduces each supported SDO and writes the eIoC back. Its cost is that of
-// the revision, not of what the TIP holds. It returns the top threat score
-// of an Enriched revision.
+// Analyze scores a revision delivered by the bus, unless that revision was
+// analyzed before: it is Score behind the idempotency check.
+func (a *Analyzer) Analyze(me *misp.Event) (Analysis, error) {
+	if !a.remember(me) {
+		return Analysis{Outcome: Duplicate}, nil
+	}
+	return a.score(me)
+}
+
+// Score converts one cIoC revision to STIX, scores, enriches and reduces
+// each supported SDO, and turns an Enriched revision into the eIoC by
+// "adding the threat score as a new MISP attribute" (§IV-A) and the eIoC
+// tag. Storing it is the caller's step. Its cost is that of the revision,
+// not of what the TIP holds. The revision is remembered, so its bus copy
+// is a Duplicate to Analyze.
 //
 // The event must be caller-owned (bus-decoded or a pre-store
 // composition), never a shared frozen view from the store's copy-free
-// read path: the write-back mutates me in place (DESIGN.md §8).
-func (a *Analyzer) Analyze(me *misp.Event) (Outcome, float64, error) {
-	// Idempotency is keyed by (UUID, membership hash): a replayed revision
-	// of the same cluster is skipped, while a grown cluster — same stable
-	// UUID, new content hash — is re-scored.
+// read path: Score mutates me in place (DESIGN.md §8).
+func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
+	a.remember(me)
+	return a.score(me)
+}
+
+// remember records the revision's idempotency key and reports whether it
+// was new. The key is (UUID, membership hash): a replayed revision of the
+// same cluster is skipped, while a grown cluster — same stable UUID, new
+// content hash — is re-scored.
+func (a *Analyzer) remember(me *misp.Event) bool {
 	key := me.UUID
 	if h := correlate.ClusterContentOf(me); h != "" {
 		key += "\x00" + h
 	}
 	a.mu.Lock()
-	fresh := a.processed.Add(key)
-	a.mu.Unlock()
-	if !fresh {
-		return Duplicate, 0, nil
-	}
+	defer a.mu.Unlock()
+	return a.processed.Add(key)
+}
 
+func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 	bundle, err := misp.ToSTIX(me)
+	if errors.Is(err, misp.ErrEmptyBundle) {
+		return Analysis{Outcome: Unscorable}, nil // free-text members only
+	}
 	if err != nil {
-		return Failed, 0, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
+		return Analysis{Outcome: Failed}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
 	}
 	now := a.clk.Now()
-	scored := 0
-	var topScore float64
+	var res Analysis
 	for _, obj := range bundle.Objects {
-		res, err := a.engine.Evaluate(obj)
+		ev, err := a.engine.Evaluate(obj)
 		if err != nil {
 			continue // SDO type without a heuristic (relationships, identities of orgs…)
 		}
-		scored++
-		heuristic.Enrich(obj, res)
-		if res.Score > topScore {
-			topScore = res.Score
+		heuristic.Enrich(obj, ev)
+		res.SDOs = append(res.SDOs, obj)
+		if ev.Score > res.Score {
+			res.Score = ev.Score
 		}
-		rioc, err := heuristic.Reduce(obj, res, a.collector, now)
+		rioc, err := heuristic.Reduce(obj, ev, a.collector, now)
 		if err != nil {
-			return Failed, 0, err
+			return Analysis{Outcome: Failed}, err
 		}
-		a.sinks.Scored(obj, rioc)
+		if rioc != nil {
+			a.onRIoC(*rioc)
+		}
 	}
-	if scored == 0 {
-		return Unscorable, 0, nil
+	if len(res.SDOs) == 0 {
+		return Analysis{Outcome: Unscorable}, nil
 	}
-	// Write the threat score back into the stored MISP event — "adding the
-	// threat score as a new MISP attribute" (§IV-A) — turning it into the
-	// stored eIoC. Upsert: re-analysis of a grown cluster refreshes the
-	// attribute instead of stacking duplicates.
-	heuristic.SetBaseScore(me, topScore, now)
+	// Upsert: re-analysis of a grown cluster refreshes the attribute
+	// instead of stacking duplicates.
+	heuristic.SetBaseScore(me, res.Score, now)
 	me.AddTag("caisp:eioc")
-	if err := a.sinks.WriteBack(me); err != nil {
-		return Failed, 0, fmt.Errorf("worker: write back eIoC %s: %w", me.UUID, err)
-	}
-	return Enriched, topScore, nil
+	res.Outcome = Enriched
+	return res, nil
 }
 
 // Pool runs an analysis function on goroutines sharded by event UUID, so
@@ -174,9 +194,9 @@ func shardOf(uuid string, n int) int {
 	return int(h % uint32(n))
 }
 
-// Dispatch routes me to its UUID shard, blocking while the shard queue is
+// dispatch routes me to its UUID shard, blocking while the shard queue is
 // full (backpressure, never loss). It reports false once ctx is done.
-func (p *Pool) Dispatch(ctx context.Context, me *misp.Event) bool {
+func (p *Pool) dispatch(ctx context.Context, me *misp.Event) bool {
 	select {
 	case p.shards[shardOf(me.UUID, len(p.shards))] <- me:
 		return true
@@ -187,8 +207,9 @@ func (p *Pool) Dispatch(ctx context.Context, me *misp.Event) bool {
 
 // Consume decodes published events from c and dispatches the cIoCs until
 // ctx is done or c closes. Infrastructure data is stored, not analyzed,
-// and an eIoC is an analyzer's own write-back republished on the edit
-// topic: re-analyzing it would loop.
+// and an eIoC is already scored: an analyzer's own write-back, or a
+// cluster caispd committed scored, republished by the TIP. Re-analyzing
+// a write-back would loop.
 func (p *Pool) Consume(ctx context.Context, c <-chan bus.Message) {
 	for {
 		select {
@@ -209,7 +230,7 @@ func (p *Pool) Consume(ctx context.Context, c <-chan bus.Message) {
 				p.filtered.Add(1)
 				continue
 			}
-			if !p.Dispatch(ctx, me) {
+			if !p.dispatch(ctx, me) {
 				return
 			}
 		}
@@ -257,6 +278,7 @@ type Worker struct {
 	analyzer   *Analyzer
 	pool       *Pool
 	client     *bus.Client
+	tip        *tip.Client
 	analyzeDur *obs.Histogram // caisp_worker_analyze_seconds; nil without Metrics
 
 	skipped, enriched, riocs, failures atomic.Int64
@@ -280,26 +302,17 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
-	w := &Worker{client: bus.Dial(cfg.BusAddr, tip.TopicEventPrefix)}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(cfg.Collector),
 		heuristic.WithClock(cfg.Clock),
 		heuristic.WithMetrics(cfg.Metrics),
 	)
-	w.analyzer = NewAnalyzer(engine, cfg.Collector, cfg.Clock, Sinks{
-		Scored: func(_ stix.Object, rioc *heuristic.RIoC) {
-			if rioc == nil {
-				return
-			}
-			w.riocs.Add(1)
-			if cfg.RIoCSink != nil {
-				cfg.RIoCSink(*rioc)
-			}
-		},
-		WriteBack: func(me *misp.Event) error {
-			_, err := cfg.TIP.AddEvent(context.Background(), me)
-			return err
-		},
+	w := &Worker{client: bus.Dial(cfg.BusAddr, tip.TopicEventPrefix), tip: cfg.TIP}
+	w.analyzer = NewAnalyzer(engine, cfg.Collector, cfg.Clock, func(r heuristic.RIoC) {
+		w.riocs.Add(1)
+		if cfg.RIoCSink != nil {
+			cfg.RIoCSink(r)
+		}
 	})
 	w.pool = NewPool(0, slog.Default(), w.process)
 	if reg := cfg.Metrics; reg != nil {
@@ -344,16 +357,23 @@ func (w *Worker) Stats() Stats {
 	}
 }
 
-// process is the pool's analysis function: one revision, counted.
+// process is the pool's analysis function: one revision scored, its eIoC
+// written back through the REST API — the paper's second revision of an
+// event another process stored — and counted.
 func (w *Worker) process(me *misp.Event) {
 	start := time.Now()
-	out, _, err := w.analyzer.Analyze(me)
+	res, err := w.analyzer.Analyze(me)
+	if err == nil && res.Outcome == Enriched {
+		if _, err = w.tip.AddEvent(context.Background(), me); err != nil {
+			err = fmt.Errorf("worker: write back eIoC %s: %w", me.UUID, err)
+		}
+	}
 	w.analyzeDur.Observe(time.Since(start).Seconds())
 	switch {
 	case err != nil:
 		w.failures.Add(1)
 		slog.Warn("analysis failed", "uuid", me.UUID, "error", err)
-	case out == Enriched:
+	case res.Outcome == Enriched:
 		w.enriched.Add(1)
 	default:
 		w.skipped.Add(1)

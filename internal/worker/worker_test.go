@@ -211,11 +211,52 @@ func TestWorkerIdempotentPerUUID(t *testing.T) {
 	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 1 })
 
 	// The same revision again is skipped by the idempotency key.
-	if out, _, err := rig.worker.analyzer.Analyze(cioc.Clone()); out != Duplicate || err != nil {
-		t.Fatalf("replayed revision: outcome %d, err %v", out, err)
+	if res, err := rig.worker.analyzer.Analyze(cioc.Clone()); res.Outcome != Duplicate || err != nil {
+		t.Fatalf("replayed revision: outcome %d, err %v", res.Outcome, err)
 	}
 	if st := rig.worker.Stats(); st.Enriched != 1 {
 		t.Fatalf("duplicate enrichment: %+v", st)
+	}
+}
+
+// TestScoreStoresNothing: Score turns a composed cluster into its eIoC in
+// place and leaves storing it to the caller; it scores a revision even
+// when seen before, and remembers it, so the revision's bus copy is a
+// Duplicate to Analyze. A cluster of free-text members is Unscorable.
+func TestScoreStoresNothing(t *testing.T) {
+	collector, err := infra.NewCollector(infra.PaperInventory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake(evalTime)
+	riocs := &riocCollector{}
+	a := NewAnalyzer(heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithClock(clk)),
+		collector, clk, riocs.add)
+
+	me := strutsCIoC(t)
+	for i := 0; i < 2; i++ {
+		res, err := a.Score(me)
+		if err != nil || res.Outcome != Enriched || res.Score != 2.7407 || len(res.SDOs) == 0 {
+			t.Fatalf("score %d: %+v, %v", i, res, err)
+		}
+	}
+	if !me.HasTag("caisp:eioc") || riocs.len() != 2 {
+		t.Fatalf("eioc tag %v, %d rIoCs pushed, want the tag and one rIoC per Score", me.HasTag("caisp:eioc"), riocs.len())
+	}
+	if res, err := a.Analyze(me.Clone()); err != nil || res.Outcome != Duplicate {
+		t.Fatalf("bus copy of a scored revision: %+v, %v", res, err)
+	}
+
+	e, err := normalize.New("opaque-token", normalize.CategoryMalwareDomain, "t", normalize.SourceOSINT, evalTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := correlate.ToMISP(&correlate.New().Correlate([]normalize.Event{e})[0], evalTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := a.Score(text); err != nil || res.Outcome != Unscorable || text.HasTag("caisp:eioc") {
+		t.Fatalf("free-text cluster: %+v, %v", res, err)
 	}
 }
 
