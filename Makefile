@@ -84,16 +84,20 @@ bench-lifecycle:
 	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalPass' -benchmem ./internal/lifecycle/
 
 # Observability smoke: boot all three daemons on scratch ports — caispd,
-# tipd with its publish socket, and heuristicd with -metrics subscribed
-# to that tipd — and assert every probe surface answers on each:
+# tipd, and heuristicd with -metrics following that tipd's change log
+# from a cursor file — and assert every probe surface answers on each:
 # /healthz (live), /readyz (ready with an "ok" verdict), /cluster/status
 # (the node's role) and /metrics (build info present). tipd must also
 # answer a POST /events one byte over its 32 MiB cap with 413. Once
 # caispd's first feed flush has settled, its /stats must read
 # ciocs+cluster_edits == eiocs+unscorable with no store failure, and
 # its caisp_tip_store_total must equal ciocs+cluster_edits: a flush
-# commits each cluster change once, already scored. Exits nonzero when a
-# daemon does not come up within 15s or any probe fails.
+# commits each cluster change once, already scored. A scorable cIoC
+# posted to tipd before heuristicd starts must come back tagged
+# caisp:eioc, and tipd's detections must then read caisp_consumer_lag 0:
+# a consumer that starts late or lags catches up from the change log.
+# Exits nonzero when a daemon does not come up within 15s or any probe
+# fails.
 obs-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -119,10 +123,13 @@ obs-smoke:
 	}; \
 	$$tmp/caispd -dashboard 127.0.0.1:18450 -tip 127.0.0.1:18440 -taxii '' -node smoke >$$tmp/caispd.log 2>&1 & \
 	pids="$$pids $$!"; \
-	$$tmp/tipd -listen 127.0.0.1:18540 -publish 127.0.0.1:18541 >$$tmp/tipd.log 2>&1 & \
+	$$tmp/tipd -listen 127.0.0.1:18540 >$$tmp/tipd.log 2>&1 & \
 	pids="$$pids $$!"; \
 	up 127.0.0.1:18540 tipd; \
-	$$tmp/heuristicd -bus 127.0.0.1:18541 -tip http://127.0.0.1:18540 -metrics 127.0.0.1:18552 >$$tmp/heuristicd.log 2>&1 & \
+	cioc=9258be75-bd55-4a82-9d70-04c1b32cf525; \
+	curl -fsS -o /dev/null --data-binary '{"Event":{"uuid":"'$$cioc'","info":"obs-smoke cIoC","date":"2019-06-24","threat_level_id":4,"analysis":0,"distribution":1,"timestamp":"1561377600","Attribute":[{"uuid":"0c285d3a-432b-4d25-b73c-ce4e0bd743da","type":"vulnerability","category":"External analysis","value":"CVE-2017-9805","timestamp":"1561377600"}],"Tag":[{"name":"caisp:cioc"}]}}' \
+		http://127.0.0.1:18540/events || { echo "obs-smoke: tipd refused the cIoC"; exit 1; }; \
+	$$tmp/heuristicd -tip http://127.0.0.1:18540 -cursor $$tmp/h.json -metrics 127.0.0.1:18552 >$$tmp/heuristicd.log 2>&1 & \
 	pids="$$pids $$!"; \
 	up 127.0.0.1:18450 caispd; \
 	up 127.0.0.1:18552 heuristicd; \
@@ -147,9 +154,14 @@ obs-smoke:
 		|| { echo "obs-smoke: caispd stored $$commits revisions for $$((ciocs + edits)) cluster changes"; exit 1; }; \
 	probe 127.0.0.1:18540 tipd; \
 	probe 127.0.0.1:18552 heuristicd; \
+	scored() { curl -fsS http://127.0.0.1:18540/events/$$cioc | grep '"caisp:eioc"' >/dev/null; }; \
+	caught() { curl -fsS http://127.0.0.1:18540/metrics | grep -x 'caisp_consumer_lag{consumer="detections"} 0' >/dev/null; }; \
+	for i in $$(seq 1 150); do scored && caught && break; sleep 0.1; done; \
+	scored || { echo "obs-smoke: heuristicd never wrote the cIoC posted before it started back as an eIoC"; cat $$tmp/heuristicd.log; exit 1; }; \
+	caught || { echo "obs-smoke: tipd detections lag behind its change log"; exit 1; }; \
 	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
 	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
-	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes"
+	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
 
 vet:
 	$(GO) vet ./...
@@ -190,7 +202,7 @@ metrics-lint:
 		caisp_lifecycle_rescored_total caisp_lifecycle_expired_total caisp_lifecycle_sighting_refreshes_total \
 		caisp_lifecycle_scan_seconds caisp_lifecycle_tracked \
 		caisp_mesh_last_success_unix_seconds caisp_mesh_hop_latency_seconds caisp_mesh_replication_seconds \
-		caisp_health_status caisp_health_check_status caisp_tip_changes_parked \
+		caisp_health_status caisp_health_check_status caisp_tip_changes_parked caisp_consumer_lag \
 		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes; do \
 		echo "$$names" | grep -qx "\"$$want\"" || { \
 			echo "metrics-lint: required metric $$want is not registered"; exit 1; }; \

@@ -118,9 +118,9 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 	}
 	rt.Every(10*time.Second, func() {
 		st := platform.Stats()
-		fmt.Printf("collected=%d unique=%d ciocs=%d edits=%d merges=%d eiocs=%d riocs=%d stored=%d dropped=%d\n",
+		fmt.Printf("collected=%d unique=%d ciocs=%d edits=%d merges=%d eiocs=%d riocs=%d stored=%d\n",
 			st.EventsCollected, st.EventsUnique, st.CIoCs, st.ClusterEdits,
-			st.ClusterMerges, st.EIoCs, st.RIoCs, st.StoredEvents, st.BusDropped)
+			st.ClusterMerges, st.EIoCs, st.RIoCs, st.StoredEvents)
 	})
 	return rt.Run()
 }

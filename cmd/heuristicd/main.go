@@ -1,7 +1,9 @@
 // Command heuristicd runs the heuristic component as a standalone process,
-// the paper's deployment shape: it subscribes to a TIP's publish socket
-// (the zeroMQ channel of §IV-A), scores incoming cIoCs against its local
-// inventory, and writes enriched events back through the TIP REST API.
+// the paper's deployment shape: it follows a TIP's change log over the
+// REST API (GET /events/changes?wait=, where the paper subscribes to
+// zeroMQ, §IV-A), scores the cIoCs it reads against its local inventory,
+// and writes enriched events back through the same API. With -cursor its
+// place in the change log survives a restart.
 package main
 
 import (
@@ -9,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/daemon"
@@ -20,24 +21,10 @@ import (
 	"github.com/caisplatform/caisp/internal/worker"
 )
 
-// busStableCheck degrades while the bus subscription is flapping: a
-// reconnect since the previous evaluation means the publish socket
-// dropped us at least once in the interval.
-func busStableCheck(w *worker.Worker) health.Check {
-	var lastReconnects atomic.Int64 // evaluations may run concurrently (probe + scrape)
-	return func() health.Result {
-		n := int64(w.Stats().Reconnect)
-		if prev := lastReconnects.Swap(n); n > prev {
-			return health.Degradedf(fmt.Sprintf("bus reconnecting (%d reconnects total)", n))
-		}
-		return health.Pass()
-	}
-}
-
 func main() {
 	var (
-		busAddr = flag.String("bus", "127.0.0.1:8441", "TIP publish socket address")
 		tipURL  = flag.String("tip", "http://127.0.0.1:8440", "TIP REST API base URL")
+		cursor  = flag.String("cursor", "", "file keeping the place in the TIP's change log across restarts (empty = in memory, from the start)")
 		apiKey  = flag.String("key", "", "TIP API key")
 		invPath = flag.String("inventory", "", "inventory JSON (empty = paper's Table III inventory)")
 		obsAddr = flag.String("metrics", "", "observability listen address serving /metrics (empty disables)")
@@ -45,13 +32,13 @@ func main() {
 		node    = flag.String("node", "heuristicd", "node name in the fleet status view")
 	)
 	flag.Parse()
-	if err := run(*busAddr, *tipURL, *apiKey, *invPath, *obsAddr, *node, *pprofOn); err != nil {
+	if err := run(*tipURL, *cursor, *apiKey, *invPath, *obsAddr, *node, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "heuristicd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) error {
+func run(tipURL, cursor, apiKey, invPath, obsAddr, node string, pprofOn bool) error {
 	inventory := infra.PaperInventory()
 	if invPath != "" {
 		raw, err := os.ReadFile(invPath)
@@ -70,8 +57,8 @@ func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) e
 	rt := daemon.New(nil)
 	client := tip.NewClient(tipURL, apiKey)
 	w, err := worker.New(worker.Config{
-		BusAddr:   busAddr,
 		TIP:       client,
+		Cursor:    cursor,
 		Collector: collector,
 		Metrics:   rt.Metrics,
 		RIoCSink: func(r heuristic.RIoC) {
@@ -82,10 +69,9 @@ func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) e
 		return err
 	}
 
-	// Health: the worker is ready when its upstream TIP answers and the
-	// bus subscription is not flapping. Both degrade readiness — the
-	// process itself stays live so the orchestrator does not restart it
-	// while the TIP recovers.
+	// Health: the worker is ready when its upstream TIP answers. That
+	// degrades readiness only — the process itself stays live so the
+	// orchestrator does not restart it while the TIP recovers.
 	rt.Health.Register("tip_reachable", func() health.Result {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
@@ -94,7 +80,6 @@ func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) e
 		}
 		return health.Pass()
 	})
-	rt.Health.Register("bus_stable", busStableCheck(w))
 
 	if obsAddr != "" {
 		rt.Serve(obsAddr, rt.Mux(nil, pprofOn, func() health.NodeStatus {
@@ -106,15 +91,15 @@ func run(busAddr, tipURL, apiKey, invPath, obsAddr, node string, pprofOn bool) e
 		}))
 		fmt.Printf("metrics: http://localhost%s/metrics\n", obsAddr)
 	}
-	fmt.Printf("heuristic component: bus %s, TIP %s\n", busAddr, tipURL)
+	fmt.Printf("heuristic component: following TIP %s\n", tipURL)
 
 	// On SIGINT/SIGTERM the drain waits, under the runtime's deadline, for
-	// the analyzer shards to finish in-flight scores.
+	// the page in flight.
 	rt.Go(w.Run)
 	rt.Every(15*time.Second, func() {
 		st := w.Stats()
-		fmt.Printf("received=%d skipped=%d enriched=%d riocs=%d failures=%d reconnects=%d\n",
-			st.Received, st.Skipped, st.Enriched, st.RIoCs, st.Failures, st.Reconnect)
+		fmt.Printf("received=%d skipped=%d enriched=%d riocs=%d failures=%d\n",
+			st.Received, st.Skipped, st.Enriched, st.RIoCs, st.Failures)
 	})
 	err = rt.Run()
 	st := w.Stats()

@@ -1,12 +1,15 @@
 // Command tipd runs a standalone threat-intelligence-platform instance
 // (the MISP-equivalent of the paper's Operational Module): a MISP-format
-// event store with REST API, export modules and a TCP publish socket that
-// plays the role of MISP's zeroMQ plugin. With one or more -peer flags it
-// also joins a federation mesh, continuously pull-replicating from the
-// named peers with durable cursors and echo suppression (internal/mesh).
+// event store with REST API and export modules. Where MISP publishes
+// stored events over zeroMQ, tipd serves its change log: heuristicd
+// follows GET /events/changes?wait= from a cursor. With one or more -peer
+// flags it also joins a federation mesh, continuously pull-replicating
+// from the named peers with durable cursors and echo suppression
+// (internal/mesh).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -16,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/daemon"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/mesh"
@@ -37,8 +40,8 @@ func (p *peerFlags) Set(v string) error { *p = append(*p, v); return nil }
 
 // config is everything run needs, parsed from flags.
 type config struct {
-	addr, pubAddr, dataDir, apiKey, name string
-	pprof                                bool
+	addr, dataDir, apiKey, name string
+	pprof                       bool
 
 	peers        peerFlags
 	peerKey      string
@@ -54,7 +57,6 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "listen", ":8440", "REST API listen address")
-	flag.StringVar(&cfg.pubAddr, "publish", "", "TCP publish-socket address (empty disables)")
 	flag.StringVar(&cfg.dataDir, "data", "", "event store directory (empty = in-memory)")
 	flag.StringVar(&cfg.apiKey, "key", "", "API key required in the Authorization header (empty disables auth)")
 	flag.StringVar(&cfg.name, "name", "tipd", "instance name")
@@ -111,20 +113,12 @@ func run(cfg config) error {
 	// it stops (draining a pending snapshot) before the store closes.
 	defer store.StartCompactor(slog.Default())()
 
-	broker := bus.NewBroker(bus.WithMetrics(reg))
-	defer broker.Close()
-	if cfg.pubAddr != "" {
-		listener, err := broker.ListenTCP(cfg.pubAddr)
-		if err != nil {
-			return err
-		}
-		defer listener.Close()
-		fmt.Printf("publishing stored events on tcp://%s (topics %s, %s)\n",
-			listener.Addr(), tip.TopicEventAdd, tip.TopicEventEdit)
-	}
-
-	service := tip.NewService(store, tip.WithBroker(broker), tip.WithName(cfg.name),
+	service := tip.NewService(store, tip.WithName(cfg.name),
 		tip.WithMetrics(reg), tip.WithProvenance(prov))
+	// Standing detections follow the change log from its head as of now,
+	// before the mesh imports anything.
+	detections := tip.NewFollower(service, service.StoreSeq(), clock.Real(), slog.Default())
+	tip.RegisterLag(reg, "detections", func() uint64 { return detections.Lag(service.StoreSeq()) })
 
 	// Federation: each -peer gets a jittered anti-entropy pull worker.
 	// Cursors persist next to the event store so a restarted node
@@ -175,10 +169,9 @@ func run(cfg config) error {
 	}
 
 	// Streaming detection: clients register STIX patterns over REST and
-	// receive match frames on /ws/matches. Every event stored through the
-	// API is published on the bus; the drain goroutine evaluates each one
-	// against the live pattern set. The pattern set persists across
-	// restarts through the sidecar file.
+	// receive match frames on /ws/matches. The detections follower
+	// evaluates every stored revision against the live pattern set. The
+	// pattern set persists across restarts through the sidecar file.
 	subsFile := cfg.subsFile
 	if subsFile == "" && cfg.dataDir != "" {
 		subsFile = filepath.Join(cfg.dataDir, "subscriptions.json")
@@ -192,21 +185,7 @@ func run(cfg config) error {
 	if subs.Len() > 0 {
 		fmt.Printf("restored %d standing subscription(s) from %s\n", subs.Len(), subsFile)
 	}
-	busSub := broker.Subscribe(tip.TopicEventPrefix)
-	defer busSub.Close()
-	go func() {
-		for msg := range busSub.C() {
-			me, err := misp.UnmarshalWrapped(msg.Payload)
-			if err != nil {
-				continue
-			}
-			stage := subscribe.StageCIoC
-			if me.HasTag("caisp:eioc") {
-				stage = subscribe.StageEIoC
-			}
-			subs.EvaluateMISP(me, stage, -1)
-		}
-	}()
+	rt.Go(func(ctx context.Context) { detect(ctx, detections, subs) })
 
 	// Health: the store checks (WAL writability as liveness, compaction
 	// backlog and lifecycle progress as readiness) plus mesh-peer
@@ -244,4 +223,19 @@ func run(cfg config) error {
 	fmt.Printf("%s: serving MISP-like REST API on %s (%d events loaded)\n",
 		cfg.name, cfg.addr, service.Len())
 	return rt.Run()
+}
+
+// detect evaluates each revision f reads against the standing patterns,
+// a cIoC at the cIoC stage and an eIoC at the eIoC stage, until ctx ends.
+func detect(ctx context.Context, f *tip.Follower, subs *subscribe.Engine) {
+	f.Run(ctx, func(page []*misp.Event, _ uint64) error {
+		for _, me := range page {
+			stage := subscribe.StageCIoC
+			if me.HasTag("caisp:eioc") {
+				stage = subscribe.StageEIoC
+			}
+			subs.EvaluateMISP(me, stage, -1)
+		}
+		return nil
+	})
 }

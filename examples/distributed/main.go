@@ -1,9 +1,10 @@
 // Distributed deployment, the paper's actual architecture (§IV-A): the
 // MISP-like TIP instance and the heuristic component run as separate
-// services connected only by the publish socket (the zeroMQ channel) and
-// the REST API. An OSINT collector posts a cIoC to the TIP; the remote
-// heuristic component scores it against its own inventory and writes the
-// enriched IoC back.
+// services connected only by the REST API. The heuristic component follows
+// the TIP's change log (GET /events/changes?wait=), where the paper
+// subscribes to zeroMQ. An OSINT collector posts a cIoC to the TIP; the
+// remote heuristic component scores it against its own inventory and
+// writes the enriched IoC back.
 package main
 
 import (
@@ -14,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
@@ -34,23 +34,16 @@ func main() {
 func run() error {
 	evalTime := time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
 
-	// --- Service 1: the TIP ("MISP instance") with its publish socket. --
+	// --- Service 1: the TIP ("MISP instance") serving its change log. ---
 	store, err := storage.Open("")
 	if err != nil {
 		return err
 	}
 	defer store.Close()
-	broker := bus.NewBroker()
-	defer broker.Close()
-	pubSocket, err := broker.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer pubSocket.Close()
-	service := tip.NewService(store, tip.WithBroker(broker), tip.WithName("misp-instance"))
+	service := tip.NewService(store, tip.WithName("misp-instance"))
 	api := httptest.NewServer(tip.NewAPI(service, "shared-key"))
 	defer api.Close()
-	fmt.Printf("TIP:             %s (publish socket tcp://%s)\n", api.URL, pubSocket.Addr())
+	fmt.Printf("TIP:             %s (change log GET /events/changes)\n", api.URL)
 
 	// --- Service 2: the heuristic component (separate process shape). ---
 	collector, err := infra.NewCollector(infra.PaperInventory())
@@ -58,7 +51,6 @@ func run() error {
 		return err
 	}
 	w, err := worker.New(worker.Config{
-		BusAddr:   pubSocket.Addr(),
 		TIP:       tip.NewClient(api.URL, "shared-key"),
 		Collector: collector,
 		RIoCSink: func(r heuristic.RIoC) {
@@ -80,8 +72,7 @@ func run() error {
 		cancel()
 		<-workerDone
 	}()
-	waitUntil(func() bool { return broker.TCPConns() == 1 })
-	fmt.Println("heuristic:       subscribed to the publish socket")
+	fmt.Println("heuristic:       following the change log")
 
 	// --- Service 3: an OSINT collector posting a cIoC over the API. -----
 	event, err := normalize.New("CVE-2017-9805", normalize.CategoryVulnExploit,
@@ -120,8 +111,7 @@ func run() error {
 		}
 	}
 	st := w.Stats()
-	fmt.Printf("worker stats:    received=%d enriched=%d riocs=%d\n",
-		st.Received, st.Enriched, st.RIoCs)
+	fmt.Printf("worker stats:    enriched=%d riocs=%d\n", st.Enriched, st.RIoCs)
 	return nil
 }
 

@@ -1,10 +1,10 @@
-// Package bus implements the asynchronous publish/subscribe channel the
-// paper builds on zeroMQ: the MISP instance publishes every stored event in
-// real time and the heuristic component subscribes to start its analysis
-// (§IV-A). The broker fans out topic-tagged frames to in-process
-// subscribers and to TCP subscribers; topic matching is prefix-based, as in
-// zeroMQ. Slow subscribers drop the oldest queued messages rather than
-// blocking publishers.
+// Package bus is an in-process publish/subscribe broker: a TIP attached
+// with tip.WithBroker announces every stored event on it. The broker fans
+// out topic-tagged messages to in-process subscribers; topic matching is
+// prefix-based, as in zeroMQ. Slow subscribers drop the oldest queued
+// messages rather than blocking publishers. No daemon consumes it: the
+// platform's consumers follow the TIP's change log by cursor instead
+// (tip.Follower), which loses nothing.
 package bus
 
 import (
@@ -80,11 +80,10 @@ func (s *Subscription) markClosed() {
 	}
 }
 
-// Broker is an in-process topic bus; ListenTCP extends it over the network.
+// Broker is an in-process topic bus.
 type Broker struct {
 	mu     sync.Mutex
 	subs   map[*Subscription]bool
-	conns  map[*serverConn]bool
 	closed bool
 
 	published int
@@ -134,16 +133,12 @@ func (b *Broker) registerMetrics(reg *obs.Registry) {
 			defer b.mu.Unlock()
 			return float64(len(b.subs))
 		})
-	reg.GaugeFunc("caisp_bus_tcp_conns",
-		"Currently attached TCP subscriber connections.",
-		func() float64 { return float64(b.TCPConns()) })
 }
 
 // NewBroker constructs a Broker.
 func NewBroker(opts ...Option) *Broker {
 	b := &Broker{
 		subs:    make(map[*Subscription]bool),
-		conns:   make(map[*serverConn]bool),
 		bufSize: 256,
 	}
 	for _, o := range opts {
@@ -195,15 +190,9 @@ func (b *Broker) PublishFunc(topic string, encode func() ([]byte, bool)) {
 			subs = append(subs, s)
 		}
 	}
-	conns := make([]*serverConn, 0, len(b.conns))
-	for c := range b.conns {
-		if hasPrefix(topic, c.prefix()) {
-			conns = append(conns, c)
-		}
-	}
 	b.mu.Unlock()
 
-	if len(subs)+len(conns) == 0 {
+	if len(subs) == 0 {
 		return
 	}
 	payload, ok := encode()
@@ -214,18 +203,6 @@ func (b *Broker) PublishFunc(topic string, encode func() ([]byte, bool)) {
 	for _, s := range subs {
 		s.deliver(msg)
 	}
-	for _, c := range conns {
-		c.send(msg)
-	}
-}
-
-// TCPConns reports the number of connected TCP subscribers — deployments
-// use it to confirm remote components are attached before publishing
-// (pub/sub delivers only to present subscribers).
-func (b *Broker) TCPConns() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.conns)
 }
 
 // Published returns the number of accepted Publish calls.
@@ -241,8 +218,7 @@ func (b *Broker) Dropped() int64 {
 	return b.droppedTotal.Load()
 }
 
-// Close shuts the broker down: all subscriptions are closed and TCP
-// connections terminated.
+// Close shuts the broker down: all subscriptions are closed.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -254,19 +230,11 @@ func (b *Broker) Close() {
 	for s := range b.subs {
 		subs = append(subs, s)
 	}
-	conns := make([]*serverConn, 0, len(b.conns))
-	for c := range b.conns {
-		conns = append(conns, c)
-	}
 	b.subs = map[*Subscription]bool{}
-	b.conns = map[*serverConn]bool{}
 	b.mu.Unlock()
 
 	for _, s := range subs {
 		s.markClosed()
-	}
-	for _, c := range conns {
-		c.close()
 	}
 }
 

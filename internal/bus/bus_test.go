@@ -135,145 +135,6 @@ func TestPublishFuncEncodesOnlyForSubscribers(t *testing.T) {
 	}
 }
 
-func TestTCPDelivery(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	l, err := b.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	client := Dial(l.Addr(), "misp.")
-	defer client.Close()
-
-	// Give the client a moment to connect before publishing.
-	waitForConns(t, b, 1)
-	b.Publish("misp.event.add", []byte(`{"uuid":"u1"}`))
-	b.Publish("alarms.new", []byte("filtered-out"))
-	b.Publish("misp.event.edit", []byte(`{"uuid":"u2"}`))
-
-	m1 := recvOne(t, client.C())
-	if m1.Topic != "misp.event.add" || string(m1.Payload) != `{"uuid":"u1"}` {
-		t.Fatalf("got %+v", m1)
-	}
-	m2 := recvOne(t, client.C())
-	if m2.Topic != "misp.event.edit" {
-		t.Fatalf("got %+v, want edit (alarms filtered)", m2)
-	}
-}
-
-func TestTCPMultipleSubscribers(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	l, err := b.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	c1 := Dial(l.Addr(), "")
-	defer c1.Close()
-	c2 := Dial(l.Addr(), "")
-	defer c2.Close()
-	waitForConns(t, b, 2)
-
-	b.Publish("t", []byte("fanout"))
-	if string(recvOne(t, c1.C()).Payload) != "fanout" {
-		t.Fatal("c1 missed")
-	}
-	if string(recvOne(t, c2.C()).Payload) != "fanout" {
-		t.Fatal("c2 missed")
-	}
-}
-
-func TestTCPClientReconnects(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	l, err := b.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr()
-
-	client := Dial(addr, "")
-	defer client.Close()
-	waitForConns(t, b, 1)
-	b.Publish("t", []byte("before"))
-	if string(recvOne(t, client.C()).Payload) != "before" {
-		t.Fatal("pre-restart message lost")
-	}
-
-	// Kill the listener (drops the connection), then restart on the same
-	// address.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	var l2 *Listener
-	for {
-		l2, err = b.ListenTCP(addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("could not rebind %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	defer l2.Close()
-
-	// Wait for the client to have redialed (not just for the stale server
-	// connection to still be registered).
-	deadline = time.Now().Add(5 * time.Second)
-	for client.Reconnects() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("client never reconnected")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	waitForConns(t, b, 1)
-	b.Publish("t", []byte("after"))
-	if string(recvOne(t, client.C()).Payload) != "after" {
-		t.Fatal("post-restart message lost")
-	}
-	if client.Reconnects() < 1 {
-		t.Fatalf("Reconnects = %d, want ≥ 1", client.Reconnects())
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf writableBuffer
-	msgs := []Message{
-		{Topic: "t", Payload: []byte("payload")},
-		{Topic: "", Payload: nil},
-		{Topic: "misp.event", Payload: make([]byte, 4096)},
-	}
-	for _, m := range msgs {
-		if err := writeFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range msgs {
-		got, err := readFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Topic != want.Topic || len(got.Payload) != len(want.Payload) {
-			t.Fatalf("frame mismatch: %+v vs %+v", got, want)
-		}
-	}
-}
-
-func TestReadFrameRejectsMalformedHeader(t *testing.T) {
-	var buf writableBuffer
-	// topicLen (10) exceeds frameLen (4): impossible.
-	buf.data = []byte{0, 0, 0, 4, 0, 10, 'x', 'x', 'x', 'x'}
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("malformed header accepted")
-	}
-}
-
 func TestConcurrentPublishers(t *testing.T) {
 	b := NewBroker(WithBuffer(10000))
 	defer b.Close()
@@ -304,42 +165,6 @@ func TestConcurrentPublishers(t *testing.T) {
 			}
 			return
 		}
-	}
-}
-
-// writableBuffer is a minimal io.ReadWriter for frame tests.
-type writableBuffer struct {
-	data []byte
-}
-
-func (b *writableBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-func (b *writableBuffer) Read(p []byte) (int, error) {
-	if len(b.data) == 0 {
-		return 0, fmt.Errorf("EOF")
-	}
-	n := copy(p, b.data)
-	b.data = b.data[n:]
-	return n, nil
-}
-
-func waitForConns(t *testing.T, b *Broker, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		have := len(b.conns)
-		b.mu.Unlock()
-		if have >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d TCP conns after 5s, want %d", have, n)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -8,27 +8,26 @@ import (
 	"testing"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/feed"
-	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
-	"github.com/caisplatform/caisp/internal/tip"
 )
 
-// awaitEIoCs blocks until n scored events have been published on the
-// platform's bus and returns the indicator values they carry.
-func awaitEIoCs(t *testing.T, sub *bus.Subscription, n int) map[string]bool {
+// awaitEIoCs follows the platform's change log until n scored events
+// have been committed and returns the indicator values they carry.
+func awaitEIoCs(t *testing.T, p *Platform, n int) map[string]bool {
 	t.Helper()
 	values := map[string]bool{}
 	timeout := time.After(10 * time.Second)
-	for n > 0 {
-		select {
-		case msg := <-sub.C():
-			me, err := misp.UnmarshalWrapped(msg.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
+	var cursor uint64
+	for {
+		committed := p.store.Committed() // before the read: see Store.Committed
+		page, next, _, err := p.TIP().ChangesPage(cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor = next
+		for _, me := range page {
 			if !me.HasTag("caisp:eioc") {
 				continue
 			}
@@ -36,11 +35,16 @@ func awaitEIoCs(t *testing.T, sub *bus.Subscription, n int) map[string]bool {
 				values[me.Attributes[i].Value] = true
 			}
 			n--
+		}
+		if n <= 0 {
+			return values
+		}
+		select {
+		case <-committed:
 		case <-timeout:
 			t.Fatalf("still waiting for %d eIoCs; the frozen clock never reaches a flush tick", n)
 		}
 	}
-	return values
 }
 
 // TestFlushOnPollArrival: on a clock that never advances, a document the
@@ -48,12 +52,10 @@ func awaitEIoCs(t *testing.T, sub *bus.Subscription, n int) map[string]bool {
 // scored. Only the poll landing can have triggered that flush.
 func TestFlushOnPollArrival(t *testing.T) {
 	p := newPlatform(t, Config{Feeds: []feed.Feed{advisoryFeed(strutsAdvisory)}})
-	sub := p.Broker().Subscribe(tip.TopicEventPrefix)
-	defer sub.Close()
 	if err := p.Start(context.Background(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got := awaitEIoCs(t, sub, 1); !got["CVE-2017-9805"] {
+	if got := awaitEIoCs(t, p, 1); !got["CVE-2017-9805"] {
 		t.Fatalf("scored event carries %v", got)
 	}
 	p.Stop()
@@ -108,8 +110,6 @@ func poll(t *testing.T, n int) []normalize.Event {
 func TestPollsDuringAFlushShareTheNext(t *testing.T) {
 	clk := &gateClock{Fake: clock.NewFake(batchTime), entered: make(chan struct{})}
 	p := newPlatform(t, Config{Clock: clk, DisableLifecycle: true})
-	sub := p.Broker().Subscribe(tip.TopicEventPrefix)
-	defer sub.Close()
 	if err := p.Start(context.Background(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPollsDuringAFlushShareTheNext(t *testing.T) {
 	p.ingest(poll(t, 2))
 	p.ingest(poll(t, 3))
 	release()
-	got := awaitEIoCs(t, sub, 3)
+	got := awaitEIoCs(t, p, 3)
 	for n := 1; n <= 3; n++ {
 		if v := fmt.Sprintf("poll%d.example", n); !got[v] {
 			t.Fatalf("%s was never scored: %v", v, got)

@@ -77,7 +77,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Every pipeline stage contributes at least one family.
 	for _, prefix := range []string{
 		"caisp_feed_", "caisp_dedup_", "caisp_correlate_", "caisp_store_",
-		"caisp_bus_", "caisp_tip_", "caisp_heuristic_", "caisp_dashboard_",
+		"caisp_consumer_", "caisp_tip_", "caisp_heuristic_", "caisp_dashboard_",
 		"caisp_pipeline_", "caisp_trace_",
 	} {
 		found := false
@@ -163,8 +163,8 @@ func TestSharedRegistryAcrossPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := scrape(t, p)
-	// The bus drop counter is exported live even when nothing dropped.
-	if !strings.Contains(out, "caisp_bus_dropped_total 0") {
-		t.Fatalf("bus drop counter missing:\n%s", out)
+	// The analyzer's lag gauge is exported, at 0 outside streaming mode.
+	if !strings.Contains(out, `caisp_consumer_lag{consumer="analyzer"} 0`) {
+		t.Fatalf("analyzer lag gauge missing:\n%s", out)
 	}
 }

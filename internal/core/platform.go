@@ -2,13 +2,13 @@
 // (paper §III) into one pipeline:
 //
 //	Input:       feeds → normalize → dedup → aggregate/correlate → cIoC
-//	Operational: cIoC → TIP (MISP-format store, auto-correlation, bus
-//	             publish) → heuristic analysis → threat score → eIoC
+//	Operational: cIoC → TIP (MISP-format store, auto-correlation, change
+//	             log) → heuristic analysis → threat score → eIoC
 //	Output:      eIoC → reduction → rIoC → dashboard push; eIoC → TAXII
 //	             collection for external sharing
 //
 // The platform runs either in streaming mode (Start: feed scheduler +
-// flusher, and a sharded pool of heuristic analyzers for the events
+// flusher, and an analyzer following the TIP's change log for the events
 // others store) or in batch mode (RunBatch: one synchronous pass, used by
 // the examples and the experiment harness). Every stage is concurrent:
 // feeds poll in parallel, a flush scores its clusters over N goroutines
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/dashboard"
@@ -72,8 +71,8 @@ type Config struct {
 	// its collection.
 	ShareTAXII bool
 	// AnalyzerPool sets how many goroutines score a flush's clusters, and
-	// how many consume the bus in streaming mode for the events others
-	// store. Values below 1 use GOMAXPROCS. Work is split by event UUID,
+	// a page of the events others store in streaming mode. Values below 1
+	// use GOMAXPROCS. A flush and a page each hold an event at most once,
 	// so the same event is never analyzed by two goroutines at once.
 	AnalyzerPool int
 	// FeedConcurrency bounds how many feeds PollOnce fetches in
@@ -121,8 +120,8 @@ type Stats struct {
 	Unscorable    int `json:"unscorable"`
 	StoreFailures int `json:"store_failures"`
 	StoredEvents  int `json:"stored_events"`
-	// BusDropped surfaces broker-wide drop-oldest losses from lagging
-	// subscribers, which are otherwise silent.
+	// BusDropped is always 0: the platform has no bus. The key stays so
+	// /stats keeps its shape.
 	BusDropped int64 `json:"bus_dropped"`
 }
 
@@ -171,7 +170,6 @@ type Platform struct {
 	// re-scoring, floor expiry and score history (nil under
 	// Config.DisableLifecycle).
 	store     *storage.Store
-	broker    *bus.Broker
 	tip       *tip.Service
 	engine    *heuristic.Engine
 	lifec     *lifecycle.Engine
@@ -202,9 +200,10 @@ type Platform struct {
 	runMu   sync.Mutex
 	started bool
 	cancel  context.CancelFunc
-	workers sync.WaitGroup // the bus consumer and the flusher
-	sub     *bus.Subscription
-	pool    *worker.Pool
+	workers sync.WaitGroup // the analyzer's follower and the flusher
+	// follower is the analyzer's place in the change log while streaming
+	// mode runs; nil otherwise.
+	follower atomic.Pointer[tip.Follower]
 }
 
 // New assembles a platform from the configuration.
@@ -231,8 +230,6 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	broker := bus.NewBroker(bus.WithMetrics(reg))
-
 	analyzers := cfg.AnalyzerPool
 	if analyzers < 1 {
 		analyzers = runtime.GOMAXPROCS(0)
@@ -247,7 +244,6 @@ func New(cfg Config) (*Platform, error) {
 		deduper:   dedup.New(dedup.WithMetrics(reg)),
 		corr:      correlate.NewIncremental(correlate.WithMetrics(reg)),
 		store:     store,
-		broker:    broker,
 		collector: collector,
 		analyzers: analyzers,
 
@@ -264,7 +260,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.registerPipelineMetrics()
 	p.classifier = textclass.New()
-	p.tip = tip.NewService(store, tip.WithBroker(broker), tip.WithLogger(cfg.Logger),
+	p.tip = tip.NewService(store, tip.WithLogger(cfg.Logger),
 		tip.WithMetrics(reg), tip.WithName(p.nodeName), tip.WithProvenance(p.prov))
 	p.engine = heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
@@ -315,7 +311,6 @@ func New(cfg Config) (*Platform, error) {
 	for _, f := range cfg.Feeds {
 		if err := p.scheduler.Add(f); err != nil {
 			store.Close()
-			broker.Close()
 			return nil, err
 		}
 	}
@@ -369,7 +364,13 @@ func (p *Platform) registerPipelineMetrics() {
 	p.flushDur = reg.Histogram("caisp_pipeline_flush_seconds",
 		"One flush: correlation delta, scoring, the group-committed store and its sharing.")
 	p.analyzeDur = reg.Histogram("caisp_pipeline_analyze_seconds",
-		"Heuristic scoring of one cIoC and its rIoC pushes; a bus-delivered event adds its write-back.")
+		"Heuristic scoring of one cIoC and its rIoC pushes; an event others stored adds its write-back.")
+	tip.RegisterLag(reg, "analyzer", func() uint64 {
+		if f := p.follower.Load(); f != nil {
+			return f.Lag(p.store.Seq())
+		}
+		return 0
+	})
 }
 
 // Metrics returns the observability registry, or nil when disabled.
@@ -441,9 +442,6 @@ func (p *Platform) rebuildCorrelationIndex() {
 // TIP returns the operational module's TIP service.
 func (p *Platform) TIP() *tip.Service { return p.tip }
 
-// Broker returns the internal message bus.
-func (p *Platform) Broker() *bus.Broker { return p.broker }
-
 // Collector returns the infrastructure collector.
 func (p *Platform) Collector() *infra.Collector { return p.collector }
 
@@ -503,7 +501,6 @@ func (p *Platform) Stats() Stats {
 		Unscorable:      int(p.counters.unscorable.Load()),
 		StoreFailures:   int(p.counters.storeFailures.Load()),
 		StoredEvents:    p.tip.Len(),
-		BusDropped:      p.broker.Dropped(),
 	}
 }
 
@@ -754,8 +751,8 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	p.counters.clusterMerges.Add(int64(len(delta.Removed)))
 	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(stored)))
 
-	// Streaming detection runs on the flush path, not off the bus, so
-	// standing detections never drop under bus backpressure.
+	// Streaming detection of the flush's own clusters runs here, on the
+	// flush path; the analyzer's follower skips them.
 	p.fanOut(len(installed), func(j int) {
 		p.subs.EvaluateMISP(batch[installed[j]], subscribe.StageCIoC, -1)
 	})
@@ -773,13 +770,29 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	return stored, errors.Join(errs...)
 }
 
-// analyze is the analyzer pool's function in streaming mode. The pool
-// serves only events that arrive on the bus: those stored by someone
-// else, over REST or by a sync import. They keep the paper's two
-// revisions: the stored cIoC is scored by the shared heuristic stage
-// (worker.Analyzer), its eIoC is written back, then published. The bus
-// copy of a cluster this node's flush committed unscored is a Duplicate;
-// an eIoC never reaches the pool (worker.Pool.Consume).
+// analyzePage is the streaming analyzer's handler for one page of the
+// change log. It analyzes only the events others stored, over REST or by
+// a sync import: the cIoCs not yet scored. A page holds each UUID at most
+// once, so its events are analyzed on fanOut. A cIoC this node's flush
+// committed unscored is a Duplicate to the analyzer.
+func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
+	ciocs := make([]*misp.Event, 0, len(page))
+	for _, me := range page {
+		if me.HasTag("caisp:cioc") && !me.HasTag("caisp:eioc") {
+			ciocs = append(ciocs, me)
+		}
+	}
+	p.fanOut(len(ciocs), func(i int) {
+		if err := p.analyze(ciocs[i]); err != nil {
+			p.logger.Warn("heuristic analysis failed", "uuid", ciocs[i].UUID, "error", err)
+		}
+	})
+	return nil
+}
+
+// analyze keeps the paper's two revisions for a stored cIoC: it is scored
+// by the shared heuristic stage (worker.Analyzer), on a copy, since me is
+// the store's frozen view; its eIoC is written back, then published.
 func (p *Platform) analyze(me *misp.Event) error {
 	// A cluster absorbed by a concurrent merge has been retracted from the
 	// store; analyzing its stale revision would resurrect its rIoCs.
@@ -793,11 +806,11 @@ func (p *Platform) analyze(me *misp.Event) error {
 	case worker.Unscorable:
 		p.counters.unscorable.Add(1)
 	case worker.Enriched:
-		if _, err := p.tip.AddEvent(me); err != nil {
+		if _, err := p.tip.AddEvent(res.Event); err != nil {
 			p.retract(me.UUID)
 			return fmt.Errorf("core: write back eIoC %s: %w", me.UUID, err)
 		}
-		p.publish(me, res)
+		p.publish(res.Event, res)
 	}
 	return err
 }
@@ -865,9 +878,9 @@ func (p *Platform) RunBatch(ctx context.Context) error {
 // poll has delivered them. A flush takes whole documents (each revises
 // the clusters it touches, so never a record at a time), and polls that
 // land while one runs share the next. flushInterval is the longest a
-// pending event can wait, not the period. A sharded pool of analyzer
-// goroutines consumes the bus for the events this node did not compose:
-// REST posts and TIP sync imports.
+// pending event can wait, not the period. The analyzer follows the TIP's
+// change log from its head as of Start, for the events this node did not
+// compose: REST posts and TIP sync imports.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -880,19 +893,12 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	ctx, p.cancel = context.WithCancel(ctx)
 	p.started = true
 
-	// Adds and edits both need analysis: a grown cluster is re-published
-	// on the edit topic under its stable UUID and must be re-scored.
-	p.sub = p.broker.Subscribe(tip.TopicEventPrefix)
-	pool := worker.NewPool(p.analyzers, p.logger, func(me *misp.Event) {
-		if err := p.analyze(me); err != nil {
-			p.logger.Warn("heuristic analysis failed", "uuid", me.UUID, "error", err)
-		}
-	})
-	p.pool = pool
+	follower := tip.NewFollower(p.tip, p.store.Seq(), p.clk, p.logger)
+	p.follower.Store(follower)
 	p.workers.Add(2)
 	go func() {
 		defer p.workers.Done()
-		pool.Consume(ctx, p.sub.C())
+		follower.Run(ctx, p.analyzePage)
 	}()
 
 	go func() {
@@ -924,12 +930,8 @@ func (p *Platform) Stop() {
 	}
 	p.cancel()
 	p.scheduler.Stop()
-	if p.sub != nil {
-		p.sub.Close()
-	}
 	p.workers.Wait()
-	// Nothing dispatches any more: let the analyzers drain their queues.
-	p.pool.Close()
+	p.follower.Store(nil)
 	p.started = false
 	// Final flush so nothing collected is lost.
 	if _, err := p.flush(p.drainPending()); err != nil {
@@ -937,7 +939,7 @@ func (p *Platform) Stop() {
 	}
 }
 
-// Close releases resources (store, broker, dashboard sockets). The
+// Close releases resources (store, dashboard sockets). The
 // compaction trigger is drained before the store closes, so a snapshot
 // due after the final flush still completes.
 func (p *Platform) Close() error {
@@ -948,6 +950,5 @@ func (p *Platform) Close() error {
 	p.stopCompacting()
 	p.dash.Close()
 	p.subs.Close()
-	p.broker.Close()
 	return p.store.Close()
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/heuristic"
-	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/tip"
 )
@@ -68,8 +67,7 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 
 	// Flush batch 2: a different CVE of the same campaign. It must grow
 	// the existing cluster and go out as a MISP edit, not a second add.
-	sub := p.Broker().Subscribe(tip.TopicEventEdit)
-	defer sub.Close()
+	cursor := p.TIP().StoreSeq()
 	stored, err = p.flush([]normalize.Event{
 		ctxEvent(t, "CVE-2017-5638", normalize.CategoryVulnExploit, strutsCtx),
 	})
@@ -83,17 +81,12 @@ func TestCrossBatchClusterEdit(t *testing.T) {
 	if st.CIoCs != 1 || st.ClusterEdits != 1 || st.ClustersLive != 1 {
 		t.Fatalf("after batch 2: %+v", st)
 	}
-	select {
-	case msg := <-sub.C():
-		me, err := misp.UnmarshalWrapped(msg.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if me.UUID != clusterUUID || !me.HasTag("caisp:cioc") {
-			t.Fatalf("edit topic carried %s, want cluster %s", me.UUID, clusterUUID)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no misp.event.edit published for the grown cluster")
+	edits, _, _, err := p.TIP().ChangesPage(cursor, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(edits) != 1 || edits[0].UUID != clusterUUID || !edits[0].HasTag("caisp:cioc") {
+		t.Fatalf("batch 2 committed %d revisions, want one revision of cluster %s", len(edits), clusterUUID)
 	}
 
 	// One stored cIoC event carrying both member CVEs.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/clock"
+	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/heuristic"
@@ -200,24 +202,86 @@ func TestSyntheticFeedsFullPipeline(t *testing.T) {
 	}
 }
 
-func TestStreamingModeProcessesOverBus(t *testing.T) {
-	// Real clock so scheduler and flusher tick on their own.
-	p := newPlatform(t, Config{
-		Feeds: []feed.Feed{advisoryFeed(strutsAdvisory)},
-		Clock: clock.Real(),
-	})
-	if err := p.Start(context.Background(), 20*time.Millisecond); err != nil {
+// clusterOf composes the cIoC one event of value makes, as an input
+// module other than this platform's would store it.
+func clusterOf(t *testing.T, value, category string, ctx map[string]string) *misp.Event {
+	t.Helper()
+	ciocs := correlate.New().Correlate([]normalize.Event{ctxEvent(t, value, category, ctx)})
+	me, err := correlate.ToMISP(&ciocs[0], batchTime)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background(), time.Second); err == nil {
+	return me
+}
+
+// TestStreamingModeScoresEveryPostedCIoC: once a feed flush has run, a
+// cIoC posted over the TIP API is scored even when the analyzer is held
+// inside another event's score while 400 revisions are committed around
+// the post. The analyzer follows the change log, so what lands while it
+// is busy folds into its next pages; a bounded queue between the store
+// and the analyzer would have evicted the post.
+func TestStreamingModeScoresEveryPostedCIoC(t *testing.T) {
+	clk := &gateClock{Fake: clock.NewFake(batchTime), entered: make(chan struct{})}
+	p := newPlatform(t, Config{
+		Feeds:            []feed.Feed{advisoryFeed(strutsAdvisory)},
+		Clock:            clk,
+		DisableLifecycle: true,
+		AnalyzerPool:     1,
+	})
+	api := httptest.NewServer(tip.NewAPI(p.TIP(), ""))
+	defer api.Close()
+	client := tip.NewClient(api.URL, "")
+	ctx := context.Background()
+	if err := p.Start(ctx, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(ctx, time.Second); err == nil {
 		t.Fatal("double start accepted")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().EIoCs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("streaming pipeline never produced an eIoC: %+v", p.Stats())
+	awaitEIoCs(t, p, 1) // the feed's first flush has committed
+
+	struts := map[string]string{
+		"products":    "apache struts,apache",
+		"os":          "debian",
+		"cvss-vector": "CVSS:3.0/AV:N/AC:H/PR:N/UI:N/S:U/C:H/I:H/A:H",
+	}
+	held := clusterOf(t, "CVE-2017-5638", normalize.CategoryVulnExploit, struts)
+	release := clk.arm()
+	if _, err := client.AddEvent(ctx, held); err != nil {
+		t.Fatal(err)
+	}
+	<-clk.entered // the analyzer is inside held's score
+
+	fillers := func(from, n int) {
+		batch := make([]*misp.Event, n)
+		for i := range batch {
+			batch[i] = clusterOf(t, fmt.Sprintf("opaque-token-%d", from+i), normalize.CategoryMalwareDomain, nil)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if _, err := p.TIP().AddEvents(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fillers(0, 100)
+	posted := clusterOf(t, "CVE-2018-11776", normalize.CategoryVulnExploit, struts)
+	if _, err := client.AddEvent(ctx, posted); err != nil {
+		t.Fatal(err)
+	}
+	fillers(100, 300)
+	release()
+
+	deadline := time.After(10 * time.Second)
+	for {
+		committed := p.store.Committed() // before the read: see Store.Committed
+		a, errA := p.TIP().GetEvent(held.UUID)
+		b, errB := p.TIP().GetEvent(posted.UUID)
+		if errA == nil && errB == nil && a.HasTag("caisp:eioc") && b.HasTag("caisp:eioc") {
+			break
+		}
+		select {
+		case <-committed:
+		case <-deadline:
+			t.Fatalf("posted cIoCs never scored: %+v", p.Stats())
+		}
 	}
 	p.Stop()
 	if got := len(p.Dashboard().RIoCs()); got == 0 {

@@ -408,6 +408,20 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return g.(*Gauge)
 }
 
+// Func installs the child for the given label values as a gauge computed
+// at scrape time; fn must be safe for concurrent use. A label set that
+// already has a child keeps it. Nil-safe.
+func (v *GaugeVec) Func(fn func() float64, values ...string) {
+	if v == nil {
+		return
+	}
+	if len(values) != len(v.f.labels) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
+			v.f.name, len(v.f.labels), len(values)))
+	}
+	v.f.child(labelKey(values), func() child { return funcChild{fn: fn} })
+}
+
 // GaugeVec registers a labeled gauge family. Returns nil on a nil
 // registry.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {

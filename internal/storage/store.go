@@ -485,7 +485,7 @@ func (s *Store) Has(uuid string) bool {
 
 // WrappedJSON returns the {"Event": …} wire encoding of the current
 // revision of the event, computed at most once per revision and shared
-// between the bus publisher and the HTTP read paths. The returned bytes
+// between the HTTP read paths and an attached broker. The returned bytes
 // are read-only.
 func (s *Store) WrappedJSON(uuid string) ([]byte, error) {
 	s.mu.RLock()

@@ -47,7 +47,7 @@ type EventFrame struct {
 func ObservationFromMISP(me *misp.Event, threatScore float64) stixpattern.Observation {
 	if threatScore < 0 {
 		// Stored eIoCs carry the score as a comment attribute; recover it
-		// so bus-driven evaluation (tipd) sees the same fields as in-core
+		// so log-driven evaluation (tipd) sees the same fields as in-core
 		// dispatch.
 		threatScore, _ = ThreatScoreOf(me)
 	}

@@ -179,7 +179,7 @@ func TestObservationDirectAgreesWithMembers(t *testing.T) {
 				paths[path] = true
 			}
 			// The admitted cIoC, then the scored eIoC the analyzer re-stores,
-			// each as core dispatches it and as tipd's bus drain sees it.
+			// each as core dispatches it and as tipd's detections see it.
 			check(t, name+" cioc", me, -1)
 			heuristic.SetBaseScore(me, 0.625, at)
 			me.AddTag("caisp:eioc")

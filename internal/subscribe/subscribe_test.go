@@ -306,7 +306,7 @@ func TestEvaluateMISPThreatScore(t *testing.T) {
 	if n := e.EvaluateMISP(me, StageEIoC, 0.75); n != 1 {
 		t.Fatalf("scored event matches = %d, want 1", n)
 	}
-	// Stored eIoCs carry the score as a comment attribute; bus-driven
+	// Stored eIoCs carry the score as a comment attribute; log-driven
 	// evaluation recovers it without the caller passing a score.
 	me.AddAttribute("comment", "Other", "threat-score:0.7500", time.Unix(1700000100, 0))
 	me.AddTag("caisp:eioc")

@@ -1,10 +1,11 @@
 // Package tip implements the threat-intelligence-platform instance at the
 // heart of the Operational Module — the stand-in for the paper's MISP
 // deployment. It stores MISP-format events in the embedded store, performs
-// automatic correlation on insert, publishes every stored OSINT event on
-// the message bus for the heuristic component (the paper's zeroMQ
-// mechanism, §IV-A), exposes the MISP-like REST API with export modules
-// (MISP JSON, STIX 2.0, CSV) and synchronizes events between instances.
+// automatic correlation on insert, serves its change log to the
+// consumers of "event stored" — the heuristic component among them, where
+// the paper uses zeroMQ (§IV-A) — through Follower, exposes the MISP-like
+// REST API with export modules (MISP JSON, STIX 2.0, CSV) and
+// synchronizes events between instances.
 package tip
 
 import (
@@ -23,7 +24,7 @@ import (
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
-// Bus topics published by the service.
+// Topics the service publishes on an attached broker (WithBroker).
 const (
 	// TopicEventAdd announces newly stored events (wrapped MISP JSON).
 	TopicEventAdd = "misp.event.add"
@@ -123,8 +124,9 @@ func NewService(store *storage.Store, opts ...Option) *Service {
 // misp.Attribute.Correlates). The lookup costs the postings of the event's
 // own indicator values, not the size of the store, so the per-event path
 // (eIoC write-back, POST /events, infrastructure sightings) stays flat as
-// the TIP fills. New and updated events are announced on the bus; one
-// older than its UUID's deletion fails with storage.ErrStale, unannounced.
+// the TIP fills. New and updated events are announced on an attached
+// broker; one older than its UUID's deletion fails with
+// storage.ErrStale, unannounced.
 // The store keeps a private copy; the caller retains ownership of e.
 func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 	if e == nil {

@@ -1,10 +1,10 @@
 // Package worker is the heuristic component (§IV-A): an Analyzer turns a
-// cIoC revision into an eIoC and a Pool feeds it, sharded by event UUID.
-// The Analyzer scores; storing the eIoC is its caller's step. caispd
-// scores a composed cluster before its one commit (core.Platform) and
-// writes back the events others stored; Worker runs the Analyzer as the
-// paper's separate process, fed by a TIP's TCP publish socket (the zeroMQ
-// channel) and writing back through the TIP REST API.
+// cIoC revision into an eIoC. The Analyzer scores; storing the eIoC is its
+// caller's step. caispd scores a composed cluster before its one commit
+// (core.Platform) and writes back the events others stored; Worker runs
+// the Analyzer as the paper's separate process. It follows a TIP's change
+// log over the REST API, where the paper subscribes to zeroMQ, and writes
+// back through the same API.
 package worker
 
 import (
@@ -12,16 +12,15 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
+	"github.com/caisplatform/caisp/internal/mesh"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/ringset"
@@ -33,10 +32,6 @@ import (
 // are evicted FIFO (re-analysis of an evicted revision converges: the
 // eIoC tag and the score upsert are idempotent).
 const maxProcessedTracked = 1 << 16
-
-// shardQueueDepth is the per-shard buffer between a dispatcher and an
-// analyzer goroutine.
-const shardQueueDepth = 64
 
 // Outcome is what one analysis did with a revision.
 type Outcome int
@@ -51,6 +46,9 @@ const (
 // Analysis is what the heuristic stage made of one revision.
 type Analysis struct {
 	Outcome Outcome
+	// Event is the revision scored: Score's own argument, or the private
+	// copy Analyze made. Nil for a Duplicate.
+	Event *misp.Event
 	// Score is the top threat score of an Enriched revision.
 	Score float64
 	// SDOs are the revision's scored STIX objects, enriched in place.
@@ -77,23 +75,25 @@ func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock
 		processed: ringset.New(maxProcessedTracked)}
 }
 
-// Analyze scores a revision delivered by the bus, unless that revision was
-// analyzed before: it is Score behind the idempotency check.
+// Analyze scores a stored revision unless that revision was analyzed
+// before: it is Score behind the idempotency check. me may be a shared
+// frozen view from the store's copy-free read path (DESIGN.md §8):
+// Analyze scores a private copy, returned as Analysis.Event.
 func (a *Analyzer) Analyze(me *misp.Event) (Analysis, error) {
 	if !a.remember(me) {
 		return Analysis{Outcome: Duplicate}, nil
 	}
-	return a.score(me)
+	return a.score(me.Clone())
 }
 
 // Score converts one cIoC revision to STIX, scores, enriches and reduces
 // each supported SDO, and turns an Enriched revision into the eIoC by
 // "adding the threat score as a new MISP attribute" (§IV-A) and the eIoC
 // tag. Storing it is the caller's step. Its cost is that of the revision,
-// not of what the TIP holds. The revision is remembered, so its bus copy
-// is a Duplicate to Analyze.
+// not of what the TIP holds. The revision is remembered, so its stored
+// copy is a Duplicate to Analyze.
 //
-// The event must be caller-owned (bus-decoded or a pre-store
+// The event must be caller-owned (decoded from the wire or a pre-store
 // composition), never a shared frozen view from the store's copy-free
 // read path: Score mutates me in place (DESIGN.md §8).
 func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
@@ -118,13 +118,13 @@ func (a *Analyzer) remember(me *misp.Event) bool {
 func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 	bundle, err := misp.ToSTIX(me)
 	if errors.Is(err, misp.ErrEmptyBundle) {
-		return Analysis{Outcome: Unscorable}, nil // free-text members only
+		return Analysis{Outcome: Unscorable, Event: me}, nil // free-text members only
 	}
 	if err != nil {
-		return Analysis{Outcome: Failed}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
+		return Analysis{Outcome: Failed, Event: me}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
 	}
 	now := a.clk.Now()
-	var res Analysis
+	res := Analysis{Event: me}
 	for _, obj := range bundle.Objects {
 		ev, err := a.engine.Evaluate(obj)
 		if err != nil {
@@ -137,14 +137,14 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 		}
 		rioc, err := heuristic.Reduce(obj, ev, a.collector, now)
 		if err != nil {
-			return Analysis{Outcome: Failed}, err
+			return Analysis{Outcome: Failed, Event: me}, err
 		}
 		if rioc != nil {
 			a.onRIoC(*rioc)
 		}
 	}
 	if len(res.SDOs) == 0 {
-		return Analysis{Outcome: Unscorable}, nil
+		return Analysis{Outcome: Unscorable, Event: me}, nil
 	}
 	// Upsert: re-analysis of a grown cluster refreshes the attribute
 	// instead of stacking duplicates.
@@ -154,145 +154,55 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 	return res, nil
 }
 
-// Pool runs an analysis function on goroutines sharded by event UUID, so
-// revisions of one event are analyzed in order and never race.
-type Pool struct {
-	shards []chan *misp.Event
-	wg     sync.WaitGroup
-	logger *slog.Logger
-
-	received, filtered, undecodable atomic.Int64 // what Consume read
-}
-
-// NewPool starts n analyzer goroutines running analyze; values below 1
-// use GOMAXPROCS.
-func NewPool(n int, logger *slog.Logger, analyze func(*misp.Event)) *Pool {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{shards: make([]chan *misp.Event, n), logger: logger}
-	for i := range p.shards {
-		ch := make(chan *misp.Event, shardQueueDepth)
-		p.shards[i] = ch
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for me := range ch {
-				analyze(me)
-			}
-		}()
-	}
-	return p
-}
-
-// shardOf maps an event UUID onto one of n shards (FNV-1a).
-func shardOf(uuid string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(uuid); i++ {
-		h = (h ^ uint32(uuid[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
-// dispatch routes me to its UUID shard, blocking while the shard queue is
-// full (backpressure, never loss). It reports false once ctx is done.
-func (p *Pool) dispatch(ctx context.Context, me *misp.Event) bool {
-	select {
-	case p.shards[shardOf(me.UUID, len(p.shards))] <- me:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Consume decodes published events from c and dispatches the cIoCs until
-// ctx is done or c closes. Infrastructure data is stored, not analyzed,
-// and an eIoC is already scored: an analyzer's own write-back, or a
-// cluster caispd committed scored, republished by the TIP. Re-analyzing
-// a write-back would loop.
-func (p *Pool) Consume(ctx context.Context, c <-chan bus.Message) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, ok := <-c:
-			if !ok {
-				return
-			}
-			p.received.Add(1)
-			me, err := misp.UnmarshalWrapped(msg.Payload)
-			if err != nil {
-				p.undecodable.Add(1)
-				p.logger.Warn("bus payload undecodable", "error", err)
-				continue
-			}
-			if !me.HasTag("caisp:cioc") || me.HasTag("caisp:eioc") {
-				p.filtered.Add(1)
-				continue
-			}
-			if !p.dispatch(ctx, me) {
-				return
-			}
-		}
-	}
-}
-
-// Close lets the shards drain their queues and waits for them. Call it
-// once nothing dispatches any more.
-func (p *Pool) Close() {
-	for _, ch := range p.shards {
-		close(ch)
-	}
-	p.wg.Wait()
-}
+// cursorKey names the worker's cursor in its cursor file.
+const cursorKey = "tip"
 
 // Config parameterizes a Worker.
 type Config struct {
-	// BusAddr is the TIP's TCP publish socket ("host:port").
-	BusAddr string
-	// TIP is the client for writing enriched events back.
+	// TIP is the client the worker follows the change log through and
+	// writes enriched events back with.
 	TIP *tip.Client
+	// Cursor is the file that keeps the worker's place in the change log
+	// (mesh.FileCursors), so a restarted worker resumes where it stopped.
+	// Empty keeps the cursor in memory, starting at 0.
+	Cursor string
 	// Collector supplies the infrastructure context for scoring.
 	Collector *infra.Collector
 	// RIoCSink receives reduced IoCs (nil discards them).
 	RIoCSink func(heuristic.RIoC)
-	// Clock fixes the evaluation clock; nil uses the system clock.
+	// Clock fixes the evaluation clock and times retries; nil uses the
+	// system clock.
 	Clock clock.Clock
 	// Metrics registers the worker's caisp_worker_* families into this
 	// registry; nil disables instrumentation.
 	Metrics *obs.Registry
 }
 
-// Stats counts worker activity.
+// Stats counts worker activity. A page read again after a failed
+// write-back is counted again.
 type Stats struct {
-	Received  int `json:"received"`
-	Skipped   int `json:"skipped"`
-	Enriched  int `json:"enriched"`
-	RIoCs     int `json:"riocs"`
-	Failures  int `json:"failures"`
-	Reconnect int `json:"reconnects"`
+	Received int `json:"received"`
+	Skipped  int `json:"skipped"`
+	Enriched int `json:"enriched"`
+	RIoCs    int `json:"riocs"`
+	Failures int `json:"failures"`
 }
 
-// Worker is a running heuristic component fed by a TIP's publish socket.
+// Worker is a running heuristic component following a TIP's change log.
 type Worker struct {
 	analyzer   *Analyzer
-	pool       *Pool
-	client     *bus.Client
+	follower   *tip.Follower
+	cursors    mesh.CursorStore
 	tip        *tip.Client
 	analyzeDur *obs.Histogram // caisp_worker_analyze_seconds; nil without Metrics
 
-	skipped, enriched, riocs, failures atomic.Int64
+	received, skipped, enriched, riocs, failures atomic.Int64
 }
 
-// New validates the configuration and builds a worker. The bus
-// subscription (adds and edits: a grown cluster is re-published under its
-// stable UUID and must be re-scored) and the analyzer pool start at once,
-// so nothing published before Run is lost; Run until its context is
-// cancelled releases them.
+// New validates the configuration, loads the cursor and builds a worker.
+// Nothing is read before Run, and nothing committed meanwhile is missed:
+// Run starts from the cursor.
 func New(cfg Config) (*Worker, error) {
-	if cfg.BusAddr == "" {
-		return nil, fmt.Errorf("worker: bus address required")
-	}
 	if cfg.TIP == nil {
 		return nil, fmt.Errorf("worker: TIP client required")
 	}
@@ -302,80 +212,102 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
 	}
+	var cursors mesh.CursorStore = mesh.NewMemCursors()
+	if cfg.Cursor != "" {
+		cursors = mesh.NewFileCursors(cfg.Cursor)
+	}
+	saved, err := cursors.Load()
+	if err != nil {
+		return nil, fmt.Errorf("worker: %w", err)
+	}
 	engine := heuristic.NewEngine(
 		heuristic.WithInfrastructure(cfg.Collector),
 		heuristic.WithClock(cfg.Clock),
 		heuristic.WithMetrics(cfg.Metrics),
 	)
-	w := &Worker{client: bus.Dial(cfg.BusAddr, tip.TopicEventPrefix), tip: cfg.TIP}
+	w := &Worker{
+		follower: tip.NewFollower(cfg.TIP, saved[cursorKey].Seq, cfg.Clock, slog.Default()),
+		cursors:  cursors,
+		tip:      cfg.TIP,
+	}
 	w.analyzer = NewAnalyzer(engine, cfg.Collector, cfg.Clock, func(r heuristic.RIoC) {
 		w.riocs.Add(1)
 		if cfg.RIoCSink != nil {
 			cfg.RIoCSink(r)
 		}
 	})
-	w.pool = NewPool(0, slog.Default(), w.process)
 	if reg := cfg.Metrics; reg != nil {
 		w.analyzeDur = reg.Histogram("caisp_worker_analyze_seconds",
-			"Full analysis of one cIoC: STIX conversion, scoring, write-back.")
+			"Analysis of one cIoC: STIX conversion, scoring and reduction.")
 		counter := func(name, help string, field func(Stats) int) {
 			reg.CounterFunc(name, help, func() float64 { return float64(field(w.Stats())) })
 		}
-		counter("caisp_worker_received_total", "Bus payloads received.",
+		counter("caisp_worker_received_total", "Revisions read from the change log.",
 			func(s Stats) int { return s.Received })
-		counter("caisp_worker_skipped_total", "Payloads skipped (filtered, duplicate or unscorable).",
+		counter("caisp_worker_skipped_total", "Revisions skipped (not a cIoC, or unscorable).",
 			func(s Stats) int { return s.Skipped })
 		counter("caisp_worker_enriched_total", "Events enriched and written back to the TIP.",
 			func(s Stats) int { return s.Enriched })
 		counter("caisp_worker_riocs_total", "Reduced IoCs emitted to the sink.",
 			func(s Stats) int { return s.RIoCs })
-		counter("caisp_worker_failures_total", "Decode or analysis failures.",
+		counter("caisp_worker_failures_total", "Analysis failures and failed write-backs.",
 			func(s Stats) int { return s.Failures })
-		counter("caisp_worker_reconnects_total", "Bus reconnections.",
-			func(s Stats) int { return s.Reconnect })
 	}
 	return w, nil
 }
 
-// Run feeds the analyzer pool from the bus until ctx is cancelled, then
-// closes the subscription and lets the pool drain.
+// Run follows the TIP's change log from the cursor until ctx is
+// cancelled, handling one page at a time.
 func (w *Worker) Run(ctx context.Context) {
-	w.pool.Consume(ctx, w.client.C())
-	w.client.Close()
-	w.pool.Close()
+	w.follower.Run(ctx, func(page []*misp.Event, next uint64) error {
+		return w.handle(ctx, page, next)
+	})
 }
 
 // Stats returns a snapshot of the worker counters.
 func (w *Worker) Stats() Stats {
 	return Stats{
-		Received:  int(w.pool.received.Load()),
-		Skipped:   int(w.pool.filtered.Load() + w.skipped.Load()),
-		Enriched:  int(w.enriched.Load()),
-		RIoCs:     int(w.riocs.Load()),
-		Failures:  int(w.pool.undecodable.Load() + w.failures.Load()),
-		Reconnect: w.client.Reconnects(),
+		Received: int(w.received.Load()),
+		Skipped:  int(w.skipped.Load()),
+		Enriched: int(w.enriched.Load()),
+		RIoCs:    int(w.riocs.Load()),
+		Failures: int(w.failures.Load()),
 	}
 }
 
-// process is the pool's analysis function: one revision scored, its eIoC
-// written back through the REST API — the paper's second revision of an
-// event another process stored — and counted.
-func (w *Worker) process(me *misp.Event) {
-	start := time.Now()
-	res, err := w.analyzer.Analyze(me)
-	if err == nil && res.Outcome == Enriched {
-		if _, err = w.tip.AddEvent(context.Background(), me); err != nil {
-			err = fmt.Errorf("worker: write back eIoC %s: %w", me.UUID, err)
+// handle scores a page's cIoCs, writes their eIoCs back in one batch —
+// the paper's second revision of an event another process stored — and
+// saves the cursor past the page. Infrastructure data is stored, not
+// analyzed, and an eIoC is already scored: this worker's write-back, or a
+// cluster caispd committed scored. Re-analyzing a write-back would loop.
+// A failed write-back fails the page, which is read and scored again.
+func (w *Worker) handle(ctx context.Context, page []*misp.Event, next uint64) error {
+	var enriched []*misp.Event
+	for _, me := range page {
+		w.received.Add(1)
+		if !me.HasTag("caisp:cioc") || me.HasTag("caisp:eioc") {
+			w.skipped.Add(1)
+			continue
+		}
+		start := time.Now()
+		res, err := w.analyzer.Score(me) // decoded from the wire: ours to mutate
+		w.analyzeDur.Observe(time.Since(start).Seconds())
+		switch {
+		case err != nil:
+			w.failures.Add(1)
+			slog.Warn("analysis failed", "uuid", me.UUID, "error", err)
+		case res.Outcome == Enriched:
+			enriched = append(enriched, me)
+		default:
+			w.skipped.Add(1)
 		}
 	}
-	w.analyzeDur.Observe(time.Since(start).Seconds())
-	switch {
-	case err != nil:
-		w.failures.Add(1)
-		slog.Warn("analysis failed", "uuid", me.UUID, "error", err)
-	case res.Outcome == Enriched:
-		w.enriched.Add(1)
-	default:
-		w.skipped.Add(1)
+	if len(enriched) > 0 {
+		if _, err := w.tip.AddEvents(ctx, enriched); err != nil {
+			w.failures.Add(1)
+			return fmt.Errorf("worker: write back %d eIoCs: %w", len(enriched), err)
+		}
+		w.enriched.Add(int64(len(enriched)))
 	}
+	return w.cursors.Save(map[string]mesh.Cursor{cursorKey: {Seq: next}})
 }

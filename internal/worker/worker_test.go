@@ -2,13 +2,15 @@ package worker
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/bus"
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
@@ -21,16 +23,133 @@ import (
 
 var evalTime = time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC)
 
-// distributedRig wires a TIP with a TCP publish socket (the "MISP
-// instance") and a worker (the "heuristic component") as separate
-// components talking only over the network, as in the paper's deployment.
-type distributedRig struct {
-	service  *tip.Service
-	listener *bus.Listener
-	worker   *Worker
-	riocs    *riocCollector
-	cancel   context.CancelFunc
-	runDone  chan struct{}
+// tipRig is a TIP (the "MISP instance") that workers (the "heuristic
+// component") reach only over its REST API, as in the paper's deployment.
+type tipRig struct {
+	store   *storage.Store
+	service *tip.Service
+}
+
+func newTIP(t *testing.T) *tipRig {
+	t.Helper()
+	store, err := storage.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return &tipRig{store: store, service: tip.NewService(store, tip.WithName("misp-instance"))}
+}
+
+// await blocks until cond holds of the TIP, re-checking at each commit.
+func (r *tipRig) await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		committed := r.store.Committed() // before the read: see Store.Committed
+		if cond() {
+			return
+		}
+		select {
+		case <-committed:
+		case <-deadline:
+			t.Fatalf("never: %s", what)
+		}
+	}
+}
+
+// eiocs reports how many of the uuids the TIP holds as eIoCs.
+func (r *tipRig) eiocs(uuids []string) int {
+	n := 0
+	for _, uuid := range uuids {
+		if me, err := r.service.GetEvent(uuid); err == nil && me.HasTag("caisp:eioc") {
+			n++
+		}
+	}
+	return n
+}
+
+// runningWorker is a Worker running against the rig's API through its own
+// listener, which records the cursor of each change-log read the worker
+// makes.
+type runningWorker struct {
+	*Worker
+	riocs *riocCollector
+	stop  func()
+
+	mu      sync.Mutex
+	read    uint64        // the highest cursor the worker has read after
+	changed chan struct{} // closed and replaced at each read
+}
+
+// start runs a worker on the rig; cursor is its Config.Cursor.
+func (r *tipRig) start(t *testing.T, cursor string) *runningWorker {
+	t.Helper()
+	rw := &runningWorker{riocs: &riocCollector{}, changed: make(chan struct{})}
+	api := tip.NewAPI(r.service, "worker-key")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/events/changes" {
+			after, _ := strconv.ParseUint(req.URL.Query().Get("after"), 10, 64)
+			rw.mu.Lock()
+			rw.read = max(rw.read, after)
+			close(rw.changed)
+			rw.changed = make(chan struct{})
+			rw.mu.Unlock()
+		}
+		api.ServeHTTP(w, req)
+	}))
+	collector, err := infra.NewCollector(infra.PaperInventory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(Config{
+		TIP:       tip.NewClient(srv.URL, "worker-key"),
+		Cursor:    cursor,
+		Collector: collector,
+		RIoCSink:  rw.riocs.add,
+		Clock:     clock.NewFake(evalTime),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw.Worker = w
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx)
+	}()
+	var once sync.Once
+	rw.stop = func() {
+		once.Do(func() {
+			cancel()
+			<-done
+			srv.Close()
+		})
+	}
+	t.Cleanup(rw.stop)
+	return rw
+}
+
+// caughtUp blocks until the worker has handled everything the TIP has
+// committed so far: it reads after a sequence only once it has handled
+// every page up to it.
+func (rw *runningWorker) caughtUp(t *testing.T, r *tipRig) {
+	t.Helper()
+	head := r.store.Seq()
+	deadline := time.After(10 * time.Second)
+	for {
+		rw.mu.Lock()
+		read, changed := rw.read, rw.changed
+		rw.mu.Unlock()
+		if read >= head {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("worker read up to %d of %d", read, head)
+		}
+	}
 }
 
 type riocCollector struct {
@@ -56,64 +175,13 @@ func (c *riocCollector) first() heuristic.RIoC {
 	return c.items[0]
 }
 
-func newRig(t *testing.T) *distributedRig {
-	t.Helper()
-	store, err := storage.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-
-	broker := bus.NewBroker()
-	t.Cleanup(broker.Close)
-	listener, err := broker.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { listener.Close() })
-
-	service := tip.NewService(store, tip.WithBroker(broker), tip.WithName("misp-instance"))
-	apiServer := httptest.NewServer(tip.NewAPI(service, "worker-key"))
-	t.Cleanup(apiServer.Close)
-
-	collector, err := infra.NewCollector(infra.PaperInventory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	riocs := &riocCollector{}
-	w, err := New(Config{
-		BusAddr:   listener.Addr(),
-		TIP:       tip.NewClient(apiServer.URL, "worker-key"),
-		Collector: collector,
-		RIoCSink:  riocs.add,
-		Clock:     clock.NewFake(evalTime),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		w.Run(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-runDone
-	})
-	// Pub/sub delivers only to attached subscribers: wait for the worker's
-	// TCP subscription before any test publishes.
-	waitFor(t, func() bool { return broker.TCPConns() == 1 })
-	return &distributedRig{
-		service: service, listener: listener, worker: w,
-		riocs: riocs, cancel: cancel, runDone: runDone,
-	}
-}
-
 // strutsCIoC builds the use-case cIoC as the input module would store it.
-func strutsCIoC(t *testing.T) *misp.Event {
+func strutsCIoC(t *testing.T) *misp.Event { return cveCIoC(t, "CVE-2017-9805") }
+
+// cveCIoC builds the cIoC of one advisory with the use case's context.
+func cveCIoC(t *testing.T, cve string) *misp.Event {
 	t.Helper()
-	e, err := normalize.New("CVE-2017-9805", normalize.CategoryVulnExploit, "vuln-advisories", normalize.SourceOSINT,
+	e, err := normalize.New(cve, normalize.CategoryVulnExploit, "vuln-advisories", normalize.SourceOSINT,
 		time.Date(2017, 9, 13, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +192,7 @@ func strutsCIoC(t *testing.T) *misp.Event {
 		"products":    "apache struts,apache",
 		"os":          "debian",
 		"published":   "2017-09-13",
-		"references":  "https://capec.mitre.example/248,https://cve.mitre.example/CVE-2017-9805",
+		"references":  "https://capec.mitre.example/248,https://cve.mitre.example/" + cve,
 	}
 	ciocs := correlate.New().Correlate([]normalize.Event{e})
 	if len(ciocs) != 1 {
@@ -137,23 +205,35 @@ func strutsCIoC(t *testing.T) *misp.Event {
 	return me
 }
 
-func TestDistributedHeuristicComponent(t *testing.T) {
-	rig := newRig(t)
+// scoreAttributes counts the base threat-score attributes of an event.
+func scoreAttributes(me *misp.Event) int {
+	n := 0
+	for _, a := range me.Attributes {
+		if strings.HasPrefix(a.Value, heuristic.ScorePrefix) {
+			n++
+		}
+	}
+	return n
+}
 
-	// The "MISP instance" stores a cIoC; the publish socket fans it out to
-	// the remote worker, which scores it and writes the eIoC back over the
-	// REST API.
-	if _, err := rig.service.AddEvent(strutsCIoC(t)); err != nil {
+func TestDistributedHeuristicComponent(t *testing.T) {
+	rig := newTIP(t)
+	w := rig.start(t, "")
+
+	// The "MISP instance" stores a cIoC; the remote worker reads it from
+	// the change log, scores it and writes the eIoC back over the REST API.
+	cioc := strutsCIoC(t)
+	if _, err := rig.service.AddEvent(cioc); err != nil {
 		t.Fatal(err)
 	}
-
-	waitFor(t, func() bool { return rig.worker.Stats().Enriched > 0 })
+	rig.await(t, "the cIoC became an eIoC", func() bool { return rig.eiocs([]string{cioc.UUID}) == 1 })
+	w.caughtUp(t, rig)
 
 	// The rIoC reproduces the paper's use case.
-	if rig.riocs.len() != 1 {
-		t.Fatalf("riocs = %d", rig.riocs.len())
+	if w.riocs.len() != 1 {
+		t.Fatalf("riocs = %d", w.riocs.len())
 	}
-	r := rig.riocs.first()
+	r := w.riocs.first()
 	if r.CVE != "CVE-2017-9805" || r.ThreatScore != 2.7407 {
 		t.Fatalf("rIoC = %+v", r)
 	}
@@ -162,66 +242,105 @@ func TestDistributedHeuristicComponent(t *testing.T) {
 	}
 
 	// The stored event became an eIoC with the threat-score attribute.
-	waitFor(t, func() bool {
-		events, err := rig.service.Search(tip.SearchQuery{Tag: "caisp:eioc"})
-		return err == nil && len(events) == 1
-	})
-	events, err := rig.service.Search(tip.SearchQuery{Tag: "caisp:eioc"})
-	if err != nil || len(events) != 1 {
-		t.Fatalf("eIoC search: %d, %v", len(events), err)
+	stored, err := rig.service.GetEvent(cioc.UUID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	found := false
-	for _, a := range events[0].Attributes {
+	for _, a := range stored.Attributes {
 		if strings.HasPrefix(a.Value, "threat-score:2.7407") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("threat-score attribute missing: %+v", events[0].Attributes)
+		t.Fatalf("threat-score attribute missing: %+v", stored.Attributes)
 	}
 
-	// The write-back's own edit publication (an eIoC) must not loop back
-	// into the analyzer.
-	st := rig.worker.Stats()
-	if st.Enriched != 1 || st.Failures != 0 {
+	// The write-back is itself a revision in the change log (an eIoC): it
+	// must not loop back into the analyzer.
+	st := w.Stats()
+	if st.Enriched != 1 || st.Failures != 0 || st.Received != 2 || st.Skipped != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestWorkerSkipsNonCIoCs(t *testing.T) {
-	rig := newRig(t)
+	rig := newTIP(t)
+	w := rig.start(t, "")
 	plain := misp.NewEvent("infrastructure data", evalTime)
 	plain.AddAttribute("ip-dst", "Network activity", "10.0.0.14", evalTime)
 	if _, err := rig.service.AddEvent(plain); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return rig.worker.Stats().Received >= 1 })
-	st := rig.worker.Stats()
-	if st.Skipped == 0 || st.Enriched != 0 {
+	w.caughtUp(t, rig)
+	st := w.Stats()
+	if st.Received != 1 || st.Skipped != 1 || st.Enriched != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestWorkerIdempotentPerUUID: a worker that reads the change log again
+// from the start finds the scored revision, not the cIoC it replaced, and
+// scores nothing twice.
 func TestWorkerIdempotentPerUUID(t *testing.T) {
-	rig := newRig(t)
+	rig := newTIP(t)
+	first := rig.start(t, "")
 	cioc := strutsCIoC(t)
 	if _, err := rig.service.AddEvent(cioc); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 1 })
+	rig.await(t, "the cIoC became an eIoC", func() bool { return rig.eiocs([]string{cioc.UUID}) == 1 })
+	first.caughtUp(t, rig)
+	first.stop()
 
-	// The same revision again is skipped by the idempotency key.
-	if res, err := rig.worker.analyzer.Analyze(cioc.Clone()); res.Outcome != Duplicate || err != nil {
-		t.Fatalf("replayed revision: outcome %d, err %v", res.Outcome, err)
+	again := rig.start(t, "")
+	again.caughtUp(t, rig)
+	if st := again.Stats(); st.Received != 1 || st.Enriched != 0 {
+		t.Fatalf("second reading of the log: %+v", st)
 	}
-	if st := rig.worker.Stats(); st.Enriched != 1 {
-		t.Fatalf("duplicate enrichment: %+v", st)
+	stored, err := rig.service.GetEvent(cioc.UUID)
+	if err != nil || scoreAttributes(stored) != 1 {
+		t.Fatalf("stored revision: %v, %d score attributes", err, scoreAttributes(stored))
+	}
+}
+
+// TestWorkerResumesFromCursorFile: a worker cancelled after its first
+// enrichment and restarted on the same cursor file enriches what was
+// posted while it was down, and what it had not reached, so every cIoC
+// ends up an eIoC with one score.
+func TestWorkerResumesFromCursorFile(t *testing.T) {
+	rig := newTIP(t)
+	cursor := filepath.Join(t.TempDir(), "cursor.json")
+	post := func(cves ...string) (uuids []string) {
+		for _, cve := range cves {
+			me := cveCIoC(t, cve)
+			if _, err := rig.service.AddEvent(me); err != nil {
+				t.Fatal(err)
+			}
+			uuids = append(uuids, me.UUID)
+		}
+		return uuids
+	}
+
+	uuids := post("CVE-2017-9805", "CVE-2017-5638", "CVE-2018-11776", "CVE-2017-12611")
+	first := rig.start(t, cursor)
+	rig.await(t, "a first enrichment", func() bool { return rig.eiocs(uuids) >= 1 })
+	first.stop()
+
+	uuids = append(uuids, post("CVE-2016-3081", "CVE-2016-4438", "CVE-2019-0230")...)
+	rig.start(t, cursor)
+	rig.await(t, "every cIoC enriched", func() bool { return rig.eiocs(uuids) == len(uuids) })
+	for _, uuid := range uuids {
+		stored, err := rig.service.GetEvent(uuid)
+		if err != nil || scoreAttributes(stored) != 1 {
+			t.Fatalf("%s: %v, %d score attributes", uuid, err, scoreAttributes(stored))
+		}
 	}
 }
 
 // TestScoreStoresNothing: Score turns a composed cluster into its eIoC in
 // place and leaves storing it to the caller; it scores a revision even
-// when seen before, and remembers it, so the revision's bus copy is a
+// when seen before, and remembers it, so the revision's stored copy is a
 // Duplicate to Analyze. A cluster of free-text members is Unscorable.
 func TestScoreStoresNothing(t *testing.T) {
 	collector, err := infra.NewCollector(infra.PaperInventory())
@@ -236,7 +355,7 @@ func TestScoreStoresNothing(t *testing.T) {
 	me := strutsCIoC(t)
 	for i := 0; i < 2; i++ {
 		res, err := a.Score(me)
-		if err != nil || res.Outcome != Enriched || res.Score != 2.7407 || len(res.SDOs) == 0 {
+		if err != nil || res.Outcome != Enriched || res.Score != 2.7407 || len(res.SDOs) == 0 || res.Event != me {
 			t.Fatalf("score %d: %+v, %v", i, res, err)
 		}
 	}
@@ -244,7 +363,7 @@ func TestScoreStoresNothing(t *testing.T) {
 		t.Fatalf("eioc tag %v, %d rIoCs pushed, want the tag and one rIoC per Score", me.HasTag("caisp:eioc"), riocs.len())
 	}
 	if res, err := a.Analyze(me.Clone()); err != nil || res.Outcome != Duplicate {
-		t.Fatalf("bus copy of a scored revision: %+v, %v", res, err)
+		t.Fatalf("stored copy of a scored revision: %+v, %v", res, err)
 	}
 
 	e, err := normalize.New("opaque-token", normalize.CategoryMalwareDomain, "t", normalize.SourceOSINT, evalTime)
@@ -260,11 +379,33 @@ func TestScoreStoresNothing(t *testing.T) {
 	}
 }
 
+// TestAnalyzeScoresACopy: Analyze leaves the event it is given untouched,
+// as it must a frozen view from the store, and returns the scored copy.
+func TestAnalyzeScoresACopy(t *testing.T) {
+	collector, err := infra.NewCollector(infra.PaperInventory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake(evalTime)
+	a := NewAnalyzer(heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithClock(clk)),
+		collector, clk, func(heuristic.RIoC) {})
+	me := strutsCIoC(t)
+	res, err := a.Analyze(me)
+	if err != nil || res.Outcome != Enriched || res.Event == me || !res.Event.HasTag("caisp:eioc") {
+		t.Fatalf("analysis: %+v, %v", res, err)
+	}
+	if me.HasTag("caisp:eioc") || scoreAttributes(me) != 0 {
+		t.Fatal("Analyze mutated the event it was given")
+	}
+}
+
 // TestWorkerRescoresGrownCluster: a grown revision of a scored cluster —
-// same stable UUID, new content hash — arrives on the edit topic and is
-// scored again, and the stored eIoC carries one base score, not two.
+// same stable UUID, new content hash — replaces the eIoC in the change
+// log and is scored again, and the stored eIoC carries one base score,
+// not two.
 func TestWorkerRescoresGrownCluster(t *testing.T) {
-	rig := newRig(t)
+	rig := newTIP(t)
+	w := rig.start(t, "")
 	corr := correlate.NewIncremental()
 	revise := func(cve string) *misp.Event {
 		e, err := normalize.New(cve, normalize.CategoryVulnExploit, "vuln-advisories", normalize.SourceOSINT,
@@ -294,7 +435,7 @@ func TestWorkerRescoresGrownCluster(t *testing.T) {
 	if _, err := rig.service.AddEvent(first); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 1 })
+	rig.await(t, "the first revision scored", func() bool { return rig.eiocs([]string{first.UUID}) == 1 })
 
 	grown := revise("CVE-2017-5638")
 	if grown.UUID != first.UUID || correlate.ClusterContentOf(grown) == correlate.ClusterContentOf(first) {
@@ -303,21 +444,22 @@ func TestWorkerRescoresGrownCluster(t *testing.T) {
 	if _, err := rig.service.AddEvent(grown); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return rig.worker.Stats().Enriched == 2 })
+	rig.await(t, "the grown revision scored", func() bool {
+		stored, err := rig.service.GetEvent(first.UUID)
+		return err == nil && stored.HasTag("caisp:eioc") &&
+			correlate.ClusterContentOf(stored) == correlate.ClusterContentOf(grown)
+	})
+	w.caughtUp(t, rig)
+	if st := w.Stats(); st.Enriched != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
 
 	stored, err := rig.service.GetEvent(first.UUID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := 0
-	for _, a := range stored.Attributes {
-		if strings.HasPrefix(a.Value, heuristic.ScorePrefix) {
-			scores++
-		}
-	}
-	if scores != 1 || !stored.HasTag("caisp:eioc") || correlate.ClusterContentOf(stored) != correlate.ClusterContentOf(grown) {
-		t.Fatalf("stored revision has %d score attributes (eioc tag %v): %+v",
-			scores, stored.HasTag("caisp:eioc"), stored.Attributes)
+	if scores := scoreAttributes(stored); scores != 1 {
+		t.Fatalf("stored revision has %d score attributes: %+v", scores, stored.Attributes)
 	}
 }
 
@@ -327,24 +469,13 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := tip.NewClient("http://127.0.0.1:1", "")
-	if _, err := New(Config{TIP: client, Collector: collector}); err == nil {
-		t.Fatal("missing bus address accepted")
-	}
-	if _, err := New(Config{BusAddr: "x", Collector: collector}); err == nil {
+	if _, err := New(Config{Collector: collector}); err == nil {
 		t.Fatal("missing client accepted")
 	}
-	if _, err := New(Config{BusAddr: "x", TIP: client}); err == nil {
+	if _, err := New(Config{TIP: client}); err == nil {
 		t.Fatal("missing collector accepted")
 	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := New(Config{TIP: client, Collector: collector, Cursor: t.TempDir()}); err == nil {
+		t.Fatal("unreadable cursor file accepted")
 	}
 }
