@@ -16,7 +16,9 @@ bench:
 
 # Ten seconds of each fuzz target from its seeds (and testdata/fuzz corpus):
 # the event-list decoder against encoding/json (fast path or stdlib, never
-# a third answer, and each kept event span decodes to its event), the WAL
+# a third answer, and each kept event span decodes to its event), the
+# conversion block keys (a block whose key a mutation left alone converts
+# to the same objects), the WAL
 # segment scanner, the snapshot loader (Open refuses the file or its change
 # log lists exactly its live events), the STIX pattern parser and
 # stixpattern.Equality (Parse reads back the AST it rendered). A new
@@ -25,6 +27,7 @@ bench:
 # coverage (the default allows a minute).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeList -fuzztime 10s -fuzzminimizetime 1s ./internal/misp/
+	$(GO) test -run '^$$' -fuzz FuzzBlockKeys -fuzztime 10s -fuzzminimizetime 1s ./internal/misp/
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
@@ -203,7 +206,7 @@ metrics-lint:
 		caisp_lifecycle_scan_seconds caisp_lifecycle_tracked \
 		caisp_mesh_last_success_unix_seconds caisp_mesh_hop_latency_seconds caisp_mesh_replication_seconds \
 		caisp_health_status caisp_health_check_status caisp_tip_changes_parked caisp_consumer_lag \
-		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes; do \
+		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes caisp_analyzer_blocks_total; do \
 		echo "$$names" | grep -qx "\"$$want\"" || { \
 			echo "metrics-lint: required metric $$want is not registered"; exit 1; }; \
 	done; \

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,15 +194,17 @@ func (f *roundFetcher) Fetch(context.Context) ([]byte, bool, error) {
 // in the first and in the last tenth of the rounds. Every other pipeline
 // benchmark here builds a fresh platform per iteration and therefore
 // cannot see cost that grows with what the TIP already holds; here
-// last-ns/record over first-ns/record is that growth. B/record is the
-// heap allocated per collected record over the whole run.
+// last/first (last-ns/record over first-ns/record) is that growth.
+// B/record is the heap allocated per collected record over the whole run;
+// converted/blocks the share of the analyzer's conversion blocks that
+// were converted and scored rather than reused from a cluster's record.
 func BenchmarkIngestGrowingStore(b *testing.B) {
 	const (
 		rounds = 40
 		tenth  = rounds / 10
 		items  = 50
 	)
-	var firstNs, lastNs, firstRecs, lastRecs, bytes, recs float64
+	var firstNs, lastNs, firstRecs, lastRecs, bytes, recs, converted, blocks float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		docs := make([]map[string][]byte, rounds)
@@ -257,11 +261,37 @@ func BenchmarkIngestGrowingStore(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		bytes += float64(after.TotalAlloc - before.TotalAlloc)
 		recs += float64(p.Stats().EventsCollected)
+		c, r := analyzerBlocks(b, p)
+		converted, blocks = converted+c, blocks+c+r
 		p.Close()
 	}
 	b.ReportMetric(firstNs/firstRecs, "first-ns/record")
 	b.ReportMetric(lastNs/lastRecs, "last-ns/record")
+	b.ReportMetric((lastNs/lastRecs)/(firstNs/firstRecs), "last/first")
 	b.ReportMetric(bytes/recs, "B/record")
+	b.ReportMetric(converted/blocks, "converted/blocks")
+}
+
+// analyzerBlocks reads the platform's caisp_analyzer_blocks_total.
+func analyzerBlocks(b *testing.B, p *core.Platform) (converted, reused float64) {
+	var sb strings.Builder
+	if err := p.Metrics().WritePrometheus(&sb); err != nil {
+		b.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		v, _ := strconv.ParseFloat(value, 64)
+		switch name {
+		case `caisp_analyzer_blocks_total{outcome="converted"}`:
+			converted = v
+		case `caisp_analyzer_blocks_total{outcome="reused"}`:
+			reused = v
+		}
+	}
+	return converted, reused
 }
 
 // --- X1: deduplication throughput ----------------------------------------

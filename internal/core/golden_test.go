@@ -35,6 +35,11 @@ import (
 // of on every revision: that work must not change a byte.
 const goldenDigest = "2fbeaec5826eafb112cbe596d3597ffdb0df05eabaeccd688f91573878bb5128"
 
+// goldenDigestNoTAXII is the same run with TAXII sharing off (the hash
+// then has no STIX section), recorded before a grown cluster reused its
+// unchanged members' scores and rIoCs.
+const goldenDigestNoTAXII = "662bc660bc57c7e23d7ffe3796adac1593c2acb218b1e23396ac2027a9b6232d"
+
 const (
 	goldenRounds = 30
 	goldenItems  = 12
@@ -191,6 +196,22 @@ func canonical(t *testing.T, raw []byte, subIndex map[string]string) string {
 }
 
 func TestGoldenPipelineDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		share  bool
+		digest string
+	}{
+		{"taxii", true, goldenDigest},
+		{"no-taxii", false, goldenDigestNoTAXII},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testGoldenPipeline(t, tc.share, tc.digest) })
+	}
+}
+
+// goldenFeeds returns the golden stream's feeds and a function that
+// queues round r's documents on them.
+func goldenFeeds(t *testing.T) ([]feed.Feed, func(r int)) {
+	t.Helper()
 	defs, err := feedgen.New(feedgen.Config{Seed: 1, Items: 1}).Feeds(time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -212,12 +233,37 @@ func TestGoldenPipelineDigest(t *testing.T) {
 		Parser:   feed.CSVParser{HasHeader: true},
 		Interval: time.Hour,
 	})
+	push := func(r int) {
+		docs, err := feedgen.New(feedgen.Config{
+			Seed: goldenSeed*1_000_003 + int64(r), Items: goldenItems,
+			DuplicationRate: 0.2, OverlapRate: 0.5, DefangRate: 0.3,
+		}).Documents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, f := range fetchers {
+			f.push(docs[name])
+		}
+		switch r % 10 {
+		case 0:
+			campaigns.push([]byte(fmt.Sprintf("value,campaign\n"+
+				"http://a%[1]d.quote%[1]d.example/it's,c%[1]d\n"+
+				"http://b%[1]d.other%[1]d.example/o'brien\\x,d%[1]d\n", r)))
+		case 5:
+			campaigns.push([]byte(fmt.Sprintf("value,campaign\n"+
+				"http://c%[1]d.quote%[1]d.example/p,d%[1]d\n", r-5)))
+		}
+	}
+	return defs, push
+}
 
+func testGoldenPipeline(t *testing.T, shareTAXII bool, digest string) {
+	defs, push := goldenFeeds(t)
 	p := newPlatform(t, Config{
 		Feeds:           defs,
 		AnalyzerPool:    1,
 		FeedConcurrency: 1,
-		ShareTAXII:      true,
+		ShareTAXII:      shareTAXII,
 		DisableMetrics:  true,
 	})
 	subIndex := map[string]string{}
@@ -243,25 +289,7 @@ func TestGoldenPipelineDigest(t *testing.T) {
 	var matched int64 // subscription matches in the match frames read so far
 	read := 1         // match frames read, the greeting included
 	for r := 0; r < goldenRounds; r++ {
-		docs, err := feedgen.New(feedgen.Config{
-			Seed: goldenSeed*1_000_003 + int64(r), Items: goldenItems,
-			DuplicationRate: 0.2, OverlapRate: 0.5, DefangRate: 0.3,
-		}).Documents()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, f := range fetchers {
-			f.push(docs[name])
-		}
-		switch r % 10 {
-		case 0:
-			campaigns.push([]byte(fmt.Sprintf("value,campaign\n"+
-				"http://a%[1]d.quote%[1]d.example/it's,c%[1]d\n"+
-				"http://b%[1]d.other%[1]d.example/o'brien\\x,d%[1]d\n", r)))
-		case 5:
-			campaigns.push([]byte(fmt.Sprintf("value,campaign\n"+
-				"http://c%[1]d.quote%[1]d.example/p,d%[1]d\n", r-5)))
-		}
+		push(r)
 		if err := p.RunBatch(context.Background()); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -298,16 +326,18 @@ func TestGoldenPipelineDigest(t *testing.T) {
 	for i, f := range matches.snapshot()[1:] {
 		fmt.Fprintf(h, "match %d %s\n", i, canonical(t, f, subIndex))
 	}
-	rec := httptest.NewRecorder()
-	p.TAXII().ServeHTTP(rec, httptest.NewRequest("GET", "/caisp/collections/"+TAXIICollection+"/objects/?limit=1000000", nil))
 	var env struct {
 		Objects []json.RawMessage `json:"objects"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("TAXII objects: %v: %s", err, rec.Body.Bytes())
-	}
-	for i, obj := range env.Objects {
-		fmt.Fprintf(h, "stix %d %s\n", i, canonical(t, obj, nil))
+	if shareTAXII {
+		rec := httptest.NewRecorder()
+		p.TAXII().ServeHTTP(rec, httptest.NewRequest("GET", "/caisp/collections/"+TAXIICollection+"/objects/?limit=1000000", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatalf("TAXII objects: %v: %s", err, rec.Body.Bytes())
+		}
+		for i, obj := range env.Objects {
+			fmt.Fprintf(h, "stix %d %s\n", i, canonical(t, obj, nil))
+		}
 	}
 
 	st := p.Stats()
@@ -324,7 +354,12 @@ func TestGoldenPipelineDigest(t *testing.T) {
 	if st.ClusterEdits == 0 || st.ClusterMerges == 0 || st.RIoCs == 0 {
 		t.Fatalf("the stream grows no clusters: %+v", st)
 	}
-	if got != goldenDigest {
-		t.Fatalf("pipeline output digest = %s, want %s", got, goldenDigest)
+	converted, reused := p.analyzer.Blocks()
+	t.Logf("blocks: %d converted, %d reused", converted, reused)
+	if reused == 0 {
+		t.Fatalf("no block was reused from a record (%d converted): the digest does not pin the reuse path", converted)
+	}
+	if got != digest {
+		t.Fatalf("pipeline output digest = %s, want %s", got, digest)
 	}
 }

@@ -270,6 +270,7 @@ func New(cfg Config) (*Platform, error) {
 		heuristic.WithSlowThreshold(cfg.SlowOpThreshold),
 	)
 	p.analyzer = worker.NewAnalyzer(p.engine, collector, cfg.Clock, p.pushRIoC)
+	p.analyzer.RegisterMetrics(reg)
 	p.subs = subscribe.NewEngine(
 		subscribe.WithMetrics(reg),
 		subscribe.WithLogger(cfg.Logger),
@@ -466,10 +467,12 @@ func (p *Platform) expireEvent(uuid string) error {
 	return nil
 }
 
-// retract makes the dashboard forget an event's rIoCs and abandons its
-// trace: the event left the store, or a revision of it never got in.
+// retract makes the dashboard forget an event's rIoCs and the analyzer
+// its score record, and abandons its trace: the event left the store, or
+// a revision of it never got in.
 func (p *Platform) retract(uuid string) {
 	p.dash.DropEventRIoCs(uuid)
+	p.analyzer.Forget(uuid)
 	p.tracer.Drop(uuid)
 }
 
@@ -822,14 +825,19 @@ func (p *Platform) pushRIoC(r heuristic.RIoC) {
 	p.counters.riocs.Add(1)
 }
 
-// publish is the output of a stored eIoC: its scored SDOs are shared over
-// TAXII, it runs against the live subscription set with its threat score
-// exposed as x-caisp:threat-score, so score-gated patterns can fire, and
-// its trace ends.
+// publish is the output of a stored eIoC: its scored SDOs are built and
+// shared over TAXII when the server is on, it runs against the live
+// subscription set with its threat score exposed as
+// x-caisp:threat-score, so score-gated patterns can fire, and its trace
+// ends.
 func (p *Platform) publish(me *misp.Event, res worker.Analysis) {
 	p.counters.eiocs.Add(1)
 	if p.taxiiSrv != nil {
-		if err := p.taxiiSrv.AddObjects(TAXIICollection, res.SDOs...); err != nil {
+		sdos, err := p.analyzer.Enriched(me)
+		if err == nil {
+			err = p.taxiiSrv.AddObjects(TAXIICollection, sdos...)
+		}
+		if err != nil {
 			p.logger.Warn("taxii share failed", "error", err)
 		}
 	}

@@ -181,7 +181,7 @@ func featCreated() FeatureSpec {
 			if created.IsZero() {
 				return 0, false
 			}
-			return recencyScore(ctx.Now.Sub(created)), true
+			return ageScore(ctx, created, recencyBuckets, 1), true
 		},
 	}
 }

@@ -174,16 +174,28 @@ func TestRecencyScoreBuckets(t *testing.T) {
 	tests := []struct {
 		age  time.Duration
 		want float64
+		edge time.Duration // the age at which the bucket ends; 0 for none
 	}{
-		{age: time.Hour, want: 5},
-		{age: 3 * 24 * time.Hour, want: 4},
-		{age: 20 * 24 * time.Hour, want: 3},
-		{age: 200 * 24 * time.Hour, want: 2},
+		{age: time.Hour, want: 5, edge: 24 * time.Hour},
+		{age: 24 * time.Hour, want: 5, edge: 24 * time.Hour},
+		{age: 3 * 24 * time.Hour, want: 4, edge: 7 * 24 * time.Hour},
+		{age: 20 * 24 * time.Hour, want: 3, edge: 30 * 24 * time.Hour},
+		{age: 200 * 24 * time.Hour, want: 2, edge: 365 * 24 * time.Hour},
 		{age: 500 * 24 * time.Hour, want: 1},
 	}
+	now := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
 	for _, tt := range tests {
-		if got := recencyScore(tt.age); got != tt.want {
-			t.Errorf("recencyScore(%v) = %v, want %v", tt.age, got, tt.want)
+		ctx := &Context{Now: now}
+		since := now.Add(-tt.age)
+		if got := ageScore(ctx, since, recencyBuckets, 1); got != tt.want {
+			t.Errorf("recency of age %v = %v, want %v", tt.age, got, tt.want)
+		}
+		var until time.Time
+		if tt.edge > 0 {
+			until = since.Add(tt.edge)
+		}
+		if !ctx.until.Equal(until) {
+			t.Errorf("recency of age %v holds until %v, want %v", tt.age, ctx.until, until)
 		}
 	}
 }

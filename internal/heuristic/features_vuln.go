@@ -186,24 +186,39 @@ func evalModifiedRecency(ctx *Context, obj stix.Object) (float64, bool) {
 	if ts.IsZero() {
 		return 0, false
 	}
-	return recencyScore(ctx.Now.Sub(ts)), true
+	return ageScore(ctx, ts, recencyBuckets, 1), true
 }
 
-// recencyScore buckets an age per Table IV: last 24h (5), week (4),
-// month (3), year (2), older (1).
-func recencyScore(age time.Duration) float64 {
-	switch {
-	case age <= 24*time.Hour:
-		return 5
-	case age <= 7*24*time.Hour:
-		return 4
-	case age <= 30*24*time.Hour:
-		return 3
-	case age <= 365*24*time.Hour:
-		return 2
-	default:
-		return 1
+// ageBucket is one timeliness bucket: an age up to upTo scores score.
+type ageBucket struct {
+	upTo  time.Duration
+	score float64
+}
+
+// recencyBuckets are Table IV's recency buckets: last 24h (5), week (4),
+// month (3), year (2); older scores 1.
+var recencyBuckets = []ageBucket{
+	{24 * time.Hour, 5}, {7 * 24 * time.Hour, 4}, {30 * 24 * time.Hour, 3}, {365 * 24 * time.Hour, 2},
+}
+
+// validFromBuckets bucket a validity start: last week (3), month (2),
+// year (1); older scores 0.
+var validFromBuckets = []ageBucket{
+	{7 * 24 * time.Hour, 3}, {30 * 24 * time.Hour, 2}, {365 * 24 * time.Hour, 1},
+}
+
+// ageScore scores the age of since at ctx.Now against buckets (older
+// than the last edge scores older), and holds the evaluation until the
+// edge the age crosses next.
+func ageScore(ctx *Context, since time.Time, buckets []ageBucket, older float64) float64 {
+	age := ctx.Now.Sub(since)
+	for _, b := range buckets {
+		if age <= b.upTo {
+			ctx.holdUntil(since.Add(b.upTo))
+			return b.score
+		}
 	}
+	return older
 }
 
 // evalValidFrom buckets validity start: last week (3), month (2), year (1),
@@ -213,17 +228,7 @@ func evalValidFrom(ctx *Context, obj stix.Object) (float64, bool) {
 	if from.IsZero() {
 		return 0, false
 	}
-	age := ctx.Now.Sub(from)
-	switch {
-	case age <= 7*24*time.Hour:
-		return 3, true
-	case age <= 30*24*time.Hour:
-		return 2, true
-	case age <= 365*24*time.Hour:
-		return 1, true
-	default:
-		return 0, true
-	}
+	return ageScore(ctx, from, validFromBuckets, 0), true
 }
 
 // evalValidUntil scores still-valid IoCs (5) over expired ones (1); empty
@@ -235,6 +240,7 @@ func evalValidUntil(ctx *Context, obj stix.Object) (float64, bool) {
 		return 0, false
 	}
 	if until.After(ctx.Now) {
+		ctx.holdUntil(until.Add(-time.Nanosecond))
 		return 5, true
 	}
 	return 1, true

@@ -54,6 +54,15 @@ type Context struct {
 	// knowledge (accuracy-style features then evaluate as empty or their
 	// no-information attribute).
 	Infra *infra.Collector
+
+	until time.Time // see Result.Until
+}
+
+// holdUntil records that a feature keeps its value up to t, and no later.
+func (c *Context) holdUntil(t time.Time) {
+	if c.until.IsZero() || t.Before(c.until) {
+		c.until = t
+	}
 }
 
 // Evaluator produces a feature value for one STIX object. present=false
@@ -103,6 +112,13 @@ type Result struct {
 	Score float64 `json:"score"`
 	// EvaluatedAt is the Context.Now used.
 	EvaluatedAt time.Time `json:"evaluated_at"`
+	// Until is the last instant up to which every timeliness feature
+	// keeps the bucket it has at EvaluatedAt: the next edge of the
+	// created/modified recency, valid_from or valid_until tables. Zero
+	// when no feature changes bucket later. With the same object and the
+	// same infrastructure data, an evaluation at any instant from
+	// EvaluatedAt to Until returns the same features and score.
+	Until time.Time `json:"-"`
 }
 
 // PresentCount returns the number of non-empty features.
@@ -182,7 +198,7 @@ func (o metricsOption) apply(e *Engine) {
 		return
 	}
 	e.evalDur = o.reg.Histogram("caisp_heuristic_eval_seconds",
-		"Threat-score evaluation latency per SDO.")
+		"Threat-score evaluation latency per converted SDO.")
 }
 
 // WithMetrics registers the engine's caisp_heuristic_* families into reg
@@ -280,6 +296,7 @@ func evaluate(h *Heuristic, ctx *Context, obj stix.Object) *Result {
 			presentPoints += spec.Points.Total()
 		}
 	}
+	res.Until = ctx.until
 	total := len(h.Features)
 	if total == 0 {
 		return res

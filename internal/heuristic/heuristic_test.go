@@ -712,3 +712,52 @@ func TestAllFeaturesEmptyYieldsZero(t *testing.T) {
 		t.Fatalf("empty evaluation = %+v", res)
 	}
 }
+
+// TestEvaluateHoldsUntilTheNextEdge: an evaluation reports the last
+// instant its timeliness features keep their buckets. Evaluating at that
+// instant gives the same result; a nanosecond later, a different one. The
+// objects carry created/modified (recency), valid_from and valid_until
+// at ages on both sides of every edge.
+func TestEvaluateHoldsUntilTheNextEdge(t *testing.T) {
+	day := 24 * time.Hour
+	start := time.Date(2019, 6, 1, 12, 0, 0, 0, time.UTC)
+	ages := []time.Duration{-time.Hour, 0, time.Hour, day, 3 * day, 7 * day, 10 * day, 30 * day, 100 * day, 365 * day, 400 * day}
+	for _, created := range ages {
+		for _, untilIn := range []time.Duration{0, -time.Hour, time.Nanosecond, time.Hour, 2 * day, 40 * day} {
+			clk := clock.NewFake(start)
+			engine := NewEngine(WithClock(clk))
+			v := stix.NewVulnerability(stix.NewID(stix.TypeVulnerability), "CVE-2020-1234", "x", start.Add(-created))
+			ind := stix.NewIndicator(stix.NewID(stix.TypeIndicator), "[domain-name:value = 'a.example']",
+				[]string{"malicious-activity"}, start.Add(-created))
+			if untilIn != 0 {
+				v.SetExtra(PropValidUntil, start.Add(untilIn).Format(time.RFC3339Nano))
+				ind.ValidUntil = stix.TS(start.Add(untilIn))
+			}
+			for _, obj := range []stix.Object{v, ind} {
+				clk.Advance(start.Sub(clk.Now()))
+				first, err := engine.Evaluate(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first.Until.IsZero() {
+					// No edge ahead: far later, the same result.
+					clk.Advance(50 * 365 * day)
+					if later, _ := engine.Evaluate(obj); !reflect.DeepEqual(later.Features, first.Features) {
+						t.Fatalf("age %v, valid_until %+v: no edge reported, but the features changed", created, untilIn)
+					}
+					continue
+				}
+				clk.Advance(first.Until.Sub(clk.Now()))
+				at, _ := engine.Evaluate(obj)
+				clk.Advance(time.Nanosecond)
+				after, _ := engine.Evaluate(obj)
+				if !reflect.DeepEqual(at.Features, first.Features) || at.Score != first.Score {
+					t.Fatalf("age %v, valid_until %+v: the result changed before %v", created, untilIn, first.Until)
+				}
+				if reflect.DeepEqual(after.Features, first.Features) {
+					t.Fatalf("age %v, valid_until %+v: nothing changed after %v", created, untilIn, first.Until)
+				}
+			}
+		}
+	}
+}

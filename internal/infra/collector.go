@@ -26,6 +26,8 @@ type Collector struct {
 	// observations is the Observations snapshot of alarms and internal;
 	// nil until first asked for after either changes.
 	observations []stixpattern.Observation
+	// gen counts changes to alarms and internal.
+	gen uint64
 }
 
 // NewCollector wraps an inventory. The collector takes the inventory as
@@ -61,7 +63,17 @@ func (c *Collector) AddAlarm(a Alarm) (Alarm, error) {
 	}
 	c.alarms = append(c.alarms, a)
 	c.observations = nil
+	c.gen++
 	return a, nil
+}
+
+// Generation counts the changes to the collector's alarms and internal
+// IoCs. Everything the collector answers, save the fixed inventory, is
+// the same between two reads of the same generation.
+func (c *Collector) Generation() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.gen
 }
 
 // Alarms returns all alarms, newest last.
@@ -131,6 +143,7 @@ func (c *Collector) AddInternalIoC(value, category, source string, seen time.Tim
 	c.mu.Lock()
 	c.internal = append(c.internal, e)
 	c.observations = nil
+	c.gen++
 	c.mu.Unlock()
 	return e, nil
 }

@@ -403,3 +403,29 @@ func TestNewCollectorValidation(t *testing.T) {
 		t.Fatal("invalid inventory accepted")
 	}
 }
+
+// TestGenerationCountsChanges: every alarm and internal IoC the collector
+// takes moves its generation; a refused one and every read leave it.
+func TestGenerationCountsChanges(t *testing.T) {
+	c, err := NewCollector(PaperInventory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := c.Generation(); g != 0 {
+		t.Fatalf("fresh collector at generation %d", g)
+	}
+	if _, err := c.AddAlarm(Alarm{NodeID: "node1", Severity: SeverityLow, At: now}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddAlarm(Alarm{NodeID: "no-such-node", Severity: SeverityLow, At: now}); err == nil {
+		t.Fatal("alarm on an unknown node accepted")
+	}
+	if _, err := c.AddInternalIoC("198.51.100.7", normalize.CategoryScanner, "ids", now); err != nil {
+		t.Fatal(err)
+	}
+	c.Observations()
+	c.HasInternalSighting("198.51.100.7")
+	if g := c.Generation(); g != 2 {
+		t.Fatalf("generation %d after one alarm and one internal IoC, want 2", g)
+	}
+}

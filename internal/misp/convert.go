@@ -1,8 +1,10 @@
 package misp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/url"
 	"strings"
 	"time"
@@ -54,139 +56,310 @@ const (
 //
 // Event tags become labels on every produced SDO, and each SDO carries
 // x_misp_event_uuid so enrichment results can be written back to the stored
-// MISP event.
+// MISP event. The bundle holds the event-level objects, then each block's
+// (see Conversion).
 func ToSTIX(e *Event) (*stix.Bundle, error) {
-	if err := e.Validate(); err != nil {
+	c, err := Convert(e)
+	if err != nil {
 		return nil, err
 	}
-	bundle := stix.NewBundle()
-	now := e.Timestamp.Time
-	if now.IsZero() {
-		now = time.Now().UTC()
-	}
-	labels := tagLabels(e.Tags)
-
-	var primary stix.Object
-	switch {
-	case e.HasTag(tagMalware):
-		m := stix.NewMalware(e.Info, orDefault(labels, "malware"), now)
-		primary = m
-	case e.HasTag(tagAttackPattern):
-		primary = stix.NewAttackPattern(e.Info, now)
-	case e.HasTag(tagTool):
-		primary = stix.NewTool(e.Info, orDefault(labels, "tool"), now)
-	}
-	if primary != nil {
-		decorate(primary, e, labels)
-		bundle.Add(primary)
-	}
-
-	if e.Orgc != nil {
-		ident := stix.NewIdentity(stix.DeterministicID(stix.TypeIdentity, e.Orgc.UUID),
-			e.Orgc.Name, "organization", now)
-		decorate(ident, e, nil)
-		bundle.Add(ident)
-	}
-
-	for i := range e.Attributes {
-		attr := &e.Attributes[i]
-		at := attr.Timestamp.Time
-		if at.IsZero() {
-			at = now
-		}
-		switch attr.Type {
-		case "vulnerability":
-			v := stix.NewVulnerability(stix.DeterministicID(stix.TypeVulnerability, attr.Value),
-				attr.Value, attr.Comment, at)
-			v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
-				SourceName: "cve",
-				ExternalID: attr.Value,
-			})
-			decorate(v, e, labels)
-			bundle.Add(v)
-		case "cvss-vector":
-			// Attached to the most recent vulnerability SDO as a custom
-			// property; standalone vectors are dropped.
-			if v := lastVulnerability(bundle); v != nil {
-				v.SetExtra("x_caisp_cvss_vector", attr.Value)
-			}
-		case "link":
-			// Reference URLs enrich the most recent vulnerability SDO's
-			// external references; the source name is inferred from the URL
-			// so the heuristic's known-source inventory check applies.
-			if v := lastVulnerability(bundle); v != nil {
-				v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
-					SourceName: refSourceFromURL(attr.Value),
-					URL:        attr.Value,
-				})
-			}
-		case "text":
-			// Prefixed context attributes ("os:debian", "products:apache")
-			// decorate the most recent vulnerability SDO so the heuristic's
-			// accuracy features can consume them.
-			if osName, ok := strings.CutPrefix(attr.Value, "os:"); ok {
-				if v := lastVulnerability(bundle); v != nil {
-					v.SetExtra("x_caisp_os", osName)
-				}
-			} else if products, ok := strings.CutPrefix(attr.Value, "products:"); ok {
-				if v := lastVulnerability(bundle); v != nil {
-					v.SetExtra("x_caisp_products", products)
-				}
-			}
-		default:
-			path, ok := attributePatternPaths[attr.Type]
-			if !ok || !attr.ToIDS {
-				continue
-			}
-			pattern := stixpattern.Equality(path, attr.Value)
-			ind := stix.NewIndicator(stix.DeterministicID(stix.TypeIndicator, attr.Type+":"+attr.Value),
-				pattern.Source, orDefault(labels, "malicious-activity"), at)
-			ind.Compiled = pattern
-			ind.Name = attr.Value
-			ind.Description = attr.Comment
-			decorate(ind, e, labels)
-			ind.SetExtra("x_misp_attribute_uuid", attr.UUID)
-			ind.SetExtra("x_misp_attribute_type", attr.Type)
-			bundle.Add(ind)
-			if primary != nil {
-				rel := stix.NewRelationship("indicates", ind.ID, primary.GetCommon().ID, at)
-				bundle.Add(rel)
-			}
-		}
-	}
-	// Template-grouped MISP objects (how real MISP instances model
-	// vulnerabilities) convert to SDOs as well.
-	for i := range e.Objects {
-		if sdo := vulnerabilityFromObject(&e.Objects[i], e, labels, now); sdo != nil {
-			bundle.Add(sdo)
-		}
+	bundle := stix.NewBundle(c.Head()...)
+	for i := 0; i < c.Len(); i++ {
+		bundle.Objects = c.AppendBlock(bundle.Objects, i)
 	}
 	if len(bundle.Objects) == 0 {
 		return nil, fmt.Errorf("misp: event %s %w", e.UUID, ErrEmptyBundle)
 	}
-	applyTLPMarkings(e, bundle)
 	return bundle, nil
 }
 
-// applyTLPMarkings maps the event's tlp:* tag onto STIX object markings:
-// every SDO references the predefined TLP marking definition.
-func applyTLPMarkings(e *Event, bundle *stix.Bundle) {
-	var markingID string
+// A Conversion is one event's STIX conversion, split into blocks: the
+// units that convert independently of each other. A block is
+//
+//   - an indicator attribute (a pattern-mapped type with to_ids);
+//   - a vulnerability attribute, with the cvss-vector, link and os:/
+//     products: text attributes after it, up to the next vulnerability
+//     attribute: each decorates the most recent vulnerability, even when
+//     another member's attributes lie between them;
+//   - a MISP object.
+//
+// The event-level objects (the caisp:sdo-tagged primary SDO and the
+// creator's identity) are built by Convert. A block's objects are a
+// function of its Key: where two conversions' block keys are equal, the
+// blocks build the same objects, up to x_misp_attribute_uuid and v4 IDs.
+type Conversion struct {
+	e       *Event
+	now     time.Time // the event timestamp; the wall clock when it has none
+	labels  []string
+	primary stix.Object
+	marking string // the TLP marking-definition ID, or ""
+	head    []stix.Object
+	blocks  []block
+	seed    uint64 // hash of the event-level inputs of every block
+}
+
+// block is one unit of conversion: an indicator attribute at, a
+// vulnerability attribute at decorated by the attributes before end, or
+// the MISP object at.
+type block struct {
+	kind    blockKind
+	at, end int
+}
+
+type blockKind uint8
+
+const (
+	blockIndicator blockKind = iota
+	blockVulnerability
+	blockObject
+)
+
+// keySeed seeds the block keys. Keys are compared within one process
+// only.
+var keySeed = maphash.MakeSeed()
+
+// Convert validates e and prepares its conversion: it builds the
+// event-level objects and splits the rest into blocks.
+func Convert(e *Event) (*Conversion, error) {
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	c := &Conversion{e: e, now: e.Timestamp.Time, labels: tagLabels(e.Tags), marking: tlpMarking(e)}
+	if c.now.IsZero() {
+		c.now = time.Now().UTC()
+	}
+	switch {
+	case e.HasTag(tagMalware):
+		c.primary = stix.NewMalware(e.Info, orDefault(c.labels, "malware"), c.now)
+	case e.HasTag(tagAttackPattern):
+		c.primary = stix.NewAttackPattern(e.Info, c.now)
+	case e.HasTag(tagTool):
+		c.primary = stix.NewTool(e.Info, orDefault(c.labels, "tool"), c.now)
+	}
+	if c.primary != nil {
+		decorate(c.primary, e, c.labels)
+		c.head = append(c.head, c.mark(c.primary))
+	}
+	if e.Orgc != nil {
+		ident := stix.NewIdentity(stix.DeterministicID(stix.TypeIdentity, e.Orgc.UUID),
+			e.Orgc.Name, "organization", c.now)
+		decorate(ident, e, nil)
+		c.head = append(c.head, c.mark(ident))
+	}
+
+	vuln := -1 // the block of the most recent vulnerability attribute
+	for i := range e.Attributes {
+		a := &e.Attributes[i]
+		switch {
+		case a.Type == "vulnerability":
+			if vuln >= 0 {
+				c.blocks[vuln].end = i
+			}
+			vuln = len(c.blocks)
+			c.blocks = append(c.blocks, block{kind: blockVulnerability, at: i, end: len(e.Attributes)})
+		case decoratesVulnerability(a):
+		case a.ToIDS && attributePatternPaths[a.Type] != "":
+			c.blocks = append(c.blocks, block{kind: blockIndicator, at: i})
+		}
+	}
+	for i := range e.Objects {
+		c.blocks = append(c.blocks, block{kind: blockObject, at: i})
+	}
+
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	writeString(&h, e.UUID)
+	writeString(&h, c.marking)
+	if c.primary != nil {
+		writeString(&h, c.primary.GetCommon().Type)
+	}
+	writeUint(&h, uint64(len(c.labels)))
+	for _, l := range c.labels {
+		writeString(&h, l)
+	}
+	c.seed = h.Sum64()
+	return c, nil
+}
+
+// Head returns the event-level objects: the primary SDO, then the
+// creator's identity, each present or not.
+func (c *Conversion) Head() []stix.Object { return c.head }
+
+// Len returns the number of blocks.
+func (c *Conversion) Len() int { return len(c.blocks) }
+
+// AppendBlock converts block i and appends its objects to dst: an
+// indicator (and its relationship to the primary SDO), a decorated
+// vulnerability, or nothing for a MISP object that is not a
+// vulnerability.
+func (c *Conversion) AppendBlock(dst []stix.Object, i int) []stix.Object {
+	e, b := c.e, c.blocks[i]
+	if b.kind == blockObject {
+		if v := vulnerabilityFromObject(&e.Objects[b.at], e, c.labels, c.now); v != nil {
+			dst = append(dst, c.mark(v))
+		}
+		return dst
+	}
+	attr := &e.Attributes[b.at]
+	at := attr.Timestamp.Time
+	if at.IsZero() {
+		at = c.now
+	}
+	if b.kind == blockIndicator {
+		pattern := stixpattern.Equality(attributePatternPaths[attr.Type], attr.Value)
+		ind := stix.NewIndicator(stix.DeterministicID(stix.TypeIndicator, attr.Type+":"+attr.Value),
+			pattern.Source, orDefault(c.labels, "malicious-activity"), at)
+		ind.Compiled = pattern
+		ind.Name = attr.Value
+		ind.Description = attr.Comment
+		decorate(ind, e, c.labels)
+		ind.SetExtra("x_misp_attribute_uuid", attr.UUID)
+		ind.SetExtra("x_misp_attribute_type", attr.Type)
+		dst = append(dst, c.mark(ind))
+		if c.primary != nil {
+			dst = append(dst, c.mark(stix.NewRelationship("indicates", ind.ID, c.primary.GetCommon().ID, at)))
+		}
+		return dst
+	}
+	v := stix.NewVulnerability(stix.DeterministicID(stix.TypeVulnerability, attr.Value),
+		attr.Value, attr.Comment, at)
+	v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
+		SourceName: "cve",
+		ExternalID: attr.Value,
+	})
+	decorate(v, e, c.labels)
+	for j := b.at + 1; j < b.end; j++ {
+		a := &e.Attributes[j]
+		switch a.Type {
+		case "cvss-vector":
+			v.SetExtra("x_caisp_cvss_vector", a.Value)
+		case "link":
+			// Reference URLs enrich the external references; the source
+			// name is inferred from the URL so the heuristic's
+			// known-source inventory check applies.
+			v.ExternalReferences = append(v.ExternalReferences, stix.ExternalReference{
+				SourceName: refSourceFromURL(a.Value),
+				URL:        a.Value,
+			})
+		case "text":
+			// Prefixed context attributes ("os:debian", "products:apache")
+			// feed the heuristic's accuracy features.
+			if osName, ok := strings.CutPrefix(a.Value, "os:"); ok {
+				v.SetExtra("x_caisp_os", osName)
+			} else if products, ok := strings.CutPrefix(a.Value, "products:"); ok {
+				v.SetExtra("x_caisp_products", products)
+			}
+		}
+	}
+	return append(dst, c.mark(v))
+}
+
+// Key returns block i's key: a hash of everything its objects are built
+// from — each of its attributes' type, value, comment, to_ids and
+// timestamp, the instant it converts at (its first attribute's timestamp,
+// or the event's), and the event's UUID, labels, TLP marking and primary
+// SDO type. The attribute UUID is left out: it only feeds
+// x_misp_attribute_uuid. A block with neither an attribute nor an event
+// timestamp converts at the wall-clock instant Convert read, and its key
+// covers that instant.
+func (c *Conversion) Key(i int) uint64 {
+	e, b := c.e, c.blocks[i]
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	writeUint(&h, c.seed)
+	writeUint(&h, uint64(b.kind))
+	var first *Attribute
+	switch b.kind {
+	case blockObject:
+		obj := &e.Objects[b.at]
+		writeString(&h, obj.Name)
+		for j := range obj.Attributes {
+			writeAttribute(&h, &obj.Attributes[j])
+		}
+		first = obj.FindAttribute("vulnerability")
+	case blockIndicator:
+		first = &e.Attributes[b.at]
+		writeAttribute(&h, first)
+	case blockVulnerability:
+		first = &e.Attributes[b.at]
+		writeAttribute(&h, first)
+		for j := b.at + 1; j < b.end; j++ {
+			if decoratesVulnerability(&e.Attributes[j]) {
+				writeAttribute(&h, &e.Attributes[j])
+			}
+		}
+	}
+	at := c.now
+	if first != nil && !first.Timestamp.IsZero() {
+		at = first.Timestamp.Time
+	}
+	writeTime(&h, at)
+	return h.Sum64()
+}
+
+// decoratesVulnerability reports whether the attribute decorates the most
+// recent vulnerability instead of converting on its own: a CVSS vector, a
+// reference link, or an os:/products: context text. Before any
+// vulnerability it is dropped.
+func decoratesVulnerability(a *Attribute) bool {
+	switch a.Type {
+	case "cvss-vector", "link":
+		return true
+	case "text":
+		return strings.HasPrefix(a.Value, "os:") || strings.HasPrefix(a.Value, "products:")
+	}
+	return false
+}
+
+// mark applies the event's TLP marking to obj and returns it.
+func (c *Conversion) mark(obj stix.Object) stix.Object {
+	if c.marking != "" {
+		common := obj.GetCommon()
+		common.ObjectMarkingRefs = append(common.ObjectMarkingRefs, c.marking)
+	}
+	return obj
+}
+
+// tlpMarking maps the event's first tlp:* tag to the predefined TLP
+// marking definition every object references; "" without one.
+func tlpMarking(e *Event) string {
 	for _, tag := range e.Tags {
 		if level, ok := strings.CutPrefix(tag.Name, "tlp:"); ok {
 			if m := stix.TLPMarking(strings.ToLower(level)); m != nil {
-				markingID = m.ID
+				return m.ID
 			}
-			break
+			return ""
 		}
 	}
-	if markingID == "" {
-		return
+	return ""
+}
+
+func writeAttribute(h *maphash.Hash, a *Attribute) {
+	writeString(h, a.Type)
+	writeString(h, a.Value)
+	writeString(h, a.Comment)
+	if a.ToIDS {
+		h.WriteByte(1)
+	} else {
+		h.WriteByte(0)
 	}
-	for _, obj := range bundle.Objects {
-		c := obj.GetCommon()
-		c.ObjectMarkingRefs = append(c.ObjectMarkingRefs, markingID)
-	}
+	writeTime(h, a.Timestamp.Time)
+}
+
+func writeString(h *maphash.Hash, s string) {
+	writeUint(h, uint64(len(s)))
+	h.WriteString(s)
+}
+
+func writeTime(h *maphash.Hash, t time.Time) {
+	writeUint(h, uint64(t.Unix()))
+	writeUint(h, uint64(t.Nanosecond()))
+}
+
+func writeUint(h *maphash.Hash, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
 }
 
 // vulnerabilityFromObject builds a vulnerability SDO from a MISP
@@ -380,15 +553,6 @@ func orDefault(labels []string, fallback string) []string {
 		return labels
 	}
 	return []string{fallback}
-}
-
-func lastVulnerability(b *stix.Bundle) *stix.Vulnerability {
-	for i := len(b.Objects) - 1; i >= 0; i-- {
-		if v, ok := b.Objects[i].(*stix.Vulnerability); ok {
-			return v
-		}
-	}
-	return nil
 }
 
 func firstName(b *stix.Bundle) string {

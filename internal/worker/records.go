@@ -1,0 +1,95 @@
+package worker
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+	"time"
+
+	"github.com/caisplatform/caisp/internal/heuristic"
+)
+
+// record is what the Analyzer keeps of a UUID's last scored revision of
+// more than one block: no SDO and no evaluation, only what the next
+// revision needs to skip the blocks that did not change.
+type record struct {
+	gen    uint64        // the collector generation the scores were taken at
+	from   int64         // the latest instant a score was taken at, in Unix ns
+	blocks []blockRecord // sorted by key
+	riocs  []heuristic.RIoC
+}
+
+// blockRecord is one block's share of a record.
+type blockRecord struct {
+	key   uint64  // misp.Conversion.Key
+	until int64   // the last instant the score holds, in Unix ns
+	score float64 // the top score of the block's SDOs; -1 when none has a heuristic
+	rioc  int32   // the block's first rIoC in record.riocs
+	riocs int32   // how many rIoCs the block reduced to
+}
+
+// lookup returns the block with the key whose score still holds at now,
+// or nil. A nil record holds no block.
+func (r *record) lookup(key uint64, now time.Time) *blockRecord {
+	if r == nil {
+		return nil
+	}
+	i := sort.Search(len(r.blocks), func(i int) bool { return r.blocks[i].key >= key })
+	if i == len(r.blocks) || r.blocks[i].key != key || unixNano(now) > r.blocks[i].until {
+		return nil
+	}
+	return &r.blocks[i]
+}
+
+// sort orders the blocks by key for lookup.
+func (r *record) sort() {
+	slices.SortFunc(r.blocks, func(a, b blockRecord) int { return cmp.Compare(a.key, b.key) })
+}
+
+// recordSet holds one record per UUID, at most maxProcessedTracked, and
+// evicts the oldest first. A forgotten UUID keeps its place in the ring
+// until it comes round, so a record put again after Forget may be
+// evicted early: that costs its next revision a full scoring, never a
+// wrong score. Not safe for concurrent use.
+type recordSet struct {
+	byUUID map[string]*record
+	ring   []string // UUIDs in the order their records were first put
+	next   int      // the oldest ring entry once the ring is full
+}
+
+// put stores rec as the UUID's record.
+func (s *recordSet) put(uuid string, rec *record) {
+	if _, ok := s.byUUID[uuid]; !ok {
+		if len(s.ring) < maxProcessedTracked {
+			s.ring = append(s.ring, uuid)
+		} else {
+			delete(s.byUUID, s.ring[s.next])
+			s.ring[s.next] = uuid
+			s.next = (s.next + 1) % maxProcessedTracked
+		}
+	}
+	s.byUUID[uuid] = rec
+}
+
+// forget drops the UUID's record.
+func (s *recordSet) forget(uuid string) { delete(s.byUUID, uuid) }
+
+// len returns the number of records held.
+func (s *recordSet) len() int { return len(s.byUUID) }
+
+var (
+	maxUnixNano = time.Unix(0, math.MaxInt64)
+	minUnixNano = time.Unix(0, math.MinInt64)
+)
+
+// unixNano is t in Unix ns, clamped to the int64 range.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.After(maxUnixNano):
+		return math.MaxInt64
+	case t.Before(minUnixNano):
+		return math.MinInt64
+	}
+	return t.UnixNano()
+}

@@ -9,9 +9,9 @@ package worker
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +28,10 @@ import (
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
-// maxProcessedTracked bounds the analyzed-revision memory; older entries
-// are evicted FIFO (re-analysis of an evicted revision converges: the
-// eIoC tag and the score upsert are idempotent).
+// maxProcessedTracked bounds the analyzed-revision memory and the score
+// records; older entries are evicted FIFO (re-analysis of an evicted
+// revision converges: the eIoC tag and the score upsert are idempotent,
+// and a cluster without a record is scored in full).
 const maxProcessedTracked = 1 << 16
 
 // Outcome is what one analysis did with a revision.
@@ -51,28 +52,67 @@ type Analysis struct {
 	Event *misp.Event
 	// Score is the top threat score of an Enriched revision.
 	Score float64
-	// SDOs are the revision's scored STIX objects, enriched in place.
-	SDOs []stix.Object
 }
 
 // Analyzer runs the heuristic stage on cIoC revisions. It is safe for
 // concurrent use across distinct events.
+//
+// It keeps a record of each UUID's last revision of more than one
+// conversion block (misp.Conversion): per block, its key, its score, the
+// instant until which that score holds, and its rIoCs. The next revision
+// of the UUID converts, scores and reduces only the blocks whose key the
+// record lacks, or whose score has expired or was taken against other
+// infrastructure data; the others' scores and rIoCs come from the record.
+// A block's score depends on nothing but its own objects, the instant and
+// the collector, so the revision scores as if every block were scored
+// afresh.
 type Analyzer struct {
 	engine    *heuristic.Engine
 	collector *infra.Collector
 	clk       clock.Clock
 	onRIoC    func(heuristic.RIoC)
 
+	converted, reused *obs.Counter // blocks scored afresh and taken from a record
+
 	mu        sync.Mutex
 	processed *ringset.Set // (UUID, content hash) keys already analyzed
+	records   recordSet
 }
 
 // NewAnalyzer builds the heuristic stage around a scoring engine and the
-// infrastructure rIoCs are reduced onto; clk stamps the score attribute.
-// onRIoC receives each reduced IoC as its SDO is scored.
+// infrastructure rIoCs are reduced onto; clk, the engine's clock, stamps
+// the score attribute and the rIoCs. onRIoC receives each reduced IoC as
+// its SDO is scored.
 func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock.Clock, onRIoC func(heuristic.RIoC)) *Analyzer {
 	return &Analyzer{engine: engine, collector: collector, clk: clk, onRIoC: onRIoC,
-		processed: ringset.New(maxProcessedTracked)}
+		converted: &obs.Counter{}, reused: &obs.Counter{},
+		processed: ringset.New(maxProcessedTracked),
+		records:   recordSet{byUUID: make(map[string]*record)}}
+}
+
+// RegisterMetrics counts the analyzer's blocks in reg as
+// caisp_analyzer_blocks_total{outcome="converted|reused"}. Call it before
+// the first Score; a nil reg leaves the counts unexported.
+func (a *Analyzer) RegisterMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	blocks := reg.CounterVec("caisp_analyzer_blocks_total",
+		"Conversion blocks of scored revisions: converted and scored, or reused from the UUID's record.", "outcome")
+	a.converted, a.reused = blocks.With("converted"), blocks.With("reused")
+}
+
+// Blocks returns how many conversion blocks were converted and scored,
+// and how many were taken from a record.
+func (a *Analyzer) Blocks() (converted, reused int64) {
+	return a.converted.Value(), a.reused.Value()
+}
+
+// Records returns how many UUIDs the analyzer keeps a record for.
+func (a *Analyzer) Records() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.records.len()
 }
 
 // Analyze scores a stored revision unless that revision was analyzed
@@ -86,12 +126,12 @@ func (a *Analyzer) Analyze(me *misp.Event) (Analysis, error) {
 	return a.score(me.Clone())
 }
 
-// Score converts one cIoC revision to STIX, scores, enriches and reduces
-// each supported SDO, and turns an Enriched revision into the eIoC by
-// "adding the threat score as a new MISP attribute" (§IV-A) and the eIoC
-// tag. Storing it is the caller's step. Its cost is that of the revision,
-// not of what the TIP holds. The revision is remembered, so its stored
-// copy is a Duplicate to Analyze.
+// Score converts one cIoC revision to STIX, scores and reduces each
+// supported SDO, and turns an Enriched revision into the eIoC by "adding
+// the threat score as a new MISP attribute" (§IV-A) and the eIoC tag.
+// Storing it is the caller's step. Its cost is that of the revision's
+// changed blocks, not of what the TIP holds. The revision is remembered,
+// so its stored copy is a Duplicate to Analyze.
 //
 // The event must be caller-owned (decoded from the wire or a pre-store
 // composition), never a shared frozen view from the store's copy-free
@@ -99,6 +139,32 @@ func (a *Analyzer) Analyze(me *misp.Event) (Analysis, error) {
 func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 	a.remember(me)
 	return a.score(me)
+}
+
+// Forget drops the UUID's record: its event left the store, or a
+// revision of it never got in.
+func (a *Analyzer) Forget(uuid string) {
+	a.mu.Lock()
+	a.records.forget(uuid)
+	a.mu.Unlock()
+}
+
+// Enriched converts me and enriches each SDO that has a heuristic with
+// its evaluation: the objects an eIoC shares. It reduces and pushes
+// nothing.
+func (a *Analyzer) Enriched(me *misp.Event) ([]stix.Object, error) {
+	bundle, err := misp.ToSTIX(me)
+	if err != nil {
+		return nil, err
+	}
+	sdos := bundle.Objects[:0]
+	for _, obj := range bundle.Objects {
+		if ev, err := a.engine.Evaluate(obj); err == nil {
+			heuristic.Enrich(obj, ev)
+			sdos = append(sdos, obj)
+		}
+	}
+	return sdos, nil
 }
 
 // remember records the revision's idempotency key and reports whether it
@@ -116,34 +182,111 @@ func (a *Analyzer) remember(me *misp.Event) bool {
 }
 
 func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
-	bundle, err := misp.ToSTIX(me)
-	if errors.Is(err, misp.ErrEmptyBundle) {
-		return Analysis{Outcome: Unscorable, Event: me}, nil // free-text members only
-	}
+	conv, err := misp.Convert(me)
 	if err != nil {
 		return Analysis{Outcome: Failed, Event: me}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
 	}
+	if len(conv.Head()) == 0 && conv.Len() == 0 {
+		return Analysis{Outcome: Unscorable, Event: me}, nil // free-text members only
+	}
 	now := a.clk.Now()
-	res := Analysis{Event: me}
-	for _, obj := range bundle.Objects {
-		ev, err := a.engine.Evaluate(obj)
-		if err != nil {
-			continue // SDO type without a heuristic (relationships, identities of orgs…)
-		}
-		heuristic.Enrich(obj, ev)
-		res.SDOs = append(res.SDOs, obj)
-		if ev.Score > res.Score {
-			res.Score = ev.Score
-		}
-		rioc, err := heuristic.Reduce(obj, ev, a.collector, now)
-		if err != nil {
-			return Analysis{Outcome: Failed, Event: me}, err
-		}
-		if rioc != nil {
-			a.onRIoC(*rioc)
+	gen := a.collector.Generation()
+	// rec is this revision's record, kept for more than one block; prev
+	// the last revision's, if its scores were taken against this
+	// generation and not after now.
+	var rec, prev *record
+	if conv.Len() > 1 {
+		rec = &record{gen: gen, from: unixNano(now), blocks: make([]blockRecord, 0, conv.Len())}
+		a.mu.Lock()
+		prev = a.records.byUUID[me.UUID]
+		a.mu.Unlock()
+		if prev != nil && (prev.gen != gen || rec.from < prev.from) {
+			prev = nil
 		}
 	}
-	if len(res.SDOs) == 0 {
+
+	res := Analysis{Event: me}
+	scored := false
+	// scoreObjects evaluates and reduces objs, pushing their rIoCs; b, if
+	// not nil, takes their top score, expiry and rIoCs.
+	scoreObjects := func(objs []stix.Object, b *blockRecord) error {
+		for _, obj := range objs {
+			ev, err := a.engine.Evaluate(obj)
+			if err != nil {
+				continue // SDO type without a heuristic (relationships, identities of orgs…)
+			}
+			scored = true
+			res.Score = max(res.Score, ev.Score)
+			rioc, err := heuristic.Reduce(obj, ev, a.collector, now)
+			if err != nil {
+				return err
+			}
+			if rioc != nil {
+				a.onRIoC(*rioc)
+			}
+			if b == nil {
+				continue
+			}
+			b.score = max(b.score, ev.Score)
+			if !ev.Until.IsZero() {
+				b.until = min(b.until, unixNano(ev.Until))
+			}
+			rec.from = max(rec.from, unixNano(ev.EvaluatedAt))
+			if rioc != nil {
+				rec.riocs = append(rec.riocs, *rioc)
+				b.riocs++
+			}
+		}
+		return nil
+	}
+	if err := scoreObjects(conv.Head(), nil); err != nil {
+		return Analysis{Outcome: Failed, Event: me}, err
+	}
+	var objs []stix.Object
+	var converted, reused int64
+	for i := 0; i < conv.Len(); i++ {
+		key := conv.Key(i)
+		if old := prev.lookup(key, now); old != nil {
+			reused++
+			if old.score >= 0 {
+				scored = true
+				res.Score = max(res.Score, old.score)
+			}
+			b := *old
+			b.rioc = int32(len(rec.riocs))
+			for _, r := range prev.riocs[old.rioc : old.rioc+old.riocs] {
+				r.GeneratedAt = now.UTC()
+				a.onRIoC(r)
+				rec.riocs = append(rec.riocs, r)
+			}
+			rec.blocks = append(rec.blocks, b)
+			continue
+		}
+		converted++
+		objs = conv.AppendBlock(objs[:0], i)
+		if rec == nil {
+			if err := scoreObjects(objs, nil); err != nil {
+				return Analysis{Outcome: Failed, Event: me}, err
+			}
+			continue
+		}
+		b := blockRecord{key: key, until: math.MaxInt64, score: -1, rioc: int32(len(rec.riocs))}
+		if err := scoreObjects(objs, &b); err != nil {
+			return Analysis{Outcome: Failed, Event: me}, err
+		}
+		rec.blocks = append(rec.blocks, b)
+	}
+	a.converted.Add(converted)
+	a.reused.Add(reused)
+	a.mu.Lock()
+	if rec != nil {
+		rec.sort()
+		a.records.put(me.UUID, rec)
+	} else {
+		a.records.forget(me.UUID)
+	}
+	a.mu.Unlock()
+	if !scored {
 		return Analysis{Outcome: Unscorable, Event: me}, nil
 	}
 	// Upsert: re-analysis of a grown cluster refreshes the attribute
@@ -236,6 +379,7 @@ func New(cfg Config) (*Worker, error) {
 			cfg.RIoCSink(r)
 		}
 	})
+	w.analyzer.RegisterMetrics(cfg.Metrics)
 	if reg := cfg.Metrics; reg != nil {
 		w.analyzeDur = reg.Histogram("caisp_worker_analyze_seconds",
 			"Analysis of one cIoC: STIX conversion, scoring and reduction.")
