@@ -96,9 +96,13 @@ bench-lifecycle:
 # ciocs+cluster_edits == eiocs+unscorable with no store failure, and
 # its caisp_tip_store_total must equal ciocs+cluster_edits: a flush
 # commits each cluster change once, already scored. A scorable cIoC
-# posted to tipd before heuristicd starts must come back tagged
-# caisp:eioc, and tipd's detections must then read caisp_consumer_lag 0:
-# a consumer that starts late or lags catches up from the change log.
+# posted to caispd's TIP API must then come back tagged caisp:eioc with
+# caispd's caisp_consumer_lag{consumer="analyzer"} at 0, and so must the
+# same cIoC posted again: caispd's follower scores every stored cIoC
+# revision without the eIoC tag. A scorable cIoC posted to tipd before
+# heuristicd starts must come back tagged caisp:eioc, and tipd's
+# detections must then read caisp_consumer_lag 0: a consumer that
+# starts late or lags catches up from the change log.
 # Exits nonzero when a daemon does not come up within 15s or any probe
 # fails.
 obs-smoke:
@@ -155,6 +159,15 @@ obs-smoke:
 	commits=$$(curl -fsS http://127.0.0.1:18450/metrics | awk '/^caisp_tip_store_total/ {n += $$NF} END {print n + 0}'); \
 	[ "$$commits" = $$((ciocs + edits)) ] \
 		|| { echo "obs-smoke: caispd stored $$commits revisions for $$((ciocs + edits)) cluster changes"; exit 1; }; \
+	posted=4f7c2e1a-93d8-4b6e-a0c5-7d2b9e8f1a36; \
+	analyzed() { curl -fsS http://127.0.0.1:18440/events/$$posted | grep '"caisp:eioc"' >/dev/null \
+		&& curl -fsS http://127.0.0.1:18450/metrics | grep -x 'caisp_consumer_lag{consumer="analyzer"} 0' >/dev/null; }; \
+	for post in first again; do \
+		curl -fsS -o /dev/null --data-binary '{"Event":{"uuid":"'$$posted'","info":"obs-smoke cIoC for caispd","date":"2019-06-24","threat_level_id":4,"analysis":0,"distribution":1,"timestamp":"1561377600","Attribute":[{"uuid":"5b1e9c3d-2f4a-4c8e-9d7b-6a0f3e2c1b58","type":"vulnerability","category":"External analysis","value":"CVE-2017-9805","timestamp":"1561377600"}],"Tag":[{"name":"caisp:cioc"}]}}' \
+			http://127.0.0.1:18440/events || { echo "obs-smoke: caispd refused the cIoC posted $$post"; exit 1; }; \
+		for i in $$(seq 1 150); do analyzed && break; sleep 0.1; done; \
+		analyzed || { echo "obs-smoke: caispd never scored the cIoC posted $$post with its analyzer lag at 0"; cat $$tmp/caispd.log; exit 1; }; \
+	done; \
 	probe 127.0.0.1:18540 tipd; \
 	probe 127.0.0.1:18552 heuristicd; \
 	scored() { curl -fsS http://127.0.0.1:18540/events/$$cioc | grep '"caisp:eioc"' >/dev/null; }; \
@@ -164,7 +177,7 @@ obs-smoke:
 	caught || { echo "obs-smoke: tipd detections lag behind its change log"; exit 1; }; \
 	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
 	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
-	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
+	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, caispd scored a posted cIoC and its re-post with analyzer lag 0, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
 
 vet:
 	$(GO) vet ./...

@@ -131,8 +131,7 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 // hub saturation: readiness degrades once the deepest client queue
 // passes 90%, where the next broadcast starts evicting slow clients.
 // /stats surfaces the full pipeline Stats — including the streaming
-// correlator's cluster add/edit/merge counters and broker-wide
-// drop-oldest losses, which are otherwise silent; /metrics serves the
+// correlator's cluster add/edit/merge counters; /metrics serves the
 // same values (and the latency histograms) in Prometheus text format,
 // and /debug/traces the slowest end-to-end IoC journeys with per-stage
 // breakdowns.

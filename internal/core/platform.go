@@ -71,9 +71,8 @@ type Config struct {
 	// its collection.
 	ShareTAXII bool
 	// AnalyzerPool sets how many goroutines score a flush's clusters, and
-	// a page of the events others store in streaming mode. Values below 1
-	// use GOMAXPROCS. A flush and a page each hold an event at most once,
-	// so the same event is never analyzed by two goroutines at once.
+	// a change-log page's unscored cIoCs in streaming mode. Values below 1
+	// use GOMAXPROCS.
 	AnalyzerPool int
 	// FeedConcurrency bounds how many feeds PollOnce fetches in
 	// parallel. Values below 1 use GOMAXPROCS.
@@ -117,6 +116,10 @@ type Stats struct {
 	EIoCs         int `json:"eiocs"`
 	RIoCs         int `json:"riocs"`
 	Classified    int `json:"classified"`
+	// Unscorable counts the composed clusters a flush committed unscored
+	// because none of their SDOs has a heuristic, so a flush's clusters
+	// balance as CIoCs + ClusterEdits = EIoCs + Unscorable. The follower
+	// counts nothing it finds unscorable.
 	Unscorable    int `json:"unscorable"`
 	StoreFailures int `json:"store_failures"`
 	StoredEvents  int `json:"stored_events"`
@@ -365,7 +368,7 @@ func (p *Platform) registerPipelineMetrics() {
 	p.flushDur = reg.Histogram("caisp_pipeline_flush_seconds",
 		"One flush: correlation delta, scoring, the group-committed store and its sharing.")
 	p.analyzeDur = reg.Histogram("caisp_pipeline_analyze_seconds",
-		"Heuristic scoring of one cIoC and its rIoC pushes; an event others stored adds its write-back.")
+		"Heuristic scoring of one cIoC revision and its rIoC pushes.")
 	tip.RegisterLag(reg, "analyzer", func() uint64 {
 		if f := p.follower.Load(); f != nil {
 			return f.Lag(p.store.Seq())
@@ -533,42 +536,12 @@ func (p *Platform) ReportInternalIoC(value, category, source string) (normalize.
 	me := misp.NewEvent(fmt.Sprintf("infrastructure sighting [%s] %s", source, e.Value), p.clk.Now())
 	me.Distribution = misp.DistributionOrganisation // never shared outward
 	me.AddTag("caisp:infrastructure")
-	typ := mispTypeFor(e.Type)
-	me.AddAttribute(typ, "Internal reference", e.Value, e.LastSeen).Comment = "detected by " + source
+	me.AddAttribute(correlate.AttributeType(e.Type), "Internal reference", e.Value, e.LastSeen).Comment = "detected by " + source
 	correlated, err := p.tip.AddEvent(me)
 	if err != nil {
 		return normalize.Event{}, nil, fmt.Errorf("core: store infrastructure sighting: %w", err)
 	}
 	return e, correlated, nil
-}
-
-// mispTypeFor maps a normalized IoC type to the MISP attribute type used
-// for infrastructure sightings.
-func mispTypeFor(typ normalize.IoCType) string {
-	switch typ {
-	case normalize.TypeIPv4, normalize.TypeIPv6, normalize.TypeCIDR:
-		return "ip-dst"
-	case normalize.TypeDomain:
-		return "domain"
-	case normalize.TypeURL:
-		return "url"
-	case normalize.TypeMD5:
-		return "md5"
-	case normalize.TypeSHA1:
-		return "sha1"
-	case normalize.TypeSHA256:
-		return "sha256"
-	case normalize.TypeSHA512:
-		return "sha512"
-	case normalize.TypeCVE:
-		return "vulnerability"
-	case normalize.TypeEmail:
-		return "email-dst"
-	case normalize.TypeFilename:
-		return "filename"
-	default:
-		return "text"
-	}
 }
 
 // ingest is the feed scheduler sink, called once per poll that delivered
@@ -661,8 +634,9 @@ func (p *Platform) drainPending() []normalize.Event {
 // store refuses or fails to commit, is counted as a store failure, its
 // rIoCs are retracted, nothing of it is shared, and its error is joined;
 // the rest of the batch still lands. A cluster whose scoring fails is
-// committed unscored and its error joined. It returns the revisions the
-// store installed.
+// committed unscored and its error joined; in streaming mode the
+// analyzer's follower scores it again. It returns the revisions the store
+// installed.
 func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -718,44 +692,29 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	composedNew := len(batch)
 	compose(delta.Updated)
 
-	scores := make([]worker.Analysis, len(batch))
-	scoreErrs := make([]error, len(batch))
-	p.fanOut(len(batch), func(i int) {
-		start := time.Now()
-		scores[i], scoreErrs[i] = p.analyzer.Score(batch[i])
-		p.analyzeDur.Observe(time.Since(start).Seconds())
-		p.tracer.Mark(batch[i].UUID, obs.StageAnalyze)
-	})
-	errs = append(errs, scoreErrs...)
-
-	stored, err := p.tip.AddEvents(batch)
+	scores, err := p.score(batch)
 	if err != nil {
-		errs = append(errs, fmt.Errorf("core: store clusters: %w", err))
+		errs = append(errs, err)
 	}
-	// stored is batch less what the store did not take, in order.
-	installed := make([]int, 0, len(stored))
-	var added, edited int64
-	for i, k := 0, 0; i < len(batch); i++ {
-		if k < len(stored) && batch[i] == stored[k] {
-			installed = append(installed, i)
-			if i < composedNew {
-				added++
-			} else {
-				edited++
-			}
-			k++
-			p.tracer.Mark(batch[i].UUID, obs.StageStore)
-			continue
+	installed, err := p.commit(batch)
+	if err != nil {
+		errs = append(errs, err)
+	}
+	stored := make([]*misp.Event, len(installed))
+	var added int64
+	for j, i := range installed {
+		stored[j] = batch[i]
+		if i < composedNew {
+			added++
 		}
-		p.retract(batch[i].UUID)
 	}
 	p.counters.ciocs.Add(added)
-	p.counters.clusterEdits.Add(edited)
+	p.counters.clusterEdits.Add(int64(len(installed)) - added)
 	p.counters.clusterMerges.Add(int64(len(delta.Removed)))
-	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(stored)))
+	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(installed)))
 
 	// Streaming detection of the flush's own clusters runs here, on the
-	// flush path; the analyzer's follower skips them.
+	// flush path; the analyzer's follower does not evaluate subscriptions.
 	p.fanOut(len(installed), func(j int) {
 		p.subs.EvaluateMISP(batch[installed[j]], subscribe.StageCIoC, -1)
 	})
@@ -773,49 +732,80 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	return stored, errors.Join(errs...)
 }
 
-// analyzePage is the streaming analyzer's handler for one page of the
-// change log. It analyzes only the events others stored, over REST or by
-// a sync import: the cIoCs not yet scored. A page holds each UUID at most
-// once, so its events are analyzed on fanOut. A cIoC this node's flush
-// committed unscored is a Duplicate to the analyzer.
-func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
-	ciocs := make([]*misp.Event, 0, len(page))
-	for _, me := range page {
-		if me.HasTag("caisp:cioc") && !me.HasTag("caisp:eioc") {
-			ciocs = append(ciocs, me)
-		}
-	}
-	p.fanOut(len(ciocs), func(i int) {
-		if err := p.analyze(ciocs[i]); err != nil {
-			p.logger.Warn("heuristic analysis failed", "uuid", ciocs[i].UUID, "error", err)
-		}
+// score scores batch on the analyzer pool, pushing rIoCs as SDOs are
+// scored, and returns each event's analysis; the scoring errors are
+// joined. The flush and the change-log follower both score through it.
+func (p *Platform) score(batch []*misp.Event) ([]worker.Analysis, error) {
+	scores := make([]worker.Analysis, len(batch))
+	errs := make([]error, len(batch))
+	p.fanOut(len(batch), func(i int) {
+		start := time.Now()
+		scores[i], errs[i] = p.analyzer.Score(batch[i])
+		p.analyzeDur.Observe(time.Since(start).Seconds())
+		p.tracer.Mark(batch[i].UUID, obs.StageAnalyze)
 	})
-	return nil
+	return scores, errors.Join(errs...)
 }
 
-// analyze keeps the paper's two revisions for a stored cIoC: it is scored
-// by the shared heuristic stage (worker.Analyzer), on a copy, since me is
-// the store's frozen view; its eIoC is written back, then published.
-func (p *Platform) analyze(me *misp.Event) error {
-	// A cluster absorbed by a concurrent merge has been retracted from the
-	// store; analyzing its stale revision would resurrect its rIoCs.
-	if !p.store.Has(me.UUID) {
-		return nil
+// commit stores batch in one group commit (one WAL write and fsync) and
+// retracts what the store did not install: a revision refused as older
+// than its UUID's deletion, or lost to a failed commit. It returns the
+// batch indices the store installed, in order. The flush and the
+// change-log follower both commit through it.
+func (p *Platform) commit(batch []*misp.Event) ([]int, error) {
+	if len(batch) == 0 {
+		return nil, nil
 	}
-	start := time.Now()
-	defer func() { p.analyzeDur.Observe(time.Since(start).Seconds()) }()
-	res, err := p.analyzer.Analyze(me)
-	switch res.Outcome {
-	case worker.Unscorable:
-		p.counters.unscorable.Add(1)
-	case worker.Enriched:
-		if _, err := p.tip.AddEvent(res.Event); err != nil {
-			p.retract(me.UUID)
-			return fmt.Errorf("core: write back eIoC %s: %w", me.UUID, err)
+	stored, err := p.tip.AddEvents(batch)
+	if err != nil {
+		err = fmt.Errorf("core: store %d revisions: %w", len(batch), err)
+	}
+	// stored is batch less what the store did not take, in order.
+	installed := make([]int, 0, len(stored))
+	for i, k := 0, 0; i < len(batch); i++ {
+		if k < len(stored) && batch[i] == stored[k] {
+			installed = append(installed, i)
+			k++
+			p.tracer.Mark(batch[i].UUID, obs.StageStore)
+			continue
 		}
-		p.publish(res.Event, res)
+		p.retract(batch[i].UUID)
 	}
-	return err
+	return installed, err
+}
+
+// analyzePage is the streaming analyzer's handler for one page of the
+// change log: the heuristic component's rule, applied to what this node
+// stores. Each Unscored revision — a REST post, a sync import, or a
+// cluster the flush committed unscored — is scored on a copy, since the
+// page holds the store's frozen views (DESIGN.md §8). The eIoCs are
+// written back in one commit, the paper's second revision, and published.
+// A cluster the flush committed unscored stays Unscorable: nothing of it
+// is stored or counted. A failure is logged; the page is not read again.
+func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
+	var batch []*misp.Event
+	for _, me := range page {
+		if worker.Unscored(me) {
+			batch = append(batch, me.Clone())
+		}
+	}
+	scores, err := p.score(batch)
+	var eiocs []*misp.Event
+	var results []worker.Analysis
+	for i, res := range scores {
+		if res.Outcome == worker.Enriched {
+			eiocs = append(eiocs, batch[i])
+			results = append(results, res)
+		}
+	}
+	installed, cerr := p.commit(eiocs)
+	if err = errors.Join(err, cerr); err != nil {
+		p.logger.Warn("heuristic analysis failed", "error", err)
+	}
+	p.fanOut(len(installed), func(j int) {
+		p.publish(eiocs[installed[j]], results[installed[j]])
+	})
+	return nil
 }
 
 // pushRIoC is the analyzer's rIoC sink: each reduced IoC goes to the
@@ -887,8 +877,9 @@ func (p *Platform) RunBatch(ctx context.Context) error {
 // the clusters it touches, so never a record at a time), and polls that
 // land while one runs share the next. flushInterval is the longest a
 // pending event can wait, not the period. The analyzer follows the TIP's
-// change log from its head as of Start, for the events this node did not
-// compose: REST posts and TIP sync imports.
+// change log from its head as of Start and scores every cIoC revision
+// stored unscored: REST posts, TIP sync imports, and clusters a flush
+// could not score.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()

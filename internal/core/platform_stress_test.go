@@ -79,23 +79,44 @@ func TestStreamingStressNoLostEvents(t *testing.T) {
 		}(r)
 	}
 
-	// Let the pipeline churn until everything was collected and analyzed.
-	deadline := time.Now().Add(10 * time.Second)
+	// Let the pipeline churn until every value was committed, in a
+	// cluster scored or not, following the change log from commit to
+	// commit.
+	unseen := make(map[string]bool, len(values))
+	for _, v := range values {
+		unseen[v] = true
+	}
+	deadline := time.After(10 * time.Second)
+	var cursor uint64
 	for {
-		st := p.Stats()
-		if st.EventsUnique == len(values) && st.EIoCs > 0 && st.CIoCs > 0 {
+		committed := p.store.Committed() // before the read: see Store.Committed
+		page, next, _, err := p.TIP().ChangesPage(cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursor = next
+		for _, me := range page {
+			for i := range me.Attributes {
+				delete(unseen, me.Attributes[i].Value)
+			}
+		}
+		if len(unseen) == 0 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline stalled: %+v (want %d unique)", st, len(values))
+		select {
+		case <-committed:
+		case <-deadline:
+			t.Fatalf("pipeline stalled: %d of %d values never committed: %+v", len(unseen), len(values), p.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	stopReaders()
 	readers.Wait()
 	p.Stop()
 
 	st := p.Stats()
+	if st.EventsUnique != len(values) || st.CIoCs == 0 || st.EIoCs == 0 {
+		t.Fatalf("stats = %+v, want %d unique values in scored clusters", st, len(values))
+	}
 	if st.EventsCollected != st.EventsUnique+st.Duplicates {
 		t.Fatalf("collected %d != unique %d + duplicates %d",
 			st.EventsCollected, st.EventsUnique, st.Duplicates)

@@ -289,26 +289,6 @@ func TestStreamingModeScoresEveryPostedCIoC(t *testing.T) {
 	}
 }
 
-func TestAnalyzeIdempotent(t *testing.T) {
-	p := newPlatform(t, Config{Feeds: []feed.Feed{advisoryFeed(strutsAdvisory)}})
-	if err := p.RunBatch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	before := p.Stats()
-	// Re-analyzing the same stored event must be a no-op.
-	events, err := p.TIP().Search(tip.SearchQuery{Tag: "caisp:cioc"})
-	if err != nil || len(events) == 0 {
-		t.Fatalf("no stored cIoCs: %v", err)
-	}
-	if err := p.analyze(events[0]); err != nil {
-		t.Fatal(err)
-	}
-	after := p.Stats()
-	if after.EIoCs != before.EIoCs || after.RIoCs != before.RIoCs {
-		t.Fatalf("analyze not idempotent: %+v vs %+v", before, after)
-	}
-}
-
 func TestReportAlarmAndInternalIoC(t *testing.T) {
 	p := newPlatform(t, Config{})
 	alarm, err := p.ReportAlarm(infra.Alarm{

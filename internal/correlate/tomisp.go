@@ -26,6 +26,16 @@ var attributeType = map[normalize.IoCType]string{
 	normalize.TypeFilename: "filename",
 }
 
+// AttributeType returns the MISP attribute type the operational module
+// stores an indicator of typ as: a composed IoC's member, or an
+// infrastructure sighting. A type without one is stored as "text".
+func AttributeType(typ normalize.IoCType) string {
+	if attr, ok := attributeType[typ]; ok {
+		return attr
+	}
+	return "text"
+}
+
 var attributeCategory = map[normalize.IoCType]string{
 	normalize.TypeIPv4:     "Network activity",
 	normalize.TypeIPv6:     "Network activity",
@@ -64,10 +74,7 @@ func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
 		e.AddTag("caisp:correlated-by=\"" + key + "\"")
 	}
 	for _, ev := range c.Events {
-		typ, ok := attributeType[ev.Type]
-		if !ok {
-			typ = "text"
-		}
+		typ := AttributeType(ev.Type)
 		category, ok := attributeCategory[ev.Type]
 		if !ok {
 			category = "Other"

@@ -1,10 +1,8 @@
 // Package ringset provides a capacity-bounded string set with FIFO
-// eviction. The platform and the standalone worker use it to remember
-// which event UUIDs they already analyzed: an unbounded map leaks memory
-// under sustained feed traffic, while a bounded window keeps the
-// idempotency guarantee for every recently seen event and degrades to an
-// extra (harmless, idempotent) re-analysis only for events older than the
-// window. Not safe for concurrent use; callers hold their own lock.
+// eviction: a set that remembers recent keys in constant memory under
+// sustained traffic, forgetting the oldest first. The benchmark's serial
+// replay (bench/replay.go) uses it to skip a (UUID, content hash) it has
+// scored. Not safe for concurrent use; callers hold their own lock.
 package ringset
 
 // Set is a bounded set of strings with first-in-first-out eviction.

@@ -47,7 +47,7 @@ func (r *record) sort() {
 	slices.SortFunc(r.blocks, func(a, b blockRecord) int { return cmp.Compare(a.key, b.key) })
 }
 
-// recordSet holds one record per UUID, at most maxProcessedTracked, and
+// recordSet holds one record per UUID, at most maxRecords, and
 // evicts the oldest first. A forgotten UUID keeps its place in the ring
 // until it comes round, so a record put again after Forget may be
 // evicted early: that costs its next revision a full scoring, never a
@@ -61,12 +61,12 @@ type recordSet struct {
 // put stores rec as the UUID's record.
 func (s *recordSet) put(uuid string, rec *record) {
 	if _, ok := s.byUUID[uuid]; !ok {
-		if len(s.ring) < maxProcessedTracked {
+		if len(s.ring) < maxRecords {
 			s.ring = append(s.ring, uuid)
 		} else {
 			delete(s.byUUID, s.ring[s.next])
 			s.ring[s.next] = uuid
-			s.next = (s.next + 1) % maxProcessedTracked
+			s.next = (s.next + 1) % maxRecords
 		}
 	}
 	s.byUUID[uuid] = rec

@@ -224,29 +224,29 @@ func TestRecordsScoreAsAFreshAnalyzer(t *testing.T) {
 }
 
 // TestRecordSetCapsFIFO: the record set holds at most
-// maxProcessedTracked UUIDs and evicts the oldest first; a replaced
+// maxRecords UUIDs and evicts the oldest first; a replaced
 // record keeps its place, and UUIDs put and forgotten over and over
 // leave it bounded.
 func TestRecordSetCapsFIFO(t *testing.T) {
 	s := recordSet{byUUID: make(map[string]*record)}
 	id := func(i int) string { return fmt.Sprintf("uuid-%d", i) }
-	for i := 0; i < maxProcessedTracked; i++ {
+	for i := 0; i < maxRecords; i++ {
 		s.put(id(i), &record{})
 	}
 	s.put(id(0), &record{gen: 1}) // replaced: still the oldest
-	s.put(id(maxProcessedTracked), &record{})
-	if s.len() != maxProcessedTracked || s.byUUID[id(0)] != nil || s.byUUID[id(1)] == nil {
+	s.put(id(maxRecords), &record{})
+	if s.len() != maxRecords || s.byUUID[id(0)] != nil || s.byUUID[id(1)] == nil {
 		t.Fatalf("over the cap: %d records, uuid-0 held %v, uuid-1 held %v",
 			s.len(), s.byUUID[id(0)] != nil, s.byUUID[id(1)] != nil)
 	}
-	for i := 0; i < 3*maxProcessedTracked; i++ {
+	for i := 0; i < 3*maxRecords; i++ {
 		u := fmt.Sprintf("churn-%d", i)
 		s.put(u, &record{})
 		if i%2 == 0 {
 			s.forget(u)
 		}
 	}
-	if s.len() > maxProcessedTracked || len(s.ring) > maxProcessedTracked {
+	if s.len() > maxRecords || len(s.ring) > maxRecords {
 		t.Fatalf("after churn: %d records, %d ring entries", s.len(), len(s.ring))
 	}
 }

@@ -17,22 +17,18 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/clock"
-	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/mesh"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
-	"github.com/caisplatform/caisp/internal/ringset"
 	"github.com/caisplatform/caisp/internal/stix"
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
-// maxProcessedTracked bounds the analyzed-revision memory and the score
-// records; older entries are evicted FIFO (re-analysis of an evicted
-// revision converges: the eIoC tag and the score upsert are idempotent,
-// and a cluster without a record is scored in full).
-const maxProcessedTracked = 1 << 16
+// maxRecords bounds the score records; older ones are evicted
+// FIFO (a cluster without a record is scored in full).
+const maxRecords = 1 << 16
 
 // Outcome is what one analysis did with a revision.
 type Outcome int
@@ -40,22 +36,28 @@ type Outcome int
 const (
 	Failed     Outcome = iota // scoring returned an error
 	Enriched                  // scored and tagged as an eIoC, for the caller to store
-	Duplicate                 // this revision was analyzed before
 	Unscorable                // no SDO of the revision has a heuristic
 )
 
 // Analysis is what the heuristic stage made of one revision.
 type Analysis struct {
 	Outcome Outcome
-	// Event is the revision scored: Score's own argument, or the private
-	// copy Analyze made. Nil for a Duplicate.
-	Event *misp.Event
 	// Score is the top threat score of an Enriched revision.
 	Score float64
 }
 
-// Analyzer runs the heuristic stage on cIoC revisions. It is safe for
-// concurrent use across distinct events.
+// Unscored reports whether a stored revision is one the heuristic
+// component scores: a cIoC without the eIoC tag. Infrastructure data is
+// stored, not analyzed, and an eIoC is already scored; re-scoring a
+// write-back would loop.
+func Unscored(me *misp.Event) bool {
+	return me.HasTag("caisp:cioc") && !me.HasTag("caisp:eioc")
+}
+
+// Analyzer runs the heuristic stage on cIoC revisions. It keeps no memory
+// of what it scored: a revision given twice is scored twice. It is safe
+// for concurrent use, on one UUID too: a record only lends a revision
+// the blocks whose keys it carries.
 //
 // It keeps a record of each UUID's last revision of more than one
 // conversion block (misp.Conversion): per block, its key, its score, the
@@ -74,9 +76,8 @@ type Analyzer struct {
 
 	converted, reused *obs.Counter // blocks scored afresh and taken from a record
 
-	mu        sync.Mutex
-	processed *ringset.Set // (UUID, content hash) keys already analyzed
-	records   recordSet
+	mu      sync.Mutex
+	records recordSet
 }
 
 // NewAnalyzer builds the heuristic stage around a scoring engine and the
@@ -86,8 +87,7 @@ type Analyzer struct {
 func NewAnalyzer(engine *heuristic.Engine, collector *infra.Collector, clk clock.Clock, onRIoC func(heuristic.RIoC)) *Analyzer {
 	return &Analyzer{engine: engine, collector: collector, clk: clk, onRIoC: onRIoC,
 		converted: &obs.Counter{}, reused: &obs.Counter{},
-		processed: ringset.New(maxProcessedTracked),
-		records:   recordSet{byUUID: make(map[string]*record)}}
+		records: recordSet{byUUID: make(map[string]*record)}}
 }
 
 // RegisterMetrics counts the analyzer's blocks in reg as
@@ -113,32 +113,6 @@ func (a *Analyzer) Records() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.records.len()
-}
-
-// Analyze scores a stored revision unless that revision was analyzed
-// before: it is Score behind the idempotency check. me may be a shared
-// frozen view from the store's copy-free read path (DESIGN.md §8):
-// Analyze scores a private copy, returned as Analysis.Event.
-func (a *Analyzer) Analyze(me *misp.Event) (Analysis, error) {
-	if !a.remember(me) {
-		return Analysis{Outcome: Duplicate}, nil
-	}
-	return a.score(me.Clone())
-}
-
-// Score converts one cIoC revision to STIX, scores and reduces each
-// supported SDO, and turns an Enriched revision into the eIoC by "adding
-// the threat score as a new MISP attribute" (§IV-A) and the eIoC tag.
-// Storing it is the caller's step. Its cost is that of the revision's
-// changed blocks, not of what the TIP holds. The revision is remembered,
-// so its stored copy is a Duplicate to Analyze.
-//
-// The event must be caller-owned (decoded from the wire or a pre-store
-// composition), never a shared frozen view from the store's copy-free
-// read path: Score mutates me in place (DESIGN.md §8).
-func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
-	a.remember(me)
-	return a.score(me)
 }
 
 // Forget drops the UUID's record: its event left the store, or a
@@ -167,27 +141,22 @@ func (a *Analyzer) Enriched(me *misp.Event) ([]stix.Object, error) {
 	return sdos, nil
 }
 
-// remember records the revision's idempotency key and reports whether it
-// was new. The key is (UUID, membership hash): a replayed revision of the
-// same cluster is skipped, while a grown cluster — same stable UUID, new
-// content hash — is re-scored.
-func (a *Analyzer) remember(me *misp.Event) bool {
-	key := me.UUID
-	if h := correlate.ClusterContentOf(me); h != "" {
-		key += "\x00" + h
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.processed.Add(key)
-}
-
-func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
+// Score converts one cIoC revision to STIX, scores and reduces each
+// supported SDO, and turns an Enriched revision into the eIoC by "adding
+// the threat score as a new MISP attribute" (§IV-A) and the eIoC tag.
+// Storing it is the caller's step. Its cost is that of the revision's
+// changed blocks, not of what the TIP holds.
+//
+// The event must be caller-owned (decoded from the wire, a pre-store
+// composition or a clone), never a shared frozen view from the store's
+// copy-free read path: Score mutates me in place (DESIGN.md §8).
+func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 	conv, err := misp.Convert(me)
 	if err != nil {
-		return Analysis{Outcome: Failed, Event: me}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
+		return Analysis{Outcome: Failed}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
 	}
 	if len(conv.Head()) == 0 && conv.Len() == 0 {
-		return Analysis{Outcome: Unscorable, Event: me}, nil // free-text members only
+		return Analysis{Outcome: Unscorable}, nil // free-text members only
 	}
 	now := a.clk.Now()
 	gen := a.collector.Generation()
@@ -205,7 +174,7 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 		}
 	}
 
-	res := Analysis{Event: me}
+	var res Analysis
 	scored := false
 	// scoreObjects evaluates and reduces objs, pushing their rIoCs; b, if
 	// not nil, takes their top score, expiry and rIoCs.
@@ -240,7 +209,7 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 		return nil
 	}
 	if err := scoreObjects(conv.Head(), nil); err != nil {
-		return Analysis{Outcome: Failed, Event: me}, err
+		return Analysis{Outcome: Failed}, err
 	}
 	var objs []stix.Object
 	var converted, reused int64
@@ -266,13 +235,13 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 		objs = conv.AppendBlock(objs[:0], i)
 		if rec == nil {
 			if err := scoreObjects(objs, nil); err != nil {
-				return Analysis{Outcome: Failed, Event: me}, err
+				return Analysis{Outcome: Failed}, err
 			}
 			continue
 		}
 		b := blockRecord{key: key, until: math.MaxInt64, score: -1, rioc: int32(len(rec.riocs))}
 		if err := scoreObjects(objs, &b); err != nil {
-			return Analysis{Outcome: Failed, Event: me}, err
+			return Analysis{Outcome: Failed}, err
 		}
 		rec.blocks = append(rec.blocks, b)
 	}
@@ -287,7 +256,7 @@ func (a *Analyzer) score(me *misp.Event) (Analysis, error) {
 	}
 	a.mu.Unlock()
 	if !scored {
-		return Analysis{Outcome: Unscorable, Event: me}, nil
+		return Analysis{Outcome: Unscorable}, nil
 	}
 	// Upsert: re-analysis of a grown cluster refreshes the attribute
 	// instead of stacking duplicates.
@@ -419,17 +388,16 @@ func (w *Worker) Stats() Stats {
 	}
 }
 
-// handle scores a page's cIoCs, writes their eIoCs back in one batch —
-// the paper's second revision of an event another process stored — and
-// saves the cursor past the page. Infrastructure data is stored, not
-// analyzed, and an eIoC is already scored: this worker's write-back, or a
-// cluster caispd committed scored. Re-analyzing a write-back would loop.
-// A failed write-back fails the page, which is read and scored again.
+// handle scores a page's Unscored revisions, writes their eIoCs back in
+// one batch — the paper's second revision of an event another process
+// stored — and saves the cursor past the page. An eIoC is this worker's
+// write-back, or a cluster caispd committed scored. A failed write-back
+// fails the page, which is read and scored again.
 func (w *Worker) handle(ctx context.Context, page []*misp.Event, next uint64) error {
 	var enriched []*misp.Event
 	for _, me := range page {
 		w.received.Add(1)
-		if !me.HasTag("caisp:cioc") || me.HasTag("caisp:eioc") {
+		if !Unscored(me) {
 			w.skipped.Add(1)
 			continue
 		}

@@ -339,9 +339,9 @@ func TestWorkerResumesFromCursorFile(t *testing.T) {
 }
 
 // TestScoreStoresNothing: Score turns a composed cluster into its eIoC in
-// place and leaves storing it to the caller; it scores a revision even
-// when seen before, and remembers it, so the revision's stored copy is a
-// Duplicate to Analyze. A cluster of free-text members is Unscorable.
+// place and leaves storing it to the caller. It keeps no memory of what
+// it scored: a revision given again is scored again, pushing its rIoC
+// again. A cluster of free-text members is Unscorable.
 func TestScoreStoresNothing(t *testing.T) {
 	collector, err := infra.NewCollector(infra.PaperInventory())
 	if err != nil {
@@ -355,15 +355,15 @@ func TestScoreStoresNothing(t *testing.T) {
 	me := strutsCIoC(t)
 	for i := 0; i < 2; i++ {
 		res, err := a.Score(me)
-		if err != nil || res.Outcome != Enriched || res.Score != 2.7407 || res.Event != me {
+		if err != nil || res.Outcome != Enriched || res.Score != 2.7407 {
 			t.Fatalf("score %d: %+v, %v", i, res, err)
 		}
 	}
 	if !me.HasTag("caisp:eioc") || riocs.len() != 2 {
 		t.Fatalf("eioc tag %v, %d rIoCs pushed, want the tag and one rIoC per Score", me.HasTag("caisp:eioc"), riocs.len())
 	}
-	if res, err := a.Analyze(me.Clone()); err != nil || res.Outcome != Duplicate {
-		t.Fatalf("stored copy of a scored revision: %+v, %v", res, err)
+	if scoreAttributes(me) != 1 {
+		t.Fatalf("%d score attributes after two scores, want the one upserted", scoreAttributes(me))
 	}
 
 	e, err := normalize.New("opaque-token", normalize.CategoryMalwareDomain, "t", normalize.SourceOSINT, evalTime)
@@ -379,23 +379,27 @@ func TestScoreStoresNothing(t *testing.T) {
 	}
 }
 
-// TestAnalyzeScoresACopy: Analyze leaves the event it is given untouched,
-// as it must a frozen view from the store, and returns the scored copy.
-func TestAnalyzeScoresACopy(t *testing.T) {
-	collector, err := infra.NewCollector(infra.PaperInventory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := clock.NewFake(evalTime)
-	a := NewAnalyzer(heuristic.NewEngine(heuristic.WithInfrastructure(collector), heuristic.WithClock(clk)),
-		collector, clk, func(heuristic.RIoC) {})
-	me := strutsCIoC(t)
-	res, err := a.Analyze(me)
-	if err != nil || res.Outcome != Enriched || res.Event == me || !res.Event.HasTag("caisp:eioc") {
-		t.Fatalf("analysis: %+v, %v", res, err)
-	}
-	if me.HasTag("caisp:eioc") || scoreAttributes(me) != 0 {
-		t.Fatal("Analyze mutated the event it was given")
+// TestUnscored: the heuristic component scores a stored cIoC that lacks
+// the eIoC tag, and nothing else.
+func TestUnscored(t *testing.T) {
+	for _, tc := range []struct {
+		tags []string
+		want bool
+	}{
+		{[]string{"caisp:cioc"}, true},
+		{[]string{"caisp:cioc", `caisp:cluster-content="abc"`}, true},
+		{[]string{"caisp:cioc", "caisp:eioc"}, false},
+		{[]string{"caisp:eioc"}, false},
+		{[]string{"caisp:infrastructure"}, false},
+		{nil, false},
+	} {
+		me := misp.NewEvent("t", evalTime)
+		for _, tag := range tc.tags {
+			me.AddTag(tag)
+		}
+		if got := Unscored(me); got != tc.want {
+			t.Errorf("Unscored(%v) = %v, want %v", tc.tags, got, tc.want)
+		}
 	}
 }
 
