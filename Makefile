@@ -99,7 +99,13 @@ bench-lifecycle:
 # posted to caispd's TIP API must then come back tagged caisp:eioc with
 # caispd's caisp_consumer_lag{consumer="analyzer"} at 0, and so must the
 # same cIoC posted again: caispd's follower scores every stored cIoC
-# revision without the eIoC tag. A scorable cIoC posted to tipd before
+# revision without the eIoC tag. With [x-caisp:category =
+# 'malware-domain'] registered on caispd's /subscriptions, an unscorable
+# opaque-token cIoC posted to caispd's TIP must raise
+# caisp_subs_matches_total to 1 or more with
+# caisp_consumer_lag{consumer="detections"} at 0: caispd's detections
+# follow the change log, so they see what others store, scorable or
+# not. A scorable cIoC posted to tipd before
 # heuristicd starts must come back tagged caisp:eioc, and tipd's
 # detections must then read caisp_consumer_lag 0: a consumer that
 # starts late or lags catches up from the change log.
@@ -168,6 +174,15 @@ obs-smoke:
 		for i in $$(seq 1 150); do analyzed && break; sleep 0.1; done; \
 		analyzed || { echo "obs-smoke: caispd never scored the cIoC posted $$post with its analyzer lag at 0"; cat $$tmp/caispd.log; exit 1; }; \
 	done; \
+	curl -fsS -o /dev/null --data-binary "{\"client_id\":\"obs-smoke\",\"pattern\":\"[x-caisp:category = 'malware-domain']\"}" \
+		http://127.0.0.1:18450/subscriptions || { echo "obs-smoke: caispd refused the subscription"; exit 1; }; \
+	curl -fsS -o /dev/null --data-binary '{"Event":{"uuid":"6d0f3b2a-8c41-4e7f-9a15-2b7c9e4d1f80","info":"obs-smoke unscorable cIoC","date":"2019-06-24","threat_level_id":4,"analysis":0,"distribution":1,"timestamp":"1561377600","Attribute":[{"uuid":"e3a7c1d9-5b2f-4e86-a0d4-9c1b7f3e2a65","type":"text","category":"Other","value":"opaque-token","timestamp":"1561377600"}],"Tag":[{"name":"caisp:cioc"},{"name":"caisp:category=\"malware-domain\""}]}}' \
+		http://127.0.0.1:18440/events || { echo "obs-smoke: caispd refused the unscorable cIoC"; exit 1; }; \
+	detected() { m=$$(curl -fsS http://127.0.0.1:18450/metrics); \
+		echo "$$m" | awk '/^caisp_subs_matches_total / {n = $$NF} END {exit !(n >= 1)}' \
+		&& echo "$$m" | grep -x 'caisp_consumer_lag{consumer="detections"} 0' >/dev/null; }; \
+	for i in $$(seq 1 150); do detected && break; sleep 0.1; done; \
+	detected || { echo "obs-smoke: caispd never matched the unscorable cIoC posted to its TIP with its detections lag at 0"; cat $$tmp/caispd.log; exit 1; }; \
 	probe 127.0.0.1:18540 tipd; \
 	probe 127.0.0.1:18552 heuristicd; \
 	scored() { curl -fsS http://127.0.0.1:18540/events/$$cioc | grep '"caisp:eioc"' >/dev/null; }; \
@@ -177,7 +192,7 @@ obs-smoke:
 	caught || { echo "obs-smoke: tipd detections lag behind its change log"; exit 1; }; \
 	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
 	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
-	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, caispd scored a posted cIoC and its re-post with analyzer lag 0, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
+	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, caispd scored a posted cIoC and its re-post with analyzer lag 0, caispd matched an unscorable cIoC posted to its TIP with detections lag 0, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
 
 vet:
 	$(GO) vet ./...

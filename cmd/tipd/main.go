@@ -2,14 +2,14 @@
 // (the MISP-equivalent of the paper's Operational Module): a MISP-format
 // event store with REST API and export modules. Where MISP publishes
 // stored events over zeroMQ, tipd serves its change log: heuristicd
-// follows GET /events/changes?wait= from a cursor. With one or more -peer
-// flags it also joins a federation mesh, continuously pull-replicating
-// from the named peers with durable cursors and echo suppression
-// (internal/mesh).
+// follows GET /events/changes?wait= from a cursor, and tipd's standing
+// STIX-pattern subscriptions follow it in process through the detections
+// loop caispd runs (internal/subscribe). With one or more -peer flags it
+// also joins a federation mesh, continuously pull-replicating from the
+// named peers with durable cursors and echo suppression (internal/mesh).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -19,11 +19,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/daemon"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/mesh"
-	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/storage"
@@ -115,10 +113,30 @@ func run(cfg config) error {
 
 	service := tip.NewService(store, tip.WithName(cfg.name),
 		tip.WithMetrics(reg), tip.WithProvenance(prov))
-	// Standing detections follow the change log from its head as of now,
-	// before the mesh imports anything.
-	detections := tip.NewFollower(service, service.StoreSeq(), clock.Real(), slog.Default())
-	tip.RegisterLag(reg, "detections", func() uint64 { return detections.Lag(service.StoreSeq()) })
+
+	// Streaming detection: clients register STIX patterns over REST and
+	// receive match frames on /ws/matches. The detections loop follows
+	// the change log from its head as of now, before the mesh imports
+	// anything, under caispd's stage rule. The pattern set persists
+	// across restarts through the sidecar file.
+	subsFile := cfg.subsFile
+	if subsFile == "" && cfg.dataDir != "" {
+		subsFile = filepath.Join(cfg.dataDir, "subscriptions.json")
+	}
+	subs := subscribe.NewEngine(
+		subscribe.WithMetrics(reg),
+		subscribe.WithHubMetrics(reg),
+		subscribe.WithPersistPath(subsFile), // empty: no sidecar
+	)
+	defer subs.Close()
+	if subs.Len() > 0 {
+		fmt.Printf("restored %d standing subscription(s) from %s\n", subs.Len(), subsFile)
+	}
+	detections := subs.Detections(service, service.StoreSeq(), nil)
+	tip.RegisterLag(reg, map[string]func() uint64{
+		"detections": func() uint64 { return detections.Lag(service.StoreSeq()) },
+	})
+	rt.Go(detections.Run)
 
 	// Federation: each -peer gets a jittered anti-entropy pull worker.
 	// Cursors persist next to the event store so a restarted node
@@ -168,25 +186,6 @@ func run(cfg config) error {
 		defer lifec.Close()
 	}
 
-	// Streaming detection: clients register STIX patterns over REST and
-	// receive match frames on /ws/matches. The detections follower
-	// evaluates every stored revision against the live pattern set. The
-	// pattern set persists across restarts through the sidecar file.
-	subsFile := cfg.subsFile
-	if subsFile == "" && cfg.dataDir != "" {
-		subsFile = filepath.Join(cfg.dataDir, "subscriptions.json")
-	}
-	subs := subscribe.NewEngine(
-		subscribe.WithMetrics(reg),
-		subscribe.WithHubMetrics(reg),
-		subscribe.WithPersistPath(subsFile), // empty: no sidecar
-	)
-	defer subs.Close()
-	if subs.Len() > 0 {
-		fmt.Printf("restored %d standing subscription(s) from %s\n", subs.Len(), subsFile)
-	}
-	rt.Go(func(ctx context.Context) { detect(ctx, detections, subs) })
-
 	// Health: the store checks (WAL writability as liveness, compaction
 	// backlog and lifecycle progress as readiness) plus mesh-peer
 	// staleness as readiness.
@@ -223,19 +222,4 @@ func run(cfg config) error {
 	fmt.Printf("%s: serving MISP-like REST API on %s (%d events loaded)\n",
 		cfg.name, cfg.addr, service.Len())
 	return rt.Run()
-}
-
-// detect evaluates each revision f reads against the standing patterns,
-// a cIoC at the cIoC stage and an eIoC at the eIoC stage, until ctx ends.
-func detect(ctx context.Context, f *tip.Follower, subs *subscribe.Engine) {
-	f.Run(ctx, func(page []*misp.Event, _ uint64) error {
-		for _, me := range page {
-			stage := subscribe.StageCIoC
-			if me.HasTag("caisp:eioc") {
-				stage = subscribe.StageEIoC
-			}
-			subs.EvaluateMISP(me, stage, -1)
-		}
-		return nil
-	})
 }

@@ -12,7 +12,10 @@
 // others store) or in batch mode (RunBatch: one synchronous pass, used by
 // the examples and the experiment harness). Every stage is concurrent:
 // feeds poll in parallel, a flush scores its clusters over N goroutines
-// and stores them, scored, with one group-committed WAL write.
+// and stores them, scored, with one group-committed WAL write. Standing
+// STIX-pattern subscriptions see every revision through one detections
+// loop (subscribe.Detections) that follows the same change log; batch
+// mode drains it before RunBatch returns.
 package core
 
 import (
@@ -180,12 +183,14 @@ type Platform struct {
 	analyzers int
 
 	// Output module. subs is the streaming-detection engine: standing
-	// STIX-pattern subscriptions evaluated against every admitted
-	// cIoC/eIoC, with matches pushed over its own WebSocket hub.
-	collector *infra.Collector
-	dash      *dashboard.Server
-	subs      *subscribe.Engine
-	taxiiSrv  *taxii.Server
+	// STIX-pattern subscriptions, with matches pushed over its own
+	// WebSocket hub. detections evaluates every revision the store
+	// commits against them, following the change log from New on.
+	collector  *infra.Collector
+	dash       *dashboard.Server
+	subs       *subscribe.Engine
+	detections *subscribe.Detections
+	taxiiSrv   *taxii.Server
 
 	mu      sync.Mutex // guards pending
 	pending []normalize.Event
@@ -203,7 +208,7 @@ type Platform struct {
 	runMu   sync.Mutex
 	started bool
 	cancel  context.CancelFunc
-	workers sync.WaitGroup // the analyzer's follower and the flusher
+	workers sync.WaitGroup // the analyzer's follower, the detections and the flusher
 	// follower is the analyzer's place in the change log while streaming
 	// mode runs; nil otherwise.
 	follower atomic.Pointer[tip.Follower]
@@ -279,6 +284,7 @@ func New(cfg Config) (*Platform, error) {
 		subscribe.WithLogger(cfg.Logger),
 		subscribe.WithClock(cfg.Clock),
 	)
+	p.detections = p.subs.Detections(p.tip, store.Seq(), p.fanOut)
 	p.dash = dashboard.NewServer(collector,
 		dashboard.WithMetrics(reg),
 		dashboard.WithLogger(cfg.Logger),
@@ -369,11 +375,14 @@ func (p *Platform) registerPipelineMetrics() {
 		"One flush: correlation delta, scoring, the group-committed store and its sharing.")
 	p.analyzeDur = reg.Histogram("caisp_pipeline_analyze_seconds",
 		"Heuristic scoring of one cIoC revision and its rIoC pushes.")
-	tip.RegisterLag(reg, "analyzer", func() uint64 {
-		if f := p.follower.Load(); f != nil {
-			return f.Lag(p.store.Seq())
-		}
-		return 0
+	tip.RegisterLag(reg, map[string]func() uint64{
+		"analyzer": func() uint64 {
+			if f := p.follower.Load(); f != nil {
+				return f.Lag(p.store.Seq())
+			}
+			return 0
+		},
+		"detections": func() uint64 { return p.detections.Lag(p.store.Seq()) },
 	})
 }
 
@@ -625,10 +634,9 @@ func (p *Platform) drainPending() []normalize.Event {
 // path (one WAL write and fsync): scored clusters as eIoCs, unscorable
 // ones as cIoCs. The TIP and the heuristic share this process, so the
 // threat score rides the cluster's one revision (§IV-A) instead of a
-// second write-back. What the store installed then runs the cIoC-stage
-// subscription pass, and after it, revision by revision in batch order,
-// the TAXII share, the eIoC-stage pass and the trace's end: the match
-// frames leave in the order two commits per cluster sent them.
+// second write-back. Each eIoC the store installed is then shared over
+// TAXII and its trace ends. The standing patterns see the commit through
+// the detections loop, which follows the change log like any consumer.
 //
 // It stores what it can. A cluster that fails composition, or that the
 // store refuses or fails to commit, is counted as a store failure, its
@@ -713,16 +721,11 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	p.counters.clusterMerges.Add(int64(len(delta.Removed)))
 	p.counters.storeFailures.Add(int64(len(delta.New) + len(delta.Updated) - len(installed)))
 
-	// Streaming detection of the flush's own clusters runs here, on the
-	// flush path; the analyzer's follower does not evaluate subscriptions.
 	p.fanOut(len(installed), func(j int) {
-		p.subs.EvaluateMISP(batch[installed[j]], subscribe.StageCIoC, -1)
-	})
-	p.fanOut(len(installed), func(j int) {
-		me, res := batch[installed[j]], scores[installed[j]]
-		switch res.Outcome {
+		me := batch[installed[j]]
+		switch scores[installed[j]].Outcome {
 		case worker.Enriched:
-			p.publish(me, res)
+			p.publish(me)
 			return
 		case worker.Unscorable:
 			p.counters.unscorable.Add(1)
@@ -791,11 +794,9 @@ func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
 	}
 	scores, err := p.score(batch)
 	var eiocs []*misp.Event
-	var results []worker.Analysis
 	for i, res := range scores {
 		if res.Outcome == worker.Enriched {
 			eiocs = append(eiocs, batch[i])
-			results = append(results, res)
 		}
 	}
 	installed, cerr := p.commit(eiocs)
@@ -803,7 +804,7 @@ func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
 		p.logger.Warn("heuristic analysis failed", "error", err)
 	}
 	p.fanOut(len(installed), func(j int) {
-		p.publish(eiocs[installed[j]], results[installed[j]])
+		p.publish(eiocs[installed[j]])
 	})
 	return nil
 }
@@ -816,11 +817,8 @@ func (p *Platform) pushRIoC(r heuristic.RIoC) {
 }
 
 // publish is the output of a stored eIoC: its scored SDOs are built and
-// shared over TAXII when the server is on, it runs against the live
-// subscription set with its threat score exposed as
-// x-caisp:threat-score, so score-gated patterns can fire, and its trace
-// ends.
-func (p *Platform) publish(me *misp.Event, res worker.Analysis) {
+// shared over TAXII when the server is on, and its trace ends.
+func (p *Platform) publish(me *misp.Event) {
 	p.counters.eiocs.Add(1)
 	if p.taxiiSrv != nil {
 		sdos, err := p.analyzer.Enriched(me)
@@ -831,7 +829,6 @@ func (p *Platform) publish(me *misp.Event, res worker.Analysis) {
 			p.logger.Warn("taxii share failed", "error", err)
 		}
 	}
-	p.subs.EvaluateMISP(me, subscribe.StageEIoC, res.Score)
 	p.tracer.Finish(me.UUID, obs.StagePublish)
 }
 
@@ -863,11 +860,13 @@ func (p *Platform) fanOut(n int, fn func(i int)) {
 }
 
 // RunBatch performs one synchronous pipeline pass: poll every feed once
-// (in parallel), dedup, and flush what arrived. Not for use while Start
-// is running.
+// (in parallel), dedup, flush what arrived, and evaluate the standing
+// patterns against everything the store committed since the last pass.
+// Not for use while Start is running.
 func (p *Platform) RunBatch(ctx context.Context) error {
 	p.scheduler.PollOnce(ctx)
 	_, err := p.flush(p.drainPending())
+	p.detections.Drain(p.store.Seq())
 	return err
 }
 
@@ -879,7 +878,8 @@ func (p *Platform) RunBatch(ctx context.Context) error {
 // pending event can wait, not the period. The analyzer follows the TIP's
 // change log from its head as of Start and scores every cIoC revision
 // stored unscored: REST posts, TIP sync imports, and clusters a flush
-// could not score.
+// could not score. The detections loop follows the same log from where
+// it stands.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -894,10 +894,14 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 
 	follower := tip.NewFollower(p.tip, p.store.Seq(), p.clk, p.logger)
 	p.follower.Store(follower)
-	p.workers.Add(2)
+	p.workers.Add(3)
 	go func() {
 		defer p.workers.Done()
 		follower.Run(ctx, p.analyzePage)
+	}()
+	go func() {
+		defer p.workers.Done()
+		p.detections.Run(ctx)
 	}()
 
 	go func() {
@@ -920,7 +924,8 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	return p.scheduler.Start(ctx)
 }
 
-// Stop ends streaming mode and flushes remaining pending events.
+// Stop ends streaming mode, flushes remaining pending events and
+// evaluates the standing patterns against what is committed by then.
 func (p *Platform) Stop() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -936,6 +941,7 @@ func (p *Platform) Stop() {
 	if _, err := p.flush(p.drainPending()); err != nil {
 		p.logger.Warn("final flush failed", "error", err)
 	}
+	p.detections.Drain(p.store.Seq())
 }
 
 // Close releases resources (store, dashboard sockets). The

@@ -17,6 +17,8 @@ import (
 
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/feed"
+	"github.com/caisplatform/caisp/internal/misp"
+	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/wsock"
 )
@@ -170,5 +172,171 @@ func blockUntil(t *testing.T, clk *clock.Fake, n int) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("fewer than %d timers armed on the clock", n)
+	}
+}
+
+// matchFrames streams the match frames a /ws/matches watcher on p's
+// dashboard receives, after the greeting.
+func matchFrames(t *testing.T, p *Platform) <-chan subscribe.EventFrame {
+	t.Helper()
+	srv := httptest.NewServer(p.Dashboard())
+	t.Cleanup(srv.Close)
+	conn, err := wsock.Dial("ws" + strings.TrimPrefix(srv.URL, "http") + "/ws/matches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, _, err := conn.ReadMessage(); err != nil { // hello greeting
+		t.Fatal(err)
+	}
+	frames := make(chan subscribe.EventFrame, 8)
+	go func() {
+		defer close(frames)
+		for {
+			_, payload, err := conn.ReadMessage()
+			if err != nil {
+				return
+			}
+			var frame subscribe.EventFrame
+			if json.Unmarshal(payload, &frame) == nil {
+				frames <- frame
+			}
+		}
+	}()
+	return frames
+}
+
+// awaitFrame blocks until a match frame for uuid arrives.
+func awaitFrame(t *testing.T, frames <-chan subscribe.EventFrame, uuid string) subscribe.EventFrame {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case frame, ok := <-frames:
+			if !ok {
+				t.Fatal("match stream closed early")
+			}
+			if frame.Event == uuid {
+				return frame
+			}
+		case <-deadline:
+			t.Fatalf("no match frame for %s", uuid)
+		}
+	}
+}
+
+// TestDetectionsMatchAPostedCIoCAsAFlushedOne: an unscorable cluster
+// fires a category pattern once whether the flush composed it or it was
+// posted to the TIP of a started platform. Detections follow the change
+// log, so they see every revision the store commits, whoever stores it.
+func TestDetectionsMatchAPostedCIoCAsAFlushedOne(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(p *Platform) string // returns the cluster's UUID
+	}{{
+		name: "flushed",
+		store: func(p *Platform) string {
+			p.ingest([]normalize.Event{ctxEvent(t, "opaque-token", normalize.CategoryMalwareDomain, nil)})
+			return awaitChanges(t, p, 1)[0].UUID
+		},
+	}, {
+		name: "posted",
+		store: func(p *Platform) string {
+			posted := clusterOf(t, "opaque-token", normalize.CategoryMalwareDomain, nil)
+			if _, err := p.TIP().AddEvent(posted); err != nil {
+				t.Fatal(err)
+			}
+			return posted.UUID
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t, Config{DisableLifecycle: true})
+			sub, err := p.Subscriptions().Register("siem", "[x-caisp:category = 'malware-domain']")
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := matchFrames(t, p)
+			if err := p.Start(context.Background(), time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			uuid := tc.store(p)
+			if frame := awaitFrame(t, frames, uuid); frame.Stage != subscribe.StageCIoC {
+				t.Fatalf("matched at the %s stage, want cioc", frame.Stage)
+			}
+			p.Stop()
+			if got, _ := p.Subscriptions().Get(sub.ID); got.Matches != 1 {
+				t.Fatalf("the %s cluster matched %d times, want 1", tc.name, got.Matches)
+			}
+		})
+	}
+}
+
+// awaitChanges blocks until the change log holds n live revisions and
+// returns them.
+func awaitChanges(t *testing.T, p *Platform, n int) []*misp.Event {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		committed := p.store.Committed() // before the read: see Store.Committed
+		page, _, _, err := p.TIP().ChangesPage(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page) >= n {
+			return page
+		}
+		select {
+		case <-committed:
+		case <-deadline:
+			t.Fatalf("%d of %d revisions committed", len(page), n)
+		}
+	}
+}
+
+// TestRunBatchDetectsWhatWasPostedBetweenBatches: RunBatch evaluates the
+// standing patterns against every revision committed since the last
+// pass, not only against its own flush, before it returns.
+func TestRunBatchDetectsWhatWasPostedBetweenBatches(t *testing.T) {
+	p := newPlatform(t, Config{DisableLifecycle: true})
+	sub, err := p.Subscriptions().Register("siem", "[vulnerability:name = 'CVE-2017-9805']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunBatch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.TIP().AddEvent(clusterOf(t, "CVE-2017-9805", normalize.CategoryVulnExploit, strutsContext)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunBatch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.Subscriptions().Get(sub.ID); got.Matches != 1 {
+		t.Fatalf("the posted cIoC matched %d times by the end of the batch, want 1", got.Matches)
+	}
+}
+
+// TestStopDetectsWhatItsFinalFlushLands: a cluster that only Stop's final
+// flush stores fires its pattern at both stages before Stop returns.
+func TestStopDetectsWhatItsFinalFlushLands(t *testing.T) {
+	p := newPlatform(t, Config{DisableLifecycle: true})
+	sub, err := p.Subscriptions().Register("siem", "[domain-name:value = 'poll1.example']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(context.Background(), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	// Pending without the wake-up, on a clock that never ticks: only the
+	// final flush takes it.
+	p.mu.Lock()
+	p.pending = append(p.pending, poll(t, 1)...)
+	p.mu.Unlock()
+	p.Stop()
+	if st := p.Stats(); st.EIoCs != 1 {
+		t.Fatalf("after Stop: %+v, want the pending cluster stored as an eIoC", st)
+	}
+	if got, _ := p.Subscriptions().Get(sub.ID); got.Matches != 2 {
+		t.Fatalf("the final flush's cluster matched %d times, want 2 (cioc and eioc)", got.Matches)
 	}
 }

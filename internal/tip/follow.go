@@ -116,11 +116,28 @@ func (f *Follower) Run(ctx context.Context, handle func(page []*misp.Event, next
 	}
 }
 
-// RegisterLag exposes caisp_consumer_lag{consumer} on reg: lag, read at
-// scrape time, is how far the consumer's follower trails the store. One
-// consumer per registry. A nil registry registers nothing.
-func RegisterLag(reg *obs.Registry, consumer string, lag func() uint64) {
-	reg.GaugeVec("caisp_consumer_lag",
-		"Change-log entries committed past the consumer's follower cursor.", "consumer").
-		Func(func() float64 { return float64(lag()) }, consumer)
+// Drain handles, as Run does, the pages committed up to head, and returns
+// at head, at the feed's end or at a failure instead of waiting. Not for
+// use while Run runs.
+func (f *Follower) Drain(head uint64, handle func(page []*misp.Event, next uint64) error) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel() // a caught-up Service answers a done context at once
+	for after := f.Cursor(); after < head; after = f.Cursor() {
+		page, next, err := f.feed.NextPage(done, after, followPage)
+		if err != nil || next == after || handle(page, next) != nil {
+			return
+		}
+		f.cursor.Store(next)
+	}
+}
+
+// RegisterLag exposes caisp_consumer_lag{consumer} on reg, one series per
+// named consumer: its lag, read at scrape time, is how far that
+// consumer's follower trails the store. A nil registry registers nothing.
+func RegisterLag(reg *obs.Registry, lags map[string]func() uint64) {
+	vec := reg.GaugeVec("caisp_consumer_lag",
+		"Change-log entries committed past the consumer's follower cursor.", "consumer")
+	for consumer, lag := range lags {
+		vec.Func(func() float64 { return float64(lag()) }, consumer)
+	}
 }
