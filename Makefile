@@ -20,8 +20,12 @@ bench:
 # conversion block keys (a block whose key a mutation left alone converts
 # to the same objects), the WAL
 # segment scanner, the snapshot loader (Open refuses the file or its change
-# log lists exactly its live events), the STIX pattern parser and
-# stixpattern.Equality (Parse reads back the AST it rendered). A new
+# log lists exactly its live events), the STIX pattern parser,
+# stixpattern.Equality (Parse reads back the AST it rendered), the UUID
+# parser (against hex.DecodeString) and correlate.Splice (a cluster's
+# revision spliced from the one stored before it, as the flush left it
+# or replaced through REST, equals the full ToMISP apart from attribute
+# UUIDs, and keeps only UUIDs of attributes stored unaltered). A new
 # input is minimized for at most a second, so a target spends its ten
 # seconds executing instead of shrinking the first input that widened
 # coverage (the default allows a minute).
@@ -32,6 +36,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 	$(GO) test -run '^$$' -fuzz FuzzEqualityPattern -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/uuid/
+	$(GO) test -run '^$$' -fuzz FuzzToMISPSplice -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own
 # that calls internal/... directly, so the root build and tests never

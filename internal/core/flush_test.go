@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,5 +171,28 @@ func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStartIsOncePerPlatform: a Start after Stop fails, and it fails
+// before it launches anything, so no goroutine of it outlives the call.
+func TestStartIsOncePerPlatform(t *testing.T) {
+	p := newPlatform(t, Config{Feeds: []feed.Feed{advisoryFeed(strutsAdvisory)}, DisableLifecycle: true})
+	if err := p.Start(context.Background(), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	baseline := runtime.NumGoroutine()
+	if err := p.Start(context.Background(), time.Hour); err == nil {
+		t.Fatal("Start after Stop accepted")
+	}
+	// A goroutine launched and then stopped would be gone within the
+	// deadline; one left running keeps the count above the baseline.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the refused Start, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -687,7 +687,10 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 	batch := make([]*misp.Event, 0, len(delta.New)+len(delta.Updated))
 	compose := func(ciocs []correlate.ComposedIoC) {
 		for i := range ciocs {
-			me, err := correlate.ToMISP(&ciocs[i], now)
+			// A grown cluster's unchanged members keep the attribute
+			// UUIDs of the revision stored for it.
+			prev, _ := p.tip.GetEvent(ciocs[i].ID)
+			me, err := correlate.Splice(&ciocs[i], prev, now)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("core: compose cIoC: %w", err))
 				p.tracer.Drop(ciocs[i].ID)
@@ -879,7 +882,8 @@ func (p *Platform) RunBatch(ctx context.Context) error {
 // change log from its head as of Start and scores every cIoC revision
 // stored unscored: REST posts, TIP sync imports, and clusters a flush
 // could not score. The detections loop follows the same log from where
-// it stands.
+// it stands. Start runs once per Platform: a second call, even after
+// Stop, fails before it launches anything.
 func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -889,7 +893,13 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	if flushInterval <= 0 {
 		flushInterval = time.Second
 	}
-	ctx, p.cancel = context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	// The feed scheduler starts once, so it refuses a restart first.
+	if err := p.scheduler.Start(ctx); err != nil {
+		cancel()
+		return fmt.Errorf("core: start: %w", err)
+	}
+	p.cancel = cancel
 	p.started = true
 
 	follower := tip.NewFollower(p.tip, p.store.Seq(), p.clk, p.logger)
@@ -920,8 +930,7 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 			}
 		}
 	}()
-
-	return p.scheduler.Start(ctx)
+	return nil
 }
 
 // Stop ends streaming mode, flushes remaining pending events and

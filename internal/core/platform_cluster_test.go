@@ -313,3 +313,73 @@ func TestStreamingClusterStress(t *testing.T) {
 		t.Fatalf("stored cIoC events = %d, want %d", len(ciocs), campaigns)
 	}
 }
+
+// TestGrownClusterKeepsAttributeUUIDs: a flush splices a grown cluster's
+// revision from the stored one, so its members keep their attribute
+// UUIDs across revisions. A member whose stored attribute was altered
+// through the TIP is rendered again under a fresh UUID, and the revision
+// after that one keeps UUIDs again.
+func TestGrownClusterKeepsAttributeUUIDs(t *testing.T) {
+	p := newPlatform(t, Config{})
+	uuids := func(uuid string) map[string]string { // value -> attribute UUID
+		t.Helper()
+		me, err := p.TIP().GetEvent(uuid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, a := range me.Attributes {
+			out[a.Value] = a.UUID
+		}
+		return out
+	}
+	cluster := ""
+	grow := func(value string) map[string]string {
+		t.Helper()
+		stored, err := p.flush([]normalize.Event{ctxEvent(t, value, normalize.CategoryMalwareDomain, nil)})
+		if err != nil || len(stored) != 1 {
+			t.Fatalf("flush of %s stored %d revisions: %v", value, len(stored), err)
+		}
+		if cluster == "" {
+			cluster = stored[0].UUID
+		} else if stored[0].UUID != cluster {
+			t.Fatalf("%s did not grow cluster %s", value, cluster)
+		}
+		return uuids(cluster)
+	}
+	first := grow("a.evil.example")
+	second := grow("b.evil.example")
+	if second["a.evil.example"] != first["a.evil.example"] {
+		t.Fatalf("unchanged member's attribute UUID moved: %s -> %s", first["a.evil.example"], second["a.evil.example"])
+	}
+	if second["b.evil.example"] == "" || second["b.evil.example"] == first["a.evil.example"] {
+		t.Fatalf("new member's attribute UUID = %q", second["b.evil.example"])
+	}
+
+	// Replace the stored revision with one whose first member carries an
+	// altered comment, as a TIP client may.
+	edited, err := p.TIP().GetEvent(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited = edited.Clone()
+	for i := range edited.Attributes {
+		if edited.Attributes[i].Value == "a.evil.example" {
+			edited.Attributes[i].Comment = "edited by an analyst"
+		}
+	}
+	edited.Timestamp.Time = edited.Timestamp.Add(time.Second)
+	if _, err := p.TIP().AddEvent(edited); err != nil {
+		t.Fatal(err)
+	}
+	third := grow("c.evil.example")
+	if third["a.evil.example"] == second["a.evil.example"] {
+		t.Fatal("a member altered in the stored revision kept its attribute UUID")
+	}
+	fourth := grow("d.evil.example")
+	for _, v := range []string{"a.evil.example", "b.evil.example", "c.evil.example"} {
+		if fourth[v] != third[v] {
+			t.Fatalf("%s: attribute UUID moved after the re-rendered revision", v)
+		}
+	}
+}

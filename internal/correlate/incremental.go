@@ -64,7 +64,9 @@ type cluster struct {
 	uuid     string
 	seq      uint64
 	category string
-	members  []string
+	// members lists the member event IDs in sorted order, the order
+	// compose emits them in.
+	members []string
 	// shared lists, unsorted, the correlation keys carried two or more
 	// times by members. Every sighting of a key is unioned into one
 	// cluster, so a key joins the list of the cluster that holds it on its
@@ -231,7 +233,7 @@ func (inc *Incremental) unionClusters(cs *catState, a, b string, dirty map[*clus
 	if cb.seq < ca.seq {
 		surv, abs = cb, ca
 	}
-	surv.members = append(surv.members, abs.members...)
+	surv.members = mergeSorted(surv.members, abs.members)
 	surv.shared = append(surv.shared, abs.shared...)
 	abs.absorbed = true
 	delete(cs.clusters, ra)
@@ -242,6 +244,19 @@ func (inc *Incremental) unionClusters(cs *catState, a, b string, dirty map[*clus
 		*removed = append(*removed, abs.uuid)
 		inc.stats.Merges++
 	}
+}
+
+// mergeSorted merges two sorted lists of distinct member IDs.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // composeDelta turns the dirty cluster set of one Add into a sorted Delta,
@@ -274,10 +289,8 @@ func (inc *Incremental) composeDelta(dirty map[*cluster]bool, removed []string) 
 // stable cluster UUID; ContentHash is the membership-sensitive composedID.
 func (inc *Incremental) compose(cl *cluster) ComposedIoC {
 	cs := inc.cat(cl.category)
-	memberIDs := append([]string(nil), cl.members...)
-	sort.Strings(memberIDs)
-	c := ComposedIoC{ID: cl.uuid, Category: cl.category}
-	for _, id := range memberIDs {
+	c := ComposedIoC{ID: cl.uuid, Category: cl.category, Events: make([]normalize.Event, 0, len(cl.members))}
+	for _, id := range cl.members {
 		e := cs.byID[id]
 		c.Events = append(c.Events, e)
 		if c.FirstSeen.IsZero() || e.FirstSeen.Before(c.FirstSeen) {
@@ -289,7 +302,7 @@ func (inc *Incremental) compose(cl *cluster) ComposedIoC {
 	}
 	c.CorrelationKeys = append([]string(nil), cl.shared...)
 	sort.Strings(c.CorrelationKeys)
-	c.ContentHash = composedID(memberIDs)
+	c.ContentHash = composedID(cl.members)
 	return c
 }
 
@@ -338,11 +351,13 @@ func (inc *Incremental) Seed(clusterID string, events []normalize.Event) (absorb
 		for i := 1; i < len(fresh); i++ {
 			cs.uf.union(fresh[0], fresh[i])
 		}
+		members := append([]string(nil), fresh...)
+		sort.Strings(members)
 		cl := &cluster{
 			uuid:     clusterID,
 			seq:      inc.nextSeq(),
 			category: category,
-			members:  fresh,
+			members:  members,
 			emitted:  true,
 		}
 		cs.clusters[cs.uf.find(fresh[0])] = cl

@@ -388,3 +388,44 @@ func TestSharedKeysMatchCountedRecomputation(t *testing.T) {
 		t.Fatal("no trial merged two emitted clusters")
 	}
 }
+
+// TestComposedMembersSorted: a cluster keeps its members sorted through
+// Seed (given them in any order), growth and merges, so compose emits
+// them by ID and hashes them in that order.
+func TestComposedMembersSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	stream := randomStream(t, rng, 120)
+	inc := NewIncremental()
+	seeded := stream[:20]
+	sort.Slice(seeded, func(i, j int) bool { return seeded[i].ID > seeded[j].ID })
+	for lo := 0; lo < len(seeded); lo += 5 {
+		byCategory := make(map[string][]normalize.Event)
+		for _, e := range seeded[lo : lo+5] {
+			byCategory[e.Category] = append(byCategory[e.Category], e)
+		}
+		for cat, events := range byCategory {
+			inc.Seed(fmt.Sprintf("seeded-%s-%d", cat, lo), events)
+		}
+	}
+	check := func(cs []ComposedIoC) {
+		t.Helper()
+		for _, c := range cs {
+			ids := make([]string, len(c.Events))
+			for i, e := range c.Events {
+				ids[i] = e.ID
+			}
+			if !sort.StringsAreSorted(ids) {
+				t.Fatalf("cluster %s emits members out of order: %v", c.ID, ids)
+			}
+			if c.ContentHash != composedID(ids) {
+				t.Fatalf("cluster %s hash %s, want %s", c.ID, c.ContentHash, composedID(ids))
+			}
+		}
+	}
+	for lo := 20; lo < len(stream); lo += 7 {
+		d := inc.Add(stream[lo:min(lo+7, len(stream))])
+		check(d.New)
+		check(d.Updated)
+	}
+	check(inc.Clusters())
+}

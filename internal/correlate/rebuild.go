@@ -12,14 +12,19 @@ const (
 	clusterContentTagPrefix = "caisp:cluster-content=\""
 )
 
-// memberTypes inverts attributeType: the MISP attribute types that carry
+// memberTypes inverts attributeKind: the MISP attribute types that carry
 // member indicator values, with the normalized type each stands for.
 // Context-bearing attributes — comments, classification text, cvss
 // vectors, reference links — are absent. "ip-dst" stands for three
 // address types; MemberType tells them apart.
 var memberTypes = func() map[string]normalize.IoCType {
-	out := make(map[string]normalize.IoCType, len(attributeType))
-	for typ, attr := range attributeType {
+	out := make(map[string]normalize.IoCType)
+	for _, typ := range []normalize.IoCType{
+		normalize.TypeIPv4, normalize.TypeIPv6, normalize.TypeCIDR, normalize.TypeDomain,
+		normalize.TypeURL, normalize.TypeEmail, normalize.TypeMD5, normalize.TypeSHA1,
+		normalize.TypeSHA256, normalize.TypeSHA512, normalize.TypeCVE, normalize.TypeFilename,
+	} {
+		attr, _ := attributeKind(typ)
 		out[attr] = typ
 	}
 	return out

@@ -7,48 +7,35 @@ import (
 
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
+	"github.com/caisplatform/caisp/internal/uuid"
 )
-
-// attributeType maps a normalized IoC type onto the MISP attribute type the
-// operational module stores.
-var attributeType = map[normalize.IoCType]string{
-	normalize.TypeIPv4:     "ip-dst",
-	normalize.TypeIPv6:     "ip-dst",
-	normalize.TypeCIDR:     "ip-dst",
-	normalize.TypeDomain:   "domain",
-	normalize.TypeURL:      "url",
-	normalize.TypeEmail:    "email-dst",
-	normalize.TypeMD5:      "md5",
-	normalize.TypeSHA1:     "sha1",
-	normalize.TypeSHA256:   "sha256",
-	normalize.TypeSHA512:   "sha512",
-	normalize.TypeCVE:      "vulnerability",
-	normalize.TypeFilename: "filename",
-}
 
 // AttributeType returns the MISP attribute type the operational module
 // stores an indicator of typ as: a composed IoC's member, or an
 // infrastructure sighting. A type without one is stored as "text".
 func AttributeType(typ normalize.IoCType) string {
-	if attr, ok := attributeType[typ]; ok {
-		return attr
-	}
-	return "text"
+	attr, _ := attributeKind(typ)
+	return attr
 }
 
-var attributeCategory = map[normalize.IoCType]string{
-	normalize.TypeIPv4:     "Network activity",
-	normalize.TypeIPv6:     "Network activity",
-	normalize.TypeCIDR:     "Network activity",
-	normalize.TypeDomain:   "Network activity",
-	normalize.TypeURL:      "Network activity",
-	normalize.TypeEmail:    "Payload delivery",
-	normalize.TypeMD5:      "Payload delivery",
-	normalize.TypeSHA1:     "Payload delivery",
-	normalize.TypeSHA256:   "Payload delivery",
-	normalize.TypeSHA512:   "Payload delivery",
-	normalize.TypeCVE:      "External analysis",
-	normalize.TypeFilename: "Payload delivery",
+// attributeKind returns the MISP attribute type and category an indicator
+// of typ is stored under.
+func attributeKind(typ normalize.IoCType) (attr, category string) {
+	switch typ {
+	case normalize.TypeIPv4, normalize.TypeIPv6, normalize.TypeCIDR:
+		return "ip-dst", "Network activity"
+	case normalize.TypeDomain:
+		return "domain", "Network activity"
+	case normalize.TypeURL:
+		return "url", "Network activity"
+	case normalize.TypeEmail:
+		return "email-dst", "Payload delivery"
+	case normalize.TypeMD5, normalize.TypeSHA1, normalize.TypeSHA256, normalize.TypeSHA512, normalize.TypeFilename:
+		return string(typ), "Payload delivery" // MISP names these types alike
+	case normalize.TypeCVE:
+		return "vulnerability", "External analysis"
+	}
+	return "text", "Other"
 }
 
 // ToMISP renders a composed IoC as a MISP event, ready for storage in the
@@ -56,6 +43,21 @@ var attributeCategory = map[normalize.IoCType]string{
 // and correlation keys become tags; per-event context rides along as
 // attribute comments.
 func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
+	return Splice(c, nil, now)
+}
+
+// Splice renders c as ToMISP does, keeping the attribute UUIDs of prev,
+// the revision the store holds for c.ID (nil for none). prev is only read,
+// so it may be the store's frozen view. Members are matched in order
+// against prev's attributes from where the last matched member's ended.
+// A member prev carries there field for field as ToMISP renders it,
+// UUIDs aside, keeps prev's UUIDs, unless it has no LastSeen and so is
+// stamped now. One carried with other timestamps draws fresh UUIDs but
+// is matched all the same; any other draws fresh UUIDs and leaves the
+// match point where it was. A grown cluster's revision thus draws UUIDs
+// only for its new members, and an attribute's UUID is stable across the
+// cluster's revisions.
+func Splice(c *ComposedIoC, prev *misp.Event, now time.Time) (*misp.Event, error) {
 	if len(c.Events) == 0 {
 		return nil, fmt.Errorf("correlate: composed IoC %s has no events", c.ID)
 	}
@@ -73,55 +75,108 @@ func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
 	for _, key := range c.CorrelationKeys {
 		e.AddTag("caisp:correlated-by=\"" + key + "\"")
 	}
-	for _, ev := range c.Events {
-		typ := AttributeType(ev.Type)
-		category, ok := attributeCategory[ev.Type]
-		if !ok {
-			category = "Other"
+	var old []misp.Attribute // prev's attributes from the next member's on
+	if prev != nil {
+		old = prev.Attributes
+	}
+	e.Attributes = make([]misp.Attribute, 0, max(len(c.Events), len(old)))
+	for i := range c.Events {
+		ev := &c.Events[i]
+		start := len(e.Attributes)
+		var stored string // the comment at the match point, reused if it is ev's
+		if len(old) > 0 {
+			stored = old[0].Comment
 		}
-		at := ev.LastSeen
-		if at.IsZero() {
-			at = now
+		e.Attributes = appendMember(e.Attributes, ev, now, stored)
+		span := e.Attributes[start:]
+		same, stamped := carried(old, span)
+		keep := same && stamped && !ev.LastSeen.IsZero()
+		for k := range span {
+			if keep {
+				span[k].UUID = old[k].UUID
+			} else {
+				span[k].UUID = uuid.NewV4().String()
+			}
 		}
-		// Advisories carry their own publication date; the attribute
-		// timestamp (which becomes the STIX created/modified instant and
-		// drives the timeliness heuristics) uses it when available.
-		if published, ok := ev.Context["published"]; ok && typ == "vulnerability" {
+		if same { // the member's own span, re-stamped or not
+			old = old[len(span):]
+		}
+	}
+	return e, nil
+}
+
+// carried reports whether old begins with span field for field, apart
+// from UUIDs and timestamps, and whether the timestamps match too. ToMISP
+// renders no attribute tags, so a tagged attribute never matches.
+func carried(old, span []misp.Attribute) (same, stamped bool) {
+	if len(old) < len(span) {
+		return false, false
+	}
+	stamped = true
+	for k := range span {
+		a, b := &span[k], &old[k]
+		if a.Type != b.Type || a.Category != b.Category || a.Value != b.Value ||
+			a.Comment != b.Comment || a.ToIDS != b.ToIDS || len(b.Tags) != 0 {
+			return false, false
+		}
+		stamped = stamped && a.Timestamp.Equal(b.Timestamp.Time)
+	}
+	return true, stamped
+}
+
+// appendMember appends the attributes member ev renders to, without
+// UUIDs: its indicator, then the context that rides beside it. It is the
+// one statement of a member's rendering, so a spliced revision and a full
+// one cannot drift apart. stored is a comment the indicator may share
+// (see attributeComment).
+func appendMember(dst []misp.Attribute, ev *normalize.Event, now time.Time, stored string) []misp.Attribute {
+	typ, category := attributeKind(ev.Type)
+	at := ev.LastSeen
+	if at.IsZero() {
+		at = now
+	}
+	// Advisories carry their own publication date; the attribute
+	// timestamp (which becomes the STIX created/modified instant and
+	// drives the timeliness heuristics) uses it when available.
+	if typ == "vulnerability" {
+		if published, ok := ev.Context["published"]; ok {
 			if ts, err := time.Parse("2006-01-02", published); err == nil {
 				at = ts.UTC()
 			}
 		}
-		attr := e.AddAttribute(typ, category, ev.Value, at)
-		attr.Comment = attributeComment(ev)
-		// NLP classification verdicts ride to SIEM consumers ("the
-		// prediction confidence of the classifier can be included in the
-		// data sent to SIEMs", §II-A).
-		if class, ok := ev.Context["classified_as"]; ok {
-			e.AddAttribute("text", "Other",
-				"classification:"+class+" confidence:"+ev.Context["classifier_confidence"], at)
+	}
+	add := func(typ, category, value string) {
+		dst = append(dst, misp.NewAttribute(typ, category, value, at))
+	}
+	add(typ, category, ev.Value)
+	dst[len(dst)-1].Comment = attributeComment(ev, stored)
+	// NLP classification verdicts ride to SIEM consumers ("the
+	// prediction confidence of the classifier can be included in the
+	// data sent to SIEMs", §II-A).
+	if class, ok := ev.Context["classified_as"]; ok {
+		add("text", "Other", "classification:"+class+" confidence:"+ev.Context["classifier_confidence"])
+	}
+	if typ == "vulnerability" {
+		if v, ok := ev.Context["cvss-vector"]; ok {
+			add("cvss-vector", "External analysis", v)
 		}
-		if typ == "vulnerability" {
-			if v, ok := ev.Context["cvss-vector"]; ok {
-				e.AddAttribute("cvss-vector", "External analysis", v, at)
-			}
-			// Context that the heuristic's accuracy features consume rides
-			// along as prefixed text attributes (see misp.ToSTIX).
-			if v, ok := ev.Context["os"]; ok {
-				e.AddAttribute("text", "Other", "os:"+v, at)
-			}
-			if v, ok := ev.Context["products"]; ok {
-				e.AddAttribute("text", "Other", "products:"+v, at)
-			}
-			if refs, ok := ev.Context["references"]; ok {
-				for _, ref := range strings.Split(refs, ",") {
-					if ref = strings.TrimSpace(ref); ref != "" {
-						e.AddAttribute("link", "External analysis", ref, at)
-					}
+		// Context that the heuristic's accuracy features consume rides
+		// along as prefixed text attributes (see misp.ToSTIX).
+		if v, ok := ev.Context["os"]; ok {
+			add("text", "Other", "os:"+v)
+		}
+		if v, ok := ev.Context["products"]; ok {
+			add("text", "Other", "products:"+v)
+		}
+		if refs, ok := ev.Context["references"]; ok {
+			for _, ref := range strings.Split(refs, ",") {
+				if ref = strings.TrimSpace(ref); ref != "" {
+					add("link", "External analysis", ref)
 				}
 			}
 		}
 	}
-	return e, nil
+	return dst
 }
 
 func composedInfo(c *ComposedIoC) string {
@@ -132,13 +187,34 @@ func composedInfo(c *ComposedIoC) string {
 	return fmt.Sprintf("cIoC [%s] %s (+%d correlated)", c.Category, primary, len(c.Events)-1)
 }
 
-func attributeComment(ev normalize.Event) string {
-	var parts []string
-	if desc, ok := ev.Context["description"]; ok {
-		parts = append(parts, desc)
+// attributeComment returns the comment of member ev's indicator: its
+// description, then the feeds that reported it. When stored reads so
+// already it returns stored, so an unchanged member's comment is checked
+// without being built.
+func attributeComment(ev *normalize.Event, stored string) string {
+	desc, hasDesc := ev.Context["description"]
+	srcs := ev.Sources()
+	if len(srcs) == 0 {
+		return desc
 	}
-	if srcs := ev.Sources(); len(srcs) > 0 {
-		parts = append(parts, "sources: "+strings.Join(srcs, ", "))
+	sep := "sources: "
+	if hasDesc {
+		sep = " | sources: "
 	}
-	return strings.Join(parts, " | ")
+	rest, ok := strings.CutPrefix(stored, desc)
+	if ok {
+		rest, ok = strings.CutPrefix(rest, sep)
+	}
+	for i := 0; ok && i < len(srcs); i++ {
+		if i > 0 {
+			rest, ok = strings.CutPrefix(rest, ", ")
+		}
+		if ok {
+			rest, ok = strings.CutPrefix(rest, srcs[i])
+		}
+	}
+	if ok && rest == "" {
+		return stored
+	}
+	return desc + sep + strings.Join(srcs, ", ")
 }

@@ -162,16 +162,17 @@ func NewEvent(info string, now time.Time) *Event {
 	}
 }
 
+// NewAttribute returns an attribute stamped at now with MISP's default
+// to_ids for its type, and no UUID yet.
+func NewAttribute(typ, category, value string, now time.Time) Attribute {
+	return Attribute{Type: typ, Category: category, Value: value, ToIDS: defaultToIDS(typ), Timestamp: UT(now)}
+}
+
 // AddAttribute appends a new attribute and returns a pointer to it.
 func (e *Event) AddAttribute(typ, category, value string, now time.Time) *Attribute {
-	e.Attributes = append(e.Attributes, Attribute{
-		UUID:      uuid.NewV4().String(),
-		Type:      typ,
-		Category:  category,
-		Value:     value,
-		ToIDS:     defaultToIDS(typ),
-		Timestamp: UT(now),
-	})
+	a := NewAttribute(typ, category, value, now)
+	a.UUID = uuid.NewV4().String()
+	e.Attributes = append(e.Attributes, a)
 	return &e.Attributes[len(e.Attributes)-1]
 }
 
@@ -189,14 +190,9 @@ func (e *Event) AddObject(name, metaCategory string) *Object {
 // AddAttribute appends an attribute to the object and returns a pointer to
 // it.
 func (o *Object) AddAttribute(typ, category, value string, now time.Time) *Attribute {
-	o.Attributes = append(o.Attributes, Attribute{
-		UUID:      uuid.NewV4().String(),
-		Type:      typ,
-		Category:  category,
-		Value:     value,
-		ToIDS:     defaultToIDS(typ),
-		Timestamp: UT(now),
-	})
+	a := NewAttribute(typ, category, value, now)
+	a.UUID = uuid.NewV4().String()
+	o.Attributes = append(o.Attributes, a)
 	return &o.Attributes[len(o.Attributes)-1]
 }
 

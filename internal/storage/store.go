@@ -1013,9 +1013,10 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 	}
 	old, existed := s.lookup(e.UUID)
 	if existed {
-		s.unindex(old.event)
+		s.reindex(old.event, e)
 		s.staleChanges++ // the old revision's change entry is now dead
 	} else {
+		s.index(e)
 		s.count++
 	}
 	se := &storedEvent{event: e, seq: seq}
@@ -1030,7 +1031,6 @@ func (s *Store) apply(e *misp.Event, seq uint64) {
 		delete(s.tombstones, e.UUID)
 		s.staleChanges++
 	}
-	s.index(e)
 	s.changes = append(s.changes, changeEntry{seq: seq, uuid: e.UUID})
 	s.compactChanges()
 }
@@ -1114,6 +1114,28 @@ func (s *Store) compactChanges() {
 func (s *Store) index(e *misp.Event) {
 	for _, a := range allAttributes(e) {
 		addPosting(s.byValue, a.Value, e.UUID)
+	}
+}
+
+// reindex moves the postings of old, the revision e replaces, to e: only
+// the postings of values one of them carries and the other does not gain
+// or lose the UUID, so a revision that grew touches only its new values.
+func (s *Store) reindex(old, e *misp.Event) {
+	carried := make(map[string]bool, len(old.Attributes)) // old's values, true once e carries them too
+	for _, a := range allAttributes(old) {
+		carried[a.Value] = false
+	}
+	for _, a := range allAttributes(e) {
+		if _, ok := carried[a.Value]; ok {
+			carried[a.Value] = true
+			continue
+		}
+		addPosting(s.byValue, a.Value, e.UUID)
+	}
+	for value, kept := range carried {
+		if !kept {
+			removePosting(s.byValue, value, e.UUID)
+		}
 	}
 }
 

@@ -57,19 +57,39 @@ func NewV5(ns UUID, name []byte) UUID {
 	return u
 }
 
+// hexOffsets are the positions of the 16 byte pairs in the canonical form.
+var hexOffsets = [16]uint8{0, 2, 4, 6, 9, 11, 14, 16, 19, 21, 24, 26, 28, 30, 32, 34}
+
+// fromHex maps a hexadecimal digit to its value and any other byte to 0xff.
+var fromHex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = byte(c-'a') + 10
+		t[c-'a'+'A'] = byte(c-'a') + 10
+	}
+	return t
+}()
+
 // Parse decodes a UUID from its canonical 36-character textual form,
-// accepting upper- or lower-case hexadecimal digits.
+// accepting upper- or lower-case hexadecimal digits. It does not allocate:
+// every stored attribute is validated on each write.
 func Parse(s string) (UUID, error) {
 	var u UUID
 	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
 		return Nil, errFormat
 	}
-	hexOnly := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-	raw, err := hex.DecodeString(hexOnly)
-	if err != nil {
-		return Nil, errFormat
+	for i, x := range hexOffsets {
+		hi, lo := fromHex[s[x]], fromHex[s[x+1]]
+		if hi|lo > 0x0f {
+			return Nil, errFormat
+		}
+		u[i] = hi<<4 | lo
 	}
-	copy(u[:], raw)
 	return u, nil
 }
 

@@ -1,6 +1,7 @@
 package uuid
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,5 +107,48 @@ func TestIsValidAndNil(t *testing.T) {
 	}
 	if NewV4() == Nil {
 		t.Fatal("random UUID is nil")
+	}
+}
+
+// FuzzParse checks the table-driven decoder against hex.DecodeString on
+// the four dash-separated groups joined: the same UUID, or an error from
+// both.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"6ba7b810-9dad-11d1-80b4-00c04fd430c8",
+		"6BA7B810-9DAD-11D1-80B4-00C04FD430C8",
+		"6ba7b810-9dad-11d1-80b4-00c04fd430cg",
+		"6ba7b810x9dad-11d1-80b4-00c04fd430c8",
+		"6ba7b810-9dad-11d1-80b4-00c04fd430c",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		var want UUID
+		ok := len(s) == 36 && s[8] == '-' && s[13] == '-' && s[18] == '-' && s[23] == '-'
+		if ok {
+			raw, herr := hex.DecodeString(s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36])
+			if ok = herr == nil; ok {
+				copy(want[:], raw)
+			}
+		}
+		if (err == nil) != ok {
+			t.Fatalf("Parse(%q) error = %v, reference accepts = %v", s, err, ok)
+		}
+		if got != want {
+			t.Fatalf("Parse(%q) = %s, reference %s", s, got, want)
+		}
+		if IsValid(s) != ok {
+			t.Fatalf("IsValid(%q) = %v, reference %v", s, !ok, ok)
+		}
+	})
+}
+
+func TestParseDoesNotAllocate(t *testing.T) {
+	const s = "6ba7b810-9dad-11d1-80b4-00c04fd430c8"
+	if n := testing.AllocsPerRun(100, func() { _, _ = Parse(s) }); n != 0 {
+		t.Fatalf("Parse allocates %v times per call", n)
 	}
 }
