@@ -114,7 +114,9 @@ bench-lifecycle:
 # not. A scorable cIoC posted to tipd before
 # heuristicd starts must come back tagged caisp:eioc, and tipd's
 # detections must then read caisp_consumer_lag 0: a consumer that
-# starts late or lags catches up from the change log.
+# starts late or lags catches up from the change log. tipd runs on a
+# -data dir: a pattern registered on its /subscriptions must still be
+# listed, under the same ID, once tipd has been restarted on that dir.
 # Exits nonzero when a daemon does not come up within 15s or any probe
 # fails.
 obs-smoke:
@@ -122,7 +124,7 @@ obs-smoke:
 	tmp=$$(mktemp -d); \
 	for d in caispd tipd heuristicd; do $(GO) build -o $$tmp/$$d ./cmd/$$d; done; \
 	pids=''; \
-	trap 'kill $$pids 2>/dev/null; rm -rf $$tmp' EXIT; \
+	trap 'kill $$pids 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	up() { \
 		for i in $$(seq 1 150); do \
 			curl -fsS http://$$1/healthz >/dev/null 2>&1 && return 0; \
@@ -142,8 +144,8 @@ obs-smoke:
 	}; \
 	$$tmp/caispd -dashboard 127.0.0.1:18450 -tip 127.0.0.1:18440 -taxii '' -node smoke >$$tmp/caispd.log 2>&1 & \
 	pids="$$pids $$!"; \
-	$$tmp/tipd -listen 127.0.0.1:18540 >$$tmp/tipd.log 2>&1 & \
-	pids="$$pids $$!"; \
+	$$tmp/tipd -listen 127.0.0.1:18540 -data $$tmp/tipd-data >$$tmp/tipd.log 2>&1 & \
+	tipd=$$!; pids="$$pids $$tipd"; \
 	up 127.0.0.1:18540 tipd; \
 	cioc=9258be75-bd55-4a82-9d70-04c1b32cf525; \
 	curl -fsS -o /dev/null --data-binary '{"Event":{"uuid":"'$$cioc'","info":"obs-smoke cIoC","date":"2019-06-24","threat_level_id":4,"analysis":0,"distribution":1,"timestamp":"1561377600","Attribute":[{"uuid":"0c285d3a-432b-4d25-b73c-ce4e0bd743da","type":"vulnerability","category":"External analysis","value":"CVE-2017-9805","timestamp":"1561377600"}],"Tag":[{"name":"caisp:cioc"}]}}' \
@@ -198,7 +200,16 @@ obs-smoke:
 	caught || { echo "obs-smoke: tipd detections lag behind its change log"; exit 1; }; \
 	code=$$(head -c 33554433 /dev/zero | curl -s -o /dev/null -w '%{http_code}' --data-binary @- http://127.0.0.1:18540/events); \
 	[ "$$code" = 413 ] || { echo "obs-smoke: oversized POST /events answered $$code, want 413"; exit 1; }; \
-	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, caispd scored a posted cIoC and its re-post with analyzer lag 0, caispd matched an unscorable cIoC posted to its TIP with detections lag 0, heuristicd scored the cIoC posted before it started, tipd detections lag 0"
+	sub=$$(curl -fsS --data-binary "{\"client_id\":\"obs-smoke\",\"pattern\":\"[x-caisp:category = 'malware-domain']\"}" \
+		http://127.0.0.1:18540/subscriptions | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'); \
+	[ -n "$$sub" ] || { echo "obs-smoke: tipd refused the subscription"; exit 1; }; \
+	kill $$tipd; wait $$tipd || true; \
+	$$tmp/tipd -listen 127.0.0.1:18540 -data $$tmp/tipd-data >>$$tmp/tipd.log 2>&1 & \
+	pids="$$pids $$!"; \
+	up 127.0.0.1:18540 tipd; \
+	curl -fsS http://127.0.0.1:18540/subscriptions | grep "\"id\":\"$$sub\"" >/dev/null \
+		|| { echo "obs-smoke: tipd lost subscription $$sub across a restart on its -data dir"; cat $$tmp/tipd.log; exit 1; }; \
+	echo "obs-smoke: caispd tipd heuristicd /healthz /readyz /cluster/status /metrics OK, oversized body 413, caispd committed $$commits revisions for $$((ciocs + edits)) cluster changes, caispd scored a posted cIoC and its re-post with analyzer lag 0, caispd matched an unscorable cIoC posted to its TIP with detections lag 0, heuristicd scored the cIoC posted before it started, tipd detections lag 0, tipd kept its subscription across a restart on its -data dir"
 
 vet:
 	$(GO) vet ./...

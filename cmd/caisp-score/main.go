@@ -47,16 +47,9 @@ func run(bundlePath, inventoryPath, weightsPath, atRaw string, verbose bool) err
 		return err
 	}
 
-	inventory := infra.PaperInventory()
-	if inventoryPath != "" {
-		raw, err := os.ReadFile(inventoryPath)
-		if err != nil {
-			return err
-		}
-		inventory, err = infra.ParseInventory(raw)
-		if err != nil {
-			return err
-		}
+	inventory, err := infra.LoadInventory(inventoryPath)
+	if err != nil {
+		return err
 	}
 	collector, err := infra.NewCollector(inventory)
 	if err != nil {

@@ -19,87 +19,74 @@ import (
 	"github.com/caisplatform/caisp/internal/feed"
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/infra"
+	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/report"
 	"github.com/caisplatform/caisp/internal/sessions"
 	"github.com/caisplatform/caisp/internal/tip"
 )
 
+// options are caispd's flags beyond the platform's own.
+type options struct {
+	dashAddr, tipAddr, taxiiAddr, apiKey string
+	invPath, feedDir, alarmLog, sessLog  string
+	seed                                 int64
+	items                                int
+	interval                             time.Duration
+	pprof                                bool
+}
+
 func main() {
-	var (
-		dashAddr  = flag.String("dashboard", ":8450", "dashboard listen address")
-		tipAddr   = flag.String("tip", ":8440", "TIP REST API listen address")
-		taxiiAddr = flag.String("taxii", ":8460", "TAXII listen address (empty disables)")
-		dataDir   = flag.String("data", "", "event store directory (empty = in-memory)")
-		invPath   = flag.String("inventory", "", "inventory JSON (empty = paper's Table III inventory)")
-		feedDir   = flag.String("feeds", "", "directory of feed files (empty = built-in synthetic feeds)")
-		seed      = flag.Int64("seed", 1, "synthetic feed seed")
-		items     = flag.Int("items", 200, "synthetic feed records per feed")
-		interval  = flag.Duration("interval", time.Minute, "feed polling interval")
-		apiKey    = flag.String("key", "", "TIP API key (empty disables auth)")
-		alarmLog  = flag.String("alarms", "", "syslog-style alarm file ingested at startup")
-		sessLog   = flag.String("sessions", "", "JSON file of user sessions for the §II-B summary endpoints")
-		pprof     = flag.Bool("pprof", false, "expose pprof profiles under /debug/pprof/ on the dashboard address")
-		slowOp    = flag.Duration("slow-op", 0, "log heuristic evaluations and dashboard pushes slower than this (0 disables)")
-		lcOff     = flag.Bool("no-lifecycle", false, "disable decay-driven re-scoring and expiry (store grows without bound)")
-		lcEvery   = flag.Duration("lifecycle-interval", 0, "cadence of the background re-score batch (0 = engine default)")
-		lcFloor   = flag.Float64("lifecycle-floor", 0, "expire indicators once their decayed score falls to this (0 = engine default)")
-		nodeName  = flag.String("node", "", "node name in provenance and the fleet view (empty = caisp)")
-	)
+	var cfg core.Config
+	var o options
+	flag.StringVar(&o.dashAddr, "dashboard", ":8450", "dashboard listen address")
+	flag.StringVar(&o.tipAddr, "tip", ":8440", "TIP REST API listen address")
+	flag.StringVar(&o.taxiiAddr, "taxii", ":8460", "TAXII listen address (empty disables)")
+	flag.StringVar(&cfg.DataDir, "data", "", "event store directory (empty = in-memory)")
+	flag.StringVar(&o.invPath, "inventory", "", "inventory JSON (empty = paper's Table III inventory)")
+	flag.StringVar(&o.feedDir, "feeds", "", "directory of feed files (empty = built-in synthetic feeds)")
+	flag.Int64Var(&o.seed, "seed", 1, "synthetic feed seed")
+	flag.IntVar(&o.items, "items", 200, "synthetic feed records per feed")
+	flag.DurationVar(&o.interval, "interval", time.Minute, "feed polling interval")
+	flag.StringVar(&o.apiKey, "key", "", "TIP API key (empty disables auth)")
+	flag.StringVar(&o.alarmLog, "alarms", "", "syslog-style alarm file ingested at startup")
+	flag.StringVar(&o.sessLog, "sessions", "", "JSON file of user sessions for the §II-B summary endpoints")
+	flag.BoolVar(&o.pprof, "pprof", false, "expose pprof profiles under /debug/pprof/ on the dashboard address")
+	flag.DurationVar(&cfg.SlowOpThreshold, "slow-op", 0, "log heuristic evaluations and dashboard pushes slower than this (0 disables)")
+	flag.BoolVar(&cfg.DisableLifecycle, "no-lifecycle", false, "disable decay-driven re-scoring and expiry (store grows without bound)")
+	flag.DurationVar(&cfg.LifecycleInterval, "lifecycle-interval", 0, "cadence of the background re-score batch (0 = engine default)")
+	flag.Float64Var(&cfg.LifecycleFloor, "lifecycle-floor", 0, "expire indicators once their decayed score falls to this (0 = engine default)")
+	flag.StringVar(&cfg.NodeName, "node", "", "node name in provenance and the fleet view (empty = caisp)")
 	flag.Parse()
-	if err := run(*dashAddr, *tipAddr, *taxiiAddr, *dataDir, *invPath, *feedDir,
-		*seed, *items, *interval, *apiKey, *alarmLog, *sessLog, *pprof, *slowOp,
-		*lcOff, *lcEvery, *lcFloor, *nodeName); err != nil {
+	if err := run(cfg, o); err != nil {
 		fmt.Fprintln(os.Stderr, "caispd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
-	seed int64, items int, interval time.Duration, apiKey, alarmLog, sessLog string,
-	pprof bool, slowOp time.Duration, lcOff bool, lcEvery time.Duration, lcFloor float64,
-	nodeName string) error {
-	var inventory *infra.Inventory
-	if invPath != "" {
-		raw, err := os.ReadFile(invPath)
-		if err != nil {
-			return err
-		}
-		inventory, err = infra.ParseInventory(raw)
-		if err != nil {
-			return err
-		}
-	}
-
-	feeds, err := buildFeeds(feedDir, seed, items, interval)
-	if err != nil {
+func run(cfg core.Config, o options) error {
+	var err error
+	if cfg.Inventory, err = infra.LoadInventory(o.invPath); err != nil {
 		return err
 	}
-
-	platform, err := core.New(core.Config{
-		DataDir:           dataDir,
-		NodeName:          nodeName,
-		Inventory:         inventory,
-		Feeds:             feeds,
-		ShareTAXII:        taxiiAddr != "",
-		SlowOpThreshold:   slowOp,
-		DisableLifecycle:  lcOff,
-		LifecycleInterval: lcEvery,
-		LifecycleFloor:    lcFloor,
-	})
+	if cfg.Feeds, err = buildFeeds(o.feedDir, o.seed, o.items, o.interval); err != nil {
+		return err
+	}
+	cfg.ShareTAXII = o.taxiiAddr != ""
+	platform, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
 	defer platform.Close()
 	rt := daemon.New(platform.Metrics())
 
-	if alarmLog != "" {
-		if err := ingestAlarms(platform, alarmLog); err != nil {
+	if o.alarmLog != "" {
+		if err := ingestAlarms(platform, o.alarmLog); err != nil {
 			return err
 		}
 	}
-	if sessLog != "" {
-		if err := loadSessions(platform, sessLog); err != nil {
+	if o.sessLog != "" {
+		if err := loadSessions(platform, o.sessLog); err != nil {
 			return err
 		}
 	}
@@ -108,13 +95,13 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 		return err
 	}
 
-	rt.Serve(dashAddr, withReport(rt, platform, dataDir, pprof))
-	rt.Serve(tipAddr, tip.NewAPI(platform.TIP(), apiKey))
-	fmt.Printf("dashboard:  http://localhost%s\n", dashAddr)
-	fmt.Printf("TIP API:    http://localhost%s\n", tipAddr)
-	if taxiiAddr != "" {
-		rt.Serve(taxiiAddr, platform.TAXII())
-		fmt.Printf("TAXII:      http://localhost%s/taxii2/\n", taxiiAddr)
+	rt.Serve(o.dashAddr, withReport(rt, platform, cfg.DataDir, o.pprof))
+	rt.Serve(o.tipAddr, tip.NewAPI(platform.TIP(), o.apiKey))
+	fmt.Printf("dashboard:  http://localhost%s\n", o.dashAddr)
+	fmt.Printf("TIP API:    http://localhost%s\n", o.tipAddr)
+	if cfg.ShareTAXII {
+		rt.Serve(o.taxiiAddr, platform.TAXII())
+		fmt.Printf("TAXII:      http://localhost%s/taxii2/\n", o.taxiiAddr)
 	}
 	rt.Every(10*time.Second, func() {
 		st := platform.Stats()
@@ -126,8 +113,8 @@ func run(dashAddr, tipAddr, taxiiAddr, dataDir, invPath, feedDir string,
 }
 
 // withReport registers caispd's checks and mounts the analyst situation
-// report, the platform counters and the shared observability surfaces
-// next to the dashboard. The checks are the store checks plus dashboard
+// report, the platform counters, the lifecycle's endpoints and the shared
+// observability surfaces next to the dashboard. The checks are the store checks plus dashboard
 // hub saturation: readiness degrades once the deepest client queue
 // passes 90%, where the next broadcast starts evicting slow clients.
 // /stats surfaces the full pipeline Stats — including the streaming
@@ -140,10 +127,13 @@ func withReport(rt *daemon.Runtime, platform *core.Platform, dataDir string, ppr
 	rt.Health.Register("hub_saturation", health.Max("dashboard hub queue fill",
 		platform.Dashboard().HubSaturation, 0.9))
 	mux := rt.Mux(platform.Tracer(), pprof, func() health.NodeStatus {
-		st := daemon.TIPStatus(platform.NodeName(), "caispd", platform.TIP())
+		st := daemon.TIPStatus("caispd", platform.TIP())
 		st.Clients = platform.Dashboard().ClientCount()
 		return st
 	})
+	if lc := platform.Lifecycle(); lc != nil {
+		mux.Handle("GET /lifecycle/{rest...}", lifecycle.NewAPI(lc))
+	}
 	mux.HandleFunc("GET /report", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 		_, _ = w.Write([]byte(report.Build(platform, 10, time.Now()).Markdown()))

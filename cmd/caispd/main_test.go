@@ -163,7 +163,9 @@ func TestWithReportEndpoint(t *testing.T) {
 		"/stats":          "events_collected",
 		"/healthz":        "ok",
 		"/readyz":         `"status":"ok"`,
-		"/cluster/status": `"role":"caispd"`,
+		"/cluster/status": `"node":"caisp","role":"caispd"`,
+		// The node's lifecycle endpoints ride the dashboard listener.
+		"/lifecycle/stats": `"passes"`,
 	} {
 		r, err := http.Get(srv.URL + path)
 		if err != nil {

@@ -39,16 +39,9 @@ func main() {
 }
 
 func run(tipURL, cursor, apiKey, invPath, obsAddr, node string, pprofOn bool) error {
-	inventory := infra.PaperInventory()
-	if invPath != "" {
-		raw, err := os.ReadFile(invPath)
-		if err != nil {
-			return err
-		}
-		inventory, err = infra.ParseInventory(raw)
-		if err != nil {
-			return err
-		}
+	inventory, err := infra.LoadInventory(invPath)
+	if err != nil {
+		return err
 	}
 	collector, err := infra.NewCollector(inventory)
 	if err != nil {

@@ -161,10 +161,10 @@ func TestStopFlushesWhatArrivedDuringTheLastFlush(t *testing.T) {
 // workers and more.
 func TestFanOutVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := &Platform{analyzers: workers}
+		node := &Node{pool: workers}
 		for _, n := range []int{0, 1, 3, 100} {
 			hits := make([]atomic.Int32, n)
-			p.fanOut(n, func(i int) { hits[i].Add(1) })
+			node.fanOut(n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)

@@ -16,6 +16,10 @@
 // STIX-pattern subscriptions see every revision through one detections
 // loop (subscribe.Detections) that follows the same change log; batch
 // mode drains it before RunBatch returns.
+//
+// The operational module alone is a Node: the store, the TIP, the
+// detections loop and the lifecycle. tipd runs one built by NewNode; a
+// Platform embeds one and builds the other two modules around it.
 package core
 
 import (
@@ -23,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,7 +56,8 @@ import (
 // TAXIICollection is the collection eIoCs are shared into.
 const TAXIICollection = "eiocs"
 
-// Config parameterizes a Platform.
+// Config parameterizes a Platform, and a Node through the fields NewNode
+// names.
 type Config struct {
 	// DataDir is the event-store directory; empty means in-memory.
 	DataDir string
@@ -73,9 +77,9 @@ type Config struct {
 	// ShareTAXII enables the TAXII server and publishes every eIoC into
 	// its collection.
 	ShareTAXII bool
-	// AnalyzerPool sets how many goroutines score a flush's clusters, and
-	// a change-log page's unscored cIoCs in streaming mode. Values below 1
-	// use GOMAXPROCS.
+	// AnalyzerPool bounds the goroutines that score a flush's clusters and
+	// a change-log page's unscored cIoCs, and that evaluate a page against
+	// the standing patterns. Values below 1 use GOMAXPROCS.
 	AnalyzerPool int
 	// FeedConcurrency bounds how many feeds PollOnce fetches in
 	// parallel. Values below 1 use GOMAXPROCS.
@@ -147,20 +151,11 @@ type counters struct {
 	storeFailures atomic.Int64
 }
 
-// Platform is a running Context-Aware OSINT Platform instance.
+// Platform is a running Context-Aware OSINT Platform instance: a Node
+// with the input module, the analyzer and the output module around it.
 type Platform struct {
-	cfg    Config
-	clk    clock.Clock
-	logger *slog.Logger
+	*Node
 
-	// Observability: reg holds every stage's caisp_* families; tracer
-	// stamps each admitted event's journey through the pipeline. Both are
-	// nil under Config.DisableMetrics (every use is nil-checked or
-	// nil-safe).
-	reg        *obs.Registry
-	tracer     *obs.Tracer
-	prov       *obs.ProvTable // origin provenance for locally ingested events
-	nodeName   string
 	flushDur   *obs.Histogram // caisp_pipeline_flush_seconds
 	analyzeDur *obs.Histogram // caisp_pipeline_analyze_seconds
 
@@ -172,25 +167,14 @@ type Platform struct {
 	corr       *correlate.Incremental
 	classifier *textclass.Classifier
 
-	// Operational module. lifec is the indicator-lifecycle engine: decay
-	// re-scoring, floor expiry and score history (nil under
-	// Config.DisableLifecycle).
-	store     *storage.Store
-	tip       *tip.Service
-	engine    *heuristic.Engine
-	lifec     *lifecycle.Engine
-	analyzer  *worker.Analyzer
-	analyzers int
+	// The heuristic component, scoring what the node stores.
+	engine   *heuristic.Engine
+	analyzer *worker.Analyzer
 
-	// Output module. subs is the streaming-detection engine: standing
-	// STIX-pattern subscriptions, with matches pushed over its own
-	// WebSocket hub. detections evaluates every revision the store
-	// commits against them, following the change log from New on.
-	collector  *infra.Collector
-	dash       *dashboard.Server
-	subs       *subscribe.Engine
-	detections *subscribe.Detections
-	taxiiSrv   *taxii.Server
+	// Output module.
+	collector *infra.Collector
+	dash      *dashboard.Server
+	taxiiSrv  *taxii.Server
 
 	mu      sync.Mutex // guards pending
 	pending []normalize.Event
@@ -200,10 +184,6 @@ type Platform struct {
 	arrived chan struct{}
 
 	counters counters
-
-	// stopCompacting stops the store's background compaction trigger
-	// (storage.Store.StartCompactor).
-	stopCompacting func()
 
 	runMu   sync.Mutex
 	started bool
@@ -216,12 +196,7 @@ type Platform struct {
 
 // New assembles a platform from the configuration.
 func New(cfg Config) (*Platform, error) {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real()
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
-	}
+	cfg = cfg.withDefaults()
 	inventory := cfg.Inventory
 	if inventory == nil {
 		inventory = infra.PaperInventory()
@@ -231,45 +206,32 @@ func New(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	reg := cfg.Metrics
-	if reg == nil && !cfg.DisableMetrics {
-		reg = obs.NewRegistry()
+	p := &Platform{
+		deduper:    dedup.New(dedup.WithMetrics(reg)),
+		corr:       correlate.NewIncremental(correlate.WithMetrics(reg)),
+		classifier: textclass.New(),
+		collector:  collector,
+		arrived:    make(chan struct{}, 1),
 	}
-	store, err := storage.Open(cfg.DataDir, storage.WithMetrics(reg))
-	if err != nil {
+	p.scheduler = feed.NewScheduler(p.ingest,
+		feed.WithClock(cfg.Clock), feed.WithLogger(cfg.Logger),
+		feed.WithConcurrency(cfg.FeedConcurrency),
+		feed.WithMetrics(reg))
+	for _, f := range cfg.Feeds {
+		if err := p.scheduler.Add(f); err != nil {
+			return nil, err
+		}
+	}
+	// The node's lifecycle reads sightings from the live correlator, made
+	// first, so a cluster that keeps growing keeps its score fresh; expiry
+	// goes through the TIP, tombstoning the replicated change log, and the
+	// dashboard forgets the indicator's rIoCs.
+	if p.Node, err = newNode(cfg, nil, "",
+		lifecycle.WithSightings(p.corr.LastSightings),
+		lifecycle.WithExpireHook(p.expireEvent)); err != nil {
 		return nil, err
 	}
-	analyzers := cfg.AnalyzerPool
-	if analyzers < 1 {
-		analyzers = runtime.GOMAXPROCS(0)
-	}
-
-	p := &Platform{
-		cfg:       cfg,
-		clk:       cfg.Clock,
-		logger:    cfg.Logger,
-		reg:       reg,
-		tracer:    obs.NewTracer(reg),
-		deduper:   dedup.New(dedup.WithMetrics(reg)),
-		corr:      correlate.NewIncremental(correlate.WithMetrics(reg)),
-		store:     store,
-		collector: collector,
-		analyzers: analyzers,
-
-		arrived: make(chan struct{}, 1),
-	}
-	p.nodeName = cfg.NodeName
-	if p.nodeName == "" {
-		p.nodeName = "caisp"
-	}
-	if !cfg.DisableMetrics {
-		// Origin provenance rides the observability switch: the ablation
-		// baseline must not pay the per-ingest record either.
-		p.prov = obs.NewProvTable(obs.DefaultProvCap)
-	}
 	p.registerPipelineMetrics()
-	p.classifier = textclass.New()
-	p.tip = tip.NewService(store, tip.WithLogger(cfg.Logger),
-		tip.WithMetrics(reg), tip.WithName(p.nodeName), tip.WithProvenance(p.prov))
 	p.engine = heuristic.NewEngine(
 		heuristic.WithInfrastructure(collector),
 		heuristic.WithClock(cfg.Clock),
@@ -279,12 +241,6 @@ func New(cfg Config) (*Platform, error) {
 	)
 	p.analyzer = worker.NewAnalyzer(p.engine, collector, cfg.Clock, p.pushRIoC)
 	p.analyzer.RegisterMetrics(reg)
-	p.subs = subscribe.NewEngine(
-		subscribe.WithMetrics(reg),
-		subscribe.WithLogger(cfg.Logger),
-		subscribe.WithClock(cfg.Clock),
-	)
-	p.detections = p.subs.Detections(p.tip, store.Seq(), p.fanOut)
 	p.dash = dashboard.NewServer(collector,
 		dashboard.WithMetrics(reg),
 		dashboard.WithLogger(cfg.Logger),
@@ -292,53 +248,24 @@ func New(cfg Config) (*Platform, error) {
 	// The streaming-detection surface rides the dashboard listener:
 	// /subscriptions REST plus the /ws/matches push stream.
 	p.dash.SetSubscriptions(subscribe.NewAPI(p.subs))
-	if !cfg.DisableLifecycle {
-		p.lifec = lifecycle.New(store,
-			lifecycle.WithClock(cfg.Clock),
-			lifecycle.WithInterval(cfg.LifecycleInterval),
-			lifecycle.WithFloor(cfg.LifecycleFloor),
-			lifecycle.WithLogger(cfg.Logger),
-			lifecycle.WithMetrics(reg),
-			// Sightings come from the live correlator so a cluster that
-			// keeps growing keeps its score fresh; expiry routes through
-			// the TIP so the deletion lands in the replicated change log
-			// and the dashboard forgets the indicator's rIoCs.
-			lifecycle.WithSightings(p.corr.LastSightings),
-			lifecycle.WithExpireHook(p.expireEvent),
-		)
-		p.dash.SetLifecycle(lifecycle.NewAPI(p.lifec))
-		p.lifec.Start()
-	}
 	if cfg.ShareTAXII {
 		p.taxiiSrv = taxii.NewServer("CAISP sharing", "caisp", taxii.WithClock(cfg.Clock))
 		p.taxiiSrv.AddCollection(TAXIICollection, "Enriched IoCs",
 			"eIoCs produced by the heuristic component", false)
 	}
-	p.scheduler = feed.NewScheduler(p.ingest,
-		feed.WithClock(cfg.Clock), feed.WithLogger(cfg.Logger),
-		feed.WithConcurrency(cfg.FeedConcurrency),
-		feed.WithMetrics(reg))
-	for _, f := range cfg.Feeds {
-		if err := p.scheduler.Add(f); err != nil {
-			store.Close()
-			return nil, err
-		}
-	}
-	if store.Len() > 0 {
+	if p.store.Len() > 0 {
 		p.rebuildCorrelationIndex()
 	}
-	p.stopCompacting = store.StartCompactor(cfg.Logger)
+	p.start()
 	return p, nil
 }
 
 // registerPipelineMetrics exposes the platform's lock-free stage counters
 // and queue gauges as scrape-time views — the same atomics back Stats(),
-// so /stats and /metrics can never disagree.
+// so /stats and /metrics can never disagree. A nil registry registers
+// nothing.
 func (p *Platform) registerPipelineMetrics() {
 	reg := p.reg
-	if reg == nil {
-		return
-	}
 	counter := func(name, help string, v *atomic.Int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
 	}
@@ -376,31 +303,10 @@ func (p *Platform) registerPipelineMetrics() {
 	p.analyzeDur = reg.Histogram("caisp_pipeline_analyze_seconds",
 		"Heuristic scoring of one cIoC revision and its rIoC pushes.")
 	tip.RegisterLag(reg, map[string]func() uint64{
-		"analyzer": func() uint64 {
-			if f := p.follower.Load(); f != nil {
-				return f.Lag(p.store.Seq())
-			}
-			return 0
-		},
-		"detections": func() uint64 { return p.detections.Lag(p.store.Seq()) },
+		"analyzer":   func() uint64 { return p.follower.Load().Lag(p.store.Seq()) },
+		"detections": p.detectionsLag,
 	})
 }
-
-// Metrics returns the observability registry, or nil when disabled.
-func (p *Platform) Metrics() *obs.Registry { return p.reg }
-
-// Tracer returns the per-event stage tracer, or nil when disabled.
-func (p *Platform) Tracer() *obs.Tracer { return p.tracer }
-
-// NodeName returns this node's identity in provenance and fleet views.
-func (p *Platform) NodeName() string { return p.nodeName }
-
-// Provenance returns the origin-provenance table, or nil when metrics
-// are disabled.
-func (p *Platform) Provenance() *obs.ProvTable { return p.prov }
-
-// Durability reports the store's WAL watermarks (compaction backlog).
-func (p *Platform) Durability() storage.DurabilityStats { return p.store.Durability() }
 
 // rebuildCorrelationIndex reconstructs the streaming correlator's state
 // from the persisted cIoC events after a restart, so a post-crash sighting
@@ -452,20 +358,11 @@ func (p *Platform) rebuildCorrelationIndex() {
 
 // Accessors for the composed services.
 
-// TIP returns the operational module's TIP service.
-func (p *Platform) TIP() *tip.Service { return p.tip }
-
 // Collector returns the infrastructure collector.
 func (p *Platform) Collector() *infra.Collector { return p.collector }
 
 // Dashboard returns the output module's dashboard server.
 func (p *Platform) Dashboard() *dashboard.Server { return p.dash }
-
-// Subscriptions returns the streaming-detection engine.
-func (p *Platform) Subscriptions() *subscribe.Engine { return p.subs }
-
-// Lifecycle returns the indicator-lifecycle engine, or nil when disabled.
-func (p *Platform) Lifecycle() *lifecycle.Engine { return p.lifec }
 
 // expireEvent is the lifecycle engine's expiry hook: the deletion goes
 // through the TIP (tombstoning the replicated change log so mesh peers
@@ -835,33 +732,6 @@ func (p *Platform) publish(me *misp.Event) {
 	p.tracer.Finish(me.UUID, obs.StagePublish)
 }
 
-// fanOut calls fn(0..n-1) on up to AnalyzerPool goroutines and waits.
-func (p *Platform) fanOut(n int, fn func(i int)) {
-	workers := min(p.analyzers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-				// The pool fills every P: what fn woke (dashboard fan-out,
-				// match watchers) would wait out its time slice, up to
-				// 10 ms and never the same twice. Yield, so it delivers now.
-				runtime.Gosched()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // RunBatch performs one synchronous pipeline pass: poll every feed once
 // (in parallel), dedup, flush what arrived, and evaluate the standing
 // patterns against everything the store committed since the last pass.
@@ -911,7 +781,7 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	}()
 	go func() {
 		defer p.workers.Done()
-		p.detections.Run(ctx)
+		p.Node.Run(ctx)
 	}()
 
 	go func() {
@@ -953,16 +823,10 @@ func (p *Platform) Stop() {
 	p.detections.Drain(p.store.Seq())
 }
 
-// Close releases resources (store, dashboard sockets). The
-// compaction trigger is drained before the store closes, so a snapshot
-// due after the final flush still completes.
+// Close ends streaming mode and releases the node and the dashboard.
 func (p *Platform) Close() error {
 	p.Stop()
-	if p.lifec != nil {
-		p.lifec.Close()
-	}
-	p.stopCompacting()
+	err := p.Node.Close()
 	p.dash.Close()
-	p.subs.Close()
-	return p.store.Close()
+	return err
 }

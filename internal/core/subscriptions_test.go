@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -175,11 +176,11 @@ func blockUntil(t *testing.T, clk *clock.Fake, n int) {
 	}
 }
 
-// matchFrames streams the match frames a /ws/matches watcher on p's
-// dashboard receives, after the greeting.
-func matchFrames(t *testing.T, p *Platform) <-chan subscribe.EventFrame {
+// matchFrames streams the match frames a /ws/matches watcher on h
+// receives, after the greeting.
+func matchFrames(t *testing.T, h http.Handler) <-chan subscribe.EventFrame {
 	t.Helper()
-	srv := httptest.NewServer(p.Dashboard())
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	conn, err := wsock.Dial("ws" + strings.TrimPrefix(srv.URL, "http") + "/ws/matches")
 	if err != nil {
@@ -255,7 +256,7 @@ func TestDetectionsMatchAPostedCIoCAsAFlushedOne(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames := matchFrames(t, p)
+			frames := matchFrames(t, p.Dashboard())
 			if err := p.Start(context.Background(), time.Hour); err != nil {
 				t.Fatal(err)
 			}

@@ -221,5 +221,5 @@ func registeredDomain(host string) string {
 }
 
 func composedID(memberIDs []string) string {
-	return uuid.NewV5(uuid.NamespaceCAISP, []byte("cioc\x00"+strings.Join(memberIDs, ","))).String()
+	return uuid.NewV5(uuid.NamespaceCAISP, "cioc\x00", ",", memberIDs...).String()
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/normalize"
+	"github.com/caisplatform/caisp/internal/uuid"
 )
 
 var seen = time.Date(2019, 6, 24, 10, 0, 0, 0, time.UTC)
@@ -281,5 +283,22 @@ func TestToMISPCVEWithVector(t *testing.T) {
 func TestToMISPEmptyFails(t *testing.T) {
 	if _, err := ToMISP(&ComposedIoC{ID: "x"}, seen); err == nil {
 		t.Fatal("empty cIoC converted")
+	}
+}
+
+// TestComposedIDIsTheJoinedName: hashing the member IDs in pieces gives
+// every cluster the UUID of "cioc\x00" and its comma-joined member IDs,
+// the name composedID hashed when it joined them first.
+func TestComposedIDIsTheJoinedName(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 200; n += 1 + n/8 {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = normalize.EventID(normalize.TypeDomain, fmt.Sprintf("m%d.example", rng.Int()), normalize.CategoryMalwareDomain)
+		}
+		joined := uuid.NewV5(uuid.NamespaceCAISP, "cioc\x00"+strings.Join(ids, ","), "").String()
+		if got := composedID(ids); got != joined {
+			t.Fatalf("%d members: %s, joined name %s", n, got, joined)
+		}
 	}
 }

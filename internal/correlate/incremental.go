@@ -141,8 +141,7 @@ func NewIncremental(opts ...Option) *Incremental {
 // clusterUUID derives the stable identity of a cluster from its category
 // and seed member. It is independent of later membership changes.
 func clusterUUID(category, seedEventID string) string {
-	return uuid.NewV5(uuid.NamespaceCAISP,
-		[]byte("cluster\x00"+category+"\x00"+seedEventID)).String()
+	return uuid.NewV5(uuid.NamespaceCAISP, "", "\x00", "cluster", category, seedEventID).String()
 }
 
 func (inc *Incremental) cat(category string) *catState {

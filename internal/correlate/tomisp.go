@@ -61,8 +61,10 @@ func Splice(c *ComposedIoC, prev *misp.Event, now time.Time) (*misp.Event, error
 	if len(c.Events) == 0 {
 		return nil, fmt.Errorf("correlate: composed IoC %s has no events", c.ID)
 	}
-	e := misp.NewEvent(composedInfo(c), now)
-	e.UUID = c.ID // the cIoC identity carries through storage
+	// misp.NewEvent's event under the cIoC identity, drawing no v4 UUID.
+	e := &misp.Event{UUID: c.ID, Info: composedInfo(c), Date: now.UTC().Format("2006-01-02"),
+		ThreatLevelID: misp.ThreatLevelUndefined, Analysis: misp.AnalysisInitial,
+		Distribution: misp.DistributionCommunity, Timestamp: misp.UT(now)}
 	e.AddTag("caisp:category=\"" + c.Category + "\"")
 	e.AddTag("caisp:cioc")
 	// The membership-sensitive hash rides as a tag (tags with the caisp:

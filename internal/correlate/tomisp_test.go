@@ -304,3 +304,19 @@ func TestMemberTypeInvertsAttributeType(t *testing.T) {
 		t.Error("a context text attribute read back as a member")
 	}
 }
+
+// TestSpliceHeadsTheEventAsNewEvent: the composed event's header is the
+// one misp.NewEvent builds, under the cluster's UUID.
+func TestSpliceHeadsTheEventAsNewEvent(t *testing.T) {
+	e := ev(t, "a.evil.example", normalize.CategoryMalwareDomain)
+	c := ComposedIoC{ID: uuid.NewV4().String(), Category: e.Category, Events: []normalize.Event{e}}
+	got, err := ToMISP(&c, seen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := misp.NewEvent(composedInfo(&c), seen)
+	want.UUID, want.Tags, want.Attributes = c.ID, got.Tags, got.Attributes
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("composed event\n%+v\nwant NewEvent's\n%+v", got, want)
+	}
+}

@@ -104,12 +104,12 @@ func (rt *Runtime) Mux(tracer *obs.Tracer, withPprof bool, status func() health.
 	return mux
 }
 
-// TIPStatus is the /cluster/status projection of a node that holds a
-// TIP. The store sequence advances on every put, edit and delete, so it
+// TIPStatus is the /cluster/status projection of the node svc names.
+// The store sequence advances on every put, edit and delete, so it
 // doubles as the monotonic ingest counter caisp-top turns into a rate.
-func TIPStatus(node, role string, svc *tip.Service) health.NodeStatus {
+func TIPStatus(role string, svc *tip.Service) health.NodeStatus {
 	seq, st := svc.StoreSeq(), svc.Stats()
-	return health.NodeStatus{Node: node, Role: role, StoreSeq: seq, Events: st.Events,
+	return health.NodeStatus{Node: svc.Name(), Role: role, StoreSeq: seq, Events: st.Events,
 		WALOps: st.WALOps, IngestTotal: int64(seq)}
 }
 

@@ -300,6 +300,9 @@ func TestSlowBodyAnswers408(t *testing.T) {
 		{tipAddr, "/events/batch"},
 		{taxiiAddr, "/caisp/collections/eiocs/objects/"},
 	} {
+		// The server's ReadTimeout runs from when it starts reading the
+		// connection, which cannot be before the dial.
+		start := time.Now()
 		conn, err := net.Dial("tcp", tc.addr)
 		if err != nil {
 			t.Fatal(err)
@@ -311,7 +314,6 @@ func TestSlowBodyAnswers408(t *testing.T) {
 		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
 		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 		if err != nil {
 			t.Fatalf("POST %s with a stalled body: %v", tc.path, err)

@@ -219,13 +219,6 @@ func (s *Server) SetSubscriptions(h http.Handler) {
 	s.mux.Handle("GET /ws/matches", h)
 }
 
-// SetLifecycle mounts the indicator-lifecycle surface (lifecycle.API) on
-// the dashboard listener: /lifecycle/stats plus the per-indicator
-// score-history endpoints.
-func (s *Server) SetLifecycle(h http.Handler) {
-	s.mux.Handle("GET /lifecycle/{rest...}", h)
-}
-
 // SetSessionAnalyzer attaches the §II-B user-activity analyzer; the
 // /api/sessions endpoints serve its summaries.
 func (s *Server) SetSessionAnalyzer(a *sessions.Analyzer) {

@@ -3,6 +3,8 @@ package infra
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -157,6 +159,24 @@ func TestParseInventory(t *testing.T) {
 	}
 	if _, err := ParseInventory([]byte(`garbage`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadInventory: no path is the paper's inventory; a file is parsed
+// and validated; a missing file is an error.
+func TestLoadInventory(t *testing.T) {
+	if inv, err := LoadInventory(""); err != nil || len(inv.Nodes) != len(PaperInventory().Nodes) {
+		t.Fatalf("no path: %v, %v", inv, err)
+	}
+	path := filepath.Join(t.TempDir(), "inventory.json")
+	if err := os.WriteFile(path, []byte(`{"nodes":[{"id":"n1","name":"web","applications":["nginx"]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if inv, err := LoadInventory(path); err != nil || len(inv.Nodes) != 1 || inv.Nodes[0].ID != "n1" {
+		t.Fatalf("%s: %+v, %v", path, inv, err)
+	}
+	if _, err := LoadInventory(path + ".absent"); err == nil {
+		t.Fatal("a missing inventory file loaded")
 	}
 }
 

@@ -12,6 +12,7 @@ package infra
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -160,6 +161,19 @@ func ParseInventory(data []byte) (*Inventory, error) {
 		return nil, err
 	}
 	return &inv, nil
+}
+
+// LoadInventory reads and validates the inventory JSON at path; an empty
+// path is the paper's Table III inventory.
+func LoadInventory(path string) (*Inventory, error) {
+	if path == "" {
+		return PaperInventory(), nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return ParseInventory(raw)
 }
 
 // PaperInventory reproduces Table III of the paper: four nodes plus the

@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"github.com/caisplatform/caisp/internal/storage"
 )
 
 // Cursor is a per-peer replication high-water mark over the remote's
@@ -70,19 +71,7 @@ func (f *FileCursors) Save(cur map[string]Cursor) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(f.path), ".cursors-*")
-	if err != nil {
-		return fmt.Errorf("mesh: save cursors: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("mesh: save cursors: write %v, sync %v, close %v", werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), f.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := storage.WriteFileAtomic(f.path, append(data, '\n')); err != nil {
 		return fmt.Errorf("mesh: save cursors: %w", err)
 	}
 	return nil

@@ -106,8 +106,7 @@ func New(rawValue, category, source, sourceType string, seen time.Time) (Event, 
 
 // EventID derives the deterministic identifier shared by duplicate events.
 func EventID(typ IoCType, canonicalValue, category string) string {
-	return uuid.NewV5(uuid.NamespaceCAISP,
-		[]byte(string(typ)+"\x00"+canonicalValue+"\x00"+category)).String()
+	return uuid.NewV5(uuid.NamespaceCAISP, "", "\x00", string(typ), canonicalValue, category).String()
 }
 
 // Canonicalize re-normalizes an event in place (idempotent): refangs and

@@ -54,9 +54,8 @@ func NewID(typ string) string {
 // imports of the same logical object map to the same STIX id.
 func DeterministicID(typ, name string) string {
 	var buf [128]byte
-	b := append(append(append(buf[:0], typ...), '/'), name...)
-	u := uuid.NewV5(uuid.NamespaceCAISP, b)
-	return string(u.Append(append(append(b[:0], typ...), "--"...)))
+	u := uuid.NewV5(uuid.NamespaceCAISP, "", "/", typ, name)
+	return string(u.Append(append(append(buf[:0], typ...), "--"...)))
 }
 
 // ParseID splits a STIX identifier into its type and UUID components.

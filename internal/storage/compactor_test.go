@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/caisplatform/caisp/internal/misp"
@@ -92,5 +94,26 @@ func TestCompactorStopsAfterClose(t *testing.T) {
 	stop()
 	if d := s.Durability(); d.Compactions != 0 {
 		t.Fatalf("compacted a closed store: %+v", d)
+	}
+}
+
+// TestWriteFileAtomic: the file holds the last data written and no
+// temporary file is left beside it.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sidecar.json")
+	for _, data := range []string{"first\n", "second\n"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != data {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d files in the directory, want the sidecar alone", len(entries))
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "absent", "x.json"), nil); err == nil {
+		t.Fatal("a write into a missing directory succeeded")
 	}
 }

@@ -132,6 +132,25 @@ func (s *Store) writeSnapshotFile(events map[string]*storedEvent, tombs map[stri
 	return nil
 }
 
+// WriteFileAtomic replaces the file at path with data: it writes and
+// syncs a temporary file beside it and renames that into place, so a
+// crash leaves the old file or the new one, never a torn one.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	_, werr := tmp.Write(data)
+	serr := tmp.Sync()
+	if err = errors.Join(werr, serr, tmp.Close()); err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // loadSnapshot restores the persisted base state, decoding event lines
 // across the recovery worker pool. Only called from Open, before the
 // store is shared — applies need no lock.

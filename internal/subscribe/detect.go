@@ -17,8 +17,7 @@ type Detections struct {
 }
 
 // Detections builds the loop over feed from the sequence from on, with
-// retries on e's clock. fanOut runs a page's evaluations; nil runs them
-// in order.
+// retries on e's clock. fanOut runs a page's evaluations.
 func (e *Engine) Detections(feed tip.Feed, from uint64, fanOut func(n int, fn func(i int))) *Detections {
 	return &Detections{tip.NewFollower(feed, from, e.clk, e.logger), func(page []*misp.Event, _ uint64) error {
 		e.evaluatePage(page, fanOut)
@@ -39,13 +38,6 @@ func (d *Detections) Drain(head uint64) { d.Follower.Drain(head, d.handle) }
 // cIoC pass covers the page before the eIoC pass, as a flush orders its
 // frames, and a revision's frames depend on the revision alone.
 func (e *Engine) evaluatePage(page []*misp.Event, fanOut func(n int, fn func(i int))) {
-	if fanOut == nil {
-		fanOut = func(n int, fn func(i int)) {
-			for i := range n {
-				fn(i)
-			}
-		}
-	}
 	fanOut(len(page), func(i int) {
 		if _, decayed := heuristic.DecayedScoreOf(page[i]); !decayed {
 			e.EvaluateMISP(page[i], StageCIoC, -1)

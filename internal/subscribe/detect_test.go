@@ -72,7 +72,7 @@ func TestDetectionsEvaluateEveryCommittedEvent(t *testing.T) {
 
 	feed := &caughtUp{Feed: service, head: service.StoreSeq(), caught: make(chan struct{})}
 	caught := feed.caught
-	d := subs.Detections(feed, from, nil)
+	d := subs.Detections(feed, from, serial)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -215,7 +215,7 @@ func TestStageRule(t *testing.T) {
 				mustRegister(t, subs, "siem", p)
 			}
 			frames := watchFrames(t, subs)
-			d := subs.Detections(service, service.StoreSeq(), nil)
+			d := subs.Detections(service, service.StoreSeq(), serial)
 			if _, err := service.AddEvents(tc.page); err != nil {
 				t.Fatal(err)
 			}
@@ -227,5 +227,12 @@ func TestStageRule(t *testing.T) {
 				t.Fatalf("frames\n got %q\nwant %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// serial runs a page's evaluations in order, on the caller's goroutine.
+func serial(n int, fn func(i int)) {
+	for i := range n {
+		fn(i)
 	}
 }

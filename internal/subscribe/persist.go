@@ -3,9 +3,10 @@ package subscribe
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/storage"
 )
 
 // Subscription persistence: standing STIX-pattern detections are part of
@@ -110,22 +111,7 @@ func (e *Engine) persist() {
 		e.logger.Warn("subscriptions: encode failed", "error", err)
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(e.persistPath), ".subs-*")
-	if err != nil {
-		e.logger.Warn("subscriptions: persist failed", "error", err)
-		return
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		e.logger.Warn("subscriptions: persist failed",
-			"write", werr, "sync", serr, "close", cerr)
-		return
-	}
-	if err := os.Rename(tmp.Name(), e.persistPath); err != nil {
-		os.Remove(tmp.Name())
+	if err := storage.WriteFileAtomic(e.persistPath, append(data, '\n')); err != nil {
 		e.logger.Warn("subscriptions: persist failed", "error", err)
 	}
 }

@@ -81,8 +81,11 @@ func NewFollower(feed Feed, from uint64, clk clock.Clock, logger *slog.Logger) *
 func (f *Follower) Cursor() uint64 { return f.cursor.Load() }
 
 // Lag is the number of change-log entries up to head the follower has
-// not handled.
+// not handled; a nil follower has none.
 func (f *Follower) Lag(head uint64) uint64 {
+	if f == nil {
+		return 0
+	}
 	if cur := f.Cursor(); cur < head {
 		return head - cur
 	}

@@ -5,6 +5,7 @@
 package uuid
 
 import (
+	"bufio"
 	"crypto/rand"
 	"crypto/sha1"
 	"encoding/hex"
@@ -24,7 +25,7 @@ var (
 	NamespaceURL = Must(Parse("6ba7b811-9dad-11d1-80b4-00c04fd430c8"))
 	// NamespaceCAISP is the private name space for deterministic CAISP object
 	// identifiers (derived from the project name under NamespaceDNS).
-	NamespaceCAISP = NewV5(NamespaceDNS, []byte("caisp.invalid"))
+	NamespaceCAISP = NewV5(NamespaceDNS, "caisp.invalid", "")
 )
 
 // Nil is the zero UUID, "00000000-0000-0000-0000-000000000000".
@@ -46,11 +47,40 @@ func NewV4() UUID {
 	return u
 }
 
-// NewV5 returns a name-based (version 5, SHA-1) UUID for the given namespace
-// and name. The same inputs always produce the same UUID.
-func NewV5(ns UUID, name []byte) UUID {
-	var buf [128]byte // names up to 112 bytes hash without a heap copy
-	sum := sha1.Sum(append(append(buf[:0], ns[:]...), name...))
+// NewV5 returns the name-based (version 5, SHA-1) UUID of namespace ns
+// and the name prefix followed by parts joined by sep. The same inputs
+// always produce the same UUID. The name is never joined into one string:
+// up to 112 bytes it is hashed from the stack, past that it is streamed.
+func NewV5(ns UUID, prefix, sep string, parts ...string) UUID {
+	size := len(prefix) + len(sep)*max(len(parts)-1, 0)
+	for _, p := range parts {
+		size += len(p)
+	}
+	var sum [sha1.Size]byte
+	if size <= 112 {
+		var buf [128]byte
+		name := append(append(buf[:0], ns[:]...), prefix...)
+		for i, p := range parts {
+			if i > 0 {
+				name = append(name, sep...)
+			}
+			name = append(name, p...)
+		}
+		sum = sha1.Sum(name)
+	} else {
+		h := sha1.New()
+		w := bufio.NewWriterSize(h, 512)
+		_, _ = w.WriteString(string(ns[:])) // a hash.Hash never fails a write
+		_, _ = w.WriteString(prefix)
+		for i, p := range parts {
+			if i > 0 {
+				_, _ = w.WriteString(sep)
+			}
+			_, _ = w.WriteString(p)
+		}
+		_ = w.Flush()
+		h.Sum(sum[:0])
+	}
 	var u UUID
 	copy(u[:], sum[:])
 	u.setVersion(5)

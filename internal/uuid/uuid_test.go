@@ -1,7 +1,9 @@
 package uuid
 
 import (
+	"crypto/sha1"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,19 +27,19 @@ func TestNewV4Properties(t *testing.T) {
 }
 
 func TestNewV5Deterministic(t *testing.T) {
-	a := NewV5(NamespaceDNS, []byte("example.com"))
-	b := NewV5(NamespaceDNS, []byte("example.com"))
+	a := NewV5(NamespaceDNS, "example.com", "")
+	b := NewV5(NamespaceDNS, "example.com", "")
 	if a != b {
 		t.Fatalf("v5 not deterministic: %s vs %s", a, b)
 	}
 	if a.Version() != 5 {
 		t.Fatalf("version = %d, want 5", a.Version())
 	}
-	c := NewV5(NamespaceDNS, []byte("example.org"))
+	c := NewV5(NamespaceDNS, "example.org", "")
 	if a == c {
 		t.Fatal("distinct names produced identical v5 UUIDs")
 	}
-	d := NewV5(NamespaceURL, []byte("example.com"))
+	d := NewV5(NamespaceURL, "example.com", "")
 	if a == d {
 		t.Fatal("distinct namespaces produced identical v5 UUIDs")
 	}
@@ -45,10 +47,51 @@ func TestNewV5Deterministic(t *testing.T) {
 
 func TestNewV5KnownVector(t *testing.T) {
 	// RFC 4122 well-known vector: v5(NamespaceDNS, "www.example.com").
-	got := NewV5(NamespaceDNS, []byte("www.example.com")).String()
+	got := NewV5(NamespaceDNS, "www.example.com", "").String()
 	const want = "2ed6657d-e927-568b-95e1-2665a8aea6a2"
 	if got != want {
 		t.Fatalf("v5(dns, www.example.com) = %s, want %s", got, want)
+	}
+}
+
+// v5Joined is RFC 4122's version 5 over the joined name, as NewV5 hashed
+// before it took the name in pieces.
+func v5Joined(ns UUID, name string) UUID {
+	sum := sha1.Sum(append(ns[:], name...))
+	var u UUID
+	copy(u[:], sum[:])
+	u.setVersion(5)
+	return u
+}
+
+// TestNewV5PiecesHashTheJoinedName: on both sides of the stack buffer
+// and of the stream's 512-byte chunks, and with parts longer than a
+// chunk, the pieces hash to the UUID of the name they join to.
+func TestNewV5PiecesHashTheJoinedName(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = NewV5(NamespaceDNS, fmt.Sprint(i), "").String()
+		}
+		for _, tc := range []struct{ prefix, sep string }{{"", ""}, {"cioc\x00", ","}, {strings.Repeat("p", 700), "\x00\x00"}} {
+			got := NewV5(NamespaceCAISP, tc.prefix, tc.sep, parts...)
+			if want := v5Joined(NamespaceCAISP, tc.prefix+strings.Join(parts, tc.sep)); got != want {
+				t.Fatalf("%d parts, prefix %.8q, sep %q: %s, joined %s", n, tc.prefix, tc.sep, got, want)
+			}
+		}
+	}
+	if got, want := NewV5(NamespaceURL, "", "/", strings.Repeat("x", 1500), "y"), v5Joined(NamespaceURL, strings.Repeat("x", 1500)+"/y"); got != want {
+		t.Fatalf("a part longer than a chunk: %s, joined %s", got, want)
+	}
+}
+
+// TestNewV5ShortNameDoesNotAllocate: every normalized record derives its
+// identity through NewV5, from a name that fits the stack buffer.
+func TestNewV5ShortNameDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		NewV5(NamespaceCAISP, "", "\x00", "domain", "evil.example", "malware-domain")
+	}); n != 0 {
+		t.Fatalf("%v allocations per short name", n)
 	}
 }
 
