@@ -70,8 +70,9 @@ bench-correlate:
 bench-obs:
 	$(GO) test -run '^$$' -bench '^BenchmarkObs' -benchmem .
 
-# Fan-out suite: sharded broadcast to fast-only vs slow-mix client
-# populations — the EXPERIMENTS.md §X10 numbers.
+# Fan-out suite: one broadcast loop over per-client queues, to fast-only
+# vs slow-mix client populations — the EXPERIMENTS.md §X10 and §X33
+# numbers.
 bench-fanout:
 	$(GO) test -run '^$$' -bench '^BenchmarkFanout' -benchmem ./internal/wsock/
 
@@ -251,7 +252,8 @@ metrics-lint:
 		caisp_lifecycle_scan_seconds caisp_lifecycle_tracked \
 		caisp_mesh_last_success_unix_seconds caisp_mesh_hop_latency_seconds caisp_mesh_replication_seconds \
 		caisp_health_status caisp_health_check_status caisp_tip_changes_parked caisp_consumer_lag \
-		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes caisp_analyzer_blocks_total; do \
+		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes caisp_analyzer_blocks_total \
+		caisp_wsock_queue_depth caisp_wsock_evicted_total caisp_wsock_push_seconds; do \
 		echo "$$names" | grep -qx "\"$$want\"" || { \
 			echo "metrics-lint: required metric $$want is not registered"; exit 1; }; \
 	done; \

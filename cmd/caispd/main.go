@@ -20,6 +20,7 @@ import (
 	"github.com/caisplatform/caisp/internal/feedgen"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/lifecycle"
+	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/report"
 	"github.com/caisplatform/caisp/internal/sessions"
@@ -139,8 +140,7 @@ func withReport(rt *daemon.Runtime, platform *core.Platform, dataDir string, ppr
 		_, _ = w.Write([]byte(report.Build(platform, 10, time.Now()).Markdown()))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(platform.Stats())
+		obs.WriteJSON(w, http.StatusOK, platform.Stats())
 	})
 	mux.Handle("/", platform.Dashboard())
 	return mux

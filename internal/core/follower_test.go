@@ -106,6 +106,30 @@ func TestFollowerScoresACopy(t *testing.T) {
 	}
 }
 
+// TestFollowerRereadsAPageWhoseWriteBackFailed: a page whose eIoCs the
+// store installs none of fails, so the follower reads it again rather
+// than leave the posted cIoC unscored.
+func TestFollowerRereadsAPageWhoseWriteBackFailed(t *testing.T) {
+	p := newPlatform(t, Config{DataDir: t.TempDir(), DisableLifecycle: true})
+	posted := clusterOf(t, "CVE-2017-9805", normalize.CategoryVulnExploit, strutsContext)
+	if _, err := p.TIP().AddEvent(posted); err != nil {
+		t.Fatal(err)
+	}
+	page, next, _, err := p.TIP().ChangesPage(0, 0)
+	if err != nil || len(page) != 1 {
+		t.Fatalf("page of %d, %v", len(page), err)
+	}
+	if err := p.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.analyzePage(page, next); err == nil {
+		t.Fatal("a page whose write-back the store refused passed")
+	}
+	if st := p.Stats(); st.EIoCs != 0 {
+		t.Fatalf("stats %+v: an eIoC counted that was not stored", st)
+	}
+}
+
 // TestStreamingModeScoresARepost: a cIoC posted again after its eIoC was
 // written back replaces the eIoC with an unscored revision, and that
 // revision is scored too. The analyzer keeps no memory of what it scored.

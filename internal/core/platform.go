@@ -684,11 +684,13 @@ func (p *Platform) commit(batch []*misp.Event) ([]int, error) {
 // page holds the store's frozen views (DESIGN.md §8). The eIoCs are
 // written back in one commit, the paper's second revision, and published.
 // A cluster the flush committed unscored stays Unscorable: nothing of it
-// is stored or counted. A failure is logged; the page is not read again.
+// is stored or counted. A commit that installs none of the page's eIoCs
+// fails the page, which the follower reads again; any other failure is
+// logged and the page is passed.
 func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
 	var batch []*misp.Event
 	for _, me := range page {
-		if worker.Unscored(me) {
+		if heuristic.Unscored(me) {
 			batch = append(batch, me.Clone())
 		}
 	}
@@ -700,6 +702,9 @@ func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
 		}
 	}
 	installed, cerr := p.commit(eiocs)
+	if cerr != nil && len(installed) == 0 {
+		return errors.Join(err, cerr)
+	}
 	if err = errors.Join(err, cerr); err != nil {
 		p.logger.Warn("heuristic analysis failed", "error", err)
 	}

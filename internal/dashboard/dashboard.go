@@ -236,7 +236,7 @@ func (s *Server) sessionAnalyzer() *sessions.Analyzer {
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	a := s.sessionAnalyzer()
 	if a == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "session analytics not enabled"})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "session analytics not enabled"})
 		return
 	}
 	topK := 10
@@ -245,21 +245,21 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 			topK = n
 		}
 	}
-	writeJSON(w, http.StatusOK, a.Summarize(topK))
+	obs.WriteJSON(w, http.StatusOK, a.Summarize(topK))
 }
 
 func (s *Server) handleSessionCompare(w http.ResponseWriter, r *http.Request) {
 	a := s.sessionAnalyzer()
 	if a == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "session analytics not enabled"})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "session analytics not enabled"})
 		return
 	}
 	cmp, err := a.Compare(r.URL.Query().Get("a"), r.URL.Query().Get("b"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, cmp)
+	obs.WriteJSON(w, http.StatusOK, cmp)
 }
 
 // ServeHTTP implements http.Handler.
@@ -412,7 +412,7 @@ func (s *Server) Timeline() []TimelineBucket {
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Timeline())
+	obs.WriteJSON(w, http.StatusOK, s.Timeline())
 }
 
 // RIoCs returns the stored reduced IoCs as a shared immutable snapshot.
@@ -519,14 +519,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.BuildTopology())
+	obs.WriteJSON(w, http.StatusOK, s.BuildTopology())
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	node := s.collector.Inventory().Node(id)
 	if node == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown node " + id})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown node " + id})
 		return
 	}
 	detail := NodeDetail{
@@ -534,15 +534,15 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 		Alarms: s.collector.AlarmsForNode(id),
 		RIoCs:  s.RIoCsForNode(id),
 	}
-	writeJSON(w, http.StatusOK, detail)
+	obs.WriteJSON(w, http.StatusOK, detail)
 }
 
 func (s *Server) handleAlarms(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.collector.Alarms())
+	obs.WriteJSON(w, http.StatusOK, s.collector.Alarms())
 }
 
 func (s *Server) handleRIoCs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.RIoCs())
+	obs.WriteJSON(w, http.StatusOK, s.RIoCs())
 }
 
 // RIoCDetail is the on-demand drill-down view of one rIoC: the reduced
@@ -561,11 +561,11 @@ func (s *Server) handleRIoCDetail(w http.ResponseWriter, r *http.Request) {
 	// elements are immutable, and serialization must not stall pushers.
 	for _, rioc := range s.RIoCs() {
 		if rioc.ID == id {
-			writeJSON(w, http.StatusOK, RIoCDetail{RIoC: rioc, Breakdown: rioc.Breakdown})
+			obs.WriteJSON(w, http.StatusOK, RIoCDetail{RIoC: rioc, Breakdown: rioc.Breakdown})
 			return
 		}
 	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown rIoC " + id})
+	obs.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "unknown rIoC " + id})
 }
 
 func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
@@ -629,10 +629,4 @@ func (s *Server) broadcast(ev Event) {
 		return
 	}
 	s.hub.BroadcastPrepared(wsock.PrepareText(data))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -46,6 +46,14 @@ func scoreOf(me *misp.Event, prefix string) (float64, bool) {
 	return 0, false
 }
 
+// Unscored reports whether a stored revision is one the heuristic
+// component scores: a cIoC without the eIoC tag. Infrastructure data is
+// stored, not analyzed, and an eIoC is already scored; re-scoring a
+// write-back would loop.
+func Unscored(me *misp.Event) bool {
+	return me.HasTag("caisp:cioc") && !me.HasTag("caisp:eioc")
+}
+
 // BaseScoreOf recovers the analyzer's written-back threat score.
 func BaseScoreOf(me *misp.Event) (float64, bool) { return scoreOf(me, ScorePrefix) }
 

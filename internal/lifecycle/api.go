@@ -1,8 +1,9 @@
 package lifecycle
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"github.com/caisplatform/caisp/internal/obs"
 )
 
 // API is the read-only HTTP surface of the lifecycle engine: cumulative
@@ -24,17 +25,12 @@ func NewAPI(e *Engine) *API {
 // ServeHTTP implements http.Handler.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, a.engine.Stats())
+	obs.WriteJSON(w, http.StatusOK, a.engine.Stats())
 }
 
 func (a *API) handleTracked(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, struct {
+	obs.WriteJSON(w, http.StatusOK, struct {
 		Tracked []string `json:"tracked"`
 	}{a.engine.Tracked()})
 }
@@ -46,7 +42,7 @@ func (a *API) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"no score history for uuid"}`, http.StatusNotFound)
 		return
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, http.StatusOK, struct {
 		UUID    string   `json:"uuid"`
 		Samples []Sample `json:"samples"`
 	}{uuid, samples})

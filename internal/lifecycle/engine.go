@@ -351,7 +351,7 @@ const (
 // event content, the sighting clock and now — nothing scheduler-shaped
 // leaks in, which is what the batch-boundary property test pins down.
 func (e *Engine) evaluate(ev *misp.Event, now time.Time, sight map[string]time.Time, res *Result) (float64, action) {
-	if ev.HasTag("caisp:cioc") && !ev.HasTag("caisp:eioc") {
+	if heuristic.Unscored(ev) {
 		// A cluster the analyzer has not scored yet (or could not score).
 		// Mid-pipeline events must not be raced; they still age out on the
 		// category lifetime so unscorable clusters cannot pin the store.

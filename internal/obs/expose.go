@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
@@ -212,4 +213,17 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
+}
+
+// WriteJSON answers status with v as an application/json body: v as
+// encoding/json's Encoder writes it, newline included, or a
+// json.RawMessage's bytes as they are.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if raw, ok := v.(json.RawMessage); ok {
+		_, _ = w.Write(raw)
+		return
+	}
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -1,9 +1,10 @@
 package health
 
 import (
-	"encoding/json"
 	"net/http"
 	"runtime"
+
+	"github.com/caisplatform/caisp/internal/obs"
 )
 
 // PeerInfo is one replication peer's watermark as seen from this node —
@@ -62,7 +63,6 @@ func StatusHandler(fn func() NodeStatus) http.Handler {
 		if st.GoVersion == "" {
 			st.GoVersion = runtime.Version()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(st)
+		obs.WriteJSON(w, http.StatusOK, st)
 	})
 }

@@ -9,7 +9,6 @@
 package health
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 
@@ -175,7 +174,7 @@ func (r *Registry) Liveness() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		ev := r.safeEval()
 		if ev.status() >= Down {
-			writeReport(w, http.StatusServiceUnavailable, ev.report)
+			obs.WriteJSON(w, http.StatusServiceUnavailable, ev.report)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -195,7 +194,7 @@ func (r *Registry) Readiness() http.Handler {
 		if ev.status() >= Degraded {
 			code = http.StatusServiceUnavailable
 		}
-		writeReport(w, code, ev.report)
+		obs.WriteJSON(w, code, ev.report)
 	})
 }
 
@@ -205,10 +204,4 @@ func (r *Registry) safeEval() evaluated {
 		return evaluated{report: Report{Status: OK.String(), Checks: []CheckResult{}}}
 	}
 	return r.eval()
-}
-
-func writeReport(w http.ResponseWriter, code int, rep Report) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(rep)
 }

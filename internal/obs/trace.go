@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"sync"
@@ -386,11 +385,10 @@ func (t *Tracer) Active() int {
 // Nil-safe: a nil tracer serves an empty array.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		recs := append(t.Slowest(), t.Imports()...)
 		if recs == nil {
 			recs = []TraceRecord{}
 		}
-		_ = json.NewEncoder(w).Encode(recs)
+		WriteJSON(w, http.StatusOK, recs)
 	})
 }

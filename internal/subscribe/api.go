@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/stixpattern"
 	"github.com/caisplatform/caisp/internal/wsock"
 )
@@ -63,12 +64,6 @@ type apiError struct {
 	Limit  int `json:"limit,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (a *API) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	body := http.MaxBytesReader(w, r.Body, maxRegisterBytes)
@@ -77,22 +72,22 @@ func (a *API) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, code, apiError{Error: "bad request body: " + err.Error()})
+		obs.WriteJSON(w, code, apiError{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.Pattern == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "missing pattern"})
+		obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: "missing pattern"})
 		return
 	}
 	var ttl time.Duration
 	if req.TTL != "" {
 		d, err := time.ParseDuration(req.TTL)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad ttl: " + err.Error()})
+			obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: "bad ttl: " + err.Error()})
 			return
 		}
 		if d <= 0 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad ttl: must be positive"})
+			obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: "bad ttl: must be positive"})
 			return
 		}
 		ttl = d
@@ -105,17 +100,17 @@ func (a *API) handleRegister(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &serr):
 			pos := serr.Pos
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Position: &pos})
+			obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Position: &pos})
 		case errors.As(err, &tooLarge):
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Length: tooLarge.Length, Limit: tooLarge.Limit})
+			obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Length: tooLarge.Length, Limit: tooLarge.Limit})
 		case errors.As(err, &limit):
-			writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error(), Limit: limit.Limit})
+			obs.WriteJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error(), Limit: limit.Limit})
 		default:
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+			obs.WriteJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		}
 		return
 	}
-	writeJSON(w, http.StatusCreated, sub)
+	obs.WriteJSON(w, http.StatusCreated, sub)
 }
 
 func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
@@ -123,17 +118,17 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 	if subs == nil {
 		subs = []*Subscription{}
 	}
-	writeJSON(w, http.StatusOK, subs)
+	obs.WriteJSON(w, http.StatusOK, subs)
 }
 
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.engine.Stats())
+	obs.WriteJSON(w, http.StatusOK, a.engine.Stats())
 }
 
 func (a *API) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := a.engine.Unsubscribe(id); err != nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
+	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
@@ -89,7 +90,7 @@ func (a *API) addEvent(w http.ResponseWriter, e *misp.Event) {
 	case err != nil:
 		httpError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusCreated, map[string]any{"uuid": e.UUID, "correlated": correlated})
+		obs.WriteJSON(w, http.StatusCreated, map[string]any{"uuid": e.UUID, "correlated": correlated})
 	}
 }
 
@@ -123,7 +124,7 @@ func (a *API) handleAddEventBatch(w http.ResponseWriter, r *http.Request) {
 	for _, e := range stored {
 		uuids = append(uuids, e.UUID)
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	obs.WriteJSON(w, http.StatusCreated, map[string]any{
 		"stored":   uuids,
 		"rejected": rejected,
 	})
@@ -280,7 +281,7 @@ func (a *API) handleDeleteEvent(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("uuid")})
+	obs.WriteJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("uuid")})
 }
 
 func (a *API) handleExport(w http.ResponseWriter, r *http.Request) {
@@ -347,9 +348,7 @@ func (a *API) handleImportSTIX(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(MarshalStats(a.service.Stats()))
+	obs.WriteJSON(w, http.StatusOK, json.RawMessage(MarshalStats(a.service.Stats())))
 }
 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
@@ -464,18 +463,10 @@ func acceptsGzip(r *http.Request) bool {
 
 // writeRawJSON writes pre-encoded (possibly cached, shared) JSON bytes.
 func writeRawJSON(w http.ResponseWriter, status int, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(data)
+	obs.WriteJSON(w, status, json.RawMessage(data))
 	_, _ = w.Write([]byte{'\n'})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	obs.WriteJSON(w, status, map[string]string{"error": msg})
 }

@@ -46,14 +46,6 @@ type Analysis struct {
 	Score float64
 }
 
-// Unscored reports whether a stored revision is one the heuristic
-// component scores: a cIoC without the eIoC tag. Infrastructure data is
-// stored, not analyzed, and an eIoC is already scored; re-scoring a
-// write-back would loop.
-func Unscored(me *misp.Event) bool {
-	return me.HasTag("caisp:cioc") && !me.HasTag("caisp:eioc")
-}
-
 // Analyzer runs the heuristic stage on cIoC revisions. It keeps no memory
 // of what it scored: a revision given twice is scored twice. It is safe
 // for concurrent use, on one UUID too: a record only lends a revision
@@ -397,7 +389,7 @@ func (w *Worker) handle(ctx context.Context, page []*misp.Event, next uint64) er
 	var enriched []*misp.Event
 	for _, me := range page {
 		w.received.Add(1)
-		if !Unscored(me) {
+		if !heuristic.Unscored(me) {
 			w.skipped.Add(1)
 			continue
 		}

@@ -379,30 +379,6 @@ func TestScoreStoresNothing(t *testing.T) {
 	}
 }
 
-// TestUnscored: the heuristic component scores a stored cIoC that lacks
-// the eIoC tag, and nothing else.
-func TestUnscored(t *testing.T) {
-	for _, tc := range []struct {
-		tags []string
-		want bool
-	}{
-		{[]string{"caisp:cioc"}, true},
-		{[]string{"caisp:cioc", `caisp:cluster-content="abc"`}, true},
-		{[]string{"caisp:cioc", "caisp:eioc"}, false},
-		{[]string{"caisp:eioc"}, false},
-		{[]string{"caisp:infrastructure"}, false},
-		{nil, false},
-	} {
-		me := misp.NewEvent("t", evalTime)
-		for _, tag := range tc.tags {
-			me.AddTag(tag)
-		}
-		if got := Unscored(me); got != tc.want {
-			t.Errorf("Unscored(%v) = %v, want %v", tc.tags, got, tc.want)
-		}
-	}
-}
-
 // TestWorkerRescoresGrownCluster: a grown revision of a scored cluster —
 // same stable UUID, new content hash — replaces the eIoC in the change
 // log and is scored again, and the stored eIoC carries one base score,

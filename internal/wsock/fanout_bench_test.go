@@ -75,10 +75,10 @@ func BenchmarkFanout(b *testing.B) {
 		slow    int
 		opts    []HubOption
 	}{
-		{"sharded/c64", 64, 0, nil},
-		{"sharded/c1024", 1024, 0, nil},
-		{"sharded/c4096", 4096, 0, nil},
-		{"sharded-slowmix/c64", 64, 1, []HubOption{WithQueueDepth(4)}},
+		{"c64", 64, 0, nil},
+		{"c1024", 1024, 0, nil},
+		{"c4096", 4096, 0, nil},
+		{"slowmix/c64", 64, 1, []HubOption{WithQueueDepth(4)}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -3,7 +3,6 @@ package wsock
 import (
 	"errors"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +10,10 @@ import (
 	"github.com/caisplatform/caisp/internal/obs"
 )
 
-// Hub sizing: connections spread over DefaultShards shards, each client
-// queue holds DefaultQueueDepth frames unless WithQueueDepth says
-// otherwise, and a write slower than DefaultWriteTimeout evicts its client.
+// Hub sizing: each client queue holds DefaultQueueDepth frames unless
+// WithQueueDepth says otherwise, and a write slower than
+// DefaultWriteTimeout evicts its client.
 const (
-	DefaultShards       = 8
 	DefaultQueueDepth   = 64
 	DefaultWriteTimeout = 10 * time.Second
 )
@@ -24,54 +22,40 @@ const (
 // dashboard uses one Hub to push rIoCs and alarms to every connected
 // browser session.
 //
-// The hub is sharded: connections are spread round-robin across N shards,
-// each with its own lock, fan-out goroutine and broadcast queue, and every
-// connection gets a bounded send queue drained by a dedicated writer
-// goroutine. Broadcast therefore costs O(shards) on the caller's
-// goroutine — it assembles the frame once (encode-once: header + payload
-// shared by every client) and enqueues it once per shard — while writes
-// happen off-path, bounded by the write timeout. A client that cannot keep
-// up (full queue, write timeout, write error) is evicted and closed
-// without ever delaying the others.
+// Every connection gets a bounded send queue drained by a dedicated
+// writer goroutine. Broadcast assembles the frame once (encode-once:
+// header + payload shared by every client) and, on the caller's
+// goroutine under the hub's one lock, enqueues it onto each client's
+// queue; writes happen off-path, bounded by the write timeout. A client
+// that cannot keep up (full queue, write timeout, write error) is evicted
+// and closed without ever delaying the others or the caller.
 type Hub struct {
-	shards []*shard
-	next   atomic.Uint64 // round-robin shard assignment
+	mu      sync.Mutex
+	clients map[*Conn]*client
 
 	sent     atomic.Int64 // successful frame deliveries
 	evicted  atomic.Int64 // connections dropped by the hub
-	maxQueue atomic.Int64 // deepest client queue seen on the last fan-out
+	maxQueue atomic.Int64 // deepest client queue seen on the last broadcast
 
 	queueDepth   int
 	writeTimeout time.Duration
 
 	reg         *obs.Registry
-	queueGauge  *obs.GaugeVec     // caisp_wsock_queue_depth{shard}
-	evictedVec  *obs.CounterVec   // caisp_wsock_evicted_total{shard,reason}
-	pushSeconds *obs.HistogramVec // caisp_wsock_push_seconds{shard}
+	queueGauge  *obs.Gauge      // caisp_wsock_queue_depth
+	evictedVec  *obs.CounterVec // caisp_wsock_evicted_total{reason}
+	pushSeconds *obs.Histogram  // caisp_wsock_push_seconds
 
 	done      chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup
-}
-
-// shard owns a subset of the hub's connections.
-type shard struct {
-	hub   *Hub
-	label string
-
-	mu      sync.Mutex
-	clients map[*Conn]*client
-
-	bcast chan *PreparedFrame
 }
 
 // client is one registered connection plus its writer state.
 type client struct {
-	conn  *Conn
-	shard *shard
-	send  chan queued   // bounded
-	dead  chan struct{} // closed exactly once by stop
-	once  sync.Once
+	conn *Conn
+	hub  *Hub
+	send chan queued   // bounded
+	dead chan struct{} // closed exactly once by stop
+	once sync.Once
 }
 
 // queued is one frame waiting in a client's send queue. at is zero unless
@@ -101,16 +85,16 @@ type hubMetricsOption struct{ reg *obs.Registry }
 
 func (o hubMetricsOption) applyHub(h *Hub) { h.reg = o.reg }
 
-// WithHubMetrics registers the hub's caisp_wsock_* families (per-shard
-// queue depth, evictions by reason, push latency) into reg. Nil disables
+// WithHubMetrics registers the hub's caisp_wsock_* families (queue depth,
+// evictions by reason, push latency) into reg. Nil disables
 // instrumentation.
 func WithHubMetrics(reg *obs.Registry) HubOption { return hubMetricsOption{reg: reg} }
 
-// NewHub constructs a hub and starts its shard fan-out goroutines.
-// Callers should Close it when done.
+// NewHub constructs a hub. It starts no goroutine of its own: each
+// connection's writer starts with Add. Callers should Close it when done.
 func NewHub(opts ...HubOption) *Hub {
 	h := &Hub{
-		shards:       make([]*shard, DefaultShards),
+		clients:      make(map[*Conn]*client),
 		queueDepth:   DefaultQueueDepth,
 		writeTimeout: DefaultWriteTimeout,
 		done:         make(chan struct{}),
@@ -119,74 +103,52 @@ func NewHub(opts ...HubOption) *Hub {
 		o.applyHub(h)
 	}
 	if h.reg != nil {
-		h.queueGauge = h.reg.GaugeVec("caisp_wsock_queue_depth",
-			"Deepest client send queue observed during the shard's last fan-out.",
-			"shard")
+		h.queueGauge = h.reg.Gauge("caisp_wsock_queue_depth",
+			"Deepest client send queue observed during the last broadcast.")
 		h.evictedVec = h.reg.CounterVec("caisp_wsock_evicted_total",
 			"Connections evicted by the hub (reason: slow, timeout, error).",
-			"shard", "reason")
-		h.pushSeconds = h.reg.HistogramVec("caisp_wsock_push_seconds",
-			"Per-client push latency from broadcast enqueue to completed write.",
-			nil, "shard")
-	}
-	for i := range h.shards {
-		s := &shard{
-			hub:     h,
-			label:   strconv.Itoa(i),
-			clients: make(map[*Conn]*client),
-			bcast:   make(chan *PreparedFrame, h.queueDepth),
-		}
-		h.shards[i] = s
-		h.wg.Add(1)
-		go s.run()
+			"reason")
+		h.pushSeconds = h.reg.Histogram("caisp_wsock_push_seconds",
+			"Per-client push latency from broadcast enqueue to completed write.")
 	}
 	return h
 }
 
 // Add registers a connection for broadcasts, arms its write timeout, and
-// starts its writer goroutine.
+// starts its writer goroutine. On a closed hub it closes the connection.
 func (h *Hub) Add(c *Conn) {
+	c.SetWriteTimeout(h.writeTimeout)
+	cl := &client{conn: c, hub: h, send: make(chan queued, h.queueDepth), dead: make(chan struct{})}
+	h.mu.Lock()
 	select {
 	case <-h.done:
+		h.mu.Unlock()
 		_ = c.Close()
 		return
 	default:
 	}
-	c.SetWriteTimeout(h.writeTimeout)
-	s := h.shards[h.next.Add(1)%uint64(len(h.shards))]
-	cl := &client{conn: c, shard: s, send: make(chan queued, h.queueDepth), dead: make(chan struct{})}
-	s.mu.Lock()
-	s.clients[c] = cl
-	s.mu.Unlock()
+	h.clients[c] = cl
+	h.mu.Unlock()
 	go cl.writeLoop()
 }
 
 // Remove unregisters (but does not close) a connection. Its writer
 // goroutine is stopped.
 func (h *Hub) Remove(c *Conn) {
-	for _, s := range h.shards {
-		s.mu.Lock()
-		cl, ok := s.clients[c]
-		if ok {
-			delete(s.clients, c)
-		}
-		s.mu.Unlock()
-		if ok {
-			cl.stop(false, "")
-			return
-		}
+	h.mu.Lock()
+	cl, ok := h.clients[c]
+	delete(h.clients, c)
+	h.mu.Unlock()
+	if ok {
+		cl.stop(false, "")
 	}
 }
 
 // Len reports the number of registered connections.
 func (h *Hub) Len() int {
-	n := 0
-	for _, s := range h.shards {
-		s.mu.Lock()
-		n += len(s.clients)
-		s.mu.Unlock()
-	}
-	return n
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.clients)
 }
 
 // Sent reports the number of successfully delivered frames.
@@ -197,8 +159,8 @@ func (h *Hub) Sent() int { return int(h.sent.Load()) }
 func (h *Hub) Evicted() int { return int(h.evicted.Load()) }
 
 // QueueSaturation reports the fill fraction [0,1] of the deepest client
-// queue seen during the most recent fan-out — the hub's health signal: a
-// value near 1 means the next broadcast starts evicting slow clients.
+// queue seen during the most recent broadcast — the hub's health signal:
+// a value near 1 means the next broadcast starts evicting slow clients.
 func (h *Hub) QueueSaturation() float64 {
 	if h.queueDepth <= 0 {
 		return 0
@@ -208,72 +170,45 @@ func (h *Hub) QueueSaturation() float64 {
 
 // Broadcast assembles payload into a text frame once and fans it out to
 // every connection. It returns the number of connections the frame was
-// routed toward. Failed and stalled connections are evicted and closed.
+// queued for. Failed and stalled connections are evicted and closed.
 func (h *Hub) Broadcast(payload []byte) int {
 	return h.BroadcastPrepared(PrepareText(payload))
 }
 
-// BroadcastPrepared fans a pre-assembled frame out to every connection —
-// the encode-once hot path: O(shards) work on the caller's goroutine.
+// BroadcastPrepared enqueues a pre-assembled frame onto every client's
+// queue — the encode-once hot path — and returns the number of queues it
+// joined. A client whose queue is full is evicted (drop-slowest); the
+// call never blocks on a client.
 func (h *Hub) BroadcastPrepared(pf *PreparedFrame) int {
-	routed := 0
-	for _, s := range h.shards {
-		s.mu.Lock()
-		n := len(s.clients)
-		s.mu.Unlock()
-		if n == 0 {
-			continue
-		}
-		routed += n
+	var at time.Time
+	if h.pushSeconds != nil {
+		at = time.Now()
+	}
+	routed, maxDepth := 0, 0
+	h.mu.Lock()
+	for conn, cl := range h.clients {
 		select {
-		case s.bcast <- pf:
-		case <-h.done:
-			return routed
+		case cl.send <- queued{pf: pf, at: at}:
+			routed++
+			if d := len(cl.send); d > maxDepth {
+				maxDepth = d
+			}
+		default:
+			delete(h.clients, conn)
+			cl.stop(true, "slow")
 		}
+	}
+	h.mu.Unlock()
+	h.maxQueue.Store(int64(maxDepth))
+	if h.queueGauge != nil {
+		h.queueGauge.Set(float64(maxDepth))
 	}
 	return routed
 }
 
-// run is a shard's fan-out loop: it takes each broadcast frame once and
-// enqueues it onto every resident client queue, evicting any client whose
-// queue is already full (drop-slowest policy).
-func (s *shard) run() {
-	h := s.hub
-	defer h.wg.Done()
-	for {
-		select {
-		case <-h.done:
-			return
-		case pf := <-s.bcast:
-			var at time.Time
-			if h.pushSeconds != nil {
-				at = time.Now()
-			}
-			maxDepth := 0
-			s.mu.Lock()
-			for conn, cl := range s.clients {
-				select {
-				case cl.send <- queued{pf: pf, at: at}:
-					if d := len(cl.send); d > maxDepth {
-						maxDepth = d
-					}
-				default:
-					delete(s.clients, conn)
-					cl.stop(true, "slow")
-				}
-			}
-			s.mu.Unlock()
-			h.maxQueue.Store(int64(maxDepth))
-			if h.queueGauge != nil {
-				h.queueGauge.With(s.label).Set(float64(maxDepth))
-			}
-		}
-	}
-}
-
 // writeLoop drains one client's send queue onto its connection.
 func (cl *client) writeLoop() {
-	h := cl.shard.hub
+	h := cl.hub
 	for {
 		select {
 		case <-cl.dead:
@@ -287,19 +222,19 @@ func (cl *client) writeLoop() {
 			}
 			h.sent.Add(1)
 			if !q.at.IsZero() {
-				h.pushSeconds.With(cl.shard.label).Observe(time.Since(q.at).Seconds())
+				h.pushSeconds.Observe(time.Since(q.at).Seconds())
 			}
 		}
 	}
 }
 
-// evict detaches the client from its shard and stops it, classifying err
+// evict detaches the client from the hub and stops it, classifying err
 // as a timeout or a generic write error.
 func (cl *client) evict(err error) {
-	s := cl.shard
-	s.mu.Lock()
-	delete(s.clients, cl.conn)
-	s.mu.Unlock()
+	h := cl.hub
+	h.mu.Lock()
+	delete(h.clients, cl.conn)
+	h.mu.Unlock()
 	reason := "error"
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
@@ -310,19 +245,19 @@ func (cl *client) evict(err error) {
 
 // stop shuts the client down exactly once: the writer goroutine exits,
 // and — when closeConn is set — the connection's in-flight I/O is aborted
-// and the connection closed in the background (never on a shard or
-// broadcast goroutine). A non-empty reason records an eviction. stop is
-// idempotent and safe from any goroutine, so a connection racing between
-// Broadcast's fan-out, its writer's failure path, Remove and CloseAll is
-// torn down exactly once.
+// and the connection closed in the background (never on a broadcasting
+// goroutine). A non-empty reason records an eviction. stop is idempotent
+// and safe from any goroutine, so a connection racing between a
+// broadcast, its writer's failure path, Remove and CloseAll is torn down
+// exactly once.
 func (cl *client) stop(closeConn bool, reason string) {
 	cl.once.Do(func() {
 		close(cl.dead)
-		h := cl.shard.hub
+		h := cl.hub
 		if reason != "" {
 			h.evicted.Add(1)
 			if h.evictedVec != nil {
-				h.evictedVec.With(cl.shard.label, reason).Inc()
+				h.evictedVec.With(reason).Inc()
 			}
 			// An evicted client may have a write in flight on a dead peer;
 			// abort unblocks it so the close below cannot stall.
@@ -336,24 +271,19 @@ func (cl *client) stop(closeConn bool, reason string) {
 
 // CloseAll closes and evicts every connection. The hub remains usable.
 func (h *Hub) CloseAll() {
-	for _, s := range h.shards {
-		s.mu.Lock()
-		clients := make([]*client, 0, len(s.clients))
-		for _, cl := range s.clients {
-			clients = append(clients, cl)
-		}
-		s.clients = make(map[*Conn]*client)
-		s.mu.Unlock()
-		for _, cl := range clients {
-			cl.stop(true, "")
-		}
+	h.mu.Lock()
+	clients := h.clients
+	h.clients = make(map[*Conn]*client)
+	h.mu.Unlock()
+	for _, cl := range clients {
+		cl.stop(true, "")
 	}
 }
 
-// Close drops every connection and stops the shard goroutines. The hub
-// must not be used afterwards; Broadcast becomes a no-op.
+// Close drops every connection and stops their writers. The hub must not
+// be used afterwards; Add closes the connection it is given and Broadcast
+// reaches no one.
 func (h *Hub) Close() {
 	h.closeOnce.Do(func() { close(h.done) })
 	h.CloseAll()
-	h.wg.Wait()
 }

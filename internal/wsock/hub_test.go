@@ -9,10 +9,13 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/caisplatform/caisp/internal/obs"
 )
 
 // hubOptionFunc sets Hub fields the daemons leave at their defaults.
@@ -94,7 +97,7 @@ func TestSlowClientDoesNotDelayOthers(t *testing.T) {
 		fast, stalled, messages int
 	}{
 		{fast: 8, stalled: 1, messages: 40},
-		{fast: 990, stalled: 10, messages: 20}, // over the default 8 shards
+		{fast: 990, stalled: 10, messages: 20},
 	} {
 		t.Run(fmt.Sprintf("%d clients %d stalled", tc.fast+tc.stalled, tc.stalled), func(t *testing.T) {
 			hub := NewHub(WithQueueDepth(8))
@@ -143,7 +146,6 @@ func TestSlowClientDoesNotDelayOthers(t *testing.T) {
 // panics or deadlocks.
 func TestEvictionIdempotentUnderChurn(t *testing.T) {
 	hub := NewHub(WithQueueDepth(2), hubOptionFunc(func(h *Hub) {
-		h.shards = make([]*shard, 4)
 		h.writeTimeout = time.Second
 	}))
 	defer hub.Close()
@@ -321,5 +323,70 @@ func TestHubRemoveKeepsConnectionOpen(t *testing.T) {
 	waitFor(t, func() bool { return received.Load() == 1 })
 	if hub.Evicted() != 0 {
 		t.Fatalf("Remove counted as eviction: %d", hub.Evicted())
+	}
+}
+
+// TestNewHubStartsNoGoroutine: a hub costs nothing until a client joins;
+// each connection's writer is the only goroutine the hub runs.
+func TestNewHubStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	hubs := make([]*Hub, 64)
+	for i := range hubs {
+		hubs[i] = NewHub()
+	}
+	grown := runtime.NumGoroutine() - before
+	for _, h := range hubs {
+		h.Close()
+	}
+	// Goroutines left by earlier tests can only exit meanwhile, so
+	// anything per hub shows as at least one goroutine per hub.
+	if grown >= len(hubs) {
+		t.Fatalf("%d hubs started %d goroutines, want none", len(hubs), grown)
+	}
+}
+
+// TestHubMetricsExposition: a slow-client eviction reads on
+// caisp_wsock_evicted_total under its reason alone, and the queue-depth
+// gauge and push histogram are single unlabeled series.
+func TestHubMetricsExposition(t *testing.T) {
+	reg := obs.NewRegistry()
+	hub := NewHub(WithQueueDepth(1), WithHubMetrics(reg))
+	defer hub.Close()
+	fast := newPipeClient(hub, 0)
+	defer fast.client.Close()
+	var received atomic.Int64
+	go fast.drainCount(&received)
+	stalled := newPipeClient(hub, 16)
+	defer stalled.client.Close()
+
+	payload := bytes.Repeat([]byte("s"), 256)
+	for i := int64(1); hub.Evicted() == 0; i++ {
+		hub.Broadcast(payload)
+		waitFor(t, func() bool { return received.Load() == i })
+	}
+	waitFor(t, func() bool { return hub.Sent() == int(received.Load()) })
+	if hub.Len() != 1 {
+		t.Fatalf("Len = %d after the eviction, want the fast client alone", hub.Len())
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exposition := sb.String()
+	for _, want := range []string{
+		"\ncaisp_wsock_evicted_total{reason=\"slow\"} 1\n",
+		"\ncaisp_wsock_queue_depth ",
+		fmt.Sprintf("\ncaisp_wsock_push_seconds_count %d\n", hub.Sent()),
+	} {
+		if !strings.Contains(exposition, want) {
+			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(want), exposition)
+		}
+	}
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "caisp_wsock_queue_depth{") ||
+			(strings.HasPrefix(line, "caisp_wsock_push_seconds") && strings.Contains(line, "{") && !strings.Contains(line, "{le=")) {
+			t.Errorf("labeled series %q", line)
+		}
 	}
 }
