@@ -22,10 +22,12 @@ bench:
 # segment scanner, the snapshot loader (Open refuses the file or its change
 # log lists exactly its live events), the STIX pattern parser,
 # stixpattern.Equality (Parse reads back the AST it rendered), the UUID
-# parser (against hex.DecodeString) and correlate.Splice (a cluster's
+# parser (against hex.DecodeString), correlate.Splice (a cluster's
 # revision spliced from the one stored before it, as the flush left it
 # or replaced through REST, equals the full ToMISP apart from attribute
-# UUIDs, and keeps only UUIDs of attributes stored unaltered). A new
+# UUIDs, and keeps only UUIDs of attributes stored unaltered) and the
+# subscription index's number screen (canonicalNumber answers as a plain
+# strconv.ParseFloat and FormatFloat would). A new
 # input is minimized for at most a second, so a target spends its ten
 # seconds executing instead of shrinking the first input that widened
 # coverage (the default allows a minute).
@@ -38,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEqualityPattern -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/uuid/
 	$(GO) test -run '^$$' -fuzz FuzzToMISPSplice -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalNumber -fuzztime 10s -fuzzminimizetime 1s ./internal/subscribe/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own
 # that calls internal/... directly, so the root build and tests never
@@ -79,7 +82,7 @@ bench-fanout:
 # Subscription suite: indexed pattern evaluation across 1k/10k/100k
 # standing patterns, registration churn, and
 # the parse-time regexp precompilation deltas — the EXPERIMENTS.md §X11
-# numbers.
+# numbers — and the stage rule over a page of eIoCs (§X34).
 bench-subs:
 	$(GO) test -run '^$$' -bench '^BenchmarkSubs' -benchmem ./internal/subscribe/ ./internal/stixpattern/
 

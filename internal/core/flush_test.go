@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -194,5 +195,52 @@ func TestStartIsOncePerPlatform(t *testing.T) {
 			t.Fatalf("%d goroutines after the refused Start, %d before", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFlushStoresAlikeOnAnyPool: the flush composes its clusters on the
+// pool, and a platform with one goroutine and one with the default pool
+// store the same revisions from the same polls, in delta order, attribute
+// UUIDs aside, and count the same clusters.
+func TestFlushStoresAlikeOnAnyPool(t *testing.T) {
+	run := func(pool int) ([]string, Stats) {
+		defs, push := goldenFeeds(t)
+		p := newPlatform(t, Config{Feeds: defs, AnalyzerPool: pool, FeedConcurrency: 1, DisableMetrics: true})
+		var revisions []string
+		var cursor uint64
+		for r := 0; r < 12; r++ {
+			push(r)
+			if err := p.RunBatch(context.Background()); err != nil {
+				t.Fatalf("pool %d, round %d: %v", pool, r, err)
+			}
+			page, next, _, err := p.TIP().ChangesPage(cursor, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cursor = next
+			for _, me := range page {
+				raw, err := json.Marshal(me)
+				if err != nil {
+					t.Fatal(err)
+				}
+				revisions = append(revisions, fmt.Sprintf("round %d %s", r, canonical(t, raw, nil)))
+			}
+		}
+		return revisions, p.Stats()
+	}
+	serial, serialStats := run(1)
+	pooled, pooledStats := run(0)
+	if len(serial) == 0 || serialStats.ClusterEdits == 0 {
+		t.Fatalf("the stream grows no cluster: %d revisions, %+v", len(serial), serialStats)
+	}
+	for i := range max(len(serial), len(pooled)) {
+		if i >= len(serial) || i >= len(pooled) || serial[i] != pooled[i] {
+			t.Fatalf("revision %d of %d/%d differs on the default pool", i, len(serial), len(pooled))
+		}
+	}
+	type counts struct{ ciocs, edits, failures int }
+	if s, p := (counts{serialStats.CIoCs, serialStats.ClusterEdits, serialStats.StoreFailures}),
+		(counts{pooledStats.CIoCs, pooledStats.ClusterEdits, pooledStats.StoreFailures}); s != p {
+		t.Fatalf("pool of 1 counts %+v, default pool %+v", s, p)
 	}
 }

@@ -580,25 +580,38 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 		}
 		p.retract(uuid)
 	}
+	// Compose on the pool: Splice is pure and GetEvent reads a snapshot.
+	// The batch keeps the delta's order, new clusters first.
 	now := p.clk.Now()
-	batch := make([]*misp.Event, 0, len(delta.New)+len(delta.Updated))
-	compose := func(ciocs []correlate.ComposedIoC) {
-		for i := range ciocs {
-			// A grown cluster's unchanged members keep the attribute
-			// UUIDs of the revision stored for it.
-			prev, _ := p.tip.GetEvent(ciocs[i].ID)
-			me, err := correlate.Splice(&ciocs[i], prev, now)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("core: compose cIoC: %w", err))
-				p.tracer.Drop(ciocs[i].ID)
-				continue
-			}
-			batch = append(batch, me)
+	nNew := len(delta.New)
+	composed := make([]*misp.Event, nNew+len(delta.Updated))
+	composeErrs := make([]error, len(composed))
+	p.fanOut(len(composed), func(i int) {
+		var c *correlate.ComposedIoC
+		if i < nNew {
+			c = &delta.New[i]
+		} else {
+			c = &delta.Updated[i-nNew]
 		}
+		// A grown cluster's unchanged members keep the attribute UUIDs
+		// of the revision stored for it.
+		prev, _ := p.tip.GetEvent(c.ID)
+		if composed[i], composeErrs[i] = correlate.Splice(c, prev, now); composeErrs[i] != nil {
+			composeErrs[i] = fmt.Errorf("core: compose cIoC: %w", composeErrs[i])
+			p.tracer.Drop(c.ID)
+		}
+	})
+	errs = append(errs, composeErrs...) // errors.Join drops the nils
+	batch, composedNew := composed[:0], 0
+	for i, me := range composed {
+		if me == nil {
+			continue
+		}
+		if i < nNew {
+			composedNew++
+		}
+		batch = append(batch, me)
 	}
-	compose(delta.New)
-	composedNew := len(batch)
-	compose(delta.Updated)
 
 	scores, err := p.score(batch)
 	if err != nil {

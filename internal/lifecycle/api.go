@@ -39,7 +39,9 @@ func (a *API) handleHistory(w http.ResponseWriter, r *http.Request) {
 	uuid := r.PathValue("uuid")
 	samples := a.engine.History(uuid)
 	if samples == nil {
-		http.Error(w, `{"error":"no score history for uuid"}`, http.StatusNotFound)
+		obs.WriteJSON(w, http.StatusNotFound, struct {
+			Error string `json:"error"`
+		}{"no score history for uuid"})
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, struct {

@@ -8,8 +8,12 @@ package subscribe
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/caisplatform/caisp/internal/heuristic"
+	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/stixpattern"
 )
@@ -85,6 +89,52 @@ func BenchmarkSubsIndexed(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("mixed-%d", n), func(b *testing.B) { benchEvaluate(b, n, true) })
 	}
+}
+
+// BenchmarkSubsPage measures the stage rule over a page of grown scored
+// eIoCs, each meeting both stages, against the 1 000-pattern mix: the
+// detections loop's work per committed revision. Each revision carries
+// twelve members, one of them a registered domain.
+func BenchmarkSubsPage(b *testing.B) {
+	const n, members = 1000, 12
+	e := NewEngine(WithMetrics(obs.NewRegistry()), withMaxPerClient(n+1))
+	defer e.Close()
+	seedPatterns(b, e, n)
+	at := time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)
+	page := make([]*misp.Event, 64)
+	for i := range page {
+		me := misp.NewEvent(fmt.Sprintf("cIoC %d", i), at)
+		me.AddTag("caisp:cioc")
+		me.AddTag(`caisp:category="malware-domain"`)
+		me.AddAttribute("domain", "Network activity", fmt.Sprintf("d%d.example", (i*37)%n), at)
+		for m := 1; m < members; m++ {
+			if m%3 == 0 {
+				me.AddAttribute("ip-dst", "Network activity", fmt.Sprintf("10.%d.%d.1", i%251, m), at)
+			} else {
+				me.AddAttribute("domain", "Network activity", fmt.Sprintf("miss%d-%d.example", i, m), at)
+			}
+		}
+		heuristic.SetBaseScore(me, float64(i%10)/10, at)
+		me.AddTag("caisp:eioc")
+		page[i] = me
+	}
+	serial := func(n int, fn func(i int)) {
+		for i := range n {
+			fn(i)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.evaluatePage(page, serial)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	revisions := float64(b.N * len(page))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/revisions, "ns/revision")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/revisions, "allocs/revision")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/revisions, "B/revision")
 }
 
 // BenchmarkSubsRegister measures registration cost (parse + decompose +

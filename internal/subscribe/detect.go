@@ -36,16 +36,21 @@ func (d *Detections) Drain(head uint64) { d.Follower.Drain(head, d.handle) }
 // decayed score meets the cIoC stage, its score hidden; then every one
 // tagged caisp:eioc meets the eIoC stage with the score it carries. The
 // cIoC pass covers the page before the eIoC pass, as a flush orders its
-// frames, and a revision's frames depend on the revision alone.
+// frames, and a revision's frames depend on the revision alone. Both
+// stages come from one evaluation of the revision: the first pass pushes
+// its cIoC frame and keeps its eIoC matches for the second.
 func (e *Engine) evaluatePage(page []*misp.Event, fanOut func(n int, fn func(i int))) {
+	if e.count.Load() == 0 {
+		return
+	}
+	eiocs := make([][]Match, len(page))
 	fanOut(len(page), func(i int) {
-		if _, decayed := heuristic.DecayedScoreOf(page[i]); !decayed {
-			e.EvaluateMISP(page[i], StageCIoC, -1)
-		}
+		me := page[i]
+		_, decayed := heuristic.DecayedScoreOf(me)
+		score, _ := ThreatScoreOf(me)
+		var ciocs []Match
+		ciocs, eiocs[i] = e.evaluate(observation(me, -1), !decayed, me.HasTag("caisp:eioc"), scoreText(score))
+		e.push(me, StageCIoC, ciocs)
 	})
-	fanOut(len(page), func(i int) {
-		if page[i].HasTag("caisp:eioc") {
-			e.EvaluateMISP(page[i], StageEIoC, -1)
-		}
-	})
+	fanOut(len(page), func(i int) { e.push(page[i], StageEIoC, eiocs[i]) })
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,5 +236,141 @@ func TestStageRule(t *testing.T) {
 func serial(n int, fn func(i int)) {
 	for i := range n {
 		fn(i)
+	}
+}
+
+// parallel runs a page's evaluations each on its own goroutine.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOnePassAgreesWithPerStage is the differential test of the stage
+// rule's one evaluation per revision: over seeded random pattern sets and
+// pages, evaluatePage pushes the frames (a multiset per stage) and counts
+// the evaluations and matches, in total and per subscription, that
+// evaluating each stage on its own with EvaluateMISP does.
+func TestOnePassAgreesWithPerStage(t *testing.T) {
+	at := time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)
+	domains := []string{"a.example", "b.example", "c.example", "d.test"}
+	ips := []string{"10.0.0.1", "10.0.0.2", "10.0.0.5", "10.0.0.6"}
+	scores := []float64{0.25, 0.5, 0.75}
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		pick := func(from []string) string { return from[r.Intn(len(from))] }
+		score := func() float64 { return scores[r.Intn(len(scores))] }
+		patterns := make([]string, 48)
+		for i := range patterns {
+			switch r.Intn(12) {
+			case 0:
+				patterns[i] = fmt.Sprintf("[domain-name:value = '%s']", pick(domains))
+			case 1:
+				patterns[i] = fmt.Sprintf("[ipv4-addr:value IN ('%s', '%s')]", pick(ips), pick(ips))
+			case 2:
+				patterns[i] = fmt.Sprintf("[domain-name:value LIKE '%%.%s']", []string{"example", "test"}[r.Intn(2)])
+			case 3:
+				patterns[i] = fmt.Sprintf("[ipv4-addr:value ISSUBSET '10.0.0.%d/30']", r.Intn(8)&^3)
+			case 4:
+				patterns[i] = fmt.Sprintf("[domain-name:value NOT = '%s']", pick(domains))
+			case 5:
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score > %v]", score())
+			case 6:
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score = %v]", score())
+			case 7:
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score IN (%v, %v)]", score(), score())
+			case 8:
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score >= %v AND domain-name:value = '%s']", score(), pick(domains))
+			case 9:
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score < %v OR ipv4-addr:value = '%s']", score(), pick(ips))
+			case 10:
+				// Reached through the domain alone when the score differs.
+				patterns[i] = fmt.Sprintf("[x-caisp:threat-score = %v OR domain-name:value = '%s']", score(), pick(domains))
+			case 11:
+				patterns[i] = "[x-caisp:category = 'malware-infection']"
+			}
+		}
+		onePass, perStage := NewEngine(), NewEngine()
+		defer onePass.Close()
+		defer perStage.Close()
+		ids := make([][2]string, len(patterns))
+		for i, p := range patterns {
+			ids[i] = [2]string{mustRegister(t, onePass, "siem", p).ID, mustRegister(t, perStage, "siem", p).ID}
+		}
+		onePassFrames, perStageFrames := watchFrames(t, onePass), watchFrames(t, perStage)
+
+		for round := range 6 {
+			page := make([]*misp.Event, 8)
+			for i := range page {
+				me := misp.NewEvent("", at)
+				for range 1 + r.Intn(3) {
+					if r.Intn(2) == 0 {
+						me.AddAttribute("domain", "Network activity", pick(domains), at)
+					} else {
+						me.AddAttribute("ip-dst", "Network activity", pick(ips), at)
+					}
+				}
+				kind := r.Intn(5)
+				if kind > 0 { // all but a non-cIoC event
+					me.AddTag("caisp:cioc")
+					me.AddTag(`caisp:category="malware-infection"`)
+				}
+				switch kind {
+				case 1:
+					me.Info = "unscorable cIoC"
+				case 2:
+					me.Info = "scored eIoC"
+					heuristic.SetBaseScore(me, score(), at)
+				case 3:
+					me.Info = "decayed-score eIoC"
+					heuristic.SetBaseScore(me, score(), at)
+					heuristic.SetDecayedScore(me, score(), at)
+				case 4:
+					me.Info = "eIoC without a score"
+				default:
+					me.Info = "non-cIoC event"
+				}
+				if kind >= 2 {
+					me.AddTag("caisp:eioc")
+				}
+				me.Info = fmt.Sprintf("seed %d round %d #%d %s", seed, round, i, me.Info)
+				page[i] = me
+			}
+			onePass.evaluatePage(page, parallel)
+			for _, me := range page {
+				if _, decayed := heuristic.DecayedScoreOf(me); !decayed {
+					perStage.EvaluateMISP(me, StageCIoC, -1)
+				}
+			}
+			for _, me := range page {
+				if me.HasTag("caisp:eioc") {
+					perStage.EvaluateMISP(me, StageEIoC, -1)
+				}
+			}
+		}
+
+		got, want := onePassFrames(), perStageFrames()
+		sort.Strings(got)
+		sort.Strings(want)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("seed %d: frames\none pass:\n%s\nper stage:\n%s", seed, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		if a, b := onePass.Stats(), perStage.Stats(); a.Evaluated != b.Evaluated || a.Matches != b.Matches || b.Matches == 0 {
+			t.Fatalf("seed %d: one pass evaluated %d and matched %d, per stage %d and %d",
+				seed, a.Evaluated, a.Matches, b.Evaluated, b.Matches)
+		}
+		for i, id := range ids {
+			a, _ := onePass.Get(id[0])
+			b, _ := perStage.Get(id[1])
+			if a.Matches != b.Matches {
+				t.Fatalf("seed %d: %s matched %d times in one pass, %d per stage", seed, patterns[i], a.Matches, b.Matches)
+			}
+		}
 	}
 }

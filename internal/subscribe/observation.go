@@ -87,10 +87,18 @@ func observation(me *misp.Event, threatScore float64) stixpattern.Observation {
 	if cat != "" {
 		fields[PathCategory] = []string{cat}
 	}
-	if threatScore >= 0 {
-		fields[PathThreatScore] = []string{strconv.FormatFloat(threatScore, 'f', -1, 64)}
+	if s := scoreText(threatScore); s != "" {
+		fields[PathThreatScore] = []string{s}
 	}
 	return stixpattern.Observation{At: me.Timestamp.Time, Fields: fields}
+}
+
+// scoreText is the PathThreatScore value shown for threatScore, "" if < 0.
+func scoreText(threatScore float64) string {
+	if threatScore < 0 {
+		return ""
+	}
+	return strconv.FormatFloat(threatScore, 'f', -1, 64)
 }
 
 // ThreatScoreOf recovers the analyzer score written back into a stored eIoC
@@ -125,8 +133,15 @@ func (e *Engine) EvaluateMISP(me *misp.Event, stage Stage, threatScore float64) 
 		obs = ObservationFromMISP(me, threatScore)
 	}
 	matches := e.Evaluate(obs)
+	e.push(me, stage, matches)
+	return len(matches)
+}
+
+// push sends the frame of me's matches at stage to every watcher, if any
+// matched.
+func (e *Engine) push(me *misp.Event, stage Stage, matches []Match) {
 	if len(matches) == 0 {
-		return 0
+		return
 	}
 	frame := EventFrame{
 		Kind:    "match",
@@ -140,8 +155,7 @@ func (e *Engine) EvaluateMISP(me *misp.Event, stage Stage, threatScore float64) 
 	payload, err := json.Marshal(frame)
 	if err != nil {
 		e.logger.Warn("subscribe: encode match frame", "error", err)
-		return len(matches)
+		return
 	}
 	e.hub.BroadcastPrepared(wsock.PrepareText(payload))
-	return len(matches)
 }

@@ -8,9 +8,9 @@
 // pattern's comparison expressions decompose into (object-path,
 // operator-class, value) keys:
 //
-//   - non-negated equality and IN predicates hash-dispatch: an exact
-//     (path, value) probe finds them in O(1) regardless of how many
-//     patterns are registered;
+//   - non-negated equality and IN predicates hash-dispatch: a path's
+//     value map finds them in O(1) regardless of how many patterns are
+//     registered;
 //   - ordered, CIDR, LIKE, MATCHES, negated and != predicates land in a
 //     per-path candidate list, sized by how many such patterns watch that
 //     path.
@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,12 +116,16 @@ type Subscription struct {
 // form, index keys and the match counter. Always held by pointer.
 type subscription struct {
 	Subscription
-	parsed  *stixpattern.Pattern
-	slot    int      // dense index into Engine.slots
-	eqKeys  []string // equality-index keys this pattern occupies
-	pathVal []string // per-path candidate lists this pattern occupies
-	matched atomic.Int64
+	parsed     *stixpattern.Pattern
+	slot       int      // dense index into Engine.slots
+	eqKeys     []eqKey  // equality-index keys this pattern occupies
+	pathVal    []string // per-path candidate lists this pattern occupies
+	readsScore bool     // a comparison reads PathThreatScore (see evaluate)
+	matched    atomic.Int64
 }
+
+// eqKey is one (path, value) pair of the equality index.
+type eqKey struct{ path, value string }
 
 // Match reports one subscription satisfied by an admitted event.
 type Match struct {
@@ -162,8 +167,8 @@ type Engine struct {
 	byClient map[string]map[string]*subscription
 	slots    []*subscription // dense storage; index lists hold slot numbers
 	free     []int
-	eq       map[string][]int // (path \x00 value) → candidate slots
-	byPath   map[string][]int // path → candidate slots for non-hashable ops
+	eq       map[string]map[string][]int // path → value → candidate slots
+	byPath   map[string][]int            // path → candidate slots for non-hashable ops
 }
 
 // Option configures an Engine.
@@ -176,9 +181,9 @@ func WithMetrics(reg *obs.Registry) Option {
 			"Live STIX-pattern subscriptions.",
 			func() float64 { return float64(e.count.Load()) })
 		e.evalSeconds = reg.Histogram("caisp_subs_eval_seconds",
-			"Per-event subscription evaluation latency: index probe plus full evaluator runs on candidates.")
+			"Subscription evaluation latency per evaluated revision (both stages): index probe plus full evaluator runs on candidates.")
 		e.candidates = reg.Histogram("caisp_subs_candidates_per_event",
-			"Candidate patterns the index selects per admitted event.", obs.SizeBuckets...)
+			"Candidate patterns the index selects per evaluated revision (both stages).", obs.SizeBuckets...)
 		e.matchTotal = reg.Counter("caisp_subs_matches_total",
 			"Subscription matches pushed to watchers.")
 		e.rejected = reg.CounterVec("caisp_subs_rejected_total",
@@ -225,7 +230,7 @@ func NewEngine(opts ...Option) *Engine {
 		clk:      clock.Real(),
 		subs:     make(map[string]*subscription),
 		byClient: make(map[string]map[string]*subscription),
-		eq:       make(map[string][]int),
+		eq:       make(map[string]map[string][]int),
 		byPath:   make(map[string][]int),
 	}
 	for _, opt := range opts {
@@ -311,7 +316,7 @@ func (e *Engine) register(id string, createdAt time.Time, expiresAt *time.Time, 
 		e.reject("syntax")
 		return nil, err
 	}
-	eqKeys, pathKeys := decompose(parsed.Root)
+	eqKeys, pathKeys, readsScore := decompose(parsed.Root)
 	if createdAt.IsZero() {
 		createdAt = e.clk.Now().UTC()
 	}
@@ -330,9 +335,10 @@ func (e *Engine) register(id string, createdAt time.Time, expiresAt *time.Time, 
 			CreatedAt: createdAt,
 			ExpiresAt: expiresAt,
 		},
-		parsed:  parsed,
-		eqKeys:  eqKeys,
-		pathVal: pathKeys,
+		parsed:     parsed,
+		eqKeys:     eqKeys,
+		pathVal:    pathKeys,
+		readsScore: readsScore,
 	}
 	if n := len(e.free); n > 0 {
 		sub.slot = e.free[n-1]
@@ -343,7 +349,12 @@ func (e *Engine) register(id string, createdAt time.Time, expiresAt *time.Time, 
 		e.slots = append(e.slots, sub)
 	}
 	for _, k := range eqKeys {
-		e.eq[k] = append(e.eq[k], sub.slot)
+		values := e.eq[k.path]
+		if values == nil {
+			values = make(map[string][]int)
+			e.eq[k.path] = values
+		}
+		values[k.value] = append(values[k.value], sub.slot)
 	}
 	for _, k := range pathKeys {
 		e.byPath[k] = append(e.byPath[k], sub.slot)
@@ -419,9 +430,12 @@ func (e *Engine) unsubscribe(id string) error {
 		delete(e.byClient, sub.ClientID)
 	}
 	for _, k := range sub.eqKeys {
-		e.eq[k] = dropSlot(e.eq[k], sub.slot)
-		if len(e.eq[k]) == 0 {
-			delete(e.eq, k)
+		values := e.eq[k.path]
+		if values[k.value] = dropSlot(values[k.value], sub.slot); len(values[k.value]) == 0 {
+			delete(values, k.value)
+		}
+		if len(values) == 0 {
+			delete(e.eq, k.path)
 		}
 	}
 	for _, k := range sub.pathVal {
@@ -487,8 +501,10 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Registered: len(e.subs),
 		Clients:    len(e.byClient),
-		EqKeys:     len(e.eq),
 		PathKeys:   len(e.byPath),
+	}
+	for _, values := range e.eq {
+		st.EqKeys += len(values)
 	}
 	e.mu.RUnlock()
 	st.Watchers = e.hub.Len()
@@ -532,68 +548,133 @@ func (e *Engine) reject(reason string) {
 // every satisfied subscription. Evaluation errors (e.g. a CIDR comparison
 // against a non-IP value) disqualify only the erroring pattern.
 func (e *Engine) Evaluate(o stixpattern.Observation) []Match {
-	if e.count.Load() == 0 {
-		return nil
+	out, _ := e.evaluate(o, true, false, "")
+	return out
+}
+
+// evaluate probes the index with o once and answers up to two stages: the
+// cIoC stage sees o as given, the eIoC stage sees o with score shown as
+// PathThreatScore ("" shows none; o must then lack that path). The stages
+// differ in that one path, and an absent path is false, so a pattern that
+// reads no score answers both stages with one match. Only the patterns
+// that read it are matched again, once score has been added to o.Fields.
+func (e *Engine) evaluate(o stixpattern.Observation, cioc, eioc bool, score string) (ciocs, eiocs []Match) {
+	if e.count.Load() == 0 || !cioc && !eioc {
+		return nil, nil
 	}
 	start := time.Now()
-	e.evaluated.Add(1)
 	now := e.clk.Now()
+	rescore := eioc && score != ""
+	hit := func(sub *subscription) bool {
+		ok, err := sub.parsed.MatchOne(o)
+		return err == nil && ok
+	}
+	matched := func(out []Match, sub *subscription) []Match {
+		sub.matched.Add(1)
+		return append(out, Match{SubscriptionID: sub.ID, ClientID: sub.ClientID, Pattern: sub.Pattern})
+	}
 
-	var out []Match
 	ncand := 0
+	var buf [64]int
 	e.mu.RLock()
-	seen := make(map[int]struct{}, 8)
-	try := func(slots []int) {
-		for _, slot := range slots {
-			if _, dup := seen[slot]; dup {
-				continue
+	cands := buf[:0]
+	for path, values := range o.Fields {
+		cands = e.probe(cands, path, values)
+	}
+	cands = uniqueSlots(cands)
+	for _, slot := range cands {
+		sub := e.slots[slot]
+		if sub.expiredAt(now) {
+			continue
+		}
+		ncand++
+		again := rescore && sub.readsScore
+		if again && !cioc {
+			continue
+		}
+		if !hit(sub) {
+			continue
+		}
+		if cioc {
+			ciocs = matched(ciocs, sub)
+		}
+		if eioc && !again {
+			eiocs = matched(eiocs, sub)
+		}
+	}
+	if rescore {
+		// With the score shown, the candidates that read it are matched
+		// again, joined by the patterns only the score field reaches.
+		o.Fields[PathThreatScore] = []string{score}
+		var more [64]int
+		readers := e.probe(more[:0], PathThreatScore, o.Fields[PathThreatScore])
+		for _, slot := range cands {
+			if e.slots[slot].readsScore {
+				readers = append(readers, slot)
 			}
-			seen[slot] = struct{}{}
+		}
+		for _, slot := range uniqueSlots(readers) {
 			sub := e.slots[slot]
 			if sub.expiredAt(now) {
 				continue
 			}
-			ncand++
-			if ok, err := sub.parsed.MatchOne(o); err == nil && ok {
-				sub.matched.Add(1)
-				out = append(out, Match{SubscriptionID: sub.ID, ClientID: sub.ClientID, Pattern: sub.Pattern})
+			if _, seen := slices.BinarySearch(cands, slot); !seen {
+				ncand++
 			}
-		}
-	}
-	// Index probes build the (path \x00 value) key in one reused buffer;
-	// a map lookup by string(key) does not copy it.
-	var buf [128]byte
-	key := buf[:0]
-	for path, values := range o.Fields {
-		try(e.byPath[path])
-		for _, v := range values {
-			key = append(append(append(key[:0], path...), 0), v...)
-			try(e.eq[string(key)])
-			// Numeric literals compare by value, not text: "0443.0"
-			// equals literal 443. Probe the canonical float form too so
-			// the hash index agrees with the evaluator.
-			if canon, ok := canonicalNumber(v); ok && canon != v {
-				key = append(append(append(key[:0], path...), 0), canon...)
-				try(e.eq[string(key)])
+			if hit(sub) {
+				eiocs = matched(eiocs, sub)
 			}
 		}
 	}
 	e.mu.RUnlock()
 
-	e.matches.Add(int64(len(out)))
+	n := int64(len(ciocs) + len(eiocs))
+	if cioc && eioc {
+		e.evaluated.Add(2)
+	} else {
+		e.evaluated.Add(1)
+	}
+	e.matches.Add(n)
 	if e.evalSeconds != nil {
 		e.evalSeconds.Observe(time.Since(start).Seconds())
 		e.candidates.Observe(float64(ncand))
-		e.matchTotal.Add(int64(len(out)))
+		e.matchTotal.Add(n)
 	}
-	return out
+	return ciocs, eiocs
+}
+
+// probe appends the slots the index selects for one observed path and its
+// values to cands. Callers hold e.mu.
+func (e *Engine) probe(cands []int, path string, values []string) []int {
+	cands = append(cands, e.byPath[path]...)
+	byValue := e.eq[path]
+	if byValue == nil {
+		return cands
+	}
+	for _, v := range values {
+		cands = append(cands, byValue[v]...)
+		// Numeric literals compare by value, not text: "0443.0" equals
+		// literal 443. Probe the canonical float form too so the hash
+		// index agrees with the evaluator.
+		if canon, ok := canonicalNumber(v); ok && canon != v {
+			cands = append(cands, byValue[canon]...)
+		}
+	}
+	return cands
+}
+
+// uniqueSlots sorts slots and drops repeats: a pattern reached through
+// several keys is a candidate once.
+func uniqueSlots(slots []int) []int {
+	slices.Sort(slots)
+	return slices.Compact(slots)
 }
 
 // decompose walks a parsed pattern and derives its index keys: eq keys for
-// hash-dispatchable predicates, path keys for everything else. Keys are
-// deduplicated per pattern.
-func decompose(root stixpattern.ObservationExpr) (eqKeys, pathKeys []string) {
-	eqSet := make(map[string]struct{})
+// hash-dispatchable predicates, path keys for everything else, and whether
+// any comparison reads PathThreatScore. Keys are deduplicated per pattern.
+func decompose(root stixpattern.ObservationExpr) (eqKeys []eqKey, pathKeys []string, readsScore bool) {
+	eqSet := make(map[eqKey]struct{})
 	pathSet := make(map[string]struct{})
 	var walkCmp func(stixpattern.CompareExpr)
 	walkCmp = func(expr stixpattern.CompareExpr) {
@@ -603,13 +684,14 @@ func decompose(root stixpattern.ObservationExpr) (eqKeys, pathKeys []string) {
 			walkCmp(c.Right)
 		case stixpattern.Comparison:
 			base := basePath(c.Path)
+			readsScore = readsScore || base == PathThreatScore
 			if !c.Negated && c.Op == stixpattern.OpEq && len(c.Values) == 1 {
-				eqSet[base+"\x00"+literalText(c.Values[0])] = struct{}{}
+				eqSet[eqKey{base, literalText(c.Values[0])}] = struct{}{}
 				return
 			}
 			if !c.Negated && c.Op == stixpattern.OpIn {
 				for _, lit := range c.Values {
-					eqSet[base+"\x00"+literalText(lit)] = struct{}{}
+					eqSet[eqKey{base, literalText(lit)}] = struct{}{}
 				}
 				return
 			}
@@ -635,7 +717,7 @@ func decompose(root stixpattern.ObservationExpr) (eqKeys, pathKeys []string) {
 	for k := range pathSet {
 		pathKeys = append(pathKeys, k)
 	}
-	return eqKeys, pathKeys
+	return eqKeys, pathKeys, readsScore
 }
 
 // basePath strips a trailing [N]/[*] index selector: the evaluator resolves
@@ -669,8 +751,10 @@ func canonicalNumber(v string) (string, bool) {
 	if len(v) == 0 || len(v) > 64 {
 		return "", false
 	}
+	// ParseFloat takes no more than one '.' and no ':', so an IP costs
+	// no failed parse.
 	c := v[0]
-	if c != '-' && c != '+' && c != '.' && (c < '0' || c > '9') {
+	if c != '-' && c != '+' && c != '.' && (c < '0' || c > '9') || strings.Count(v, ".") > 1 || strings.IndexByte(v, ':') >= 0 {
 		return "", false
 	}
 	f, err := strconv.ParseFloat(v, 64)

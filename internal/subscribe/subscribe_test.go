@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -424,4 +425,28 @@ func TestChurnUnderIngest(t *testing.T) {
 	if st := e.Stats(); st.Registered != 32 || st.Clients != 1 {
 		t.Fatalf("Stats = %+v, want 32 seed subscriptions for 1 client", st)
 	}
+}
+
+// FuzzCanonicalNumber holds canonicalNumber's syntax screen to what it
+// screens for: the answer of the plain form, a strconv.ParseFloat and
+// FormatFloat behind the same length and first-byte checks, on any input.
+func FuzzCanonicalNumber(f *testing.F) {
+	for _, seed := range []string{"443", "0443.0", "-0", "+.5", "1.", ".", "1e5", "1E+5", "1e-5", "1e", "1e400",
+		"1_000", "0x1p-2", "+0x1.8p1", "+inf", "-Infinity", "+NaN", "10.0.0.1", "1.2", "2019-06-24",
+		"d41d8cd98f00b204e9800998ecf8427e", "3e2", "1+2", "--1", "0.75", "", "evil.example"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		want, wantOK := "", false
+		if len(v) > 0 && len(v) <= 64 {
+			if c := v[0]; c == '-' || c == '+' || c == '.' || c >= '0' && c <= '9' {
+				if n, err := strconv.ParseFloat(v, 64); err == nil {
+					want, wantOK = strconv.FormatFloat(n, 'f', -1, 64), true
+				}
+			}
+		}
+		if got, ok := canonicalNumber(v); got != want || ok != wantOK {
+			t.Fatalf("canonicalNumber(%q) = %q, %v; ParseFloat form %q, %v", v, got, ok, want, wantOK)
+		}
+	})
 }
