@@ -20,12 +20,17 @@ bench:
 # conversion block keys (a block whose key a mutation left alone converts
 # to the same objects), the WAL
 # segment scanner, the snapshot loader (Open refuses the file or its change
-# log lists exactly its live events), the STIX pattern parser,
+# log lists exactly its live events), the STIX pattern parser (and
+# MatchOne answers as Match on one observation),
 # stixpattern.Equality (Parse reads back the AST it rendered), the UUID
 # parser (against hex.DecodeString), correlate.Splice (a cluster's
 # revision spliced from the one stored before it, as the flush left it
 # or replaced through REST, equals the full ToMISP apart from attribute
-# UUIDs, and keeps only UUIDs of attributes stored unaltered) and the
+# UUIDs, and keeps only UUIDs of attributes stored unaltered), the
+# streaming correlator (after every Add, with restarts re-seeded from the
+# emitted clusters, each emitted cluster is the batch Correlator's
+# component: members in ID order, bounds, shared keys, content hash and
+# last sighting; and no cIoC handed out earlier changes) and the
 # subscription index's number screen (canonicalNumber answers as a plain
 # strconv.ParseFloat and FormatFloat would). A new
 # input is minimized for at most a second, so a target spends its ten
@@ -40,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEqualityPattern -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/uuid/
 	$(GO) test -run '^$$' -fuzz FuzzToMISPSplice -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
+	$(GO) test -run '^$$' -fuzz FuzzIncrementalAgainstBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalNumber -fuzztime 10s -fuzzminimizetime 1s ./internal/subscribe/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own

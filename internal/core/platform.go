@@ -556,19 +556,14 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 		return nil, nil
 	}
 	// Re-key member traces to their cluster identity: the journey of the
-	// earliest member continues under the cluster UUID from here on.
+	// earliest member continues under the cluster UUID from here on. Only
+	// the events this flush indexed still trace under their own IDs.
 	if p.tracer != nil {
-		adopt := func(ciocs []correlate.ComposedIoC) {
+		for _, ciocs := range [][]correlate.ComposedIoC{delta.New, delta.Updated} {
 			for i := range ciocs {
-				memberIDs := make([]string, len(ciocs[i].Events))
-				for j := range ciocs[i].Events {
-					memberIDs[j] = ciocs[i].Events[j].ID
-				}
-				p.tracer.Adopt(ciocs[i].ID, obs.StageCorrelate, memberIDs)
+				p.tracer.Adopt(ciocs[i].ID, obs.StageCorrelate, delta.Joined[ciocs[i].ID])
 			}
 		}
-		adopt(delta.New)
-		adopt(delta.Updated)
 	}
 	var errs []error
 	// Retract absorbed identities first: their members are already carried

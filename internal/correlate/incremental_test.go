@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,7 +109,7 @@ func TestIncrementalStableUUIDAcrossGrowth(t *testing.T) {
 		t.Fatalf("first add delta = %+v", d1)
 	}
 	id := d1.New[0].ID
-	hash := d1.New[0].ContentHash
+	hash := d1.New[0].ContentHash()
 	if id == "" || hash == "" {
 		t.Fatal("cluster emitted without ID or content hash")
 	}
@@ -120,7 +122,7 @@ func TestIncrementalStableUUIDAcrossGrowth(t *testing.T) {
 	if grown.ID != id {
 		t.Fatalf("cluster identity changed on growth: %s → %s", id, grown.ID)
 	}
-	if grown.ContentHash == hash {
+	if grown.ContentHash() == hash {
 		t.Fatal("content hash unchanged although membership grew")
 	}
 	if len(grown.Events) != 2 {
@@ -269,8 +271,8 @@ func TestMembersFromMISPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ClusterContentOf(me); got != d.New[0].ContentHash {
-		t.Fatalf("ClusterContentOf = %q, want %q", got, d.New[0].ContentHash)
+	if got := ClusterContentOf(me); got != d.New[0].ContentHash() {
+		t.Fatalf("ClusterContentOf = %q, want %q", got, d.New[0].ContentHash())
 	}
 	if got := CategoryOf(me); got != normalize.CategoryMalwareDomain {
 		t.Fatalf("CategoryOf = %q", got)
@@ -302,10 +304,10 @@ func TestMembersFromMISPRoundTrip(t *testing.T) {
 // countedSharedKeys is the count-based recomputation compose used before
 // clusters kept their shared keys: every key CorrelationKeys yields for
 // two or more member sightings, sorted.
-func countedSharedKeys(events []normalize.Event) []string {
+func countedSharedKeys(events []*normalize.Event) []string {
 	keySet := make(map[string]int)
 	for _, e := range events {
-		for _, k := range CorrelationKeys(e) {
+		for _, k := range CorrelationKeys(*e) {
 			keySet[k]++
 		}
 	}
@@ -417,8 +419,8 @@ func TestComposedMembersSorted(t *testing.T) {
 			if !sort.StringsAreSorted(ids) {
 				t.Fatalf("cluster %s emits members out of order: %v", c.ID, ids)
 			}
-			if c.ContentHash != composedID(ids) {
-				t.Fatalf("cluster %s hash %s, want %s", c.ID, c.ContentHash, composedID(ids))
+			if c.ContentHash() != composedID(ids) {
+				t.Fatalf("cluster %s hash %s, want %s", c.ID, c.ContentHash(), composedID(ids))
 			}
 		}
 	}
@@ -428,4 +430,177 @@ func TestComposedMembersSorted(t *testing.T) {
 		check(d.Updated)
 	}
 	check(inc.Clusters())
+}
+
+// fuzzEvent builds an event from the script: a few hosts, networks and
+// hashes in two categories, so events link, grow and merge clusters; a
+// shared campaign now and then; spread sighting times, some unset.
+func fuzzEvent(t *testing.T, s *script) normalize.Event {
+	values := []string{
+		fmt.Sprintf("h%d.d%d.example", s.pick(6), s.pick(3)),
+		fmt.Sprintf("203.0.%d.%d", s.pick(2), 1+s.pick(6)),
+		fmt.Sprintf("http://h%d.d%d.example/p%d", s.pick(6), s.pick(3), s.pick(2)),
+		fmt.Sprintf("%032x", s.pick(8)),
+	}
+	categories := []string{normalize.CategoryMalwareDomain, normalize.CategoryBotnetC2}
+	at := seen.Add(time.Duration(s.pick(96)) * time.Hour)
+	e, err := normalize.New(values[s.pick(len(values))], categories[s.pick(2)], "feed", normalize.SourceOSINT, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.LastSeen = e.LastSeen.Add(time.Duration(s.pick(48)) * time.Hour)
+	switch s.pick(8) {
+	case 0:
+		e.FirstSeen = time.Time{}
+	case 1:
+		e.LastSeen = time.Time{}
+	}
+	if s.pick(4) == 0 {
+		e.Context = map[string]string{"campaign": fmt.Sprintf("op-%d", s.pick(3))}
+	}
+	return e
+}
+
+// memberIDs lists the IDs of c's members in order.
+func memberIDs(c *ComposedIoC) []string {
+	ids := make([]string, len(c.Events))
+	for i, e := range c.Events {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// FuzzIncrementalAgainstBatch splits random events into random Add
+// batches, and now and then restarts: a new correlator is seeded with the
+// clusters emitted so far, as recovery seeds them from the store. After
+// every Add each emitted cluster must be the batch Correlator's component
+// holding its members: the same members in ID order, bounds, shared keys
+// and content hash, and LastSightings must read its LastSeen. No cIoC
+// handed out earlier may change: the correlator never writes a member
+// list it has handed out.
+func FuzzIncrementalAgainstBatch(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 48; i++ {
+		data := make([]byte, 64+rng.Intn(448))
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := script(data)
+		inc := NewIncremental()
+		var all []normalize.Event // each event's first sighting, as the index keeps it
+		known := make(map[string]bool)
+		emitted := make(map[string]ComposedIoC) // the live cluster set
+		var order []string                      // live cluster IDs by first emission
+		type handout struct {
+			c    ComposedIoC
+			ids  []string
+			hash string
+		}
+		var handed []handout
+		check := func(where string, cs []ComposedIoC) {
+			t.Helper()
+			component := make(map[string]ComposedIoC)
+			for _, b := range New().Correlate(all) {
+				for _, e := range b.Events {
+					component[e.ID] = b
+				}
+			}
+			sightings := inc.LastSightings()
+			for _, c := range cs {
+				b := component[c.Events[0].ID]
+				if got, want := memberIDs(&c), memberIDs(&b); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: cluster %s members\n%v\nwant the batch component's\n%v", where, c.ID, got, want)
+				}
+				if !c.FirstSeen.Equal(b.FirstSeen) || !c.LastSeen.Equal(b.LastSeen) {
+					t.Fatalf("%s: cluster %s bounds [%v, %v], want [%v, %v]", where, c.ID, c.FirstSeen, c.LastSeen, b.FirstSeen, b.LastSeen)
+				}
+				if !reflect.DeepEqual(c.CorrelationKeys, b.CorrelationKeys) {
+					t.Fatalf("%s: cluster %s keys %q, want %q", where, c.ID, c.CorrelationKeys, b.CorrelationKeys)
+				}
+				if h := c.ContentHash(); h != b.ID || b.ContentHash() != b.ID {
+					t.Fatalf("%s: cluster %s content hash %s, want %s", where, c.ID, h, b.ID)
+				}
+				var last time.Time
+				for _, e := range c.Events {
+					if e.LastSeen.After(last) {
+						last = e.LastSeen
+					}
+				}
+				if got := sightings[c.ID]; !got.Equal(last) || !got.Equal(c.LastSeen) {
+					t.Fatalf("%s: cluster %s last sighting %v, want %v", where, c.ID, got, last)
+				}
+			}
+		}
+		for step := 0; step < 10; step++ {
+			if step > 0 && s.pick(5) == 0 {
+				inc = NewIncremental()
+				for _, id := range order {
+					var members []normalize.Event
+					for _, e := range emitted[id].Events {
+						members = append(members, *e)
+					}
+					if absorbed := inc.Seed(id, members); len(absorbed) != 0 {
+						t.Fatalf("step %d: re-seeding the emitted clusters absorbed %v", step, absorbed)
+					}
+				}
+				check(fmt.Sprintf("step %d: seeded", step), inc.Clusters())
+			}
+			var batch []normalize.Event
+			for k := 1 + s.pick(6); k > 0; k-- {
+				e := fuzzEvent(t, &s)
+				batch = append(batch, e)
+				if !known[e.ID] {
+					known[e.ID] = true
+					all = append(all, e)
+				}
+			}
+			d := inc.Add(batch)
+			for _, id := range d.Removed {
+				delete(emitted, id)
+			}
+			order = slices.DeleteFunc(order, func(id string) bool { return slices.Contains(d.Removed, id) })
+			for _, c := range d.New {
+				order = append(order, c.ID)
+			}
+			for _, c := range append(d.New, d.Updated...) {
+				emitted[c.ID] = c
+				handed = append(handed, handout{c: c, ids: memberIDs(&c), hash: c.ContentHash()})
+			}
+			check(fmt.Sprintf("step %d", step), append(d.New, d.Updated...))
+			for _, h := range handed {
+				if got := memberIDs(&h.c); !reflect.DeepEqual(got, h.ids) || h.c.ContentHash() != h.hash {
+					t.Fatalf("step %d: cluster %s handed out as\n%v\nnow reads\n%v", step, h.c.ID, h.ids, got)
+				}
+			}
+		}
+		check("end", inc.Clusters())
+		if got := len(inc.Clusters()); got != len(emitted) {
+			t.Fatalf("%d live clusters, want the %d emitted", got, len(emitted))
+		}
+	})
+}
+
+// TestHandedOutListsReadWhileAdding: a flush splices the clusters one Add
+// handed out on other goroutines while the next Add grows and merges
+// them. Under -race this holds that the correlator never writes a member
+// list or member it has handed out.
+func TestHandedOutListsReadWhileAdding(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stream := randomStream(t, rng, 400)
+	inc := NewIncremental()
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(stream); lo += 20 {
+		d := inc.Add(stream[lo : lo+20])
+		for _, c := range append(d.New, d.Updated...) {
+			wg.Add(1)
+			go func(c ComposedIoC) {
+				defer wg.Done()
+				if _, err := ToMISP(&c, seen); err != nil {
+					t.Error(err)
+				}
+			}(c)
+		}
+	}
+	wg.Wait()
 }

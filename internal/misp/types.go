@@ -254,20 +254,21 @@ func (e *Event) Validate() error {
 	if e.Analysis < AnalysisInitial || e.Analysis > AnalysisComplete {
 		return fmt.Errorf("misp: event %s has bad analysis %d", e.UUID, e.Analysis)
 	}
-	for _, a := range e.Attributes {
-		if err := validateAttribute(&a, e.UUID); err != nil {
+	for i := range e.Attributes {
+		if err := validateAttribute(&e.Attributes[i], e.UUID); err != nil {
 			return err
 		}
 	}
-	for _, o := range e.Objects {
+	for i := range e.Objects {
+		o := &e.Objects[i]
 		if !uuid.IsValid(o.UUID) {
 			return fmt.Errorf("misp: object of event %s has invalid uuid %q", e.UUID, o.UUID)
 		}
 		if o.Name == "" {
 			return fmt.Errorf("misp: object %s has empty name", o.UUID)
 		}
-		for _, a := range o.Attributes {
-			if err := validateAttribute(&a, e.UUID); err != nil {
+		for j := range o.Attributes {
+			if err := validateAttribute(&o.Attributes[j], e.UUID); err != nil {
 				return err
 			}
 		}

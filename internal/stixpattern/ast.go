@@ -2,7 +2,6 @@ package stixpattern
 
 import (
 	"fmt"
-	"net"
 	"regexp"
 	"strconv"
 	"strings"
@@ -147,7 +146,7 @@ type Comparison struct {
 	// compilation in the evaluator, as does an ISSUBSET literal that is
 	// no network: it keeps failing each evaluation with its parse error.
 	matcher *regexp.Regexp
-	network *net.IPNet
+	network *cidr
 }
 
 // compileMatcher precompiles the LIKE/MATCHES regexp and the ISSUBSET
@@ -164,8 +163,8 @@ func (c *Comparison) compileMatcher() error {
 	case OpMatches:
 		src = c.Values[0].text()
 	case OpIsSubset:
-		if _, n, err := parseCIDRish(c.Values[0].text()); err == nil {
-			c.network = n
+		if n, err := parseCIDRish(c.Values[0].text()); err == nil {
+			c.network = &n
 		}
 		return nil
 	default:

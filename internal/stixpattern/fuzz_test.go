@@ -53,7 +53,10 @@ func FuzzParseMatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = p.Match([]Observation{obs})
+		want, wantErr := p.Match([]Observation{obs})
+		if got, err := p.MatchOne(obs); got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: MatchOne = (%v, %v), Match on one observation = (%v, %v)", input, got, err, want, wantErr)
+		}
 		canon := p.String()
 		if _, err := Parse(canon); err != nil {
 			t.Fatalf("canonical form of %q does not reparse: %q: %v", input, canon, err)
@@ -70,7 +73,9 @@ func TestParseStructuredFuzz(t *testing.T) {
 	ops := []string{"=", "!=", "<", ">", "<=", ">=", "LIKE", "MATCHES", "ISSUBSET", "IN"}
 	literals := []string{"'x'", "'evil.example'", "5", "2.5", "('a', 'b')", "t'2019-06-24T00:00:00Z'"}
 	joins := []string{" AND ", " OR ", " FOLLOWEDBY "}
-	quals := []string{"", " WITHIN 30 SECONDS", " REPEATS 2 TIMES"}
+	quals := []string{"", " WITHIN 30 SECONDS", " REPEATS 2 TIMES", " REPEATS 1 TIMES",
+		" START t'1970-01-01T00:00:00Z' STOP t'1970-01-02T00:00:00Z'",
+		" START t'1970-01-02T00:00:00Z' STOP t'1970-01-03T00:00:00Z'"}
 
 	obs := Observation{At: time.Unix(0, 0), Fields: map[string][]string{
 		"a:b": {"x"}, "domain-name:value": {"evil.example"},
@@ -103,7 +108,10 @@ func TestParseStructuredFuzz(t *testing.T) {
 		}
 		// Matching must not panic either; MATCHES with non-regexp literals
 		// may error, which is fine.
-		_, _ = p.Match([]Observation{obs})
+		want, wantErr := p.Match([]Observation{obs})
+		if got, err := p.MatchOne(obs); got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: MatchOne = (%v, %v), Match on one observation = (%v, %v)", src, got, err, want, wantErr)
+		}
 		canon := p.String()
 		if _, err := Parse(canon); err != nil {
 			t.Fatalf("canonical form of %q does not reparse: %q: %v", src, canon, err)
