@@ -199,6 +199,8 @@ func TestMatchObservationCombinators(t *testing.T) {
 		{pattern: "[c:d = 'y'] FOLLOWEDBY [c:d = 'y']", want: false},
 		{pattern: "[a:b = 'x'] REPEATS 2 TIMES", want: true},
 		{pattern: "[a:b = 'x'] REPEATS 3 TIMES", want: false},
+		{pattern: "([a:b = 'x'] OR [a:b = 'x']) REPEATS 3 TIMES", want: false}, // each observation counts once
+		{pattern: "([a:b = 'x'] OR [c:d = 'y']) REPEATS 3 TIMES", want: true},
 		{pattern: "([a:b = 'x'] AND [c:d = 'y']) WITHIN 120 SECONDS", want: false}, // spread over 10m via union
 		{pattern: "([a:b = 'x'] FOLLOWEDBY [c:d = 'y']) WITHIN 3600 SECONDS", want: true},
 		{pattern: "[c:d = 'y'] START t'2019-06-24T12:00:30Z' STOP t'2019-06-24T12:02:00Z'", want: true},
