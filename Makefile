@@ -262,7 +262,11 @@ metrics-lint:
 		caisp_mesh_last_success_unix_seconds caisp_mesh_hop_latency_seconds caisp_mesh_replication_seconds \
 		caisp_health_status caisp_health_check_status caisp_tip_changes_parked caisp_consumer_lag \
 		caisp_build_info caisp_go_goroutines caisp_go_heap_bytes caisp_analyzer_blocks_total \
-		caisp_wsock_queue_depth caisp_wsock_evicted_total caisp_wsock_push_seconds; do \
+		caisp_wsock_queue_depth caisp_wsock_evicted_total caisp_wsock_push_seconds \
+		caisp_feed_fetches_total caisp_feed_errors_total caisp_feed_not_modified_total \
+		caisp_feed_records_total caisp_feed_malformed_total caisp_mesh_errors_total caisp_mesh_backoff_seconds \
+		caisp_pipeline_collected_total caisp_pipeline_unique_total caisp_pipeline_duplicates_total \
+		caisp_dedup_seen_total caisp_dedup_unique_total caisp_dedup_duplicates_total; do \
 		echo "$$names" | grep -qx "\"$$want\"" || { \
 			echo "metrics-lint: required metric $$want is not registered"; exit 1; }; \
 	done; \

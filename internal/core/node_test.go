@@ -87,7 +87,7 @@ var nodeFamilies = []string{
 	"caisp_store_wal_bytes", "caisp_store_wal_ops", "caisp_store_wal_segments",
 	"caisp_subs_candidates_per_event", "caisp_subs_eval_seconds", "caisp_subs_expired_total",
 	"caisp_subs_matches_total", "caisp_subs_registered", "caisp_subs_rejected_total",
-	"caisp_tip_changes_parked", "caisp_tip_events", "caisp_tip_store_total",
+	"caisp_tip_changes_parked", "caisp_tip_store_total",
 	"caisp_trace_dropped_total", "caisp_trace_end_to_end_seconds", "caisp_trace_finished_total", "caisp_trace_stage_seconds",
 	"caisp_wsock_evicted_total", "caisp_wsock_push_seconds", "caisp_wsock_queue_depth",
 }
@@ -111,7 +111,7 @@ var platformFamilies = []string{
 }
 
 // TestDaemonMetricFamilies: tipd (a node) and caispd (a platform) serve
-// their 39 and 76 families, one caisp_consumer_lag among them: the
+// their 38 and 75 families, one caisp_consumer_lag among them: the
 // node's lags its detections loop, the platform's its analyzer too. In
 // the platform the dashboard's hub owns the caisp_wsock_* families.
 func TestDaemonMetricFamilies(t *testing.T) {

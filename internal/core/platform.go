@@ -137,10 +137,9 @@ type Stats struct {
 
 // counters is the lock-free backing of Stats: every pipeline stage bumps
 // its own atomic, so the analyzer pool never serializes on a stats mutex.
+// The intake counts are the deduper's own: ingest offers every collected
+// event to it exactly once.
 type counters struct {
-	collected     atomic.Int64
-	unique        atomic.Int64
-	duplicates    atomic.Int64
 	ciocs         atomic.Int64
 	clusterEdits  atomic.Int64
 	clusterMerges atomic.Int64
@@ -261,20 +260,20 @@ func New(cfg Config) (*Platform, error) {
 }
 
 // registerPipelineMetrics exposes the platform's lock-free stage counters
-// and queue gauges as scrape-time views — the same atomics back Stats(),
+// and queue gauges as scrape-time views — the same counts back Stats(),
 // so /stats and /metrics can never disagree. A nil registry registers
 // nothing.
 func (p *Platform) registerPipelineMetrics() {
 	reg := p.reg
+	reg.CounterFunc("caisp_pipeline_collected_total", "Events delivered by the feed scheduler.",
+		func() float64 { return float64(p.deduper.Stats().Seen) })
+	reg.CounterFunc("caisp_pipeline_unique_total", "Events admitted as unique by the deduper.",
+		func() float64 { return float64(p.deduper.Stats().Unique) })
+	reg.CounterFunc("caisp_pipeline_duplicates_total", "Events folded into already admitted ones.",
+		func() float64 { return float64(p.deduper.Stats().Duplicates) })
 	counter := func(name, help string, v *atomic.Int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
 	}
-	counter("caisp_pipeline_collected_total", "Events delivered by the feed scheduler.",
-		&p.counters.collected)
-	counter("caisp_pipeline_unique_total", "Events admitted as unique by the deduper.",
-		&p.counters.unique)
-	counter("caisp_pipeline_duplicates_total", "Events folded into already admitted ones.",
-		&p.counters.duplicates)
 	counter("caisp_pipeline_ciocs_total", "Clusters stored for the first time.",
 		&p.counters.ciocs)
 	counter("caisp_pipeline_cluster_edits_total", "Grown or merged clusters re-stored under their stable UUID.",
@@ -397,12 +396,15 @@ func (p *Platform) FeedStats() map[string]feed.Stats { return p.scheduler.Stats(
 // DedupStats returns the deduplication counters.
 func (p *Platform) DedupStats() dedup.Stats { return p.deduper.Stats() }
 
-// Stats returns pipeline counters.
+// Stats returns pipeline counters. The intake counts come from one
+// snapshot of the deduper, so EventsCollected = EventsUnique + Duplicates
+// holds in every Stats.
 func (p *Platform) Stats() Stats {
+	intake := p.deduper.Stats()
 	return Stats{
-		EventsCollected: int(p.counters.collected.Load()),
-		EventsUnique:    int(p.counters.unique.Load()),
-		Duplicates:      int(p.counters.duplicates.Load()),
+		EventsCollected: intake.Seen,
+		EventsUnique:    intake.Unique,
+		Duplicates:      intake.Duplicates,
 		CIoCs:           int(p.counters.ciocs.Load()),
 		ClusterEdits:    int(p.counters.clusterEdits.Load()),
 		ClusterMerges:   int(p.counters.clusterMerges.Load()),
@@ -458,14 +460,11 @@ func (p *Platform) ingest(events []normalize.Event) {
 	for _, e := range events {
 		p.classify(&e)
 		stored, isNew := p.deduper.Offer(e)
-		p.counters.collected.Add(1)
 		if !isNew {
 			// A duplicate never starts a trace: its original may still be
 			// in flight under the same ID.
-			p.counters.duplicates.Add(1)
 			continue
 		}
-		p.counters.unique.Add(1)
 		// Trace from the admitted identity (classification may have re-keyed
 		// the event); the correlator adopts this ID at the next flush.
 		p.tracer.Start(stored.ID)

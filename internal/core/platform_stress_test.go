@@ -211,3 +211,46 @@ func TestComposeAndStorePartialBatch(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestStatsIntakeSnapshotConsistent: every Stats snapshot taken while
+// ingest runs satisfies the intake law collected = unique + duplicates,
+// because the three counts are one snapshot of the deduper's decisions.
+func TestStatsIntakeSnapshotConsistent(t *testing.T) {
+	p := newPlatform(t, Config{})
+	batch := make([]normalize.Event, 0, 64)
+	for i := range cap(batch) {
+		// Every value twice: half the offers are duplicates.
+		e, err := normalize.New(fmt.Sprintf("intake-%d.example", i/2), normalize.CategoryMalwareDomain,
+			fmt.Sprintf("feed-%d", i%2), normalize.SourceOSINT, batchTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, e)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 2000 {
+			p.ingest(batch)
+		}
+	}()
+	snapshots, bad := 0, 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		st := p.Stats()
+		snapshots++
+		if st.EventsCollected != st.EventsUnique+st.Duplicates {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d Stats snapshots read collected != unique + duplicates", bad, snapshots)
+	}
+	if st := p.Stats(); st.EventsCollected != 2000*len(batch) || st.EventsUnique != len(batch)/2 {
+		t.Fatalf("intake = %+v", st)
+	}
+}

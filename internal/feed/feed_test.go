@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
+	"github.com/caisplatform/caisp/internal/obs"
 )
 
 func TestPlaintextParser(t *testing.T) {
@@ -385,32 +387,63 @@ func TestSchedulerPeriodicPolling(t *testing.T) {
 	}
 }
 
+// recordsParser hands back its records whatever the document.
+type recordsParser []Record
+
+func (p recordsParser) Parse([]byte) ([]Record, error) { return p, nil }
+
+// TestSchedulerErrorAndMalformedCounters polls a failing feed, an
+// unparsable one and one with a malformed record twice on a pool of four
+// (the static fetchers answer the second poll not-modified): each feed's
+// Stats equals its caisp_feed_* series, and the {feed} label set is the
+// feeds added. Run under -race.
 func TestSchedulerErrorAndMalformedCounters(t *testing.T) {
 	sink, _ := collectSink()
-	s := NewScheduler(sink)
-	if err := s.Add(Feed{
-		Name:     "broken",
-		Fetcher:  &failingFetcher{},
-		Parser:   PlaintextParser{},
-		Interval: time.Minute,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(Feed{
-		Name:     "unparsable",
-		Fetcher:  &StaticFetcher{Data: []byte(`{"not":"advisories"}`)},
-		Parser:   AdvisoryParser{},
-		Interval: time.Minute,
-	}); err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	s := NewScheduler(sink, WithConcurrency(4), WithMetrics(reg))
+	for _, f := range []Feed{
+		{Name: "broken", Fetcher: &failingFetcher{}, Parser: PlaintextParser{}},
+		{Name: "unparsable", Fetcher: &StaticFetcher{Data: []byte(`{"not":"advisories"}`)}, Parser: AdvisoryParser{}},
+		{Name: "mixed", Fetcher: &StaticFetcher{Data: []byte("-")},
+			Parser: recordsParser{{Value: "evil.example"}, {Value: " "}, {Value: "bad.example"}}},
+	} {
+		f.Interval = time.Minute
+		if err := s.Add(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.PollOnce(context.Background())
+	s.PollOnce(context.Background())
 	stats := s.Stats()
-	if stats["broken"].Errors != 1 {
-		t.Fatalf("broken stats = %+v", stats["broken"])
+	for name, want := range map[string]Stats{
+		"broken":     {Fetches: 2, Errors: 2},
+		"unparsable": {Fetches: 2, Errors: 1, NotModified: 1},
+		"mixed":      {Fetches: 2, NotModified: 1, Records: 2, Malformed: 1},
+	} {
+		if stats[name] != want {
+			t.Errorf("%s stats = %+v, want %+v", name, stats[name], want)
+		}
 	}
-	if stats["unparsable"].Errors != 1 {
-		t.Fatalf("unparsable stats = %+v", stats["unparsable"])
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exposition := sb.String()
+	for family, field := range map[string]func(Stats) int{
+		"caisp_feed_fetches_total":      func(st Stats) int { return st.Fetches },
+		"caisp_feed_errors_total":       func(st Stats) int { return st.Errors },
+		"caisp_feed_not_modified_total": func(st Stats) int { return st.NotModified },
+		"caisp_feed_records_total":      func(st Stats) int { return st.Records },
+		"caisp_feed_malformed_total":    func(st Stats) int { return st.Malformed },
+	} {
+		if n := strings.Count(exposition, "\n"+family+"{"); n != len(stats) {
+			t.Errorf("%s has %d series, want one per feed (%d)", family, n, len(stats))
+		}
+		for name, st := range stats {
+			if line := fmt.Sprintf("\n%s{feed=%q} %d\n", family, name, field(st)); !strings.Contains(exposition, line) {
+				t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+			}
+		}
 	}
 }
 

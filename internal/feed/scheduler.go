@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/clock"
@@ -36,6 +37,12 @@ type Stats struct {
 	Malformed   int `json:"malformed"`
 }
 
+// counts is one feed's activity, bumped lock-free by its polls; Stats
+// and the caisp_feed_* series both read it.
+type counts struct {
+	fetches, notModified, errors, records, malformed atomic.Int64
+}
+
 // Scheduler polls a set of feeds and hands each poll's normalized events
 // to a sink: one call per poll that delivered records, so the consumer
 // knows where a document ends and can act on it instead of on a timer.
@@ -50,7 +57,7 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	feeds   []Feed
-	stats   map[string]*Stats
+	counts  map[string]*counts
 	started bool
 	cancel  context.CancelFunc
 	done    sync.WaitGroup
@@ -82,7 +89,9 @@ func (o concurrencyOption) apply(s *Scheduler) { s.concurrency = int(o) }
 func WithConcurrency(n int) Option { return concurrencyOption(n) }
 
 // schedMetrics are the per-feed caisp_feed_* families. A nil value (no
-// registry) disables instrumentation at one pointer check per poll.
+// registry) disables instrumentation at one pointer check per poll. The
+// five families that mirror Stats are scrape-time views of each feed's
+// counts, installed by Add.
 type schedMetrics struct {
 	fetches     *obs.CounterVec   // caisp_feed_fetches_total{feed}
 	errors      *obs.CounterVec   // caisp_feed_errors_total{feed}
@@ -127,7 +136,7 @@ func NewScheduler(sink func([]normalize.Event), opts ...Option) *Scheduler {
 		clk:    clock.Real(),
 		sink:   sink,
 		logger: slog.Default(),
-		stats:  make(map[string]*Stats),
+		counts: make(map[string]*counts),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -155,7 +164,16 @@ func (s *Scheduler) Add(f Feed) error {
 		}
 	}
 	s.feeds = append(s.feeds, f)
-	s.stats[f.Name] = &Stats{}
+	c := &counts{}
+	s.counts[f.Name] = c
+	if m := s.metrics; m != nil {
+		for vec, n := range map[*obs.CounterVec]*atomic.Int64{
+			m.fetches: &c.fetches, m.errors: &c.errors, m.notModified: &c.notModified,
+			m.records: &c.records, m.malformed: &c.malformed,
+		} {
+			vec.Func(func() float64 { return float64(n.Load()) }, f.Name)
+		}
+	}
 	return nil
 }
 
@@ -241,9 +259,15 @@ func (s *Scheduler) PollOnce(ctx context.Context) {
 func (s *Scheduler) Stats() map[string]Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]Stats, len(s.stats))
-	for name, st := range s.stats {
-		out[name] = *st
+	out := make(map[string]Stats, len(s.counts))
+	for name, c := range s.counts {
+		out[name] = Stats{
+			Fetches:     int(c.fetches.Load()),
+			NotModified: int(c.notModified.Load()),
+			Errors:      int(c.errors.Load()),
+			Records:     int(c.records.Load()),
+			Malformed:   int(c.malformed.Load()),
+		}
 	}
 	return out
 }
@@ -280,6 +304,9 @@ func (s *Scheduler) pollLoop(ctx context.Context, f Feed) {
 // pollFeed fetches and processes one feed once; it reports success (a
 // not-modified response counts as success).
 func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
+	s.mu.Lock()
+	c := s.counts[f.Name]
+	s.mu.Unlock()
 	var fetchStart time.Time
 	if s.metrics != nil {
 		fetchStart = time.Now()
@@ -287,31 +314,22 @@ func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
 	data, notModified, err := f.Fetcher.Fetch(ctx)
 	if s.metrics != nil {
 		s.metrics.fetchDur.With(f.Name).Observe(time.Since(fetchStart).Seconds())
-		s.metrics.fetches.With(f.Name).Inc()
 		s.metrics.bytes.With(f.Name).Add(int64(len(data)))
 	}
-	s.mu.Lock()
-	st := s.stats[f.Name]
-	st.Fetches++
-	s.mu.Unlock()
+	c.fetches.Add(1)
 
 	if err != nil {
-		s.bumpErrors(f.Name)
+		c.errors.Add(1)
 		s.logger.Warn("feed fetch failed", "feed", f.Name, "error", err)
 		return false
 	}
 	if notModified {
-		s.mu.Lock()
-		st.NotModified++
-		s.mu.Unlock()
-		if s.metrics != nil {
-			s.metrics.notModified.With(f.Name).Inc()
-		}
+		c.notModified.Add(1)
 		return true
 	}
 	records, err := f.Parser.Parse(data)
 	if err != nil {
-		s.bumpErrors(f.Name)
+		c.errors.Add(1)
 		s.logger.Warn("feed parse failed", "feed", f.Name, "error", err)
 		return false
 	}
@@ -324,12 +342,7 @@ func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
 		}
 		event, err := normalize.New(rec.Value, category, f.Name, normalize.SourceOSINT, now)
 		if err != nil {
-			s.mu.Lock()
-			st.Malformed++
-			s.mu.Unlock()
-			if s.metrics != nil {
-				s.metrics.malformed.With(f.Name).Inc()
-			}
+			c.malformed.Add(1)
 			continue
 		}
 		if len(rec.Context) > 0 {
@@ -338,25 +351,11 @@ func (s *Scheduler) pollFeed(ctx context.Context, f Feed) bool {
 				event.Context[k] = v
 			}
 		}
-		s.mu.Lock()
-		st.Records++
-		s.mu.Unlock()
-		if s.metrics != nil {
-			s.metrics.records.With(f.Name).Inc()
-		}
+		c.records.Add(1)
 		events = append(events, event)
 	}
 	if len(events) > 0 {
 		s.sink(events)
 	}
 	return true
-}
-
-func (s *Scheduler) bumpErrors(name string) {
-	s.mu.Lock()
-	s.stats[name].Errors++
-	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.errors.With(name).Inc()
-	}
 }

@@ -108,10 +108,7 @@ type Engine struct {
 	refreshes atomic.Int64
 	passes    atomic.Int64
 
-	mRescored  *obs.Counter
-	mExpired   *obs.Counter
-	mRefreshes *obs.Counter
-	mScan      *obs.Histogram
+	mScan *obs.Histogram
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -151,15 +148,19 @@ func WithExpireHook(fn func(uuid string) error) Option {
 // WithLogger routes scan warnings.
 func WithLogger(l *slog.Logger) Option { return func(e *Engine) { e.logger = l } }
 
-// WithMetrics registers the caisp_lifecycle_* metric family.
+// WithMetrics registers the caisp_lifecycle_* metric family: the
+// counters are scrape-time views of the atomics Stats reads.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(e *Engine) {
-		e.mRescored = reg.Counter("caisp_lifecycle_rescored_total",
-			"Indicators whose decayed score was re-computed and landed.")
-		e.mExpired = reg.Counter("caisp_lifecycle_expired_total",
-			"Indicators expired (deleted) after decaying through the floor.")
-		e.mRefreshes = reg.Counter("caisp_lifecycle_sighting_refreshes_total",
-			"Decay ages reset by a correlator sighting newer than the stored event.")
+		counter := func(name, help string, v *atomic.Int64) {
+			reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
+		}
+		counter("caisp_lifecycle_rescored_total",
+			"Indicators whose decayed score was re-computed and landed.", &e.rescored)
+		counter("caisp_lifecycle_expired_total",
+			"Indicators expired (deleted) after decaying through the floor.", &e.expired)
+		counter("caisp_lifecycle_sighting_refreshes_total",
+			"Decay ages reset by a correlator sighting newer than the stored event.", &e.refreshes)
 		e.mScan = reg.Histogram("caisp_lifecycle_scan_seconds",
 			"RunOnce latency: one bounded re-score batch.")
 		reg.GaugeFunc("caisp_lifecycle_tracked",
@@ -311,9 +312,6 @@ func (e *Engine) processPage(page []*misp.Event, now time.Time, sight map[string
 			e.expireOne(ev.UUID)
 			res.Expired++
 			e.expired.Add(1)
-			if e.mExpired != nil {
-				e.mExpired.Inc()
-			}
 		case actionRescore:
 			clone, err := e.store.GetClone(ev.UUID)
 			if err != nil {
@@ -332,9 +330,6 @@ func (e *Engine) processPage(page []*misp.Event, now time.Time, sight map[string
 		}
 		res.Rescored += len(stored)
 		e.rescored.Add(int64(len(stored)))
-		if e.mRescored != nil {
-			e.mRescored.Add(int64(len(stored)))
-		}
 	}
 	return nil
 }
@@ -424,9 +419,6 @@ func (e *Engine) lastActivity(ev *misp.Event, sight map[string]time.Time, res *R
 		last = s
 		res.Refreshed++
 		e.refreshes.Add(1)
-		if e.mRefreshes != nil {
-			e.mRefreshes.Inc()
-		}
 	}
 	return last
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/misp"
+	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
@@ -236,6 +237,43 @@ func TestSightingRefreshResetsDecay(t *testing.T) {
 	want := quantize(Score(4.0, 19*time.Hour, testPolicies()["botnet-c2"]))
 	if d, _ := heuristic.DecayedScoreOf(got); d != want {
 		t.Fatalf("decayed = %v, want %v (age from sighting)", d, want)
+	}
+}
+
+// TestStatsAgreeWithFamilies: after a pass that expires one indicator
+// and rescores a sighted one, Stats reads what the caisp_lifecycle_*
+// counters read.
+func TestStatsAgreeWithFamilies(t *testing.T) {
+	s := openStore(t)
+	sighted := eioc("sighted", "botnet-c2", 4.0, t0)
+	doomed := eioc("doomed", "botnet-c2", 4.0, t0)
+	for _, ev := range []*misp.Event{sighted, doomed} {
+		if err := s.Put(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	e := New(s, withPolicies(testPolicies()), WithFloor(0.3), WithMetrics(reg),
+		WithSightings(func() map[string]time.Time {
+			return map[string]time.Time{sighted.UUID: t0.Add(80 * time.Hour)}
+		}))
+	if res, err := e.RunOnce(t0.Add(99 * time.Hour)); err != nil || res.Rescored != 1 || res.Expired != 1 || res.Refreshed != 1 {
+		t.Fatalf("result = %+v, %v; want one rescore, one refresh, one expiry", res, err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	for _, line := range []string{
+		fmt.Sprintf("caisp_lifecycle_rescored_total %d", st.Rescored),
+		fmt.Sprintf("caisp_lifecycle_expired_total %d", st.Expired),
+		fmt.Sprintf("caisp_lifecycle_sighting_refreshes_total %d", st.Refreshes),
+		fmt.Sprintf("caisp_lifecycle_tracked %d", st.Tracked),
+	} {
+		if !strings.Contains(sb.String(), "\n"+line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
 	}
 }
 

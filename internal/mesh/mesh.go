@@ -107,8 +107,9 @@ const (
 	DefaultMaxPage  = 5000
 )
 
-// Totals are the engine's lifetime counters, also exported as
-// caisp_mesh_* metric families when a registry is attached.
+// Totals are the engine's lifetime counters, summed over the peers'
+// counts that the caisp_mesh_* {peer} series read when a registry is
+// attached.
 type Totals struct {
 	Pages          int64 // pages pulled across all peers
 	Pulled         int64 // events received from peers
@@ -136,30 +137,12 @@ type Engine struct {
 	mu  sync.Mutex // guards cur
 	cur map[string]Cursor
 
-	pages          atomic.Int64
-	pulled         atomic.Int64
-	imported       atomic.Int64
-	echoSuppressed atomic.Int64
-	conflictLocal  atomic.Int64
-	conflictRemote atomic.Int64
-	deleted        atomic.Int64
-	errorsN        atomic.Int64
-	rounds         atomic.Int64
+	rounds atomic.Int64
 
 	// metric families; nil without WithMetrics.
-	mPages       *obs.CounterVec   // {peer}
-	mPulled      *obs.CounterVec   // {peer}
-	mImported    *obs.CounterVec   // {peer}
-	mEcho        *obs.CounterVec   // {peer}
-	mConflicts   *obs.CounterVec   // {peer, winner}
-	mDeleted     *obs.CounterVec   // {peer}
-	mErrors      *obs.CounterVec   // {peer}
-	mSync        *obs.Histogram    // sync round latency
-	mLag         *obs.GaugeVec     // {peer} seconds behind the peer head
-	mBackoff     *obs.GaugeVec     // {peer} current backoff, 0 when healthy
-	mLastSuccess *obs.GaugeVec     // {peer} unix time of last drained round
-	mHopLat      *obs.HistogramVec // {peer} single-hop replication latency
-	mRepl        *obs.Histogram    // origin-to-here end-to-end latency
+	mSync   *obs.Histogram    // sync round latency
+	mHopLat *obs.HistogramVec // {peer} single-hop replication latency
+	mRepl   *obs.Histogram    // origin-to-here end-to-end latency
 
 	// cross-node trace propagation; zero-valued without WithProvenance.
 	node   string         // this node's name, stamped into appended hops
@@ -180,14 +163,19 @@ type peerState struct {
 	page   int        // adaptive page size; guarded by busy
 	busy   sync.Mutex // serializes overlapping syncs of one peer
 
-	// statMu guards the observability snapshot below, which PeerStatuses
-	// reads concurrently with the worker.
+	// Lifetime counts of this peer's traffic: Totals sums them and the
+	// caisp_mesh_* {peer} series read them.
+	pages, pulled, imported, echoSuppressed      atomic.Int64
+	conflictLocal, conflictRemote, deleted, errs atomic.Int64
+
+	// statMu guards the replication state below, which PeerInfos, the
+	// health check and the {peer} gauges read concurrently with the worker.
 	statMu      sync.Mutex
 	backoff     time.Duration // 0 while healthy
 	lastSuccess time.Time     // last fully drained round
 	lastErr     string        // most recent sync error, "" while healthy
 	failures    int64         // consecutive failed sync attempts
-	lagSeconds  float64       // last published replication lag
+	lagSeconds  float64       // replication lag as of the last round
 }
 
 // Option configures an Engine.
@@ -243,6 +231,8 @@ func WithTracer(tr *obs.Tracer) Option {
 var hopBuckets = []float64{.01, .05, .25, 1, 5, 15, 30, 60, 120, 300, 600}
 
 // WithMetrics registers the caisp_mesh_* families on reg (nil disables).
+// The {peer} counters and gauges are scrape-time views of each
+// configured peer's state, which New builds before applying options.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(e *Engine) {
 		if reg == nil {
@@ -251,28 +241,44 @@ func WithMetrics(reg *obs.Registry) Option {
 		reg.GaugeFunc("caisp_mesh_peers",
 			"Configured replication peers.",
 			func() float64 { return float64(len(e.peers)) })
-		e.mPages = reg.CounterVec("caisp_mesh_pages_total",
+		pages := reg.CounterVec("caisp_mesh_pages_total",
 			"Pages pulled from each peer.", "peer")
-		e.mPulled = reg.CounterVec("caisp_mesh_events_pulled_total",
+		pulled := reg.CounterVec("caisp_mesh_events_pulled_total",
 			"Events received from each peer before suppression.", "peer")
-		e.mImported = reg.CounterVec("caisp_mesh_events_imported_total",
+		imported := reg.CounterVec("caisp_mesh_events_imported_total",
 			"Events imported into the local store from each peer.", "peer")
-		e.mEcho = reg.CounterVec("caisp_mesh_echo_suppressed_total",
+		echo := reg.CounterVec("caisp_mesh_echo_suppressed_total",
 			"Already-owned events skipped without re-import or re-analysis.", "peer")
-		e.mConflicts = reg.CounterVec("caisp_mesh_conflicts_total",
+		conflicts := reg.CounterVec("caisp_mesh_conflicts_total",
 			"Concurrent edits of one UUID resolved newest-timestamp-wins.", "peer", "winner")
-		e.mDeleted = reg.CounterVec("caisp_mesh_deletes_applied_total",
+		deleted := reg.CounterVec("caisp_mesh_deletes_applied_total",
 			"Replicated deletions applied to the local store per peer.", "peer")
-		e.mErrors = reg.CounterVec("caisp_mesh_errors_total",
+		errs := reg.CounterVec("caisp_mesh_errors_total",
 			"Failed sync attempts per peer (transport or import).", "peer")
 		e.mSync = reg.Histogram("caisp_mesh_sync_seconds",
 			"Working time of one sync round: drain a peer's backlog to its head, not counting the time the peer held the round's first request.")
-		e.mLag = reg.GaugeVec("caisp_mesh_lag_seconds",
+		lag := reg.GaugeVec("caisp_mesh_lag_seconds",
 			"Replication lag per peer: age of the newest event pulled in the last drained round while healthy, seconds since the last success while the peer is failing.", "peer")
-		e.mBackoff = reg.GaugeVec("caisp_mesh_backoff_seconds",
+		backoff := reg.GaugeVec("caisp_mesh_backoff_seconds",
 			"Current failure backoff per peer; zero while healthy.", "peer")
-		e.mLastSuccess = reg.GaugeVec("caisp_mesh_last_success_unix_seconds",
+		lastSuccess := reg.GaugeVec("caisp_mesh_last_success_unix_seconds",
 			"Unix time of the last fully drained sync round per peer; zero until one succeeds.", "peer")
+		for _, ps := range e.peers {
+			count := func(vec *obs.CounterVec, n *atomic.Int64, winner ...string) {
+				vec.Func(func() float64 { return float64(n.Load()) }, append([]string{ps.name}, winner...)...)
+			}
+			count(pages, &ps.pages)
+			count(pulled, &ps.pulled)
+			count(imported, &ps.imported)
+			count(echo, &ps.echoSuppressed)
+			count(conflicts, &ps.conflictLocal, "local")
+			count(conflicts, &ps.conflictRemote, "remote")
+			count(deleted, &ps.deleted)
+			count(errs, &ps.errs)
+			lag.Func(func() float64 { return ps.info().LagSeconds }, ps.name)
+			backoff.Func(func() float64 { return ps.info().BackoffSeconds }, ps.name)
+			lastSuccess.Func(func() float64 { return float64(ps.info().LastSuccessUnix) }, ps.name)
+		}
 		e.mHopLat = reg.HistogramVec("caisp_mesh_hop_latency_seconds",
 			"Single-hop replication latency: time between the upstream node pulling (or ingesting) an event and this node pulling it. Pull plus import from a peer that holds change-feed requests until it commits; up to the poll interval from one that does not.", hopBuckets, "peer")
 		e.mRepl = reg.Histogram("caisp_mesh_replication_seconds",
@@ -338,17 +344,18 @@ func (e *Engine) Peers() int { return len(e.peers) }
 
 // Totals snapshots the lifetime counters.
 func (e *Engine) Totals() Totals {
-	return Totals{
-		Pages:          e.pages.Load(),
-		Pulled:         e.pulled.Load(),
-		Imported:       e.imported.Load(),
-		EchoSuppressed: e.echoSuppressed.Load(),
-		ConflictLocal:  e.conflictLocal.Load(),
-		ConflictRemote: e.conflictRemote.Load(),
-		Deleted:        e.deleted.Load(),
-		Errors:         e.errorsN.Load(),
-		Rounds:         e.rounds.Load(),
+	t := Totals{Rounds: e.rounds.Load()}
+	for _, ps := range e.peers {
+		t.Pages += ps.pages.Load()
+		t.Pulled += ps.pulled.Load()
+		t.Imported += ps.imported.Load()
+		t.EchoSuppressed += ps.echoSuppressed.Load()
+		t.ConflictLocal += ps.conflictLocal.Load()
+		t.ConflictRemote += ps.conflictRemote.Load()
+		t.Deleted += ps.deleted.Load()
+		t.Errors += ps.errs.Load()
 	}
+	return t
 }
 
 // Cursor returns the current high-water mark for a peer.
@@ -430,11 +437,7 @@ func (e *Engine) runPeer(ps *peerState) {
 		} else {
 			ps.backoff = 0
 		}
-		backoff := ps.backoff
 		ps.statMu.Unlock()
-		if e.mBackoff != nil {
-			e.mBackoff.With(ps.name).Set(backoff.Seconds())
-		}
 		timer.Reset(next)
 	}
 }
@@ -535,12 +538,8 @@ func (e *Engine) syncPeer(ctx context.Context, ps *peerState, first *page) (int,
 			return imported, pg.err
 		}
 		entries := len(pg.live) + len(pg.deletes)
-		e.pages.Add(1)
-		e.pulled.Add(int64(entries))
-		if e.mPages != nil {
-			e.mPages.With(ps.name).Inc()
-			e.mPulled.With(ps.name).Add(int64(entries))
-		}
+		ps.pages.Add(1)
+		ps.pulled.Add(int64(entries))
 		if len(pg.live) > 0 {
 			n, err := e.importPage(ps, pg.live)
 			imported += n
@@ -590,47 +589,32 @@ func (e *Engine) syncPeer(ctx context.Context, ps *peerState, first *page) (int,
 	return imported, nil
 }
 
-// markSuccess publishes one drained round: the peer is healthy, its lag
+// markSuccess records one drained round: the peer is healthy, its lag
 // is the freshness of what the round pulled, and the last-success clock
-// restarts. This is the only healthy path that touches the lag gauge —
-// a failed round must not leave the previous round's value standing, so
-// markFailure republishes it as time-since-last-success instead.
+// restarts. This is the only healthy path that sets the lag — a failed
+// round must not leave the previous round's value standing, so
+// markFailure resets it to time-since-last-success instead.
 func (e *Engine) markSuccess(ps *peerState, lag float64) {
-	now := time.Now()
 	ps.statMu.Lock()
-	ps.lastSuccess = now
+	ps.lastSuccess = time.Now()
 	ps.failures = 0
 	ps.lastErr = ""
 	ps.lagSeconds = lag
 	ps.statMu.Unlock()
-	if e.mLag != nil {
-		e.mLag.With(ps.name).Set(lag)
-	}
-	if e.mLastSuccess != nil {
-		e.mLastSuccess.With(ps.name).Set(float64(now.Unix()))
-	}
 }
 
-// markFailure records one failed sync attempt and republishes the lag
-// gauge as seconds since the last successful round, so a dead peer's
-// lag grows instead of freezing at its last healthy reading.
+// markFailure records one failed sync attempt and resets the lag to
+// seconds since the last successful round, so a dead peer's lag grows
+// instead of freezing at its last healthy reading.
 func (e *Engine) markFailure(ps *peerState, err error) {
-	e.errorsN.Add(1)
-	if e.mErrors != nil {
-		e.mErrors.With(ps.name).Inc()
-	}
-	var lag float64
+	ps.errs.Add(1)
 	ps.statMu.Lock()
 	ps.failures++
 	ps.lastErr = err.Error()
 	if !ps.lastSuccess.IsZero() {
-		lag = time.Since(ps.lastSuccess).Seconds()
-		ps.lagSeconds = lag
+		ps.lagSeconds = time.Since(ps.lastSuccess).Seconds()
 	}
 	ps.statMu.Unlock()
-	if e.mLag != nil && lag > 0 {
-		e.mLag.With(ps.name).Set(lag)
-	}
 }
 
 // importPage filters one pulled page against the local store and batch
@@ -659,25 +643,16 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 			case lts == rts && !extends(ev, local):
 				// The echo case — our own event coming back around the
 				// mesh (A→B→A) or a copy both sides already replicated.
-				e.echoSuppressed.Add(1)
-				if e.mEcho != nil {
-					e.mEcho.With(ps.name).Inc()
-				}
+				ps.echoSuppressed.Add(1)
 				continue
 			case lts > rts:
 				// Local revision is newer: drop the stale remote copy.
-				e.conflictLocal.Add(1)
-				if e.mConflicts != nil {
-					e.mConflicts.With(ps.name, "local").Inc()
-				}
+				ps.conflictLocal.Add(1)
 				continue
 			default:
 				// Remote revision is newer, or extends ours within the same
 				// second: import through the edit path.
-				e.conflictRemote.Add(1)
-				if e.mConflicts != nil {
-					e.mConflicts.With(ps.name, "remote").Inc()
-				}
+				ps.conflictRemote.Add(1)
 			}
 		}
 		fresh = append(fresh, ev)
@@ -695,10 +670,7 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 		e.logger.Warn("mesh: partial import", "peer", ps.name,
 			"stored", len(stored), "pulled", len(fresh), "error", err)
 	}
-	e.imported.Add(int64(len(stored)))
-	if e.mImported != nil {
-		e.mImported.With(ps.name).Add(int64(len(stored)))
-	}
+	ps.imported.Add(int64(len(stored)))
 	e.observeImport(ps, stored, prov)
 	return len(stored), nil
 }
@@ -786,40 +758,6 @@ func (e *Engine) observeImport(ps *peerState, stored []*misp.Event, prov map[str
 	}
 }
 
-// PeerStatus is one peer's replication state as seen from this node —
-// the machine-readable slice of the fleet view.
-type PeerStatus struct {
-	Name        string
-	Cursor      uint64
-	LastSuccess time.Time // zero until one round drains
-	LagSeconds  float64
-	Backoff     time.Duration
-	Failures    int64
-	LastError   string
-}
-
-// PeerStatuses snapshots every peer's replication state for health
-// checks and GET /cluster/status. Safe to call concurrently with the
-// sync workers.
-func (e *Engine) PeerStatuses() []PeerStatus {
-	out := make([]PeerStatus, 0, len(e.peers))
-	for _, ps := range e.peers {
-		cur := e.Cursor(ps.name)
-		ps.statMu.Lock()
-		out = append(out, PeerStatus{
-			Name:        ps.name,
-			Cursor:      cur.Seq,
-			LastSuccess: ps.lastSuccess,
-			LagSeconds:  ps.lagSeconds,
-			Backoff:     ps.backoff,
-			Failures:    ps.failures,
-			LastError:   ps.lastErr,
-		})
-		ps.statMu.Unlock()
-	}
-	return out
-}
-
 // applyDeletes lands one page's tombstones locally. Newest-wins holds
 // for deletions too: a local revision stamped after the deletion time
 // is a concurrent edit that survives (the edit will out-replicate the
@@ -836,10 +774,7 @@ func (e *Engine) applyDeletes(ps *peerState, deletes []storage.Change) error {
 		}
 		if local.Timestamp.Unix() > d.DeletedAt.Unix() {
 			// Concurrent local edit newer than the deletion: the edit wins.
-			e.conflictLocal.Add(1)
-			if e.mConflicts != nil {
-				e.mConflicts.With(ps.name, "local").Inc()
-			}
+			ps.conflictLocal.Add(1)
 			continue
 		}
 		batch = append(batch, storage.Deletion{UUID: d.UUID, At: d.DeletedAt})
@@ -848,9 +783,6 @@ func (e *Engine) applyDeletes(ps *peerState, deletes []storage.Change) error {
 	if err != nil {
 		return fmt.Errorf("mesh: apply %d deletes: %w", len(batch), err)
 	}
-	e.deleted.Add(int64(n))
-	if e.mDeleted != nil {
-		e.mDeleted.With(ps.name).Add(int64(n))
-	}
+	ps.deleted.Add(int64(n))
 	return nil
 }

@@ -3,11 +3,14 @@ package mesh
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/storage"
@@ -169,8 +172,8 @@ func TestPeerFailureLagAndHealth(t *testing.T) {
 	if _, err := e.SyncOnce(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	st := e.PeerStatuses()
-	if len(st) != 1 || st[0].Failures != 0 || st[0].LastSuccess.IsZero() || st[0].LastError != "" {
+	st := e.PeerInfos()
+	if len(st) != 1 || st[0].Failures != 0 || st[0].LastSuccessUnix == 0 || st[0].LastError != "" {
 		t.Fatalf("healthy status = %+v", st)
 	}
 	check := PeersCheck(e, time.Millisecond)
@@ -186,7 +189,7 @@ func TestPeerFailureLagAndHealth(t *testing.T) {
 	if _, err := e.SyncOnce(t.Context()); err == nil {
 		t.Fatal("sync against dead peer succeeded")
 	}
-	st = e.PeerStatuses()
+	st = e.PeerInfos()
 	if st[0].Failures != 1 || !strings.Contains(st[0].LastError, "connection refused") {
 		t.Fatalf("failing status = %+v", st)
 	}
@@ -198,7 +201,7 @@ func TestPeerFailureLagAndHealth(t *testing.T) {
 	if _, err := e.SyncOnce(t.Context()); err == nil {
 		t.Fatal("second sync against dead peer succeeded")
 	}
-	st = e.PeerStatuses()
+	st = e.PeerInfos()
 	if st[0].Failures != 2 || st[0].LagSeconds <= firstLag {
 		t.Fatalf("lag not growing: %+v (was %g)", st[0], firstLag)
 	}
@@ -224,7 +227,7 @@ func TestPeerFailureLagAndHealth(t *testing.T) {
 	if _, err := e.SyncOnce(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	st = e.PeerStatuses()
+	st = e.PeerInfos()
 	if st[0].Failures != 0 || st[0].LastError != "" {
 		t.Fatalf("recovered status = %+v", st)
 	}
@@ -282,5 +285,130 @@ func TestPeerInfosProjection(t *testing.T) {
 	infos = e.PeerInfos()
 	if infos[0].Name != "up" || infos[0].LastSuccessUnix == 0 || infos[0].Cursor == 0 {
 		t.Fatalf("post-sync infos = %+v", infos)
+	}
+}
+
+// series parses reg's exposition into sample (name and labels) → value.
+func series(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestTotalsAndGaugesReadPeerState: one SyncOnce round meeting an echo, a
+// local-wins and a remote-wins conflict, a replicated delete, a fresh
+// import and a failing peer. Totals equals the sums of the {peer}
+// counters, the lag, backoff and last-success gauges equal PeerInfos,
+// and every {peer} family carries exactly the configured peers.
+func TestTotalsAndGaugesReadPeerState(t *testing.T) {
+	local, up := newObsNode(t, "local"), newObsNode(t, "up")
+	evs := sampleEvents(t, 5)
+	echo, localWins, remoteWins, gone, fresh := evs[0], evs[1], evs[2], evs[3], evs[4]
+	newer := func(e *misp.Event) *misp.Event {
+		c := e.Clone()
+		c.Info = "edited"
+		c.Timestamp = misp.UT(now.Add(2 * time.Second))
+		return c
+	}
+	if _, err := local.svc.AddEvents([]*misp.Event{echo.Clone(), newer(localWins), remoteWins.Clone(), gone.Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := up.svc.AddEvents([]*misp.Event{echo.Clone(), localWins.Clone(), newer(remoteWins), gone.Clone(), fresh.Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := up.svc.DeleteEventsAt([]storage.Deletion{{UUID: gone.UUID, At: now.Add(time.Second)}}); err != nil {
+		t.Fatal(err)
+	}
+	var failing atomic.Bool
+	failing.Store(true)
+	e, err := New(local.svc, []Peer{
+		{Name: "up", Remote: svcRemote{up.svc}},
+		{Name: "down", Remote: toggleRemote{svc: up.svc, failing: &failing}},
+	}, nil, WithMetrics(local.reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	if _, err := e.SyncOnce(t.Context()); err == nil {
+		t.Fatal("a round with a failing peer reported no error")
+	}
+
+	tot := e.Totals()
+	want := Totals{Pages: 1, Pulled: 5, Imported: 2, EchoSuppressed: 1,
+		ConflictLocal: 1, ConflictRemote: 1, Deleted: 1, Errors: 1, Rounds: 1}
+	if tot != want {
+		t.Fatalf("totals = %+v, want %+v", tot, want)
+	}
+	got := series(t, local.reg)
+	peers := []string{"down", "up"}
+	sum := func(family string, extra string) int64 {
+		var n float64
+		for _, p := range peers {
+			n += got[fmt.Sprintf(`%s{peer=%q%s}`, family, p, extra)]
+		}
+		return int64(n)
+	}
+	for family, want := range map[string]int64{
+		"caisp_mesh_pages_total":           tot.Pages,
+		"caisp_mesh_events_pulled_total":   tot.Pulled,
+		"caisp_mesh_events_imported_total": tot.Imported,
+		"caisp_mesh_echo_suppressed_total": tot.EchoSuppressed,
+		"caisp_mesh_deletes_applied_total": tot.Deleted,
+		"caisp_mesh_errors_total":          tot.Errors,
+	} {
+		if n := sum(family, ""); n != want {
+			t.Errorf("%s sums to %d over {peer}, Totals reads %d", family, n, want)
+		}
+	}
+	for winner, want := range map[string]int64{"local": tot.ConflictLocal, "remote": tot.ConflictRemote} {
+		if n := sum("caisp_mesh_conflicts_total", `,winner="`+winner+`"`); n != want {
+			t.Errorf("conflicts{winner=%q} sum to %d, Totals reads %d", winner, n, want)
+		}
+	}
+	for _, pi := range e.PeerInfos() {
+		for family, want := range map[string]float64{
+			"caisp_mesh_lag_seconds":               pi.LagSeconds,
+			"caisp_mesh_backoff_seconds":           pi.BackoffSeconds,
+			"caisp_mesh_last_success_unix_seconds": float64(pi.LastSuccessUnix),
+		} {
+			if v := got[fmt.Sprintf(`%s{peer=%q}`, family, pi.Name)]; v != want {
+				t.Errorf("%s{peer=%q} = %g, PeerInfos reads %g", family, pi.Name, v, want)
+			}
+		}
+	}
+	// The {peer} label set is the configured peers, no more.
+	for sample := range got {
+		name, labels, ok := strings.Cut(sample, "{")
+		if !ok || !strings.HasPrefix(name, "caisp_mesh_") || strings.HasSuffix(name, "_bucket") {
+			continue
+		}
+		if !strings.HasPrefix(labels, `peer="down"`) && !strings.HasPrefix(labels, `peer="up"`) {
+			t.Errorf("sample %s names no configured peer", sample)
+		}
+	}
+	for _, family := range []string{"caisp_mesh_pages_total", "caisp_mesh_events_pulled_total",
+		"caisp_mesh_events_imported_total", "caisp_mesh_echo_suppressed_total",
+		"caisp_mesh_deletes_applied_total", "caisp_mesh_errors_total", "caisp_mesh_lag_seconds",
+		"caisp_mesh_backoff_seconds", "caisp_mesh_last_success_unix_seconds"} {
+		for _, p := range peers {
+			if _, ok := got[fmt.Sprintf(`%s{peer=%q}`, family, p)]; !ok {
+				t.Errorf("%s has no series for peer %q", family, p)
+			}
+		}
 	}
 }

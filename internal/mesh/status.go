@@ -8,26 +8,33 @@ import (
 	"github.com/caisplatform/caisp/internal/obs/health"
 )
 
-// PeerInfos projects the engine's per-peer replication state onto the
-// fleet-view wire type served by GET /cluster/status.
+// PeerInfos snapshots every peer's replication state for
+// GET /cluster/status. Safe to call concurrently with the sync workers.
 func (e *Engine) PeerInfos() []health.PeerInfo {
-	statuses := e.PeerStatuses()
-	out := make([]health.PeerInfo, 0, len(statuses))
-	for _, ps := range statuses {
-		pi := health.PeerInfo{
-			Name:           ps.Name,
-			Cursor:         ps.Cursor,
-			LagSeconds:     ps.LagSeconds,
-			BackoffSeconds: ps.Backoff.Seconds(),
-			Failures:       ps.Failures,
-			LastError:      ps.LastError,
-		}
-		if !ps.LastSuccess.IsZero() {
-			pi.LastSuccessUnix = ps.LastSuccess.Unix()
-		}
+	out := make([]health.PeerInfo, 0, len(e.peers))
+	for _, ps := range e.peers {
+		pi := ps.info()
+		pi.Cursor = e.Cursor(ps.name).Seq
 		out = append(out, pi)
 	}
 	return out
+}
+
+// info snapshots the peer's replication state, all but its cursor.
+func (ps *peerState) info() health.PeerInfo {
+	ps.statMu.Lock()
+	defer ps.statMu.Unlock()
+	pi := health.PeerInfo{
+		Name:           ps.name,
+		LagSeconds:     ps.lagSeconds,
+		BackoffSeconds: ps.backoff.Seconds(),
+		Failures:       ps.failures,
+		LastError:      ps.lastErr,
+	}
+	if !ps.lastSuccess.IsZero() {
+		pi.LastSuccessUnix = ps.lastSuccess.Unix()
+	}
+	return pi
 }
 
 // PeersCheck is the mesh-staleness health check: a peer is stale when
@@ -43,18 +50,21 @@ func PeersCheck(e *Engine, staleAfter time.Duration) health.Check {
 	}
 	return func() health.Result {
 		var stale []string
-		for _, ps := range e.PeerStatuses() {
+		for _, ps := range e.peers {
+			ps.statMu.Lock()
+			failures, last, lastErr := ps.failures, ps.lastSuccess, ps.lastErr
+			ps.statMu.Unlock()
 			switch {
-			case ps.Failures == 0:
+			case failures == 0:
 				continue
-			case ps.LastSuccess.IsZero():
-				if ps.Failures >= 3 {
+			case last.IsZero():
+				if failures >= 3 {
 					stale = append(stale, fmt.Sprintf("%s never synced (%d failures: %s)",
-						ps.Name, ps.Failures, ps.LastError))
+						ps.name, failures, lastErr))
 				}
-			case time.Since(ps.LastSuccess) > staleAfter:
+			case time.Since(last) > staleAfter:
 				stale = append(stale, fmt.Sprintf("%s stale for %s (%d failures: %s)",
-					ps.Name, time.Since(ps.LastSuccess).Round(time.Second), ps.Failures, ps.LastError))
+					ps.name, time.Since(last).Round(time.Second), failures, lastErr))
 			}
 		}
 		if len(stale) > 0 {

@@ -11,6 +11,12 @@
 // the un-instrumented ablation (core's DisableMetrics, the bench-obs
 // baseline) pays only a nil check per call site.
 //
+// A fact a component already counts for its Stats is not counted again
+// here: CounterFunc and GaugeFunc, and for labelled families
+// CounterVec.Func and GaugeVec.Func, render that count at scrape time,
+// so /stats and /metrics read one counter. A Func child exists from
+// registration and reads 0 until its count moves.
+//
 // Metric names must match ^caisp_[a-z_]+$ and may be registered exactly
 // once per Registry; both rules are enforced at registration time (panic)
 // and by `make metrics-lint`.
@@ -124,6 +130,16 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	return f
 }
 
+// labeled resolves (creating if needed) the child for one set of label
+// values, one per label name in registration order.
+func (f *family) labeled(values []string, mk func() child) child {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
+			f.name, len(f.labels), len(values)))
+	}
+	return f.child(labelKey(values), mk)
+}
+
 // child resolves (creating if needed) the child for one label-values key.
 func (f *family) child(key string, mk func() child) child {
 	f.mu.Lock()
@@ -197,7 +213,7 @@ type funcChild struct {
 func (fc funcChild) sample() sample { return sample{value: fc.fn()} }
 
 // CounterFunc registers a counter whose value is computed at scrape time
-// — the bridge from pre-existing atomic stats counters into the registry
+// — the bridge from a component's own stats counter into the registry
 // without double bookkeeping. fn must be monotonic and safe for
 // concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
@@ -373,12 +389,18 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
-			v.f.name, len(v.f.labels), len(values)))
+	return v.f.labeled(values, func() child { return &Counter{} }).(*Counter)
+}
+
+// Func installs the child for the given label values as a counter
+// computed at scrape time — the labelled form of CounterFunc. fn must be
+// monotonic and safe for concurrent use. A label set that already has a
+// child keeps it. Nil-safe.
+func (v *CounterVec) Func(fn func() float64, values ...string) {
+	if v == nil {
+		return
 	}
-	c := v.f.child(labelKey(values), func() child { return &Counter{} })
-	return c.(*Counter)
+	v.f.labeled(values, func() child { return funcChild{fn: fn} })
 }
 
 // CounterVec registers a labeled counter family. Returns nil on a nil
@@ -400,12 +422,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
-			v.f.name, len(v.f.labels), len(values)))
-	}
-	g := v.f.child(labelKey(values), func() child { return &Gauge{} })
-	return g.(*Gauge)
+	return v.f.labeled(values, func() child { return &Gauge{} }).(*Gauge)
 }
 
 // Func installs the child for the given label values as a gauge computed
@@ -415,11 +432,7 @@ func (v *GaugeVec) Func(fn func() float64, values ...string) {
 	if v == nil {
 		return
 	}
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
-			v.f.name, len(v.f.labels), len(values)))
-	}
-	v.f.child(labelKey(values), func() child { return funcChild{fn: fn} })
+	v.f.labeled(values, func() child { return funcChild{fn: fn} })
 }
 
 // GaugeVec registers a labeled gauge family. Returns nil on a nil
@@ -442,12 +455,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	if len(values) != len(v.f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
-			v.f.name, len(v.f.labels), len(values)))
-	}
-	h := v.f.child(labelKey(values), func() child { return newHistogram(v.buckets) })
-	return h.(*Histogram)
+	return v.f.labeled(values, func() child { return newHistogram(v.buckets) }).(*Histogram)
 }
 
 // HistogramVec registers a labeled histogram family sharing one bucket

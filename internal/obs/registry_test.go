@@ -38,6 +38,7 @@ func TestNilRegistryNoops(t *testing.T) {
 	r.CounterFunc("caisp_x", "x", func() float64 { return 1 })
 	r.GaugeFunc("caisp_x", "x", func() float64 { return 1 })
 	r.CounterVec("caisp_x", "x", "l").With("v").Inc()
+	r.CounterVec("caisp_x", "x", "l").Func(func() float64 { return 1 }, "v")
 	r.GaugeVec("caisp_x", "x", "l").With("v").Set(1)
 	r.HistogramVec("caisp_x", "x", nil, "l").With("v").Observe(1)
 	if names := r.Names(); names != nil {
@@ -147,6 +148,17 @@ func TestVecLabelArityPanics(t *testing.T) {
 	vec.With("only-one")
 }
 
+func TestVecFuncLabelArityPanics(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("caisp_arity_total", "v", "a", "b")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("wrong label arity accepted")
+		}
+	}()
+	vec.Func(func() float64 { return 0 }, "only-one")
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("caisp_requests_total", "Requests served.").Add(3)
@@ -154,6 +166,10 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Histogram("caisp_latency_seconds", "Latency.", 0.1, 1).Observe(0.5)
 	r.CounterVec("caisp_errors_total", "Errors.", "stage").With("in\"g\\est\n").Inc()
 	r.GaugeFunc("caisp_live_value", "Live.", func() float64 { return 7.5 })
+	fed := r.CounterVec("caisp_fed_total", "Fed.", "feed", "kind")
+	fed.Func(func() float64 { return 4 }, "a", "x")
+	fed.Func(func() float64 { return 0 }, "b", "x")
+	fed.Func(func() float64 { return 9 }, "a", "x") // the first child stays
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -176,6 +192,10 @@ func TestPrometheusExposition(t *testing.T) {
 		// Label escaping: backslash, quote and newline.
 		`caisp_errors_total{stage="in\"g\\est\n"} 1`,
 		"caisp_live_value 7.5\n",
+		"# TYPE caisp_fed_total counter\n",
+		`caisp_fed_total{feed="a",kind="x"} 4` + "\n",
+		// A Func child reads from registration, before any value moves.
+		`caisp_fed_total{feed="b",kind="x"} 0` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -144,7 +144,6 @@ type Engine struct {
 	hub         *wsock.Hub
 	evalSeconds *obs.Histogram
 	candidates  *obs.Histogram
-	matchTotal  *obs.Counter
 	rejected    *obs.CounterVec
 	expiredCnt  *obs.Counter
 	sweepStop   chan struct{}
@@ -184,8 +183,9 @@ func WithMetrics(reg *obs.Registry) Option {
 			"Subscription evaluation latency per evaluated revision (both stages): index probe plus full evaluator runs on candidates.")
 		e.candidates = reg.Histogram("caisp_subs_candidates_per_event",
 			"Candidate patterns the index selects per evaluated revision (both stages).", obs.SizeBuckets...)
-		e.matchTotal = reg.Counter("caisp_subs_matches_total",
-			"Subscription matches pushed to watchers.")
+		reg.CounterFunc("caisp_subs_matches_total",
+			"Subscription matches pushed to watchers.",
+			func() float64 { return float64(e.matches.Load()) })
 		e.rejected = reg.CounterVec("caisp_subs_rejected_total",
 			"Registrations rejected, by reason (syntax, too_large, limit).", "reason")
 		e.expiredCnt = reg.Counter("caisp_subs_expired_total",
@@ -398,9 +398,7 @@ func (e *Engine) Sweep() int {
 		}
 	}
 	if n > 0 {
-		if e.expiredCnt != nil {
-			e.expiredCnt.Add(int64(n))
-		}
+		e.expiredCnt.Add(int64(n))
 		e.logger.Info("subscriptions expired", "count", n)
 		e.persist()
 	}
@@ -638,7 +636,6 @@ func (e *Engine) evaluate(o stixpattern.Observation, cioc, eioc bool, score stri
 	if e.evalSeconds != nil {
 		e.evalSeconds.Observe(time.Since(start).Seconds())
 		e.candidates.Observe(float64(ncand))
-		e.matchTotal.Add(n)
 	}
 	return ciocs, eiocs
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -375,6 +376,20 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if snap.Matches != 1 || snap.Registered != 1 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	// Stats and the families read the same counts.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	for _, line := range []string{
+		fmt.Sprintf("caisp_subs_matches_total %d", st.Matches),
+		fmt.Sprintf("caisp_subs_registered %d", st.Registered),
+	} {
+		if !strings.Contains(sb.String(), "\n"+line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
 	}
 }
 

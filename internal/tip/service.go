@@ -91,9 +91,6 @@ func (o metricsOption) apply(s *Service) {
 	}
 	s.storeOps = o.reg.CounterVec("caisp_tip_store_total",
 		"Events stored through the TIP, by operation (add or edit).", "op")
-	o.reg.GaugeFunc("caisp_tip_events",
-		"Events currently held by the TIP store.",
-		func() float64 { return float64(s.store.Len()) })
 	o.reg.GaugeFunc("caisp_tip_changes_parked",
 		"Change-feed requests parked until the next commit; at the ceiling further ones are answered at once.",
 		func() float64 { return float64(s.parked.Load()) })

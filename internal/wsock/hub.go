@@ -33,17 +33,15 @@ type Hub struct {
 	mu      sync.Mutex
 	clients map[*Conn]*client
 
-	sent     atomic.Int64 // successful frame deliveries
-	evicted  atomic.Int64 // connections dropped by the hub
-	maxQueue atomic.Int64 // deepest client queue seen on the last broadcast
+	sent     atomic.Int64                    // successful frame deliveries
+	evicted  [len(evictReasons)]atomic.Int64 // connections dropped by the hub, by reason
+	maxQueue atomic.Int64                    // deepest client queue seen on the last broadcast
 
 	queueDepth   int
 	writeTimeout time.Duration
 
 	reg         *obs.Registry
-	queueGauge  *obs.Gauge      // caisp_wsock_queue_depth
-	evictedVec  *obs.CounterVec // caisp_wsock_evicted_total{reason}
-	pushSeconds *obs.Histogram  // caisp_wsock_push_seconds
+	pushSeconds *obs.Histogram // caisp_wsock_push_seconds
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -57,6 +55,18 @@ type client struct {
 	dead chan struct{} // closed exactly once by stop
 	once sync.Once
 }
+
+// Eviction reasons: indexes into Hub.evicted and evictReasons, whose
+// names are caisp_wsock_evicted_total's reason label. noEviction stops a
+// client without counting it.
+const (
+	evictSlow = iota
+	evictTimeout
+	evictError
+	noEviction = -1
+)
+
+var evictReasons = [...]string{evictSlow: "slow", evictTimeout: "timeout", evictError: "error"}
 
 // queued is one frame waiting in a client's send queue. at is zero unless
 // push-latency metrics are enabled.
@@ -103,11 +113,15 @@ func NewHub(opts ...HubOption) *Hub {
 		o.applyHub(h)
 	}
 	if h.reg != nil {
-		h.queueGauge = h.reg.Gauge("caisp_wsock_queue_depth",
-			"Deepest client send queue observed during the last broadcast.")
-		h.evictedVec = h.reg.CounterVec("caisp_wsock_evicted_total",
+		h.reg.GaugeFunc("caisp_wsock_queue_depth",
+			"Deepest client send queue observed during the last broadcast.",
+			func() float64 { return float64(h.maxQueue.Load()) })
+		evicted := h.reg.CounterVec("caisp_wsock_evicted_total",
 			"Connections evicted by the hub (reason: slow, timeout, error).",
 			"reason")
+		for i, reason := range evictReasons {
+			evicted.Func(func() float64 { return float64(h.evicted[i].Load()) }, reason)
+		}
 		h.pushSeconds = h.reg.Histogram("caisp_wsock_push_seconds",
 			"Per-client push latency from broadcast enqueue to completed write.")
 	}
@@ -140,7 +154,7 @@ func (h *Hub) Remove(c *Conn) {
 	delete(h.clients, c)
 	h.mu.Unlock()
 	if ok {
-		cl.stop(false, "")
+		cl.stop(false, noEviction)
 	}
 }
 
@@ -156,7 +170,13 @@ func (h *Hub) Sent() int { return int(h.sent.Load()) }
 
 // Evicted reports the number of connections the hub has dropped for being
 // slow, timing out, or failing a write.
-func (h *Hub) Evicted() int { return int(h.evicted.Load()) }
+func (h *Hub) Evicted() int {
+	var n int64
+	for i := range h.evicted {
+		n += h.evicted[i].Load()
+	}
+	return int(n)
+}
 
 // QueueSaturation reports the fill fraction [0,1] of the deepest client
 // queue seen during the most recent broadcast — the hub's health signal:
@@ -195,14 +215,11 @@ func (h *Hub) BroadcastPrepared(pf *PreparedFrame) int {
 			}
 		default:
 			delete(h.clients, conn)
-			cl.stop(true, "slow")
+			cl.stop(true, evictSlow)
 		}
 	}
 	h.mu.Unlock()
 	h.maxQueue.Store(int64(maxDepth))
-	if h.queueGauge != nil {
-		h.queueGauge.Set(float64(maxDepth))
-	}
 	return routed
 }
 
@@ -235,10 +252,10 @@ func (cl *client) evict(err error) {
 	h.mu.Lock()
 	delete(h.clients, cl.conn)
 	h.mu.Unlock()
-	reason := "error"
+	reason := evictError
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		reason = "timeout"
+		reason = evictTimeout
 	}
 	cl.stop(true, reason)
 }
@@ -246,19 +263,16 @@ func (cl *client) evict(err error) {
 // stop shuts the client down exactly once: the writer goroutine exits,
 // and — when closeConn is set — the connection's in-flight I/O is aborted
 // and the connection closed in the background (never on a broadcasting
-// goroutine). A non-empty reason records an eviction. stop is idempotent
-// and safe from any goroutine, so a connection racing between a
-// broadcast, its writer's failure path, Remove and CloseAll is torn down
-// exactly once.
-func (cl *client) stop(closeConn bool, reason string) {
+// goroutine). A reason other than noEviction records an eviction. stop
+// is idempotent and safe from any goroutine, so a connection racing
+// between a broadcast, its writer's failure path, Remove and CloseAll is
+// torn down exactly once.
+func (cl *client) stop(closeConn bool, reason int) {
 	cl.once.Do(func() {
 		close(cl.dead)
 		h := cl.hub
-		if reason != "" {
-			h.evicted.Add(1)
-			if h.evictedVec != nil {
-				h.evictedVec.With(reason).Inc()
-			}
+		if reason != noEviction {
+			h.evicted[reason].Add(1)
 			// An evicted client may have a write in flight on a dead peer;
 			// abort unblocks it so the close below cannot stall.
 			cl.conn.abort()
@@ -276,7 +290,7 @@ func (h *Hub) CloseAll() {
 	h.clients = make(map[*Conn]*client)
 	h.mu.Unlock()
 	for _, cl := range clients {
-		cl.stop(true, "")
+		cl.stop(true, noEviction)
 	}
 }
 

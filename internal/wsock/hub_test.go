@@ -346,8 +346,9 @@ func TestNewHubStartsNoGoroutine(t *testing.T) {
 }
 
 // TestHubMetricsExposition: a slow-client eviction reads on
-// caisp_wsock_evicted_total under its reason alone, and the queue-depth
-// gauge and push histogram are single unlabeled series.
+// caisp_wsock_evicted_total under its reason alone (the other two reasons
+// read 0 from registration), and the queue-depth gauge and push histogram
+// are single unlabeled series.
 func TestHubMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	hub := NewHub(WithQueueDepth(1), WithHubMetrics(reg))
@@ -376,12 +377,17 @@ func TestHubMetricsExposition(t *testing.T) {
 	exposition := sb.String()
 	for _, want := range []string{
 		"\ncaisp_wsock_evicted_total{reason=\"slow\"} 1\n",
+		"\ncaisp_wsock_evicted_total{reason=\"timeout\"} 0\n",
+		"\ncaisp_wsock_evicted_total{reason=\"error\"} 0\n",
 		"\ncaisp_wsock_queue_depth ",
 		fmt.Sprintf("\ncaisp_wsock_push_seconds_count %d\n", hub.Sent()),
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(want), exposition)
 		}
+	}
+	if n := strings.Count(exposition, "\ncaisp_wsock_evicted_total{"); n != 3 {
+		t.Errorf("caisp_wsock_evicted_total has %d series, want one per reason", n)
 	}
 	for _, line := range strings.Split(exposition, "\n") {
 		if strings.HasPrefix(line, "caisp_wsock_queue_depth{") ||
