@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint option-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint option-lint door-lint check
 
 build:
 	$(GO) build ./...
@@ -316,4 +316,21 @@ option-lint:
 	fi; \
 	echo 'option-lint: OK'
 
-check: vet build test race copyfree metrics-lint clock-lint option-lint fuzz-smoke bench-e2e-smoke obs-smoke
+# One door into the store: a revision is validated where it enters the
+# program, in internal/tip (tip.Service.ImportEvents, which every write
+# from outside goes through), and the store, the STIX converter and the
+# rest trust what reaches them. A misp.Event Validate call anywhere else
+# is a second copy of that policy to keep in step, and CPU spent on every
+# revision again. The infrastructure inventory's own Validate (called on
+# an inv or inventory value) is another method and is exempt.
+door-lint:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' '\.Validate\(\)' internal cmd examples *.go \
+		| grep -v '^internal/tip/' | grep -vE '\b(inv|inventory)\.Validate\(\)' || true); \
+	if [ -n "$$bad" ]; then \
+		echo 'door-lint: misp.Event Validate is called only in internal/tip, where revisions enter:'; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo 'door-lint: OK'
+
+check: vet build test race copyfree metrics-lint clock-lint option-lint door-lint fuzz-smoke bench-e2e-smoke obs-smoke

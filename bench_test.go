@@ -314,8 +314,8 @@ func BenchmarkDedupOffer(b *testing.B) {
 		for _, e := range events {
 			d.Offer(e)
 		}
-		if d.Len() != 2000 {
-			b.Fatalf("unique = %d", d.Len())
+		if got := d.Stats().Unique; got != 2000 {
+			b.Fatalf("unique = %d", got)
 		}
 	}
 }
@@ -333,7 +333,7 @@ func BenchmarkStoreSearch(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		e := misp.NewEvent(fmt.Sprintf("evt-%d", i), now)
 		e.AddAttribute("domain", "Network activity", fmt.Sprintf("h%d.example", i), now)
-		if err := store.Put(e); err != nil {
+		if err := putOne(store, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -597,7 +597,13 @@ func benchmarkPipeline(b *testing.B, workers int) {
 func BenchmarkPipelineSerial(b *testing.B)   { benchmarkPipeline(b, 1) }
 func BenchmarkPipelineParallel(b *testing.B) { benchmarkPipeline(b, 8) }
 
-// --- Group-commit storage: PutBatch vs per-event Put ----------------------
+// --- Group-commit storage: PutBatch vs one-event puts ---------------------
+
+// putOne stores e alone, as a one-event PutBatch.
+func putOne(s *storage.Store, e *misp.Event) error {
+	_, err := s.PutBatch([]*misp.Event{e}, nil)
+	return err
+}
 
 func storeBenchEvents(b *testing.B, n int) []*misp.Event {
 	b.Helper()
@@ -612,7 +618,7 @@ func storeBenchEvents(b *testing.B, n int) []*misp.Event {
 }
 
 // The durable (fsync-per-commit) configuration is where group commit
-// pays: Put fsyncs once per event, PutBatch once per batch.
+// pays: one-event puts fsync once per event, PutBatch once per batch.
 func BenchmarkPutSerialSync(b *testing.B) {
 	store, err := storage.Open(b.TempDir(), storage.WithSync(true))
 	if err != nil {
@@ -623,7 +629,7 @@ func BenchmarkPutSerialSync(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := store.Put(events[i]); err != nil {
+		if err := putOne(store, events[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -661,7 +667,7 @@ func BenchmarkPutSerialMemory(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := store.Put(events[i]); err != nil {
+		if err := putOne(store, events[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -903,7 +909,7 @@ func BenchmarkReadWrappedJSONCached(b *testing.B) {
 	}
 	defer store.Close()
 	e := cloneBenchEvent()
-	if err := store.Put(e); err != nil {
+	if err := putOne(store, e); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -1021,7 +1027,7 @@ func startCompactLoop(b *testing.B, store *storage.Store, mode string) (stop fun
 	}
 }
 
-// benchmarkDurabilityPut measures single-Put latency against a seeded
+// benchmarkDurabilityPut measures one-event put latency against a seeded
 // store. mode selects the concurrent checkpoint activity: "steady" (no
 // compaction) or "compact" (the streaming off-lock Compact looping in
 // the background).
@@ -1039,7 +1045,7 @@ func benchmarkDurabilityPut(b *testing.B, mode string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := store.Put(events[i]); err != nil {
+		if err := putOne(store, events[i]); err != nil {
 			b.Fatal(err)
 		}
 		lats[i] = time.Since(t0)

@@ -152,12 +152,7 @@ func run(cfg config) error {
 		}
 		return st
 	})
-	subAPI := subscribe.NewAPI(node.Subscriptions())
-	mux.Handle("POST /subscriptions", subAPI)
-	mux.Handle("GET /subscriptions", subAPI)
-	mux.Handle("GET /subscriptions/{rest...}", subAPI)
-	mux.Handle("DELETE /subscriptions/{id}", subAPI)
-	mux.Handle("GET /ws/matches", subAPI)
+	subscribe.NewAPI(node.Subscriptions()).Register(mux)
 	if lc := node.Lifecycle(); lc != nil {
 		mux.Handle("GET /lifecycle/{rest...}", lifecycle.NewAPI(lc))
 	}

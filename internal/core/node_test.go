@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"net/http"
 	"slices"
 	"strings"
 	"testing"
@@ -26,7 +27,9 @@ func TestNodeRunsAsTipd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := matchFrames(t, subscribe.NewAPI(n.Subscriptions()))
+	mux := http.NewServeMux()
+	subscribe.NewAPI(n.Subscriptions()).Register(mux)
+	frames := matchFrames(t, mux)
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{})
 	go func() {
@@ -83,7 +86,7 @@ var nodeFamilies = []string{
 	"caisp_lifecycle_expired_total", "caisp_lifecycle_rescored_total", "caisp_lifecycle_scan_seconds",
 	"caisp_lifecycle_sighting_refreshes_total", "caisp_lifecycle_tracked",
 	"caisp_store_batch_size_events", "caisp_store_commit_seconds", "caisp_store_compaction_seconds",
-	"caisp_store_compactions_total", "caisp_store_events", "caisp_store_put_batch_seconds", "caisp_store_put_seconds",
+	"caisp_store_compactions_total", "caisp_store_events", "caisp_store_put_batch_seconds",
 	"caisp_store_wal_bytes", "caisp_store_wal_ops", "caisp_store_wal_segments",
 	"caisp_subs_candidates_per_event", "caisp_subs_eval_seconds", "caisp_subs_expired_total",
 	"caisp_subs_matches_total", "caisp_subs_registered", "caisp_subs_rejected_total",
@@ -111,7 +114,7 @@ var platformFamilies = []string{
 }
 
 // TestDaemonMetricFamilies: tipd (a node) and caispd (a platform) serve
-// their 38 and 75 families, one caisp_consumer_lag among them: the
+// their 37 and 74 families, one caisp_consumer_lag among them: the
 // node's lags its detections loop, the platform's its analyzer too. In
 // the platform the dashboard's hub owns the caisp_wsock_* families.
 func TestDaemonMetricFamilies(t *testing.T) {

@@ -527,7 +527,7 @@ func (p *Platform) drainPending() []normalize.Event {
 // retracted from the TIP and the dashboard. Each new or grown cluster is
 // composed and scored on the analyzer pool, pushing its rIoCs as its SDOs
 // are scored. The batch is then committed once, through the group-commit
-// path (one WAL write and fsync): scored clusters as eIoCs, unscorable
+// path (one WAL write and flush): scored clusters as eIoCs, unscorable
 // ones as cIoCs. The TIP and the heuristic share this process, so the
 // threat score rides the cluster's one revision (§IV-A) instead of a
 // second write-back. Each eIoC the store installed is then shared over
@@ -657,7 +657,7 @@ func (p *Platform) score(batch []*misp.Event) ([]worker.Analysis, error) {
 	return scores, errors.Join(errs...)
 }
 
-// commit stores batch in one group commit (one WAL write and fsync) and
+// commit stores batch in one group commit (one WAL write and flush) and
 // retracts what the store did not install: a revision refused as older
 // than its UUID's deletion, or lost to a failed commit. It returns the
 // batch indices the store installed, in order. The flush and the

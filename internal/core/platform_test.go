@@ -477,7 +477,7 @@ func preloadWALOps(t *testing.T, dir string, n int) {
 	}
 	filler := misp.NewEvent("wal filler", batchTime)
 	for i := 0; i < n; i++ {
-		if err := s.Put(filler); err != nil {
+		if _, err := s.PutBatch([]*misp.Event{filler}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

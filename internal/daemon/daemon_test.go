@@ -158,7 +158,7 @@ func TestServerBoundsSpareLongLivedRoutes(t *testing.T) {
 
 	rt := New(nil)
 	mux := rt.Mux(nil, false, func() health.NodeStatus { return health.NodeStatus{Role: "tipd"} })
-	mux.Handle("GET /ws/matches", subscribe.NewAPI(subs))
+	subscribe.NewAPI(subs).Register(mux)
 	mux.Handle("/", tip.NewAPI(service, ""))
 	addr := freeAddr(t)
 	rt.Serve(addr, mux)

@@ -24,6 +24,7 @@ import (
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/sessions"
+	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/wsock"
 )
 
@@ -205,19 +206,11 @@ func NewServer(collector *infra.Collector, opts ...Option) *Server {
 	return s
 }
 
-// SetSubscriptions mounts the streaming-detection surface (subscribe.API)
-// on the dashboard listener: /subscriptions REST plus the /ws/matches
-// match stream. Registered patterns are more specific than the GET /
-// index catch-all, so mounting order does not matter.
-func (s *Server) SetSubscriptions(h http.Handler) {
-	// Method-qualified patterns: a bare "/subscriptions" would conflict
-	// with the "GET /" index catch-all under the 1.22 mux rules.
-	s.mux.Handle("POST /subscriptions", h)
-	s.mux.Handle("GET /subscriptions", h)
-	s.mux.Handle("GET /subscriptions/{rest...}", h)
-	s.mux.Handle("DELETE /subscriptions/{id}", h)
-	s.mux.Handle("GET /ws/matches", h)
-}
+// SetSubscriptions mounts the streaming-detection surface on the
+// dashboard listener: /subscriptions REST plus the /ws/matches match
+// stream. Its routes are more specific than the GET / index catch-all,
+// so mounting order does not matter.
+func (s *Server) SetSubscriptions(a *subscribe.API) { a.Register(s.mux) }
 
 // SetSessionAnalyzer attaches the §II-B user-activity analyzer; the
 // /api/sessions endpoints serve its summaries.

@@ -109,46 +109,9 @@ func (d *Deduper) Offer(e normalize.Event) (normalize.Event, bool) {
 	return e, true
 }
 
-// Contains reports whether an event with the given ID has been admitted.
-func (d *Deduper) Contains(id string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.byID[id]
-	return ok
-}
-
-// Get returns the stored event for id, if any.
-func (d *Deduper) Get(id string) (normalize.Event, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.byID[id]
-	if !ok {
-		return normalize.Event{}, false
-	}
-	return *e, true
-}
-
-// Len returns the number of unique events admitted.
-func (d *Deduper) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.byID)
-}
-
 // Stats returns a snapshot of the decision counters.
 func (d *Deduper) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// Events returns a snapshot of all unique events, in unspecified order.
-func (d *Deduper) Events() []normalize.Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]normalize.Event, 0, len(d.byID))
-	for _, e := range d.byID {
-		out = append(out, *e)
-	}
-	return out
 }

@@ -48,8 +48,9 @@ func TestOfferAdmitsNewAndFoldsDuplicates(t *testing.T) {
 	if stats.Seen != 2 || stats.Unique != 1 || stats.Duplicates != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", d.Len())
+	// A duplicate answers with the retained event, the first offer's.
+	if merged.ID != a.ID || merged.Value != "evil.example" {
+		t.Fatalf("duplicate answered with %+v, want the retained %s", merged, a.ID)
 	}
 }
 
@@ -61,8 +62,8 @@ func TestOfferDistinctValues(t *testing.T) {
 			t.Fatalf("distinct event %d reported duplicate", i)
 		}
 	}
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", d.Len())
+	if got := d.Stats().Unique; got != 100 {
+		t.Fatalf("Unique = %d, want 100", got)
 	}
 	if got := d.Stats().ReductionRatio(); got != 0 {
 		t.Fatalf("ReductionRatio = %f, want 0", got)
@@ -85,36 +86,15 @@ func TestReductionRatio(t *testing.T) {
 	}
 }
 
-func TestContainsAndGet(t *testing.T) {
+// TestOfferReturnsCopy: what Offer hands out does not alias the
+// retained event.
+func TestOfferReturnsCopy(t *testing.T) {
 	d := New()
-	e := mustEvent(t, "evil.example", "feed", seen)
-	if d.Contains(e.ID) {
-		t.Fatal("Contains before Offer")
-	}
-	d.Offer(e)
-	if !d.Contains(e.ID) {
-		t.Fatal("Contains after Offer = false")
-	}
-	got, ok := d.Get(e.ID)
-	if !ok || got.Value != "evil.example" {
-		t.Fatalf("Get = %+v, %v", got, ok)
-	}
-	if _, ok := d.Get("missing"); ok {
-		t.Fatal("Get(missing) = ok")
-	}
-}
-
-func TestEventsSnapshotIsCopy(t *testing.T) {
-	d := New()
-	d.Offer(mustEvent(t, "evil.example", "feed", seen))
-	snap := d.Events()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot size %d", len(snap))
-	}
-	snap[0].Value = "mutated"
-	again := d.Events()
-	if again[0].Value != "evil.example" {
-		t.Fatal("snapshot aliases internal state")
+	first, _ := d.Offer(mustEvent(t, "evil.example", "feed", seen))
+	first.Value = "mutated"
+	again, isNew := d.Offer(mustEvent(t, "evil.example", "feed", seen))
+	if isNew || again.Value != "evil.example" {
+		t.Fatalf("second offer = %+v, new %v: the first offer's copy aliases the retained event", again, isNew)
 	}
 }
 
@@ -151,9 +131,6 @@ func TestDeduperConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", d.Len())
-	}
 	stats := d.Stats()
 	if stats.Seen != goroutines*perG {
 		t.Fatalf("Seen = %d, want %d", stats.Seen, goroutines*perG)

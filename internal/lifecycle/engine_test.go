@@ -27,6 +27,12 @@ func openStore(t testing.TB) *storage.Store {
 	return s
 }
 
+// putOne stores e alone, as a one-event PutBatch.
+func putOne(s *storage.Store, e *misp.Event) error {
+	_, err := s.PutBatch([]*misp.Event{e}, nil)
+	return err
+}
+
 // eioc builds a scored indicator event: category tag, analyzer
 // write-back, last sighting at `seen`.
 func eioc(info, category string, base float64, seen time.Time) *misp.Event {
@@ -55,7 +61,7 @@ func testPolicies() map[string]Policy {
 func TestRescoreLandsDecayedScoreWithoutBumpingTimestamp(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 4.0, t0)
-	if err := s.Put(ev); err != nil {
+	if err := putOne(s, ev); err != nil {
 		t.Fatal(err)
 	}
 	e := New(s, withPolicies(testPolicies()), WithFloor(0.3))
@@ -102,7 +108,7 @@ func TestExpiryBelowFloorDeletesAndDropsHistory(t *testing.T) {
 	fresh := eioc("fresh", "botnet-c2", 4.0, t0.Add(90*time.Hour))
 	doomed := eioc("doomed", "botnet-c2", 4.0, t0)
 	for _, ev := range []*misp.Event{fresh, doomed} {
-		if err := s.Put(ev); err != nil {
+		if err := putOne(s, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +151,7 @@ func TestExpireHookRoutesDeletion(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openStore(t)
 			doomed := eioc("doomed", "botnet-c2", 4.0, t0)
-			if err := s.Put(doomed); err != nil {
+			if err := putOne(s, doomed); err != nil {
 				t.Fatal(err)
 			}
 			var logs bytes.Buffer
@@ -180,7 +186,7 @@ func TestExpireHookRoutesDeletion(t *testing.T) {
 func TestStartTicksOnTheClock(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 4.0, t0)
-	if err := s.Put(ev); err != nil {
+	if err := putOne(s, ev); err != nil {
 		t.Fatal(err)
 	}
 	clk := clock.NewFake(t0)
@@ -213,7 +219,7 @@ func TestZeroIntervalAndFloorKeepDefaults(t *testing.T) {
 func TestSightingRefreshResetsDecay(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 4.0, t0)
-	if err := s.Put(ev); err != nil {
+	if err := putOne(s, ev); err != nil {
 		t.Fatal(err)
 	}
 	sighted := t0.Add(80 * time.Hour)
@@ -248,7 +254,7 @@ func TestStatsAgreeWithFamilies(t *testing.T) {
 	sighted := eioc("sighted", "botnet-c2", 4.0, t0)
 	doomed := eioc("doomed", "botnet-c2", 4.0, t0)
 	for _, ev := range []*misp.Event{sighted, doomed} {
-		if err := s.Put(ev); err != nil {
+		if err := putOne(s, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +294,7 @@ func TestUnscoredAndMidPipelineEvents(t *testing.T) {
 	plain := misp.NewEvent("manual note", t0)
 	plain.AddAttribute("comment", "Other", "analyst note", t0)
 	for _, ev := range []*misp.Event{cioc, plain} {
-		if err := s.Put(ev); err != nil {
+		if err := putOne(s, ev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +346,7 @@ func TestDecayIsPureOverSchedule(t *testing.T) {
 	build := func() *storage.Store {
 		s := openStore(t)
 		for _, ev := range events {
-			if err := s.Put(ev.Clone()); err != nil {
+			if err := putOne(s, ev.Clone()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -396,7 +402,7 @@ func TestDecayIsPureOverSchedule(t *testing.T) {
 func TestHistoryRingBoundedAndOrdered(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 5.0, t0)
-	if err := s.Put(ev); err != nil {
+	if err := putOne(s, ev); err != nil {
 		t.Fatal(err)
 	}
 	e := New(s, withPolicies(map[string]Policy{
@@ -437,7 +443,7 @@ func TestPassEndsUnderIngestAndReachesLateImports(t *testing.T) {
 		return ev
 	}
 	for i := 0; i < 64; i++ {
-		if err := s.Put(note(fmt.Sprintf("stored-%02d", i), t0)); err != nil {
+		if err := putOne(s, note(fmt.Sprintf("stored-%02d", i), t0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,7 +461,7 @@ func TestPassEndsUnderIngestAndReachesLateImports(t *testing.T) {
 		for _, ev := range feed {
 			rev := ev.Clone()
 			rev.Timestamp = misp.UnixTime{Time: now}
-			if err := s.Put(rev); err != nil {
+			if err := putOne(s, rev); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -468,7 +474,7 @@ func TestPassEndsUnderIngestAndReachesLateImports(t *testing.T) {
 			break
 		}
 		if run == 3 {
-			if err := s.Put(late); err != nil {
+			if err := putOne(s, late); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -22,7 +22,7 @@ func TestConcurrentRescoreIngestReads(t *testing.T) {
 	}
 	e := New(s, withPolicies(pols), WithFloor(0.01), withBatchSize(16))
 	for i := 0; i < 64; i++ {
-		if err := s.Put(eioc(fmt.Sprintf("seed-%03d", i), "botnet-c2", 3.0,
+		if err := putOne(s, eioc(fmt.Sprintf("seed-%03d", i), "botnet-c2", 3.0,
 			t0.Add(time.Duration(i)*time.Minute))); err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestConcurrentRescoreIngestReads(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			ev := eioc(fmt.Sprintf("live-%03d", i), "botnet-c2", 4.0,
 				t0.Add(time.Duration(i)*time.Hour))
-			if err := s.Put(ev); err != nil {
+			if err := putOne(s, ev); err != nil {
 				errCh <- err
 				return
 			}

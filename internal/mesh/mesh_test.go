@@ -266,6 +266,51 @@ func TestFailedImportResumesFromDurableCursorWithoutDuplicates(t *testing.T) {
 	}
 }
 
+// pageRemote serves its changes as one page, then an empty feed.
+type pageRemote []storage.Change
+
+func (p pageRemote) Changes(_ context.Context, afterSeq uint64, _ int) ([]storage.Change, uint64, bool, error) {
+	if afterSeq >= uint64(len(p)) {
+		return nil, afterSeq, false, nil
+	}
+	return p, uint64(len(p)), false, nil
+}
+
+// TestPageWithAnInvalidRevisionImportsTheRest: a pulled page holding one
+// revision the TIP refuses as invalid imports the valid rest and moves
+// the cursor past the page, so the refused revision is not pulled again.
+func TestPageWithAnInvalidRevisionImportsTheRest(t *testing.T) {
+	events := sampleEvents(t, 3)
+	events[1].Attributes[0].UUID = "not-a-uuid"
+	var remote pageRemote
+	for i, ev := range events {
+		remote = append(remote, storage.Change{Seq: uint64(i + 1), UUID: ev.UUID, Event: ev})
+	}
+	sink := newNode(t)
+	e, err := New(sink, []Peer{{Name: "src", Remote: remote}}, NewMemCursors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for round := 0; round < 2; round++ {
+		if _, err := e.SyncOnce(t.Context()); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if sink.Len() != 2 {
+		t.Fatalf("sink holds %d events, want the 2 valid ones", sink.Len())
+	}
+	if _, err := sink.GetEvent(events[1].UUID); err == nil {
+		t.Fatal("the invalid revision was stored")
+	}
+	if cur := e.Cursor("src"); cur.Seq != 3 {
+		t.Fatalf("cursor at %d, want 3: past the page", cur.Seq)
+	}
+	if tt := e.Totals(); tt.Pulled != 3 || tt.Imported != 2 {
+		t.Fatalf("pulled %d, imported %d; want the page pulled once and its 2 valid revisions imported", tt.Pulled, tt.Imported)
+	}
+}
+
 func TestBadPeerConfigRejected(t *testing.T) {
 	svc := newNode(t)
 	if _, err := New(nil, nil, nil); err == nil {

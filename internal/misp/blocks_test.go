@@ -1,7 +1,6 @@
 package misp
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/stix"
-	"github.com/caisplatform/caisp/internal/uuid"
 )
 
 // blockSeedEvent is a cluster with every kind of block: indicators, a
@@ -61,49 +59,6 @@ func decodeCorpus(f *testing.F) [][]byte {
 		}
 	}
 	return pages
-}
-
-// convertible repairs what Validate refuses and conversion never reads
-// (identifiers, info, date, enums, empty types and values), so most
-// decoded events reach the block split.
-func convertible(e *Event) {
-	fix := func(id *string, n int) {
-		if !uuid.IsValid(*id) {
-			*id = fmt.Sprintf("00000000-0000-4000-8000-%012x", n)
-		}
-	}
-	fix(&e.UUID, 0)
-	if e.Info == "" {
-		e.Info = "fuzz"
-	}
-	if _, err := time.Parse("2006-01-02", e.Date); err != nil {
-		e.Date = "2019-06-24"
-	}
-	if e.ThreatLevelID < ThreatLevelHigh || e.ThreatLevelID > ThreatLevelUndefined {
-		e.ThreatLevelID = ThreatLevelUndefined
-	}
-	if e.Analysis < AnalysisInitial || e.Analysis > AnalysisComplete {
-		e.Analysis = AnalysisInitial
-	}
-	attrs := func(as []Attribute, base int) {
-		for i := range as {
-			fix(&as[i].UUID, base+i)
-			if as[i].Type == "" {
-				as[i].Type = "text"
-			}
-			if as[i].Value == "" {
-				as[i].Value = "x"
-			}
-		}
-	}
-	attrs(e.Attributes, 1<<20)
-	for i := range e.Objects {
-		fix(&e.Objects[i].UUID, 1<<21+i)
-		if e.Objects[i].Name == "" {
-			e.Objects[i].Name = "vulnerability"
-		}
-		attrs(e.Objects[i].Attributes, 1<<22+i<<10)
-	}
 }
 
 // blockTypes are the attribute types a mutation switches between: each
@@ -249,6 +204,9 @@ func blockObjects(t *testing.T, c *Conversion) map[uint64]string {
 // built from. A decoded event, after an optional prep mutation, is
 // mutated once more; every block of the mutated event whose key some
 // block of the first has converts to the same objects as that block.
+// Events are converted as decoded, valid or not: Convert does not
+// validate, so what Validate refuses must neither panic it nor break the
+// property.
 func FuzzBlockKeys(f *testing.F) {
 	seed, err := MarshalWrapped(blockSeedEvent())
 	if err != nil {
@@ -275,18 +233,11 @@ func FuzzBlockKeys(f *testing.F) {
 			}
 		}
 		for _, e := range events {
-			convertible(e)
 			mutate(e, prep, at, arg)
-			before, err := Convert(e)
-			if err != nil {
-				continue // the prep mutation made the event invalid
-			}
+			before := Convert(e)
 			mutated := e.Clone()
 			mutate(mutated, op, at, arg)
-			after, err := Convert(mutated)
-			if err != nil {
-				continue
-			}
+			after := Convert(mutated)
 			was := blockObjects(t, before)
 			for key, objs := range blockObjects(t, after) {
 				if prev, ok := was[key]; ok && prev != objs {

@@ -59,10 +59,7 @@ const (
 // MISP event. The bundle holds the event-level objects, then each block's
 // (see Conversion).
 func ToSTIX(e *Event) (*stix.Bundle, error) {
-	c, err := Convert(e)
-	if err != nil {
-		return nil, err
-	}
+	c := Convert(e)
 	bundle := stix.NewBundle(c.Head()...)
 	for i := 0; i < c.Len(); i++ {
 		bundle.Objects = c.AppendBlock(bundle.Objects, i)
@@ -118,12 +115,11 @@ const (
 // only.
 var keySeed = maphash.MakeSeed()
 
-// Convert validates e and prepares its conversion: it builds the
-// event-level objects and splits the rest into blocks.
-func Convert(e *Event) (*Conversion, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
+// Convert prepares e's conversion: it builds the event-level objects and
+// splits the rest into blocks. It does not validate e: what is converted
+// is a stored revision, validated where it entered the TIP
+// (tip.Service.ImportEvents), or a revision the platform composed.
+func Convert(e *Event) *Conversion {
 	c := &Conversion{e: e, now: e.Timestamp.Time, labels: tagLabels(e.Tags), marking: tlpMarking(e)}
 	if c.now.IsZero() {
 		c.now = time.Now().UTC()
@@ -178,7 +174,7 @@ func Convert(e *Event) (*Conversion, error) {
 		writeString(&h, l)
 	}
 	c.seed = h.Sum64()
-	return c, nil
+	return c
 }
 
 // Head returns the event-level objects: the primary SDO, then the

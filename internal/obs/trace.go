@@ -16,7 +16,7 @@ import (
 //	ingest        feed sink entry → dedup decision
 //	correlate     dedup → cluster adoption in the flush
 //	analyze       adoption → heuristic score computed, rIoCs pushed
-//	store_commit  score → group-committed WAL write (fsync) of the eIoC
+//	store_commit  score → group-committed WAL write and flush of the eIoC
 //	publish       commit → subscription passes and TAXII share done
 const (
 	StageIngest    = "ingest"

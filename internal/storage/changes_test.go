@@ -68,7 +68,7 @@ func TestChangesFeedServesLateArrivalsPastOldCursors(t *testing.T) {
 	// serve it.
 	s, _ := openTemp(t)
 	for i := 0; i < 5; i++ {
-		if err := s.Put(event(t, fmt.Sprintf("evt-%d", i))); err != nil {
+		if err := putOne(s, event(t, fmt.Sprintf("evt-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestChangesFeedServesLateArrivalsPastOldCursors(t *testing.T) {
 
 	late := misp.NewEvent("late import", now.Add(-time.Hour))
 	late.Timestamp = misp.UT(now.Add(-time.Hour))
-	if err := s.Put(late); err != nil {
+	if err := putOne(s, late); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestChangesFeedReputMovesEventToTail(t *testing.T) {
 	a := event(t, "a")
 	b := event(t, "b")
 	for _, e := range []*misp.Event{a, b} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestChangesFeedReputMovesEventToTail(t *testing.T) {
 
 	edited := a.Clone()
 	edited.Info = "a v2"
-	if err := s.Put(edited); err != nil {
+	if err := putOne(s, edited); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ := drainChanges(t, s, head, 10)
@@ -124,7 +124,7 @@ func TestChangesFeedSkipsDeleted(t *testing.T) {
 	a := event(t, "a")
 	b := event(t, "b")
 	for _, e := range []*misp.Event{a, b} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestChangesFeedStableAcrossRestartAndCompaction(t *testing.T) {
 		t.Fatalf("cursor %d re-served %d events after restart", head, len(fresh))
 	}
 	late := event(t, "post-restart")
-	if err := s.Put(late); err != nil {
+	if err := putOne(s, late); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ = drainChanges(t, s, next, 16)
@@ -192,7 +192,7 @@ func TestChangesLogCompactsStaleEntries(t *testing.T) {
 	events := make([]*misp.Event, 50)
 	for i := range events {
 		events[i] = event(t, fmt.Sprintf("evt-%d", i))
-		if err := s.Put(events[i]); err != nil {
+		if err := putOne(s, events[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestChangesLogCompactsStaleEntries(t *testing.T) {
 		for _, e := range events {
 			edited := e.Clone()
 			edited.Info = fmt.Sprintf("round %d", round)
-			if err := s.Put(edited); err != nil {
+			if err := putOne(s, edited); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ func TestCommittedSignalsEveryWritePath(t *testing.T) {
 	a := event(t, "a", [2]string{"domain", "a.example"})
 	b := event(t, "b", [2]string{"domain", "b.example"})
 
-	if err := s.Put(a); err != nil {
+	if err := putOne(s, a); err != nil {
 		t.Fatal(err)
 	}
 	if s.commit != nil {
@@ -50,7 +50,6 @@ func TestCommittedSignalsEveryWritePath(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"Put", func() error { return s.Put(b) }},
 		{"PutBatch", func() error { _, err := s.PutBatch([]*misp.Event{a, b}, nil); return err }},
 		{"DeleteAt", func() error { return s.DeleteAt(a.UUID, time.Now()) }},
 		{"Close", s.Close},
@@ -104,7 +103,7 @@ func TestCommittedConcurrentWaiters(t *testing.T) {
 		}()
 	}
 	for i := 0; i < commits; i++ {
-		if err := s.Put(event(t, "evt", [2]string{"domain", "h.example"})); err != nil {
+		if err := putOne(s, event(t, "evt", [2]string{"domain", "h.example"})); err != nil {
 			t.Fatal(err)
 		}
 	}

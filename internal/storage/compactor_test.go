@@ -29,7 +29,7 @@ func TestMemoryStoreCountsNoWALOps(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 60; i++ {
-		if err := s.Put(event(t, fmt.Sprintf("p%d", i))); err != nil {
+		if err := putOne(s, event(t, fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

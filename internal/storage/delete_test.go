@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -35,10 +34,10 @@ func TestDeleteSurvivesWALReplay(t *testing.T) {
 	}
 	a := event(t, "a")
 	b := event(t, "b")
-	if err := s.Put(a); err != nil {
+	if err := putOne(s, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if err := putOne(s, b); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(a.UUID); err != nil {
@@ -69,10 +68,10 @@ func TestDeleteSurvivesCompactionAndRestart(t *testing.T) {
 	}
 	a := event(t, "a")
 	b := event(t, "b")
-	if err := s.Put(a); err != nil {
+	if err := putOne(s, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if err := putOne(s, b); err != nil {
 		t.Fatal(err)
 	}
 	// Compact first so the doomed event lives in the snapshot, then
@@ -120,10 +119,10 @@ func TestChangesFeedCarriesTombstones(t *testing.T) {
 	s, _ := openTemp(t)
 	a := event(t, "a")
 	b := event(t, "b")
-	if err := s.Put(a); err != nil {
+	if err := putOne(s, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if err := putOne(s, b); err != nil {
 		t.Fatal(err)
 	}
 	_, head := drainFullChanges(t, s, 0, 16)
@@ -142,12 +141,12 @@ func TestChangesFeedCarriesTombstones(t *testing.T) {
 
 	// Re-putting the UUID with a revision newer than the deletion
 	// resurrects it: the tombstone disappears from the feed and the live
-	// revision is served instead. An older revision must stay dead, and
-	// Put says so.
+	// revision is served instead. An older revision must stay dead, left
+	// out of what PutBatch installed.
 	stale := event(t, "a stale")
 	stale.UUID = a.UUID
-	if err := s.Put(stale); !errors.Is(err, ErrStale) {
-		t.Fatalf("Put of a revision older than its deletion = %v, want ErrStale", err)
+	if stored, err := s.PutBatch([]*misp.Event{stale}, nil); err != nil || len(stored) != 0 {
+		t.Fatalf("PutBatch of a revision older than its deletion stored %d, err %v; want it refused", len(stored), err)
 	}
 	if _, err := s.Get(a.UUID); err == nil {
 		t.Fatal("revision older than the deletion resurrected the event")
@@ -155,7 +154,7 @@ func TestChangesFeedCarriesTombstones(t *testing.T) {
 	revived := event(t, "a reborn")
 	revived.UUID = a.UUID
 	revived.Timestamp = misp.UT(when.Add(time.Hour))
-	if err := s.Put(revived); err != nil {
+	if err := putOne(s, revived); err != nil {
 		t.Fatal(err)
 	}
 	all, _ := drainFullChanges(t, s, 0, 16)
@@ -174,7 +173,7 @@ func TestTombstoneRetentionBounded(t *testing.T) {
 	s.tombstoneCap = 64
 	for i := 0; i < 300; i++ {
 		e := event(t, fmt.Sprintf("evt-%d", i))
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Delete(e.UUID); err != nil {

@@ -25,7 +25,7 @@ func TestCompactSnapshotFailureKeepsStoreUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Put(event(t, "before", [2]string{"domain", "a.example"})); err != nil {
+	if err := putOne(s, event(t, "before", [2]string{"domain", "a.example"})); err != nil {
 		t.Fatal(err)
 	}
 	// A directory squatting on the temp path makes os.Create fail even
@@ -42,7 +42,7 @@ func TestCompactSnapshotFailureKeepsStoreUsable(t *testing.T) {
 	}
 	// The WAL must still accept writes after the failure.
 	after := event(t, "after", [2]string{"domain", "b.example"})
-	if err := s.Put(after); err != nil {
+	if err := putOne(s, after); err != nil {
 		t.Fatalf("Put after failed compaction: %v", err)
 	}
 	if err := os.Remove(blocker); err != nil {
@@ -81,7 +81,7 @@ func TestSegmentRotationAndPruning(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 40; i++ {
-		if err := s.Put(event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
+		if err := putOne(s, event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestWritesDuringCompactionVisible(t *testing.T) {
 	keep := event(t, "keep", [2]string{"domain", "keep.example"})
 	drop := event(t, "drop", [2]string{"domain", "drop.example"})
 	for _, e := range []*misp.Event{keep, drop} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestWritesDuringCompactionVisible(t *testing.T) {
 	s.mu.Unlock()
 
 	during := event(t, "during", [2]string{"domain", "during.example"})
-	if err := s.Put(during); err != nil {
+	if err := putOne(s, during); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(drop.UUID); err != nil {

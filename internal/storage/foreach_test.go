@@ -20,7 +20,7 @@ func TestForEachParallelVisitsAllOnce(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e := event(t, fmt.Sprintf("evt-%d", i),
 			[2]string{"domain", fmt.Sprintf("h%d.example", i)})
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 		uuids[e.UUID] = true
@@ -62,7 +62,7 @@ func TestCorrelatedWithoutIndexesMultiValue(t *testing.T) {
 	b := event(t, "b", [2]string{"ip-dst", "198.51.100.7"})
 	c := event(t, "c", [2]string{"domain", "other.example"})
 	for _, e := range []*misp.Event{a, b, c} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -64,7 +64,7 @@ func TestIndexMatchesARebuild(t *testing.T) {
 		switch r := rng.Intn(20); {
 		case r < 12:
 			op = "put"
-			if err := s.Put(revision(uuids[rng.Intn(len(uuids))])); err != nil {
+			if err := putOne(s, revision(uuids[rng.Intn(len(uuids))])); err != nil {
 				t.Fatal(err)
 			}
 		case r < 15:

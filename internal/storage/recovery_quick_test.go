@@ -53,7 +53,7 @@ func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []stor
 		switch r := rng.Intn(10); {
 		case r < 4: // single put
 			e := event(t, fmt.Sprintf("put-%d", i), [2]string{"domain", fmt.Sprintf("p%d.example", i)})
-			if err := s.Put(e); err != nil {
+			if err := putOne(s, e); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live, e.UUID)
@@ -74,7 +74,7 @@ func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []stor
 			if s.Has(uuid) {
 				e := event(t, fmt.Sprintf("update-%d", i), [2]string{"domain", fmt.Sprintf("u%d.example", i)})
 				e.UUID = uuid
-				if err := s.Put(e); err != nil {
+				if err := putOne(s, e); err != nil {
 					t.Fatal(err)
 				}
 			}

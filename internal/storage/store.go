@@ -7,7 +7,12 @@
 // tail is repaired on replay while corruption mid-file is detected and
 // reported.
 //
-// The read side is snapshot-isolated: Put/PutBatch install events that are
+// The store trusts its callers and does not validate a revision: input
+// from outside the program is validated where it enters, in tip.Service,
+// and the store's other writer, the lifecycle, re-scores revisions that
+// were validated there (DESIGN.md §8).
+//
+// The read side is snapshot-isolated: PutBatch installs events that are
 // never mutated afterwards, so Get/Search*/All/ChangesPage return shared
 // frozen revisions instead of deep copies, and the lock-held critical
 // sections shrink to map lookups. Callers that intend to mutate a result
@@ -58,7 +63,10 @@ const (
 // ErrNotFound is returned when the requested event does not exist.
 var ErrNotFound = errors.New("storage: event not found")
 
-// ErrStale is Put refusing a revision not newer than its UUID's deletion.
+// ErrStale reports a revision not newer than its UUID's deletion, which
+// PutBatch refuses by leaving it out of what it installed. The store
+// itself never returns it; tip.Service.AddEvent does for the one event it
+// was handed.
 var ErrStale = errors.New("storage: revision not newer than its deletion")
 
 // ErrLegacyFormat is returned by Open when the data directory holds an
@@ -67,8 +75,9 @@ var ErrStale = errors.New("storage: revision not newer than its deletion")
 var ErrLegacyFormat = errors.New("storage: pre-segmentation on-disk format")
 
 // storedEvent is one installed revision: the frozen event plus its lazily
-// computed wrapped-MISP wire encoding. A Put of the same UUID installs a
-// fresh storedEvent, so cached bytes can never describe a stale revision.
+// computed wrapped-MISP wire encoding. A later put of the same UUID
+// installs a fresh storedEvent, so cached bytes can never describe a
+// stale revision.
 type storedEvent struct {
 	event   *misp.Event
 	seq     uint64 // WAL sequence of the operation that installed this revision
@@ -212,10 +221,9 @@ type Store struct {
 // gauge/counter views over the durability counters are registered
 // alongside them (see WithMetrics).
 type storeMetrics struct {
-	putDur      *obs.Histogram // caisp_store_put_seconds
 	putBatchDur *obs.Histogram // caisp_store_put_batch_seconds
 	batchSize   *obs.Histogram // caisp_store_batch_size_events
-	commitDur   *obs.Histogram // caisp_store_commit_seconds (WAL write+flush+fsync)
+	commitDur   *obs.Histogram // caisp_store_commit_seconds (WAL write and flush; fsync only WithSync)
 	compactDur  *obs.Histogram // caisp_store_compaction_seconds
 }
 
@@ -245,8 +253,6 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		return
 	}
 	s.metrics = &storeMetrics{
-		putDur: reg.Histogram("caisp_store_put_seconds",
-			"Single-event Put latency (validate, clone, WAL append, index)."),
 		putBatchDur: reg.Histogram("caisp_store_put_batch_seconds",
 			"Group-committed PutBatch latency for the whole batch."),
 		batchSize: reg.Histogram("caisp_store_batch_size_events",
@@ -331,27 +337,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Put stores (or replaces) an event: a one-event PutBatch, timed apart.
-// A revision PutBatch would refuse fails with ErrStale.
-func (s *Store) Put(e *misp.Event) error {
-	if s.metrics != nil {
-		defer func(start time.Time) {
-			s.metrics.putDur.Observe(time.Since(start).Seconds())
-		}(time.Now())
-	}
-	installed, err := s.put([]*misp.Event{e}, nil)
-	if err == nil && len(installed) == 0 {
-		err = fmt.Errorf("%w: %s", ErrStale, e.UUID)
-	}
-	return err
-}
-
 // PutBatch stores a batch of events with group-commit semantics: every
-// event is validated, copied (the caller keeps ownership) and encoded
-// first, then all WAL records are framed into one buffer and written with
-// a single flush (and, with WithSync, a single fsync) before the
-// in-memory state is updated. The batch is all-or-nothing — in memory and
-// across a crash: the commit flag rides on the batch's final WAL frame.
+// event is copied (the caller keeps ownership) and encoded first, then
+// all WAL records are framed into one buffer and written with a single
+// flush (and, with WithSync, a single fsync) before the in-memory state
+// is updated. The batch is all-or-nothing — in memory and across a
+// crash: the commit flag rides on the batch's final WAL frame.
 // raw, when non-nil, runs beside events: a non-nil raw[i] is the JSON
 // events[i] was decoded from (misp.ListItem.EventJSON), logged instead of
 // a fresh encoding. It returns the events it installed, in order: one
@@ -368,18 +359,11 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, err
 			s.metrics.putBatchDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	return s.put(events, raw)
-}
-
-// put is PutBatch untimed. Copies and encodings are made before the lock.
-func (s *Store) put(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
+	// Copies and encodings are made before the lock.
 	recs := make([]walRecord, len(events))
 	for i, e := range events {
 		if e == nil {
 			return nil, fmt.Errorf("storage: nil event in batch")
-		}
-		if err := e.Validate(); err != nil {
-			return nil, err
 		}
 		recs[i] = walRecord{Op: "put", Event: e.Clone()} // unlocked: caller events are copied before the write lock
 		if i < len(raw) {
@@ -535,9 +519,10 @@ type Deletion struct {
 }
 
 // DeleteBatch removes a batch of events as one commit group: one WAL
-// append, flush and fsync for the whole batch, all-or-nothing across a
-// crash like PutBatch. UUIDs the store does not hold (or that repeat
-// within the batch) are skipped; it returns how many events it removed.
+// append and flush (and, with WithSync, one fsync) for the whole batch,
+// all-or-nothing across a crash like PutBatch. UUIDs the store does not
+// hold (or that repeat within the batch) are skipped; it returns how many
+// events it removed.
 // Replication uses the per-entry times to re-apply a peer's deletions at
 // their original times, so newest-wins conflict resolution stays
 // transitive across hops; local deletions go through Delete. Each
@@ -567,7 +552,7 @@ func (s *Store) DeleteBatch(dels []Deletion) (int, error) {
 	return len(recs), nil
 }
 
-// Committed returns a channel closed by the next commit (Put, PutBatch,
+// Committed returns a channel closed by the next commit (PutBatch,
 // DeleteBatch) or by Close. A change-feed reader parks on it instead of
 // polling; it must take the channel before it reads the feed, so that a
 // commit landing between the read and the park still wakes it.

@@ -37,13 +37,13 @@ func TestRandomOpsReplayEquivalence(t *testing.T) {
 					e := misp.NewEvent(fmt.Sprintf("updated-%d", op), base.Add(time.Duration(op)*time.Minute))
 					e.UUID = live[r.Intn(len(live))]
 					e.AddAttribute("domain", "Network activity", fmt.Sprintf("u%d.example", op), base)
-					if err := s.Put(e); err != nil {
+					if err := putOne(s, e); err != nil {
 						t.Fatal(err)
 					}
 				default: // insert
 					e := misp.NewEvent(fmt.Sprintf("evt-%d", op), base.Add(time.Duration(op)*time.Minute))
 					e.AddAttribute("domain", "Network activity", fmt.Sprintf("h%d.example", op), base)
-					if err := s.Put(e); err != nil {
+					if err := putOne(s, e); err != nil {
 						t.Fatal(err)
 					}
 					live = append(live, e.UUID)

@@ -29,6 +29,12 @@ type optionFunc func(*Store)
 
 func (f optionFunc) apply(s *Store) { f(s) }
 
+// putOne stores e alone, as a one-event PutBatch.
+func putOne(s *Store, e *misp.Event) error {
+	_, err := s.PutBatch([]*misp.Event{e}, nil)
+	return err
+}
+
 // withSegmentSize seals WAL segments at roughly n bytes instead of
 // defaultSegmentSize, so a test crosses segment boundaries with few events.
 func withSegmentSize(n int64) Option {
@@ -49,7 +55,7 @@ func openTemp(t *testing.T, opts ...Option) (*Store, string) {
 func TestPutGetDelete(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(e.UUID)
@@ -70,19 +76,10 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestPutRejectsInvalid(t *testing.T) {
-	s, _ := openTemp(t)
-	bad := event(t, "x")
-	bad.UUID = "not-a-uuid"
-	if err := s.Put(bad); err == nil {
-		t.Fatal("invalid event stored")
-	}
-}
-
 func TestGetCloneReturnsCopy(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.GetClone(e.UUID)
@@ -106,7 +103,7 @@ func TestGetCloneReturnsCopy(t *testing.T) {
 func TestGetReturnsSharedFrozenView(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	first, err := s.Get(e.UUID)
@@ -124,7 +121,7 @@ func TestGetReturnsSharedFrozenView(t *testing.T) {
 	// keeps describing the old one, unchanged.
 	e2 := event(t, "evt v2", [2]string{"domain", "new.example"})
 	e2.UUID = e.UUID
-	if err := s.Put(e2); err != nil {
+	if err := putOne(s, e2); err != nil {
 		t.Fatal(err)
 	}
 	if first.Info != "evt" || first.Attributes[0].Value != "evil.example" {
@@ -145,7 +142,7 @@ func TestHas(t *testing.T) {
 	if s.Has(e.UUID) {
 		t.Fatal("Has before Put")
 	}
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Has(e.UUID) {
@@ -162,12 +159,12 @@ func TestHas(t *testing.T) {
 func TestPutReplacesAndReindexes(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "old.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	e2 := event(t, "evt v2", [2]string{"domain", "new.example"})
 	e2.UUID = e.UUID
-	if err := s.Put(e2); err != nil {
+	if err := putOne(s, e2); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -195,7 +192,7 @@ func TestSearches(t *testing.T) {
 	b := event(t, "b", [2]string{"domain", "other.example"})
 	b.AddTag("tlp:red")
 	for _, e := range []*misp.Event{a, b} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,13 +216,13 @@ func TestSearchesWithoutIndexes(t *testing.T) {
 	c := event(t, "c", [2]string{"ip-dst", "203.0.113.7"})
 	c.AddTag("tlp:amber")
 	for _, e := range []*misp.Event{a, b, c} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b2 := event(t, "b v2", [2]string{"hostname", "evil.example"}, [2]string{"ip-dst", "203.0.113.9"})
 	b2.UUID = b.UUID
-	if err := s.Put(b2); err != nil {
+	if err := putOne(s, b2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(c.UUID); err != nil {
@@ -260,7 +257,7 @@ func TestCorrelated(t *testing.T) {
 	b := event(t, "b", [2]string{"hostname", "shared.example"})
 	c := event(t, "c", [2]string{"domain", "unrelated.example"})
 	for _, e := range []*misp.Event{a, b, c} {
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +281,7 @@ func TestReplayAfterClose(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e := event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})
 		uuids = append(uuids, e.UUID)
-		if err := s.Put(e); err != nil {
+		if err := putOne(s, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +316,7 @@ func TestCompactAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := s.Put(event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
+		if err := putOne(s, event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,7 +328,7 @@ func TestCompactAndReplay(t *testing.T) {
 	}
 	// Writes after the snapshot land in the fresh WAL.
 	post := event(t, "post-compact", [2]string{"domain", "late.example"})
-	if err := s.Put(post); err != nil {
+	if err := putOne(s, post); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -378,7 +375,7 @@ func TestTornWALTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -417,10 +414,10 @@ func TestCorruptWALMiddleRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(event(t, "evt", [2]string{"domain", "a.example"})); err != nil {
+	if err := putOne(s, event(t, "evt", [2]string{"domain", "a.example"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(event(t, "evt2", [2]string{"domain", "b.example"})); err != nil {
+	if err := putOne(s, event(t, "evt2", [2]string{"domain", "b.example"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -454,7 +451,7 @@ func TestMemoryOnlyStore(t *testing.T) {
 	}
 	defer s.Close()
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -467,7 +464,7 @@ func TestMemoryOnlyStore(t *testing.T) {
 
 func TestWithSync(t *testing.T) {
 	s, _ := openTemp(t, WithSync(true))
-	if err := s.Put(event(t, "evt", [2]string{"domain", "evil.example"})); err != nil {
+	if err := putOne(s, event(t, "evt", [2]string{"domain", "evil.example"})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -475,7 +472,7 @@ func TestWithSync(t *testing.T) {
 func TestAllSorted(t *testing.T) {
 	s, _ := openTemp(t)
 	for i := 0; i < 20; i++ {
-		if err := s.Put(event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
+		if err := putOne(s, event(t, fmt.Sprintf("evt-%d", i), [2]string{"domain", fmt.Sprintf("h%d.example", i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -502,7 +499,7 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				e := event(t, fmt.Sprintf("g%d-%d", g, i), [2]string{"domain", fmt.Sprintf("g%d-%d.example", g, i)})
-				if err := s.Put(e); err != nil {
+				if err := putOne(s, e); err != nil {
 					t.Error(err)
 					return
 				}
@@ -524,7 +521,7 @@ func TestObjectAttributesIndexed(t *testing.T) {
 	e := misp.NewEvent("with object", now)
 	obj := e.AddObject("vulnerability", "vulnerability")
 	obj.AddAttribute("vulnerability", "External analysis", "CVE-2021-44228", now)
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	hits, err := s.SearchValue("CVE-2021-44228")
@@ -534,7 +531,7 @@ func TestObjectAttributesIndexed(t *testing.T) {
 	// Correlation across loose and object attributes.
 	loose := misp.NewEvent("loose", now)
 	loose.AddAttribute("vulnerability", "External analysis", "CVE-2021-44228", now)
-	if err := s.Put(loose); err != nil {
+	if err := putOne(s, loose); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Correlated(loose); len(got) != 1 || got[0] != e.UUID {
@@ -545,7 +542,7 @@ func TestObjectAttributesIndexed(t *testing.T) {
 func TestWrappedJSONCache(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	first, err := s.WrappedJSON(e.UUID)
@@ -566,7 +563,7 @@ func TestWrappedJSONCache(t *testing.T) {
 	// A new revision invalidates the cache by replacing the stored entry.
 	e2 := event(t, "evt v2", [2]string{"domain", "new.example"})
 	e2.UUID = e.UUID
-	if err := s.Put(e2); err != nil {
+	if err := putOne(s, e2); err != nil {
 		t.Fatal(err)
 	}
 	third, err := s.WrappedJSON(e.UUID)
@@ -584,7 +581,7 @@ func TestWrappedJSONCache(t *testing.T) {
 func TestWrappedJSONFor(t *testing.T) {
 	s, _ := openTemp(t)
 	e := event(t, "evt", [2]string{"domain", "evil.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		t.Fatal(err)
 	}
 	stored, err := s.Get(e.UUID)

@@ -12,7 +12,7 @@
 // decodes the same event, and for canonical bytes the payload is byte
 // for byte json.Marshal of the walRecord, as it has always been.
 //
-// Every append group (one Put/Delete, or one whole PutBatch) marks its
+// Every append group (one Delete, or one whole PutBatch) marks its
 // final frame with the commit flag; recovery applies records only up to
 // the last committed group, which is what makes PutBatch all-or-nothing
 // across a crash. Rotation happens strictly between groups, so a group

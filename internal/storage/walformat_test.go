@@ -101,7 +101,7 @@ func TestWALPutFrameFormat(t *testing.T) {
 	s, dir := openTemp(t)
 	canonical := map[string]bool{}
 	put := formatEvent(t, "put")
-	if err := s.Put(put); err != nil {
+	if err := putOne(s, put); err != nil {
 		t.Fatal(err)
 	}
 	batch := []*misp.Event{formatEvent(t, "batch-a"), formatEvent(t, "batch-b")}
@@ -228,7 +228,7 @@ func FuzzScanSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	e := event(f, "seed", [2]string{"domain", "seed.example"})
-	if err := s.Put(e); err != nil {
+	if err := putOne(s, e); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := s.PutBatch([]*misp.Event{event(f, "a"), event(f, "b")}, nil); err != nil {

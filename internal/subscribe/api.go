@@ -25,22 +25,21 @@ import (
 // maxRegisterBytes 413, exhausted per-client quotas 429.
 type API struct {
 	engine *Engine
-	mux    *http.ServeMux
 }
 
-// NewAPI builds the HTTP handler around an engine.
-func NewAPI(e *Engine) *API {
-	a := &API{engine: e, mux: http.NewServeMux()}
-	a.mux.HandleFunc("POST /subscriptions", a.handleRegister)
-	a.mux.HandleFunc("GET /subscriptions", a.handleList)
-	a.mux.HandleFunc("GET /subscriptions/stats", a.handleStats)
-	a.mux.HandleFunc("DELETE /subscriptions/{id}", a.handleUnsubscribe)
-	a.mux.HandleFunc("GET /ws/matches", a.handleWS)
-	return a
-}
+// NewAPI builds the HTTP front of an engine.
+func NewAPI(e *Engine) *API { return &API{engine: e} }
 
-// ServeHTTP implements http.Handler.
-func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
+// Register mounts the API's routes on mux, the listener's own: the one
+// list of them. Each is method-qualified, so a mux that also serves a
+// catch-all ("GET /" or "/") keeps it for every other path.
+func (a *API) Register(mux *http.ServeMux) {
+	mux.HandleFunc("POST /subscriptions", a.handleRegister)
+	mux.HandleFunc("GET /subscriptions", a.handleList)
+	mux.HandleFunc("GET /subscriptions/stats", a.handleStats)
+	mux.HandleFunc("DELETE /subscriptions/{id}", a.handleUnsubscribe)
+	mux.HandleFunc("GET /ws/matches", a.handleWS)
+}
 
 // registerRequest is the POST /subscriptions body. TTL, when present, is
 // a Go duration string ("30m", "24h"); the subscription expires that long

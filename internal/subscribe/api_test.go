@@ -14,7 +14,9 @@ import (
 func newTestAPI(t *testing.T, opts ...Option) (*Engine, *httptest.Server) {
 	t.Helper()
 	e := NewEngine(opts...)
-	srv := httptest.NewServer(NewAPI(e))
+	mux := http.NewServeMux()
+	NewAPI(e).Register(mux)
+	srv := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		srv.Close()
 		e.Close()

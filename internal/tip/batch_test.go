@@ -2,6 +2,7 @@ package tip
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/caisplatform/caisp/internal/bus"
@@ -114,8 +115,8 @@ func TestHTTPBatchPartialRejection(t *testing.T) {
 	bad := sampleEvent(t, "bad", "bad.example")
 	bad.UUID = "not-a-uuid"
 	uuids, err := client.AddEvents(t.Context(), []*misp.Event{sampleEvent(t, "good", "good.example"), bad})
-	if err == nil {
-		t.Fatal("rejection not reported")
+	if err == nil || !strings.Contains(err.Error(), `invalid uuid "not-a-uuid"`) {
+		t.Fatalf("rejection not reported with its reason: %v", err)
 	}
 	if len(uuids) != 1 || s.Len() != 1 {
 		t.Fatalf("valid subset not stored: %v, len=%d", uuids, s.Len())

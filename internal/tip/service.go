@@ -5,7 +5,9 @@
 // consumers of "event stored" — the heuristic component among them, where
 // the paper uses zeroMQ (§IV-A) — through Follower, exposes the MISP-like
 // REST API with export modules (MISP JSON, STIX 2.0, CSV) and
-// synchronizes events between instances.
+// synchronizes events between instances. Every revision that reaches the
+// store from outside it passes through Service.ImportEvents, the one
+// place a revision is validated.
 package tip
 
 import (
@@ -114,46 +116,36 @@ func NewService(store *storage.Store, opts ...Option) *Service {
 	return s
 }
 
-// AddEvent validates and stores an event, returning the UUIDs of already
-// stored events it correlates with: those sharing the value of at least
-// one of its correlating attributes (MISP's automatic correlation;
+// AddEvent stores one event through ImportEvents, returning the UUIDs of
+// already stored events it correlates with: those sharing the value of at
+// least one of its correlating attributes (MISP's automatic correlation;
 // comments, score write-backs and context text do not correlate, see
 // misp.Attribute.Correlates). The lookup costs the postings of the event's
 // own indicator values, not the size of the store, so the per-event path
 // (eIoC write-back, POST /events, infrastructure sightings) stays flat as
 // the TIP fills. New and updated events are announced on an attached
-// broker; one older than its UUID's deletion fails with
-// storage.ErrStale, unannounced.
+// broker; an invalid event fails with its reason, and one older than its
+// UUID's deletion with storage.ErrStale, unannounced.
 // The store keeps a private copy; the caller retains ownership of e.
 func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
-	if e == nil {
-		return nil, fmt.Errorf("tip: nil event")
+	if e != nil {
+		correlated = s.store.Correlated(e)
 	}
-	if err := e.Validate(); err != nil {
+	stored, err := s.ImportEvents([]*misp.Event{e}, nil)
+	if err != nil {
 		return nil, err
 	}
-	topic := TopicEventAdd
-	if s.store.Has(e.UUID) {
-		topic = TopicEventEdit
+	if len(stored) == 0 {
+		return nil, fmt.Errorf("%w: %s", storage.ErrStale, e.UUID)
 	}
-	correlated = s.store.Correlated(e)
-	// Record this node as the revision's origin before the commit, which
-	// wakes peers parked on the change feed: their page reads this table.
-	s.prov.RecordLocal(e.UUID, s.name, time.Now())
-	if err := s.store.Put(e); err != nil {
-		return nil, err
-	}
-	s.publish(topic, e)
-	s.countStore(topic)
-	s.logger.Debug("event stored", "instance", s.name, "uuid", e.UUID, "topic", topic, "correlated", len(correlated))
 	return correlated, nil
 }
 
 // AddEvents stores a batch of events through the store's group-commit
-// path (one WAL write and fsync for the whole batch instead of one per
-// event). Unlike AddEvent it is partial-failure tolerant: events that fail
-// validation are skipped and their errors aggregated with errors.Join,
-// while the valid remainder is still stored and announced on the bus. It
+// path (one WAL write and flush for the whole batch instead of one per
+// event). It is partial-failure tolerant: events that fail validation
+// are skipped and their errors aggregated with errors.Join, while the
+// valid remainder is still stored and announced on the bus. It
 // returns the events actually stored; one the store refuses as older than
 // its UUID's deletion is neither returned, counted nor published.
 // Correlation is computed against the state before the batch; events
@@ -165,6 +157,10 @@ func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err err
 // ImportEvents is AddEvents for events that arrived encoded: raw, when
 // non-nil, runs beside events, and a non-nil raw[i] is the JSON events[i]
 // was decoded from (storage.Change.Raw), which the store logs as is.
+// It is the one place a revision is validated (DESIGN.md §8): every write
+// that reaches the store from outside it, REST, mesh import and
+// write-back alike, comes through here, and the store trusts what it is
+// handed.
 func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*misp.Event, err error) {
 	var errs []error
 	valid := make([]*misp.Event, 0, len(events))
@@ -190,8 +186,10 @@ func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*mi
 		}
 	}
 	if len(valid) > 0 {
-		// Origins go in before the commit, as in AddEvent. The mesh importer
-		// has already filed forwarded provenance; RecordLocal keeps that.
+		// Record this node as each revision's origin before the commit, which
+		// wakes peers parked on the change feed: their page reads this
+		// table. The mesh importer has already filed forwarded provenance;
+		// RecordLocal keeps that.
 		now := time.Now()
 		for _, e := range valid {
 			s.prov.RecordLocal(e.UUID, s.name, now)

@@ -1,8 +1,10 @@
 package tip
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -265,7 +267,7 @@ func TestHTTPAuthentication(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	srv, _ := apiServer(t, "")
+	srv, service := apiServer(t, "")
 	client := NewClient(srv.URL, "")
 	if _, err := client.GetEvent(t.Context(), "00000000-0000-0000-0000-000000000000"); err == nil {
 		t.Fatal("missing event served")
@@ -304,6 +306,26 @@ func TestHTTPErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Fatalf("%d-byte body status = %d, want %d", tc.n, resp.StatusCode, tc.want)
 		}
+	}
+	// An event that decodes but fails validation is refused with its
+	// reason, and nothing of it is stored.
+	invalid := sampleEvent(t, "invalid", "invalid.example")
+	invalid.Attributes[0].UUID = "not-a-uuid"
+	body, err := misp.MarshalWrapped(invalid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/events", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reason, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reason), `has invalid uuid \"not-a-uuid\"`) {
+		t.Fatalf("invalid event status = %d, body %s; want 400 with the reason", resp.StatusCode, reason)
+	}
+	if service.Len() != 0 {
+		t.Fatalf("the invalid event was stored: %d events", service.Len())
 	}
 	resp, err = http.Get(srv.URL + "/events/changes?after=not-a-seq")
 	if err != nil {

@@ -143,10 +143,7 @@ func (a *Analyzer) Enriched(me *misp.Event) ([]stix.Object, error) {
 // composition or a clone), never a shared frozen view from the store's
 // copy-free read path: Score mutates me in place (DESIGN.md §8).
 func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
-	conv, err := misp.Convert(me)
-	if err != nil {
-		return Analysis{Outcome: Failed}, fmt.Errorf("worker: convert %s: %w", me.UUID, err)
-	}
+	conv := misp.Convert(me)
 	if len(conv.Head()) == 0 && conv.Len() == 0 {
 		return Analysis{Outcome: Unscorable}, nil // free-text members only
 	}
