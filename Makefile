@@ -30,9 +30,14 @@ bench:
 # streaming correlator (after every Add, with restarts re-seeded from the
 # emitted clusters, each emitted cluster is the batch Correlator's
 # component: members in ID order, bounds, shared keys, content hash and
-# last sighting; and no cIoC handed out earlier changes) and the
-# subscription index's number screen (canonicalNumber answers as a plain
-# strconv.ParseFloat and FormatFloat would). A new
+# last sighting; and no cIoC handed out earlier changes), the carried
+# path against the full one (correlate.Render from a cluster's base
+# equals the render without it, attribute for attribute, the same
+# attributes keeping the stored UUIDs; worker.Analyzer.ScoreFrom with
+# what it copied scores, and pushes rIoCs, as a fresh analyzer scores the
+# full render) and the subscription index's number screen
+# (canonicalNumber answers as a plain strconv.ParseFloat and FormatFloat
+# would). A new
 # input is minimized for at most a second, so a target spends its ten
 # seconds executing instead of shrinking the first input that widened
 # coverage (the default allows a minute).
@@ -46,6 +51,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/uuid/
 	$(GO) test -run '^$$' -fuzz FuzzToMISPSplice -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalAgainstBatch -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
+	$(GO) test -run '^$$' -fuzz FuzzRenderCarried -fuzztime 10s -fuzzminimizetime 1s ./internal/correlate/
+	$(GO) test -run '^$$' -fuzz FuzzScoreCarried -fuzztime 10s -fuzzminimizetime 1s ./internal/worker/
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalNumber -fuzztime 10s -fuzzminimizetime 1s ./internal/subscribe/
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) is a module of its own

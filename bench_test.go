@@ -197,14 +197,16 @@ func (f *roundFetcher) Fetch(context.Context) ([]byte, bool, error) {
 // last/first (last-ns/record over first-ns/record) is that growth.
 // B/record is the heap allocated per collected record over the whole run;
 // converted/blocks the share of the analyzer's conversion blocks that
-// were converted and scored rather than reused from a cluster's record.
+// were converted and scored rather than reused from a cluster's record;
+// carried/members the share of the revisions' members copied from the
+// cluster's revision before rather than rendered.
 func BenchmarkIngestGrowingStore(b *testing.B) {
 	const (
 		rounds = 40
 		tenth  = rounds / 10
 		items  = 50
 	)
-	var firstNs, lastNs, firstRecs, lastRecs, bytes, recs, converted, blocks float64
+	var firstNs, lastNs, firstRecs, lastRecs, bytes, recs, converted, blocks, carried, members float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		docs := make([]map[string][]byte, rounds)
@@ -263,6 +265,8 @@ func BenchmarkIngestGrowingStore(b *testing.B) {
 		recs += float64(p.Stats().EventsCollected)
 		c, r := analyzerBlocks(b, p)
 		converted, blocks = converted+c, blocks+c+r
+		m, k := p.Members()
+		members, carried = members+float64(m), carried+float64(k)
 		p.Close()
 	}
 	b.ReportMetric(firstNs/firstRecs, "first-ns/record")
@@ -270,6 +274,7 @@ func BenchmarkIngestGrowingStore(b *testing.B) {
 	b.ReportMetric((lastNs/lastRecs)/(firstNs/firstRecs), "last/first")
 	b.ReportMetric(bytes/recs, "B/record")
 	b.ReportMetric(converted/blocks, "converted/blocks")
+	b.ReportMetric(carried/members, "carried/members")
 }
 
 // analyzerBlocks reads the platform's caisp_analyzer_blocks_total.

@@ -140,14 +140,15 @@ type Stats struct {
 // The intake counts are the deduper's own: ingest offers every collected
 // event to it exactly once.
 type counters struct {
-	ciocs         atomic.Int64
-	clusterEdits  atomic.Int64
-	clusterMerges atomic.Int64
-	eiocs         atomic.Int64
-	riocs         atomic.Int64
-	classified    atomic.Int64
-	unscorable    atomic.Int64
-	storeFailures atomic.Int64
+	ciocs            atomic.Int64
+	clusterEdits     atomic.Int64
+	clusterMerges    atomic.Int64
+	eiocs            atomic.Int64
+	riocs            atomic.Int64
+	classified       atomic.Int64
+	unscorable       atomic.Int64
+	storeFailures    atomic.Int64
+	members, carried atomic.Int64 // of the flush's revisions (Members)
 }
 
 // Platform is a running Context-Aware OSINT Platform instance: a Node
@@ -418,6 +419,12 @@ func (p *Platform) Stats() Stats {
 	}
 }
 
+// Members returns how many members the flush's revisions held, and how
+// many were copied from the revision before instead of rendered.
+func (p *Platform) Members() (members, carried int64) {
+	return p.counters.members.Load(), p.counters.carried.Load()
+}
+
 // ReportAlarm records an infrastructure alarm and pushes it to the
 // dashboard.
 func (p *Platform) ReportAlarm(a infra.Alarm) (infra.Alarm, error) {
@@ -574,44 +581,47 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 		}
 		p.retract(uuid)
 	}
-	// Compose on the pool: Splice is pure and GetEvent reads a snapshot.
+	// Compose on the pool: Render is pure and GetSeq reads a snapshot.
 	// The batch keeps the delta's order, new clusters first.
 	now := p.clk.Now()
 	nNew := len(delta.New)
-	composed := make([]*misp.Event, nNew+len(delta.Updated))
-	composeErrs := make([]error, len(composed))
-	p.fanOut(len(composed), func(i int) {
-		var c *correlate.ComposedIoC
-		if i < nNew {
-			c = &delta.New[i]
-		} else {
-			c = &delta.Updated[i-nNew]
-		}
+	ciocs := append(delta.New[:nNew:nNew], delta.Updated...)
+	revs := make([]correlate.Revision, len(ciocs))
+	composeErrs := make([]error, len(ciocs))
+	p.fanOut(len(ciocs), func(i int) {
+		c := &ciocs[i]
 		// A grown cluster's unchanged members keep the attribute UUIDs
-		// of the revision stored for it.
-		prev, _ := p.tip.GetEvent(c.ID)
-		if composed[i], composeErrs[i] = correlate.Splice(c, prev, now); composeErrs[i] != nil {
+		// of the revision stored for it, and are copied from it while
+		// it is the one this flush's base names.
+		prev, seq, _ := p.store.GetSeq(c.ID)
+		if c.Base != nil && c.Base.Seq != seq {
+			c.Base = nil
+		}
+		if revs[i], composeErrs[i] = correlate.Render(c, prev, now); composeErrs[i] != nil {
 			composeErrs[i] = fmt.Errorf("core: compose cIoC: %w", composeErrs[i])
 			p.tracer.Drop(c.ID)
 		}
 	})
 	errs = append(errs, composeErrs...) // errors.Join drops the nils
-	batch, composedNew := composed[:0], 0
-	for i, me := range composed {
-		if me == nil {
+	batch, composedNew := make([]*misp.Event, 0, len(revs)), 0
+	for i := range revs {
+		if revs[i].Event == nil {
 			continue
 		}
 		if i < nNew {
 			composedNew++
 		}
-		batch = append(batch, me)
+		ciocs[len(batch)], revs[len(batch)] = ciocs[i], revs[i]
+		batch = append(batch, revs[i].Event)
+		p.counters.members.Add(int64(len(ciocs[i].Events)))
+		p.counters.carried.Add(int64(revs[i].Carried))
 	}
 
-	scores, err := p.score(batch)
+	scores, err := p.score(batch, revs)
 	if err != nil {
 		errs = append(errs, err)
 	}
-	installed, err := p.commit(batch)
+	installed, seqs, err := p.commit(batch)
 	if err != nil {
 		errs = append(errs, err)
 	}
@@ -622,6 +632,9 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 		if i < composedNew {
 			added++
 		}
+		// The next revision of the cluster starts from this one.
+		p.corr.Rebase(&ciocs[i], &correlate.Base{Seq: seqs[i], Token: scores[i].Token,
+			Events: ciocs[i].Events, Starts: revs[i].Starts})
 	}
 	p.counters.ciocs.Add(added)
 	p.counters.clusterEdits.Add(int64(len(installed)) - added)
@@ -645,12 +658,17 @@ func (p *Platform) flush(events []normalize.Event) ([]*misp.Event, error) {
 // score scores batch on the analyzer pool, pushing rIoCs as SDOs are
 // scored, and returns each event's analysis; the scoring errors are
 // joined. The flush and the change-log follower both score through it.
-func (p *Platform) score(batch []*misp.Event) ([]worker.Analysis, error) {
+// The flush passes, beside batch, what it rendered each revision from.
+func (p *Platform) score(batch []*misp.Event, revs []correlate.Revision) ([]worker.Analysis, error) {
 	scores := make([]worker.Analysis, len(batch))
 	errs := make([]error, len(batch))
 	p.fanOut(len(batch), func(i int) {
 		start := time.Now()
-		scores[i], errs[i] = p.analyzer.Score(batch[i])
+		var r correlate.Revision
+		if i < len(revs) {
+			r = revs[i]
+		}
+		scores[i], errs[i] = p.analyzer.ScoreFrom(batch[i], r.Token, r.Copied)
 		p.analyzeDur.Observe(time.Since(start).Seconds())
 		p.tracer.Mark(batch[i].UUID, obs.StageAnalyze)
 	})
@@ -660,28 +678,27 @@ func (p *Platform) score(batch []*misp.Event) ([]worker.Analysis, error) {
 // commit stores batch in one group commit (one WAL write and flush) and
 // retracts what the store did not install: a revision refused as older
 // than its UUID's deletion, or lost to a failed commit. It returns the
-// batch indices the store installed, in order. The flush and the
-// change-log follower both commit through it.
-func (p *Platform) commit(batch []*misp.Event) ([]int, error) {
+// batch indices the store installed, in order, and beside batch the
+// sequence each was installed at (tip.Service.ImportEvents). The flush
+// and the change-log follower both commit through it.
+func (p *Platform) commit(batch []*misp.Event) ([]int, []uint64, error) {
 	if len(batch) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	stored, err := p.tip.AddEvents(batch)
+	seqs, err := p.tip.ImportEvents(batch, nil)
 	if err != nil {
 		err = fmt.Errorf("core: store %d revisions: %w", len(batch), err)
 	}
-	// stored is batch less what the store did not take, in order.
-	installed := make([]int, 0, len(stored))
-	for i, k := 0, 0; i < len(batch); i++ {
-		if k < len(stored) && batch[i] == stored[k] {
+	var installed []int
+	for i, me := range batch {
+		if i < len(seqs) && seqs[i] != 0 {
 			installed = append(installed, i)
-			k++
-			p.tracer.Mark(batch[i].UUID, obs.StageStore)
+			p.tracer.Mark(me.UUID, obs.StageStore)
 			continue
 		}
-		p.retract(batch[i].UUID)
+		p.retract(me.UUID)
 	}
-	return installed, err
+	return installed, seqs, err
 }
 
 // analyzePage is the streaming analyzer's handler for one page of the
@@ -701,14 +718,14 @@ func (p *Platform) analyzePage(page []*misp.Event, _ uint64) error {
 			batch = append(batch, me.Clone())
 		}
 	}
-	scores, err := p.score(batch)
+	scores, err := p.score(batch, nil)
 	var eiocs []*misp.Event
 	for i, res := range scores {
 		if res.Outcome == worker.Enriched {
 			eiocs = append(eiocs, batch[i])
 		}
 	}
-	installed, cerr := p.commit(eiocs)
+	installed, _, cerr := p.commit(eiocs)
 	if cerr != nil && len(installed) == 0 {
 		return errors.Join(err, cerr)
 	}

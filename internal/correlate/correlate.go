@@ -32,6 +32,8 @@ type ComposedIoC struct {
 	// FirstSeen / LastSeen bound the members' observation windows.
 	FirstSeen time.Time `json:"first_seen"`
 	LastSeen  time.Time `json:"last_seen"`
+	// Base is the cluster's last committed revision (Incremental.Rebase).
+	Base *Base `json:"-"`
 }
 
 // ContentHash is deterministic over the member event IDs: it changes
@@ -39,11 +41,11 @@ type ComposedIoC struct {
 // an edit under the same ID actually altered the cluster. For the batch
 // Correlator's cIoCs it equals ID.
 func (c *ComposedIoC) ContentHash() string {
-	ids := make([]string, len(c.Events))
-	for i, e := range c.Events {
-		ids[i] = e.ID
+	n := uuid.NewName(uuid.NamespaceCAISP, composedPrefix, composedSep)
+	for _, e := range c.Events {
+		n.Add(e.ID)
 	}
-	return composedID(ids)
+	return n.Sum().String()
 }
 
 // Values returns the member indicator values of the given type.
@@ -223,6 +225,8 @@ func registeredDomain(host string) string {
 	return strings.Join(labels[len(labels)-2:], ".")
 }
 
+const composedPrefix, composedSep = "cioc\x00", ","
+
 func composedID(memberIDs []string) string {
-	return uuid.NewV5(uuid.NamespaceCAISP, "cioc\x00", ",", memberIDs...).String()
+	return uuid.NewV5(uuid.NamespaceCAISP, composedPrefix, composedSep, memberIDs...).String()
 }

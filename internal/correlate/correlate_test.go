@@ -302,3 +302,24 @@ func TestComposedIDIsTheJoinedName(t *testing.T) {
 		}
 	}
 }
+
+// TestContentHashStreamsTheMemberIDs: the hash of a cluster of any size is
+// composedID over its member IDs, and taking it allocates only the
+// returned string (outside -race builds).
+func TestContentHashStreamsTheMemberIDs(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 56, 400} {
+		c := &ComposedIoC{}
+		var ids []string
+		for i := 0; i < n; i++ {
+			e := ev(t, fmt.Sprintf("10.%d.%d.1", i/250, i%250), "malware")
+			c.Events = append(c.Events, &e)
+			ids = append(ids, e.ID)
+		}
+		if got, want := c.ContentHash(), composedID(ids); got != want {
+			t.Fatalf("%d members: ContentHash %s, want composedID %s", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = c.ContentHash() }); allocs != 1 && !raceEnabled {
+			t.Errorf("%d members: ContentHash made %v allocations, want 1 (its result)", n, allocs)
+		}
+	}
+}

@@ -83,6 +83,7 @@ type cluster struct {
 	// absorbed marks a cluster merged into a survivor; it is dead state kept
 	// only because the dirty set of the in-flight Add may still hold it.
 	absorbed bool
+	base     *Base // handed out by the next composeDelta
 }
 
 // Delta is the result of one Add: the changes to the emitted cluster set.
@@ -312,6 +313,7 @@ func (inc *Incremental) composeDelta(dirty map[*cluster]bool, removed []string, 
 			continue
 		}
 		c := inc.compose(cl)
+		c.Base, cl.base = cl.base, nil
 		if cl.emitted {
 			d.Updated = append(d.Updated, c)
 			inc.stats.Updated++
@@ -347,6 +349,18 @@ func (inc *Incremental) compose(cl *cluster) ComposedIoC {
 	c.CorrelationKeys = append([]string(nil), cl.shared...)
 	sort.Strings(c.CorrelationKeys)
 	return c
+}
+
+// Rebase makes b, the committed revision rendered from c, the base the
+// next Add that composes c's cluster hands out, unless it was absorbed.
+func (inc *Incremental) Rebase(c *ComposedIoC, b *Base) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	if cs := inc.cats[c.Category]; cs != nil {
+		if cl := cs.clusters[cs.uf.find(c.Events[0].ID)]; cl != nil && cl.uuid == c.ID {
+			cl.base = b
+		}
+	}
 }
 
 func sortComposed(cs []ComposedIoC) {

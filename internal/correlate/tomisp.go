@@ -59,8 +59,46 @@ func ToMISP(c *ComposedIoC, now time.Time) (*misp.Event, error) {
 // only for its new members, and an attribute's UUID is stable across the
 // cluster's revisions.
 func Splice(c *ComposedIoC, prev *misp.Event, now time.Time) (*misp.Event, error) {
+	r, err := Render(c, prev, now)
+	return r.Event, err
+}
+
+// Base is what the flush keeps of a cluster's last committed revision.
+// Seq is the change-log sequence the store installed it at, and Token
+// the analyzer record it was scored into (worker.Analysis.Token). Events
+// is the member list it was rendered from, and Starts[k] where Events[k]'s
+// attributes start in it (^start for a member stamped now), then where
+// the last one's end.
+type Base struct {
+	Seq, Token uint64
+	Events     []*normalize.Event
+	Starts     []int32
+}
+
+// A Revision is a cluster's revision as Render made it: the event, its
+// Starts as Base's, the attribute ranges copied from prev in order, how
+// many members they hold, and the base's Token.
+type Revision struct {
+	Event   *misp.Event
+	Starts  []int32
+	Copied  []Run
+	Carried int
+	Token   uint64
+}
+
+// A Run is a range of attributes, [At, At+Len), copied from [From,
+// From+Len) of the revision before.
+type Run struct{ At, From, Len int }
+
+// Render is Splice that also reports the revision's Starts. With c.Base
+// set, prev must be the revision rendered from it, which the caller
+// proves by the store's sequence (Base.Seq): a member of the base, by
+// pointer, not stamped now and starting at the match point, has its
+// attributes copied from prev without being read. New, absorbed and
+// stamped members are rendered.
+func Render(c *ComposedIoC, prev *misp.Event, now time.Time) (Revision, error) {
 	if len(c.Events) == 0 {
-		return nil, fmt.Errorf("correlate: composed IoC %s has no events", c.ID)
+		return Revision{}, fmt.Errorf("correlate: composed IoC %s has no events", c.ID)
 	}
 	// misp.NewEvent's event under the cIoC identity, drawing no v4 UUID.
 	e := &misp.Event{UUID: c.ID, Info: composedInfo(c), Date: now.UTC().Format("2006-01-02"),
@@ -76,36 +114,63 @@ func Splice(c *ComposedIoC, prev *misp.Event, now time.Time) (*misp.Event, error
 	for _, key := range c.CorrelationKeys {
 		e.AddTag("caisp:correlated-by=\"" + key + "\"")
 	}
-	var old []misp.Attribute // prev's attributes from the next member's on
-	if prev != nil {
-		old = prev.Attributes
+	var old []misp.Attribute // prev's attributes
+	r := Revision{Event: e, Starts: make([]int32, 0, len(c.Events)+1)}
+	base := c.Base
+	if prev == nil {
+		base = nil
+	} else if old = prev.Attributes; base != nil {
+		r.Token = base.Token
 	}
 	// One attribute per member is the rule, and one slot is kept for the
 	// analyzer's score.
 	e.Attributes = make([]misp.Attribute, 0, max(len(c.Events), len(old))+1)
+	o, k := 0, 0 // the match point in old, and the next member of the base
 	for _, ev := range c.Events {
 		start := len(e.Attributes)
+		if base != nil && k < len(base.Events) && base.Events[k] == ev {
+			from, end := int(base.Starts[k]), int(base.Starts[k+1])
+			k++
+			if end = max(end, ^end); from == o && end <= len(old) { // ^end: the next was stamped
+				e.Attributes = append(e.Attributes, old[o:end]...)
+				r.Starts = append(r.Starts, int32(start))
+				if n := len(r.Copied) - 1; n >= 0 && r.Copied[n].At+r.Copied[n].Len == start &&
+					r.Copied[n].From+r.Copied[n].Len == o {
+					r.Copied[n].Len += end - o
+				} else {
+					r.Copied = append(r.Copied, Run{At: start, From: o, Len: end - o})
+				}
+				r.Carried++
+				o = end
+				continue
+			}
+		}
 		var stored string // the comment at the match point, reused if it is ev's
-		if len(old) > 0 {
-			stored = old[0].Comment
+		if o < len(old) {
+			stored = old[o].Comment
 		}
 		e.Attributes = appendMember(e.Attributes, ev, now, stored)
 		span := e.Attributes[start:]
-		same, stamped := carried(old, span)
+		same, stamped := carried(old[o:], span)
 		keep := same && stamped && !ev.LastSeen.IsZero()
-		for k := range span {
+		for j := range span {
 			if keep {
-				span[k].UUID = old[k].UUID
+				span[j].UUID = old[o+j].UUID
 			} else {
-				span[k].UUID = uuid.NewV4().String()
+				span[j].UUID = uuid.NewV4().String()
 			}
 		}
 		if same { // the member's own span, re-stamped or not
-			old = old[len(span):]
+			o += len(span)
 		}
+		if ev.LastSeen.IsZero() {
+			start = ^start
+		}
+		r.Starts = append(r.Starts, int32(start))
 	}
+	r.Starts = append(r.Starts, int32(len(e.Attributes)))
 	e.Attributes = slices.Grow(e.Attributes, 1) // a no-op unless a member rendered more
-	return e, nil
+	return r, nil
 }
 
 // carried reports whether old begins with span field for field, apart

@@ -324,12 +324,16 @@ func (e *Engine) processPage(page []*misp.Event, now time.Time, sight map[string
 		}
 	}
 	if len(puts) > 0 {
-		stored, err := e.store.PutBatch(puts, nil)
+		seqs, err := e.store.PutBatch(puts, nil)
 		if err != nil {
 			return err
 		}
-		res.Rescored += len(stored)
-		e.rescored.Add(int64(len(stored)))
+		for _, seq := range seqs {
+			if seq != 0 { // not refused
+				res.Rescored++
+				e.rescored.Add(1)
+			}
+		}
 	}
 	return nil
 }

@@ -66,9 +66,10 @@ import (
 // *tip.Service satisfies it.
 type Local interface {
 	// ImportEvents imports a batch through the group-commit path and
-	// returns the events actually stored; raw[i] is the JSON events[i]
+	// returns, beside events, the sequence each was stored at (0: not
+	// stored, nil: the commit failed); raw[i] is the JSON events[i]
 	// arrived in (storage.Change.Raw), or nil.
-	ImportEvents(events []*misp.Event, raw [][]byte) ([]*misp.Event, error)
+	ImportEvents(events []*misp.Event, raw [][]byte) ([]uint64, error)
 	// GetEvent returns the locally stored revision of uuid, or an error
 	// when the node does not hold it.
 	GetEvent(uuid string) (*misp.Event, error)
@@ -621,9 +622,10 @@ func (e *Engine) markFailure(ps *peerState, err error) {
 // imports what remains. The error is non-nil only when the whole batch
 // failed to land (the caller then refuses to advance the cursor);
 // per-event validation rejections are logged and skipped, matching
-// ImportEvents' partial-failure tolerance. Each entry's Event is non-nil;
-// its Prov, when the peer serves provenance, rides through to the
-// engine's table with this node's hop appended.
+// ImportEvents' partial-failure tolerance; a page rejected whole as
+// invalid is passed too, counted as a peer error. Each entry's Event is
+// non-nil; its Prov, when the peer serves provenance, rides through to
+// the engine's table with this node's hop appended.
 func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error) {
 	fresh := make([]*misp.Event, 0, len(changes))
 	raw := make([][]byte, 0, len(changes))
@@ -662,13 +664,24 @@ func (e *Engine) importPage(ps *peerState, changes []storage.Change) (int, error
 		return 0, nil
 	}
 	e.stampProvenance(ps, fresh, prov)
-	stored, err := e.local.ImportEvents(fresh, raw)
-	if err != nil && len(stored) == 0 {
-		return 0, fmt.Errorf("mesh: import: %w", err)
+	seqs, err := e.local.ImportEvents(fresh, raw)
+	stored := fresh[:0]
+	for i, seq := range seqs {
+		if seq != 0 {
+			stored = append(stored, fresh[i])
+		}
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+	case len(stored) > 0:
 		e.logger.Warn("mesh: partial import", "peer", ps.name,
 			"stored", len(stored), "pulled", len(fresh), "error", err)
+	case seqs != nil && errors.Is(err, misp.ErrInvalid): // rejected, not a failed commit
+		ps.errs.Add(1)
+		e.logger.Warn("mesh: page rejected as invalid, passed", "peer", ps.name,
+			"pulled", len(fresh), "error", err)
+	default:
+		return 0, fmt.Errorf("mesh: import: %w", err)
 	}
 	ps.imported.Add(int64(len(stored)))
 	e.observeImport(ps, stored, prov)

@@ -204,7 +204,7 @@ type failingLocal struct {
 	failOn int32
 }
 
-func (f *failingLocal) ImportEvents(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
+func (f *failingLocal) ImportEvents(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	if f.calls.Add(1) == f.failOn {
 		return nil, errors.New("injected import failure")
 	}
@@ -311,6 +311,58 @@ func TestPageWithAnInvalidRevisionImportsTheRest(t *testing.T) {
 	}
 }
 
+// TestPageOfInvalidRevisionsIsPassed: a page every revision of which the
+// TIP rejects as invalid is passed in one round and counted as an error
+// of the peer; pulling it again could not change the verdict.
+func TestPageOfInvalidRevisionsIsPassed(t *testing.T) {
+	bad := sampleEvents(t, 1)[0]
+	bad.Attributes[0].UUID = "bad"
+	sink := newNode(t)
+	e, err := New(sink, []Peer{{Name: "src", Remote: pageRemote{{Seq: 1, UUID: bad.UUID, Event: bad}}}}, NewMemCursors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.SyncOnce(t.Context()); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
+	}
+	if cur := e.Cursor("src"); cur.Seq != 1 {
+		t.Fatalf("cursor at %d, want 1: past the invalid page", cur.Seq)
+	}
+	if tt := e.Totals(); tt.Pulled != 1 || tt.Imported != 0 || tt.Errors != 1 {
+		t.Fatalf("pulled %d, imported %d, errors %d; want 1, 0, 1", tt.Pulled, tt.Imported, tt.Errors)
+	}
+	if sink.Len() != 0 {
+		t.Fatalf("sink holds %d events, want none", sink.Len())
+	}
+}
+
+// TestFailedCommitKeepsTheCursor: an import that fails for any reason but
+// invalid revisions keeps the cursor where it was, so the page is pulled
+// again, even when the page holds an invalid revision too.
+func TestFailedCommitKeepsTheCursor(t *testing.T) {
+	events := sampleEvents(t, 2)
+	events[0].Attributes[0].UUID = "bad"
+	var remote pageRemote
+	for i, ev := range events {
+		remote = append(remote, storage.Change{Seq: uint64(i + 1), UUID: ev.UUID, Event: ev})
+	}
+	for _, page := range []pageRemote{remote[1:], remote} {
+		sink := newNode(t)
+		e, err := New(&failingLocal{svc: sink, failOn: 1}, []Peer{{Name: "src", Remote: page}}, NewMemCursors())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SyncOnce(t.Context()); err == nil {
+			t.Fatalf("%d-entry page: SyncOnce passed an injected commit failure", len(page))
+		}
+		if cur := e.Cursor("src"); cur.Seq != 0 {
+			t.Fatalf("%d-entry page: cursor at %d after a failed commit, want 0", len(page), cur.Seq)
+		}
+		e.Close()
+	}
+}
+
 func TestBadPeerConfigRejected(t *testing.T) {
 	svc := newNode(t)
 	if _, err := New(nil, nil, nil); err == nil {
@@ -353,8 +405,12 @@ func (r slowRemote) Changes(ctx context.Context, afterSeq uint64, limit int) ([]
 // orchestration and transfer latency from store write costs.
 type discardLocal struct{}
 
-func (discardLocal) ImportEvents(events []*misp.Event, _ [][]byte) ([]*misp.Event, error) {
-	return events, nil
+func (discardLocal) ImportEvents(events []*misp.Event, _ [][]byte) ([]uint64, error) {
+	seqs := make([]uint64, len(events))
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	return seqs, nil
 }
 func (discardLocal) GetEvent(string) (*misp.Event, error) {
 	return nil, errors.New("not held")

@@ -250,6 +250,19 @@ func (c *Conversion) AppendBlock(dst []stix.Object, i int) []stix.Object {
 	return append(dst, c.mark(v))
 }
 
+// Span returns the attributes block i converts from, [at, end): an
+// indicator's own, or a vulnerability's and those after it up to the next
+// vulnerability. ok is false for a MISP object.
+func (c *Conversion) Span(i int) (at, end int, ok bool) {
+	switch b := c.blocks[i]; b.kind {
+	case blockIndicator:
+		return b.at, b.at + 1, true
+	case blockVulnerability:
+		return b.at, b.end, true
+	}
+	return 0, 0, false
+}
+
 // Key returns block i's key: a hash of everything its objects are built
 // from — each of its attributes' type, value, comment, to_ids and
 // timestamp, the instant it converts at (its first attribute's timestamp,

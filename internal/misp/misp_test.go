@@ -2,6 +2,7 @@ package misp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -111,8 +112,8 @@ func TestValidate(t *testing.T) {
 			e := sampleEvent(t)
 			tt.mutate(e)
 			err := e.Validate()
-			if err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Fatalf("Validate() = %v, want mention of %q", err, tt.want)
+			if err == nil || !strings.Contains(err.Error(), tt.want) || !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Validate() = %v, want ErrInvalid mentioning %q", err, tt.want)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package misp
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -237,22 +238,25 @@ func (e *Event) FindAttribute(typ string) *Attribute {
 	return nil
 }
 
+// ErrInvalid is what every error Validate returns wraps.
+var ErrInvalid = errors.New("misp: invalid")
+
 // Validate checks structural invariants of the event.
 func (e *Event) Validate() error {
 	if !uuid.IsValid(e.UUID) {
-		return fmt.Errorf("misp: event has invalid uuid %q", e.UUID)
+		return fmt.Errorf("%w: event has invalid uuid %q", ErrInvalid, e.UUID)
 	}
 	if e.Info == "" {
-		return fmt.Errorf("misp: event %s has empty info", e.UUID)
+		return fmt.Errorf("%w: event %s has empty info", ErrInvalid, e.UUID)
 	}
 	if _, err := time.Parse("2006-01-02", e.Date); err != nil {
-		return fmt.Errorf("misp: event %s has bad date %q", e.UUID, e.Date)
+		return fmt.Errorf("%w: event %s has bad date %q", ErrInvalid, e.UUID, e.Date)
 	}
 	if e.ThreatLevelID < ThreatLevelHigh || e.ThreatLevelID > ThreatLevelUndefined {
-		return fmt.Errorf("misp: event %s has bad threat_level_id %d", e.UUID, e.ThreatLevelID)
+		return fmt.Errorf("%w: event %s has bad threat_level_id %d", ErrInvalid, e.UUID, e.ThreatLevelID)
 	}
 	if e.Analysis < AnalysisInitial || e.Analysis > AnalysisComplete {
-		return fmt.Errorf("misp: event %s has bad analysis %d", e.UUID, e.Analysis)
+		return fmt.Errorf("%w: event %s has bad analysis %d", ErrInvalid, e.UUID, e.Analysis)
 	}
 	for i := range e.Attributes {
 		if err := validateAttribute(&e.Attributes[i], e.UUID); err != nil {
@@ -262,10 +266,10 @@ func (e *Event) Validate() error {
 	for i := range e.Objects {
 		o := &e.Objects[i]
 		if !uuid.IsValid(o.UUID) {
-			return fmt.Errorf("misp: object of event %s has invalid uuid %q", e.UUID, o.UUID)
+			return fmt.Errorf("%w: object of event %s has invalid uuid %q", ErrInvalid, e.UUID, o.UUID)
 		}
 		if o.Name == "" {
-			return fmt.Errorf("misp: object %s has empty name", o.UUID)
+			return fmt.Errorf("%w: object %s has empty name", ErrInvalid, o.UUID)
 		}
 		for j := range o.Attributes {
 			if err := validateAttribute(&o.Attributes[j], e.UUID); err != nil {
@@ -278,10 +282,10 @@ func (e *Event) Validate() error {
 
 func validateAttribute(a *Attribute, eventUUID string) error {
 	if !uuid.IsValid(a.UUID) {
-		return fmt.Errorf("misp: attribute of event %s has invalid uuid %q", eventUUID, a.UUID)
+		return fmt.Errorf("%w: attribute of event %s has invalid uuid %q", ErrInvalid, eventUUID, a.UUID)
 	}
 	if a.Type == "" || a.Value == "" {
-		return fmt.Errorf("misp: attribute %s has empty type or value", a.UUID)
+		return fmt.Errorf("%w: attribute %s has empty type or value", ErrInvalid, a.UUID)
 	}
 	return nil
 }

@@ -345,11 +345,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // crash: the commit flag rides on the batch's final WAL frame.
 // raw, when non-nil, runs beside events: a non-nil raw[i] is the JSON
 // events[i] was decoded from (misp.ListItem.EventJSON), logged instead of
-// a fresh encoding. It returns the events it installed, in order: one
-// stamped at or before a deletion of its UUID standing before the batch
-// is a stale copy arriving late and is refused, with no WAL frame and no
-// change entry. Ties go to the deletion.
-func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, error) {
+// a fresh encoding. It returns, beside events, the change-log sequence
+// each was installed at, or 0 for one refused: one stamped at or before a
+// deletion of its UUID standing before the batch is a stale copy arriving
+// late and is refused, with no WAL frame and no change entry. Ties go to
+// the deletion.
+func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
@@ -379,17 +380,17 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kept := recs[:0]
-	installed := make([]*misp.Event, 0, len(events))
+	seqs := make([]uint64, len(events))
 	for i, rec := range recs {
 		if s.refuses(rec.Event) {
 			continue
 		}
 		rec.Seq = s.seq + uint64(len(kept)) + 1
 		kept = append(kept, rec)
-		installed = append(installed, events[i])
+		seqs[i] = rec.Seq
 	}
 	if len(kept) == 0 {
-		return nil, nil
+		return seqs, nil
 	}
 	if err := s.appendWALGroup(kept); err != nil {
 		return nil, err
@@ -399,7 +400,7 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]*misp.Event, err
 		s.apply(rec.Event, rec.Seq) // each event at its own record's seq
 	}
 	s.signalCommit()
-	return installed, nil
+	return seqs, nil
 }
 
 // lookup resolves a UUID through the compaction overlay (if one is
@@ -439,13 +440,19 @@ func (s *Store) forEach(fn func(uuid string, se *storedEvent)) {
 // shared frozen view: the result must not be mutated. Callers that need a
 // private copy take GetClone.
 func (s *Store) Get(uuid string) (*misp.Event, error) {
+	e, _, err := s.GetSeq(uuid)
+	return e, err
+}
+
+// GetSeq is Get and the sequence PutBatch installed the revision at.
+func (s *Store) GetSeq(uuid string) (*misp.Event, uint64, error) {
 	s.mu.RLock()
 	se, ok := s.lookup(uuid)
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, uuid)
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, uuid)
 	}
-	return se.event, nil
+	return se.event, se.seq, nil
 }
 
 // GetClone returns a private deep copy of the event — the read for callers

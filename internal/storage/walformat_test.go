@@ -193,12 +193,15 @@ func TestPutBatchRefusesStaleRevision(t *testing.T) {
 	fresh := event(t, "fresh", [2]string{"domain", "fresh.example"})
 	revived := back.Clone()
 	revived.Timestamp = misp.UT(now.Add(2 * time.Hour))
-	stored, err := s.PutBatch([]*misp.Event{dead, fresh, revived, back}, nil)
+	seqs, err := s.PutBatch([]*misp.Event{dead, fresh, revived, back}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stored, []*misp.Event{fresh, revived}) {
-		t.Fatalf("stored %d events, want fresh and revived", len(stored))
+	if seqs[0] != 0 || seqs[1] == 0 || seqs[2] != seqs[1]+1 || seqs[3] != 0 {
+		t.Fatalf("installed at %v, want fresh and revived at consecutive sequences", seqs)
+	}
+	if _, seq, err := s.GetSeq(fresh.UUID); err != nil || seq != seqs[1] {
+		t.Fatalf("GetSeq(fresh) = %d, %v; want %d", seq, err, seqs[1])
 	}
 	if n := len(walPayloads(t, dir)); n != frames+2 {
 		t.Fatalf("batch logged %d frames, want 2", n-frames)
@@ -209,8 +212,8 @@ func TestPutBatchRefusesStaleRevision(t *testing.T) {
 	if got, err := s.Get(back.UUID); err != nil || got.Timestamp != revived.Timestamp {
 		t.Fatalf("back = %+v, %v; want the revived revision", got, err)
 	}
-	if stored, err := s.PutBatch([]*misp.Event{dead}, nil); err != nil || len(stored) != 0 {
-		t.Fatalf("all-stale batch stored %d, %v", len(stored), err)
+	if seqs, err := s.PutBatch([]*misp.Event{dead}, nil); err != nil || seqs[0] != 0 {
+		t.Fatalf("all-stale batch installed at %v, %v", seqs, err)
 	}
 	if n := len(walPayloads(t, dir)); n != frames+2 {
 		t.Fatalf("all-stale batch logged %d frames", n-frames-2)

@@ -131,11 +131,11 @@ func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 	if e != nil {
 		correlated = s.store.Correlated(e)
 	}
-	stored, err := s.ImportEvents([]*misp.Event{e}, nil)
+	seqs, err := s.ImportEvents([]*misp.Event{e}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(stored) == 0 {
+	if seqs[0] == 0 {
 		return nil, fmt.Errorf("%w: %s", storage.ErrStale, e.UUID)
 	}
 	return correlated, nil
@@ -151,7 +151,13 @@ func (s *Service) AddEvent(e *misp.Event) (correlated []string, err error) {
 // Correlation is computed against the state before the batch; events
 // inside one batch correlate with each other on subsequent lookups.
 func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err error) {
-	return s.ImportEvents(events, nil)
+	seqs, err := s.ImportEvents(events, nil)
+	for i, seq := range seqs {
+		if seq != 0 {
+			stored = append(stored, events[i])
+		}
+	}
+	return stored, err
 }
 
 // ImportEvents is AddEvents for events that arrived encoded: raw, when
@@ -160,10 +166,13 @@ func (s *Service) AddEvents(events []*misp.Event) (stored []*misp.Event, err err
 // It is the one place a revision is validated (DESIGN.md §8): every write
 // that reaches the store from outside it, REST, mesh import and
 // write-back alike, comes through here, and the store trusts what it is
-// handed.
-func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*misp.Event, err error) {
+// handed. It returns, beside events, the sequence each was installed at
+// (storage.Store.PutBatch), 0 for one invalid or refused; nil on a failed
+// commit.
+func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	var errs []error
 	valid := make([]*misp.Event, 0, len(events))
+	at := make([]int, 0, len(events)) // the index in events of each valid event
 	topics := make([]string, 0, len(events))
 	var validRaw [][]byte
 	for i, e := range events {
@@ -180,11 +189,13 @@ func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*mi
 			topic = TopicEventEdit
 		}
 		valid = append(valid, e)
+		at = append(at, i)
 		topics = append(topics, topic)
 		if i < len(raw) {
 			validRaw = append(validRaw, raw[i])
 		}
 	}
+	seqs := make([]uint64, len(events))
 	if len(valid) > 0 {
 		// Record this node as each revision's origin before the commit, which
 		// wakes peers parked on the change feed: their page reads this
@@ -194,21 +205,23 @@ func (s *Service) ImportEvents(events []*misp.Event, raw [][]byte) (stored []*mi
 		for _, e := range valid {
 			s.prov.RecordLocal(e.UUID, s.name, now)
 		}
-		var perr error
-		if stored, perr = s.store.PutBatch(valid, validRaw); perr != nil {
+		installed, perr := s.store.PutBatch(valid, validRaw)
+		if perr != nil {
 			return nil, errors.Join(append(errs, perr)...)
 		}
-		for i, k := 0, 0; k < len(stored); i++ { // stored is valid less the refused, in order
-			if valid[i] == stored[k] {
+		stored := 0
+		for i, seq := range installed {
+			if seq != 0 {
+				seqs[at[i]] = seq
 				s.publish(topics[i], valid[i])
 				s.countStore(topics[i])
-				k++
+				stored++
 			}
 		}
 		s.logger.Debug("event batch stored", "instance", s.name,
-			"stored", len(stored), "refused", len(valid)-len(stored), "rejected", len(errs))
+			"stored", stored, "refused", len(valid)-stored, "rejected", len(errs))
 	}
-	return stored, errors.Join(errs...)
+	return seqs, errors.Join(errs...)
 }
 
 // GetEvent fetches one event by UUID as a shared frozen view (DESIGN.md

@@ -5,12 +5,12 @@
 package uuid
 
 import (
-	"bufio"
 	"crypto/rand"
 	"crypto/sha1"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // UUID is a 128-bit RFC 4122 universally unique identifier.
@@ -49,38 +49,70 @@ func NewV4() UUID {
 
 // NewV5 returns the name-based (version 5, SHA-1) UUID of namespace ns
 // and the name prefix followed by parts joined by sep. The same inputs
-// always produce the same UUID. The name is never joined into one string:
-// up to 112 bytes it is hashed from the stack, past that it is streamed.
+// always produce the same UUID. A name of up to 112 bytes is joined on
+// the stack, a longer one in a pooled Name.
 func NewV5(ns UUID, prefix, sep string, parts ...string) UUID {
 	size := len(prefix) + len(sep)*max(len(parts)-1, 0)
 	for _, p := range parts {
 		size += len(p)
 	}
-	var sum [sha1.Size]byte
-	if size <= 112 {
-		var buf [128]byte
-		name := append(append(buf[:0], ns[:]...), prefix...)
-		for i, p := range parts {
-			if i > 0 {
-				name = append(name, sep...)
-			}
-			name = append(name, p...)
+	if size > 112 {
+		n := NewName(ns, prefix, sep)
+		for _, p := range parts {
+			n.Add(p)
 		}
-		sum = sha1.Sum(name)
-	} else {
-		h := sha1.New()
-		w := bufio.NewWriterSize(h, 512)
-		_, _ = w.WriteString(string(ns[:])) // a hash.Hash never fails a write
-		_, _ = w.WriteString(prefix)
-		for i, p := range parts {
-			if i > 0 {
-				_, _ = w.WriteString(sep)
-			}
-			_, _ = w.WriteString(p)
-		}
-		_ = w.Flush()
-		h.Sum(sum[:0])
+		return n.Sum()
 	}
+	var buf [128]byte
+	name := append(append(buf[:0], ns[:]...), prefix...)
+	for i, p := range parts {
+		if i > 0 {
+			name = append(name, sep...)
+		}
+		name = append(name, p...)
+	}
+	return v5(sha1.Sum(name))
+}
+
+// A Name is a version-5 name written part by part: the UUID of
+// NewName(ns, prefix, sep) after Add(p) for each of parts is
+// NewV5(ns, prefix, sep, parts...). Names and their buffers are pooled:
+// once warm, hashing one allocates nothing.
+type Name struct {
+	sep   string
+	parts int // how many parts were added
+	buf   []byte
+}
+
+var names = sync.Pool{New: func() any { return new(Name) }}
+
+// NewName starts the name in namespace ns that begins with prefix and
+// joins its parts with sep.
+func NewName(ns UUID, prefix, sep string) *Name {
+	n := names.Get().(*Name)
+	n.sep, n.parts = sep, 0
+	n.buf = append(append(n.buf[:0], ns[:]...), prefix...)
+	return n
+}
+
+// Add appends the next part to the name.
+func (n *Name) Add(part string) {
+	if n.parts > 0 {
+		n.buf = append(n.buf, n.sep...)
+	}
+	n.parts++
+	n.buf = append(n.buf, part...)
+}
+
+// Sum returns the UUID of the name and ends it: n must not be used again.
+func (n *Name) Sum() UUID {
+	sum := sha1.Sum(n.buf)
+	names.Put(n)
+	return v5(sum)
+}
+
+// v5 is the version-5 UUID of a name's SHA-1 sum.
+func v5(sum [sha1.Size]byte) UUID {
 	var u UUID
 	copy(u[:], sum[:])
 	u.setVersion(5)

@@ -64,9 +64,9 @@ func v5Joined(ns UUID, name string) UUID {
 	return u
 }
 
-// TestNewV5PiecesHashTheJoinedName: on both sides of the stack buffer
-// and of the stream's 512-byte chunks, and with parts longer than a
-// chunk, the pieces hash to the UUID of the name they join to.
+// TestNewV5PiecesHashTheJoinedName: on both sides of the stack buffer,
+// and with long parts, the pieces hash to the UUID of the name they join
+// to.
 func TestNewV5PiecesHashTheJoinedName(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		parts := make([]string, n)

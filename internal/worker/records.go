@@ -1,10 +1,7 @@
 package worker
 
 import (
-	"cmp"
 	"math"
-	"slices"
-	"sort"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/heuristic"
@@ -12,39 +9,43 @@ import (
 
 // record is what the Analyzer keeps of a UUID's last scored revision of
 // more than one block: no SDO and no evaluation, only what the next
-// revision needs to skip the blocks that did not change.
+// revision needs to skip the blocks that did not change, in block order.
 type record struct {
+	token  uint64        // names the record: Analysis.Token
 	gen    uint64        // the collector generation the scores were taken at
 	from   int64         // the latest instant a score was taken at, in Unix ns
-	blocks []blockRecord // sorted by key
+	blocks []blockRecord // in block order
 	riocs  []heuristic.RIoC
 }
 
 // blockRecord is one block's share of a record.
 type blockRecord struct {
-	key   uint64  // misp.Conversion.Key
-	until int64   // the last instant the score holds, in Unix ns
-	score float64 // the top score of the block's SDOs; -1 when none has a heuristic
-	rioc  int32   // the block's first rIoC in record.riocs
-	riocs int32   // how many rIoCs the block reduced to
+	key     uint64  // misp.Conversion.Key
+	until   int64   // the last instant the score holds, in Unix ns
+	score   float64 // the top score of the block's SDOs; -1 when none has a heuristic
+	at, end int32   // the attributes it was converted from (misp.Conversion.Span)
+	rioc    int32   // the block's first rIoC in record.riocs
+	riocs   int32   // how many rIoCs the block reduced to
 }
 
 // lookup returns the block with the key whose score still holds at now,
-// or nil. A nil record holds no block.
-func (r *record) lookup(key uint64, now time.Time) *blockRecord {
+// or nil, looking from block *next round to it and moving *next past a
+// hit: blocks come in the record's order. A nil record holds no block.
+func (r *record) lookup(key uint64, now time.Time, next *int) *blockRecord {
 	if r == nil {
 		return nil
 	}
-	i := sort.Search(len(r.blocks), func(i int) bool { return r.blocks[i].key >= key })
-	if i == len(r.blocks) || r.blocks[i].key != key || unixNano(now) > r.blocks[i].until {
-		return nil
+	for k := range r.blocks {
+		i := (*next + k) % len(r.blocks)
+		if b := &r.blocks[i]; b.key == key {
+			*next = i + 1
+			if unixNano(now) > b.until {
+				return nil
+			}
+			return b
+		}
 	}
-	return &r.blocks[i]
-}
-
-// sort orders the blocks by key for lookup.
-func (r *record) sort() {
-	slices.SortFunc(r.blocks, func(a, b blockRecord) int { return cmp.Compare(a.key, b.key) })
+	return nil
 }
 
 // recordSet holds one record per UUID, at most maxRecords, and

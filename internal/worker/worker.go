@@ -4,7 +4,8 @@
 // (core.Platform) and writes back the events others stored; Worker runs
 // the Analyzer as the paper's separate process. It follows a TIP's change
 // log over the REST API, where the paper subscribes to zeroMQ, and writes
-// back through the same API.
+// back through the same API. An Analyzer keeps a record of each UUID's
+// last scored blocks, in block order under a token (Analyzer.ScoreFrom).
 package worker
 
 import (
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/clock"
+	"github.com/caisplatform/caisp/internal/correlate"
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/infra"
 	"github.com/caisplatform/caisp/internal/mesh"
@@ -44,6 +46,8 @@ type Analysis struct {
 	Outcome Outcome
 	// Score is the top threat score of an Enriched revision.
 	Score float64
+	// Token names the record the revision was scored into (ScoreFrom).
+	Token uint64
 }
 
 // Analyzer runs the heuristic stage on cIoC revisions. It keeps no memory
@@ -59,7 +63,8 @@ type Analysis struct {
 // infrastructure data; the others' scores and rIoCs come from the record.
 // A block's score depends on nothing but its own objects, the instant and
 // the collector, so the revision scores as if every block were scored
-// afresh.
+// afresh. A record keeps the blocks in block order under a token, so a
+// revision copied from the record's finds its copied blocks by position.
 type Analyzer struct {
 	engine    *heuristic.Engine
 	collector *infra.Collector
@@ -68,6 +73,7 @@ type Analyzer struct {
 
 	converted, reused *obs.Counter // blocks scored afresh and taken from a record
 
+	tokens  atomic.Uint64 // the last record token handed out
 	mu      sync.Mutex
 	records recordSet
 }
@@ -143,6 +149,16 @@ func (a *Analyzer) Enriched(me *misp.Event) ([]stix.Object, error) {
 // composition or a clone), never a shared frozen view from the store's
 // copy-free read path: Score mutates me in place (DESIGN.md §8).
 func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
+	return a.ScoreFrom(me, 0, nil)
+}
+
+// ScoreFrom is Score for a revision whose copied ranges came unchanged
+// from the revision scored into the record named token, with the same
+// event-level inputs (UUID, labels, marking, primary SDO), as a cluster's
+// renders have. While that is the UUID's record, a block within one
+// copied range that spans as many attributes as the block it came from
+// takes that entry, unkeyed.
+func (a *Analyzer) ScoreFrom(me *misp.Event, token uint64, copied []correlate.Run) (Analysis, error) {
 	conv := misp.Convert(me)
 	if len(conv.Head()) == 0 && conv.Len() == 0 {
 		return Analysis{Outcome: Unscorable}, nil // free-text members only
@@ -154,13 +170,16 @@ func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 	// generation and not after now.
 	var rec, prev *record
 	if conv.Len() > 1 {
-		rec = &record{gen: gen, from: unixNano(now), blocks: make([]blockRecord, 0, conv.Len())}
+		rec = &record{token: a.tokens.Add(1), gen: gen, from: unixNano(now), blocks: make([]blockRecord, 0, conv.Len())}
 		a.mu.Lock()
 		prev = a.records.byUUID[me.UUID]
 		a.mu.Unlock()
 		if prev != nil && (prev.gen != gen || rec.from < prev.from) {
 			prev = nil
 		}
+	}
+	if prev == nil || prev.token != token {
+		copied = nil
 	}
 
 	var res Analysis
@@ -202,16 +221,39 @@ func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 	}
 	var objs []stix.Object
 	var converted, reused int64
+	p := 0 // where in prev's blocks the next copied block or lookup is looked for
 	for i := 0; i < conv.Len(); i++ {
-		key := conv.Key(i)
-		if old := prev.lookup(key, now); old != nil {
+		var key uint64
+		var old *blockRecord
+		at, end, attrs := conv.Span(i)
+		for len(copied) > 0 && copied[0].At+copied[0].Len <= at {
+			copied = copied[1:]
+		}
+		keyed := false
+		if attrs && len(copied) > 0 && copied[0].At <= at && end <= copied[0].At+copied[0].Len {
+			from := int32(copied[0].From + at - copied[0].At)
+			for p < len(prev.blocks) && prev.blocks[p].at < from {
+				p++
+			}
+			if p < len(prev.blocks) && prev.blocks[p].at == from && prev.blocks[p].end-from == int32(end-at) {
+				old, key, keyed = &prev.blocks[p], prev.blocks[p].key, true
+				if unixNano(now) > old.until {
+					old = nil // expired: scored afresh under the same key
+				}
+			}
+		}
+		if !keyed {
+			key = conv.Key(i)
+			old = prev.lookup(key, now, &p)
+		}
+		if old != nil {
 			reused++
 			if old.score >= 0 {
 				scored = true
 				res.Score = max(res.Score, old.score)
 			}
 			b := *old
-			b.rioc = int32(len(rec.riocs))
+			b.at, b.end, b.rioc = int32(at), int32(end), int32(len(rec.riocs))
 			for _, r := range prev.riocs[old.rioc : old.rioc+old.riocs] {
 				r.GeneratedAt = now.UTC()
 				a.onRIoC(r)
@@ -228,7 +270,7 @@ func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 			}
 			continue
 		}
-		b := blockRecord{key: key, until: math.MaxInt64, score: -1, rioc: int32(len(rec.riocs))}
+		b := blockRecord{key: key, until: math.MaxInt64, score: -1, at: int32(at), end: int32(end), rioc: int32(len(rec.riocs))}
 		if err := scoreObjects(objs, &b); err != nil {
 			return Analysis{Outcome: Failed}, err
 		}
@@ -238,14 +280,14 @@ func (a *Analyzer) Score(me *misp.Event) (Analysis, error) {
 	a.reused.Add(reused)
 	a.mu.Lock()
 	if rec != nil {
-		rec.sort()
 		a.records.put(me.UUID, rec)
+		res.Token = rec.token
 	} else {
 		a.records.forget(me.UUID)
 	}
 	a.mu.Unlock()
 	if !scored {
-		return Analysis{Outcome: Unscorable}, nil
+		return Analysis{Outcome: Unscorable, Token: res.Token}, nil
 	}
 	// Upsert: re-analysis of a grown cluster refreshes the attribute
 	// instead of stacking duplicates.
