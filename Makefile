@@ -20,7 +20,10 @@ bench:
 # conversion block keys (a block whose key a mutation left alone converts
 # to the same objects), the WAL
 # segment scanner, the snapshot loader (Open refuses the file or its change
-# log lists exactly its live events), the STIX pattern parser (and
+# log lists exactly its live events), the replay of a WAL patch record
+# (with its runs or base sequence mutated, or its base deleted or put
+# again before it, Open fails with ErrPatchBase or reopens to the state a
+# full put of the event it describes gives), the STIX pattern parser (and
 # MatchOne answers as Match on one observation),
 # stixpattern.Equality (Parse reads back the AST it rendered), the UUID
 # parser (against hex.DecodeString), correlate.Splice (a cluster's
@@ -46,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockKeys -fuzztime 10s -fuzzminimizetime 1s ./internal/misp/
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzReplayPatch -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzParseMatch -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 	$(GO) test -run '^$$' -fuzz FuzzEqualityPattern -fuzztime 10s -fuzzminimizetime 1s ./internal/stixpattern/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s ./internal/uuid/

@@ -486,3 +486,36 @@ func TestPassEndsUnderIngestAndReachesLateImports(t *testing.T) {
 		t.Fatalf("pass wrapped at run %d, but the late import past its lifetime is still stored", wrapped)
 	}
 }
+
+// TestDecayedScoreWriteLogsAPatch: a re-score of a 200-attribute cluster
+// on a durable store changes one attribute, and the WAL frame it appends
+// is a patch on the stored revision, under 1 KB, both when the
+// decayed-score attribute is added and when it is changed in place.
+func TestDecayedScoreWriteLogsAPatch(t *testing.T) {
+	s, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ev := eioc("cluster", "botnet-c2", 4.0, t0)
+	for i := 0; i < 200; i++ {
+		ev.AddAttribute("domain", "Network activity", fmt.Sprintf("member-%03d.example", i), t0)
+	}
+	if err := putOne(s, ev); err != nil {
+		t.Fatal(err)
+	}
+	e := New(s, withPolicies(testPolicies()))
+	for _, hours := range []time.Duration{20, 40} {
+		before := s.Durability().WALBytes
+		res, err := e.RunOnce(t0.Add(hours * time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rescored != 1 {
+			t.Fatalf("after %dh: %+v, want one re-score", hours, res)
+		}
+		if n := s.Durability().WALBytes - before; n >= 1024 {
+			t.Errorf("after %dh the re-score appended %d WAL bytes, want under 1024", hours, n)
+		}
+	}
+}

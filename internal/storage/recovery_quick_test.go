@@ -1,16 +1,20 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/caisplatform/caisp/internal/misp"
 )
 
-// storeState captures the logical store content at one commit point.
-type storeState map[string]string // uuid -> info
+// storeState captures the logical store content at one commit point:
+// each live event's canonical JSON, so a replay that drops, reorders or
+// alters an attribute shows.
+type storeState map[string]string // uuid -> json.Marshal of the event
 
 func captureState(t *testing.T, s *Store) storeState {
 	t.Helper()
@@ -20,7 +24,11 @@ func captureState(t *testing.T, s *Store) storeState {
 	}
 	st := make(storeState, len(all))
 	for _, e := range all {
-		st[e.UUID] = e.Info
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st[e.UUID] = string(data)
 	}
 	return st
 }
@@ -37,10 +45,12 @@ func statesEqual(a, b storeState) bool {
 	return true
 }
 
-// runRandomWorkload drives a seeded mix of Put, PutBatch, Delete, update
-// and Compact against a store with tiny segments, recording the logical
-// state after every commit point. It returns the recorded states
-// (states[0] is the empty store) and leaves the store closed.
+// runRandomWorkload drives a seeded mix of Put, PutBatch, Delete, update,
+// grow, rescore and Compact against a store with tiny segments,
+// recording the logical state after every commit point. Grow and rescore
+// revise stored events, so their frames are patches. It returns the
+// recorded states (states[0] is the empty store) and leaves the store
+// closed, its final segment holding at least the last commit.
 func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []storeState {
 	t.Helper()
 	s, err := Open(dir, withSegmentSize(2<<10))
@@ -50,7 +60,7 @@ func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []stor
 	states := []storeState{{}}
 	var live []string
 	for i := 0; i < ops; i++ {
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
 		case r < 4: // single put
 			e := event(t, fmt.Sprintf("put-%d", i), [2]string{"domain", fmt.Sprintf("p%d.example", i)})
 			if err := putOne(s, e); err != nil {
@@ -85,10 +95,42 @@ func runRandomWorkload(t *testing.T, dir string, rng *rand.Rand, ops int) []stor
 					t.Fatal(err)
 				}
 			}
+		case r < 10 && len(live) > 0: // grow up to three events in one batch, the flush's shape
+			var batch []*misp.Event
+			for j, n := 0, 1+rng.Intn(3); j < n; j++ {
+				uuid := live[rng.Intn(len(live))]
+				if slices.ContainsFunc(batch, func(e *misp.Event) bool { return e.UUID == uuid }) {
+					continue
+				}
+				if e, err := s.GetClone(uuid); err == nil {
+					for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+						e.AddAttribute("domain", "Network activity", fmt.Sprintf("g%d-%d-%d.example", i, j, k), now)
+					}
+					batch = append(batch, e)
+				}
+			}
+			if _, err := s.PutBatch(batch, nil); err != nil {
+				t.Fatal(err)
+			}
+		case r < 11 && len(live) > 0: // rescore: one attribute's value changes
+			if e, err := s.GetClone(live[rng.Intn(len(live))]); err == nil {
+				e.Attributes[rng.Intn(len(e.Attributes))].Value = fmt.Sprintf("decayed-score:%d", i)
+				if err := putOne(s, e); err != nil {
+					t.Fatal(err)
+				}
+			}
 		default: // checkpoint
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		states = append(states, captureState(t, s))
+	}
+	if s.wal.size == 0 {
+		// The last commit sealed the active segment (or the last op was
+		// a checkpoint): one more put leaves a final segment to cut.
+		if err := putOne(s, event(t, "last", [2]string{"domain", "last.example"})); err != nil {
+			t.Fatal(err)
 		}
 		states = append(states, captureState(t, s))
 	}

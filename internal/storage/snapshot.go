@@ -318,6 +318,11 @@ func (s *Store) applyWALRecord(rec walRecord) error {
 		if rec.Event != nil {
 			s.apply(rec.Event, rec.Seq)
 		}
+	case "patch":
+		if err := s.unpatch(&rec); err != nil {
+			return err
+		}
+		s.apply(rec.Event, rec.Seq)
 	case "delete":
 		s.applyDeletes([]walRecord{rec})
 	default:

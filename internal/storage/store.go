@@ -281,14 +281,18 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 
 // walRecord is one WAL entry. At carries a delete's wall-clock time
 // (Unix seconds) so the tombstone replays with its original conflict
-// timestamp; put records leave it zero.
+// timestamp; put records leave it zero. Base and Runs are a patch's
+// (wal.go).
 type walRecord struct {
 	Seq   uint64      `json:"seq"`
-	Op    string      `json:"op"` // "put" or "delete"
+	Op    string      `json:"op"` // "put", "patch" or "delete"
 	UUID  string      `json:"uuid,omitempty"`
 	At    int64       `json:"at,omitempty"`
+	Base  uint64      `json:"base,omitempty"`
+	Runs  [][3]int    `json:"runs,omitempty"`
 	Event *misp.Event `json:"event,omitempty"`
-	// eventJSON is a put's event as JSON, which its frame splices in
+	// eventJSON is a put's event as JSON, or a patch's without the
+	// attributes its runs carry, which its frame splices in
 	// (appendPayload); replay decodes it back into Event.
 	eventJSON []byte
 }
@@ -349,7 +353,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // each was installed at, or 0 for one refused: one stamped at or before a
 // deletion of its UUID standing before the batch is a stale copy arriving
 // late and is refused, with no WAL frame and no change entry. Ties go to
-// the deletion.
+// the deletion. A revision of a stored UUID is logged as a patch on it
+// (wal.go) while that is still the UUID's revision under the lock.
 func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -360,7 +365,13 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 			s.metrics.putBatchDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	// Copies and encodings are made before the lock.
+	// Copies, diffs and encodings are made before the lock.
+	puts := make(map[string]int) // a UUID put twice in the batch is logged in full
+	for _, e := range events {
+		if e != nil && s.wal != nil {
+			puts[e.UUID]++
+		}
+	}
 	recs := make([]walRecord, len(events))
 	for i, e := range events {
 		if e == nil {
@@ -371,9 +382,14 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 			recs[i].eventJSON = raw[i]
 		}
 		if len(recs[i].eventJSON) == 0 && s.wal != nil {
-			var err error
-			if recs[i].eventJSON, err = json.Marshal(recs[i].Event); err != nil {
-				return nil, fmt.Errorf("storage: encode event: %w", err)
+			var base *storedEvent
+			if puts[e.UUID] == 1 {
+				s.mu.RLock()
+				base, _ = s.lookup(e.UUID)
+				s.mu.RUnlock()
+			}
+			if err := recs[i].encode(base); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -384,6 +400,13 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	for i, rec := range recs {
 		if s.refuses(rec.Event) {
 			continue
+		}
+		if rec.Op == "patch" {
+			if se, ok := s.lookup(rec.Event.UUID); !ok || se.seq != rec.Base {
+				if err := rec.encode(nil); err != nil { // another write replaced the base
+					return nil, err
+				}
+			}
 		}
 		rec.Seq = s.seq + uint64(len(kept)) + 1
 		kept = append(kept, rec)
@@ -401,6 +424,26 @@ func (s *Store) PutBatch(events []*misp.Event, raw [][]byte) ([]uint64, error) {
 	}
 	s.signalCommit()
 	return seqs, nil
+}
+
+// encode sets the record's frame bytes: a patch on base when base is not
+// nil and the event carries any of its attributes unchanged, else a put
+// of the whole event.
+func (r *walRecord) encode(base *storedEvent) error {
+	e := r.Event
+	r.Op, r.Base, r.Runs = "put", 0, nil
+	if base != nil {
+		if runs, fresh := diffAttributes(base.event.Attributes, e.Attributes); runs != nil {
+			partial := *e
+			partial.Attributes = fresh
+			r.Op, r.Base, r.Runs, e = "patch", base.seq, runs, &partial
+		}
+	}
+	var err error
+	if r.eventJSON, err = json.Marshal(e); err != nil {
+		return fmt.Errorf("storage: encode event: %w", err)
+	}
+	return nil
 }
 
 // lookup resolves a UUID through the compaction overlay (if one is

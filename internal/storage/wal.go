@@ -12,6 +12,15 @@
 // decodes the same event, and for canonical bytes the payload is byte
 // for byte json.Marshal of the walRecord, as it has always been.
 //
+// A revision of a stored UUID, put without raw bytes, is logged as a
+// patch on the revision installed at sequence B (DESIGN.md §9):
+//
+//	{"seq":N,"op":"patch","base":B,"runs":[[at,from,len],…],"event":…}
+//
+// Attributes at..at+len-1 are the base's from..from+len-1; the event
+// holds the others. Replay fails Open with ErrPatchBase unless the
+// UUID's current revision was installed at B and the runs fit it.
+//
 // Every append group (one Delete, or one whole PutBatch) marks its
 // final frame with the commit flag; recovery applies records only up to
 // the last committed group, which is what makes PutBatch all-or-nothing
@@ -30,9 +39,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/caisplatform/caisp/internal/misp"
 )
 
 const (
@@ -207,15 +219,84 @@ func (w *walWriter) append(recs []walRecord) error {
 
 // appendPayload appends the record's JSON payload to buf.
 func (r *walRecord) appendPayload(buf []byte) ([]byte, error) {
-	if r.Op != "put" {
+	if r.eventJSON == nil {
 		data, err := json.Marshal(r)
 		return append(buf, data...), err
 	}
-	buf = append(buf, `{"seq":`...)
-	buf = strconv.AppendUint(buf, r.Seq, 10)
-	buf = append(buf, `,"op":"put","event":`...)
-	buf = append(buf, r.eventJSON...)
+	buf = fmt.Appendf(buf, `{"seq":%d,"op":%q`, r.Seq, r.Op)
+	if r.Op == "patch" {
+		runs, _ := json.Marshal(r.Runs) // a [][3]int always encodes
+		buf = fmt.Appendf(buf, `,"base":%d,"runs":%s`, r.Base, runs)
+	}
+	buf = append(append(buf, `,"event":`...), r.eventJSON...)
 	return append(buf, '}'), nil
+}
+
+// ErrPatchBase is returned by Open for a WAL patch record that does not
+// fit the UUID's current revision.
+var ErrPatchBase = errors.New("storage: wal patch does not fit its base")
+
+// diffAttributes returns the runs of attrs carried unchanged from base,
+// [at, from, len] each, ascending and disjoint on both sides, and the
+// attributes no run covers. An attribute is carried from the base
+// position of its UUID when that follows the last one carried.
+func diffAttributes(base, attrs []misp.Attribute) (runs [][3]int, fresh []misp.Attribute) {
+	byUUID := make(map[string]int, len(base))
+	for j := len(base) - 1; j >= 0; j-- {
+		byUUID[base[j].UUID] = j
+	}
+	next := 0 // the base position after the last carried attribute
+	for i := range attrs {
+		k, ok := byUUID[attrs[i].UUID]
+		if !ok || k < next || !sameAttribute(&base[k], &attrs[i]) {
+			fresh = append(fresh, attrs[i])
+			continue
+		}
+		if n := len(runs) - 1; n >= 0 && runs[n][0]+runs[n][2] == i && runs[n][1]+runs[n][2] == k {
+			runs[n][2]++
+		} else {
+			runs = append(runs, [3]int{i, k, 1})
+		}
+		next = k + 1
+	}
+	return runs, fresh
+}
+
+// sameAttribute reports whether a and b encode alike, so that replay
+// decodes the same attribute from either.
+func sameAttribute(a, b *misp.Attribute) bool {
+	return a.UUID == b.UUID && a.Value == b.Value && a.Type == b.Type && a.Category == b.Category &&
+		a.Comment == b.Comment && a.ToIDS == b.ToIDS && slices.Equal(a.Tags, b.Tags) &&
+		a.Timestamp.IsZero() == b.Timestamp.IsZero() && a.Timestamp.Unix() == b.Timestamp.Unix()
+}
+
+// unpatch rebuilds a replayed patch record's attributes: the runs from
+// the UUID's current revision, which must have been installed at the
+// record's base, with the record's own in between, in order. No runs, or
+// runs that are empty, overlap, leave the base or need more attributes
+// than the record holds, fail with ErrPatchBase.
+func (s *Store) unpatch(rec *walRecord) error {
+	var base *storedEvent
+	if rec.Event != nil {
+		base, _ = s.lookup(rec.Event.UUID)
+	}
+	if base == nil || base.seq != rec.Base || len(rec.Runs) == 0 {
+		return fmt.Errorf("%w: seq %d names base %d", ErrPatchBase, rec.Seq, rec.Base)
+	}
+	from, fresh := base.event.Attributes, rec.Event.Attributes
+	out := make([]misp.Attribute, 0, len(fresh)+len(from))
+	used, fromEnd := 0, 0
+	for _, run := range rec.Runs {
+		at, k, n := run[0], run[1], run[2]
+		gap := at - len(out)
+		if n < 1 || k < fromEnd || n > len(from)-k || gap < 0 || gap > len(fresh)-used {
+			return fmt.Errorf("%w: seq %d run %v", ErrPatchBase, rec.Seq, run)
+		}
+		out = append(append(out, fresh[used:used+gap]...), from[k:k+n]...)
+		used, fromEnd = used+gap, k+n
+	}
+	rec.Event.Attributes = append(out, fresh[used:]...)
+	return nil
 }
 
 // rotate seals the active segment and opens a fresh one whose first

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -170,6 +172,38 @@ func TestWALPutFrameFormat(t *testing.T) {
 		if got, err := r.Get(uuid); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("reopened %s = %+v, %v; want %+v", uuid, got, err, want)
 		}
+	}
+
+	// A revision of a stored event is a patch on it: its frame carries
+	// the base's sequence, the runs of attributes kept from it and the
+	// event with only the others, here one inserted and one changed.
+	p, pdir := openTemp(t)
+	base := &misp.Event{UUID: "22222222-2222-4222-8222-222222222222", Info: "cluster", Date: "2019-06-24", ThreatLevelID: 4, Timestamp: misp.UT(now)}
+	for i, v := range []string{"a.example", "b.example", "c.example"} {
+		a := misp.NewAttribute("domain", "Network activity", v, now)
+		a.UUID = fmt.Sprintf("33333333-3333-4333-8333-33333333333%d", i)
+		base.Attributes = append(base.Attributes, a)
+	}
+	rev := base.Clone()
+	rev.Attributes[2].Value = "d.example"
+	added := misp.NewAttribute("ip-dst", "Network activity", "198.51.100.1", now)
+	added.UUID = "44444444-4444-4444-8444-444444444444"
+	rev.Attributes = slices.Insert(rev.Attributes, 1, added)
+	for _, e := range []*misp.Event{base, rev} {
+		if err := putOne(p, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const patch = `{"seq":2,"op":"patch","base":1,"runs":[[0,0,1],[2,1,1]],"event":{"uuid":"22222222-2222-4222-8222-222222222222","info":"cluster","date":"2019-06-24","threat_level_id":4,"analysis":0,"distribution":0,"published":false,"timestamp":"1561377600","Attribute":[` +
+		`{"uuid":"44444444-4444-4444-8444-444444444444","type":"ip-dst","category":"Network activity","value":"198.51.100.1","to_ids":true,"timestamp":"1561377600"},` +
+		`{"uuid":"33333333-3333-4333-8333-333333333332","type":"domain","category":"Network activity","value":"d.example","to_ids":true,"timestamp":"1561377600"}]}}`
+	if payloads := walPayloads(t, pdir); len(payloads) != 2 || string(payloads[1]) != patch {
+		t.Fatalf("patch frame:\n got %s\nwant %s", payloads[len(payloads)-1], patch)
+	}
+	partial := *rev
+	partial.Attributes = []misp.Attribute{rev.Attributes[1], rev.Attributes[3]}
+	if want, err := json.Marshal(&walRecord{Seq: 2, Op: "patch", Base: 1, Runs: [][3]int{{0, 0, 1}, {2, 1, 1}}, Event: &partial}); err != nil || string(want) != patch {
+		t.Fatalf("json.Marshal of the record = %s, %v", want, err)
 	}
 }
 

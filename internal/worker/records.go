@@ -30,22 +30,50 @@ type blockRecord struct {
 
 // lookup returns the block with the key whose score still holds at now,
 // or nil, looking from block *next round to it and moving *next past a
-// hit: blocks come in the record's order. A nil record holds no block.
-func (r *record) lookup(key uint64, now time.Time, next *int) *blockRecord {
-	if r == nil {
+// hit. Blocks come in the record's order, so the block at *next is
+// compared first and ix only when it misses. A nil record holds no block.
+func (r *record) lookup(key uint64, now time.Time, next *int, ix *blockIndex) *blockRecord {
+	if r == nil || len(r.blocks) == 0 {
 		return nil
 	}
-	for k := range r.blocks {
-		i := (*next + k) % len(r.blocks)
-		if b := &r.blocks[i]; b.key == key {
-			*next = i + 1
-			if unixNano(now) > b.until {
-				return nil
+	i := *next % len(r.blocks)
+	ix.probes++
+	if r.blocks[i].key != key {
+		if ix.at == nil {
+			ix.at = make(map[uint64]int, len(r.blocks))
+			for j, b := range r.blocks {
+				if _, seen := ix.at[b.key]; seen {
+					ix.at[b.key] = -1
+				} else {
+					ix.at[b.key] = j
+				}
 			}
-			return b
 		}
+		j, ok := ix.at[key]
+		for k := 0; ok && j < 0; k++ { // a repeated key: the scan
+			ix.probes++
+			if b := (i + k) % len(r.blocks); r.blocks[b].key == key {
+				j = b
+			}
+		}
+		if !ok {
+			return nil
+		}
+		i = j
+	}
+	*next = i + 1
+	if b := &r.blocks[i]; unixNano(now) <= b.until {
+		return b
 	}
 	return nil
+}
+
+// blockIndex finds a record's blocks by key for one ScoreFrom call. The
+// first lookup that misses builds it, so a revision whose every block
+// changed compares O(blocks) keys (probes), not the record's each time.
+type blockIndex struct {
+	at     map[uint64]int // key -> its block, or -1 when blocks repeat it
+	probes int
 }
 
 // recordSet holds one record per UUID, at most maxRecords, and

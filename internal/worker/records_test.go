@@ -3,6 +3,8 @@ package worker
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"regexp"
 	"sort"
@@ -248,6 +250,70 @@ func TestRecordSetCapsFIFO(t *testing.T) {
 	}
 	if s.len() > maxRecords || len(s.ring) > maxRecords {
 		t.Fatalf("after churn: %d records, %d ring entries", s.len(), len(s.ring))
+	}
+}
+
+// TestLookupOfChangedBlocksIsLinear: a revision whose every block
+// changed misses every lookup, and one whose blocks came back in reverse
+// order misses the block after each hit; through the call's index either
+// compares O(blocks) keys, where a scan of the record per miss compared
+// O(blocks²).
+func TestLookupOfChangedBlocksIsLinear(t *testing.T) {
+	const n = 2000
+	r := &record{blocks: make([]blockRecord, n)}
+	for i := range r.blocks {
+		r.blocks[i] = blockRecord{key: uint64(i), until: math.MaxInt64}
+	}
+	now := time.Unix(0, 0)
+	var changed blockIndex
+	p := 0
+	for i := 0; i < n; i++ {
+		if b := r.lookup(uint64(n+i), now, &p, &changed); b != nil {
+			t.Fatalf("changed block %d found %+v", i, b)
+		}
+	}
+	if changed.probes > n {
+		t.Errorf("%d changed blocks compared %d keys, want at most %d", n, changed.probes, n)
+	}
+	var reversed blockIndex
+	p = 0
+	for i := n - 1; i >= 0; i-- {
+		if b := r.lookup(uint64(i), now, &p, &reversed); b == nil || b.key != uint64(i) {
+			t.Fatalf("block %d found %+v", i, b)
+		}
+	}
+	if reversed.probes > 2*n {
+		t.Errorf("%d reversed blocks compared %d keys, want at most %d", n, reversed.probes, 2*n)
+	}
+}
+
+// TestLookupFindsAsAScan: with repeated keys and any starting block,
+// lookup finds the block a scan of the record from there, round to it,
+// finds first.
+func TestLookupFindsAsAScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	now := time.Unix(0, 0)
+	for trial := 0; trial < 200; trial++ {
+		r := &record{blocks: make([]blockRecord, 1+rng.Intn(12))}
+		for i := range r.blocks {
+			r.blocks[i] = blockRecord{key: uint64(rng.Intn(5)), until: math.MaxInt64}
+		}
+		var ix blockIndex
+		for q := 0; q < 20; q++ {
+			key, start := uint64(rng.Intn(6)), rng.Intn(len(r.blocks)+1)
+			want := -1
+			for k := range r.blocks {
+				if i := (start + k) % len(r.blocks); r.blocks[i].key == key {
+					want = i
+					break
+				}
+			}
+			p := start
+			b := r.lookup(key, now, &p, &ix)
+			if want < 0 && b != nil || want >= 0 && (b != &r.blocks[want] || p != want+1) {
+				t.Fatalf("keys %v: lookup(%d) from %d = %p, next %d; want block %d", r.blocks, key, start, b, p, want)
+			}
+		}
 	}
 }
 

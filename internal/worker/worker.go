@@ -222,6 +222,7 @@ func (a *Analyzer) ScoreFrom(me *misp.Event, token uint64, copied []correlate.Ru
 	var objs []stix.Object
 	var converted, reused int64
 	p := 0 // where in prev's blocks the next copied block or lookup is looked for
+	var ix blockIndex
 	for i := 0; i < conv.Len(); i++ {
 		var key uint64
 		var old *blockRecord
@@ -244,7 +245,7 @@ func (a *Analyzer) ScoreFrom(me *misp.Event, token uint64, copied []correlate.Ru
 		}
 		if !keyed {
 			key = conv.Key(i)
-			old = prev.lookup(key, now, &p)
+			old = prev.lookup(key, now, &p, &ix)
 		}
 		if old != nil {
 			reused++
