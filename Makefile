@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint option-lint door-lint check
+.PHONY: build test race bench fuzz-smoke bench-e2e-smoke bench-read bench-durability bench-correlate bench-obs bench-fanout bench-subs bench-mesh bench-lifecycle obs-smoke vet copyfree metrics-lint clock-lint pool-lint option-lint door-lint check
 
 build:
 	$(GO) build ./...
@@ -297,6 +297,21 @@ clock-lint:
 	fi; \
 	echo 'clock-lint: OK'
 
+# One pool: a fan-out runs on internal/par's Do, which alone sizes
+# itself from runtime.GOMAXPROCS. A GOMAXPROCS call elsewhere is a
+# second pool, with its own sizing, ordering and yield to keep in step
+# (the yield is what lets a woken dashboard or match writer deliver at
+# once while the pool fills every P).
+pool-lint:
+	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' \
+		'runtime\.GOMAXPROCS(' internal cmd examples *.go | grep -v '^internal/par/' || true); \
+	if [ -n "$$bad" ]; then \
+		echo 'pool-lint: fan out on par.Do (internal/par), not a pool sized from runtime.GOMAXPROCS:'; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo 'pool-lint: OK'
+
 # Production paths only: every exported func With… under internal/ is
 # called from a non-test .go file other than its definition — as
 # pkg.WithX( from any package, or WithX( from its own; a comment or a
@@ -344,4 +359,4 @@ door-lint:
 	fi; \
 	echo 'door-lint: OK'
 
-check: vet build test race copyfree metrics-lint clock-lint option-lint door-lint fuzz-smoke bench-e2e-smoke obs-smoke
+check: vet build test race copyfree metrics-lint clock-lint pool-lint option-lint door-lint fuzz-smoke bench-e2e-smoke obs-smoke

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/caisplatform/caisp/internal/obs/health"
+	"github.com/caisplatform/caisp/internal/par"
 )
 
 // nodeFlags collects repeatable -node values ("name=url" or a bare URL,
@@ -130,17 +131,10 @@ func parseTargets(nodes nodeFlags) ([]target, error) {
 // pollAll fetches every target's status concurrently.
 func pollAll(ctx context.Context, client *http.Client, targets []target) []sample {
 	samples := make([]sample, len(targets))
-	done := make(chan int, len(targets))
-	for i, t := range targets {
-		go func(i int, t target) {
-			st, err := fetchStatus(ctx, client, t.url)
-			samples[i] = sample{target: t, status: st, err: err, at: time.Now()}
-			done <- i
-		}(i, t)
-	}
-	for range targets {
-		<-done
-	}
+	par.Do(len(targets), len(targets), func(i int) {
+		st, err := fetchStatus(ctx, client, targets[i].url)
+		samples[i] = sample{target: targets[i], status: st, err: err, at: time.Now()}
+	})
 	return samples
 }
 

@@ -5,13 +5,12 @@ import (
 	"context"
 	"log/slog"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/par"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/subscribe"
 	"github.com/caisplatform/caisp/internal/tip"
@@ -32,15 +31,19 @@ type Node struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	store          *storage.Store
-	stopCompacting func() // stops the store's compaction trigger
-	tip            *tip.Service
+	store *storage.Store
+	tip   *tip.Service
 	// detections evaluates every revision the store commits against the
 	// standing patterns in subs, following the change log from NewNode on.
 	subs       *subscribe.Engine
 	detections *subscribe.Detections
 	lifec      *lifecycle.Engine // nil under Config.DisableLifecycle
 	pool       int               // fanOut's goroutines
+
+	// stop ends the background loops start launched (the subscription
+	// sweeper, the lifecycle, the compactor); loops waits for them.
+	stop  context.CancelFunc
+	loops sync.WaitGroup
 }
 
 // NewNode builds a standalone node from cfg's DataDir, NodeName, Clock,
@@ -79,9 +82,6 @@ func newNode(cfg Config, hub *obs.Registry, sidecar string, lc ...lifecycle.Opti
 		store:  store,
 		pool:   cfg.AnalyzerPool,
 	}
-	if n.pool < 1 {
-		n.pool = runtime.GOMAXPROCS(0)
-	}
 	name := cmp.Or(cfg.NodeName, "caisp")
 	var prov *obs.ProvTable // origin provenance for locally ingested events
 	if !cfg.DisableMetrics {
@@ -119,12 +119,29 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// start launches the lifecycle's re-score loop and the store's compactor.
+// start launches the subscription sweeper, the lifecycle's re-score
+// loop and the store's compactor, each until Close.
 func (n *Node) start() {
+	ctx, stop := context.WithCancel(context.Background())
+	n.stop = stop
+	loops := []func(context.Context){n.subs.RunSweeper,
+		func(ctx context.Context) { n.store.RunCompactor(ctx, n.logger) }}
 	if n.lifec != nil {
-		n.lifec.Start()
+		loops = append(loops, n.lifec.Run)
 	}
-	n.stopCompacting = n.store.StartCompactor(n.logger)
+	goRun(ctx, &n.loops, loops...)
+}
+
+// goRun runs each loop on a goroutine of its own until ctx ends; wg
+// waits for them.
+func goRun(ctx context.Context, wg *sync.WaitGroup, loops ...func(context.Context)) {
+	wg.Add(len(loops))
+	for _, run := range loops {
+		go func() {
+			defer wg.Done()
+			run(ctx)
+		}()
+	}
 }
 
 // Run evaluates the standing patterns against each commit until ctx ends.
@@ -132,13 +149,12 @@ func (n *Node) Run(ctx context.Context) { n.detections.Run(ctx) }
 
 func (n *Node) detectionsLag() uint64 { return n.detections.Lag(n.store.Seq()) }
 
-// Close stops the lifecycle and the compactor (a snapshot due by then
-// still completes), then closes the subscription engine and the store.
+// Close stops the background loops and waits for them (a snapshot due
+// by then still completes), then closes the subscription engine and the
+// store.
 func (n *Node) Close() error {
-	if n.lifec != nil {
-		n.lifec.Close()
-	}
-	n.stopCompacting()
+	n.stop()
+	n.loops.Wait()
 	n.subs.Close()
 	return n.store.Close()
 }
@@ -162,28 +178,4 @@ func (n *Node) Subscriptions() *subscribe.Engine { return n.subs }
 func (n *Node) Lifecycle() *lifecycle.Engine { return n.lifec }
 
 // fanOut calls fn(0..n-1) on up to AnalyzerPool goroutines and waits.
-func (n *Node) fanOut(count int, fn func(i int)) {
-	workers := min(n.pool, count)
-	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < count; i = int(next.Add(1)) - 1 {
-				fn(i)
-				// The pool fills every P: what fn woke (dashboard fan-out,
-				// match watchers) would wait out its time slice, up to
-				// 10 ms and never the same twice. Yield, so it delivers now.
-				runtime.Gosched()
-			}
-		}()
-	}
-	wg.Wait()
-}
+func (n *Node) fanOut(count int, fn func(i int)) { par.Do(count, n.pool, fn) }

@@ -3,13 +3,18 @@ package core
 import (
 	"context"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/daemon"
+	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/subscribe"
 )
 
@@ -151,4 +156,59 @@ func TestDaemonMetricFamilies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCloseEndsLoopsAndCompacts: a durable node with the lifecycle on
+// runs its subscription sweeper, lifecycle and compactor until Close,
+// which ends all three and compacts a trigger still pending before the
+// store closes.
+func TestCloseEndsLoopsAndCompacts(t *testing.T) {
+	dir := t.TempDir()
+	// At the threshold nothing is due; the put below crosses it.
+	preloadWALOps(t, dir, storage.CompactAfterOps)
+	before := loopGoroutines()
+	clk := clock.NewFake(batchTime)
+	n, err := NewNode(Config{DataDir: dir, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.BlockUntil(2) // the sweeper and the lifecycle are armed
+	for deadline := time.Now().Add(5 * time.Second); loopGoroutines() != before+3; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d node loops running, want 3", loopGoroutines()-before)
+		}
+	}
+	if _, err := n.store.PutBatch([]*misp.Event{misp.NewEvent("past the trigger", batchTime)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := loopGoroutines() - before; got != 0 {
+		t.Fatalf("%d node loops still running after Close", got)
+	}
+	s, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if d := s.Durability(); d.WALOps != 0 {
+		t.Fatalf("reopened with %d WAL ops past the snapshot, want the pending trigger compacted", d.WALOps)
+	}
+}
+
+// loopGoroutines counts the goroutines inside a node's background
+// loops, in this process.
+func loopGoroutines() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := string(buf[:n])
+	count := 0
+	for _, loop := range []string{"subscribe.(*Engine).RunSweeper(", "lifecycle.(*Engine).Run(", "storage.(*Store).RunCompactor("} {
+		count += strings.Count(stacks, loop)
+	}
+	return count
 }

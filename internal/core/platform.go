@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,9 +187,9 @@ type Platform struct {
 	counters counters
 
 	runMu   sync.Mutex
-	started bool
-	cancel  context.CancelFunc
-	workers sync.WaitGroup // the analyzer's follower, the detections and the flusher
+	started bool               // Start ran: it runs once per Platform
+	cancel  context.CancelFunc // ends streaming mode; nil when not streaming
+	workers sync.WaitGroup     // the feed scheduler, the analyzer's follower, the detections and the flusher
 	// follower is the analyzer's place in the change log while streaming
 	// mode runs; nil otherwise.
 	follower atomic.Pointer[tip.Follower]
@@ -311,30 +312,24 @@ func (p *Platform) registerPipelineMetrics() {
 // rebuildCorrelationIndex reconstructs the streaming correlator's state
 // from the persisted cIoC events after a restart, so a post-crash sighting
 // still merges into its pre-crash cluster instead of opening a disjoint
-// one. Member reconstruction fans out over the store's parallel iterator
-// (the same worker budget as WAL recovery); seeding is ordered by the
-// stored (timestamp, UUID) so merge survivors are chosen deterministically.
-// Stale cluster identities uncovered by seeding (e.g. a crash between a
-// merge's edit and its retraction) are deleted from the store.
+// one. Member reconstruction fans out on fanOut; seeding is ordered by
+// the stored (timestamp, UUID) so merge survivors are chosen
+// deterministically. Stale cluster identities uncovered by seeding (e.g.
+// a crash between a merge's edit and its retraction) are deleted from
+// the store.
 func (p *Platform) rebuildCorrelationIndex() {
 	type seedRecord struct {
 		uuid    string
 		ts      time.Time
 		members []normalize.Event
 	}
-	var (
-		mu    sync.Mutex
-		seeds []seedRecord
-	)
-	p.store.ForEachParallel(0, func(e *misp.Event) {
-		members := correlate.MembersFromMISP(e)
-		if len(members) == 0 {
-			return
-		}
-		mu.Lock()
-		seeds = append(seeds, seedRecord{uuid: e.UUID, ts: e.Timestamp.Time, members: members})
-		mu.Unlock()
+	events, _, _, _ := p.store.ChangesPage(0, 0)
+	all := make([]seedRecord, len(events))
+	p.fanOut(len(events), func(i int) {
+		e := events[i]
+		all[i] = seedRecord{uuid: e.UUID, ts: e.Timestamp.Time, members: correlate.MembersFromMISP(e)}
 	})
+	seeds := slices.DeleteFunc(all, func(s seedRecord) bool { return len(s.members) == 0 })
 	sort.Slice(seeds, func(i, j int) bool {
 		if !seeds[i].ts.Equal(seeds[j].ts) {
 			return seeds[i].ts.Before(seeds[j].ts)
@@ -792,44 +787,34 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 	if flushInterval <= 0 {
 		flushInterval = time.Second
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	// The feed scheduler starts once, so it refuses a restart first.
-	if err := p.scheduler.Start(ctx); err != nil {
-		cancel()
-		return fmt.Errorf("core: start: %w", err)
-	}
-	p.cancel = cancel
 	p.started = true
+	ctx, p.cancel = context.WithCancel(ctx)
 
 	follower := tip.NewFollower(p.tip, p.store.Seq(), p.clk, p.logger)
 	p.follower.Store(follower)
-	p.workers.Add(3)
-	go func() {
-		defer p.workers.Done()
-		follower.Run(ctx, p.analyzePage)
-	}()
-	go func() {
-		defer p.workers.Done()
-		p.Node.Run(ctx)
-	}()
-
-	go func() {
-		defer p.workers.Done()
-		tick := p.clk.After(flushInterval)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-p.arrived:
-			case <-tick:
-				tick = p.clk.After(flushInterval)
-			}
-			if _, err := p.flush(p.drainPending()); err != nil {
-				p.logger.Warn("flush failed", "error", err)
-			}
-		}
-	}()
+	goRun(ctx, &p.workers, p.scheduler.Run,
+		func(ctx context.Context) { follower.Run(ctx, p.analyzePage) },
+		p.Node.Run,
+		func(ctx context.Context) { p.flushOnArrival(ctx, flushInterval) })
 	return nil
+}
+
+// flushOnArrival flushes pending events as soon as a poll has delivered
+// them, and at the latest every flushInterval, until ctx ends.
+func (p *Platform) flushOnArrival(ctx context.Context, flushInterval time.Duration) {
+	tick := p.clk.After(flushInterval)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-p.arrived:
+		case <-tick:
+			tick = p.clk.After(flushInterval)
+		}
+		if _, err := p.flush(p.drainPending()); err != nil {
+			p.logger.Warn("flush failed", "error", err)
+		}
+	}
 }
 
 // Stop ends streaming mode, flushes remaining pending events and
@@ -837,14 +822,13 @@ func (p *Platform) Start(ctx context.Context, flushInterval time.Duration) error
 func (p *Platform) Stop() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
-	if !p.started {
+	if p.cancel == nil {
 		return
 	}
 	p.cancel()
-	p.scheduler.Stop()
 	p.workers.Wait()
 	p.follower.Store(nil)
-	p.started = false
+	p.cancel = nil
 	// Final flush so nothing collected is lost.
 	if _, err := p.flush(p.drainPending()); err != nil {
 		p.logger.Warn("final flush failed", "error", err)

@@ -15,10 +15,10 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/obs"
 	"github.com/caisplatform/caisp/internal/obs/health"
+	"github.com/caisplatform/caisp/internal/par"
 	"github.com/caisplatform/caisp/internal/storage"
 	"github.com/caisplatform/caisp/internal/tip"
 )
@@ -67,14 +67,13 @@ func (rt *Runtime) Context() context.Context { return rt.ctx }
 // (liveness: a data dir that refuses writes cannot commit), and as
 // readiness compaction_backlog (ten compaction triggers' worth of WAL
 // ops: the store's compactor fell far behind) and, when lc is non-nil,
-// lifecycle_progress (no re-score pass for five minutes).
+// lifecycle_progress (no re-score step for five minutes).
 func (rt *Runtime) StoreChecks(dir string, durability func() storage.DurabilityStats, lc *lifecycle.Engine) {
 	rt.Health.Register("wal_writable", health.DirWritable(dir))
 	rt.Health.Register("compaction_backlog", health.Max("wal ops since snapshot",
 		func() float64 { return float64(durability().WALOps) }, 10*storage.CompactAfterOps))
 	if lc != nil {
-		rt.Health.Register("lifecycle_progress", health.Progress(
-			func() int64 { return int64(lc.Stats().Passes) }, 5*time.Minute, clock.Real()))
+		rt.Health.Register("lifecycle_progress", lifecycle.ProgressCheck(lc, 5*time.Minute))
 	}
 }
 
@@ -175,14 +174,11 @@ func (rt *Runtime) Run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	var servers sync.WaitGroup
-	servers.Add(len(rt.servers))
-	for _, srv := range rt.servers {
-		go func() { defer servers.Done(); _ = srv.Shutdown(ctx) }() // fails only past ctx
-	}
 	drained := make(chan struct{})
 	go func() {
-		servers.Wait()
+		par.Do(len(rt.servers), len(rt.servers), func(i int) {
+			_ = rt.servers[i].Shutdown(ctx) // fails only past ctx
+		})
 		rt.workers.Wait()
 		close(drained)
 	}()

@@ -10,11 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"github.com/caisplatform/caisp/internal/clock"
+	"github.com/caisplatform/caisp/internal/lifecycle"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/storage"
@@ -340,5 +343,44 @@ func TestRunDrainOverrunIsNotAFailure(t *testing.T) {
 	}
 	if took := time.Since(start); took < drainTimeout {
 		t.Fatalf("Run returned after %s, before drainTimeout %s", took, drainTimeout)
+	}
+}
+
+// TestLifecycleProgressCountsSteps: a pass over 6 000 stored events
+// takes twelve one-minute steps, longer than lifecycle_progress's
+// five-minute window. The check counts steps on the engine's clock, so
+// it stays ok through the whole pass.
+func TestLifecycleProgressCountsSteps(t *testing.T) {
+	store, err := storage.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	start := time.Date(2019, 6, 24, 12, 0, 0, 0, time.UTC)
+	batch := make([]*misp.Event, 6000)
+	for i := range batch {
+		batch[i] = misp.NewEvent(fmt.Sprintf("indicator %d", i), start)
+	}
+	if _, err := store.PutBatch(batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake(start)
+	lc := lifecycle.New(store, lifecycle.WithClock(clk))
+	rt := New(nil)
+	defer rt.stop()
+	rt.StoreChecks(t.TempDir(), store.Durability, lc)
+	for minute := 1; minute <= 12; minute++ {
+		clk.Advance(time.Minute)
+		if _, err := lc.RunOnce(clk.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if passes := lc.Stats().Passes; minute < 12 && passes != 0 {
+			t.Fatalf("a pass ended after %d minutes, want 12", minute)
+		}
+		checks := rt.Health.Evaluate().Checks
+		i := slices.IndexFunc(checks, func(c health.CheckResult) bool { return c.Name == "lifecycle_progress" })
+		if i < 0 || checks[i].Status != "ok" {
+			t.Fatalf("minute %d: checks %+v, want lifecycle_progress ok", minute, checks)
+		}
 	}
 }

@@ -363,20 +363,26 @@ func TestSchedulerPeriodicPolling(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx)
+	}()
+	// The loop re-arms its timer once a poll has delivered: each
+	// BlockUntil below returns after the poll before it.
+	for polls := 1; polls <= 3; polls++ {
+		fake.BlockUntil(1)
+		if got := len(snapshot()); got != polls {
+			t.Fatalf("%d events after %d polls, want %d", got, polls, polls)
+		}
+		fake.Advance(time.Minute)
 	}
-	if err := s.Start(context.Background()); err == nil {
-		t.Fatal("double start accepted")
+	cancel()
+	<-done
+	if err := s.Add(Feed{Name: "late", Fetcher: fetcher, Parser: PlaintextParser{}, Interval: time.Minute}); err == nil {
+		t.Fatal("Add accepted after Run")
 	}
-	// First poll happens immediately.
-	waitForEvents(t, snapshot, 1)
-	// Advance the fake clock → next polls.
-	fake.Advance(time.Minute)
-	waitForEvents(t, snapshot, 2)
-	fake.Advance(time.Minute)
-	waitForEvents(t, snapshot, 3)
-	s.Stop()
 
 	st := s.Stats()["periodic"]
 	if st.Fetches < 3 {
@@ -465,17 +471,6 @@ func (failingFetcher) Fetch(context.Context) ([]byte, bool, error) {
 	return nil, false, fmt.Errorf("synthetic outage")
 }
 
-func waitForEvents(t *testing.T, snapshot func() []normalize.Event, n int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for len(snapshot()) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d events after 3s, want %d", len(snapshot()), n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 func mustJSON(t *testing.T, e *misp.Event) string {
 	t.Helper()
 	data, err := misp.MarshalWrapped(e)
@@ -488,9 +483,10 @@ func mustJSON(t *testing.T, e *misp.Event) string {
 
 func TestSchedulerBacksOffAfterErrors(t *testing.T) {
 	sink, _ := collectSink()
-	fake := clock.NewFake(time.Unix(0, 0))
+	start := time.Unix(0, 0)
+	fake := clock.NewFake(start)
 	s := NewScheduler(sink, WithClock(fake))
-	fetcher := &flakyFetcher{failuresRemaining: 100}
+	fetcher := &flakyFetcher{clk: fake, failuresRemaining: 100, fetched: make(chan time.Time, 8)}
 	if err := s.Add(Feed{
 		Name:     "flaky",
 		Fetcher:  fetcher,
@@ -499,42 +495,67 @@ func TestSchedulerBacksOffAfterErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	// fetchAt waits for the next fetch and checks the fake instant it
+	// ran at. Every Advance first waits for the loop's timer to be
+	// pending, so a poll fired early has run and re-armed before the
+	// clock moves on, and would be seen at the earlier instant.
+	fetchAt := func(after time.Duration) {
+		t.Helper()
+		select {
+		case at := <-fetcher.fetched:
+			if want := start.Add(after); !at.Equal(want) {
+				t.Fatalf("fetch at +%v, want +%v", at.Sub(start), after)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("no fetch at +%v", after)
+		}
 	}
-	defer s.Stop()
-
-	waitForFetches(t, s, "flaky", 1) // immediate poll fails
-
-	// Fetches is counted before the scheduler re-arms its timer, so every
-	// Advance first waits for the timer to be pending.
 	advance := func(d time.Duration) {
 		fake.BlockUntil(1)
 		fake.Advance(d)
 	}
 
+	fetchAt(0) // the immediate poll fails
+
 	// After one failure the next wait is 2× interval: advancing by one
 	// interval must NOT trigger a poll; a further advance past 2× must.
 	advance(time.Minute)
-	assertNoMoreFetches(t, s, "flaky", 1)
 	advance(time.Minute)
-	waitForFetches(t, s, "flaky", 2)
+	fetchAt(2 * time.Minute)
 
 	// After two failures the wait is 4× interval.
 	advance(3 * time.Minute)
-	assertNoMoreFetches(t, s, "flaky", 2)
 	advance(time.Minute)
-	waitForFetches(t, s, "flaky", 3)
+	fetchAt(6 * time.Minute)
 
 	// A success resets the backoff to the plain interval.
 	fetcher.succeedNow()
 	advance(8 * time.Minute) // clears the current (8×) backoff
-	waitForFetches(t, s, "flaky", 4)
+	fetchAt(14 * time.Minute)
 	advance(time.Minute)
-	waitForFetches(t, s, "flaky", 5)
+	fetchAt(15 * time.Minute)
+	fake.BlockUntil(1) // the fifth poll has been counted and the loop re-armed
+	if got := s.Stats()["flaky"].Fetches; got != 5 {
+		t.Fatalf("fetches = %d, want 5", got)
+	}
 }
 
+// flakyFetcher fails until succeedNow, sending the fake instant of each
+// fetch on fetched.
 type flakyFetcher struct {
+	clk               *clock.Fake
+	fetched           chan time.Time
 	mu                sync.Mutex
 	failuresRemaining int
 }
@@ -546,6 +567,7 @@ func (f *flakyFetcher) succeedNow() {
 }
 
 func (f *flakyFetcher) Fetch(context.Context) ([]byte, bool, error) {
+	f.fetched <- f.clk.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failuresRemaining > 0 {
@@ -553,23 +575,4 @@ func (f *flakyFetcher) Fetch(context.Context) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("synthetic outage")
 	}
 	return []byte("ok.example\n"), false, nil
-}
-
-func waitForFetches(t *testing.T, s *Scheduler, name string, n int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for s.Stats()[name].Fetches < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("fetches = %d after 3s, want %d", s.Stats()[name].Fetches, n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func assertNoMoreFetches(t *testing.T, s *Scheduler, name string, n int) {
-	t.Helper()
-	time.Sleep(30 * time.Millisecond)
-	if got := s.Stats()[name].Fetches; got != n {
-		t.Fatalf("fetches = %d, want still %d (backoff not honoured)", got, n)
-	}
 }

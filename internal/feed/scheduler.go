@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +12,7 @@ import (
 	"github.com/caisplatform/caisp/internal/clock"
 	"github.com/caisplatform/caisp/internal/normalize"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/par"
 )
 
 // Feed couples a named source with its fetcher, parser and schedule.
@@ -47,7 +48,7 @@ type counts struct {
 // to a sink: one call per poll that delivered records, so the consumer
 // knows where a document ends and can act on it instead of on a timer.
 // The sink must be safe for concurrent use: feeds poll from parallel
-// goroutines in streaming mode and from a bounded worker pool in PollOnce.
+// goroutines in Run and from a bounded worker pool in PollOnce.
 type Scheduler struct {
 	clk         clock.Clock
 	sink        func([]normalize.Event)
@@ -58,9 +59,7 @@ type Scheduler struct {
 	mu      sync.Mutex
 	feeds   []Feed
 	counts  map[string]*counts
-	started bool
-	cancel  context.CancelFunc
-	done    sync.WaitGroup
+	started bool // Run began: Add refuses
 }
 
 // Option configures a Scheduler.
@@ -144,8 +143,8 @@ func NewScheduler(sink func([]normalize.Event), opts ...Option) *Scheduler {
 	return s
 }
 
-// Add registers a feed. It returns an error after Start, or for an invalid
-// feed definition.
+// Add registers a feed. It returns an error once Run has begun, or for
+// an invalid feed definition.
 func (s *Scheduler) Add(f Feed) error {
 	if f.Name == "" || f.Fetcher == nil || f.Parser == nil {
 		return fmt.Errorf("feed: incomplete feed definition %q", f.Name)
@@ -177,41 +176,14 @@ func (s *Scheduler) Add(f Feed) error {
 	return nil
 }
 
-// Start launches one polling goroutine per feed. Each feed is fetched
-// immediately and then every Interval. Stop (or ctx cancellation) ends
-// polling.
-func (s *Scheduler) Start(ctx context.Context) error {
+// Run polls every feed on a goroutine of its own until ctx ends: each
+// is fetched at once and then every Interval.
+func (s *Scheduler) Run(ctx context.Context) {
 	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return fmt.Errorf("feed: scheduler already started")
-	}
 	s.started = true
-	ctx, s.cancel = context.WithCancel(ctx)
-	feeds := make([]Feed, len(s.feeds))
-	copy(feeds, s.feeds)
+	feeds := slices.Clone(s.feeds)
 	s.mu.Unlock()
-
-	for _, f := range feeds {
-		f := f
-		s.done.Add(1)
-		go func() {
-			defer s.done.Done()
-			s.pollLoop(ctx, f)
-		}()
-	}
-	return nil
-}
-
-// Stop cancels polling and waits for the workers to exit.
-func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	cancel := s.cancel
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.done.Wait()
+	par.Do(len(feeds), len(feeds), func(i int) { s.pollLoop(ctx, feeds[i]) })
 }
 
 // PollOnce synchronously fetches every registered feed a single time —
@@ -220,39 +192,9 @@ func (s *Scheduler) Stop() {
 // PollOnce returns once every feed has been processed.
 func (s *Scheduler) PollOnce(ctx context.Context) {
 	s.mu.Lock()
-	feeds := make([]Feed, len(s.feeds))
-	copy(feeds, s.feeds)
+	feeds := slices.Clone(s.feeds)
 	s.mu.Unlock()
-
-	workers := s.concurrency
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(feeds) {
-		workers = len(feeds)
-	}
-	if workers <= 1 {
-		for _, f := range feeds {
-			s.pollFeed(ctx, f)
-		}
-		return
-	}
-	queue := make(chan Feed)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range queue {
-				s.pollFeed(ctx, f)
-			}
-		}()
-	}
-	for _, f := range feeds {
-		queue <- f
-	}
-	close(queue)
-	wg.Wait()
+	par.Do(len(feeds), s.concurrency, func(i int) { s.pollFeed(ctx, feeds[i]) })
 }
 
 // Stats returns a snapshot of per-feed counters.

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"context"
 	"errors"
 	"log/slog"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"github.com/caisplatform/caisp/internal/heuristic"
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/obs/health"
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
@@ -75,7 +77,7 @@ func (h *history) ordered() []Sample {
 // Engine is the background re-score scheduler. One RunOnce processes a
 // bounded batch of the store's change log, oldest ingest first,
 // re-computing every visited indicator's decayed score and expiring
-// the ones that fell through the floor; Start runs RunOnce on an
+// the ones that fell through the floor; Run calls RunOnce on an
 // interval. A pass walks the log up to the sequence the store had when
 // the pass began, so it costs O(store) spread over store/batch runs
 // however fast events arrive: whatever lands after that mark (ingest,
@@ -93,11 +95,10 @@ type Engine struct {
 	expire   func(uuid string) error
 	logger   *slog.Logger
 
-	mu     sync.Mutex // serializes RunOnce: scan cursor + pass counter
-	cur    uint64     // change-log sequence the pass resumes after; 0 starts a pass
-	mark   uint64     // store.Seq() when the pass began: where it ends
-	pass   uint64
-	closed bool
+	mu   sync.Mutex // serializes RunOnce: scan cursor + pass counter
+	cur  uint64     // change-log sequence the pass resumes after; 0 starts a pass
+	mark uint64     // store.Seq() when the pass began: where it ends
+	pass uint64
 
 	histMu sync.RWMutex
 	hist   map[string]*history
@@ -107,11 +108,9 @@ type Engine struct {
 	expired   atomic.Int64
 	refreshes atomic.Int64
 	passes    atomic.Int64
+	steps     atomic.Int64
 
 	mScan *obs.Histogram
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // Option configures the engine.
@@ -122,10 +121,11 @@ type Option func(*Engine)
 // deleted. Zero keeps the default.
 func WithFloor(f float64) Option { return func(e *Engine) { e.floor = f } }
 
-// WithInterval sets the Start loop period. Zero keeps the default.
+// WithInterval sets the Run loop period. Zero keeps the default.
 func WithInterval(d time.Duration) Option { return func(e *Engine) { e.interval = d } }
 
-// WithClock sets the clock the Start loop ticks on and evaluates at.
+// WithClock sets the clock the Run loop ticks on and evaluates at, and
+// that ProgressCheck measures on.
 func WithClock(clk clock.Clock) Option { return func(e *Engine) { e.clk = clk } }
 
 // WithSightings wires the sighting-refresh clock: a function returning
@@ -173,7 +173,7 @@ func WithMetrics(reg *obs.Registry) Option {
 	}
 }
 
-// New builds an engine over the store. Call Start for the background
+// New builds an engine over the store. Call Run for the background
 // loop or RunOnce directly (tests).
 func New(store *storage.Store, opts ...Option) *Engine {
 	e := &Engine{
@@ -186,7 +186,6 @@ func New(store *storage.Store, opts ...Option) *Engine {
 		clk:      clock.Real(),
 		logger:   slog.Default(),
 		hist:     make(map[string]*history),
-		stop:     make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(e)
@@ -200,34 +199,26 @@ func New(store *storage.Store, opts ...Option) *Engine {
 	return e
 }
 
-// Start launches the background re-score loop.
-func (e *Engine) Start() {
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-e.clk.After(e.interval):
-				if _, err := e.RunOnce(e.clk.Now()); err != nil {
-					e.logger.Warn("lifecycle: re-score batch failed", "error", err)
-				}
+// Run calls RunOnce every interval until ctx ends.
+func (e *Engine) Run(ctx context.Context) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-e.clk.After(e.interval):
+			if _, err := e.RunOnce(e.clk.Now()); err != nil {
+				e.logger.Warn("lifecycle: re-score batch failed", "error", err)
 			}
 		}
-	}()
+	}
 }
 
-// Close stops the background loop. Idempotent via sync once-like guard
-// under mu.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.stop)
-	}
-	e.mu.Unlock()
-	e.wg.Wait()
+// ProgressCheck degrades once no RunOnce step has landed for within on
+// the engine's clock. It counts steps, not passes: a pass takes one step
+// per interval for each batch the store holds, so on a large store it
+// outlasts any fixed window while the engine is alive.
+func ProgressCheck(e *Engine, within time.Duration) health.Check {
+	return health.Progress(e.steps.Load, within, e.clk)
 }
 
 // Result summarizes one RunOnce.
@@ -273,6 +264,7 @@ func (e *Engine) RunOnce(now time.Time) (Result, error) {
 	if err := e.processPage(page, now, sight, &res); err != nil {
 		return res, err
 	}
+	e.steps.Add(1)
 	e.cur = next
 	if !more || next >= e.mark {
 		e.wrap(&res)

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -181,8 +182,9 @@ func TestExpireHookRoutesDeletion(t *testing.T) {
 	}
 }
 
-// TestStartTicksOnTheClock: the background loop waits on the injected
-// clock and evaluates at its time, not the wall clock's.
+// TestStartTicksOnTheClock: Run waits on the injected clock and
+// evaluates at its time, not the wall clock's, and returns when its
+// context ends.
 func TestStartTicksOnTheClock(t *testing.T) {
 	s := openStore(t)
 	ev := eioc("c2", "botnet-c2", 4.0, t0)
@@ -191,11 +193,17 @@ func TestStartTicksOnTheClock(t *testing.T) {
 	}
 	clk := clock.NewFake(t0)
 	e := New(s, withPolicies(testPolicies()), WithClock(clk), WithInterval(50*time.Hour))
-	e.Start()
-	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run(ctx)
+	}()
 	clk.BlockUntil(1) // the loop is armed
 	clk.Advance(50 * time.Hour)
 	clk.BlockUntil(1) // the pass ran and the loop re-armed
+	cancel()
+	<-done
 	if p := e.Stats().Passes; p != 1 {
 		t.Fatalf("Passes = %d after one interval, want 1", p)
 	}

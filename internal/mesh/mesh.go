@@ -59,6 +59,7 @@ import (
 
 	"github.com/caisplatform/caisp/internal/misp"
 	"github.com/caisplatform/caisp/internal/obs"
+	"github.com/caisplatform/caisp/internal/par"
 	"github.com/caisplatform/caisp/internal/storage"
 )
 
@@ -457,26 +458,18 @@ func (e *Engine) jittered(d time.Duration) time.Duration {
 // deterministic rounds. It never asks a peer to hold a request nor waits
 // for a worker parked on one.
 func (e *Engine) SyncOnce(ctx context.Context) (int, error) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total int
-		errs  []error
-	)
-	for _, ps := range e.peers {
-		wg.Add(1)
-		go func(ps *peerState) {
-			defer wg.Done()
-			n, err := e.syncPeer(ctx, ps, nil)
-			mu.Lock()
-			total += n
-			if err != nil {
-				errs = append(errs, fmt.Errorf("peer %s: %w", ps.name, err))
-			}
-			mu.Unlock()
-		}(ps)
+	counts := make([]int, len(e.peers))
+	errs := make([]error, len(e.peers))
+	par.Do(len(e.peers), len(e.peers), func(i int) {
+		ps := e.peers[i]
+		if counts[i], errs[i] = e.syncPeer(ctx, ps, nil); errs[i] != nil {
+			errs[i] = fmt.Errorf("peer %s: %w", ps.name, errs[i])
+		}
+	})
+	total := 0
+	for _, n := range counts {
+		total += n
 	}
-	wg.Wait()
 	return total, errors.Join(errs...)
 }
 

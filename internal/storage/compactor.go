@@ -1,11 +1,11 @@
 package storage
 
 import (
+	"context"
 	"log/slog"
-	"sync"
 )
 
-// The compaction policy StartCompactor applies: snapshot once this many
+// The compaction policy RunCompactor applies: snapshot once this many
 // WAL operations accumulated since the last snapshot, bounding restart
 // replay, or once the on-disk WAL crosses this many bytes, so a burst of
 // large events cannot grow the log unboundedly between op-count
@@ -15,41 +15,31 @@ const (
 	CompactAfterBytes = 32 << 20
 )
 
-// StartCompactor starts the store's background compaction trigger: one
-// goroutine parks on Committed and runs Compact once the WAL passes
-// CompactAfterOps or CompactAfterBytes, so snapshots never run on a
-// writer's path and commits landing during one coalesce into the next
-// check. Failures are logged to logger. A memory-only store has no WAL
-// to bound and starts nothing.
-//
-// The returned stop compacts once more if a trigger is pending, waits
-// for the goroutine to exit and is idempotent. Call it before Close.
-func (s *Store) StartCompactor(logger *slog.Logger) (stop func()) {
+// RunCompactor is the store's background compaction trigger: it parks
+// on Committed and runs Compact once the WAL passes CompactAfterOps or
+// CompactAfterBytes, so snapshots never run on a writer's path and
+// commits landing during one coalesce into the next check. Failures are
+// logged to logger. It returns when ctx ends, compacting once more if a
+// trigger is pending, or once the store is closed; on a memory-only
+// store, which has no WAL to bound, at once. End it before Close.
+func (s *Store) RunCompactor(ctx context.Context, logger *slog.Logger) {
 	if s.dir == "" {
-		return func() {}
+		return
 	}
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			// Take the wake-up before reading the watermarks, so a
-			// commit landing in between still wakes the loop.
-			woke := s.Committed()
-			if !s.compactIfDue(logger) {
-				return // closed: Committed stays closed from now on
-			}
-			select {
-			case <-woke:
-			case <-quit:
-				s.compactIfDue(logger)
-				return
-			}
+	for {
+		// Take the wake-up before reading the watermarks, so a commit
+		// landing in between still wakes the loop.
+		woke := s.Committed()
+		if !s.compactIfDue(logger) {
+			return // closed: Committed stays closed from now on
 		}
-	}()
-	return sync.OnceFunc(func() {
-		close(quit)
-		<-done
-	})
+		select {
+		case <-woke:
+		case <-ctx.Done():
+			s.compactIfDue(logger)
+			return
+		}
+	}
 }
 
 // compactIfDue compacts when the WAL is past either threshold. It

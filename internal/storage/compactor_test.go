@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"os"
@@ -48,30 +49,44 @@ func TestMemoryStoreCountsNoWALOps(t *testing.T) {
 	}
 }
 
+// runCompactor runs s.RunCompactor on a goroutine of its own; the
+// returned stop ends its context and waits for it to return.
+func runCompactor(s *Store) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.RunCompactor(ctx, slog.Default())
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
 // TestCompactorSnapshotsPastThreshold: a backlog past CompactAfterOps is
 // snapshotted whether it was replayed before the compactor started or
-// committed while it ran, and stop drains a trigger that is still
-// pending when it is called — so both counts are exact once stop
+// committed while it ran, and ending its context drains a trigger that
+// is still pending — so both counts are exact once RunCompactor
 // returns.
 func TestCompactorSnapshotsPastThreshold(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		before bool // commit before StartCompactor
+		before bool // commit before RunCompactor
 	}{{"backlog at start", true}, {"commit then stop", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := openTemp(t)
 			var stop func()
 			if !tc.before {
-				stop = s.StartCompactor(slog.Default())
+				stop = runCompactor(s)
 			}
 			if _, err := s.PutBatch(pastThreshold(t), nil); err != nil {
 				t.Fatal(err)
 			}
 			if tc.before {
-				stop = s.StartCompactor(slog.Default())
+				stop = runCompactor(s)
 			}
 			stop()
-			stop() // idempotent
 			if d := s.Durability(); d.Compactions != 1 || d.WALOps != 0 {
 				t.Fatalf("after stop: %+v, want one compaction and an empty backlog", d)
 			}
@@ -80,21 +95,36 @@ func TestCompactorSnapshotsPastThreshold(t *testing.T) {
 }
 
 // TestCompactorStopsAfterClose: a store closed under a running compactor
-// leaves it parked, not spinning on the closed commit channel, and stop
-// still returns.
+// ends it, not spinning on the closed commit channel, without waiting
+// for its context.
 func TestCompactorStopsAfterClose(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := s.StartCompactor(slog.Default())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.RunCompactor(context.Background(), slog.Default())
+	}()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stop()
+	<-done
 	if d := s.Durability(); d.Compactions != 0 {
 		t.Fatalf("compacted a closed store: %+v", d)
 	}
+}
+
+// TestMemoryCompactorReturnsAtOnce: a memory-only store has no WAL to
+// bound, so RunCompactor returns without waiting for its context.
+func TestMemoryCompactorReturnsAtOnce(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.RunCompactor(context.Background(), slog.Default())
 }
 
 // TestWriteFileAtomic: the file holds the last data written and no

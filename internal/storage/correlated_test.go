@@ -194,3 +194,33 @@ func TestCorrelatedWalkIndependentOfHistory(t *testing.T) {
 		t.Errorf("test has no teeth: all-values walk %d -> %d", beforeEvery, afterEvery)
 	}
 }
+
+// TestCorrelatedWithoutIndexesMultiValue checks the full-scan reference
+// with a query event carrying several attribute values: the scan must
+// match stored events against the full value set, not just one value per
+// pass, and the indexed lookup must agree with it.
+func TestCorrelatedWithoutIndexesMultiValue(t *testing.T) {
+	s, _ := openTemp(t)
+	a := event(t, "a", [2]string{"domain", "one.example"})
+	b := event(t, "b", [2]string{"ip-dst", "198.51.100.7"})
+	c := event(t, "c", [2]string{"domain", "other.example"})
+	for _, e := range []*misp.Event{a, b, c} {
+		if err := putOne(s, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := event(t, "q",
+		[2]string{"domain", "one.example"},
+		[2]string{"ip-dst", "198.51.100.7"})
+	got := correlatedScan(s, q, correlatingValues(q))
+	if indexed := s.Correlated(q); !slices.Equal(indexed, got) {
+		t.Fatalf("Correlated = %v, scan = %v", indexed, got)
+	}
+	found := make(map[string]bool, len(got))
+	for _, u := range got {
+		found[u] = true
+	}
+	if !found[a.UUID] || !found[b.UUID] || found[c.UUID] || len(got) != 2 {
+		t.Fatalf("Correlated = %v", got)
+	}
+}

@@ -14,12 +14,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/caisplatform/caisp/internal/misp"
+	"github.com/caisplatform/caisp/internal/par"
 )
 
 // snapshotHeader is the first line of a streaming snapshot.
@@ -47,42 +46,12 @@ type snapshotRecord struct {
 	DeletedAt int64  `json:"deleted_at,omitempty"`
 }
 
-// parallelDecode runs decode(0..n-1) across a worker pool, joining any
-// errors. Workers stride over the index space so the output order is
-// the caller's to define (each decode writes its own slot).
-func parallelDecode(n, workers int, decode func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := decode(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if err := decode(i); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+// decodeAll runs decode(0..n-1) on GOMAXPROCS workers and joins every
+// error. Each decode writes its own slot, so the output order is the
+// caller's to define.
+func decodeAll(n int, decode func(i int) error) error {
+	errs := make([]error, n)
+	par.Do(n, 0, func(i int) { errs[i] = decode(i) })
 	return errors.Join(errs...)
 }
 
@@ -154,7 +123,7 @@ func WriteFileAtomic(path string, data []byte) error {
 // loadSnapshot restores the persisted base state, decoding event lines
 // across the recovery worker pool. Only called from Open, before the
 // store is shared — applies need no lock.
-func (s *Store) loadSnapshot(workers int) error {
+func (s *Store) loadSnapshot() error {
 	path := filepath.Join(s.dir, snapshotFile)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -196,7 +165,7 @@ func (s *Store) loadSnapshot(workers int) error {
 		return fmt.Errorf("storage: snapshot truncated: %d of %d events", len(lines), hdr.Count)
 	}
 	recs := make([]snapshotRecord, hdr.Count)
-	if err := parallelDecode(hdr.Count, workers, func(i int) error {
+	if err := decodeAll(hdr.Count, func(i int) error {
 		if hdr.Version == 1 {
 			// Bare event lines; sequences are synthesized by line order
 			// below.
@@ -256,7 +225,7 @@ func (s *Store) loadSnapshot(workers int) error {
 // final segment's torn tail (if any) is repaired by truncating the file
 // back to its last committed group. Returns the segment list with
 // repaired sizes for the WAL writer to resume from.
-func (s *Store) replaySegments(workers int) ([]walSegment, error) {
+func (s *Store) replaySegments() ([]walSegment, error) {
 	segs, err := listSegments(s.dir)
 	if err != nil {
 		return nil, err
@@ -272,7 +241,7 @@ func (s *Store) replaySegments(workers int) ([]walSegment, error) {
 			return nil, fmt.Errorf("%w (%s)", err, filepath.Base(segs[i].path))
 		}
 		recs := make([]walRecord, len(frames))
-		if err := parallelDecode(len(frames), workers, func(j int) error {
+		if err := decodeAll(len(frames), func(j int) error {
 			if err := json.Unmarshal(frames[j].payload, &recs[j]); err != nil {
 				return fmt.Errorf("storage: corrupt wal record in %s: %w", filepath.Base(segs[i].path), err)
 			}

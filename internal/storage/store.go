@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -325,11 +324,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if _, err := os.Stat(legacy); err == nil {
 		return nil, fmt.Errorf("%w: %s", ErrLegacyFormat, legacy)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if err := s.loadSnapshot(workers); err != nil {
+	if err := s.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	segs, err := s.replaySegments(workers)
+	segs, err := s.replaySegments()
 	if err != nil {
 		return nil, err
 	}
@@ -683,49 +681,6 @@ func (s *Store) Select(keep func(*misp.Event) bool) ([]*misp.Event, error) {
 	}
 	slices.SortFunc(out, func(a, b *misp.Event) int { return strings.Compare(a.UUID, b.UUID) })
 	return out, nil
-}
-
-// ForEachParallel streams every live event through fn across a pool of
-// workers — the rebuild hook consumers use to reconstruct derived indexes
-// (e.g. the platform's incremental correlation state) after a restart.
-// Events are shared frozen revisions: fn must not mutate them. fn runs
-// outside the store lock and may be called concurrently from workers
-// workers (≤ 1 means GOMAXPROCS).
-func (s *Store) ForEachParallel(workers int, fn func(*misp.Event)) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.mu.RLock()
-	events := make([]*misp.Event, 0, s.count)
-	s.forEach(func(_ string, se *storedEvent) {
-		events = append(events, se.event)
-	})
-	s.mu.RUnlock()
-	if workers > len(events) {
-		workers = len(events)
-	}
-	if workers <= 1 {
-		for _, e := range events {
-			fn(e)
-		}
-		return
-	}
-	ch := make(chan *misp.Event)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := range ch {
-				fn(e)
-			}
-		}()
-	}
-	for _, e := range events {
-		ch <- e
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // SearchValue returns events carrying an attribute with exactly this

@@ -25,6 +25,7 @@
 package subscribe
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -146,9 +147,6 @@ type Engine struct {
 	candidates  *obs.Histogram
 	rejected    *obs.CounterVec
 	expiredCnt  *obs.Counter
-	sweepStop   chan struct{}
-	sweepWG     sync.WaitGroup
-	closeOnce   sync.Once
 	// hubReg receives the match hub's caisp_wsock_* families; nil leaves
 	// them unregistered.
 	hubReg *obs.Registry
@@ -211,7 +209,7 @@ func WithLogger(l *slog.Logger) Option {
 }
 
 // WithClock sets the clock that stamps registrations, decides TTL expiry
-// and ticks the background sweep.
+// and ticks RunSweeper.
 func WithClock(clk clock.Clock) Option {
 	return func(e *Engine) {
 		if clk != nil {
@@ -220,8 +218,8 @@ func WithClock(clk clock.Clock) Option {
 	}
 }
 
-// NewEngine builds an empty engine, its match-push hub and the sweeper
-// that removes TTL-expired subscriptions every sweepInterval.
+// NewEngine builds an empty engine and its match-push hub. RunSweeper
+// removes TTL-expired subscriptions in the background.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		maxBytes: DefaultMaxPatternBytes,
@@ -238,32 +236,23 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.hub = wsock.NewHub(wsock.WithQueueDepth(DefaultMatchQueueDepth), wsock.WithHubMetrics(e.hubReg))
 	e.loadPersisted()
-	e.sweepStop = make(chan struct{})
-	e.sweepWG.Add(1)
-	go e.sweepLoop()
 	return e
 }
 
-func (e *Engine) sweepLoop() {
-	defer e.sweepWG.Done()
+// RunSweeper calls Sweep every sweepInterval until ctx ends.
+func (e *Engine) RunSweeper(ctx context.Context) {
 	for {
 		select {
 		case <-e.clk.After(sweepInterval):
 			e.Sweep()
-		case <-e.sweepStop:
+		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// Close stops the expiry sweeper and shuts down the match-push hub.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		close(e.sweepStop)
-		e.sweepWG.Wait()
-		e.hub.Close()
-	})
-}
+// Close shuts down the match-push hub. End RunSweeper first.
+func (e *Engine) Close() { e.hub.Close() }
 
 // AddWatcher attaches a WebSocket connection to the match stream.
 func (e *Engine) AddWatcher(c *wsock.Conn) { e.hub.Add(c) }

@@ -2,6 +2,7 @@ package subscribe
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,8 +18,7 @@ func TestTTLExpiryStopsMatchingBeforeSweep(t *testing.T) {
 	clk := clock.NewFake(ttlStart)
 	e := NewEngine(WithClock(clk))
 	defer e.Close()
-	// The TTL is shorter than the sweep interval, so the background
-	// sweeper stays armed and only the explicit Sweep below removes it.
+	// No RunSweeper runs, so only the explicit Sweep below removes it.
 	ttl, err := e.RegisterTTL("c", "[domain-name:value = 'evil.example']", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestTTLSweepCounter(t *testing.T) {
 		}
 	}
 	mustRegister(t, e, "c", "[url:value = 'http://x/']")
-	clk.Advance(20 * time.Second) // short of the sweep interval: Sweep below does the work
+	clk.Advance(20 * time.Second) // no RunSweeper: Sweep below does the work
 	if n := e.Sweep(); n != 3 {
 		t.Fatalf("Sweep = %d, want 3", n)
 	}
@@ -112,6 +112,8 @@ func TestTTLPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTTLBackgroundSweeper: RunSweeper sweeps on the engine's clock
+// and returns when its context ends.
 func TestTTLBackgroundSweeper(t *testing.T) {
 	clk := clock.NewFake(ttlStart)
 	e := NewEngine(WithClock(clk))
@@ -119,9 +121,17 @@ func TestTTLBackgroundSweeper(t *testing.T) {
 	if _, err := e.RegisterTTL("c", "[domain-name:value = 'a.example']", time.Minute); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.RunSweeper(ctx)
+	}()
 	clk.BlockUntil(1) // the sweeper is armed
 	clk.Advance(2 * time.Minute)
 	clk.BlockUntil(1) // the sweep ran and the sweeper re-armed
+	cancel()
+	<-done
 	if e.Len() != 0 {
 		t.Fatalf("background sweeper never removed expired subscription; Len = %d", e.Len())
 	}

@@ -2,6 +2,7 @@ package tip
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -479,8 +480,16 @@ func TestDurableNodeCompactsWithoutCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	stop := store.StartCompactor(slog.Default())
-	defer stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		store.RunCompactor(ctx, slog.Default())
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
 	s := NewService(store)
 	for b := 0; b*500 <= storage.CompactAfterOps; b++ {
 		batch := make([]*misp.Event, 500)
